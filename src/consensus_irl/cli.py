@@ -4,7 +4,9 @@ One executable, eight subcommands: ingest, cluster, irl, prune, pipeline,
 synth, analyze, sweep. Every subcommand accepts --config pointing at a JSON
 file whose keys mirror the flag names (flags win over the file; unknown keys
 are rejected), takes one global --seed, and writes a manifest.json with the
-echoed config, derived seeds, artifact hashes, and tool version.
+echoed config, derived seeds, artifact hashes, and tool version. Flags that
+set a field of IrlConfig, PruneConfig or PopulationConfig take their default
+and type from that dataclass.
 
 Seed derivation from the global seed S: stage-1 IRL trains with S, stage-2
 with S + 1, random pruning draws with S + 2, and permutation tests run with
@@ -14,10 +16,11 @@ S + 3. Exit codes: 0 success, 1 input/config error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,13 +52,14 @@ from .ingest import (
 from .maxent import IrlConfig, train_maxent_irl, write_training_log
 from .mdp import RewardModel, estimate_transitions, greedy_policy, write_expected_reward_csv
 from .pipeline import (
+    load_run_directory,
     run_two_stage,
-    sha256_file,
+    write_json,
+    write_manifest,
     write_run_directory,
 )
 from .prune import (
     PruneConfig,
-    read_scores_csv,
     score_trajectories,
     select_retained,
     write_scores_csv,
@@ -74,22 +78,47 @@ from .version import __version__
 
 OUT_ROOT_ENV = "CONSENSUS_IRL_OUT"
 
-_IRL_DEFAULTS = {
-    "optimizer": "sga",
-    "lr0": 0.2,
-    "epochs": 200,
-    "init": "ones",
-    "grad_tolerance": 1e-4,
-    "horizon": None,
-    "states": None,
-    "actions": None,
+# public flag name -> config dataclass field, where the two differ
+_FLAG_OF_FIELD = {
+    "retain_fraction": "retain",
+    "likelihood_percentile": "percentile",
+    "likelihood_threshold": "threshold",
+    "corrupted_fraction": "corrupted",
+    "corruption_mode": "mode",
+    "n_trajectories": "trajectories",
 }
-_PRUNE_DEFAULTS = {
-    "method": "deviation",
-    "retain": 0.5,
-    "percentile": None,
-    "threshold": None,
+# numeric flags whose default is None, so the default cannot give their type
+_NONE_DEFAULT_TYPES = {
+    "horizon": int,
+    "states": int,
+    "actions": int,
+    "percentile": float,
+    "threshold": float,
 }
+
+
+def _flag_defaults(cls, skip=()) -> dict:
+    """{flag: default} for a config dataclass's fields; seed is the global --seed."""
+    return {
+        _FLAG_OF_FIELD.get(f.name, f.name): f.default
+        for f in fields(cls)
+        if f.name != "seed" and f.name not in skip
+    }
+
+
+def _from_flags(cls, cfg, **fixed):
+    """Build a config dataclass from merged flags; `fixed` sets seed and unflagged fields."""
+    return cls(
+        **{
+            f.name: cfg[_FLAG_OF_FIELD.get(f.name, f.name)]
+            for f in fields(cls)
+            if f.name not in fixed
+        },
+        **fixed,
+    )
+
+
+_POPULATION_UNFLAGGED = ("horizon", "demographics")  # world horizon; tags come from a file
 _INGEST_DEFAULTS = {
     "records": None,
     "normals": None,
@@ -118,15 +147,11 @@ _ANALYZE_DEFAULTS = {
 SPECS = {
     "synth": {
         "defaults": {
+            **_flag_defaults(PopulationConfig, skip=_POPULATION_UNFLAGGED),
             "states": 100,
             "actions": 4,
             "branching": 5,
             "horizon": 20,
-            "trajectories": 2000,
-            "corrupted": 0.3,
-            "mode": "random_policy",
-            "expert_beta": 5.0,
-            "corruption_beta": 0.5,
             "demographics": None,
         },
         "required": [],
@@ -140,12 +165,17 @@ SPECS = {
         "required": ["prepared", "features"],
     },
     "irl": {
-        "defaults": {**_IRL_DEFAULTS, "trajectories": None},
+        "defaults": {
+            **_flag_defaults(IrlConfig),
+            "states": None,
+            "actions": None,
+            "trajectories": None,
+        },
         "required": ["trajectories"],
     },
     "prune": {
         "defaults": {
-            **_PRUNE_DEFAULTS,
+            **_flag_defaults(PruneConfig),
             "trajectories": None,
             "rewards": None,
             "states": None,
@@ -155,12 +185,13 @@ SPECS = {
     },
     "pipeline": {
         "defaults": {
-            **_IRL_DEFAULTS,
-            **_PRUNE_DEFAULTS,
+            **_flag_defaults(IrlConfig),
+            **_flag_defaults(PruneConfig),
             **_INGEST_DEFAULTS,
             **_CLUSTER_DEFAULTS,
             **_ANALYZE_DEFAULTS,
-            "prepared": None,
+            "states": None,
+            "actions": None,
             "trajectories": None,
             "world": None,
             "labels": None,
@@ -185,7 +216,6 @@ SPECS = {
 SPECS["sweep"]["defaults"] = {**SPECS["pipeline"]["defaults"], "fractions": "0.2,0.5,0.8"}
 for _spec in SPECS.values():
     _spec["defaults"].setdefault("seed", 0)
-    _spec["defaults"].setdefault("threads", 1)
     _spec["defaults"].setdefault("out", None)
 
 
@@ -199,34 +229,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its keys")
     for key in sorted(defaults):
-        flag = "--" + key.replace("_", "-")
         default = defaults[key]
-        if isinstance(default, bool):
-            raise AssertionError("boolean flags are not used")
-        kind = str
-        if isinstance(default, int) and not isinstance(default, bool):
-            kind = int
-        elif isinstance(default, float):
-            kind = float
-        if key in (
-            "retain",
-            "corrupted",
-            "expert_beta",
-            "corruption_beta",
-            "percentile",
-            "threshold",
-            "lr0",
-            "grad_tolerance",
-            "min_share",
-        ):
-            kind = float
-        if key in ("states", "actions", "horizon", "epochs", "k", "min_size",
-                   "restarts", "trajectories", "branching", "permutations",
-                   "top_k", "seed", "threads"):
-            kind = int
-        if key == "trajectories" and defaults[key] is None:
-            kind = str  # a path everywhere except synth, where it is a count
-        sub.add_argument(flag, dest=key, default=None, type=kind)
+        # synth's --trajectories is a count; everywhere else it is a path
+        kind = _NONE_DEFAULT_TYPES.get(key, str) if default is None else type(default)
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, default=None, type=kind)
 
 
 def build_parser() -> _Parser:
@@ -271,8 +277,6 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         raise InputError(
             f"{command}: missing required " + ", ".join("--" + m for m in missing)
         )
-    if merged.get("threads", 1) < 1:
-        raise InputError("--threads must be >= 1")
     return merged
 
 
@@ -298,29 +302,19 @@ def _echo(command: str, cfg: dict) -> dict:
     return {"subcommand": command, **{k: cfg[k] for k in sorted(cfg) if k != "out"}}
 
 
-def _write_manifest(out, command, cfg, seeds, artifacts, extra=None) -> None:
-    manifest = {
-        "tool": "consensus-irl",
-        "version": __version__,
-        "subcommand": command,
-        "config": _echo(command, cfg),
-        "seeds": seeds,
-        "threads": cfg.get("threads", 1),
-        "hashes": {a: sha256_file(os.path.join(out, a)) for a in artifacts},
-    }
-    if extra:
-        manifest.update(extra)
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_echo_and_manifest(out, command, cfg, seeds, artifacts, **extra) -> None:
+    """Echo the config to config.json, then hash it and `artifacts` into manifest.json."""
+    echo = _echo(command, cfg)
+    write_json(os.path.join(out, "config.json"), echo)
+    write_manifest(
+        out,
+        ["config.json", *artifacts],
+        {"subcommand": command, "config": echo, "seeds": seeds, **extra},
+    )
 
 
-def _write_config_echo(out, command, cfg) -> None:
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        json.dump(_echo(command, cfg), fh, indent=2, sort_keys=True)
-
-
-def _load_trajectories(cfg, key="trajectories") -> TrajectorySet:
-    path = cfg[key]
+def _load_trajectories(cfg) -> TrajectorySet:
+    path = cfg["trajectories"]
     try:
         return TrajectorySet.from_csv(
             path, n_states=cfg.get("states"), n_actions=cfg.get("actions")
@@ -330,62 +324,11 @@ def _load_trajectories(cfg, key="trajectories") -> TrajectorySet:
 
 
 def _irl_config(cfg) -> IrlConfig:
-    return IrlConfig(
-        optimizer=cfg["optimizer"],
-        lr0=cfg["lr0"],
-        epochs=cfg["epochs"],
-        init=cfg["init"],
-        grad_tolerance=cfg["grad_tolerance"],
-        horizon=cfg["horizon"],
-        seed=cfg["seed"],
-    )
+    return _from_flags(IrlConfig, cfg, seed=cfg["seed"])
 
 
 def _prune_config(cfg) -> PruneConfig:
-    return PruneConfig(
-        method=cfg["method"],
-        retain_fraction=cfg["retain"],
-        likelihood_percentile=cfg["percentile"],
-        likelihood_threshold=cfg["threshold"],
-        seed=cfg["seed"] + 2,
-    )
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers
-
-
-def cmd_synth(cfg) -> None:
-    out = _out_dir("synth", cfg)
-    world = generate_world(
-        cfg["states"], cfg["actions"], cfg["branching"], cfg["seed"], cfg["horizon"]
-    )
-    tags = []
-    if cfg["demographics"]:
-        with open(cfg["demographics"]) as fh:
-            tags = [DemographicTag(**entry) for entry in json.load(fh)]
-    pop_cfg = PopulationConfig(
-        n_trajectories=cfg["trajectories"],
-        expert_beta=cfg["expert_beta"],
-        corrupted_fraction=cfg["corrupted"],
-        corruption_mode=cfg["mode"],
-        corruption_beta=cfg["corruption_beta"],
-        demographics=tags,
-        seed=cfg["seed"],
-    )
-    population = generate_population(world, pop_cfg)
-    world.to_json(os.path.join(out, "world.json"))
-    population.trajectories.to_csv(os.path.join(out, "trajectories.csv"))
-    population.write_labels_csv(os.path.join(out, "labels.csv"))
-    _write_config_echo(out, "synth", cfg)
-    _write_manifest(
-        out,
-        "synth",
-        cfg,
-        {"world": cfg["seed"], "population": cfg["seed"]},
-        ["config.json", "world.json", "trajectories.csv", "labels.csv"],
-    )
-    print(f"synth: wrote {cfg['trajectories']} trajectories to {out}")
+    return _from_flags(PruneConfig, cfg, seed=cfg["seed"] + 2)
 
 
 def _codec_from_cfg(cfg) -> ActionCodec:
@@ -400,8 +343,11 @@ def _codec_from_cfg(cfg) -> ActionCodec:
     )
 
 
-def cmd_ingest(cfg) -> None:
-    out = _out_dir("ingest", cfg)
+def _ingest(cfg, out) -> tuple[dict, dict]:
+    """Raw records -> prepared subjects, written to out/prepared.csv.
+
+    Returns (prepared, report); ingest and pipeline --records both run this.
+    """
     codec = _codec_from_cfg(cfg)
     features = _as_list(cfg["features"])
     flags = _as_list(cfg["flags"]) or sorted(codec.known_flags)
@@ -417,23 +363,17 @@ def cmd_ingest(cfg) -> None:
     bounds = load_bounds(cfg["bounds"])
     prepared, report = prepare_subjects(subjects, normals, bounds, codec)
     write_prepared_csv(prepared, features, os.path.join(out, "prepared.csv"))
-    with open(os.path.join(out, "ingest_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    _write_config_echo(out, "ingest", cfg)
-    _write_manifest(
-        out,
-        "ingest",
-        cfg,
-        {},
-        ["config.json", "prepared.csv", "ingest_report.json"],
-    )
-    print(f"ingest: prepared {len(prepared)} subjects to {out}")
+    return prepared, report
 
 
-def cmd_cluster(cfg) -> None:
-    out = _out_dir("cluster", cfg)
+def _cluster(cfg, prepared, out) -> tuple[ClusterModel, TrajectorySet, dict]:
+    """Prepared subjects -> k-means states -> trajectories.
+
+    Writes out/cluster_model.json and out/trajectories.csv and returns
+    (model, trajectories, report); cluster and pipeline --prepared/--records
+    both run this.
+    """
     features = _as_list(cfg["features"])
-    prepared = read_prepared_csv(cfg["prepared"], features)
     rows, _ = feature_matrix(prepared, features)
     model = fit_state_space(
         rows,
@@ -446,21 +386,70 @@ def cmd_cluster(cfg) -> None:
     tset, report = trajectories_from_prepared(prepared, model, features)
     model.to_json(os.path.join(out, "cluster_model.json"))
     tset.to_csv(os.path.join(out, "trajectories.csv"))
+    return model, tset, report
+
+
+def _load_cluster_model(cfg) -> ClusterModel | None:
+    return ClusterModel.from_json(cfg["cluster_model"]) if cfg["cluster_model"] else None
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers
+
+
+def cmd_synth(cfg) -> None:
+    out = _out_dir("synth", cfg)
+    world = generate_world(
+        cfg["states"], cfg["actions"], cfg["branching"], cfg["seed"], cfg["horizon"]
+    )
+    tags = []
+    if cfg["demographics"]:
+        with open(cfg["demographics"]) as fh:
+            tags = [DemographicTag(**entry) for entry in json.load(fh)]
+    pop_cfg = _from_flags(
+        PopulationConfig, cfg, horizon=None, demographics=tags, seed=cfg["seed"]
+    )
+    population = generate_population(world, pop_cfg)
+    world.to_json(os.path.join(out, "world.json"))
+    population.trajectories.to_csv(os.path.join(out, "trajectories.csv"))
+    population.write_labels_csv(os.path.join(out, "labels.csv"))
+    _write_echo_and_manifest(
+        out,
+        "synth",
+        cfg,
+        {"world": cfg["seed"], "population": cfg["seed"]},
+        ["world.json", "trajectories.csv", "labels.csv"],
+    )
+    print(f"synth: wrote {cfg['trajectories']} trajectories to {out}")
+
+
+def cmd_ingest(cfg) -> None:
+    out = _out_dir("ingest", cfg)
+    prepared, report = _ingest(cfg, out)
+    write_json(os.path.join(out, "ingest_report.json"), report)
+    _write_echo_and_manifest(
+        out, "ingest", cfg, {}, ["prepared.csv", "ingest_report.json"]
+    )
+    print(f"ingest: prepared {len(prepared)} subjects to {out}")
+
+
+def cmd_cluster(cfg) -> None:
+    out = _out_dir("cluster", cfg)
+    prepared = read_prepared_csv(cfg["prepared"], _as_list(cfg["features"]))
+    model, tset, report = _cluster(cfg, prepared, out)
     report = {
         **report,
         "retained_clusters": len(model.retained_ids),
         "dropped_clusters": sorted(model.dropped_cluster_ids),
         "inertia": model.inertia,
     }
-    with open(os.path.join(out, "cluster_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    _write_config_echo(out, "cluster", cfg)
-    _write_manifest(
+    write_json(os.path.join(out, "cluster_report.json"), report)
+    _write_echo_and_manifest(
         out,
         "cluster",
         cfg,
         {"kmeans": cfg["seed"]},
-        ["config.json", "cluster_model.json", "trajectories.csv", "cluster_report.json"],
+        ["cluster_model.json", "trajectories.csv", "cluster_report.json"],
     )
     print(
         f"cluster: {len(model.retained_ids)} retained states, "
@@ -478,13 +467,12 @@ def cmd_irl(cfg) -> None:
     write_expected_reward_csv(
         transitions, reward, os.path.join(out, "expected_reward.csv")
     )
-    _write_config_echo(out, "irl", cfg)
-    _write_manifest(
+    _write_echo_and_manifest(
         out,
         "irl",
         cfg,
         {"stage1": cfg["seed"]},
-        ["config.json", "rewards.json", "training_log.csv", "expected_reward.csv"],
+        ["rewards.json", "training_log.csv", "expected_reward.csv"],
     )
     print(
         f"irl: trained on {len(tset)} trajectories "
@@ -502,14 +490,14 @@ def cmd_prune(cfg) -> None:
     retained_ids, pruned_ids = select_retained(scores, _prune_config(cfg))
     write_scores_csv(scores, retained_ids, os.path.join(out, "scores.csv"), tset)
     tset.subset(retained_ids).to_csv(os.path.join(out, "retained.csv"))
-    _write_config_echo(out, "prune", cfg)
-    _write_manifest(
+    _write_echo_and_manifest(
         out,
         "prune",
         cfg,
         {"prune": cfg["seed"] + 2},
-        ["config.json", "scores.csv", "retained.csv"],
-        extra={"n_retained": len(retained_ids), "n_pruned": len(pruned_ids)},
+        ["scores.csv", "retained.csv"],
+        n_retained=len(retained_ids),
+        n_pruned=len(pruned_ids),
     )
     print(f"prune: retained {len(retained_ids)}/{len(scores)} to {out}")
 
@@ -582,75 +570,45 @@ def _analysis_artifacts(
 
 def _pipeline_inputs(cfg, out) -> tuple[TrajectorySet, ClusterModel | None, list[str]]:
     """Resolve the pipeline's entry point: raw records, prepared rows, or trajectories."""
-    artifacts = []
-    cluster_model = None
     if cfg["records"] or cfg["prepared"]:
         features = _as_list(cfg["features"])
         if not features:
             raise InputError("pipeline: --features is required with --records/--prepared")
+        artifacts = []
         if cfg["records"]:
-            codec = _codec_from_cfg(cfg)
-            flags = _as_list(cfg["flags"]) or sorted(codec.known_flags)
-            demographics = _as_list(cfg["demographics"])
-            subjects = load_records_csv(cfg["records"], features, flags, demographics)
-            relabel = {}
-            if cfg["regroup"]:
-                with open(cfg["regroup"]) as fh:
-                    relabel = json.load(fh)
-            if demographics:
-                subjects = regroup_demographics(subjects, relabel, cfg["min_share"])
-            normals = load_normal_values(cfg["normals"])
-            bounds = load_bounds(cfg["bounds"])
-            prepared, _ = prepare_subjects(subjects, normals, bounds, codec)
-            write_prepared_csv(prepared, features, os.path.join(out, "prepared.csv"))
+            prepared, _ = _ingest(cfg, out)
             artifacts.append("prepared.csv")
         else:
             prepared = read_prepared_csv(cfg["prepared"], features)
-        rows, _ = feature_matrix(prepared, features)
-        cluster_model = fit_state_space(
-            rows,
-            k=cfg["k"],
-            min_size=cfg["min_size"],
-            seed=cfg["seed"],
-            feature_names=features,
-            n_restarts=cfg["restarts"],
-        )
-        cluster_model.to_json(os.path.join(out, "cluster_model.json"))
-        artifacts.append("cluster_model.json")
-        tset, _ = trajectories_from_prepared(prepared, cluster_model, features)
-        tset.to_csv(os.path.join(out, "trajectories.csv"))
-        artifacts.append("trajectories.csv")
-    elif cfg["trajectories"]:
-        tset = _load_trajectories(cfg)
-        if cfg["cluster_model"]:
-            cluster_model = ClusterModel.from_json(cfg["cluster_model"])
-    else:
-        raise InputError(
-            "pipeline: provide --trajectories, --prepared, or --records"
-        )
-    return tset, cluster_model, artifacts
+        cluster_model, tset, _ = _cluster(cfg, prepared, out)
+        return tset, cluster_model, artifacts + ["cluster_model.json", "trajectories.csv"]
+    if cfg["trajectories"]:
+        return _load_trajectories(cfg), _load_cluster_model(cfg), []
+    raise InputError(
+        "pipeline: provide --trajectories, --prepared, or --records"
+    )
 
 
 def _run_pipeline_once(cfg, out) -> dict:
     tset, cluster_model, artifacts = _pipeline_inputs(cfg, out)
-    result = run_two_stage(tset, _irl_config(cfg), _prune_config(cfg))
+    irl_config, prune_config = _irl_config(cfg), _prune_config(cfg)
+    result = run_two_stage(tset, irl_config, prune_config)
     artifacts += _analysis_artifacts(out, tset, result, cfg, cluster_model)
 
-    extra_manifest = {"subcommand": "pipeline", "threads": cfg.get("threads", 1)}
+    extra_manifest = {"subcommand": "pipeline"}
     if cfg["world"] and cfg["labels"]:
         world = SyntheticWorld.from_json(cfg["world"])
         labels = read_labels_csv(cfg["labels"])
         recovery = evaluate_recovery(world, result, labels)
-        with open(os.path.join(out, "recovery.json"), "w") as fh:
-            json.dump(recovery, fh, indent=2, sort_keys=True)
+        write_json(os.path.join(out, "recovery.json"), recovery)
         artifacts.append("recovery.json")
         extra_manifest["recovery"] = recovery
 
     manifest = write_run_directory(
         result,
         out,
-        _irl_config(cfg),
-        _prune_config(cfg),
+        irl_config,
+        prune_config,
         trajectories=tset,
         extra_manifest=extra_manifest,
         config_json=_echo("pipeline", cfg),
@@ -692,26 +650,23 @@ def cmd_sweep(cfg) -> None:
             row["prune_recall"] = manifest["recovery"]["prune_recall"]
         rows.append(row)
 
-    import csv as _csv
-
     keys = sorted({k for row in rows for k in row})
     with open(os.path.join(out, "sweep_summary.csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(keys)
         for row in rows:
             writer.writerow([
                 repr(row[k]) if isinstance(row.get(k), float) else row.get(k, "")
                 for k in keys
             ])
-    _write_config_echo(out, "sweep", cfg)
-    _write_manifest(
+    _write_echo_and_manifest(
         out,
         "sweep",
         cfg,
         {"stage1": cfg["seed"], "stage2": cfg["seed"] + 1,
          "prune": cfg["seed"] + 2, "tests": cfg["seed"] + 3},
-        ["config.json", "sweep_summary.csv"],
-        extra={"fractions": fractions},
+        ["sweep_summary.csv"],
+        fractions=fractions,
     )
     print(f"sweep: {len(fractions)} fractions done in {out}")
 
@@ -719,42 +674,17 @@ def cmd_sweep(cfg) -> None:
 def cmd_analyze(cfg) -> None:
     out = _out_dir("analyze", cfg)
     run = cfg["run"]
-    tset = _load_trajectories(cfg)
-    reward1 = RewardModel.from_json(os.path.join(run, "rewards_stage1.json"))
-    reward2 = RewardModel.from_json(os.path.join(run, "rewards_stage2.json"))
-    scores, retained_ids = read_scores_csv(os.path.join(run, "scores.csv"))
-    transitions = estimate_transitions(tset)
-
-    class _View:
-        pass
-
-    view = _View()
-    view.scores = scores
-    view.retained_ids = retained_ids
-    view.reward_stage1 = reward1
-    view.reward_stage2 = reward2
-    view.policy_stage1 = greedy_policy(transitions, reward1)
-    view.policy_stage2 = greedy_policy(transitions, reward2)
-    view.reward_delta = reward2.rewards - reward1.rewards
-    view.policy_agreement = view.policy_stage1.actions == view.policy_stage2.actions
-    view.n_states = reward1.n_states
-
-    cluster_model = None
-    if cfg["cluster_model"]:
-        cluster_model = ClusterModel.from_json(cfg["cluster_model"])
-    artifacts = _analysis_artifacts(out, tset, view, cfg, cluster_model)
-    rows = reward_delta_by_state(view)
-    with open(os.path.join(out, "reward_delta.json"), "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
+    states = cfg["states"]
+    if states is None:
+        # the rewards span every state the run was fitted on; the trajectories
+        # miss the top ids when k-means dropped the highest clusters
+        states = RewardModel.from_json(os.path.join(run, "rewards_stage1.json")).n_states
+    tset = _load_trajectories({**cfg, "states": states})
+    result = load_run_directory(run, tset)
+    artifacts = _analysis_artifacts(out, tset, result, cfg, _load_cluster_model(cfg))
+    write_json(os.path.join(out, "reward_delta.json"), reward_delta_by_state(result))
     artifacts.append("reward_delta.json")
-    _write_config_echo(out, "analyze", cfg)
-    _write_manifest(
-        out,
-        "analyze",
-        cfg,
-        {"tests": cfg["seed"] + 3},
-        ["config.json"] + artifacts,
-    )
+    _write_echo_and_manifest(out, "analyze", cfg, {"tests": cfg["seed"] + 3}, artifacts)
     print(f"analyze: {len(artifacts)} report files in {out}")
 
 

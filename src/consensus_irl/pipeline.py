@@ -30,6 +30,7 @@ from .mdp import (
 from .prune import (
     PruneConfig,
     TrajectoryScore,
+    read_scores_csv,
     score_trajectories,
     select_retained,
     write_scores_csv,
@@ -50,12 +51,18 @@ class TwoStageResult:
     scores: list[TrajectoryScore]
     retained_ids: list[str]
     pruned_ids: list[str]
-    reward_delta: np.ndarray
-    policy_agreement: np.ndarray
 
     @property
     def n_states(self) -> int:
         return self.reward_stage1.n_states
+
+    @property
+    def reward_delta(self) -> np.ndarray:
+        return self.reward_stage2.rewards - self.reward_stage1.rewards
+
+    @property
+    def policy_agreement(self) -> np.ndarray:
+        return self.policy_stage1.actions == self.policy_stage2.actions
 
 
 def run_two_stage(
@@ -98,8 +105,31 @@ def run_two_stage(
         scores=scores,
         retained_ids=retained_ids,
         pruned_ids=pruned_ids,
-        reward_delta=reward2.rewards - reward1.rewards,
-        policy_agreement=policy1.actions == policy2.actions,
+    )
+
+
+def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
+    """Rebuild the result of a run from the directory write_run_directory wrote.
+
+    Rewards, scores and the retained set are read back from the directory. The
+    shared kernel is not stored, so it is estimated again from `trajectories`,
+    which must be the set the run was fitted on, and both greedy policies are
+    derived from it.
+    """
+    reward1 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage1.json"))
+    reward2 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage2.json"))
+    scores, retained_ids = read_scores_csv(os.path.join(run_dir, "scores.csv"))
+    retained = set(retained_ids)
+    transitions = estimate_transitions(trajectories)
+    return TwoStageResult(
+        transitions=transitions,
+        reward_stage1=reward1,
+        reward_stage2=reward2,
+        policy_stage1=greedy_policy(transitions, reward1),
+        policy_stage2=greedy_policy(transitions, reward2),
+        scores=scores,
+        retained_ids=retained_ids,
+        pruned_ids=[sc.trajectory_id for sc in scores if sc.trajectory_id not in retained],
     )
 
 
@@ -139,14 +169,32 @@ def _jsonable(value):
     return value
 
 
-def config_echo(irl_config: IrlConfig, prune_config: PruneConfig, extra: dict | None = None) -> dict:
-    echo = {
+def config_echo(irl_config: IrlConfig, prune_config: PruneConfig) -> dict:
+    return {
         "irl": {k: _jsonable(v) for k, v in dataclasses.asdict(irl_config).items()},
         "prune": {k: _jsonable(v) for k, v in dataclasses.asdict(prune_config).items()},
     }
-    if extra:
-        echo.update(extra)
-    return echo
+
+
+def write_json(path, payload) -> None:
+    """Indented JSON with sorted keys, so equal payloads give equal bytes."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+def write_manifest(out_dir, artifacts, fields: dict) -> dict:
+    """Write and return manifest.json: tool, version, `fields` and a sha256 per artifact.
+
+    `artifacts` are file names relative to out_dir and must already be written.
+    """
+    manifest = {
+        "tool": "consensus-irl",
+        "version": __version__,
+        **fields,
+        "hashes": {name: sha256_file(os.path.join(out_dir, name)) for name in artifacts},
+    }
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return manifest
 
 
 def write_run_directory(
@@ -155,7 +203,6 @@ def write_run_directory(
     irl_config: IrlConfig,
     prune_config: PruneConfig,
     trajectories: TrajectorySet | None = None,
-    extra_config: dict | None = None,
     extra_manifest: dict | None = None,
     config_json: dict | None = None,
     extra_artifacts: list | None = None,
@@ -170,10 +217,10 @@ def write_run_directory(
     this to echo its flat flag namespace).
     """
     os.makedirs(out_dir, exist_ok=True)
-    echo = config_echo(irl_config, prune_config, extra_config)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(config_json if config_json is not None else echo, fh,
-                  indent=2, sort_keys=True)
+    echo = config_echo(irl_config, prune_config)
+    write_json(
+        os.path.join(out_dir, "config.json"), config_json if config_json is not None else echo
+    )
 
     result.reward_stage1.to_json(os.path.join(out_dir, "rewards_stage1.json"))
     result.reward_stage2.to_json(os.path.join(out_dir, "rewards_stage2.json"))
@@ -196,9 +243,7 @@ def write_run_directory(
         "training_log_stage1.csv",
         "training_log_stage2.csv",
     ] + list(extra_artifacts or [])
-    manifest = {
-        "tool": "consensus-irl",
-        "version": __version__,
+    return write_manifest(out_dir, artifacts, {
         "config": echo,
         "seeds": {
             "stage1": result.reward_stage1.metadata.get("seed"),
@@ -209,13 +254,8 @@ def write_run_directory(
         "n_trajectories": len(result.scores),
         "n_retained": len(result.retained_ids),
         "n_pruned": len(result.pruned_ids),
-        "hashes": {name: sha256_file(os.path.join(out_dir, name)) for name in artifacts},
-    }
-    if extra_manifest:
-        manifest.update(extra_manifest)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
+        **(extra_manifest or {}),
+    })
 
 
 def retention_sweep(

@@ -55,10 +55,6 @@ class TestDispatchErrors:
         assert run("irl") == 1
         assert "--trajectories" in capsys.readouterr().err
 
-    def test_threads_must_be_positive(self, capsys):
-        assert run("synth", "--threads", 0) == 1
-        assert "--threads" in capsys.readouterr().err
-
     def test_unreadable_config_fails(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
@@ -262,6 +258,25 @@ class TestAnalyze:
         out_deciles = (workdir / "analysis" / "deciles.csv").read_bytes()
         assert run_deciles == out_deciles
 
+    def test_state_count_defaults_to_the_run_rewards(self, workdir, synth_dir):
+        """The trajectories never visit state 12, as when k-means drops the top cluster."""
+        wide = workdir / "run_wide"
+        code = run(
+            "pipeline", "--trajectories", synth_dir / "trajectories.csv",
+            "--states", 13, "--epochs", 40, "--seed", 4, "--permutations", 100,
+            "--out", wide,
+        )
+        assert code == 0
+        out = workdir / "analysis_wide"
+        code = run(
+            "analyze", "--run", wide,
+            "--trajectories", synth_dir / "trajectories.csv",
+            "--permutations", 100, "--seed", 4, "--out", out,
+        )
+        assert code == 0
+        rows = json.loads((out / "reward_delta.json").read_text())
+        assert len(rows) == 13
+
 
 RAW_CSV_HEADER = (
     "subject_id,timestamp,heart_rate,mean_bp,vasopressors,bolus_epinephrine,"
@@ -350,3 +365,22 @@ class TestClinicalFlow:
         payload = json.loads((out / "tests.json").read_text())
         names = [t["name"] for t in payload["tests"]]
         assert any(name.startswith("pruning_uniformity[sex]") for name in names)
+
+    def test_cluster_and_pipeline_share_states(self, workdir):
+        clus, run_dir = workdir / "cluster", workdir / "clinical_run"
+        for name in ("trajectories.csv", "cluster_model.json"):
+            assert (clus / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_pipeline_from_raw_records_matches_ingest(self, workdir, clinical_inputs):
+        records, normals, bounds = clinical_inputs
+        out = workdir / "clinical_raw_run"
+        code = run(
+            "pipeline", "--records", records, "--normals", normals,
+            "--bounds", bounds, "--features", "heart_rate,mean_bp",
+            "--demographics", "sex", "--condition", "hypotension",
+            "--k", 2, "--min-size", 2, "--epochs", 40, "--retain", 0.75,
+            "--permutations", 100, "--out", out,
+        )
+        assert code == 0
+        ingested = (workdir / "ingest" / "prepared.csv").read_bytes()
+        assert (out / "prepared.csv").read_bytes() == ingested

@@ -12,10 +12,12 @@ from consensus_irl import (
     IrlConfig,
     PruneConfig,
     TrajectorySet,
+    TwoStageResult,
     estimate_transitions,
     evaluate_recovery,
     generate_population,
     generate_world,
+    load_run_directory,
     retention_sweep,
     run_two_stage,
     train_maxent_irl,
@@ -159,6 +161,25 @@ def test_run_directory_rerun_is_byte_identical(tmp_path, quick_result):
     write_run_directory(result, tmp_path / "b", irl, prune, trajectories=ts)
     for name in RUN_FILES:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_run_directory_loads_back_into_the_same_result(tmp_path, quick_result):
+    result, ts = quick_result
+    write_run_directory(
+        result, tmp_path, IrlConfig(epochs=25, seed=3), PruneConfig(retain_fraction=0.5),
+        trajectories=ts,
+    )
+    loaded = load_run_directory(tmp_path, ts)
+    assert isinstance(loaded, TwoStageResult)
+    assert np.array_equal(loaded.reward_stage1.rewards, result.reward_stage1.rewards)
+    assert np.array_equal(loaded.reward_stage2.rewards, result.reward_stage2.rewards)
+    assert np.array_equal(loaded.policy_stage1.actions, result.policy_stage1.actions)
+    assert np.array_equal(loaded.policy_stage2.actions, result.policy_stage2.actions)
+    assert loaded.retained_ids == result.retained_ids
+    assert loaded.pruned_ids == result.pruned_ids
+    assert loaded.scores == result.scores
+    assert np.array_equal(loaded.reward_delta, result.reward_delta)
+    assert np.array_equal(loaded.policy_agreement, result.policy_agreement)
 
 
 def test_shared_kernel_comes_from_all_trajectories(quick_result, small_population):

@@ -339,15 +339,17 @@ def pairwise_permutation_tests(
 
 def _attribute_labels(trajectories: TrajectorySet, attribute: str) -> np.ndarray:
     if attribute == "died_in_hospital":
-        return np.array([str(int(tr.died_in_hospital)) for tr in trajectories])
-    labels = []
-    for tr in trajectories:
-        if attribute not in tr.demographics:
-            raise ParameterError(
-                f"trajectory {tr.id} is missing demographic attribute {attribute!r}"
-            )
-        labels.append(tr.demographics[attribute])
-    return np.array(labels)
+        return np.where(trajectories.died_in_hospital, "1", "0")
+    column = trajectories.demographics.get(attribute)
+    if column is None:
+        column = np.full(len(trajectories), None, dtype=object)
+    missing = np.flatnonzero(np.equal(column, None))
+    if missing.size:
+        raise ParameterError(
+            f"trajectory {trajectories.ids[missing[0]]} is missing "
+            f"demographic attribute {attribute!r}"
+        )
+    return np.array(column.tolist())
 
 
 def test_pruning_uniformity(
@@ -362,9 +364,8 @@ def test_pruning_uniformity(
     Builds the attribute x {pruned, retained} contingency table and tests
     independence by permutation chi-squared.
     """
-    retained = set(retained_ids)
     labels = _attribute_labels(trajectories, attribute)
-    pruned = np.array([tr.id not in retained for tr in trajectories], dtype=int)
+    pruned = (~trajectories.mask(retained_ids)).astype(int)
     return permutation_chi2(
         labels,
         pruned,
@@ -376,8 +377,13 @@ def test_pruning_uniformity(
 
 def per_trajectory_reward_delta(trajectory, reward1: RewardModel, reward2: RewardModel) -> float:
     """Mean per-step change in reward over the trajectory's visited next-states."""
-    sp = trajectory.triples[:, 2]
-    return float(np.mean(reward2.rewards[sp] - reward1.rewards[sp]))
+    return float(_reward_deltas(TrajectorySet([trajectory]), reward1, reward2)[0])
+
+
+def _reward_deltas(trajectories: TrajectorySet, reward1, reward2) -> np.ndarray:
+    """per_trajectory_reward_delta of every trajectory in the set."""
+    sp = trajectories.triples[:, 2]
+    return trajectories.reduce_steps(reward2.rewards[sp] - reward1.rewards[sp], np.mean)
 
 
 def test_reward_loss_disparity(
@@ -401,9 +407,7 @@ def test_reward_loss_disparity(
     if retained_ids is not None:
         subset = trajectories.subset(retained_ids)
     labels = _attribute_labels(subset, attribute)
-    values = np.array(
-        [per_trajectory_reward_delta(tr, reward1, reward2) for tr in subset]
-    )
+    values = _reward_deltas(subset, reward1, reward2)
     cats, counts = np.unique(labels, return_counts=True)
     small = [str(c) for c, n in zip(cats, counts) if n < 2]
     if small:
@@ -434,20 +438,19 @@ def test_reward_loss_disparity(
 
 def reward_delta_by_state(result) -> list[dict]:
     """Plot-ready per-state comparison of the two stages."""
-    rows = []
-    for s in range(result.n_states):
-        rows.append(
-            {
-                "state": s,
-                "r1": float(result.reward_stage1.rewards[s]),
-                "r2": float(result.reward_stage2.rewards[s]),
-                "delta": float(result.reward_delta[s]),
-                "policy1": int(result.policy_stage1.actions[s]),
-                "policy2": int(result.policy_stage2.actions[s]),
-                "agree": bool(result.policy_agreement[s]),
-            }
-        )
-    return rows
+    delta, agree = result.reward_delta, result.policy_agreement
+    return [
+        {
+            "state": s,
+            "r1": float(result.reward_stage1.rewards[s]),
+            "r2": float(result.reward_stage2.rewards[s]),
+            "delta": float(delta[s]),
+            "policy1": int(result.policy_stage1.actions[s]),
+            "policy2": int(result.policy_stage2.actions[s]),
+            "agree": bool(agree[s]),
+        }
+        for s in range(result.n_states)
+    ]
 
 
 def write_tests_json(results, path, posthoc: dict | None = None) -> None:

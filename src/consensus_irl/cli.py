@@ -6,7 +6,8 @@ file whose keys mirror the flag names (flags win over the file; unknown keys
 are rejected), takes one global --seed, and writes a manifest.json with the
 echoed config, derived seeds, artifact hashes, and tool version. Flags that
 set a field of IrlConfig, PruneConfig or PopulationConfig take their default
-and type from that dataclass.
+and type from that dataclass; the ingest, cluster and analyze flags that feed
+a function parameter take theirs from the function's signature.
 
 Seed derivation from the global seed S: stage-1 IRL trains with S, stage-2
 with S + 1, random pruning draws with S + 2, and permutation tests run with
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -118,6 +120,11 @@ def _from_flags(cls, cfg, **fixed):
     )
 
 
+def _default_of(fn, parameter: str):
+    """Default of one of fn's parameters, so a flag cannot drift from the function it feeds."""
+    return inspect.signature(fn).parameters[parameter].default
+
+
 _POPULATION_UNFLAGGED = ("horizon", "demographics")  # world horizon; tags come from a file
 _INGEST_DEFAULTS = {
     "records": None,
@@ -129,18 +136,19 @@ _INGEST_DEFAULTS = {
     "flags": None,
     "demographics": None,
     "regroup": None,
-    "min_share": 0.01,
+    "min_share": _default_of(regroup_demographics, "min_share"),
 }
 _CLUSTER_DEFAULTS = {
     "prepared": None,
-    "k": 200,
-    "min_size": 10,
-    "restarts": 1,
+    "k": _default_of(fit_state_space, "k"),
+    "min_size": _default_of(fit_state_space, "min_size"),
+    "restarts": _default_of(fit_state_space, "n_restarts"),
 }
 _ANALYZE_DEFAULTS = {
     "attributes": None,
-    "permutations": 10_000,
-    "top_k": 25,
+    # test_reward_loss_disparity shares this default
+    "permutations": _default_of(test_pruning_uniformity, "n_permutations"),
+    "top_k": _default_of(cluster_report, "top_k"),
     "cluster_model": None,
 }
 

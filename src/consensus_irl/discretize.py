@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .errors import CohortEmptyError, ParameterError, SchemaError
-from .trajectories import Trajectory, TrajectorySet
+from .trajectories import TrajectorySet
 
 MAX_LLOYD_ITERATIONS = 300
 INERTIA_RELTOL = 1e-6
@@ -271,29 +271,25 @@ def build_trajectory_set(
     Subjects with fewer than two time steps cannot form a transition and are
     excluded; the report counts them. Ids enter the set in sorted order.
     """
-    trajectories = []
-    excluded = 0
-    for sid in sorted(state_seqs):
-        states = np.asarray(state_seqs[sid], dtype=np.int64)
-        actions = np.asarray(action_seqs[sid], dtype=np.int64)
-        if len(states) < 2:
-            excluded += 1
-            continue
-        triples = np.stack(
-            [states[:-1], actions[: len(states) - 1], states[1:]], axis=1
-        )
-        trajectories.append(
-            Trajectory(
-                str(sid),
-                triples,
-                dict(demographics.get(sid, {})),
-                bool(outcomes.get(sid, False)),
-            )
-        )
-    if not trajectories:
+    sids = [sid for sid in sorted(state_seqs) if len(state_seqs[sid]) >= 2]
+    if not sids:
         raise CohortEmptyError("no subject has two or more time steps")
-    tset = TrajectorySet(trajectories, n_states, n_actions)
-    return tset, {"excluded_short": excluded}
+    blocks = []
+    for sid in sids:
+        states = np.asarray(state_seqs[sid], dtype=np.int64)
+        actions = np.asarray(action_seqs[sid], dtype=np.int64)[: len(states) - 1]
+        blocks.append(np.stack([states[:-1], actions, states[1:]], axis=1))
+    tags = sorted({t for sid in sids for t in demographics.get(sid, {})})
+    tset = TrajectorySet.from_columns(
+        np.concatenate(blocks),
+        [len(block) for block in blocks],
+        [str(sid) for sid in sids],
+        n_states,
+        n_actions,
+        {t: [demographics.get(sid, {}).get(t) for sid in sids] for t in tags},
+        [bool(outcomes.get(sid, False)) for sid in sids],
+    )
+    return tset, {"excluded_short": len(state_seqs) - len(sids)}
 
 
 def feature_matrix(prepared: dict, features: list[str]) -> tuple[np.ndarray, dict]:

@@ -101,9 +101,10 @@ def empirical_state_visitation(trajectories: TrajectorySet, n_states=None) -> Fe
     if len(trajectories) == 0:
         raise CohortEmptyError("cannot compute visitation of an empty trajectory set")
     n_states = n_states if n_states is not None else trajectories.n_states
-    counts = np.zeros(n_states)
-    for tr in trajectories:
-        np.add.at(counts, tr.states, 1)
+    trajectories.require_space(n_states)
+    counts = np.bincount(trajectories.first_states, minlength=n_states) + np.bincount(
+        trajectories.triples[:, 2], minlength=n_states
+    )
     return FeatureExpectations(counts / len(trajectories), "empirical")
 
 
@@ -112,10 +113,8 @@ def initial_state_distribution(trajectories: TrajectorySet, n_states=None) -> np
     if len(trajectories) == 0:
         raise CohortEmptyError("cannot compute initial distribution of an empty set")
     n_states = n_states if n_states is not None else trajectories.n_states
-    d0 = np.zeros(n_states)
-    for tr in trajectories:
-        d0[tr.triples[0, 0]] += 1
-    return d0 / len(trajectories)
+    trajectories.require_space(n_states)
+    return np.bincount(trajectories.first_states, minlength=n_states) / len(trajectories)
 
 
 def soft_backward_pass(transitions: TransitionModel, reward, horizon: int) -> SoftPolicy:

@@ -119,14 +119,11 @@ def estimate_transitions(trajectories: TrajectorySet, n_states=None, n_actions=N
     """
     n_states = n_states if n_states is not None else trajectories.n_states
     n_actions = n_actions if n_actions is not None else trajectories.n_actions
-    counts = np.zeros((n_states, n_actions, n_states))
-    for tr in trajectories:
-        s, a, sp = tr.triples[:, 0], tr.triples[:, 1], tr.triples[:, 2]
-        if s.max() >= n_states or sp.max() >= n_states:
-            raise ParameterError(f"trajectory {tr.id}: state id exceeds n_states")
-        if a.max() >= n_actions:
-            raise ParameterError(f"trajectory {tr.id}: action id exceeds n_actions")
-        np.add.at(counts, (s, a, sp), 1)
+    trajectories.require_space(n_states, n_actions)
+    s, a, sp = trajectories.triples.T
+    counts = np.bincount(
+        (s * n_actions + a) * n_states + sp, minlength=n_states * n_actions * n_states
+    ).reshape(n_states, n_actions, n_states).astype(float)
     visit = counts.sum(axis=2)
     probs = np.zeros_like(counts)
     seen = visit > 0

@@ -10,6 +10,7 @@ starve rarely-taken actions. That choice is recorded in the run manifest.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -18,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analyze import reward_delta_by_state
 from .errors import CohortEmptyError
 from .maxent import IrlConfig, train_maxent_irl, write_training_log
 from .mdp import (
@@ -134,23 +136,12 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
 
 
 def write_reward_delta_csv(result: TwoStageResult, path) -> None:
-    import csv
-
+    """The rows of reward_delta_by_state, floats as repr and agree as 0/1."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["state", "r1", "r2", "delta", "policy1", "policy2", "agree"])
-        for s in range(result.n_states):
-            writer.writerow(
-                [
-                    s,
-                    repr(float(result.reward_stage1.rewards[s])),
-                    repr(float(result.reward_stage2.rewards[s])),
-                    repr(float(result.reward_delta[s])),
-                    int(result.policy_stage1.actions[s]),
-                    int(result.policy_stage2.actions[s]),
-                    int(result.policy_agreement[s]),
-                ]
-            )
+        for row in reward_delta_by_state(result):
+            writer.writerow([repr(v) if isinstance(v, float) else int(v) for v in row.values()])
 
 
 def sha256_file(path) -> str:

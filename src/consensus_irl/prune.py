@@ -76,7 +76,6 @@ def score_deviation(
     transitions: TransitionModel,
     reward: RewardModel,
     policy: DeterministicPolicy,
-    _table: np.ndarray | None = None,
 ) -> TrajectoryScore:
     """Score one trajectory's per-step deviation from the greedy consensus.
 
@@ -84,38 +83,7 @@ def score_deviation(
     L = mean(r_opt - r_sel); C = exp(mean(r_sel - r_opt)) = exp(-L).
     The end-state reward is R at the trajectory's final next state.
     """
-    if len(trajectory) == 0:
-        raise ParameterError(f"trajectory {trajectory.id} has no steps")
-    table = _table if _table is not None else expected_reward_table(transitions, reward)
-    s = trajectory.triples[:, 0]
-    a = trajectory.triples[:, 1]
-    r_opt = table[s, policy.actions[s]]
-    r_sel = table[s, a]
-    gaps = r_opt - r_sel
-    L = float(gaps.mean())
-    C = float(math.exp(-L))
-    ll, off_policy = _log_likelihood(trajectory, policy, transitions)
-    return TrajectoryScore(
-        trajectory_id=trajectory.id,
-        L=L,
-        C=C,
-        log_likelihood=ll,
-        end_state_reward=float(reward.rewards[trajectory.end_state]),
-        fully_off_policy=off_policy,
-    )
-
-
-def _log_likelihood(trajectory, policy, transitions):
-    s = trajectory.triples[:, 0]
-    a = trajectory.triples[:, 1]
-    sp = trajectory.triples[:, 2]
-    on_policy = policy.actions[s] == a
-    if not on_policy.any():
-        return 0.0, True
-    p = transitions.probs[s[on_policy], a[on_policy], sp[on_policy]]
-    if np.any(p == 0.0):
-        return float("-inf"), False
-    return float(np.log(p).sum()), False
+    return score_trajectories(_set_of_one(trajectory, transitions), transitions, reward, policy)[0]
 
 
 def score_likelihood(
@@ -129,8 +97,24 @@ def score_likelihood(
     on-policy steps returns 0.0 (the empty product), emulating the indicator
     formula as written.
     """
-    ll, _ = _log_likelihood(trajectory, policy, transitions)
-    return ll
+    log_likelihood, _ = _log_likelihoods(_set_of_one(trajectory, transitions), policy, transitions)
+    return float(log_likelihood[0])
+
+
+def _set_of_one(trajectory: Trajectory, transitions: TransitionModel) -> TrajectorySet:
+    if len(trajectory) == 0:
+        raise ParameterError(f"trajectory {trajectory.id} has no steps")
+    return TrajectorySet([trajectory], transitions.n_states, transitions.n_actions)
+
+
+def _log_likelihoods(trajectories, policy, transitions):
+    """(score_likelihood, no on-policy step) per trajectory of the set."""
+    s, a, sp = trajectories.triples.T
+    on_policy = policy.actions[s] == a
+    with np.errstate(divide="ignore"):
+        log_p = np.log(transitions.probs[s, a, sp])
+    on_policy_steps = trajectories.reduce_steps(on_policy, np.sum)
+    return trajectories.reduce_steps(log_p, np.sum, where=on_policy), on_policy_steps == 0
 
 
 def score_trajectories(
@@ -139,11 +123,21 @@ def score_trajectories(
     reward: RewardModel,
     policy: DeterministicPolicy,
 ) -> list[TrajectoryScore]:
-    """Deviation and likelihood scores for every trajectory in the set."""
+    """Deviation and likelihood scores for every trajectory in the set (see score_deviation)."""
     table = expected_reward_table(transitions, reward)
+    s, a = trajectories.triples[:, 0], trajectories.triples[:, 1]
+    loss = trajectories.reduce_steps(table[s, policy.actions[s]] - table[s, a], np.mean)
+    log_likelihood, off_policy = _log_likelihoods(trajectories, policy, transitions)
+    end_reward = reward.rewards[trajectories.end_states]
     return [
-        score_deviation(tr, transitions, reward, policy, _table=table)
-        for tr in trajectories
+        TrajectoryScore(tid, L, math.exp(-L), ll, end, off)
+        for tid, L, ll, end, off in zip(
+            trajectories.ids,
+            loss.tolist(),
+            log_likelihood.tolist(),
+            end_reward.tolist(),
+            off_policy.tolist(),
+        )
     ]
 
 
@@ -216,12 +210,9 @@ def write_scores_csv(
     """Scores CSV with a retained flag; demographic tags copied through when available."""
     retained = set(retained_ids)
     tags = trajectories.demographic_tags() if trajectories is not None else []
-    demo_by_id = {}
-    died_by_id = {}
+    row_of = {}
     if trajectories is not None:
-        for tr in trajectories:
-            demo_by_id[tr.id] = [tr.demographics.get(t, "") for t in tags]
-            died_by_id[tr.id] = int(tr.died_in_hospital)
+        row_of = dict(zip(trajectories.ids, range(len(trajectories))))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = [
@@ -246,7 +237,11 @@ def write_scores_csv(
                 int(sc.trajectory_id in retained),
                 int(sc.fully_off_policy),
             ]
-            row += demo_by_id.get(sc.trajectory_id, [""] * len(tags))
+            i = row_of.get(sc.trajectory_id)
+            if i is None:
+                row += [""] * len(tags)
+            else:  # csv writes a missing tag (None) as an empty cell
+                row += [trajectories.demographics[t][i] for t in tags]
             if trajectories is not None:
-                row.append(died_by_id.get(sc.trajectory_id, 0))
+                row.append(0 if i is None else int(trajectories.died_in_hospital[i]))
             writer.writerow(row)

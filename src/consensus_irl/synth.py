@@ -21,7 +21,7 @@ from scipy.stats import spearmanr
 
 from .errors import ParameterError
 from .mdp import DeterministicPolicy, TransitionModel
-from .trajectories import Trajectory, TrajectorySet
+from .trajectories import TrajectorySet
 
 CORRUPTION_MODES = ("random_policy", "negated_reward", "low_temperature")
 
@@ -235,32 +235,37 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     corrupt_idx = set(member_rng.permutation(n)[:n_corrupt].tolist())
     demo_rng = np.random.default_rng(demo_ss)
 
-    trajectories = []
-    corrupted = {}
+    triples = np.empty((n, horizon, 3), dtype=np.int64)
+    demographics = {tag.name: np.empty(n, dtype=object) for tag in config.demographics}
+    died = np.empty(n, dtype=bool)
     for i in range(n):
-        tid = f"t{i:05d}"
         is_bad = i in corrupt_idx
         policy = bad_policy if is_bad else expert_policy
         rng = np.random.default_rng(traj_ss[i])
         s = int(rng.choice(world.n_states, p=world.initial_distribution))
-        triples = np.empty((horizon, 3), dtype=np.int64)
         for t in range(horizon):
             a = int(rng.choice(world.n_actions, p=policy[s]))
             sp = int(rng.choice(world.n_states, p=world.probs[s, a]))
-            triples[t] = (s, a, sp)
+            triples[i, t] = (s, a, sp)
             s = sp
-        demographics = {}
         for tag in config.demographics:
             dist = tag.probs
             if is_bad and tag.corrupted_probs is not None:
                 dist = tag.corrupted_probs
-            demographics[tag.name] = str(demo_rng.choice(tag.categories, p=dist))
-        died = world.rewards[s] <= DEATH_REWARD_CUTOFF
-        trajectories.append(Trajectory(tid, triples, demographics, bool(died)))
-        corrupted[tid] = is_bad
+            demographics[tag.name][i] = str(demo_rng.choice(tag.categories, p=dist))
+        died[i] = world.rewards[s] <= DEATH_REWARD_CUTOFF
 
-    tset = TrajectorySet(trajectories, world.n_states, world.n_actions)
-    return LabeledPopulation(tset, corrupted)
+    ids = [f"t{i:05d}" for i in range(n)]
+    tset = TrajectorySet.from_columns(
+        triples.reshape(n * horizon, 3),
+        np.full(n, horizon),
+        ids,
+        world.n_states,
+        world.n_actions,
+        demographics,
+        died,
+    )
+    return LabeledPopulation(tset, {tid: i in corrupt_idx for i, tid in enumerate(ids)})
 
 
 def policy_value(world: SyntheticWorld, actions: np.ndarray, horizon: int | None = None) -> float:

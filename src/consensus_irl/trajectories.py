@@ -1,10 +1,22 @@
-"""Discrete trajectories: ordered (state, action, next_state) triples per subject.
+"""Discrete trajectories, stored as columns: one flat triples array per set.
 
-A Trajectory is the unit of training, scoring, and pruning. The triples of
-one trajectory chain: the next_state of step t equals the state of step t+1.
-A TrajectorySet is an ordered collection with a common state/action space,
-serializable to a flat CSV (one row per step, demographic tags and the
-in-hospital death flag copied onto every row).
+A trajectory chains (state, action, next_state) triples: the next_state of
+step t is the state of step t+1. A TrajectorySet holds its N trajectories in
+columns: `triples`, an (M, 3) int64 array in which trajectory i owns rows
+offsets[i] : offsets[i] + lengths[i] in step order; `lengths` and `offsets`;
+the unique `ids`; `demographics`, one object array per tag with None where a
+trajectory lacks the tag; and the `died_in_hospital` flags. Every way of
+building a set ends in one validation routine.
+
+Per-trajectory sums and means go through reduce_steps. It groups the
+trajectories by length and reduces each group's contiguous (n_L, L) block
+along axis 1, so each row is summed exactly as numpy sums a 1-D array of L
+values (pairwise summation, same blocking): the results are bit-identical to
+np.sum / np.mean over each trajectory's slice. np.add.reduceat over the flat
+array adds in another order and differs in the last bits.
+
+Indexing or iterating a set yields Trajectory views of its columns. On disk a
+set is a CSV with one row per step, tags and the death flag on every row.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ParameterError, SchemaError
 
 # fixed leading columns of the trajectory CSV; any extra column except
 # died_in_hospital is treated as a demographic tag
@@ -32,13 +44,9 @@ class Trajectory:
     died_in_hospital: bool = False
 
     def __post_init__(self):
-        self.triples = np.asarray(self.triples, dtype=np.int64)
-        if self.triples.ndim != 2 or self.triples.shape[1] != 3:
-            raise SchemaError(f"trajectory {self.id}: triples must have shape (n, 3)")
-        if len(self.triples) < 1:
-            raise SchemaError(f"trajectory {self.id}: at least one transition required")
-        if not np.array_equal(self.triples[:-1, 2], self.triples[1:, 0]):
-            raise SchemaError(f"trajectory {self.id}: triples do not chain")
+        # validated as a one-trajectory set, by the same routine as every set
+        one = TrajectorySet.from_columns(self.triples, [len(self.triples)], [self.id])
+        self.triples = one.triples
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -53,109 +61,237 @@ class Trajectory:
         return int(self.triples[-1, 2])
 
 
-@dataclass
 class TrajectorySet:
-    """Ordered trajectory collection over a shared state/action space."""
+    """Ordered trajectories over a shared state/action space, stored as columns."""
 
-    trajectories: list[Trajectory]
-    n_states: int
-    n_actions: int
+    def __init__(self, trajectories, n_states=None, n_actions=None):
+        """The set of these Trajectory values; a dimension left None is inferred."""
+        trs = list(trajectories)
+        tags = {t for tr in trs for t in tr.demographics}
+        self._assign(
+            np.concatenate([tr.triples for tr in trs] or [np.empty((0, 3))]),
+            [len(tr) for tr in trs],
+            [tr.id for tr in trs],
+            n_states,
+            n_actions,
+            {t: [tr.demographics.get(t) for tr in trs] for t in tags},
+            [tr.died_in_hospital for tr in trs],
+        )
 
-    def __post_init__(self):
-        seen = set()
-        for tr in self.trajectories:
-            if tr.id in seen:
-                raise SchemaError(f"duplicate trajectory id {tr.id!r}")
-            seen.add(tr.id)
-            if tr.triples.min(initial=0) < 0:
-                raise SchemaError(f"trajectory {tr.id}: negative state/action id")
-            if tr.triples[:, [0, 2]].max(initial=-1) >= self.n_states:
-                raise SchemaError(f"trajectory {tr.id}: state id out of range")
-            if tr.triples[:, 1].max(initial=-1) >= self.n_actions:
-                raise SchemaError(f"trajectory {tr.id}: action id out of range")
+    @classmethod
+    def from_columns(
+        cls, triples, lengths, ids, n_states=None, n_actions=None,
+        demographics=None, died_in_hospital=None,
+    ) -> "TrajectorySet":
+        """The set held by these columns; died_in_hospital defaults to all False."""
+        tset = cls.__new__(cls)
+        tset._assign(
+            triples, lengths, ids, n_states, n_actions, demographics or {}, died_in_hospital
+        )
+        return tset
+
+    def _assign(self, triples, lengths, ids, n_states, n_actions, demographics, died):
+        self.triples = np.asarray(triples, dtype=np.int64)
+        if self.triples.ndim != 2 or self.triples.shape[1] != 3:
+            raise SchemaError("triples must have shape (n_steps, 3)")
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        self.ids = list(ids)
+        # a tag that no trajectory carries is not a tag of the set
+        columns = {t: np.asarray(col, dtype=object) for t, col in demographics.items()}
+        self.demographics = {
+            t: columns[t] for t in sorted(columns) if not np.equal(columns[t], None).all()
+        }
+        died = np.zeros(len(self.ids)) if died is None else died
+        self.died_in_hospital = np.asarray(died, dtype=bool)
+        highest = self.triples.max(axis=0, initial=-1)
+        self.n_states = n_states if n_states is not None else 1 + int(max(highest[[0, 2]]))
+        self.n_actions = n_actions if n_actions is not None else 1 + int(highest[1])
+        self._validate()
+
+    def _validate(self) -> None:
+        """The one check of the columns, run by every construction path."""
+        n, triples = len(self.ids), self.triples
+        columns = [self.lengths, self.died_in_hospital, *self.demographics.values()]
+        if any(len(col) != n for col in columns):
+            raise SchemaError("trajectory columns disagree on the number of trajectories")
+        if (self.lengths < 1).any():
+            first = self.ids[np.argmax(self.lengths < 1)]
+            raise SchemaError(f"trajectory {first}: at least one transition required")
+        if self.lengths.sum() != len(triples):
+            raise SchemaError("trajectory lengths do not add up to the number of triples")
+        if len(set(self.ids)) != n:
+            seen = set()
+            duplicate = next(t for t in self.ids if t in seen or seen.add(t))
+            raise SchemaError(f"duplicate trajectory id {duplicate!r}")
+        # a step starts where the previous one ended, unless it starts a trajectory
+        chained = np.ones(len(triples), dtype=bool)
+        chained[1:] = triples[1:, 0] == triples[:-1, 2]
+        chained[self.offsets] = True
+        self._reject(~chained[:, None], "triples do not chain")
+        self._reject(triples < 0, "negative state/action id")
+        self.require_space(self.n_states, self.n_actions, SchemaError)
+
+    def require_space(self, n_states, n_actions=None, error=ParameterError) -> None:
+        """Raise `error` if a state (or action) id does not fit the given space."""
+        bad = self.triples[:, [0, 2]] >= n_states
+        self._reject(bad, f"state id out of range for {n_states} states", error)
+        if n_actions is not None:
+            bad = self.triples[:, [1]] >= n_actions
+            self._reject(bad, f"action id out of range for {n_actions} actions", error)
+
+    def _reject(self, bad, message, error=SchemaError) -> None:
+        """Raise `error` naming the trajectory of the first row flagged in `bad`."""
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            owner = int(np.searchsorted(self.offsets, rows[0], side="right")) - 1
+            raise error(f"trajectory {self.ids[owner]}: {message}")
 
     def __len__(self) -> int:
-        return len(self.trajectories)
-
-    def __iter__(self):
-        return iter(self.trajectories)
+        return len(self.ids)
 
     def __getitem__(self, i) -> Trajectory:
-        return self.trajectories[i]
+        i = range(len(self))[i]  # an IndexError past the end also ends iteration
+        tr = Trajectory.__new__(Trajectory)  # a view: the set's rows are validated
+        tr.id, tr.died_in_hospital = self.ids[i], bool(self.died_in_hospital[i])
+        tr.triples = self.triples[self.offsets[i] : self.offsets[i] + self.lengths[i]]
+        tr.demographics = {t: c[i] for t, c in self.demographics.items() if c[i] is not None}
+        return tr
 
     @property
-    def ids(self) -> list[str]:
-        return [tr.id for tr in self.trajectories]
+    def trajectories(self) -> list[Trajectory]:
+        return list(self)
+
+    @property
+    def first_states(self) -> np.ndarray:
+        return self.triples[self.offsets, 0]
+
+    @property
+    def end_states(self) -> np.ndarray:
+        return self.triples[self.offsets + self.lengths - 1, 2]
 
     def max_length(self) -> int:
-        return max(len(tr) for tr in self.trajectories)
+        return int(self.lengths.max(initial=0))
+
+    def demographic_tags(self) -> list[str]:
+        return list(self.demographics)
+
+    def reduce_steps(self, values, reduce, where=None) -> np.ndarray:
+        """reduce (np.sum, np.mean, ...) of `values` over each trajectory's steps.
+
+        values holds one entry per row of triples. The result is bit-identical
+        to reducing each trajectory's slice on its own. With a boolean `where`
+        per row, a trajectory is reduced over its selected steps only, and one
+        with none selected gets 0.0.
+        """
+        values, lengths = np.asarray(values, dtype=float), self.lengths
+        if where is not None:
+            values = values[where]
+            selected = np.concatenate(([0], np.cumsum(where)))
+            lengths = selected[self.offsets + self.lengths] - selected[self.offsets]
+        offsets = np.cumsum(lengths) - lengths
+        out = np.zeros(len(self))
+        for length in np.unique(lengths[lengths > 0]):
+            rows = np.flatnonzero(lengths == length)
+            out[rows] = reduce(values[offsets[rows, None] + np.arange(length)], axis=1)
+        return out
+
+    def mask(self, ids) -> np.ndarray:
+        """Boolean mask of the trajectories whose id is among `ids`."""
+        keep = set(ids)
+        return np.fromiter((t in keep for t in self.ids), dtype=bool, count=len(self))
 
     def subset(self, ids) -> "TrajectorySet":
         """Sub-collection restricted to the given ids, original order kept."""
-        keep = set(ids)
-        unknown = keep - {tr.id for tr in self.trajectories}
+        unknown = set(ids) - set(self.ids)
         if unknown:
             raise SchemaError(f"unknown trajectory ids: {sorted(unknown)[:5]}")
-        return TrajectorySet(
-            [tr for tr in self.trajectories if tr.id in keep],
+        keep = self.mask(ids)
+        return TrajectorySet.from_columns(
+            self.triples[np.repeat(keep, self.lengths)],
+            self.lengths[keep],
+            [t for t, k in zip(self.ids, keep) if k],
             self.n_states,
             self.n_actions,
+            {t: col[keep] for t, col in self.demographics.items()},
+            self.died_in_hospital[keep],
         )
-
-    def demographic_tags(self) -> list[str]:
-        tags = sorted({k for tr in self.trajectories for k in tr.demographics})
-        return tags
 
     def to_csv(self, path) -> None:
         tags = self.demographic_tags()
+        per_step = np.repeat(np.arange(len(self)), self.lengths)
+        columns = [
+            np.asarray(self.ids, dtype=object)[per_step].tolist(),
+            (np.arange(len(self.triples)) - self.offsets[per_step]).tolist(),
+            *self.triples.T.tolist(),
+            # csv writes a missing tag (None) as an empty cell
+            *(self.demographics[t][per_step].tolist() for t in tags),
+            self.died_in_hospital[per_step].astype(int).tolist(),
+        ]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(_CORE_COLUMNS) + tags + [_DEATH_COLUMN])
-            for tr in self.trajectories:
-                demo = [tr.demographics.get(t, "") for t in tags]
-                died = int(tr.died_in_hospital)
-                for step, (s, a, sp) in enumerate(tr.triples):
-                    writer.writerow([tr.id, step, s, a, sp] + demo + [died])
+            writer.writerows(zip(*columns))
 
     @classmethod
     def from_csv(cls, path, n_states=None, n_actions=None) -> "TrajectorySet":
-        """Load a trajectory CSV; dimensions inferred from the data if not given."""
+        """Load a trajectory CSV; dimensions inferred from the data if not given.
+
+        Rows of different ids may interleave: trajectories come in the order
+        their ids first appear, each one's rows in step order. The steps of an
+        id must be exactly 0..L-1. Tags and the death flag come from step 0.
+        """
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise SchemaError(f"{path}: empty file")
-            missing = [c for c in _CORE_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise SchemaError(f"{path}: missing columns {missing}")
-            tags = [
-                c
-                for c in reader.fieldnames
-                if c not in _CORE_COLUMNS and c != _DEATH_COLUMN
-            ]
-            rows_by_id: dict[str, list] = {}
-            order: list[str] = []
-            for row in reader:
-                tid = row["trajectory_id"]
-                if tid not in rows_by_id:
-                    rows_by_id[tid] = []
-                    order.append(tid)
-                rows_by_id[tid].append(row)
-
-        trajectories = []
-        for tid in order:
-            rows = sorted(rows_by_id[tid], key=lambda r: int(r["step"]))
-            triples = np.array(
-                [[int(r["state"]), int(r["action"]), int(r["next_state"])] for r in rows]
-            )
-            first = rows[0]
-            demo = {t: first[t] for t in tags}
-            died = bool(int(first[_DEATH_COLUMN])) if _DEATH_COLUMN in first else False
-            trajectories.append(Trajectory(tid, triples, demo, died))
-
-        if not trajectories:
+            header, *rows = [row for row in csv.reader(fh) if row] or [None]
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
+        missing = [c for c in _CORE_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing columns {missing}")
+        if not rows:
             raise SchemaError(f"{path}: no trajectories")
-        if n_states is None:
-            n_states = 1 + max(int(tr.triples[:, [0, 2]].max()) for tr in trajectories)
-        if n_actions is None:
-            n_actions = 1 + max(int(tr.triples[:, 1].max()) for tr in trajectories)
-        return cls(trajectories, n_states, n_actions)
+        if any(len(row) != len(header) for row in rows):
+            raise SchemaError(f"{path}: every row must have the header's {len(header)} fields")
+        columns = dict(zip(header, zip(*rows)))
+        number: dict = {}  # id -> its trajectory's position, by first appearance
+        owner = np.array([number.setdefault(t, len(number)) for t in columns["trajectory_id"]])
+        ids = list(number)
+
+        def integers(name):
+            try:
+                return np.fromiter(map(int, columns[name]), dtype=np.int64, count=len(rows))
+            except (ValueError, OverflowError):
+                for k, cell in enumerate(columns[name]):
+                    try:
+                        np.int64(int(cell))
+                    except (ValueError, OverflowError):
+                        tid = ids[owner[k]]
+                        raise SchemaError(
+                            f"{path}: trajectory {tid}: {name} {cell!r} is not an integer"
+                        ) from None
+
+        step, state, action, next_state = map(integers, _CORE_COLUMNS[1:])
+        order = np.lexsort((step, owner))
+        lengths = np.bincount(owner, minlength=len(ids))
+        offsets = np.cumsum(lengths) - lengths
+        wrong = step[order] != np.arange(len(order)) - np.repeat(offsets, lengths)
+        if wrong.any():
+            i = owner[order[np.argmax(wrong)]]
+            raise SchemaError(
+                f"{path}: trajectory {ids[i]}: steps must be 0..{lengths[i] - 1}, each once"
+            )
+        first = order[offsets]  # each trajectory's step-0 row
+        tags = [c for c in header if c not in _CORE_COLUMNS and c != _DEATH_COLUMN]
+        died = integers(_DEATH_COLUMN)[first] if _DEATH_COLUMN in header else None
+        try:
+            return cls.from_columns(
+                np.stack([state, action, next_state], axis=1)[order],
+                lengths,
+                ids,
+                n_states,
+                n_actions,
+                {t: np.asarray(columns[t], dtype=object)[first] for t in tags},
+                died,
+            )
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc

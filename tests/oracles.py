@@ -8,6 +8,7 @@ implementation is the point; do not "simplify" them to call package code.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy import stats
@@ -217,3 +218,86 @@ def exact_randomization_chi2_2x2(table) -> float:
     pmf = stats.hypergeom.pmf(support, n_total, n_flagged, n_a)
     keep = [statistic(int(x)) >= observed - 1e-12 for x in support]
     return float(pmf[keep].sum())
+
+
+# ---------------------------------------------------------------------------
+# per-trajectory reference loops
+#
+# These are the package's per-trajectory implementations from before
+# TrajectorySet became columnar, kept unchanged so that the vectorised code
+# can be checked against them for exact (bitwise) equality. They take any
+# iterable of trajectories with .id, .triples, .states, .end_state,
+# .demographics and .died_in_hospital.
+
+
+def reference_estimate_transitions(trajectories, n_states, n_actions):
+    """(probs, visit_counts) of the empirical kernel, unseen (s, a) self-looping."""
+    counts = np.zeros((n_states, n_actions, n_states))
+    for tr in trajectories:
+        s, a, sp = tr.triples[:, 0], tr.triples[:, 1], tr.triples[:, 2]
+        np.add.at(counts, (s, a, sp), 1)
+    visit = counts.sum(axis=2)
+    probs = np.zeros_like(counts)
+    seen = visit > 0
+    probs[seen] = counts[seen] / visit[seen, None]
+    unseen_s, unseen_a = np.nonzero(~seen)
+    probs[unseen_s, unseen_a, unseen_s] = 1.0
+    return probs, visit.astype(np.int64)
+
+
+def reference_state_visitation(trajectories, n_states) -> np.ndarray:
+    """Mean per-trajectory visit counts of the initial state and every next state."""
+    counts = np.zeros(n_states)
+    n = 0
+    for tr in trajectories:
+        np.add.at(counts, tr.states, 1)
+        n += 1
+    return counts / n
+
+
+def reference_initial_distribution(trajectories, n_states) -> np.ndarray:
+    d0 = np.zeros(n_states)
+    n = 0
+    for tr in trajectories:
+        d0[tr.triples[0, 0]] += 1
+        n += 1
+    return d0 / n
+
+
+def reference_log_likelihood(trajectory, policy_actions, probs):
+    """(log-likelihood of the on-policy steps, no step on-policy)."""
+    s = trajectory.triples[:, 0]
+    a = trajectory.triples[:, 1]
+    sp = trajectory.triples[:, 2]
+    on_policy = policy_actions[s] == a
+    if not on_policy.any():
+        return 0.0, True
+    p = probs[s[on_policy], a[on_policy], sp[on_policy]]
+    if np.any(p == 0.0):
+        return float("-inf"), False
+    return float(np.log(p).sum()), False
+
+
+def reference_scores(trajectories, probs, rewards, policy_actions) -> list[tuple]:
+    """(id, L, C, log-likelihood, end-state reward, fully off-policy) per trajectory."""
+    table = probs @ rewards
+    rows = []
+    for tr in trajectories:
+        s = tr.triples[:, 0]
+        a = tr.triples[:, 1]
+        gaps = table[s, policy_actions[s]] - table[s, a]
+        L = float(gaps.mean())
+        ll, off_policy = reference_log_likelihood(tr, policy_actions, probs)
+        end = float(rewards[tr.end_state])
+        rows.append((tr.id, L, float(math.exp(-L)), ll, end, off_policy))
+    return rows
+
+
+def reference_reward_delta(trajectory, rewards1, rewards2) -> float:
+    sp = trajectory.triples[:, 2]
+    return float(np.mean(rewards2[sp] - rewards1[sp]))
+
+
+def reference_subset(trajectories, ids) -> list:
+    keep = set(ids)
+    return [tr for tr in trajectories if tr.id in keep]

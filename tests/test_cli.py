@@ -1,12 +1,13 @@
 """End-to-end command-line tests driven through the in-process dispatcher."""
 
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from consensus_irl import SyntheticWorld, TrajectorySet
+from consensus_irl import SyntheticWorld, TrajectorySet, analyze
 from consensus_irl.cli import OUT_ROOT_ENV, dispatch
 from consensus_irl.pipeline import sha256_file
 
@@ -77,6 +78,27 @@ class TestDispatchErrors:
         with pytest.raises(SystemExit) as exc:
             run("--version")
         assert exc.value.code == 0
+
+    def test_malformed_trajectory_csv_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "trajectory_id,step,state,action,next_state\nt0,0,0,1,x\n"
+        )
+        assert run("irl", "--trajectories", bad, "--out", tmp_path / "irl") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "bad.csv: trajectory t0: next_state 'x'" in err
+
+    def test_flag_defaults_follow_function_signatures(self):
+        from consensus_irl.cli import SPECS
+
+        defaults = SPECS["pipeline"]["defaults"]
+        assert (defaults["min_share"], defaults["k"], defaults["min_size"]) == (0.01, 200, 10)
+        assert (defaults["restarts"], defaults["permutations"], defaults["top_k"]) == (
+            1, 10_000, 25,
+        )
+        disparity = inspect.signature(analyze.test_reward_loss_disparity).parameters
+        assert disparity["n_permutations"].default == defaults["permutations"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_maps_to_exit_2(self, synth_dir, workdir, capsys):

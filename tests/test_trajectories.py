@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from consensus_irl import InputError, Trajectory, TrajectorySet
+from consensus_irl import InputError, SchemaError, Trajectory, TrajectorySet
 
 
 def make(tid="t0", triples=((0, 1, 2), (2, 0, 1)), **kw):
@@ -87,3 +87,65 @@ def test_from_csv_infers_dimensions(tmp_path):
     back = TrajectorySet.from_csv(path)
     assert back.n_states == 5
     assert back.n_actions == 4
+
+
+HEADER = "trajectory_id,step,state,action,next_state,died_in_hospital\n"
+
+
+def write_csv(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text(HEADER + body)
+    return path
+
+
+@pytest.mark.parametrize("column", ["step", "state", "action", "next_state"])
+def test_csv_non_integer_cell_names_file_and_trajectory(tmp_path, column):
+    rows = [["a", "0", "0", "1", "2", "0"], ["b", "0", "0", "1", "2", "0"],
+            ["b", "1", "2", "0", "1", "0"]]
+    rows[2][HEADER.strip().split(",").index(column)] = "x"
+    path = write_csv(tmp_path, "".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(SchemaError, match=rf"t\.csv: trajectory b: {column} 'x'"):
+        TrajectorySet.from_csv(path)
+
+
+def test_csv_repeated_step_rejected(tmp_path):
+    path = write_csv(tmp_path, "a,0,0,1,2,0\nb,0,0,1,2,0\nb,0,2,0,1,0\n")
+    with pytest.raises(SchemaError, match=r"t\.csv: trajectory b: steps must be 0\.\.1"):
+        TrajectorySet.from_csv(path)
+
+
+def test_csv_steps_must_start_at_zero(tmp_path):
+    path = write_csv(tmp_path, "a,1,0,1,2,0\na,2,2,0,1,0\n")
+    with pytest.raises(SchemaError, match="trajectory a: steps"):
+        TrajectorySet.from_csv(path)
+
+
+def test_csv_broken_chain_names_file(tmp_path):
+    path = write_csv(tmp_path, "a,0,0,1,2,0\na,1,1,0,1,0\n")
+    with pytest.raises(SchemaError, match=r"t\.csv: trajectory a: triples do not chain"):
+        TrajectorySet.from_csv(path)
+
+
+def test_csv_interleaved_rows_keep_first_appearance_order(tmp_path):
+    path = write_csv(tmp_path, "b,1,2,0,1,1\na,0,0,1,2,0\nb,0,0,1,2,1\na,1,2,0,0,0\n")
+    tset = TrajectorySet.from_csv(path)
+    assert tset.ids == ["b", "a"]
+    assert tset[0].triples.tolist() == [[0, 1, 2], [2, 0, 1]]
+    assert tset[1].triples.tolist() == [[0, 1, 2], [2, 0, 0]]
+    assert tset.died_in_hospital.tolist() == [True, False]
+
+
+def test_reduce_steps_matches_per_trajectory_reductions():
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, 300, size=400)
+    values = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-6, 6, size=lengths.sum())
+    where = rng.random(lengths.sum()) < 0.6
+    states = np.zeros(lengths.sum(), dtype=np.int64)
+    tset = TrajectorySet.from_columns(
+        np.stack([states, states, states], axis=1), lengths, [f"t{i}" for i in range(400)]
+    )
+    slices = np.split(np.arange(lengths.sum()), np.cumsum(lengths)[:-1])
+    assert tset.reduce_steps(values, np.mean).tolist() == [np.mean(values[i]) for i in slices]
+    assert tset.reduce_steps(values, np.sum, where=where).tolist() == [
+        np.sum(values[i][where[i]]) for i in slices
+    ]

@@ -21,6 +21,7 @@ import csv
 import inspect
 import json
 import os
+import shutil
 import sys
 from dataclasses import fields
 
@@ -55,7 +56,7 @@ from .maxent import IrlConfig, train_maxent_irl, write_training_log
 from .mdp import RewardModel, estimate_transitions, greedy_policy, write_expected_reward_csv
 from .pipeline import (
     load_run_directory,
-    run_two_stage,
+    retention_sweep,
     write_json,
     write_manifest,
     write_run_directory,
@@ -221,7 +222,10 @@ SPECS = {
         "required": [],
     },
 }
-SPECS["sweep"]["defaults"] = {**SPECS["pipeline"]["defaults"], "fractions": "0.2,0.5,0.8"}
+SPECS["sweep"]["defaults"] = {  # each fraction is the retain fraction of one run
+    **{k: v for k, v in SPECS["pipeline"]["defaults"].items() if k != "retain"},
+    "fractions": ",".join(map(str, _default_of(retention_sweep, "fractions"))),
+}
 for _spec in SPECS.values():
     _spec["defaults"].setdefault("seed", 0)
     _spec["defaults"].setdefault("out", None)
@@ -597,39 +601,49 @@ def _pipeline_inputs(cfg, out) -> tuple[TrajectorySet, ClusterModel | None, list
     )
 
 
-def _run_pipeline_once(cfg, out) -> dict:
-    tset, cluster_model, artifacts = _pipeline_inputs(cfg, out)
-    irl_config, prune_config = _irl_config(cfg), _prune_config(cfg)
-    result = run_two_stage(tset, irl_config, prune_config)
-    artifacts += _analysis_artifacts(out, tset, result, cfg, cluster_model)
+def _run_fractions(cfg, outs: dict) -> list[dict]:
+    """Write one run per {retain fraction: run directory}; pipeline and sweep both run this.
 
-    extra_manifest = {"subcommand": "pipeline"}
-    if cfg["world"] and cfg["labels"]:
-        world = SyntheticWorld.from_json(cfg["world"])
-        labels = read_labels_csv(cfg["labels"])
-        recovery = evaluate_recovery(world, result, labels)
-        write_json(os.path.join(out, "recovery.json"), recovery)
-        artifacts.append("recovery.json")
-        extra_manifest["recovery"] = recovery
-
-    manifest = write_run_directory(
-        result,
-        out,
-        irl_config,
-        prune_config,
-        trajectories=tset,
-        extra_manifest=extra_manifest,
-        config_json=_echo("pipeline", cfg),
-        extra_artifacts=artifacts,
-    )
-    manifest["n_states"] = result.n_states
-    manifest["agreement_rate"] = float(np.mean(result.policy_agreement))
-    return manifest
+    The inputs are resolved once, into the first directory, and copied into
+    the others; retention_sweep fits stage 1 once for every fraction.
+    """
+    if bool(cfg["world"]) != bool(cfg["labels"]):
+        raise InputError("--world and --labels go together: give both or neither")
+    first, *others = outs.values()
+    os.makedirs(first, exist_ok=True)
+    tset, cluster_model, inputs = _pipeline_inputs(cfg, first)
+    for out in others:
+        os.makedirs(out, exist_ok=True)
+        for name in inputs:
+            shutil.copyfile(os.path.join(first, name), os.path.join(out, name))
+    if cfg["world"]:
+        world, labels = SyntheticWorld.from_json(cfg["world"]), read_labels_csv(cfg["labels"])
+    irl_config, fractions = _irl_config(cfg), tuple(outs)
+    prune_config = _prune_config({**cfg, "retain": fractions[0]})
+    results = retention_sweep(tset, irl_config, prune_config, fractions)
+    manifests = []
+    for fraction, out in outs.items():
+        leg, result = {**cfg, "retain": fraction}, results[fraction]
+        artifacts = inputs + _analysis_artifacts(out, tset, result, leg, cluster_model)
+        extra_manifest = {"subcommand": "pipeline"}
+        if cfg["world"]:
+            recovery = evaluate_recovery(world, result, labels)
+            write_json(os.path.join(out, "recovery.json"), recovery)
+            artifacts.append("recovery.json")
+            extra_manifest["recovery"] = recovery
+        manifest = write_run_directory(
+            result, out, irl_config, _prune_config(leg), trajectories=tset,
+            extra_manifest=extra_manifest, config_json=_echo("pipeline", leg),
+            extra_artifacts=artifacts,
+        )
+        manifest["agreement_rate"] = float(np.mean(result.policy_agreement))
+        manifests.append(manifest)
+    return manifests
 
 
 def cmd_pipeline(cfg) -> None:
     out = _out_dir("pipeline", cfg)
-    manifest = _run_pipeline_once(cfg, out)
+    (manifest,) = _run_fractions(cfg, {cfg["retain"]: out})
     print(
         f"pipeline: retained {manifest['n_retained']}/{manifest['n_trajectories']} "
         f"trajectories, stage agreement {manifest['agreement_rate']:.3f}, run in {out}"
@@ -637,17 +651,23 @@ def cmd_pipeline(cfg) -> None:
 
 
 def cmd_sweep(cfg) -> None:
-    out = _out_dir("sweep", cfg)
-    fractions = [float(f) for f in _as_list(cfg["fractions"])]
+    try:
+        fractions = [float(f) for f in _as_list(cfg["fractions"])]
+    except ValueError as exc:
+        raise InputError(f"sweep: --fractions must be numbers: {exc}") from exc
     if not fractions:
         raise InputError("sweep: --fractions must name at least one value")
-    rows = []
+    dirs = {}  # fraction -> run directory name, all checked before any work starts
     for fraction in fractions:
-        sub_cfg = dict(cfg)
-        sub_cfg["retain"] = fraction
-        sub_out = os.path.join(out, f"f{int(round(fraction * 100)):03d}")
-        os.makedirs(sub_out, exist_ok=True)
-        manifest = _run_pipeline_once(sub_cfg, sub_out)
+        _prune_config({**cfg, "retain": fraction})  # rejects a fraction outside (0, 1]
+        name = f"f{int(round(fraction * 100)):03d}"
+        if name in dirs.values():
+            raise InputError(f"sweep: fraction {fraction} would share run directory {name}")
+        dirs[fraction] = name
+    out = _out_dir("sweep", cfg)
+    manifests = _run_fractions(cfg, {f: os.path.join(out, name) for f, name in dirs.items()})
+    rows = []
+    for fraction, manifest in zip(fractions, manifests):
         row = {
             "fraction": fraction,
             "n_retained": manifest["n_retained"],
@@ -658,24 +678,15 @@ def cmd_sweep(cfg) -> None:
             row["prune_recall"] = manifest["recovery"]["prune_recall"]
         rows.append(row)
 
-    keys = sorted({k for row in rows for k in row})
+    keys = sorted(rows[0])  # every row has the same keys
     with open(os.path.join(out, "sweep_summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(keys)
-        for row in rows:
-            writer.writerow([
-                repr(row[k]) if isinstance(row.get(k), float) else row.get(k, "")
-                for k in keys
-            ])
-    _write_echo_and_manifest(
-        out,
-        "sweep",
-        cfg,
-        {"stage1": cfg["seed"], "stage2": cfg["seed"] + 1,
-         "prune": cfg["seed"] + 2, "tests": cfg["seed"] + 3},
-        ["sweep_summary.csv"],
-        fractions=fractions,
-    )
+        writer.writerows([repr(row[k]) if isinstance(row[k], float) else row[k] for k in keys]
+                         for row in rows)
+    seed = cfg["seed"]
+    seeds = {"stage1": seed, "stage2": seed + 1, "prune": seed + 2, "tests": seed + 3}
+    _write_echo_and_manifest(out, "sweep", cfg, seeds, ["sweep_summary.csv"], fractions=fractions)
     print(f"sweep: {len(fractions)} fractions done in {out}")
 
 

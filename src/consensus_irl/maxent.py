@@ -12,7 +12,7 @@ maxent_objective, whose gradient is that same visitation difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -58,9 +58,6 @@ class IrlConfig:
             raise ParameterError("epochs must be >= 1")
         if self.horizon is not None and self.horizon < 1:
             raise ParameterError("horizon must be >= 1")
-
-    def with_seed(self, seed: int) -> "IrlConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass

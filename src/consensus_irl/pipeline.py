@@ -6,6 +6,10 @@ refits on the retained subset. The transition kernel is estimated once from
 the full set and shared by both stages: pruning targets decision quality, not
 environment dynamics, and refitting the kernel on the retained subset would
 starve rarely-taken actions. That choice is recorded in the run manifest.
+
+retention_sweep is the one prune-and-refit loop: it fits stage 1 once and
+refits stage 2 once per retention fraction. run_two_stage is its
+one-fraction case.
 """
 
 from __future__ import annotations
@@ -67,46 +71,62 @@ class TwoStageResult:
         return self.policy_stage1.actions == self.policy_stage2.actions
 
 
+def retention_sweep(
+    trajectories: TrajectorySet,
+    irl_config: IrlConfig,
+    prune_config: PruneConfig,
+    fractions=(0.2, 0.5, 0.8),
+) -> dict[float, TwoStageResult]:
+    """Fit and score stage 1 once, then prune and refit once per retention fraction.
+
+    The horizon comes from the full set, so both stages roll out over the same
+    number of steps even when pruning removes the longest trajectories. Every
+    result shares the kernel, the stage-1 reward and the scores. Each stage 2
+    draws its initial-state distribution from its retained set and trains
+    from a fresh initialization with seed + 1. Every fraction is checked
+    before any fitting starts.
+    """
+    configs = {f: replace(prune_config, retain_fraction=f) for f in fractions}
+    if len(trajectories) == 0:
+        raise CohortEmptyError("cannot run the two-stage procedure on an empty set")
+    transitions = estimate_transitions(trajectories)
+    cfg1 = replace(irl_config, horizon=irl_config.horizon or trajectories.max_length())
+    reward1 = train_maxent_irl(trajectories, transitions, cfg1, stage="stage1")
+    policy1 = greedy_policy(transitions, reward1)
+    scores = score_trajectories(trajectories, transitions, reward1, policy1)
+
+    cfg2 = replace(cfg1, seed=cfg1.seed + 1)
+    results = {}
+    for f, config in configs.items():
+        retained_ids, _ = select_retained(scores, config)
+        retained = trajectories.subset(retained_ids)
+        reward2 = train_maxent_irl(retained, transitions, cfg2, stage="stage2")
+        results[f] = _assemble(transitions, reward1, reward2, scores, retained_ids)
+    return results
+
+
 def run_two_stage(
     trajectories: TrajectorySet,
     irl_config: IrlConfig,
     prune_config: PruneConfig,
 ) -> TwoStageResult:
-    """Fit, score, prune, refit.
+    """Fit, score, prune, refit: retention_sweep at prune_config's one fraction."""
+    f = prune_config.retain_fraction
+    return retention_sweep(trajectories, irl_config, prune_config, (f,))[f]
 
-    The horizon is resolved once from the full trajectory set so both stages
-    roll the soft policy out over the same number of steps even when pruning
-    removes the longest trajectories. Stage 2 re-uses the shared kernel, draws
-    its initial-state distribution from the retained set, and trains from a
-    fresh initialization with seed + 1.
-    """
-    if len(trajectories) == 0:
-        raise CohortEmptyError("cannot run the two-stage procedure on an empty set")
-    transitions = estimate_transitions(trajectories)
-    horizon = irl_config.horizon
-    if horizon is None:
-        horizon = trajectories.max_length()
-    cfg1 = replace(irl_config, horizon=horizon)
 
-    reward1 = train_maxent_irl(trajectories, transitions, cfg1, stage="stage1")
-    policy1 = greedy_policy(transitions, reward1)
-    scores = score_trajectories(trajectories, transitions, reward1, policy1)
-    retained_ids, pruned_ids = select_retained(scores, prune_config)
-
-    retained = trajectories.subset(retained_ids)
-    cfg2 = replace(cfg1, seed=cfg1.seed + 1)
-    reward2 = train_maxent_irl(retained, transitions, cfg2, stage="stage2")
-    policy2 = greedy_policy(transitions, reward2)
-
+def _assemble(transitions, reward1, reward2, scores, retained_ids) -> TwoStageResult:
+    """The result of one fit: greedy policies on the shared kernel, pruned ids from the scores."""
+    retained = set(retained_ids)
     return TwoStageResult(
         transitions=transitions,
         reward_stage1=reward1,
         reward_stage2=reward2,
-        policy_stage1=policy1,
-        policy_stage2=policy2,
+        policy_stage1=greedy_policy(transitions, reward1),
+        policy_stage2=greedy_policy(transitions, reward2),
         scores=scores,
         retained_ids=retained_ids,
-        pruned_ids=pruned_ids,
+        pruned_ids=[sc.trajectory_id for sc in scores if sc.trajectory_id not in retained],
     )
 
 
@@ -121,18 +141,7 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
     reward1 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage1.json"))
     reward2 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage2.json"))
     scores, retained_ids = read_scores_csv(os.path.join(run_dir, "scores.csv"))
-    retained = set(retained_ids)
-    transitions = estimate_transitions(trajectories)
-    return TwoStageResult(
-        transitions=transitions,
-        reward_stage1=reward1,
-        reward_stage2=reward2,
-        policy_stage1=greedy_policy(transitions, reward1),
-        policy_stage2=greedy_policy(transitions, reward2),
-        scores=scores,
-        retained_ids=retained_ids,
-        pruned_ids=[sc.trajectory_id for sc in scores if sc.trajectory_id not in retained],
-    )
+    return _assemble(estimate_transitions(trajectories), reward1, reward2, scores, retained_ids)
 
 
 def write_reward_delta_csv(result: TwoStageResult, path) -> None:
@@ -247,17 +256,3 @@ def write_run_directory(
         "n_pruned": len(result.pruned_ids),
         **(extra_manifest or {}),
     })
-
-
-def retention_sweep(
-    trajectories: TrajectorySet,
-    irl_config: IrlConfig,
-    prune_config: PruneConfig,
-    fractions=(0.2, 0.5, 0.8),
-) -> dict[float, TwoStageResult]:
-    """Run the two-stage procedure once per retention fraction."""
-    results = {}
-    for f in fractions:
-        cfg = replace(prune_config, retain_fraction=f)
-        results[f] = run_two_stage(trajectories, irl_config, cfg)
-    return results

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .errors import ParameterError
-from .mdp import DeterministicPolicy, TransitionModel
+from .mdp import DeterministicPolicy
 from .trajectories import TrajectorySet
 
 CORRUPTION_MODES = ("random_policy", "negated_reward", "low_temperature")
@@ -57,10 +57,6 @@ class SyntheticWorld:
     horizon: int
     initial_distribution: np.ndarray
     seed: int
-
-    def transition_model(self) -> TransitionModel:
-        visit = np.ones((self.n_states, self.n_actions), dtype=np.int64)
-        return TransitionModel(self.probs, visit)
 
     def to_json(self, path) -> None:
         payload = {

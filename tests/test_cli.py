@@ -99,6 +99,9 @@ class TestDispatchErrors:
         )
         disparity = inspect.signature(analyze.test_reward_loss_disparity).parameters
         assert disparity["n_permutations"].default == defaults["permutations"]
+        # each sweep fraction sets its run's retain fraction, so sweep has no --retain
+        assert SPECS["sweep"]["defaults"]["fractions"] == "0.2,0.5,0.8"
+        assert "retain" not in SPECS["sweep"]["defaults"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_maps_to_exit_2(self, synth_dir, workdir, capsys):
@@ -237,6 +240,27 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["recovery"] == recovery
 
+    @pytest.mark.parametrize("given", ["world", "labels"])
+    def test_world_and_labels_go_together(self, tmp_path, synth_dir, capsys, given):
+        """Either one alone is an error, not a run without recovery.json."""
+        truth = {"world": synth_dir / "world.json", "labels": synth_dir / "labels.csv"}
+        for command in ("pipeline", "sweep"):
+            out = tmp_path / command
+            code = run(
+                command, "--trajectories", synth_dir / "trajectories.csv",
+                f"--{given}", truth[given], "--epochs", 5, "--out", out,
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--world and --labels" in err
+            assert not list(out.glob("**/rewards_stage1.json"))
+
+
+RUN_RESULTS = (
+    "rewards_stage1.json", "rewards_stage2.json", "scores.csv", "reward_delta.csv",
+    "training_log_stage1.csv", "training_log_stage2.csv",
+)
+
 
 class TestSweep:
     def test_sweep_runs_each_fraction(self, workdir, synth_dir):
@@ -257,6 +281,48 @@ class TestSweep:
         assert n_retained == [20, 40]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == {"stage1": 2, "stage2": 3, "prune": 4, "tests": 5}
+        # each leg is the pipeline run at that retain fraction, byte for byte
+        for fraction, leg in (("0.5", "f050"), ("1.0", "f100")):
+            alone = workdir / f"sweep_alone_{leg}"
+            code = run(
+                "pipeline", "--trajectories", synth_dir / "trajectories.csv",
+                "--retain", fraction, "--epochs", 40, "--seed", 2,
+                "--permutations", 200, "--out", alone,
+            )
+            assert code == 0
+            for name in RUN_RESULTS:
+                assert (out / leg / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_retain_flag_is_rejected(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "sweep"
+        code = run(
+            "sweep", "--trajectories", synth_dir / "trajectories.csv",
+            "--retain", 0.9, "--out", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fractions, message",
+        [
+            ("0.5,abc", "must be numbers"),  # an error line, not a traceback
+            ("0.2,0.201", "share run directory f020"),  # one run would overwrite the other
+            ("0.5,0.5", "share run directory f050"),
+            ("0.5,1.5", "retain_fraction must be in (0, 1]"),  # checked before f050 runs
+        ],
+    )
+    def test_bad_fractions_fail_before_any_run(self, tmp_path, synth_dir, capsys,
+                                               fractions, message):
+        out = tmp_path / "sweep"
+        code = run(
+            "sweep", "--trajectories", synth_dir / "trajectories.csv",
+            "--fractions", fractions, "--epochs", 5, "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -406,3 +472,22 @@ class TestClinicalFlow:
         assert code == 0
         ingested = (workdir / "ingest" / "prepared.csv").read_bytes()
         assert (out / "prepared.csv").read_bytes() == ingested
+
+    def test_sweep_resolves_inputs_once(self, workdir):
+        """Every leg holds the states the first leg clustered, byte for byte."""
+        out = workdir / "clinical_sweep"
+        code = run(
+            "sweep", "--prepared", workdir / "ingest" / "prepared.csv",
+            "--features", "heart_rate,mean_bp", "--k", 2, "--min-size", 2,
+            "--epochs", 40, "--fractions", "0.5,0.75", "--permutations", 100,
+            "--out", out,
+        )
+        assert code == 0
+        for name in ("cluster_model.json", "trajectories.csv"):
+            first = (out / "f050" / name).read_bytes()
+            assert (out / "f075" / name).read_bytes() == first, name
+            assert (workdir / "cluster" / name).read_bytes() == first, name
+        # the 0.75 leg is the pipeline run from the same prepared rows
+        for name in RUN_RESULTS:
+            leg = (out / "f075" / name).read_bytes()
+            assert leg == (workdir / "clinical_run" / name).read_bytes(), name

@@ -10,6 +10,7 @@ import pytest
 from consensus_irl import (
     CohortEmptyError,
     IrlConfig,
+    ParameterError,
     PruneConfig,
     TrajectorySet,
     TwoStageResult,
@@ -23,6 +24,7 @@ from consensus_irl import (
     train_maxent_irl,
     write_run_directory,
 )
+from consensus_irl import pipeline
 from consensus_irl.pipeline import sha256_file
 from consensus_irl.synth import PopulationConfig
 
@@ -122,15 +124,45 @@ def test_pruning_improves_policy_agreement_on_corrupted_data():
     assert float(np.median(diffs)) >= 0.0
 
 
-def test_retention_sweep_runs_all_fractions(small_population):
+def test_retention_sweep_runs_all_fractions(small_population, monkeypatch):
     ts = small_population.trajectories
-    results = retention_sweep(ts, IrlConfig(epochs=10), PruneConfig())
+    irl, prune = IrlConfig(epochs=10), PruneConfig()
+    stages = []
+    train = pipeline.train_maxent_irl
+
+    def counting_train(*args, **kwargs):
+        stages.append(kwargs["stage"])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_maxent_irl", counting_train)
+    results = retention_sweep(ts, irl, prune)
+    monkeypatch.undo()
+    assert stages == ["stage1", "stage2", "stage2", "stage2"]  # one stage-1 fit serves all
     assert sorted(results) == [0.2, 0.5, 0.8]
     for f, result in results.items():
         assert len(result.retained_ids) == math.ceil(f * len(ts))
+        # each leg is bit for bit the one-fraction run
+        alone = run_two_stage(ts, irl, replace(prune, retain_fraction=f))
+        for stage in ("reward_stage1", "reward_stage2"):
+            leg, single = getattr(result, stage), getattr(alone, stage)
+            assert leg.rewards.tobytes() == single.rewards.tobytes()
+            assert leg.metadata == single.metadata
+        assert result.scores == alone.scores
+        assert result.retained_ids == alone.retained_ids
+        assert result.pruned_ids == alone.pruned_ids
+        assert np.array_equal(result.policy_agreement, alone.policy_agreement)
     # same stage-1 scores in every sweep leg, so retained sets nest
     assert set(results[0.2].retained_ids) <= set(results[0.5].retained_ids)
     assert set(results[0.5].retained_ids) <= set(results[0.8].retained_ids)
+
+
+def test_retention_sweep_checks_every_fraction_before_fitting(small_population, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the fractions were checked")
+
+    monkeypatch.setattr(pipeline, "train_maxent_irl", no_training)
+    with pytest.raises(ParameterError):
+        retention_sweep(small_population.trajectories, IrlConfig(), PruneConfig(), (0.5, 1.5))
 
 
 def test_run_directory_layout_and_manifest(tmp_path, quick_result):

@@ -374,6 +374,7 @@ def _ingest(cfg, out) -> tuple[dict, dict]:
     normals = load_normal_values(cfg["normals"])
     bounds = load_bounds(cfg["bounds"])
     prepared, report = prepare_subjects(subjects, normals, bounds, codec)
+    os.makedirs(out, exist_ok=True)
     write_prepared_csv(prepared, features, os.path.join(out, "prepared.csv"))
     return prepared, report
 
@@ -396,6 +397,7 @@ def _cluster(cfg, prepared, out) -> tuple[ClusterModel, TrajectorySet, dict]:
         n_restarts=cfg["restarts"],
     )
     tset, report = trajectories_from_prepared(prepared, model, features)
+    os.makedirs(out, exist_ok=True)
     model.to_json(os.path.join(out, "cluster_model.json"))
     tset.to_csv(os.path.join(out, "trajectories.csv"))
     return model, tset, report
@@ -605,13 +607,14 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
     """Write one run per {retain fraction: run directory}; pipeline and sweep both run this.
 
     The inputs are resolved once, into the first directory, and copied into
-    the others; retention_sweep fits stage 1 once for every fraction.
+    the others; retention_sweep fits stage 1 once for every fraction. No
+    directory is made until the inputs have been read.
     """
     if bool(cfg["world"]) != bool(cfg["labels"]):
         raise InputError("--world and --labels go together: give both or neither")
     first, *others = outs.values()
-    os.makedirs(first, exist_ok=True)
     tset, cluster_model, inputs = _pipeline_inputs(cfg, first)
+    os.makedirs(first, exist_ok=True)
     for out in others:
         os.makedirs(out, exist_ok=True)
         for name in inputs:

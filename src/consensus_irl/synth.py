@@ -72,7 +72,9 @@ class SyntheticWorld:
             "seed": self.seed,
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            # json.dumps runs the C encoder; json.dump would stream the S*A*S
+            # kernel through the pure-Python one, at several times the cost
+            fh.write(json.dumps(payload))
 
     @classmethod
     def from_json(cls, path) -> "SyntheticWorld":
@@ -107,7 +109,13 @@ class DemographicTag:
 
     def __post_init__(self):
         for dist in (self.probs, self.corrupted_probs):
-            if dist is not None and abs(sum(dist) - 1.0) > 1e-9:
+            if dist is None:
+                continue
+            if len(dist) != len(self.categories) or min(dist) < 0:
+                raise ParameterError(
+                    f"tag {self.name}: need one non-negative probability per category"
+                )
+            if abs(sum(dist) - 1.0) > 1e-9:
                 raise ParameterError(f"tag {self.name}: distribution must sum to 1")
 
 
@@ -200,6 +208,29 @@ def _boltzmann(q: np.ndarray, beta: float) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _cdf_rows(p: np.ndarray) -> np.ndarray:
+    """Each row's cumulative table as numpy's Generator.choice builds it."""
+    cdf = np.cumsum(p, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def _inverse_cdf(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index choice(p=...) draws from uniform u[i] in the table cdf[rows[i]].
+
+    choice returns searchsorted(cdf, u, side="right"): the number of entries
+    of the non-decreasing row that are <= u. A binary search over all rows at
+    once finds that count with no temporary wider than len(rows).
+    """
+    width = cdf.shape[1]
+    count = np.zeros(len(rows), dtype=np.int64)
+    step = 1 << (width.bit_length() - 1)
+    while step:
+        probe = np.minimum(count + step, width)
+        count = np.where(cdf[rows, probe - 1] <= u, probe, count)
+        step >>= 1
+    return count
+
+
 def generate_population(world: SyntheticWorld, config: PopulationConfig) -> LabeledPopulation:
     """Sample a mixed expert population with ground-truth corruption labels.
 
@@ -207,6 +238,15 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     policy; the rest follow a stationary Boltzmann(beta) policy over the
     true optimal action values. Ids, labels, and demographic tags are
     deterministic under the config seed.
+
+    The stream: the seed's SeedSequence spawns N + 2 children, the first
+    choosing the corrupted members, the second drawing the tags (trajectory by
+    trajectory, tag by tag), and one per trajectory. Trajectory i takes
+    1 + 2H uniforms from default_rng(its child), in order s0, then a_t and
+    s_{t+1} for each step t, and turns each into a value by the inverse CDF
+    of numpy's Generator.choice. Every trajectory thus gets exactly what one
+    rng.choice(n, p=...) call per draw would give it, while all N advance
+    together one step at a time.
     """
     horizon = config.horizon if config.horizon is not None else world.horizon
     if horizon != world.horizon:
@@ -223,45 +263,47 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     else:
         bad_policy = _boltzmann(q0, config.corruption_beta)
 
-    n = config.n_trajectories
+    n, n_states, n_actions = config.n_trajectories, world.n_states, world.n_actions
     n_corrupt = math.ceil(config.corrupted_fraction * n)
     root = np.random.SeedSequence(config.seed)
     member_ss, demo_ss, *traj_ss = root.spawn(n + 2)
-    member_rng = np.random.default_rng(member_ss)
-    corrupt_idx = set(member_rng.permutation(n)[:n_corrupt].tolist())
-    demo_rng = np.random.default_rng(demo_ss)
+    bad = np.zeros(n, dtype=bool)
+    bad[np.random.default_rng(member_ss).permutation(n)[:n_corrupt]] = True
 
+    uniforms = np.empty((n, 1 + 2 * horizon))
+    for i, child in enumerate(traj_ss):
+        np.random.default_rng(child).random(out=uniforms[i])
+    # policy rows: the expert's for states 0..S-1, then the corrupted policy's
+    policy_cdf = _cdf_rows(np.concatenate([expert_policy, bad_policy]))
+    step_cdf = _cdf_rows(world.probs).reshape(n_states * n_actions, n_states)
+    s = _inverse_cdf(_cdf_rows(world.initial_distribution[None]), np.zeros(n, int), uniforms[:, 0])
     triples = np.empty((n, horizon, 3), dtype=np.int64)
-    demographics = {tag.name: np.empty(n, dtype=object) for tag in config.demographics}
-    died = np.empty(n, dtype=bool)
-    for i in range(n):
-        is_bad = i in corrupt_idx
-        policy = bad_policy if is_bad else expert_policy
-        rng = np.random.default_rng(traj_ss[i])
-        s = int(rng.choice(world.n_states, p=world.initial_distribution))
-        for t in range(horizon):
-            a = int(rng.choice(world.n_actions, p=policy[s]))
-            sp = int(rng.choice(world.n_states, p=world.probs[s, a]))
-            triples[i, t] = (s, a, sp)
-            s = sp
-        for tag in config.demographics:
-            dist = tag.probs
-            if is_bad and tag.corrupted_probs is not None:
-                dist = tag.corrupted_probs
-            demographics[tag.name][i] = str(demo_rng.choice(tag.categories, p=dist))
-        died[i] = world.rewards[s] <= DEATH_REWARD_CUTOFF
+    for t in range(horizon):
+        a = _inverse_cdf(policy_cdf, bad * n_states + s, uniforms[:, 1 + 2 * t])
+        sp = _inverse_cdf(step_cdf, s * n_actions + a, uniforms[:, 2 + 2 * t])
+        triples[:, t, 0], triples[:, t, 1], triples[:, t, 2] = s, a, sp
+        s = sp
+    died = world.rewards[s] <= DEATH_REWARD_CUTOFF
+
+    tag_uniforms = np.random.default_rng(demo_ss).random((n, len(config.demographics)))
+    demographics = {}
+    for j, tag in enumerate(config.demographics):
+        corrupted = tag.probs if tag.corrupted_probs is None else tag.corrupted_probs
+        cdf = _cdf_rows(np.array([tag.probs, corrupted]))
+        labels = np.array([str(c) for c in np.asarray(tag.categories)], dtype=object)
+        demographics[tag.name] = labels[_inverse_cdf(cdf, bad.astype(int), tag_uniforms[:, j])]
 
     ids = [f"t{i:05d}" for i in range(n)]
     tset = TrajectorySet.from_columns(
         triples.reshape(n * horizon, 3),
         np.full(n, horizon),
         ids,
-        world.n_states,
-        world.n_actions,
+        n_states,
+        n_actions,
         demographics,
         died,
     )
-    return LabeledPopulation(tset, {tid: i in corrupt_idx for i, tid in enumerate(ids)})
+    return LabeledPopulation(tset, dict(zip(ids, bad.tolist())))
 
 
 def policy_value(world: SyntheticWorld, actions: np.ndarray, horizon: int | None = None) -> float:

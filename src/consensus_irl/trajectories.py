@@ -22,6 +22,7 @@ set is a CSV with one row per step, tags and the death flag on every row.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,7 +229,7 @@ class TrajectorySet:
             *(self.demographics[t][per_step].tolist() for t in tags),
             self.died_in_hospital[per_step].astype(int).tolist(),
         ]
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(_CORE_COLUMNS) + tags + [_DEATH_COLUMN])
             writer.writerows(zip(*columns))
@@ -239,38 +240,37 @@ class TrajectorySet:
 
         Rows of different ids may interleave: trajectories come in the order
         their ids first appear, each one's rows in step order. The steps of an
-        id must be exactly 0..L-1. Tags and the death flag come from step 0.
+        id must be exactly 0..L-1. Tags and the death flag come from step 0;
+        every death flag must be 0 or 1.
         """
-        with open(path, newline="") as fh:
-            header, *rows = [row for row in csv.reader(fh) if row] or [None]
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = [c for c in _CORE_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        if not rows:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next((row for row in csv.reader(fh) if row), None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = [c for c in _CORE_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            integer = (*_CORE_COLUMNS[1:], _DEATH_COLUMN)
+            dtype = [(f"c{j}", np.int64 if c in integer else object) for j, c in enumerate(header)]
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(
+                        fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+                    )
+            except ValueError as exc:
+                raise _malformed(path, exc) from None
+        if not len(table):
             raise SchemaError(f"{path}: no trajectories")
-        if any(len(row) != len(header) for row in rows):
-            raise SchemaError(f"{path}: every row must have the header's {len(header)} fields")
-        columns = dict(zip(header, zip(*rows)))
+        columns = {c: table[f"c{j}"] for j, c in enumerate(header)}
         number: dict = {}  # id -> its trajectory's position, by first appearance
-        owner = np.array([number.setdefault(t, len(number)) for t in columns["trajectory_id"]])
+        owner = np.fromiter(
+            (number.setdefault(t, len(number)) for t in columns["trajectory_id"]),
+            dtype=np.int64, count=len(table),
+        )
         ids = list(number)
 
-        def integers(name):
-            try:
-                return np.fromiter(map(int, columns[name]), dtype=np.int64, count=len(rows))
-            except (ValueError, OverflowError):
-                for k, cell in enumerate(columns[name]):
-                    try:
-                        np.int64(int(cell))
-                    except (ValueError, OverflowError):
-                        tid = ids[owner[k]]
-                        raise SchemaError(
-                            f"{path}: trajectory {tid}: {name} {cell!r} is not an integer"
-                        ) from None
-
-        step, state, action, next_state = map(integers, _CORE_COLUMNS[1:])
+        step, state, action, next_state = (columns[c] for c in _CORE_COLUMNS[1:])
         order = np.lexsort((step, owner))
         lengths = np.bincount(owner, minlength=len(ids))
         offsets = np.cumsum(lengths) - lengths
@@ -282,7 +282,16 @@ class TrajectorySet:
             )
         first = order[offsets]  # each trajectory's step-0 row
         tags = [c for c in header if c not in _CORE_COLUMNS and c != _DEATH_COLUMN]
-        died = integers(_DEATH_COLUMN)[first] if _DEATH_COLUMN in header else None
+        died = None
+        if _DEATH_COLUMN in header:
+            flags = columns[_DEATH_COLUMN]
+            wrong = (flags != 0) & (flags != 1)
+            if wrong.any():
+                k = np.argmax(wrong)
+                raise SchemaError(
+                    f"{path}: trajectory {ids[owner[k]]}: {_DEATH_COLUMN} {flags[k]} is not 0 or 1"
+                )
+            died = flags[first]
         try:
             return cls.from_columns(
                 np.stack([state, action, next_state], axis=1)[order],
@@ -290,8 +299,29 @@ class TrajectorySet:
                 ids,
                 n_states,
                 n_actions,
-                {t: np.asarray(columns[t], dtype=object)[first] for t in tags},
+                {t: columns[t][first] for t in tags},
                 died,
             )
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _malformed(path, exc: ValueError) -> SchemaError:
+    """The error for a trajectory CSV that np.loadtxt rejected.
+
+    Scans the file with the csv module for the first row whose width differs
+    from the header's, then for the first integer cell that is not an int64,
+    column by column; a file that has neither gets loadtxt's own message.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    if any(len(row) != len(header) for row in rows):
+        return SchemaError(f"{path}: every row must have the header's {len(header)} fields")
+    columns = dict(zip(header, zip(*rows)))
+    for name in (*_CORE_COLUMNS[1:], _DEATH_COLUMN):
+        for tid, cell in zip(columns.get("trajectory_id", ()), columns.get(name, ())):
+            try:
+                np.int64(int(cell))
+            except (ValueError, OverflowError):
+                return SchemaError(f"{path}: trajectory {tid}: {name} {cell!r} is not an integer")
+    return SchemaError(f"{path}: {exc}")

@@ -301,3 +301,63 @@ def reference_reward_delta(trajectory, rewards1, rewards2) -> float:
 def reference_subset(trajectories, ids) -> list:
     keep = set(ids)
     return [tr for tr in trajectories if tr.id in keep]
+
+
+def reference_population(world, config):
+    """The per-step population sampler: one rng.choice call per draw.
+
+    Returns (triples of shape (N, H, 3), ids, corrupted flags, demographics
+    as {tag: list}, died flags). The policies come from the package's
+    finite_horizon_values; what this oracle pins is the sampling stream.
+    """
+    from consensus_irl.synth import DEATH_REWARD_CUTOFF, finite_horizon_values
+
+    def boltzmann(q, beta):
+        z = beta * q
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
+
+    horizon = config.horizon if config.horizon is not None else world.horizon
+    if horizon != world.horizon:
+        _, q0 = finite_horizon_values(world.probs, world.rewards, horizon)
+    else:
+        q0 = world.optimal_q
+    expert_policy = boltzmann(q0, config.expert_beta)
+    if config.corruption_mode == "random_policy":
+        bad_policy = np.full_like(expert_policy, 1.0 / world.n_actions)
+    elif config.corruption_mode == "negated_reward":
+        _, q_bad = finite_horizon_values(world.probs, -world.rewards, horizon)
+        bad_policy = boltzmann(q_bad, config.expert_beta)
+    else:
+        bad_policy = boltzmann(q0, config.corruption_beta)
+
+    n = config.n_trajectories
+    n_corrupt = math.ceil(config.corrupted_fraction * n)
+    root = np.random.SeedSequence(config.seed)
+    member_ss, demo_ss, *traj_ss = root.spawn(n + 2)
+    member_rng = np.random.default_rng(member_ss)
+    corrupt_idx = set(member_rng.permutation(n)[:n_corrupt].tolist())
+    demo_rng = np.random.default_rng(demo_ss)
+
+    triples = np.empty((n, horizon, 3), dtype=np.int64)
+    demographics = {tag.name: [] for tag in config.demographics}
+    died = []
+    for i in range(n):
+        is_bad = i in corrupt_idx
+        policy = bad_policy if is_bad else expert_policy
+        rng = np.random.default_rng(traj_ss[i])
+        s = int(rng.choice(world.n_states, p=world.initial_distribution))
+        for t in range(horizon):
+            a = int(rng.choice(world.n_actions, p=policy[s]))
+            sp = int(rng.choice(world.n_states, p=world.probs[s, a]))
+            triples[i, t] = (s, a, sp)
+            s = sp
+        for tag in config.demographics:
+            dist = tag.probs
+            if is_bad and tag.corrupted_probs is not None:
+                dist = tag.corrupted_probs
+            demographics[tag.name].append(str(demo_rng.choice(tag.categories, p=dist)))
+        died.append(bool(world.rewards[s] <= DEATH_REWARD_CUTOFF))
+    ids = [f"t{i:05d}" for i in range(n)]
+    return triples, ids, [i in corrupt_idx for i in range(n)], demographics, died

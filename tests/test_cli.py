@@ -324,6 +324,22 @@ class TestSweep:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            ((), "provide --trajectories"),
+            (("--trajectories", "no/such/dir/t.csv"), "cannot read trajectories"),
+        ],
+    )
+    def test_unreadable_input_leaves_no_fraction_directory(self, tmp_path, capsys,
+                                                           inputs, message):
+        out = tmp_path / "sweep"
+        code = run("sweep", *inputs, "--fractions", "0.5,0.8", "--epochs", 5, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (out / "f050").exists() and not (out / "f080").exists()
+
 
 class TestAnalyze:
     def test_reports_from_existing_run(self, workdir, synth_dir, run1):

@@ -22,9 +22,9 @@ from consensus_irl import (
     policy_value,
     select_retained,
 )
-from consensus_irl.synth import DEATH_REWARD_CUTOFF, read_labels_csv
+from consensus_irl.synth import DEATH_REWARD_CUTOFF, _inverse_cdf, read_labels_csv
 
-from oracles import brute_force_optimal_values
+from oracles import brute_force_optimal_values, reference_population
 
 
 # -------------------------------------------------------------------- worlds
@@ -193,6 +193,76 @@ def test_demographic_tag_validates_distributions():
         DemographicTag("x", ["a", "b"], [0.7, 0.7])
     with pytest.raises(ParameterError):
         DemographicTag("x", ["a", "b"], [0.5, 0.5], corrupted_probs=[0.9, 0.3])
+    with pytest.raises(ParameterError):
+        DemographicTag("x", ["a", "b"], [0.5, 0.25, 0.25])
+    with pytest.raises(ParameterError):
+        DemographicTag("x", ["a", "b"], [0.5, 0.5], corrupted_probs=[1.5, -0.5])
+
+
+TAGS = [
+    DemographicTag("site", ["north", "south", "east"], [0.2, 0.5, 0.3]),
+    DemographicTag("flagged", [1, 2], [0.1, 0.9], corrupted_probs=[0.8, 0.2]),
+]
+
+
+def sparse_start(world):
+    """The world with a start distribution that puts no mass on most states."""
+    start = np.zeros(world.n_states)
+    start[[1, 4, 5]] = [0.5, 0.2, 0.3]
+    return replace(world, initial_distribution=start)
+
+
+@pytest.mark.parametrize(
+    "world, config",
+    [
+        pytest.param((20, 3, 4, 8), PopulationConfig(300, demographics=TAGS, seed=5),
+                     id="random_policy-tags"),
+        pytest.param((20, 3, 4, 8), PopulationConfig(
+            200, corruption_mode="negated_reward", demographics=TAGS[1:], seed=6),
+            id="negated_reward-corrupted-tag"),
+        pytest.param((20, 3, 4, 8), PopulationConfig(
+            200, corruption_mode="low_temperature", demographics=TAGS[:1], seed=7),
+            id="low_temperature-plain-tag"),
+        pytest.param((20, 3, 4, 8), PopulationConfig(150, horizon=13, seed=8),
+                     id="horizon-override"),
+        pytest.param((30, 4, 2, 6), PopulationConfig(200, expert_beta=1e6, seed=9),
+                     id="zero-probability-successors"),
+        pytest.param((12, 2, 3, 10), PopulationConfig(1, demographics=TAGS, seed=10),
+                     id="one-trajectory"),
+        pytest.param((12, 2, 3, 10), PopulationConfig(
+            120, corrupted_fraction=0.0, demographics=TAGS, seed=11), id="no-corruption"),
+        pytest.param((12, 2, 3, 10), PopulationConfig(
+            120, corrupted_fraction=1.0, demographics=TAGS, seed=12), id="all-corrupted"),
+    ],
+)
+def test_sampler_reproduces_the_per_step_stream(world, config):
+    n_states, n_actions, branching, horizon = world
+    world = sparse_start(generate_world(n_states, n_actions, branching, seed=3, horizon=horizon))
+    assert (world.probs == 0).any()
+    pop = generate_population(world, config)
+    triples, ids, corrupted, demographics, died = reference_population(world, config)
+    tset = pop.trajectories
+    assert tset.triples.tolist() == triples.reshape(-1, 3).tolist()
+    assert tset.lengths.tolist() == [triples.shape[1]] * len(ids)
+    assert tset.ids == ids
+    assert list(pop.corrupted) == ids
+    assert list(pop.corrupted.values()) == corrupted
+    assert {t: col.tolist() for t, col in tset.demographics.items()} == demographics
+    assert tset.died_in_hospital.tolist() == died
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 8, 13])
+def test_inverse_cdf_is_searchsorted_right_per_row(width):
+    rng = np.random.default_rng(width)
+    p = rng.random((6, width)) * (rng.random((6, width)) < 0.6)
+    p[:, -1] += 0.1
+    cdf = np.cumsum(p, axis=1) / np.cumsum(p, axis=1)[:, -1:]
+    rows = rng.integers(0, 6, size=400)
+    u = rng.random(400)
+    u[::2] = cdf[rows[::2], rng.integers(0, width, size=200)]  # ties with table entries
+    u[u == 1.0] = 0.0
+    expected = [np.searchsorted(cdf[r], x, side="right") for r, x in zip(rows, u)]
+    assert _inverse_cdf(cdf, rows, u).tolist() == expected
 
 
 def test_death_label_follows_end_state_reward(small_world, small_population):

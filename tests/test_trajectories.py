@@ -149,3 +149,68 @@ def test_reduce_steps_matches_per_trajectory_reductions():
     assert tset.reduce_steps(values, np.sum, where=where).tolist() == [
         np.sum(values[i][where[i]]) for i in slices
     ]
+
+
+def test_csv_round_trip_quotes_commas_and_hashes(tmp_path):
+    tags = {"note": "a, b", "quote": 'say "hi"', "mark": "#1"}
+    other = {"note": "#", "quote": '""', "mark": ","}
+    tset = TrajectorySet([make("#a", demo=tags, died=True), make("b#", demo=other)], 3, 2)
+    path = tmp_path / "t.csv"
+    tset.to_csv(path)
+    back = TrajectorySet.from_csv(path)
+    assert back.ids == ["#a", "b#"]
+    assert back[0].demographics == tags
+    assert back[1].demographics == other
+    assert back.died_in_hospital.tolist() == [True, False]
+    assert back.triples.tolist() == tset.triples.tolist()
+
+
+def test_csv_blank_lines_between_rows_are_skipped(tmp_path):
+    path = write_csv(tmp_path, "a,0,0,1,2,1\n\nb,0,0,1,2,0\n\n\nb,1,2,0,1,0\n")
+    tset = TrajectorySet.from_csv(path)
+    assert tset.ids == ["a", "b"]
+    assert tset.lengths.tolist() == [1, 2]
+    assert tset.died_in_hospital.tolist() == [True, False]
+
+
+def test_csv_crlf_line_endings(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes((HEADER + "a,0,0,1,2,1\na,1,2,0,1,1\n").replace("\n", "\r\n").encode())
+    tset = TrajectorySet.from_csv(path)
+    assert tset.ids == ["a"]
+    assert tset.triples.tolist() == [[0, 1, 2], [2, 0, 1]]
+    assert tset.died_in_hospital.tolist() == [True]
+
+
+@pytest.mark.parametrize("cell", ["2", "-1"])
+def test_csv_death_flag_must_be_zero_or_one(tmp_path, cell):
+    path = write_csv(tmp_path, f"a,0,0,1,2,0\nb,0,0,1,2,{cell}\nb,1,2,0,1,{cell}\n")
+    with pytest.raises(SchemaError, match=rf"t\.csv: trajectory b: died_in_hospital {cell}"):
+        TrajectorySet.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file"),
+        ("\n\n", "empty file"),
+        ("trajectory_id,step,state,action\na,0,0,1\n", r"missing columns \['next_state'\]"),
+        (HEADER, "no trajectories"),
+        (HEADER + "\n", "no trajectories"),
+        (HEADER + "a,0,0,1,2,0\na,1,2,0,1\n", "every row must have the header's 6 fields"),
+        (HEADER + "a,0,0,1,2,0\na,1,2,0,1,0,7\n", "every row must have the header's 6 fields"),
+        (HEADER + 'a,0,0,1,2,0\n"a,1",1,2,0,1,0\n', r"trajectory a,1: steps must be 0\.\.0"),
+    ],
+)
+def test_csv_file_level_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=rf"t\.csv: {message}"):
+        TrajectorySet.from_csv(path)
+
+
+def test_csv_integer_cell_int_accepts_but_loadtxt_rejects(tmp_path):
+    # int("1_0") is 10, but a CSV integer cell holds plain decimal digits
+    path = write_csv(tmp_path, "a,0,0,1_0,2,0\n")
+    with pytest.raises(SchemaError, match=r"t\.csv: could not convert string '1_0'"):
+        TrajectorySet.from_csv(path)

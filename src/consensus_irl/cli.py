@@ -608,10 +608,12 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
 
     The inputs are resolved once, into the first directory, and copied into
     the others; retention_sweep fits stage 1 once for every fraction. No
-    directory is made until the inputs have been read.
+    directory is made until the input files have been read.
     """
     if bool(cfg["world"]) != bool(cfg["labels"]):
         raise InputError("--world and --labels go together: give both or neither")
+    if cfg["world"]:
+        world, labels = SyntheticWorld.from_json(cfg["world"]), read_labels_csv(cfg["labels"])
     first, *others = outs.values()
     tset, cluster_model, inputs = _pipeline_inputs(cfg, first)
     os.makedirs(first, exist_ok=True)
@@ -619,8 +621,6 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
         os.makedirs(out, exist_ok=True)
         for name in inputs:
             shutil.copyfile(os.path.join(first, name), os.path.join(out, name))
-    if cfg["world"]:
-        world, labels = SyntheticWorld.from_json(cfg["world"]), read_labels_csv(cfg["labels"])
     irl_config, fractions = _irl_config(cfg), tuple(outs)
     prune_config = _prune_config({**cfg, "retain": fractions[0]})
     results = retention_sweep(tset, irl_config, prune_config, fractions)

@@ -22,6 +22,7 @@ set is a CSV with one row per step, tags and the death flag on every row.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -255,6 +256,9 @@ class TrajectorySet:
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    # numpy releases that still parse "2.7" into an int64 column
+                    # (truncating it) warn instead of raising: make that raise
+                    warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
                     table = np.loadtxt(
                         fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
                     )
@@ -306,12 +310,16 @@ class TrajectorySet:
             raise SchemaError(f"{path}: {exc}") from exc
 
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # an int64 cell as np.loadtxt reads it
+
+
 def _malformed(path, exc: ValueError) -> SchemaError:
     """The error for a trajectory CSV that np.loadtxt rejected.
 
     Scans the file with the csv module for the first row whose width differs
-    from the header's, then for the first integer cell that is not an int64,
-    column by column; a file that has neither gets loadtxt's own message.
+    from the header's, then for the first integer cell that is not an int64
+    in loadtxt's grammar, column by column; a file that has neither gets
+    loadtxt's own message.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = [row for row in csv.reader(fh) if row]
@@ -320,8 +328,6 @@ def _malformed(path, exc: ValueError) -> SchemaError:
     columns = dict(zip(header, zip(*rows)))
     for name in (*_CORE_COLUMNS[1:], _DEATH_COLUMN):
         for tid, cell in zip(columns.get("trajectory_id", ()), columns.get(name, ())):
-            try:
-                np.int64(int(cell))
-            except (ValueError, OverflowError):
+            if not (_INTEGER.fullmatch(cell) and -(2**63) <= int(cell) < 2**63):
                 return SchemaError(f"{path}: trajectory {tid}: {name} {cell!r} is not an integer")
     return SchemaError(f"{path}: {exc}")

@@ -329,11 +329,14 @@ class TestSweep:
         [
             ((), "provide --trajectories"),
             (("--trajectories", "no/such/dir/t.csv"), "cannot read trajectories"),
+            (("--trajectories", "{synth}/trajectories.csv", "--world", "no/such/world.json",
+              "--labels", "{synth}/labels.csv"), "world.json"),
         ],
     )
-    def test_unreadable_input_leaves_no_fraction_directory(self, tmp_path, capsys,
+    def test_unreadable_input_leaves_no_fraction_directory(self, tmp_path, synth_dir, capsys,
                                                            inputs, message):
         out = tmp_path / "sweep"
+        inputs = [arg.format(synth=synth_dir) for arg in inputs]
         code = run("sweep", *inputs, "--fractions", "0.5,0.8", "--epochs", 5, "--out", out)
         assert code == 1
         err = capsys.readouterr().err

@@ -197,6 +197,10 @@ def test_demographic_tag_validates_distributions():
         DemographicTag("x", ["a", "b"], [0.5, 0.25, 0.25])
     with pytest.raises(ParameterError):
         DemographicTag("x", ["a", "b"], [0.5, 0.5], corrupted_probs=[1.5, -0.5])
+    with pytest.raises(ParameterError):
+        DemographicTag("x", [], [])
+    with pytest.raises(ParameterError):
+        DemographicTag("x", ["a", "b"], [math.nan, 1.0])
 
 
 TAGS = [

@@ -100,12 +100,14 @@ def write_csv(tmp_path, body):
 
 @pytest.mark.parametrize("column", ["step", "state", "action", "next_state"])
 def test_csv_non_integer_cell_names_file_and_trajectory(tmp_path, column):
-    rows = [["a", "0", "0", "1", "2", "0"], ["b", "0", "0", "1", "2", "0"],
-            ["b", "1", "2", "0", "1", "0"]]
-    rows[2][HEADER.strip().split(",").index(column)] = "x"
-    path = write_csv(tmp_path, "".join(",".join(r) + "\n" for r in rows))
-    with pytest.raises(SchemaError, match=rf"t\.csv: trajectory b: {column} 'x'"):
-        TrajectorySet.from_csv(path)
+    # a float cell must not be truncated into an integer one
+    for cell in ["x", "2.7", "1.0", "1e0"]:
+        rows = [["a", "0", "0", "1", "2", "0"], ["b", "0", "0", "1", "2", "0"],
+                ["b", "1", "2", "0", "1", "0"]]
+        rows[2][HEADER.strip().split(",").index(column)] = cell
+        path = write_csv(tmp_path, "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(SchemaError, match=rf"t\.csv: trajectory b: {column} '{cell}'"):
+            TrajectorySet.from_csv(path)
 
 
 def test_csv_repeated_step_rejected(tmp_path):
@@ -182,10 +184,13 @@ def test_csv_crlf_line_endings(tmp_path):
     assert tset.died_in_hospital.tolist() == [True]
 
 
-@pytest.mark.parametrize("cell", ["2", "-1"])
-def test_csv_death_flag_must_be_zero_or_one(tmp_path, cell):
+@pytest.mark.parametrize(
+    "cell, message", [("2", "2 is not 0 or 1"), ("-1", "-1 is not 0 or 1"),
+                      ("1.5", r"'1\.5' is not an integer")],
+)
+def test_csv_death_flag_must_be_zero_or_one(tmp_path, cell, message):
     path = write_csv(tmp_path, f"a,0,0,1,2,0\nb,0,0,1,2,{cell}\nb,1,2,0,1,{cell}\n")
-    with pytest.raises(SchemaError, match=rf"t\.csv: trajectory b: died_in_hospital {cell}"):
+    with pytest.raises(SchemaError, match=rf"t\.csv: trajectory b: died_in_hospital {message}"):
         TrajectorySet.from_csv(path)
 
 
@@ -209,8 +214,15 @@ def test_csv_file_level_errors_name_the_file(tmp_path, text, message):
         TrajectorySet.from_csv(path)
 
 
-def test_csv_integer_cell_int_accepts_but_loadtxt_rejects(tmp_path):
-    # int("1_0") is 10, but a CSV integer cell holds plain decimal digits
-    path = write_csv(tmp_path, "a,0,0,1_0,2,0\n")
-    with pytest.raises(SchemaError, match=r"t\.csv: could not convert string '1_0'"):
+@pytest.mark.parametrize("cell", ["1_0", "\uff11", str(2**63)])
+def test_csv_integer_cell_int_accepts_but_loadtxt_rejects(tmp_path, cell):
+    # int() reads each of these, but a CSV integer cell holds plain decimal
+    # digits within int64
+    path = write_csv(tmp_path, f"a,0,0,{cell},2,0\n")
+    with pytest.raises(SchemaError, match=rf"t\.csv: trajectory a: action '{cell}' is not"):
         TrajectorySet.from_csv(path)
+
+
+def test_csv_integer_cell_may_carry_sign_and_spaces(tmp_path):
+    tset = TrajectorySet.from_csv(write_csv(tmp_path, "a, 0 ,+0,1,\t2,0\n"))
+    assert tset.triples.tolist() == [[0, 1, 2]]

@@ -8,6 +8,14 @@ reward. Three optimizers fit it: full-batch gradient ascent, either additive
 linearly decaying learning rate; or L-BFGS ("lbfgs", scipy's L-BFGS-B) on the
 exact objective J(theta) = theta . (mu_emp - d0) - d0 . V_0(theta) of
 maxent_objective, whose gradient is that same visitation difference.
+
+Both passes run once per epoch (Ziebart et al., AAAI 2008). The backward pass
+multiplies the dense kernel by a vector per step and takes its log-sum-exp
+over actions inline, by the algorithm of scipy.special.logsumexp (1.17), so
+the values do not depend on the installed scipy. The forward pass is one
+np.bincount per step over the kernel's non-zeros (TransitionModel.nonzero),
+which adds the same products in the same order as a dense contraction. scipy
+is imported only by the L-BFGS fit.
 """
 
 from __future__ import annotations
@@ -15,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .errors import CohortEmptyError, NumericError, ParameterError
 from .mdp import RewardModel, TransitionModel
@@ -120,6 +126,11 @@ def soft_backward_pass(transitions: TransitionModel, reward, horizon: int) -> So
     V_horizon = 0; going backward, Q_t(s,a) = sum_s' P(s,a,s') (R(s') + V_{t+1}(s'))
     and V_t = logsumexp_a Q_t. The returned policy is pi_t(a|s) =
     exp(Q_t(s,a) - V_t(s)). Rewards are collected on arrival at s'.
+
+    The log-sum-exp is computed inline as scipy.special.logsumexp (1.17)
+    computes it: with m the row maximum, k the number of entries equal to it
+    and s the sum of exp(Q - m) over the other entries,
+    V = log1p(s / k) + log(k) + m. A non-finite value raises NumericError.
     """
     return SoftPolicy(_soft_backward(transitions, reward, horizon)[0])
 
@@ -136,10 +147,16 @@ def _soft_backward(transitions: TransitionModel, reward, horizon: int):
     v = np.zeros(n_states)
     for t in range(horizon - 1, -1, -1):
         q = transitions.probs @ (r + v)
-        v = logsumexp(q, axis=1)
-        if not np.all(np.isfinite(v)):
-            s_bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        m = q.max(axis=1)
+        # V is finite exactly where the row maximum is
+        if not np.all(np.isfinite(m)):
+            s_bad = int(np.flatnonzero(~np.isfinite(m))[0])
             raise NumericError(f"soft backward pass: non-finite value at (t={t}, s={s_bad})")
+        top = q == m[:, None]
+        k = np.count_nonzero(top, axis=1)
+        rest = np.exp(q - m[:, None])
+        np.putmask(rest, top, 0.0)
+        v = np.log1p(rest.sum(axis=1) / k) + np.log(k) + m
         policy[t] = np.exp(q - v[:, None])
     return policy, v
 
@@ -150,17 +167,30 @@ def expected_state_visitation(
     initial_distribution: np.ndarray,
     horizon: int | None = None,
 ) -> FeatureExpectations:
-    """Forward pass: total expected state visitation mass over t = 0..horizon."""
+    """Forward pass: total expected state visitation mass over t = 0..horizon.
+
+    Each step is one np.bincount over the kernel's non-zeros. It adds the
+    products (D_t(s) pi_t(a|s)) P(s,a,s') for each s' in (s, a) order, as the
+    dense contraction np.einsum("s,sa,sap->p", ...) does, and the terms it
+    skips are zeros, so the result is the same to the bit.
+    """
     d = np.asarray(initial_distribution, dtype=float)
+    n_states = transitions.n_states
+    if d.shape != (n_states,):
+        raise ParameterError("initial distribution length does not match transition model")
     if abs(d.sum() - 1.0) > 1e-9 or np.any(d < 0):
         raise ParameterError("initial distribution must be a probability vector")
+    if policy.probs.shape[1:] != transitions.probs.shape[:2]:
+        raise ParameterError("soft policy shape does not match transition model")
     horizon = horizon if horizon is not None else policy.horizon
     if horizon > policy.horizon:
         raise ParameterError("horizon exceeds the policy's time range")
+    rows, cols, vals = transitions.nonzero
     total = d.copy()
     for t in range(horizon):
         # D_{t+1}(s') = sum_{s,a} D_t(s) pi_t(a|s) P(s,a,s')
-        d = np.einsum("s,sa,sap->p", d, policy.probs[t], transitions.probs)
+        flow = (d[:, None] * policy.probs[t]).ravel()
+        d = np.bincount(cols, weights=flow[rows] * vals, minlength=n_states)
         total += d
     return FeatureExpectations(total, "model")
 
@@ -224,6 +254,8 @@ def _lbfgs(theta, empirical, d0, transitions, horizon, config):
     The log has one row for the starting point and one per iteration, each
     with the iterate's max|grad| and no learning rate.
     """
+    from scipy.optimize import minimize
+
     last = {}
 
     def negative_objective(x):

@@ -22,10 +22,16 @@ ROW_SUM_TOL = 1e-9
 
 @dataclass
 class TransitionModel:
-    """Tabular stochastic kernel P(s, a, s') with per-(s, a) visit counts."""
+    """Tabular stochastic kernel P(s, a, s') with per-(s, a) visit counts.
 
-    probs: np.ndarray  # (n_states, n_actions, n_states)
+    `nonzero` holds the kernel's non-zero entries as (rows, cols, vals) of its
+    (S*A, S) reshape, in row-major order; the forward visitation pass runs
+    over them. `probs` is made read-only so that they cannot go stale.
+    """
+
+    probs: np.ndarray  # (n_states, n_actions, n_states), read-only
     visit_counts: np.ndarray  # (n_states, n_actions) int
+    nonzero: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -38,6 +44,10 @@ class TransitionModel:
         if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
             worst = np.unravel_index(np.argmax(np.abs(rows - 1.0)), rows.shape)
             raise SchemaError(f"transition row {worst} does not sum to 1")
+        self.probs.flags.writeable = False
+        flat = self.probs.reshape(-1, self.n_states)
+        rows, cols = np.nonzero(flat)
+        self.nonzero = (rows, cols, flat[rows, cols])
 
     @property
     def n_states(self) -> int:

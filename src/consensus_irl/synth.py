@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .errors import ParameterError
 from .mdp import DeterministicPolicy
@@ -329,6 +328,8 @@ def evaluate_recovery(world: SyntheticWorld, result, labels: dict[str, bool]) ->
     policy, and EVD is the true-reward value it gives up. Precision/recall of
     the pruned set are measured against the corruption labels.
     """
+    from scipy.stats import spearmanr
+
     if result.reward_stage1.n_states != world.n_states:
         raise ParameterError("result and world disagree on n_states")
     true_value = policy_value(world, world.optimal_policy.actions)

@@ -242,7 +242,7 @@ class TrajectorySet:
         Rows of different ids may interleave: trajectories come in the order
         their ids first appear, each one's rows in step order. The steps of an
         id must be exactly 0..L-1. Tags and the death flag come from step 0;
-        every death flag must be 0 or 1.
+        an empty tag cell is a missing tag, and every death flag must be 0 or 1.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             header = next((row for row in csv.reader(fh) if row), None)
@@ -285,7 +285,11 @@ class TrajectorySet:
                 f"{path}: trajectory {ids[i]}: steps must be 0..{lengths[i] - 1}, each once"
             )
         first = order[offsets]  # each trajectory's step-0 row
-        tags = [c for c in header if c not in _CORE_COLUMNS and c != _DEATH_COLUMN]
+        tags = {
+            c: columns[c][first] for c in header if c not in _CORE_COLUMNS and c != _DEATH_COLUMN
+        }
+        for column in tags.values():
+            column[column == ""] = None  # to_csv writes a missing tag as an empty cell
         died = None
         if _DEATH_COLUMN in header:
             flags = columns[_DEATH_COLUMN]
@@ -303,7 +307,7 @@ class TrajectorySet:
                 ids,
                 n_states,
                 n_actions,
-                {t: columns[t][first] for t in tags},
+                tags,
                 died,
             )
         except SchemaError as exc:

@@ -221,6 +221,37 @@ def exact_randomization_chi2_2x2(table) -> float:
 
 
 # ---------------------------------------------------------------------------
+# dense MaxEnt passes
+#
+# The package's soft backward and forward passes as they were before the
+# forward pass went sparse and the log-sum-exp went inline: scipy's logsumexp
+# over a dense Q and a dense einsum contraction with the full kernel. The
+# package must reproduce them bit for bit.
+
+
+def reference_soft_backward(probs, rewards, horizon: int):
+    """(pi_t(a|s) of shape (horizon, S, A), V_0) by the dense recursion."""
+    n_states, n_actions, _ = probs.shape
+    policy = np.empty((horizon, n_states, n_actions))
+    v = np.zeros(n_states)
+    for t in range(horizon - 1, -1, -1):
+        q = probs @ (rewards + v)
+        v = logsumexp(q, axis=1)
+        policy[t] = np.exp(q - v[:, None])
+    return policy, v
+
+
+def reference_visitation(probs, policy_probs, d0, horizon: int) -> np.ndarray:
+    """Total expected state visitation over t = 0..horizon by dense einsum."""
+    d = np.asarray(d0, dtype=float)
+    total = d.copy()
+    for t in range(horizon):
+        d = np.einsum("s,sa,sap->p", d, policy_probs[t], probs)
+        total += d
+    return total
+
+
+# ---------------------------------------------------------------------------
 # per-trajectory reference loops
 #
 # These are the package's per-trajectory implementations from before

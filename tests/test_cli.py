@@ -3,13 +3,27 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import consensus_irl
 from consensus_irl import SyntheticWorld, TrajectorySet, analyze
 from consensus_irl.cli import OUT_ROOT_ENV, dispatch
 from consensus_irl.pipeline import sha256_file
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported by the commands that use it, not at start-up."""
+    src = os.path.dirname(os.path.dirname(consensus_irl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, consensus_irl.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def run(*argv):

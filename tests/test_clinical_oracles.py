@@ -164,7 +164,7 @@ def test_csv_round_trip_keeps_columns(clinical, tmp_path):
     assert np.array_equal(back.triples, tset.triples)
     assert np.array_equal(back.lengths, tset.lengths)
     assert np.array_equal(back.died_in_hospital, tset.died_in_hospital)
-    # a missing tag is written as an empty cell and reads back as ""
-    site = [v if v is not None else "" for v in tset.demographics["site"]]
-    assert back.demographics["site"].tolist() == site
+    # a missing tag is written as an empty cell and reads back as missing
+    assert None in tset.demographics["site"].tolist()
+    assert back.demographics["site"].tolist() == tset.demographics["site"].tolist()
 

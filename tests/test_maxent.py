@@ -8,6 +8,7 @@ from consensus_irl import (
     IrlConfig,
     NumericError,
     ParameterError,
+    SoftPolicy,
     TransitionModel,
     Trajectory,
     TrajectorySet,
@@ -179,6 +180,12 @@ def test_visitation_rejects_bad_initial_distribution():
         expected_state_visitation(_model(probs), policy, np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ParameterError):
         expected_state_visitation(_model(probs), policy, np.array([1.0, 0.0, 0.0]), horizon=3)
+    with pytest.raises(ParameterError, match="initial distribution length"):
+        expected_state_visitation(_model(probs), policy, np.array([1.0]))
+    for shape in ((2, 2, 2), (2, 3, 3)):
+        with pytest.raises(ParameterError, match="soft policy shape"):
+            misshapen = SoftPolicy(np.full(shape, 0.5))
+            expected_state_visitation(_model(probs), misshapen, np.ones(3) / 3)
 
 
 # --------------------------------------------------------------------- gradient

@@ -113,3 +113,13 @@ def test_reward_model_json_round_trip(tmp_path):
     back = ci.RewardModel.from_json(path)
     assert np.array_equal(back.rewards, reward.rewards)
     assert back.metadata == reward.metadata
+
+
+def test_kernel_is_read_only(small_population):
+    model = ci.estimate_transitions(small_population.trajectories)
+    with pytest.raises(ValueError, match="read-only"):
+        model.probs[0, 0, 0] = 0.5
+    rows, cols, vals = model.nonzero
+    flat = model.probs.reshape(-1, model.n_states)
+    assert np.array_equal(np.stack(np.nonzero(flat)), np.stack([rows, cols]))
+    assert np.array_equal(vals, flat[rows, cols])

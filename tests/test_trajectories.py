@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from consensus_irl import InputError, SchemaError, Trajectory, TrajectorySet
+from consensus_irl import InputError, ParameterError, SchemaError, Trajectory, TrajectorySet
 
 
 def make(tid="t0", triples=((0, 1, 2), (2, 0, 1)), **kw):
@@ -78,6 +78,23 @@ def test_csv_round_trip_with_demographics(tmp_path):
     assert back.ids == ["a", "b"]
     assert back[0].died_in_hospital is True
     assert back[1].demographics == {"race": "y"}
+
+
+def test_csv_round_trip_keeps_missing_tags_missing(tmp_path):
+    from consensus_irl.analyze import _attribute_labels
+
+    tags = {"race": "x", "language": "en", "site": "north"}
+    tset = TrajectorySet([make("a", demo=tags), make("b", demo={"race": "y"})], 3, 2)
+    path = tmp_path / "t.csv"
+    tset.to_csv(path)
+    back = TrajectorySet.from_csv(path)
+    assert back[0].demographics == tags
+    assert back[1].demographics == {"race": "y"}
+    assert back.demographics["site"].tolist() == ["north", None]
+    for attribute in ("language", "site"):
+        with pytest.raises(ParameterError, match=f"trajectory b is missing .*{attribute}"):
+            _attribute_labels(back, attribute)
+    assert _attribute_labels(back, "race").tolist() == ["x", "y"]
 
 
 def test_from_csv_infers_dimensions(tmp_path):

@@ -5,6 +5,13 @@ chi-squared / F distributions and Tukey's range test (pairwise permutation
 with Holm correction stands in for the latter). Every emitted report states
 this. The statistic definitions themselves are the classical ones, so the
 permutation p converges to the textbook p when the asymptotics hold.
+
+Each test draws its n permutations from one stream seeded by its seed, in
+blocks of rows, and computes the statistic of a whole block at once; the
+p-value is the add-one estimate (1 + #{permuted >= observed}) / (1 + n),
+never below 1 / (n + 1). The blocks draw the stream exactly as one
+rng.permutation call per permutation does, so the block size changes no
+p-value.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -203,28 +211,69 @@ class PairwiseResult:
     p_holm: float
 
 
+# Values in one block of permutations (1 MiB of float64). A test's memory does
+# not grow with n_permutations, and a block is long enough that the Python
+# work per block is small next to the shuffle itself.
+_BLOCK_VALUES = 1 << 17
+
+
+def _chi_squared_rows(tables: np.ndarray) -> np.ndarray:
+    """Pearson chi-squared of every table in a (b, r, c) stack.
+
+    Each table is summed as chi_squared_statistic sums one: its grand total
+    and its contributions over the flattened table, row and column totals
+    along their own axis. A table of all zeros gives 0.
+    """
+    b = len(tables)
+    total = tables.reshape(b, -1).sum(axis=1)[:, None, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        expected = tables.sum(axis=2, keepdims=True) * tables.sum(axis=1, keepdims=True) / total
+        contrib = np.where(expected > 0, (tables - expected) ** 2 / expected, 0.0)
+    return contrib.reshape(b, -1).sum(axis=1)
+
+
+def _anova_f_rows(rows: np.ndarray, sizes) -> np.ndarray:
+    """One-way ANOVA F of every row of a (b, n) block.
+
+    The groups are the consecutive slices of the given sizes. Each row is
+    reduced in the order anova_f_statistic reduces one set of groups: group
+    sums along the row, the between-group sum accumulated from 0 in group
+    order. Zero within-group variance gives inf, or 0 when the group means
+    are equal too.
+    """
+    k, n = len(sizes), rows.shape[1]
+    grand = rows.mean(axis=1)
+    ss_between = np.zeros(len(rows))
+    ss_within = np.zeros(len(rows))
+    start = 0
+    for size in sizes:
+        group = rows[:, start : start + size]
+        start += size
+        mean = group.mean(axis=1)
+        # float_power calls libm pow like the numpy scalar `** 2` of the
+        # one-set statistic; an array's `** 2` multiplies instead, which
+        # rounds differently about once in a thousand
+        ss_between += size * np.float_power(mean - grand, 2)
+        ss_within += ((group - mean[:, None]) ** 2).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = (ss_between / (k - 1)) / (ss_within / (n - k))
+    return np.where(ss_within == 0.0, np.where(ss_between > 0, np.inf, 0.0), f)
+
+
+def _mean_gap_rows(rows: np.ndarray, n_first: int) -> np.ndarray:
+    """|mean of the first n_first values - mean of the rest| of every row."""
+    return np.abs(rows[:, :n_first].mean(axis=1) - rows[:, n_first:].mean(axis=1))
+
+
 def chi_squared_statistic(table) -> float:
     """Pearson chi-squared; cells with zero expected count contribute zero."""
-    table = np.asarray(table, dtype=float)
-    total = table.sum()
-    if total == 0:
-        return 0.0
-    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / total
-    with np.errstate(invalid="ignore", divide="ignore"):
-        contrib = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
-    return float(contrib.sum())
+    return float(_chi_squared_rows(np.asarray(table, dtype=float)[None])[0])
 
 
 def anova_f_statistic(groups: list[np.ndarray]) -> float:
     """One-way ANOVA F. Zero within-group variance gives inf (or 0 at the null)."""
-    k = len(groups)
-    n = sum(len(g) for g in groups)
-    grand = np.concatenate(groups).mean()
-    ss_between = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
-    ss_within = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
-    if ss_within == 0.0:
-        return float("inf") if ss_between > 0 else 0.0
-    return float((ss_between / (k - 1)) / (ss_within / (n - k)))
+    rows = np.concatenate(groups)[None]
+    return float(_anova_f_rows(rows, [len(g) for g in groups])[0])
 
 
 def _canonical_order(labels: np.ndarray, values: np.ndarray):
@@ -233,36 +282,60 @@ def _canonical_order(labels: np.ndarray, values: np.ndarray):
     return labels[order], values[order]
 
 
+def _check_permutations(n_permutations: int) -> None:
+    if n_permutations < 1:
+        raise ParameterError(f"n_permutations must be at least 1, got {n_permutations}")
+
+
+def _monte_carlo_p(batch_stat, x, observed, n_permutations: int, rng) -> float:
+    """Add-one p-value (1 + #{perm >= observed}) / (1 + n) over permutations of x.
+
+    The permutations are drawn in blocks of rows, and batch_stat maps a block
+    to one statistic per row. rng.permuted on the rows of a block of copies
+    of x draws from the stream exactly as one rng.permutation(x) call per row
+    does, so the rows are the permutations, in order, that one call at a time
+    would give.
+    """
+    block = np.empty((min(n_permutations, max(1, _BLOCK_VALUES // x.size)), x.size), x.dtype)
+    hits = 0
+    for start in range(0, n_permutations, len(block)):
+        rows = block[: n_permutations - start]
+        rows[:] = x
+        rng.permuted(rows, axis=1, out=rows)
+        hits += int(np.count_nonzero(batch_stat(rows) >= observed - 1e-12))
+    return (1 + hits) / (1 + n_permutations)
+
+
 def permutation_chi2(
     labels, flags, n_permutations: int = 10_000, seed: int = 0, name: str = "chi2"
 ) -> TestResult:
     """Independence test of a categorical label against a binary flag.
 
     The statistic is Pearson chi-squared on the labels x {flag, not-flag}
-    contingency table; the p-value is Monte Carlo, permuting the flags, with
-    the add-one estimate (1 + #{perm >= observed}) / (1 + n).
+    contingency table, where a row is flagged when its flag equals 1; the
+    p-value is Monte Carlo, permuting the flags, with the add-one estimate
+    (1 + #{perm >= observed}) / (1 + n).
     """
     labels = np.asarray(labels)
     flags = np.asarray(flags, dtype=int)
     if labels.shape != flags.shape:
         raise ParameterError("labels and flags must have equal length")
+    _check_permutations(n_permutations)
     cats, codes = np.unique(labels, return_inverse=True)
     if len(cats) < 2:
         raise ParameterError("need at least two categories")
     codes, flags = _canonical_order(codes, flags)
-    k = len(cats)
-    totals = np.bincount(codes, minlength=k)
+    totals = np.bincount(codes, minlength=len(cats))
+    starts = np.concatenate([[0], np.cumsum(totals)[:-1]])
 
-    def stat(fl):
-        ones = np.bincount(codes[fl == 1], minlength=k)
-        return chi_squared_statistic(np.stack([ones, totals - ones], axis=1))
+    def stat(rows):
+        # counts are integers, so the order they are summed in does not matter
+        ones = np.add.reduceat(rows, starts, axis=1)
+        return _chi_squared_rows(np.stack([ones, totals - ones], axis=2).astype(float))
 
-    observed = stat(flags)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_permutations):
-        hits += stat(rng.permutation(flags)) >= observed - 1e-12
-    p = (1 + hits) / (1 + n_permutations)
+    flagged = (flags == 1).astype(np.int64)
+    observed = float(stat(flagged[None])[0])
+    p = _monte_carlo_p(stat, flagged, observed, n_permutations, np.random.default_rng(seed))
     groups = [(str(c), int(t)) for c, t in zip(cats, totals)]
     return TestResult(name, observed, float(p), n_permutations, seed, groups)
 
@@ -273,21 +346,17 @@ def permutation_anova(
     """One-way ANOVA with a Monte Carlo permutation p-value."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
+    if values.shape != labels.shape:
+        raise ParameterError("values and labels must have equal length")
+    _check_permutations(n_permutations)
     cats, codes = np.unique(labels, return_inverse=True)
     if len(cats) < 2:
         raise ParameterError("need at least two groups")
     codes, values = _canonical_order(codes, values)
-
-    def stat(v):
-        return anova_f_statistic([v[codes == c] for c in range(len(cats))])
-
-    observed = stat(values)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_permutations):
-        hits += stat(rng.permutation(values)) >= observed - 1e-12
-    p = (1 + hits) / (1 + n_permutations)
     sizes = np.bincount(codes, minlength=len(cats))
+    stat = partial(_anova_f_rows, sizes=sizes)
+    observed = float(stat(values[None])[0])
+    p = _monte_carlo_p(stat, values, observed, n_permutations, np.random.default_rng(seed))
     groups = [(str(c), int(s)) for c, s in zip(cats, sizes)]
     return TestResult(name, observed, float(p), n_permutations, seed, groups)
 
@@ -310,6 +379,9 @@ def pairwise_permutation_tests(
     """Two-sided two-sample permutation tests for every pair of groups."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
+    if values.shape != labels.shape:
+        raise ParameterError("values and labels must have equal length")
+    _check_permutations(n_permutations)
     cats = sorted(np.unique(labels).tolist())
     pairs = [(a, b) for i, a in enumerate(cats) for b in cats[i + 1 :]]
     seeds = np.random.SeedSequence(seed).spawn(len(pairs))
@@ -317,15 +389,15 @@ def pairwise_permutation_tests(
     for (a, b), ss in zip(pairs, seeds):
         va = np.sort(values[labels == a])
         vb = np.sort(values[labels == b])
-        pooled = np.concatenate([va, vb])
-        na = len(va)
         observed = abs(va.mean() - vb.mean())
-        rng = np.random.default_rng(ss)
-        hits = 0
-        for _ in range(n_permutations):
-            perm = rng.permutation(pooled)
-            hits += abs(perm[:na].mean() - perm[na:].mean()) >= observed - 1e-12
-        raw.append((a, b, va.mean() - vb.mean(), (1 + hits) / (1 + n_permutations)))
+        p = _monte_carlo_p(
+            partial(_mean_gap_rows, n_first=len(va)),
+            np.concatenate([va, vb]),
+            observed,
+            n_permutations,
+            np.random.default_rng(ss),
+        )
+        raw.append((a, b, va.mean() - vb.mean(), p))
     adjusted = holm_correction([r[3] for r in raw])
     return [
         PairwiseResult(str(a), str(b), float(d), float(p), float(ph))

@@ -289,6 +289,12 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         raise InputError(
             f"{command}: missing required " + ", ".join("--" + m for m in missing)
         )
+    # checked here, before any work: the analysis step skips a test whose
+    # parameters it rejects rather than failing the run
+    if merged.get("permutations", 1) < 1:
+        raise InputError(
+            f"{command}: --permutations must be at least 1, got {merged['permutations']}"
+        )
     return merged
 
 

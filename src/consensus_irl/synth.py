@@ -318,6 +318,30 @@ def policy_value(world: SyntheticWorld, actions: np.ndarray, horizon: int | None
     return float(world.initial_distribution @ v)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, len(x)])
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
+def _spearman_rho(x, y) -> float:
+    """Spearman's rank correlation, nan when either input is constant.
+
+    The Pearson correlation of average ranks, computed by the same numpy
+    route as scipy.stats.spearmanr (1.17), so the value is the same to the
+    last bit without importing scipy.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 2 or (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
+    return float(np.corrcoef(np.vstack([_average_ranks(x), _average_ranks(y)]))[1, 0])
+
+
 def evaluate_recovery(world: SyntheticWorld, result, labels: dict[str, bool]) -> dict:
     """Recovery metrics of a two-stage run against the synthetic ground truth.
 
@@ -328,19 +352,17 @@ def evaluate_recovery(world: SyntheticWorld, result, labels: dict[str, bool]) ->
     policy, and EVD is the true-reward value it gives up. Precision/recall of
     the pruned set are measured against the corruption labels.
     """
-    from scipy.stats import spearmanr
-
     if result.reward_stage1.n_states != world.n_states:
         raise ParameterError("result and world disagree on n_states")
     true_value = policy_value(world, world.optimal_policy.actions)
 
     def stage_metrics(reward):
-        rho = spearmanr(reward.rewards, world.rewards).statistic
+        rho = _spearman_rho(reward.rewards, world.rewards)
         _, q0 = finite_horizon_values(world.probs, reward.rewards, world.horizon)
         plan = np.argmax(q0, axis=1)
         agree = float(np.mean(plan == world.optimal_policy.actions))
         evd = true_value - policy_value(world, plan)
-        return float(rho), agree, float(evd)
+        return rho, agree, float(evd)
 
     s1, a1, e1 = stage_metrics(result.reward_stage1)
     s2, a2, e2 = stage_metrics(result.reward_stage2)

@@ -392,3 +392,115 @@ def reference_population(world, config):
         died.append(bool(world.rewards[s] <= DEATH_REWARD_CUTOFF))
     ids = [f"t{i:05d}" for i in range(n)]
     return triples, ids, [i in corrupt_idx for i in range(n)], demographics, died
+
+
+# ---------------------------------------------------------------------------
+# one-permutation-at-a-time tests
+#
+# The package's permutation tests as they were before they drew their
+# permutations in blocks: one rng.permutation call and one scalar statistic
+# per permutation. The block-batched tests must return results equal to
+# these (==), so every seed, stream, hit count and p-value is unchanged.
+
+
+def reference_chi_squared_statistic(table) -> float:
+    """Pearson chi-squared; cells with zero expected count contribute zero."""
+    table = np.asarray(table, dtype=float)
+    total = table.sum()
+    if total == 0:
+        return 0.0
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / total
+    with np.errstate(invalid="ignore", divide="ignore"):
+        contrib = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
+    return float(contrib.sum())
+
+
+def reference_anova_f_statistic(groups) -> float:
+    """One-way ANOVA F. Zero within-group variance gives inf (or 0 at the null)."""
+    k = len(groups)
+    n = sum(len(g) for g in groups)
+    grand = np.concatenate(groups).mean()
+    ss_between = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
+    ss_within = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
+    if ss_within == 0.0:
+        return float("inf") if ss_between > 0 else 0.0
+    return float((ss_between / (k - 1)) / (ss_within / (n - k)))
+
+
+def _reference_canonical_order(labels, values):
+    order = np.lexsort((values, labels))
+    return labels[order], values[order]
+
+
+def reference_permutation_chi2(labels, flags, n_permutations=10_000, seed=0, name="chi2"):
+    from consensus_irl.analyze import TestResult
+
+    labels = np.asarray(labels)
+    flags = np.asarray(flags, dtype=int)
+    cats, codes = np.unique(labels, return_inverse=True)
+    codes, flags = _reference_canonical_order(codes, flags)
+    k = len(cats)
+    totals = np.bincount(codes, minlength=k)
+
+    def stat(fl):
+        ones = np.bincount(codes[fl == 1], minlength=k)
+        return reference_chi_squared_statistic(np.stack([ones, totals - ones], axis=1))
+
+    observed = stat(flags)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        hits += stat(rng.permutation(flags)) >= observed - 1e-12
+    p = (1 + hits) / (1 + n_permutations)
+    groups = [(str(c), int(t)) for c, t in zip(cats, totals)]
+    return TestResult(name, observed, float(p), n_permutations, seed, groups)
+
+
+def reference_permutation_anova(values, labels, n_permutations=10_000, seed=0, name="anova"):
+    from consensus_irl.analyze import TestResult
+
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    cats, codes = np.unique(labels, return_inverse=True)
+    codes, values = _reference_canonical_order(codes, values)
+
+    def stat(v):
+        return reference_anova_f_statistic([v[codes == c] for c in range(len(cats))])
+
+    observed = stat(values)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        hits += stat(rng.permutation(values)) >= observed - 1e-12
+    p = (1 + hits) / (1 + n_permutations)
+    sizes = np.bincount(codes, minlength=len(cats))
+    groups = [(str(c), int(s)) for c, s in zip(cats, sizes)]
+    return TestResult(name, observed, float(p), n_permutations, seed, groups)
+
+
+def reference_pairwise_permutation_tests(values, labels, n_permutations=10_000, seed=0):
+    from consensus_irl.analyze import PairwiseResult, holm_correction
+
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    cats = sorted(np.unique(labels).tolist())
+    pairs = [(a, b) for i, a in enumerate(cats) for b in cats[i + 1 :]]
+    seeds = np.random.SeedSequence(seed).spawn(len(pairs))
+    raw = []
+    for (a, b), ss in zip(pairs, seeds):
+        va = np.sort(values[labels == a])
+        vb = np.sort(values[labels == b])
+        pooled = np.concatenate([va, vb])
+        na = len(va)
+        observed = abs(va.mean() - vb.mean())
+        rng = np.random.default_rng(ss)
+        hits = 0
+        for _ in range(n_permutations):
+            perm = rng.permutation(pooled)
+            hits += abs(perm[:na].mean() - perm[na:].mean()) >= observed - 1e-12
+        raw.append((a, b, va.mean() - vb.mean(), (1 + hits) / (1 + n_permutations)))
+    adjusted = holm_correction([r[3] for r in raw])
+    return [
+        PairwiseResult(str(a), str(b), float(d), float(p), float(ph))
+        for (a, b, d, p), ph in zip(raw, adjusted)
+    ]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,7 @@ from consensus_irl import (
 from consensus_irl import test_pruning_uniformity as pruning_uniformity
 from consensus_irl import test_reward_loss_disparity as reward_loss_disparity
 from consensus_irl.analyze import (
+    _BLOCK_VALUES,
     PERMUTATION_NOTE,
     write_cluster_report_csv,
     write_deciles_csv,
@@ -43,7 +45,16 @@ from consensus_irl.analyze import (
     write_tests_json,
 )
 
-from oracles import exact_anova_p, exact_chi2_p, exact_randomization_chi2_2x2
+from oracles import (
+    exact_anova_p,
+    exact_chi2_p,
+    exact_randomization_chi2_2x2,
+    reference_anova_f_statistic,
+    reference_chi_squared_statistic,
+    reference_pairwise_permutation_tests,
+    reference_permutation_anova,
+    reference_permutation_chi2,
+)
 
 
 def toy_stats(n_clusters, count=10):
@@ -301,6 +312,18 @@ class TestStatistics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError, match="length"):
             permutation_chi2(["a", "b"], [0, 1, 0], n_permutations=10)
+        for test in (permutation_anova, pairwise_permutation_tests):
+            with pytest.raises(ParameterError, match="values and labels must have equal length"):
+                test([1.0, 2.0, 3.0], ["a", "b"], n_permutations=10)
+
+    @pytest.mark.parametrize("n_permutations", [0, -2])
+    def test_fewer_than_one_permutation_rejected(self, n_permutations):
+        labels = np.repeat(["a", "b"], 5)
+        with pytest.raises(ParameterError, match="n_permutations"):
+            permutation_chi2(labels, [0, 1] * 5, n_permutations=n_permutations)
+        for test in (permutation_anova, pairwise_permutation_tests):
+            with pytest.raises(ParameterError, match="n_permutations"):
+                test(np.arange(10.0), labels, n_permutations=n_permutations)
 
     def test_null_rejection_rate_is_calibrated(self):
         """At the null, p < 0.05 should fire about 5% of the time."""
@@ -318,6 +341,117 @@ class TestStatistics:
         res = permutation_chi2(["a"] * 5 + ["b"] * 5, [1, 0] * 5, n_permutations=99)
         assert res.p_floor == 0.01
         assert res.p_value >= res.p_floor
+
+
+def assert_tests_match_reference(values, labels, flags, n_permutations, seed=0):
+    """The block-batched tests return exactly what one permutation at a time gives."""
+    assert permutation_chi2(labels, flags, n_permutations, seed) == reference_permutation_chi2(
+        labels, flags, n_permutations, seed
+    )
+    assert permutation_anova(values, labels, n_permutations, seed) == (
+        reference_permutation_anova(values, labels, n_permutations, seed)
+    )
+    assert pairwise_permutation_tests(values, labels, n_permutations, seed) == (
+        reference_pairwise_permutation_tests(values, labels, n_permutations, seed)
+    )
+
+
+class TestBlockedPermutationsMatchReference:
+    """Equality (==) with the one-permutation-at-a-time oracles in tests/oracles.py."""
+
+    def test_ties(self):
+        rng = np.random.default_rng(20)
+        labels = rng.choice(["a", "b", "c", "d"], size=60)
+        values = rng.integers(0, 4, size=60).astype(float)
+        assert_tests_match_reference(values, labels, rng.integers(0, 2, size=60), 300, seed=1)
+
+    def test_zero_within_group_variance(self):
+        # constant within groups: observed F = inf, and the permutations that
+        # keep the groups apart reach inf too
+        labels = np.repeat(["a", "b", "c"], 3)
+        values = np.repeat([0.0, 1.0, 2.0], 3)
+        res = permutation_anova(values, labels, 500, seed=2)
+        assert res.statistic == np.inf
+        assert res == reference_permutation_anova(values, labels, 500, seed=2)
+        # one value everywhere: every F is the 0 of equal means
+        same = np.full(9, 3.5)
+        res = permutation_anova(same, labels, 100, seed=2)
+        assert (res.statistic, res.p_value) == (0.0, 1.0)
+        assert_tests_match_reference(same, labels, np.tile([0, 1, 0], 3), 100, seed=2)
+
+    def test_one_member_groups(self):
+        rng = np.random.default_rng(21)
+        labels = np.array(["a"] + ["b"] * 6 + ["c"] + ["d"] * 5)
+        values = rng.normal(size=len(labels))
+        assert_tests_match_reference(values, labels, rng.integers(0, 2, len(labels)), 200, seed=3)
+
+    def test_group_mean_square_is_rounded_as_a_scalar(self):
+        # here x * x and pow(x, 2) round (mean - grand)^2 differently, which
+        # moves F by one ulp
+        values = np.array([-0.37, 1.78, -0.04, -0.08, -1.07, -0.48, 0.01, -0.05, -0.23])
+        labels = np.repeat(["a", "b", "c"], 3)
+        groups = [values[:3], values[3:6], values[6:]]
+        assert anova_f_statistic(groups) == reference_anova_f_statistic(groups)
+        assert permutation_anova(values, labels, 200, seed=4) == (
+            reference_permutation_anova(values, labels, 200, seed=4)
+        )
+
+    def test_permutation_counts_around_the_block_size(self):
+        n = 64
+        rows = _BLOCK_VALUES // n
+        rng = np.random.default_rng(22)
+        labels = rng.choice(["x", "y"], size=n)
+        values = rng.normal(size=n)
+        flags = rng.integers(0, 2, size=n)
+        for n_permutations in (1, rows - 1, rows, rows + 1):
+            assert_tests_match_reference(values, labels, flags, n_permutations, seed=5)
+
+    def test_block_of_one_row(self):
+        n = _BLOCK_VALUES // 2 + 1  # too long for two rows in a block
+        rng = np.random.default_rng(23)
+        labels = rng.choice(["x", "y"], size=n)
+        values = rng.normal(size=n)
+        assert_tests_match_reference(values, labels, rng.integers(0, 2, size=n), 3, seed=6)
+
+    def test_bool_and_non_binary_flags(self):
+        rng = np.random.default_rng(24)
+        labels = rng.choice(["a", "b", "c"], size=50)
+        values = rng.normal(size=50)
+        flags = rng.integers(-1, 3, size=50)  # a row is flagged when its flag is 1
+        assert_tests_match_reference(values, labels, flags, 300, seed=7)
+        assert_tests_match_reference(values, labels, flags == 1, 300, seed=7)
+
+    def test_statistics_match_reference(self):
+        rng = np.random.default_rng(25)
+        for rows in (2, 5, 9, 17):
+            table = rng.exponential(size=(rows, 3))
+            table[0, 0] = 0.0
+            assert chi_squared_statistic(table) == reference_chi_squared_statistic(table)
+        assert chi_squared_statistic(np.zeros((3, 2))) == 0.0
+        groups = [rng.normal(size=size) for size in (1, 4, 9, 300)]
+        assert anova_f_statistic(groups) == reference_anova_f_statistic(groups)
+        ints = [rng.integers(0, 5, size=size) for size in (3, 7)]
+        assert anova_f_statistic(ints) == reference_anova_f_statistic(ints)
+
+    def test_memory_stays_within_a_few_blocks(self):
+        """A block holds 1 MiB of values, so peak memory does not grow with n_permutations."""
+        rng = np.random.default_rng(26)
+        labels = rng.choice(["a", "b", "c", "d"], size=20_000)
+        flags = rng.integers(0, 2, size=20_000)
+        values = rng.normal(size=2_000)
+        groups = rng.choice(["a", "b", "c", "d", "e"], size=2_000)
+        bound = 4 * 2**20
+        for run in (
+            lambda: permutation_chi2(labels, flags, n_permutations=2_000, seed=0),
+            lambda: pairwise_permutation_tests(values, groups, n_permutations=2_000, seed=0),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestHolm:

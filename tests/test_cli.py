@@ -46,6 +46,27 @@ def synth_dir(workdir):
     return out
 
 
+def test_pipeline_with_world_loads_no_scipy(synth_dir, tmp_path):
+    """The recovery report's Spearman correlation is computed without scipy."""
+    src = os.path.dirname(os.path.dirname(consensus_irl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [
+        "pipeline", "--trajectories", synth_dir / "trajectories.csv",
+        "--world", synth_dir / "world.json", "--labels", synth_dir / "labels.csv",
+        "--epochs", 10, "--permutations", 20, "--out", tmp_path / "run",
+    ]
+    code = (
+        "import sys; from consensus_irl.cli import dispatch; "
+        f"assert dispatch({[str(a) for a in argv]!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert (tmp_path / "run" / "recovery.json").exists()
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 @pytest.fixture(scope="module")
 def run1(workdir, synth_dir):
     out = workdir / "run1"
@@ -253,6 +274,22 @@ class TestPipeline:
             assert key in recovery
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["recovery"] == recovery
+
+    @pytest.mark.parametrize("command", ["pipeline", "analyze", "sweep"])
+    @pytest.mark.parametrize("permutations", [0, -2])
+    def test_fewer_than_one_permutation_fails_before_any_work(
+        self, tmp_path, synth_dir, run1, capsys, command, permutations
+    ):
+        out = tmp_path / command
+        inputs = ("--run", run1) if command == "analyze" else ("--epochs", 5)
+        code = run(
+            command, "--trajectories", synth_dir / "trajectories.csv", *inputs,
+            "--permutations", permutations, "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--permutations must be at least 1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("given", ["world", "labels"])
     def test_world_and_labels_go_together(self, tmp_path, synth_dir, capsys, given):

@@ -22,7 +22,12 @@ from consensus_irl import (
     policy_value,
     select_retained,
 )
-from consensus_irl.synth import DEATH_REWARD_CUTOFF, _inverse_cdf, read_labels_csv
+from consensus_irl.synth import (
+    DEATH_REWARD_CUTOFF,
+    _inverse_cdf,
+    _spearman_rho,
+    read_labels_csv,
+)
 
 from oracles import brute_force_optimal_values, reference_population
 
@@ -308,6 +313,28 @@ def test_perfect_recovery_metrics(small_world, small_population):
     assert metrics["evd_stage2"] == pytest.approx(0.0, abs=1e-10)
     assert metrics["prune_precision"] == 1.0
     assert metrics["prune_recall"] == 1.0
+
+
+def test_spearman_equals_scipy_bit_for_bit():
+    """Average ranks and np.corrcoef give scipy.stats.spearmanr's value exactly."""
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(8)
+    for i in range(200):
+        n = int(rng.integers(2, 120))
+        if i % 2:  # heavy ties
+            x, y = rng.integers(0, 4, n).astype(float), rng.integers(0, 6, n).astype(float)
+        else:
+            x = rng.normal(size=n)
+            y = x + rng.normal(size=n)
+        if (x == x[0]).all() or (y == y[0]).all():
+            continue
+        assert _spearman_rho(x, y) == float(spearmanr(x, y).statistic)
+
+
+def test_spearman_of_constant_input_is_nan():
+    assert math.isnan(_spearman_rho(np.ones(5), np.arange(5.0)))
+    assert math.isnan(_spearman_rho(np.arange(5.0), np.full(5, 2.0)))
 
 
 def test_recovery_rejects_dimension_mismatch(small_world, small_population):

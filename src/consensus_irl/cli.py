@@ -238,13 +238,30 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _flag_type(key: str, default) -> type:
+    # synth's --trajectories is a count; everywhere else it is a path
+    return _NONE_DEFAULT_TYPES.get(key, str) if default is None else type(default)
+
+
 def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its keys")
     for key in sorted(defaults):
-        default = defaults[key]
-        # synth's --trajectories is a count; everywhere else it is a path
-        kind = _NONE_DEFAULT_TYPES.get(key, str) if default is None else type(default)
+        kind = _flag_type(key, defaults[key])
         sub.add_argument("--" + key.replace("_", "-"), dest=key, default=None, type=kind)
+
+
+def _check_config_types(loaded: dict, defaults: dict) -> None:
+    """Each config value must have its flag's type, or be null for the default.
+
+    A bool is not an int, and an int stands for a float, as JSON writes 1.0 as 1.
+    """
+    for key, value in sorted(loaded.items()):
+        kind = _flag_type(key, defaults[key])
+        accepted = (int, float) if kind is float else kind
+        if value is not None and (isinstance(value, bool) or not isinstance(value, accepted)):
+            raise InputError(
+                f"config key {key!r} must be {kind.__name__}, got {type(value).__name__} {value!r}"
+            )
 
 
 def build_parser() -> _Parser:
@@ -267,6 +284,8 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise InputError(f"config {path} must hold a JSON object")
         if "cli" in loaded and isinstance(loaded["cli"], dict):
             loaded = loaded["cli"]  # accept an echoed config.json verbatim
         sub = loaded.pop("subcommand", command)
@@ -279,6 +298,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             raise InputError(
                 f"unknown config keys for {command}: " + ", ".join(sorted(unknown))
             )
+        _check_config_types(loaded, merged)
         merged.update(loaded)
     for key in spec["defaults"]:
         value = getattr(args, key, None)

@@ -8,6 +8,14 @@ the nearest retained center rather than disappearing, which keeps trajectory
 chains intact. State ids are centroid indices and stay stable across the
 drop, so a model fitted with k=200 can emit states with gaps in the id
 range.
+
+Each Lloyd round finds every row's nearest center chunk by chunk through
+reused (chunk, k) buffers, and recomputes each center as the mean of its
+cluster's contiguous slice of the rows in one stable sort by assignment. Both
+reproduce the plain broadcast-and-mask computation to the bit: the same
+distances, the same first-minimum ties, the same rows summed in the same
+order. So a fitted model and its state assignments do not depend on the chunk
+size.
 """
 
 from __future__ import annotations
@@ -22,6 +30,9 @@ from .trajectories import TrajectorySet
 
 MAX_LLOYD_ITERATIONS = 300
 INERTIA_RELTOL = 1e-6
+# rows per distance chunk: the two (chunk, k) float buffers take 0.8 MiB at
+# k = 200, and smaller chunks gained nothing more on a 2-core VM
+_CHUNK_ROWS = 512
 
 
 class ClusterModel:
@@ -115,9 +126,46 @@ class ClusterModel:
         )
 
 
-def _squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # (n, k) table of squared Euclidean distances
-    return ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+def _nearest(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center per row (the first on ties) and its squared distance.
+
+    numpy's `((z[:, None] - centers) ** 2).sum(axis=2)` adds fewer than eight
+    terms left to right, so narrow rows accumulate the squares feature by
+    feature from 0 up and every distance matches that sum to the bit. It adds
+    eight or more pairwise, so wider rows take that very expression, one row
+    chunk at a time.
+    """
+    n, d = z.shape
+    assign = np.empty(n, dtype=np.intp)
+    best = np.empty(n)
+    acc = np.empty((min(n, _CHUNK_ROWS), len(centers)))
+    term = np.empty_like(acc)
+    columns = np.ascontiguousarray(centers.T)
+    index = np.arange(len(acc))
+    for lo in range(0, n, _CHUNK_ROWS):
+        rows = z[lo : lo + _CHUNK_ROWS]
+        m = len(rows)
+        a, t = acc[:m], term[:m]
+        if d < 8:
+            np.square(np.subtract(rows[:, :1], columns[0], out=a), out=a)
+            for f in range(1, d):
+                a += np.square(np.subtract(rows[:, f : f + 1], columns[f], out=t), out=t)
+        else:
+            a[...] = ((rows[:, None, :] - centers) ** 2).sum(axis=2)
+        picked = a.argmin(axis=1)
+        assign[lo : lo + m] = picked
+        best[lo : lo + m] = a[index[:m], picked]
+    return assign, best
+
+
+def _slices(labels: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Stable order that groups labels 0..k-1, and each label's [lo, hi) in it.
+
+    `x[order][lo:hi]` holds the rows of `x[labels == j]` in the same order.
+    """
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))]).tolist()
+    return order, list(zip(bounds[:-1], bounds[1:]))
 
 
 def _kmeans_pp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
@@ -137,27 +185,23 @@ def _kmeans_pp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
 
 def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     inertia = np.inf
-    assign = None
     for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = _squared_distances(z, centers)
-        assign = d2.argmin(axis=1)
-        new_inertia = float(d2[np.arange(len(z)), assign].sum())
-        for j in range(centers.shape[0]):
-            members = z[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
+        assign, best = _nearest(z, centers)
+        new_inertia = float(best.sum())
+        order, slices = _slices(assign, len(centers))
+        zs = z[order]
+        for j, (lo, hi) in enumerate(slices):
+            if hi > lo:
+                centers[j] = zs[lo:hi].mean(axis=0)
             else:
                 # re-seed an empty cluster at the point farthest from its center
-                far = d2[np.arange(len(z)), assign].argmax()
-                centers[j] = z[far]
+                centers[j] = z[best.argmax()]
         if inertia - new_inertia <= INERTIA_RELTOL * max(new_inertia, 1e-300):
             inertia = new_inertia
             break
         inertia = new_inertia
-    d2 = _squared_distances(z, centers)
-    assign = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(len(z)), assign].sum())
-    return centers, assign, inertia
+    assign, best = _nearest(z, centers)
+    return centers, assign, float(best.sum())
 
 
 def fit_state_space(
@@ -228,10 +272,11 @@ def fit_state_space(
     )
     # statistics in original units over the post-reassignment membership,
     # which is what downstream cluster tables describe
-    final_states = assign_states(rows, model)
+    order, slices = _slices(assign_states(rows, model), k)
+    sorted_rows = rows[order]
     stats = {}
     for c in model.retained_ids:
-        members = rows[final_states == c]
+        members = sorted_rows[slice(*slices[c])]
         if len(members) == 0:
             continue
         stats[c] = {
@@ -253,9 +298,8 @@ def assign_states(rows, model: ClusterModel) -> np.ndarray:
     retained = model.retained_ids
     if not retained:
         raise CohortEmptyError("model has no retained clusters")
-    d2 = _squared_distances(z, model.centroids[retained])
-    picked = d2.argmin(axis=1)  # argmin takes the first minimum: lowest id wins
-    return np.array([retained[i] for i in picked], dtype=np.int64)
+    picked, _ = _nearest(z, model.centroids[retained])  # first minimum: lowest id wins
+    return np.asarray(retained, dtype=np.int64)[picked]
 
 
 def build_trajectory_set(

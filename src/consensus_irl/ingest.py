@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CohortEmptyError, InputError, ParameterError, SchemaError
+from .errors import CohortEmptyError, ParameterError, SchemaError
 
 
 @dataclass
@@ -35,10 +36,13 @@ class RawRecord:
     died_in_hospital: bool = False
 
 
-def _check_sorted(records) -> None:
+def _check_sorted(records, path=None) -> None:
     ts = [r.timestamp for r in records]
     if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise InputError("timestamps must be strictly increasing within a subject")
+        where = f"{path}: " if path else ""
+        raise SchemaError(
+            f"{where}subject {records[0].subject_id}: timestamps must be strictly increasing"
+        )
 
 
 def impute_series(records: list[RawRecord], normals: dict) -> list[RawRecord]:
@@ -251,15 +255,63 @@ def load_bounds(path) -> dict:
     return {str(k): (float(v[0]), float(v[1])) for k, v in raw.items()}
 
 
+def _number(cell) -> float:
+    value = float(cell)
+    if not math.isfinite(value):  # k-means would drop a nan column as zero-variance
+        raise ValueError(cell)
+    return value
+
+
+def _optional_number(cell):
+    return None if cell in ("", None) else _number(cell)
+
+
+def _flag(cell) -> bool:
+    if cell in ("", "0", None):
+        return False
+    if cell == "1":
+        return True
+    raise ValueError(cell)
+
+
+def _binary(cell) -> bool:
+    value = int(cell)
+    if value not in (0, 1):
+        raise ValueError(cell)
+    return bool(value)
+
+
+def _bad_cell(path, row, cells) -> SchemaError:
+    """The error for a CSV row one of whose cells did not parse.
+
+    cells holds (column, parse, kind) for every parsed column; the error names
+    the file, the subject and the first column whose cell does not parse.
+    """
+    for column, parse, kind in cells:
+        try:
+            parse(row[column])
+        except (TypeError, ValueError):
+            return SchemaError(
+                f"{path}: subject {row['subject_id']}: {column} {row[column]!r} is not {kind}"
+            )
+    return SchemaError(f"{path}: subject {row['subject_id']}: malformed row")
+
+
 def load_records_csv(
     path, features: list[str], flags: list[str], demographics: list[str]
 ) -> dict:
     """Read the raw-record CSV into {subject_id: [RawRecord, ...]} sorted by time.
 
-    Expected columns: subject_id, timestamp, one column per feature (empty
-    cell = missing), one 0/1 column per treatment flag, one column per
-    demographic tag, died_in_hospital.
+    Expected columns: subject_id, timestamp (an integer), one numeric column
+    per feature (empty cell = missing), one column per treatment flag (empty,
+    0 or 1), one column per demographic tag, died_in_hospital (0 or 1).
     """
+    cells = [
+        ("timestamp", int, "an integer"),
+        ("died_in_hospital", _binary, "0 or 1"),
+        *((name, _optional_number, "a finite number") for name in features),
+        *((name, _flag, "empty, 0 or 1") for name in flags),
+    ]
     subjects: dict = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -270,24 +322,21 @@ def load_records_csv(
         if missing:
             raise SchemaError("records CSV missing columns: " + ", ".join(missing))
         for row in reader:
-            feat = {
-                name: (float(row[name]) if row[name] not in ("", None) else None)
-                for name in features
-            }
-            flagset = {name for name in flags if row[name] not in ("", "0", None)}
-            demo = {name: row[name] for name in demographics}
-            rec = RawRecord(
-                subject_id=row["subject_id"],
-                timestamp=int(row["timestamp"]),
-                features=feat,
-                treatment_flags=flagset,
-                demographics=demo,
-                died_in_hospital=bool(int(row["died_in_hospital"])),
-            )
+            try:
+                rec = RawRecord(
+                    subject_id=row["subject_id"],
+                    timestamp=int(row["timestamp"]),
+                    features={name: _optional_number(row[name]) for name in features},
+                    treatment_flags={name for name in flags if _flag(row[name])},
+                    demographics={name: row[name] for name in demographics},
+                    died_in_hospital=_binary(row["died_in_hospital"]),
+                )
+            except (TypeError, ValueError):
+                raise _bad_cell(path, row, cells) from None
             subjects.setdefault(rec.subject_id, []).append(rec)
-    for sid in subjects:
-        subjects[sid].sort(key=lambda r: r.timestamp)
-        _check_sorted(subjects[sid])
+    for records in subjects.values():
+        records.sort(key=lambda r: r.timestamp)
+        _check_sorted(records, path)
     if not subjects:
         raise CohortEmptyError("records CSV contains no rows")
     return subjects
@@ -349,32 +398,47 @@ def write_prepared_csv(prepared: dict, features: list[str], path) -> None:
 
 
 def read_prepared_csv(path, features: list[str]) -> dict:
-    """Inverse of write_prepared_csv: {subject_id: (records, actions)}."""
+    """Inverse of write_prepared_csv: {subject_id: (records, actions)}.
+
+    Each subject's rows must come in strictly increasing timestamp order, as
+    write_prepared_csv writes them.
+    """
     subjects: dict = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError("prepared CSV has no header row")
-        core = {"subject_id", "timestamp", "action", "died_in_hospital"}
-        missing = [c for c in ["subject_id", "timestamp", "action", "died_in_hospital"] + features
-                   if c not in reader.fieldnames]
+        core = ["subject_id", "timestamp", "action", "died_in_hospital"]
+        missing = [c for c in core + features if c not in reader.fieldnames]
         if missing:
             raise SchemaError("prepared CSV missing columns: " + ", ".join(missing))
         demo_tags = [c for c in reader.fieldnames if c not in core and c not in features]
+        cells = [
+            ("timestamp", int, "an integer"),
+            ("action", int, "an integer"),
+            ("died_in_hospital", _binary, "0 or 1"),
+            *((f, _number, "a finite number") for f in features),
+        ]
         for row in reader:
-            rec = RawRecord(
-                subject_id=row["subject_id"],
-                timestamp=int(row["timestamp"]),
-                features={f: float(row[f]) for f in features},
-                treatment_flags=set(),
-                demographics={t: row[t] for t in demo_tags},
-                died_in_hospital=bool(int(row["died_in_hospital"])),
-            )
-            subjects.setdefault(rec.subject_id, ([], []))
-            subjects[rec.subject_id][0].append(rec)
-            subjects[rec.subject_id][1].append(int(row["action"]))
+            try:
+                rec = RawRecord(
+                    subject_id=row["subject_id"],
+                    timestamp=int(row["timestamp"]),
+                    features={f: _number(row[f]) for f in features},
+                    treatment_flags=set(),
+                    demographics={t: row[t] for t in demo_tags},
+                    died_in_hospital=_binary(row["died_in_hospital"]),
+                )
+                action = int(row["action"])
+            except (TypeError, ValueError):
+                raise _bad_cell(path, row, cells) from None
+            records, actions = subjects.setdefault(rec.subject_id, ([], []))
+            records.append(rec)
+            actions.append(action)
     if not subjects:
         raise CohortEmptyError("prepared CSV contains no rows")
+    for records, _ in subjects.values():
+        _check_sorted(records, path)
     return {
         sid: (records, np.array(actions, dtype=np.int64))
         for sid, (records, actions) in subjects.items()

@@ -504,3 +504,81 @@ def reference_pairwise_permutation_tests(values, labels, n_permutations=10_000, 
         PairwiseResult(str(a), str(b), float(d), float(p), float(ph))
         for (a, b, d, p), ph in zip(raw, adjusted)
     ]
+
+
+# The package's k-means rounds as they were before they ran in row chunks:
+# one (n, k, d) broadcast per distance table and one boolean mask per
+# cluster per round. fit_state_space and assign_states must return results
+# equal to these (==), byte for byte. The k-means++ seeding did not change
+# and is the package's own.
+
+
+def reference_squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # (n, k) table of squared Euclidean distances
+    return ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def reference_lloyd(z: np.ndarray, centers: np.ndarray, max_iterations=300, reltol=1e-6):
+    inertia = np.inf
+    assign = None
+    for _ in range(max_iterations):
+        d2 = reference_squared_distances(z, centers)
+        assign = d2.argmin(axis=1)
+        new_inertia = float(d2[np.arange(len(z)), assign].sum())
+        for j in range(centers.shape[0]):
+            members = z[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+            else:
+                # re-seed an empty cluster at the point farthest from its center
+                far = d2[np.arange(len(z)), assign].argmax()
+                centers[j] = z[far]
+        if inertia - new_inertia <= reltol * max(new_inertia, 1e-300):
+            inertia = new_inertia
+            break
+        inertia = new_inertia
+    d2 = reference_squared_distances(z, centers)
+    assign = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(len(z)), assign].sum())
+    return centers, assign, inertia
+
+
+def reference_assign_states(rows, model) -> np.ndarray:
+    """Nearest retained centroid per row, lowest id on ties."""
+    z = model.standardize(rows)
+    retained = model.retained_ids
+    d2 = reference_squared_distances(z, model.centroids[retained])
+    picked = d2.argmin(axis=1)  # argmin takes the first minimum: lowest id wins
+    return np.array([retained[i] for i in picked], dtype=np.int64)
+
+
+def reference_fit_state_space(rows, k, min_size, seed, n_restarts=1):
+    """fit_state_space (features named f0, f1, ...) over the reference rounds."""
+    from consensus_irl.discretize import ClusterModel, _kmeans_pp_init
+
+    rows = np.asarray(rows, dtype=float)
+    means = rows.mean(axis=0)
+    stds = rows.std(axis=0)
+    used = stds > 0
+    z = (rows[:, used] - means[used]) / stds[used]
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(n_restarts):
+        rng = np.random.default_rng(child)
+        fit = reference_lloyd(z, _kmeans_pp_init(z, k, rng))
+        if best is None or fit[2] < best[2]:
+            best = fit
+    centers, assign, inertia = best
+    counts = np.bincount(assign, minlength=k)
+    dropped = {c for c in range(k) if counts[c] < min_size}
+    names = [f"f{j}" for j in range(rows.shape[1])]
+    model = ClusterModel(centers, names, means, stds, used, counts, dropped, {}, inertia, seed)
+    states = reference_assign_states(rows, model)
+    for c in model.retained_ids:
+        members = rows[states == c]
+        if len(members):
+            model.feature_stats[c] = {
+                "count": int(len(members)),
+                "means": {f: float(members[:, j].mean()) for j, f in enumerate(names)},
+                "stds": {f: float(members[:, j].std()) for j, f in enumerate(names)},
+            }
+    return model

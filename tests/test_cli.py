@@ -109,6 +109,47 @@ class TestDispatchErrors:
         assert run("irl", "--config", cfg, "--trajectories", "x.csv") == 1
         assert "synth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ('"epochs": "5"', "'epochs' must be int, got str '5'"),
+            ('"permutations": "200"', "'permutations' must be int"),
+            ('"epochs": 5.0', "'epochs' must be int, got float"),
+            ('"epochs": true', "'epochs' must be int, got bool"),
+            ('"retain": false', "'retain' must be float, got bool"),
+            ('"optimizer": 1', "'optimizer' must be str"),
+            ('"trajectories": 3', "'trajectories' must be str"),
+        ],
+    )
+    def test_config_value_of_wrong_type_rejected_before_any_work(
+        self, tmp_path, synth_dir, capsys, entry, named
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{" + entry + "}")
+        out = tmp_path / "run"
+        code = run("pipeline", "--config", cfg, "--trajectories", synth_dir / "trajectories.csv",
+                   "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key") and named in err
+        assert not out.exists()
+
+    def test_config_value_types_follow_the_flags(self, tmp_path, synth_dir):
+        """An int stands for a float, and null for the default."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"retain": 1, "epochs": 3, "permutations": 10, "states": null}')
+        out = tmp_path / "run"
+        code = run("pipeline", "--config", cfg, "--trajectories", synth_dir / "trajectories.csv",
+                   "--out", out)
+        assert code == 0
+        assert json.loads((out / "config.json").read_text())["retain"] == 1
+
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert run("synth", "--config", cfg) == 1
+        assert "JSON object" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("--version")
@@ -523,6 +564,31 @@ class TestClinicalFlow:
         payload = json.loads((out / "tests.json").read_text())
         names = [t["name"] for t in payload["tests"]]
         assert any(name.startswith("pruning_uniformity[sex]") for name in names)
+
+    def test_bad_clinical_cells_are_input_errors(self, workdir, tmp_path, clinical_inputs, capsys):
+        records, normals, bounds = clinical_inputs
+        bad = tmp_path / "records.csv"
+        bad.write_text(records.read_text().replace("p0,4,80.0,9999.0", "p0,4,80.0,abc"))
+        code = run(
+            "ingest", "--records", bad, "--normals", normals, "--bounds", bounds,
+            "--features", "heart_rate,mean_bp", "--condition", "hypotension",
+            "--out", tmp_path / "ingest",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "subject p0: mean_bp 'abc' is not a finite number" in err
+
+        # the first subject's second row repeats its first, timestamp 0 included
+        lines = (workdir / "ingest" / "prepared.csv").read_text().splitlines()
+        prepared = tmp_path / "prepared.csv"
+        prepared.write_text("\n".join(lines[:2] + [lines[1]] + lines[3:]) + "\n")
+        code = run(
+            "cluster", "--prepared", prepared, "--features", "heart_rate,mean_bp",
+            "--k", 2, "--min-size", 2, "--out", tmp_path / "cluster",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "timestamps must be strictly increasing" in err
 
     def test_cluster_and_pipeline_share_states(self, workdir):
         clus, run_dir = workdir / "cluster", workdir / "clinical_run"

@@ -314,6 +314,46 @@ class TestRecordsCsv:
         with pytest.raises(CohortEmptyError):
             load_records_csv(path, [], [], [])
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("p1,5,72,,", "p1,5,72,abc,", "subject p1: mean_bp 'abc' is not a finite number"),
+            ("p1,5,72,,", "p1,5,inf,,", "subject p1: heart_rate 'inf' is not a finite number"),
+            ("p1,5,72,", "p1,5.5,72,", "subject p1: timestamp '5.5' is not an integer"),
+            ("p1,5,72,", "p1,x,72,", "subject p1: timestamp 'x' is not an integer"),
+            ("female,1", "female,2", "subject p2: died_in_hospital '2' is not 0 or 1"),
+            ("female,1", "female,yes", "subject p2: died_in_hospital 'yes' is not 0 or 1"),
+            ("55,1,0,", "55,yes,0,", "subject p2: vasopressors 'yes' is not empty, 0 or 1"),
+            ("55,1,0,", "55,1,2,", "subject p2: bolus_epinephrine '2' is not empty, 0 or 1"),
+        ],
+    )
+    def test_bad_cell_is_a_schema_error_naming_file_subject_and_column(
+        self, tmp_path, old, new, named
+    ):
+        assert old in RAW_CSV
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_CSV.replace(old, new, 1))
+        with pytest.raises(SchemaError) as exc:
+            load_records_csv(
+                path,
+                features=["heart_rate", "mean_bp"],
+                flags=["vasopressors", "bolus_epinephrine"],
+                demographics=["sex"],
+            )
+        assert str(exc.value) == f"{path}: {named}"
+
+    def test_empty_flag_cell_is_unset(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_CSV.replace("p2,0,120,55,1,0,", "p2,0,120,55,,1,"))
+        subjects = load_records_csv(path, [], ["vasopressors", "bolus_epinephrine"], [])
+        assert subjects["p2"][0].treatment_flags == {"bolus_epinephrine"}
+
+    def test_repeated_timestamp_names_file_and_subject(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_CSV.replace("p1,10,", "p1,5,"))
+        with pytest.raises(SchemaError, match=r"raw\.csv: subject p1: timestamps must be strictly"):
+            load_records_csv(path, [], [], [])
+
     def test_normals_and_bounds_loaders(self, tmp_path):
         normals = tmp_path / "normals.json"
         normals.write_text('{"heart_rate": 75, "mean_bp": 85.5}')
@@ -392,6 +432,39 @@ class TestPrepareSubjects:
             assert [r.died_in_hospital for r in got_recs] == [
                 r.died_in_hospital for r in want_recs
             ]
+
+    PREPARED_CSV = (
+        "subject_id,timestamp,heart_rate,action,sex,died_in_hospital\n"
+        "p1,0,80.5,0,male,0\n"
+        "p1,1,81.0,1,male,0\n"
+        "p2,0,60.0,2,female,1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("p1,1,81.0,", "p1,1,abc,", "subject p1: heart_rate 'abc' is not a finite number"),
+            ("p1,1,81.0,", "p1,1,,", "subject p1: heart_rate '' is not a finite number"),
+            ("p1,1,81.0,", "p1,1,nan,", "subject p1: heart_rate 'nan' is not a finite number"),
+            ("p1,1,81.0,", "p1,one,81.0,", "subject p1: timestamp 'one' is not an integer"),
+            ("60.0,2,", "60.0,2.0,", "subject p2: action '2.0' is not an integer"),
+            ("female,1", "female,2", "subject p2: died_in_hospital '2' is not 0 or 1"),
+        ],
+    )
+    def test_read_prepared_bad_cell_is_a_schema_error(self, tmp_path, old, new, named):
+        assert old in self.PREPARED_CSV
+        path = tmp_path / "prepared.csv"
+        path.write_text(self.PREPARED_CSV.replace(old, new, 1))
+        with pytest.raises(SchemaError) as exc:
+            read_prepared_csv(path, ["heart_rate"])
+        assert str(exc.value) == f"{path}: {named}"
+
+    @pytest.mark.parametrize("second", ["p1,0,", "p1,-1,"])
+    def test_read_prepared_rejects_unordered_timestamps(self, tmp_path, second):
+        path = tmp_path / "prepared.csv"
+        path.write_text(self.PREPARED_CSV.replace("p1,1,", second, 1))
+        with pytest.raises(SchemaError, match="subject p1: timestamps must be strictly increasing"):
+            read_prepared_csv(path, ["heart_rate"])
 
     def test_read_prepared_missing_column_rejected(self, tmp_path):
         path = tmp_path / "prepared.csv"

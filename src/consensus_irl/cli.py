@@ -46,6 +46,7 @@ from .ingest import (
     load_bounds,
     load_normal_values,
     load_records_csv,
+    load_relabel,
     prepare_subjects,
     read_prepared_csv,
     regroup_demographics,
@@ -319,10 +320,10 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _out_dir(command: str, cfg: dict) -> str:
+    """The run directory's path; each command makes it once its inputs have been read."""
     out = cfg.get("out") or f"run_{command}"
     if not os.path.isabs(out):
         out = os.path.join(os.environ.get(OUT_ROOT_ENV, "."), out)
-    os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -391,10 +392,7 @@ def _ingest(cfg, out) -> tuple[dict, dict]:
     flags = _as_list(cfg["flags"]) or sorted(codec.known_flags)
     demographics = _as_list(cfg["demographics"])
     subjects = load_records_csv(cfg["records"], features, flags, demographics)
-    relabel = {}
-    if cfg["regroup"]:
-        with open(cfg["regroup"]) as fh:
-            relabel = json.load(fh)
+    relabel = load_relabel(cfg["regroup"]) if cfg["regroup"] else {}
     if demographics:
         subjects = regroup_demographics(subjects, relabel, cfg["min_share"])
     normals = load_normal_values(cfg["normals"])
@@ -450,6 +448,7 @@ def cmd_synth(cfg) -> None:
         PopulationConfig, cfg, horizon=None, demographics=tags, seed=cfg["seed"]
     )
     population = generate_population(world, pop_cfg)
+    os.makedirs(out, exist_ok=True)
     world.to_json(os.path.join(out, "world.json"))
     population.trajectories.to_csv(os.path.join(out, "trajectories.csv"))
     population.write_labels_csv(os.path.join(out, "labels.csv"))
@@ -502,6 +501,7 @@ def cmd_irl(cfg) -> None:
     tset = _load_trajectories(cfg)
     transitions = estimate_transitions(tset)
     reward = train_maxent_irl(tset, transitions, _irl_config(cfg))
+    os.makedirs(out, exist_ok=True)
     reward.to_json(os.path.join(out, "rewards.json"))
     write_training_log(reward, os.path.join(out, "training_log.csv"))
     write_expected_reward_csv(
@@ -528,6 +528,7 @@ def cmd_prune(cfg) -> None:
     policy = greedy_policy(transitions, reward)
     scores = score_trajectories(tset, transitions, reward, policy)
     retained_ids, pruned_ids = select_retained(scores, _prune_config(cfg))
+    os.makedirs(out, exist_ok=True)
     write_scores_csv(scores, retained_ids, os.path.join(out, "scores.csv"), tset)
     tset.subset(retained_ids).to_csv(os.path.join(out, "retained.csv"))
     _write_echo_and_manifest(
@@ -729,7 +730,9 @@ def cmd_analyze(cfg) -> None:
         states = RewardModel.from_json(os.path.join(run, "rewards_stage1.json")).n_states
     tset = _load_trajectories({**cfg, "states": states})
     result = load_run_directory(run, tset)
-    artifacts = _analysis_artifacts(out, tset, result, cfg, _load_cluster_model(cfg))
+    cluster_model = _load_cluster_model(cfg)
+    os.makedirs(out, exist_ok=True)
+    artifacts = _analysis_artifacts(out, tset, result, cfg, cluster_model)
     write_json(os.path.join(out, "reward_delta.json"), reward_delta_by_state(result))
     artifacts.append("reward_delta.json")
     _write_echo_and_manifest(out, "analyze", cfg, {"tests": cfg["seed"] + 3}, artifacts)

@@ -341,20 +341,15 @@ def feature_matrix(prepared: dict, features: list[str]) -> tuple[np.ndarray, dic
 
     Returns (matrix, {subject_id: slice}) with subjects in sorted order.
     """
-    blocks = []
-    index = {}
-    start = 0
-    for sid in sorted(prepared):
-        records, _ = prepared[sid]
-        block = np.array(
-            [[rec.features[f] for f in features] for rec in records], dtype=float
-        )
-        blocks.append(block)
-        index[sid] = slice(start, start + len(records))
-        start += len(records)
-    if not blocks:
+    sids = sorted(prepared)
+    if not sids:
         raise CohortEmptyError("no prepared subjects")
-    return np.vstack(blocks), index
+    ends = np.cumsum([len(prepared[sid][0]) for sid in sids]).tolist()
+    rows = np.empty((ends[-1], len(features)))
+    for j, name in enumerate(features):
+        rows[:, j] = np.concatenate([prepared[sid][0].features[name] for sid in sids])
+    index = {sid: slice(lo, hi) for sid, lo, hi in zip(sids, [0, *ends], ends)}
+    return rows, index
 
 
 def trajectories_from_prepared(
@@ -365,8 +360,8 @@ def trajectories_from_prepared(
     states = assign_states(rows, model)
     state_seqs = {sid: states[index[sid]] for sid in index}
     action_seqs = {sid: prepared[sid][1] for sid in index}
-    demographics = {sid: prepared[sid][0][0].demographics for sid in index}
-    outcomes = {sid: prepared[sid][0][0].died_in_hospital for sid in index}
+    demographics = {sid: prepared[sid][0].demographics for sid in index}
+    outcomes = {sid: prepared[sid][0].died_in_hospital for sid in index}
     n_actions = int(max(a.max() for a in action_seqs.values())) + 1
     return build_trajectory_set(
         state_seqs, action_seqs, demographics, outcomes, model.k, n_actions

@@ -2,10 +2,11 @@
 
 Records arrive as time-stamped rows per subject with possibly-missing
 feature values, binary treatment flags, demographic tags, and an outcome
-bit. This module makes them fully valued (last observation carried forward,
-clinical normal values before the first measurement), drops rows with
-out-of-range observations, and turns treatment-flag sets into discrete
-action ids via a declared codec.
+bit. Each subject is one `SubjectRecords` block of columns. This module makes
+them fully valued (last observation carried forward, clinical normal values
+before the first measurement), drops rows with out-of-range observations, and
+turns treatment-flag patterns into discrete action ids via a declared codec.
+Each step works on whole columns and returns a new block.
 
 Rows are taken as already bucketed to uniform time steps upstream; nothing
 here resamples.
@@ -24,28 +25,40 @@ import numpy as np
 from .errors import CohortEmptyError, ParameterError, SchemaError
 
 
-@dataclass
-class RawRecord:
-    """One time-stamped observation row for one subject."""
+@dataclass(eq=False)
+class SubjectRecords:
+    """One subject's rows in time order, one column per field.
+
+    features maps a feature name to a float column (NaN = missing) and
+    treatment_flags a flag name to a bool column; demographics and
+    died_in_hospital hold once for the subject. The columns are checked on
+    construction: equal lengths, at least one row, and strictly increasing
+    timestamps. len() is the row count.
+    """
 
     subject_id: str
-    timestamp: int
-    features: dict  # feature name -> float or None (missing)
-    treatment_flags: set = field(default_factory=set)
+    timestamps: np.ndarray
+    features: dict
+    treatment_flags: dict = field(default_factory=dict)
     demographics: dict = field(default_factory=dict)
     died_in_hospital: bool = False
 
+    def __post_init__(self):
+        ts = self.timestamps = np.asarray(self.timestamps, np.int64)
+        self.features = {k: np.asarray(v, float) for k, v in self.features.items()}
+        self.treatment_flags = {k: np.asarray(v, bool) for k, v in self.treatment_flags.items()}
+        self.died_in_hospital = bool(self.died_in_hospital)
+        columns = [*self.features.values(), *self.treatment_flags.values()]
+        if ts.ndim != 1 or not len(ts) or any(c.shape != ts.shape for c in columns):
+            raise SchemaError(f"subject {self.subject_id}: no rows, or a column of another length")
+        if (ts[1:] <= ts[:-1]).any():
+            raise SchemaError(f"subject {self.subject_id}: timestamps must be strictly increasing")
 
-def _check_sorted(records, path=None) -> None:
-    ts = [r.timestamp for r in records]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        where = f"{path}: " if path else ""
-        raise SchemaError(
-            f"{where}subject {records[0].subject_id}: timestamps must be strictly increasing"
-        )
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
-def impute_series(records: list[RawRecord], normals: dict) -> list[RawRecord]:
+def impute_series(records: SubjectRecords, normals: dict) -> SubjectRecords:
     """Fill missing feature values: LOCF after the first measurement, the
     normal-value table before it.
 
@@ -53,54 +66,44 @@ def impute_series(records: list[RawRecord], normals: dict) -> list[RawRecord]:
     Raises a schema error naming the feature if a normal value is needed
     but absent from the table.
     """
-    _check_sorted(records)
-    names = sorted({f for r in records for f in r.features})
-    last_seen: dict = {}
-    out = []
-    for rec in records:
-        filled = {}
-        for name in names:
-            value = rec.features.get(name)
-            if value is not None:
-                last_seen[name] = value
-                filled[name] = value
-            elif name in last_seen:
-                filled[name] = last_seen[name]
-            else:
-                if name not in normals:
-                    raise SchemaError(
-                        f"feature {name!r} missing from the normal-value table"
-                    )
-                filled[name] = normals[name]
-        out.append(replace(rec, features=filled))
-    return out
+    rows = np.arange(len(records))
+    filled = {}
+    for name in sorted(records.features):
+        column = records.features[name]
+        # the latest observed row at or before each row; -1 before the first
+        last = np.maximum.accumulate(np.where(np.isnan(column), -1, rows))
+        values = column[last]
+        if last[0] < 0:  # unobserved at the first row
+            if name not in normals:
+                raise SchemaError(f"feature {name!r} missing from the normal-value table")
+            values[last < 0] = normals[name]
+        filled[name] = values
+    return replace(records, features=filled)
 
 
-def filter_outliers(records: list[RawRecord], bounds: dict) -> tuple[list[RawRecord], dict]:
+def filter_outliers(records: SubjectRecords, bounds: dict) -> tuple[SubjectRecords, dict]:
     """Drop rows with any observed feature outside its inclusive [lo, hi] bound.
 
-    Returns (kept rows, per-feature drop counts). Missing values never
-    trigger a drop. Raises if nothing survives.
+    Returns (kept rows, per-feature counts of the rows breaking each bound).
+    Missing values never trigger a drop. Raises if nothing survives.
     """
+    keep = np.ones(len(records), dtype=bool)
+    report = {}
     for name, (lo, hi) in bounds.items():
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ParameterError(f"bounds for {name!r} must be finite with lo < hi")
-    report: Counter = Counter()
-    kept = []
-    for rec in records:
-        violations = [
-            name
-            for name, (lo, hi) in bounds.items()
-            if rec.features.get(name) is not None
-            and not (lo <= rec.features[name] <= hi)
-        ]
-        if violations:
-            report.update(violations)
-        else:
-            kept.append(rec)
-    if records and not kept:
+        if name in records.features:
+            column = records.features[name]
+            broken = (column < lo) | (column > hi)  # NaN compares false
+            if broken.any():
+                report[name] = int(broken.sum())
+                keep &= ~broken
+    if not keep.any():
         raise CohortEmptyError("outlier filtering removed every record")
-    return kept, dict(report)
+    features = {k: v[keep] for k, v in records.features.items()}
+    flags = {k: v[keep] for k, v in records.treatment_flags.items()}
+    return replace(records, timestamps=records.timestamps[keep], features=features,
+                   treatment_flags=flags), report
 
 
 @dataclass
@@ -156,17 +159,19 @@ class ActionCodec:
 
     @classmethod
     def from_json(cls, path) -> "ActionCodec":
-        with open(path) as fh:
-            payload = json.load(fh)
-        labels = payload["labels"]
-        entries = []
-        for entry in payload["mapping"]:
-            if "action" in entry:
-                idx = int(entry["action"])
-            else:
-                idx = labels.index(entry["label"])
-            entries.append((frozenset(entry["flags"]), idx))
-        return cls(payload["condition"], labels, entries)
+        payload = _json_table(path, "codec", lambda value: value, "")
+        try:
+            labels = payload["labels"]
+            entries = []
+            for entry in payload["mapping"]:
+                idx = entry["action"] if "action" in entry else labels.index(entry["label"])
+                entries.append((frozenset(entry["flags"]), int(idx)))
+            condition = payload["condition"]
+        except KeyError as exc:
+            raise SchemaError(f"{path}: codec is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:  # an entry that is not {flags, label or action}
+            raise SchemaError(f"{path}: codec mapping entry, bad label or action: {exc}") from None
+        return cls(condition, labels, entries)
 
 
 def hypotension_codec() -> ActionCodec:
@@ -192,67 +197,78 @@ def sepsis_codec() -> ActionCodec:
     return ActionCodec("sepsis", labels, entries)
 
 
-def encode_actions(records: list[RawRecord], codec: ActionCodec) -> np.ndarray:
-    """Action index per record, in record order."""
-    return np.array([codec.encode(rec.treatment_flags) for rec in records], dtype=np.int64)
+def encode_actions(records: SubjectRecords, codec: ActionCodec) -> np.ndarray:
+    """Action index per row; the codec encodes each distinct flag pattern once,
+    in order of first use, so a pattern it rejects raises at its first row."""
+    columns = [column.tolist() for column in records.treatment_flags.values()]
+    patterns = list(zip(*columns)) or [()] * len(records)
+    codes = {
+        pattern: codec.encode({name for name, on in zip(records.treatment_flags, pattern) if on})
+        for pattern in dict.fromkeys(patterns)
+    }
+    return np.fromiter(map(codes.__getitem__, patterns), dtype=np.int64, count=len(patterns))
 
 
-def regroup_demographics(
-    subjects: dict, relabel: dict, min_share: float = 0.01, other_label: str = "other"
-) -> dict:
+def regroup_demographics(subjects: dict, relabel: dict, min_share: float = 0.01) -> dict:
     """Relabel demographic categories and collapse rare ones.
 
-    subjects maps subject id -> record list; relabel maps tag name ->
+    subjects maps subject id -> SubjectRecords; relabel maps tag name ->
     {old category -> new category}. After relabeling, categories held by
-    fewer than min_share of subjects collapse into other_label. Shares are
+    fewer than min_share of subjects collapse into "other". Shares are
     computed per subject, not per row.
     """
     if not (0.0 <= min_share < 1.0):
         raise ParameterError("min_share must be in [0, 1)")
-
-    def mapped(tag, value):
-        return relabel.get(tag, {}).get(value, value)
-
-    n = len(subjects)
-    counts: dict = {}
-    for records in subjects.values():
-        rec = records[0]
-        for tag, value in rec.demographics.items():
-            counts.setdefault(tag, Counter())[mapped(tag, value)] += 1
-    rare = {
-        tag: {cat for cat, c in ctr.items() if c / n < min_share}
-        for tag, ctr in counts.items()
+    mapped = {
+        sid: {tag: relabel.get(tag, {}).get(value, value) for tag, value in r.demographics.items()}
+        for sid, r in subjects.items()
     }
-
-    out = {}
-    for sid, records in subjects.items():
-        new_records = []
-        for rec in records:
-            demo = {}
-            for tag, value in rec.demographics.items():
-                cat = mapped(tag, value)
-                if cat in rare.get(tag, ()):
-                    cat = other_label
-                demo[tag] = cat
-            new_records.append(replace(rec, demographics=demo))
-        out[sid] = new_records
-    return out
+    counts = Counter((tag, cat) for demo in mapped.values() for tag, cat in demo.items())
+    rare = {key for key, count in counts.items() if count / len(subjects) < min_share}
+    return {
+        sid: replace(subjects[sid], demographics={
+            tag: "other" if (tag, cat) in rare else cat for tag, cat in demo.items()
+        })
+        for sid, demo in mapped.items()
+    }
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def load_normal_values(path) -> dict:
+def _json_table(path, what: str, convert, kind: str) -> dict:
+    """{key: convert(value)} over a JSON object; an error names the file and the key."""
     with open(path) as fh:
-        table = json.load(fh)
-    return {str(k): float(v) for k, v in table.items()}
+        try:
+            table = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(table, dict):
+        raise SchemaError(f"{path}: must hold a JSON object")
+    for key, value in table.items():
+        try:
+            table[key] = convert(value)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}: {what} for {key!r} is not {kind}: {value!r}") from None
+    return table
+
+
+def _pair(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+def load_normal_values(path) -> dict:
+    return _json_table(path, "normal value", _number, "a finite number")
 
 
 def load_bounds(path) -> dict:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return {str(k): (float(v[0]), float(v[1])) for k, v in raw.items()}
+    return _json_table(path, "bound", _pair, "a [lo, hi] pair of numbers")
+
+
+def load_relabel(path) -> dict:
+    return _json_table(path, "regroup mapping", lambda value: {**value}, "a JSON object")
 
 
 def _number(cell) -> float:
@@ -262,8 +278,15 @@ def _number(cell) -> float:
     return value
 
 
-def _optional_number(cell):
-    return None if cell in ("", None) else _number(cell)
+def _optional_number(cell) -> float:
+    return math.nan if cell in ("", None) else _number(cell)  # NaN marks a missing value
+
+
+def _integer(cell) -> int:
+    value = int(cell)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(cell)
+    return value
 
 
 def _flag(cell) -> bool:
@@ -281,65 +304,89 @@ def _binary(cell) -> bool:
     return bool(value)
 
 
-def _bad_cell(path, row, cells) -> SchemaError:
-    """The error for a CSV row one of whose cells did not parse.
+def _bad_cell(path, rows, cells) -> SchemaError:
+    """The error naming the file, subject and column of the first cell, row by
+    row in file order, that its (column, parse, kind) in cells does not parse."""
+    for row in rows:
+        for column, parse, kind in cells:
+            try:
+                parse(row[column])
+            except (TypeError, ValueError):
+                return SchemaError(
+                    f"{path}: subject {row['subject_id']}: {column} {row[column]!r} is not {kind}"
+                )
 
-    cells holds (column, parse, kind) for every parsed column; the error names
-    the file, the subject and the first column whose cell does not parse.
+
+def _read_subjects(path, what, cells, features, flags, demographics, sort_by_time) -> dict:
+    """{subject_id: (SubjectRecords, {column: its rows' values})}, by first appearance.
+
+    cells holds (column, parse, kind) per parsed column; demographics names the
+    text columns (None: all others). Rows are sorted by time or kept in file order.
     """
-    for column, parse, kind in cells:
+    with open(path, newline="") as fh:
+        reader = (row for row in csv.reader(fh) if row)
+        header = next(reader, [])
+        parsed = [column for column, _, _ in cells]
+        if demographics is None:
+            demographics = [c for c in header if c != "subject_id" and c not in parsed]
+        missing = [c for c in ["subject_id", *parsed, *demographics] if c not in header]
+        if missing:
+            raise SchemaError(f"{what} CSV missing columns: " + ", ".join(missing))
+        rows = [row + [None] * (len(header) - len(row)) for row in reader]  # None pads short rows
+    if not rows:
+        raise CohortEmptyError(f"{what} CSV contains no rows")
+    text = dict(zip(header, zip(*rows)))  # a repeated column reads as its last copy
+    try:
+        values = {column: [parse(cell) for cell in text[column]] for column, parse, _ in cells}
+    except (TypeError, ValueError):
+        raise _bad_cell(path, (dict(zip(header, row)) for row in rows), cells) from None
+
+    number: dict = {}  # subject id -> its position, by first appearance
+    owner = np.array([number.setdefault(sid, len(number)) for sid in text["subject_id"]])
+    columns = {c: np.array(v) for c, v in values.items()}  # float, bool or int64
+    columns |= {c: np.array(text[c], dtype=object) for c in demographics}
+    order = np.lexsort((columns["timestamp"], owner) if sort_by_time else (owner,))
+    owner, columns = owner[order], {c: v[order] for c, v in columns.items()}
+    for column in (*demographics, "died_in_hospital"):
+        value = columns[column]
+        differs = (owner[1:] == owner[:-1]) & (value[1:] != value[:-1])
+        if differs.any():
+            i = np.argmax(differs)
+            raise SchemaError(f"{path}: subject {list(number)[owner[i]]}: {column} differs "
+                              f"between rows {value[i : i + 2].tolist()}; a subject has one value")
+    ends = np.cumsum(np.bincount(owner)).tolist()
+    subjects = {}
+    for sid, lo, hi in zip(number, [0, *ends], ends):
+        block = {c: v[lo:hi] for c, v in columns.items()}
         try:
-            parse(row[column])
-        except (TypeError, ValueError):
-            return SchemaError(
-                f"{path}: subject {row['subject_id']}: {column} {row[column]!r} is not {kind}"
-            )
-    return SchemaError(f"{path}: subject {row['subject_id']}: malformed row")
+            records = SubjectRecords(
+                sid, block["timestamp"], {c: block[c] for c in features},
+                {c: block[c] for c in flags}, {c: block[c][0] for c in demographics},
+                block["died_in_hospital"][0])
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+        subjects[sid] = (records, block)
+    return subjects
 
 
 def load_records_csv(
     path, features: list[str], flags: list[str], demographics: list[str]
 ) -> dict:
-    """Read the raw-record CSV into {subject_id: [RawRecord, ...]} sorted by time.
+    """Read the raw-record CSV into {subject_id: SubjectRecords}, each sorted by time.
 
     Expected columns: subject_id, timestamp (an integer), one numeric column
     per feature (empty cell = missing), one column per treatment flag (empty,
-    0 or 1), one column per demographic tag, died_in_hospital (0 or 1).
+    0 or 1), one column per demographic tag, died_in_hospital (0 or 1); the
+    last two hold one value per subject.
     """
     cells = [
-        ("timestamp", int, "an integer"),
+        ("timestamp", _integer, "an integer"),
         ("died_in_hospital", _binary, "0 or 1"),
         *((name, _optional_number, "a finite number") for name in features),
         *((name, _flag, "empty, 0 or 1") for name in flags),
     ]
-    subjects: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError("records CSV has no header row")
-        needed = ["subject_id", "timestamp", "died_in_hospital"] + features + flags + demographics
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError("records CSV missing columns: " + ", ".join(missing))
-        for row in reader:
-            try:
-                rec = RawRecord(
-                    subject_id=row["subject_id"],
-                    timestamp=int(row["timestamp"]),
-                    features={name: _optional_number(row[name]) for name in features},
-                    treatment_flags={name for name in flags if _flag(row[name])},
-                    demographics={name: row[name] for name in demographics},
-                    died_in_hospital=_binary(row["died_in_hospital"]),
-                )
-            except (TypeError, ValueError):
-                raise _bad_cell(path, row, cells) from None
-            subjects.setdefault(rec.subject_id, []).append(rec)
-    for records in subjects.values():
-        records.sort(key=lambda r: r.timestamp)
-        _check_sorted(records, path)
-    if not subjects:
-        raise CohortEmptyError("records CSV contains no rows")
-    return subjects
+    subjects = _read_subjects(path, "records", cells, features, flags, demographics, True)
+    return {sid: records for sid, (records, _) in subjects.items()}
 
 
 def prepare_subjects(
@@ -352,94 +399,46 @@ def prepare_subjects(
     outliers are dropped (counted in the report rather than raising).
     Returns ({subject_id: (records, actions)}, drop report).
     """
-    prepared = {}
-    report: Counter = Counter()
-    dropped_subjects = 0
+    prepared, report, dropped = {}, Counter(), 0
     for sid in sorted(subjects):
         try:
             kept, drops = filter_outliers(subjects[sid], bounds)
         except CohortEmptyError:
-            dropped_subjects += 1
+            dropped += 1  # its rows count in no feature's drops
             continue
         report.update(drops)
         full = impute_series(kept, normals)
-        actions = encode_actions(full, codec)
-        prepared[sid] = (full, actions)
+        prepared[sid] = (full, encode_actions(full, codec))
     if not prepared:
         raise CohortEmptyError("no subjects survived outlier filtering")
-    out_report = dict(report)
-    out_report["subjects_dropped"] = dropped_subjects
-    return prepared, out_report
+    return prepared, {**report, "subjects_dropped": dropped}
 
 
 def write_prepared_csv(prepared: dict, features: list[str], path) -> None:
     """Emit fully-valued rows with encoded actions, ready for clustering."""
-    demo_tags = sorted(
-        {t for records, _ in prepared.values() for t in records[0].demographics}
-    )
+    tags = sorted({t for records, _ in prepared.values() for t in records.demographics})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["subject_id", "timestamp"]
-            + features
-            + ["action"]
-            + demo_tags
-            + ["died_in_hospital"]
-        )
+        writer.writerow(["subject_id", "timestamp", *features, "action", *tags, "died_in_hospital"])
         for sid in sorted(prepared):
             records, actions = prepared[sid]
-            for rec, action in zip(records, actions):
-                row = [sid, rec.timestamp]
-                row += [repr(float(rec.features[f])) for f in features]
-                row.append(int(action))
-                row += [rec.demographics.get(t, "") for t in demo_tags]
-                row.append(int(rec.died_in_hospital))
-                writer.writerow(row)
+            tail = [records.demographics.get(t, "") for t in tags] + [int(records.died_in_hospital)]
+            columns = [records.features[f].tolist() for f in features]  # repr of Python floats
+            rows = zip(records.timestamps.tolist(), *columns, actions.tolist())
+            writer.writerows([sid, t, *map(repr, values), a, *tail] for t, *values, a in rows)
 
 
 def read_prepared_csv(path, features: list[str]) -> dict:
-    """Inverse of write_prepared_csv: {subject_id: (records, actions)}.
+    """Inverse of write_prepared_csv: {subject_id: (SubjectRecords, actions)}.
 
     Each subject's rows must come in strictly increasing timestamp order, as
     write_prepared_csv writes them.
     """
-    subjects: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError("prepared CSV has no header row")
-        core = ["subject_id", "timestamp", "action", "died_in_hospital"]
-        missing = [c for c in core + features if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError("prepared CSV missing columns: " + ", ".join(missing))
-        demo_tags = [c for c in reader.fieldnames if c not in core and c not in features]
-        cells = [
-            ("timestamp", int, "an integer"),
-            ("action", int, "an integer"),
-            ("died_in_hospital", _binary, "0 or 1"),
-            *((f, _number, "a finite number") for f in features),
-        ]
-        for row in reader:
-            try:
-                rec = RawRecord(
-                    subject_id=row["subject_id"],
-                    timestamp=int(row["timestamp"]),
-                    features={f: _number(row[f]) for f in features},
-                    treatment_flags=set(),
-                    demographics={t: row[t] for t in demo_tags},
-                    died_in_hospital=_binary(row["died_in_hospital"]),
-                )
-                action = int(row["action"])
-            except (TypeError, ValueError):
-                raise _bad_cell(path, row, cells) from None
-            records, actions = subjects.setdefault(rec.subject_id, ([], []))
-            records.append(rec)
-            actions.append(action)
-    if not subjects:
-        raise CohortEmptyError("prepared CSV contains no rows")
-    for records, _ in subjects.values():
-        _check_sorted(records, path)
-    return {
-        sid: (records, np.array(actions, dtype=np.int64))
-        for sid, (records, actions) in subjects.items()
-    }
+    cells = [
+        ("timestamp", _integer, "an integer"),
+        ("action", _integer, "an integer"),
+        ("died_in_hospital", _binary, "0 or 1"),
+        *((f, _number, "a finite number") for f in features),
+    ]
+    subjects = _read_subjects(path, "prepared", cells, features, [], None, False)
+    return {sid: (records, block["action"]) for sid, (records, block) in subjects.items()}

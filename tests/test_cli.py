@@ -91,6 +91,26 @@ class TestDispatchErrors:
         assert run("irl") == 1
         assert "--trajectories" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [
+            ("ingest", ("--records", "missing.csv", "--normals", "missing.json",
+                        "--bounds", "missing.json", "--features", "hr", "--condition", "sepsis")),
+            ("cluster", ("--prepared", "missing.csv", "--features", "hr")),
+            ("irl", ("--trajectories", "missing.csv")),
+            ("prune", ("--trajectories", "missing.csv", "--rewards", "missing.json")),
+            ("pipeline", ("--trajectories", "missing.csv")),
+            ("analyze", ("--run", "missing", "--trajectories", "missing.csv")),
+            ("sweep", ("--trajectories", "missing.csv")),
+        ],
+    )
+    def test_missing_input_leaves_no_run_directory(self, tmp_path, capsys, command, inputs):
+        out = tmp_path / "out"
+        paths = [tmp_path / arg if arg.startswith("missing") else arg for arg in inputs]
+        assert run(command, *paths, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_unreadable_config_fails(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
@@ -589,6 +609,38 @@ class TestClinicalFlow:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "timestamps must be strictly increasing" in err
+
+    @pytest.mark.parametrize(
+        "flag, text, named",
+        [
+            ("--normals", '{"heart_rate": "abc", "mean_bp": 85}',
+             "normal value for 'heart_rate' is not a finite number: 'abc'"),
+            ("--bounds", '{"heart_rate": 5}', "bound for 'heart_rate' is not a [lo, hi] pair"),
+            ("--codec", '{"condition": "c", "labels": ["none", "on"], "mapping": '
+                        '[{"flags": [], "label": "none"}, '
+                        '{"flags": ["vasopressors"], "label": "no"}]}',
+             "codec mapping entry, bad label or action: 'no' is not in list"),
+            ("--regroup", '["sex"]', "must hold a JSON object"),
+            ("--regroup", '{"sex": 5}', "regroup mapping for 'sex' is not a JSON object: 5"),
+        ],
+    )
+    def test_bad_json_side_file_is_an_input_error(
+        self, tmp_path, clinical_inputs, capsys, flag, text, named
+    ):
+        records, normals, bounds = clinical_inputs
+        side = tmp_path / "side.json"
+        side.write_text(text)
+        files = {"--normals": normals, "--bounds": bounds, flag: side}
+        out = tmp_path / "ingest"
+        code = run(
+            "ingest", "--records", records, *[arg for pair in files.items() for arg in pair],
+            "--features", "heart_rate,mean_bp", "--demographics", "sex",
+            "--condition", "hypotension", "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {side}: ") and named in err
+        assert not out.exists()
 
     def test_cluster_and_pipeline_share_states(self, workdir):
         clus, run_dir = workdir / "cluster", workdir / "clinical_run"

@@ -9,8 +9,8 @@ from consensus_irl import (
     ClusterModel,
     CohortEmptyError,
     ParameterError,
-    RawRecord,
     SchemaError,
+    SubjectRecords,
     assign_states,
     build_trajectory_set,
     fit_state_space,
@@ -286,21 +286,18 @@ class TestChaining:
 def make_prepared():
     """Two subjects with hand-picked vitals near opposite blob centers."""
 
-    def rec(sid, t, hr, mbp):
-        return RawRecord(
+    def rec(sid, hr, mbp):
+        return SubjectRecords(
             subject_id=sid,
-            timestamp=t,
+            timestamps=np.arange(len(hr)),
             features={"heart_rate": hr, "mean_bp": mbp},
             demographics={"sex": "male" if sid == "p1" else "female"},
             died_in_hospital=(sid == "p2"),
         )
 
     return {
-        "p2": ([rec("p2", 0, 120.0, 50.0), rec("p2", 1, 118.0, 52.0)], np.array([2, 0])),
-        "p1": (
-            [rec("p1", 0, 70.0, 90.0), rec("p1", 1, 72.0, 88.0), rec("p1", 2, 71.0, 91.0)],
-            np.array([0, 1, 0]),
-        ),
+        "p2": (rec("p2", [120.0, 118.0], [50.0, 52.0]), np.array([2, 0])),
+        "p1": (rec("p1", [70.0, 72.0, 71.0], [90.0, 88.0, 91.0]), np.array([0, 1, 0])),
     }
 
 
@@ -312,6 +309,12 @@ class TestPreparedPath:
         assert rows.shape == (5, 2)
         assert rows[index["p1"]].tolist() == [[70, 90], [72, 88], [71, 91]]
         assert rows[index["p2"]].tolist() == [[120, 50], [118, 52]]
+        assert rows.flags.c_contiguous and rows.dtype == np.float64
+
+    def test_feature_matrix_without_features_keeps_its_rows(self):
+        rows, index = feature_matrix(make_prepared(), [])
+        assert rows.shape == (5, 0)
+        assert index == {"p1": slice(0, 3), "p2": slice(3, 5)}
 
     def test_feature_matrix_empty_rejected(self):
         with pytest.raises(CohortEmptyError):

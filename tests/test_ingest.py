@@ -10,8 +10,8 @@ from consensus_irl import (
     CohortEmptyError,
     InputError,
     ParameterError,
-    RawRecord,
     SchemaError,
+    SubjectRecords,
     encode_actions,
     filter_outliers,
     hypotension_codec,
@@ -23,6 +23,7 @@ from consensus_irl.ingest import (
     load_bounds,
     load_normal_values,
     load_records_csv,
+    load_relabel,
     prepare_subjects,
     read_prepared_csv,
     write_prepared_csv,
@@ -30,13 +31,44 @@ from consensus_irl.ingest import (
 
 
 def series(sid, values, feature="heart_rate", start=0):
-    return [
-        RawRecord(sid, start + t, {feature: v}) for t, v in enumerate(values)
-    ]
+    return SubjectRecords(sid, np.arange(start, start + len(values)), {feature: values})
 
 
 def values(records, feature="heart_rate"):
-    return [r.features[feature] for r in records]
+    return records.features[feature].tolist()
+
+
+def same_rows(a, b):
+    """Equal timestamps and equal feature and flag columns (NaN equal to NaN)."""
+    assert a.timestamps.tolist() == b.timestamps.tolist()
+    assert a.features.keys() == b.features.keys()
+    for name in a.features:
+        np.testing.assert_array_equal(a.features[name], b.features[name])
+    assert a.treatment_flags.keys() == b.treatment_flags.keys()
+    for name in a.treatment_flags:
+        assert a.treatment_flags[name].tolist() == b.treatment_flags[name].tolist()
+    return True
+
+
+class TestSubjectRecords:
+    def test_columns_take_their_dtypes(self):
+        recs = SubjectRecords("p", [3, 7], {"hr": [None, 80]}, {"vaso": [0, 1]}, {"sex": "f"}, 1)
+        assert recs.timestamps.dtype == np.int64 and len(recs) == 2
+        assert np.isnan(recs.features["hr"][0]) and recs.features["hr"][1] == 80.0
+        assert recs.treatment_flags["vaso"].tolist() == [False, True]
+        assert recs.died_in_hospital is True
+
+    @pytest.mark.parametrize(
+        "timestamps, features",
+        [([], {}), ([0, 1], {"hr": [1.0]}), ([[0, 1]], {})],
+    )
+    def test_malformed_columns_rejected(self, timestamps, features):
+        with pytest.raises(SchemaError, match="subject p: no rows, or a column of another length"):
+            SubjectRecords("p", timestamps, features)
+
+    def test_unequal_flag_column_rejected(self):
+        with pytest.raises(SchemaError, match="a column of another length"):
+            SubjectRecords("p", [0, 1], {}, {"vaso": [True]})
 
 
 class TestImpute:
@@ -61,23 +93,31 @@ class TestImpute:
             impute_series(recs, {"heart_rate": 75.0})
 
     def test_features_imputed_independently(self):
-        recs = [
-            RawRecord("p", 0, {"hr": 50.0, "bp": None}),
-            RawRecord("p", 1, {"hr": None, "bp": 90.0}),
-        ]
+        recs = SubjectRecords("p", [0, 1], {"hr": [50.0, None], "bp": [None, 90.0]})
         out = impute_series(recs, {"bp": 85.0})
-        assert out[0].features == {"hr": 50.0, "bp": 85.0}
-        assert out[1].features == {"hr": 50.0, "bp": 90.0}
+        assert values(out, "hr") == [50.0, 50.0]
+        assert values(out, "bp") == [85.0, 90.0]
 
     def test_unsorted_timestamps_rejected(self):
-        recs = [RawRecord("p", 1, {"hr": 1.0}), RawRecord("p", 0, {"hr": 2.0})]
+        # the block checks its order once, on construction, before any step runs
+        with pytest.raises(InputError, match="subject p: timestamps must be strictly increasing"):
+            SubjectRecords("p", [1, 0], {"hr": [1.0, 2.0]})
         with pytest.raises(InputError, match="increasing"):
-            impute_series(recs, {})
+            SubjectRecords("p", [0, 0], {"hr": [1.0, 2.0]})
+
+    def test_later_gap_carries_the_latest_observation(self):
+        recs = series("p", [None, 60.0, None, None, 70.0, None, 71.0, None])
+        out = impute_series(recs, {"heart_rate": 75.0})
+        assert values(out) == [75.0, 60.0, 60.0, 60.0, 70.0, 70.0, 71.0, 71.0]
+
+    def test_normal_needed_only_before_the_first_observation(self):
+        recs = series("p", [61.0, None, None], feature="lactate")
+        assert values(impute_series(recs, {}), "lactate") == [61.0, 61.0, 61.0]
 
     def test_input_records_not_mutated(self):
         recs = series("p", [None, 80.0])
         impute_series(recs, {"heart_rate": 75.0})
-        assert recs[0].features["heart_rate"] is None
+        assert np.isnan(recs.features["heart_rate"][0])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -94,7 +134,7 @@ class TestImpute:
         twice = impute_series(once, normals)
         assert values(once) == values(twice)
         for raw, filled in zip(vals, values(once)):
-            assert filled is not None
+            assert not np.isnan(filled)
             if raw is not None:
                 assert filled == raw
 
@@ -111,7 +151,7 @@ class TestFilterOutliers:
     def test_all_in_range_is_identity(self):
         recs = series("p", [80.0, 90.0])
         kept, report = filter_outliers(recs, self.BOUNDS)
-        assert kept == recs
+        assert same_rows(kept, recs)
         assert report == {}
 
     def test_bounds_are_inclusive(self):
@@ -129,15 +169,28 @@ class TestFilterOutliers:
         recs = series("p", [10.0, 80.0, 400.0, 90.0])
         once, _ = filter_outliers(recs, self.BOUNDS)
         twice, again = filter_outliers(once, self.BOUNDS)
-        assert twice == once
+        assert same_rows(twice, once)
         assert again == {}
 
+    def test_dropped_rows_leave_every_column(self):
+        recs = SubjectRecords(
+            "p", [0, 3, 5], {"heart_rate": [80.0, 9999.0, 90.0], "bp": [1.0, 2.0, None]},
+            {"vaso": [True, False, True]}, {"sex": "f"}, True,
+        )
+        kept, _ = filter_outliers(recs, self.BOUNDS)
+        assert kept.timestamps.tolist() == [0, 5]
+        assert values(kept) == [80.0, 90.0]
+        np.testing.assert_array_equal(kept.features["bp"], [1.0, np.nan])
+        assert kept.treatment_flags["vaso"].tolist() == [True, True]
+        assert kept.demographics == {"sex": "f"} and kept.died_in_hospital is True
+        assert len(recs) == 3 and values(recs) == [80.0, 9999.0, 90.0]  # input unchanged
+
     def test_row_violating_two_features_counted_per_feature(self):
-        recs = [RawRecord("p", 0, {"hr": 1000.0, "bp": -5.0})]
+        recs = SubjectRecords("p", [0], {"hr": [1000.0], "bp": [-5.0]})
         bounds = {"hr": (20.0, 300.0), "bp": (0.0, 200.0)}
         with pytest.raises(CohortEmptyError):
             filter_outliers(recs, bounds)
-        recs.append(RawRecord("p", 1, {"hr": 80.0, "bp": 90.0}))
+        recs = SubjectRecords("p", [0, 1], {"hr": [1000.0, 80.0], "bp": [-5.0, 90.0]})
         kept, report = filter_outliers(recs, bounds)
         assert len(kept) == 1
         assert report == {"hr": 1, "bp": 1}
@@ -183,14 +236,36 @@ class TestActionCodec:
         assert codec.encode({"vasoactive", "glucocorticoids"}) == 2
 
     def test_encode_actions_one_index_per_record(self):
-        recs = [
-            RawRecord("p", 0, {}, treatment_flags=set()),
-            RawRecord("p", 1, {}, treatment_flags={"vasopressors"}),
-            RawRecord("p", 2, {}, treatment_flags={"vasopressors", "bolus_epinephrine"}),
-        ]
+        recs = SubjectRecords(
+            "p", [0, 1, 2], {},
+            {"vasopressors": [False, True, True], "bolus_epinephrine": [False, False, True]},
+        )
         actions = encode_actions(recs, hypotension_codec())
         assert actions.tolist() == [0, 1, 3]
         assert actions.dtype == np.int64
+
+    def test_encode_actions_encodes_each_pattern_once_in_order_of_first_use(self):
+        seen = []
+
+        class Recording(ActionCodec):
+            def encode(self, flags):
+                seen.append(frozenset(flags))
+                return super().encode(flags)
+
+        reference = hypotension_codec()
+        codec = Recording(reference.condition, reference.labels, reference.entries)
+        recs = SubjectRecords(
+            "p", range(6), {},
+            {"bolus_epinephrine": [1, 0, 1, 0, 0, 1], "vasopressors": [1, 0, 1, 1, 0, 0]},
+        )
+        assert encode_actions(recs, codec).tolist() == [3, 0, 3, 1, 0, 2]
+        assert seen == [
+            {"vasopressors", "bolus_epinephrine"}, set(), {"vasopressors"}, {"bolus_epinephrine"},
+        ]
+
+    def test_encode_actions_without_flag_columns(self):
+        recs = series("p", [80.0, 81.0, 82.0])
+        assert encode_actions(recs, hypotension_codec()).tolist() == [0, 0, 0]
 
     def test_codec_needs_two_actions(self):
         with pytest.raises(ParameterError, match="2 actions"):
@@ -219,10 +294,8 @@ class TestActionCodec:
 
 
 def subject(sid, category, n_rows=1):
-    return [
-        RawRecord(sid, t, {"hr": 80.0}, demographics={"race": category})
-        for t in range(n_rows)
-    ]
+    features = {"hr": [80.0] * n_rows}
+    return SubjectRecords(sid, range(n_rows), features, demographics={"race": category})
 
 
 class TestRegroupDemographics:
@@ -235,9 +308,9 @@ class TestRegroupDemographics:
         subjects["a0"] = subject("a0", "asian")
         subjects["m0"] = subject("m0", "mystery")
         out = regroup_demographics(subjects, relabel={})
-        assert out["w0"][0].demographics["race"] == "white"
-        assert out["a0"][0].demographics["race"] == "other"
-        assert out["m0"][0].demographics["race"] == "other"
+        assert out["w0"].demographics["race"] == "white"
+        assert out["a0"].demographics["race"] == "other"
+        assert out["m0"].demographics["race"] == "other"
 
     def test_relabel_applies_before_share_check(self):
         subjects = {
@@ -249,9 +322,9 @@ class TestRegroupDemographics:
             subjects, relabel={"race": {"WHITE": "white"}}, min_share=0.5
         )
         # merged white count is 2/3, black alone is 1/3 < 0.5
-        assert out["a"][0].demographics["race"] == "white"
-        assert out["b"][0].demographics["race"] == "white"
-        assert out["c"][0].demographics["race"] == "other"
+        assert out["a"].demographics["race"] == "white"
+        assert out["b"].demographics["race"] == "white"
+        assert out["c"].demographics["race"] == "other"
 
     def test_shares_counted_per_subject_not_per_row(self):
         subjects = {
@@ -260,8 +333,8 @@ class TestRegroupDemographics:
             "c": subject("c", "rare", n_rows=50),
         }
         out = regroup_demographics(subjects, relabel={}, min_share=0.34)
-        assert out["c"][0].demographics["race"] == "other"
-        assert all(r.demographics["race"] == "other" for r in out["c"])
+        assert out["c"].demographics["race"] == "other"
+        assert len(out["c"]) == 50
 
     def test_min_share_validated(self):
         with pytest.raises(ParameterError, match="min_share"):
@@ -270,7 +343,7 @@ class TestRegroupDemographics:
     def test_input_not_mutated(self):
         subjects = {"a": subject("a", "solo"), "b": subject("b", "duo")}
         regroup_demographics(subjects, relabel={}, min_share=0.9)
-        assert subjects["a"][0].demographics["race"] == "solo"
+        assert subjects["a"].demographics["race"] == "solo"
 
 
 RAW_CSV = """subject_id,timestamp,heart_rate,mean_bp,vasopressors,bolus_epinephrine,sex,died_in_hospital
@@ -293,14 +366,14 @@ class TestRecordsCsv:
         )
         assert sorted(subjects) == ["p1", "p2"]
         p1 = subjects["p1"]
-        assert [r.timestamp for r in p1] == [0, 5, 10]
-        assert p1[1].features == {"heart_rate": 72.0, "mean_bp": None}
-        assert p1[2].features["heart_rate"] is None
-        assert p1[2].treatment_flags == {"vasopressors", "bolus_epinephrine"}
-        assert p1[0].treatment_flags == set()
-        assert p1[0].demographics == {"sex": "male"}
-        assert p1[0].died_in_hospital is False
-        assert subjects["p2"][0].died_in_hospital is True
+        assert p1.timestamps.tolist() == [0, 5, 10]
+        np.testing.assert_array_equal(p1.features["heart_rate"], [70.0, 72.0, np.nan])
+        np.testing.assert_array_equal(p1.features["mean_bp"], [90.0, np.nan, 88.0])
+        assert p1.treatment_flags["vasopressors"].tolist() == [False, False, True]
+        assert p1.treatment_flags["bolus_epinephrine"].tolist() == [False, False, True]
+        assert p1.demographics == {"sex": "male"}
+        assert p1.died_in_hospital is False
+        assert subjects["p2"].died_in_hospital is True
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -346,13 +419,57 @@ class TestRecordsCsv:
         path = tmp_path / "raw.csv"
         path.write_text(RAW_CSV.replace("p2,0,120,55,1,0,", "p2,0,120,55,,1,"))
         subjects = load_records_csv(path, [], ["vasopressors", "bolus_epinephrine"], [])
-        assert subjects["p2"][0].treatment_flags == {"bolus_epinephrine"}
+        flags = subjects["p2"].treatment_flags
+        assert flags["vasopressors"].tolist() == [False]
+        assert flags["bolus_epinephrine"].tolist() == [True]
 
     def test_repeated_timestamp_names_file_and_subject(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(RAW_CSV.replace("p1,10,", "p1,5,"))
         with pytest.raises(SchemaError, match=r"raw\.csv: subject p1: timestamps must be strictly"):
             load_records_csv(path, [], [], [])
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("p1,5,72,,0,0,male,0", "p1,5,72,,0,0,female,0",
+             "subject p1: sex differs between rows"),
+            ("p1,10,,88,1,1,male,0", "p1,10,,88,1,1,male,1",
+             "subject p1: died_in_hospital differs between rows"),
+        ],
+    )
+    def test_subject_level_fields_must_agree(self, tmp_path, old, new, named):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_CSV.replace(old, new, 1))
+        with pytest.raises(SchemaError, match=f"^{path}: {named}"):
+            load_records_csv(path, ["heart_rate"], [], ["sex"])
+
+    @pytest.mark.parametrize(
+        "load, text, named",
+        [
+            (load_normal_values, '{"hr": NaN}', "normal value for 'hr' is not a finite number"),
+            (load_normal_values, '{"hr": [75]}', "normal value for 'hr' is not a finite number"),
+            (load_bounds, '{"hr": [20, 300, 400]}', "bound for 'hr' is not a [lo, hi] pair"),
+            (load_bounds, '{"hr": ["low", 300]}', "bound for 'hr' is not a [lo, hi] pair"),
+            (load_relabel, '{"race": "white"}', "regroup mapping for 'race' is not a JSON object"),
+            (load_relabel, '{"race": ["ab"]}', "regroup mapping for 'race' is not a JSON object"),
+            (load_bounds, '{"hr": [20, 300]', "not valid JSON"),
+            (load_normal_values, "[75]", "must hold a JSON object"),
+            (ActionCodec.from_json, '{"labels": ["a", "b"], "mapping": []}',
+             "codec is missing key 'condition'"),
+            (ActionCodec.from_json,
+             '{"labels": ["a", "b"], "mapping": [{"flags": [], "action": "x"}]}',
+             "codec mapping entry, bad label or action"),
+            (ActionCodec.from_json, '{"condition": "c", "labels": ["a", "b"], "mapping": ["x"]}',
+             "codec mapping entry, bad label or action"),
+        ],
+    )
+    def test_bad_json_side_file_names_file_and_key(self, tmp_path, load, text, named):
+        path = tmp_path / "side.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}: ") and named in str(exc.value)
 
     def test_normals_and_bounds_loaders(self, tmp_path):
         normals = tmp_path / "normals.json"
@@ -370,10 +487,7 @@ class TestPrepareSubjects:
     def test_outliers_removed_before_imputation(self):
         # the out-of-range observation at t=0 must not be carried forward;
         # the survivor imputes from the normal table instead
-        recs = [
-            RawRecord("p", 0, {"heart_rate": 9999.0}),
-            RawRecord("p", 1, {"heart_rate": None}),
-        ]
+        recs = SubjectRecords("p", [0, 1], {"heart_rate": [9999.0, None]})
         prepared, report = prepare_subjects(
             {"p": recs}, self.NORMALS, self.BOUNDS, hypotension_codec()
         )
@@ -384,33 +498,31 @@ class TestPrepareSubjects:
 
     def test_subject_with_no_survivors_dropped_not_fatal(self):
         cohort = {
-            "gone": [RawRecord("gone", 0, {"heart_rate": 9999.0})],
-            "kept": [RawRecord("kept", 0, {"heart_rate": 80.0})],
+            "gone": SubjectRecords("gone", [0, 1], {"heart_rate": [9999.0, 5.0]}),
+            "kept": SubjectRecords("kept", [0], {"heart_rate": [80.0]}),
         }
         prepared, report = prepare_subjects(
             cohort, self.NORMALS, self.BOUNDS, hypotension_codec()
         )
         assert list(prepared) == ["kept"]
-        assert report["subjects_dropped"] == 1
+        # a dropped subject's rows count only in subjects_dropped
+        assert report == {"subjects_dropped": 1}
 
     def test_empty_cohort_after_filtering_rejected(self):
-        cohort = {"gone": [RawRecord("gone", 0, {"heart_rate": 9999.0})]}
+        cohort = {"gone": SubjectRecords("gone", [0], {"heart_rate": [9999.0]})}
         with pytest.raises(CohortEmptyError):
             prepare_subjects(cohort, self.NORMALS, self.BOUNDS, hypotension_codec())
 
     def test_prepared_csv_round_trip(self, tmp_path):
         recs = {
-            "p1": [
-                RawRecord("p1", 0, {"heart_rate": None},
-                          demographics={"sex": "male"}),
-                RawRecord("p1", 4, {"heart_rate": 81.25},
-                          treatment_flags={"vasopressors"},
-                          demographics={"sex": "male"}),
-            ],
-            "p2": [
-                RawRecord("p2", 0, {"heart_rate": 1.0 / 3.0},
-                          demographics={"sex": "female"}, died_in_hospital=True),
-            ],
+            "p1": SubjectRecords(
+                "p1", [0, 4], {"heart_rate": [None, 81.25]},
+                {"vasopressors": [False, True]}, {"sex": "male"},
+            ),
+            "p2": SubjectRecords(
+                "p2", [0], {"heart_rate": [1.0 / 3.0]},
+                demographics={"sex": "female"}, died_in_hospital=True,
+            ),
         }
         prepared, _ = prepare_subjects(
             recs, self.NORMALS, {"heart_rate": (0.0, 300.0)}, hypotension_codec()
@@ -424,14 +536,37 @@ class TestPrepareSubjects:
             got_recs, got_actions = loaded[sid]
             want_recs, want_actions = prepared[sid]
             assert np.array_equal(got_actions, want_actions)
-            assert [r.timestamp for r in got_recs] == [r.timestamp for r in want_recs]
+            assert got_recs.timestamps.tolist() == want_recs.timestamps.tolist()
             assert values(got_recs) == values(want_recs)
-            assert [r.demographics for r in got_recs] == [
-                r.demographics for r in want_recs
-            ]
-            assert [r.died_in_hospital for r in got_recs] == [
-                r.died_in_hospital for r in want_recs
-            ]
+            assert got_recs.demographics == want_recs.demographics
+            assert got_recs.died_in_hospital is want_recs.died_in_hospital
+            assert got_recs.treatment_flags == {}
+        assert values(loaded["p1"][0]) == [75.0, 81.25]
+        assert loaded["p1"][1].tolist() == [0, 1]
+
+    def test_no_step_changes_its_input(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_CSV)
+        features, flags = ["heart_rate", "mean_bp"], ["vasopressors", "bolus_epinephrine"]
+        subjects = load_records_csv(path, features, flags, ["sex"])
+
+        def snapshot():
+            return {
+                sid: (r.timestamps.tolist(), {k: v.tolist() for k, v in r.features.items()},
+                      {k: v.tolist() for k, v in r.treatment_flags.items()},
+                      dict(r.demographics), r.died_in_hospital)
+                for sid, r in subjects.items()
+            }
+
+        before = snapshot()
+        regroup_demographics(subjects, {"sex": {"male": "m"}}, min_share=0.6)
+        bounds = {"heart_rate": (20.0, 71.0)}  # drops p1's second row and all of p2
+        prepare_subjects(subjects, {"heart_rate": 75.0, "mean_bp": 85.0}, bounds,
+                         hypotension_codec())
+        kept, _ = filter_outliers(subjects["p1"], bounds)
+        encode_actions(impute_series(kept, {"heart_rate": 75.0, "mean_bp": 85.0}),
+                       hypotension_codec())
+        assert repr(snapshot()) == repr(before)  # repr: NaN equal to NaN
 
     PREPARED_CSV = (
         "subject_id,timestamp,heart_rate,action,sex,died_in_hospital\n"
@@ -464,6 +599,20 @@ class TestPrepareSubjects:
         path = tmp_path / "prepared.csv"
         path.write_text(self.PREPARED_CSV.replace("p1,1,", second, 1))
         with pytest.raises(SchemaError, match="subject p1: timestamps must be strictly increasing"):
+            read_prepared_csv(path, ["heart_rate"])
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("p1,1,81.0,1,male,0", "p1,1,81.0,1,female,0", "subject p1: sex differs between rows"),
+            ("p1,1,81.0,1,male,0", "p1,1,81.0,1,male,1",
+             "subject p1: died_in_hospital differs between rows"),
+        ],
+    )
+    def test_read_prepared_subject_level_fields_must_agree(self, tmp_path, old, new, named):
+        path = tmp_path / "prepared.csv"
+        path.write_text(self.PREPARED_CSV.replace(old, new, 1))
+        with pytest.raises(SchemaError, match=f"^{path}: {named}"):
             read_prepared_csv(path, ["heart_rate"])
 
     def test_read_prepared_missing_column_rejected(self, tmp_path):

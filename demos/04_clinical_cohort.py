@@ -97,7 +97,7 @@ with open(raw, "w", newline="") as fh:
             elif kind == "erratic":
                 up = vaso or bolus  # epinephrine props pressure up too
                 bp = float(np.clip(bp + (12.0 if up else -12.0), 43.0, 79.0))
-print(f"wrote {raw}")
+print(f"wrote {raw.name}")
 
 # -------------------------------------------------------------------- ingest
 subjects = load_records_csv(raw, FEATURES, ["vasopressors", "bolus_epinephrine"], ["sex"])

@@ -7,11 +7,15 @@ this. The statistic definitions themselves are the classical ones, so the
 permutation p converges to the textbook p when the asymptotics hold.
 
 Each test draws its n permutations from one stream seeded by its seed, in
-blocks of rows, and computes the statistic of a whole block at once; the
-p-value is the add-one estimate (1 + #{permuted >= observed}) / (1 + n),
-never below 1 / (n + 1). The blocks draw the stream exactly as one
-rng.permutation call per permutation does, so the block size changes no
-p-value.
+blocks, and computes the statistic of a whole block at once; the p-value is
+the add-one estimate (1 + #{permuted >= observed}) / (1 + n), never below
+1 / (n + 1). The ANOVA and pairwise tests shuffle the values, and their
+blocks draw the stream exactly as one rng.permutation call per permutation
+does. The chi-squared test reads only each group's flagged count, so it draws
+those counts from their exact permutation distribution, the multivariate
+hypergeometric given the table margins, and shuffles no row; its blocks draw
+the stream exactly as one draw per permutation does. Either way the block
+size changes no p-value.
 """
 
 from __future__ import annotations
@@ -226,9 +230,14 @@ def _chi_squared_rows(tables: np.ndarray) -> np.ndarray:
     """
     b = len(tables)
     total = tables.reshape(b, -1).sum(axis=1)[:, None, None]
+    # in place, so a block holds three tables' worth of values at most
     with np.errstate(invalid="ignore", divide="ignore"):
-        expected = tables.sum(axis=2, keepdims=True) * tables.sum(axis=1, keepdims=True) / total
-        contrib = np.where(expected > 0, (tables - expected) ** 2 / expected, 0.0)
+        expected = tables.sum(axis=2, keepdims=True) * tables.sum(axis=1, keepdims=True)
+        expected /= total
+        contrib = np.subtract(tables, expected)
+        np.square(contrib, out=contrib)
+        contrib /= expected
+    contrib[~(expected > 0)] = 0.0
     return contrib.reshape(b, -1).sum(axis=1)
 
 
@@ -306,15 +315,36 @@ def _monte_carlo_p(batch_stat, x, observed, n_permutations: int, rng) -> float:
     return (1 + hits) / (1 + n_permutations)
 
 
+def _flagged_count_blocks(totals, m: int, n_permutations: int, seed: int):
+    """Per-group flagged counts of n_permutations permuted flag columns, in blocks.
+
+    Permuting m flags over groups of the given totals leaves the flagged
+    counts multivariate hypergeometric, so each (b, k) block is drawn from
+    that distribution directly. A block keeps its (b, k, 2) table stack
+    within _BLOCK_VALUES values. The "marginals" method draws the stream the
+    same way whatever the block size ("count" does not), so the blocks are
+    the draws that one call per permutation would give, in order.
+    """
+    rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_VALUES // (2 * len(totals)))
+    for start in range(0, n_permutations, block):
+        size = min(block, n_permutations - start)
+        yield rng.multivariate_hypergeometric(totals, m, size=size, method="marginals")
+
+
 def permutation_chi2(
     labels, flags, n_permutations: int = 10_000, seed: int = 0, name: str = "chi2"
 ) -> TestResult:
     """Independence test of a categorical label against a binary flag.
 
     The statistic is Pearson chi-squared on the labels x {flag, not-flag}
-    contingency table, where a row is flagged when its flag equals 1; the
-    p-value is Monte Carlo, permuting the flags, with the add-one estimate
-    (1 + #{perm >= observed}) / (1 + n).
+    contingency table, where a row is flagged when its flag equals 1. The
+    statistic reads only each label's flagged count, and under permuted flags
+    those counts are multivariate hypergeometric given the margins (the label
+    totals and the number flagged). So the p-value draws the counts from that
+    exact permutation distribution instead of shuffling rows, and depends on
+    the rows only through the margins: the add-one estimate
+    (1 + #{drawn >= observed}) / (1 + n).
     """
     labels = np.asarray(labels)
     flags = np.asarray(flags, dtype=int)
@@ -322,22 +352,21 @@ def permutation_chi2(
         raise ParameterError("labels and flags must have equal length")
     _check_permutations(n_permutations)
     cats, codes = np.unique(labels, return_inverse=True)
-    if len(cats) < 2:
+    k = len(cats)
+    if k < 2:
         raise ParameterError("need at least two categories")
-    codes, flags = _canonical_order(codes, flags)
-    totals = np.bincount(codes, minlength=len(cats))
-    starts = np.concatenate([[0], np.cumsum(totals)[:-1]])
+    totals = np.bincount(codes, minlength=k)
+    ones = np.bincount(codes[flags == 1], minlength=k)
 
-    def stat(rows):
-        # counts are integers, so the order they are summed in does not matter
-        ones = np.add.reduceat(rows, starts, axis=1)
-        return _chi_squared_rows(np.stack([ones, totals - ones], axis=2).astype(float))
+    def stat(ones):
+        return _chi_squared_rows(np.stack([ones, totals - ones], axis=2, dtype=float))
 
-    flagged = (flags == 1).astype(np.int64)
-    observed = float(stat(flagged[None])[0])
-    p = _monte_carlo_p(stat, flagged, observed, n_permutations, np.random.default_rng(seed))
+    observed = float(stat(ones[None])[0])
+    blocks = _flagged_count_blocks(totals, int(ones.sum()), n_permutations, seed)
+    hits = sum(int(np.count_nonzero(stat(drawn) >= observed - 1e-12)) for drawn in blocks)
+    p = (1 + hits) / (1 + n_permutations)
     groups = [(str(c), int(t)) for c, t in zip(cats, totals)]
-    return TestResult(name, observed, float(p), n_permutations, seed, groups)
+    return TestResult(name, observed, p, n_permutations, seed, groups)
 
 
 def permutation_anova(

@@ -69,12 +69,12 @@ from .prune import (
     write_scores_csv,
 )
 from .synth import (
-    DemographicTag,
     PopulationConfig,
     SyntheticWorld,
     evaluate_recovery,
     generate_population,
     generate_world,
+    load_demographic_tags,
     read_labels_csv,
 )
 from .trajectories import TrajectorySet
@@ -440,10 +440,7 @@ def cmd_synth(cfg) -> None:
     world = generate_world(
         cfg["states"], cfg["actions"], cfg["branching"], cfg["seed"], cfg["horizon"]
     )
-    tags = []
-    if cfg["demographics"]:
-        with open(cfg["demographics"]) as fh:
-            tags = [DemographicTag(**entry) for entry in json.load(fh)]
+    tags = load_demographic_tags(cfg["demographics"]) if cfg["demographics"] else []
     pop_cfg = _from_flags(
         PopulationConfig, cfg, horizon=None, demographics=tags, seed=cfg["seed"]
     )

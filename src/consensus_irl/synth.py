@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SchemaError
 from .mdp import DeterministicPolicy
 from .trajectories import TrajectorySet
 
@@ -118,6 +118,41 @@ class DemographicTag:
                 )
             if abs(d.sum() - 1.0) > 1e-9:
                 raise ParameterError(f"tag {self.name}: distribution must sum to 1")
+
+
+def load_demographic_tags(path) -> list[DemographicTag]:
+    """DemographicTags from a JSON list of {name, categories, probs[, corrupted_probs]}.
+
+    An error names the file and, for a bad entry, its index in the list.
+    """
+    with open(path) as fh:
+        try:
+            entries = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(entries, list):
+        raise SchemaError(f"{path}: must hold a JSON list of demographic tags")
+    keys = [f.name for f in fields(DemographicTag)]
+    tags = []
+    for i, entry in enumerate(entries):
+        where = f"{path}: demographic tag {i}"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where} is not a JSON object")
+        unknown = sorted(set(entry) - set(keys))
+        if unknown:
+            raise SchemaError(f"{where} has unknown key {unknown[0]!r}; keys are {keys}")
+        missing = [k for k in ("name", "categories", "probs") if k not in entry]
+        if missing:
+            raise SchemaError(f"{where} is missing key {missing[0]!r}")
+        for key in ("categories", "probs", "corrupted_probs"):
+            value = entry.get(key)
+            if not isinstance(value, list) and not (key == "corrupted_probs" and value is None):
+                raise SchemaError(f"{where}: {key} must be a JSON list, got {value!r}")
+        try:
+            tags.append(DemographicTag(**entry))
+        except (TypeError, ValueError) as exc:  # a probability that is not a number, ...
+            raise SchemaError(f"{where}: {exc}") from None
+    return tags
 
 
 @dataclass

@@ -404,9 +404,12 @@ def reference_population(world, config):
 # one-permutation-at-a-time tests
 #
 # The package's permutation tests as they were before they drew their
-# permutations in blocks: one rng.permutation call and one scalar statistic
-# per permutation. The block-batched tests must return results equal to
-# these (==), so every seed, stream, hit count and p-value is unchanged.
+# permutations in blocks: one draw and one scalar statistic per permutation.
+# The block-batched tests must return results equal to these (==), so every
+# seed, stream, hit count and p-value is unchanged. ANOVA and pairwise draw
+# one rng.permutation per permutation; chi-squared draws its flagged counts
+# from the multivariate hypergeometric, and shuffle_permutation_chi2 keeps
+# the flag shuffle it drew before, for comparing the two samplers.
 
 
 def reference_chi_squared_statistic(table) -> float:
@@ -439,6 +442,34 @@ def _reference_canonical_order(labels, values):
 
 
 def reference_permutation_chi2(labels, flags, n_permutations=10_000, seed=0, name="chi2"):
+    """One multivariate hypergeometric draw of the flagged counts per permutation."""
+    from consensus_irl.analyze import TestResult
+
+    labels = np.asarray(labels)
+    flags = np.asarray(flags, dtype=int)
+    cats, codes = np.unique(labels, return_inverse=True)
+    k = len(cats)
+    totals = np.bincount(codes, minlength=k)
+
+    def stat(ones):
+        return reference_chi_squared_statistic(np.stack([ones, totals - ones], axis=1))
+
+    ones = np.bincount(codes[flags == 1], minlength=k)
+    observed = stat(ones)
+    m = int(ones.sum())
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        drawn = rng.multivariate_hypergeometric(totals, m, method="marginals")
+        hits += stat(drawn) >= observed - 1e-12
+    p = (1 + hits) / (1 + n_permutations)
+    groups = [(str(c), int(t)) for c, t in zip(cats, totals)]
+    return TestResult(name, observed, float(p), n_permutations, seed, groups)
+
+
+def shuffle_permutation_chi2(labels, flags, n_permutations=10_000, seed=0, name="chi2"):
+    """The chi-squared test as it was before it drew table counts: one
+    rng.permutation of the canonically ordered flags per permutation."""
     from consensus_irl.analyze import TestResult
 
     labels = np.asarray(labels)

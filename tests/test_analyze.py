@@ -39,6 +39,7 @@ from consensus_irl import test_reward_loss_disparity as reward_loss_disparity
 from consensus_irl.analyze import (
     _BLOCK_VALUES,
     PERMUTATION_NOTE,
+    _flagged_count_blocks,
     write_cluster_report_csv,
     write_deciles_csv,
     write_tests_csv,
@@ -54,6 +55,7 @@ from oracles import (
     reference_pairwise_permutation_tests,
     reference_permutation_anova,
     reference_permutation_chi2,
+    shuffle_permutation_chi2,
 )
 
 
@@ -406,6 +408,19 @@ class TestBlockedPermutationsMatchReference:
         for n_permutations in (1, rows - 1, rows, rows + 1):
             assert_tests_match_reference(values, labels, flags, n_permutations, seed=5)
 
+    def test_chi2_permutation_counts_around_its_block_size(self):
+        # chi-squared blocks hold (rows, k, 2) tables, so 64 groups make the
+        # block short enough to compare with one draw at a time
+        k = 64
+        rows = _BLOCK_VALUES // (2 * k)
+        rng = np.random.default_rng(27)
+        labels = rng.integers(0, k, size=500)
+        flags = rng.integers(0, 2, size=500)
+        for n_permutations in (1, rows - 1, rows, rows + 1):
+            assert permutation_chi2(labels, flags, n_permutations, seed=8) == (
+                reference_permutation_chi2(labels, flags, n_permutations, seed=8)
+            )
+
     def test_block_of_one_row(self):
         n = _BLOCK_VALUES // 2 + 1  # too long for two rows in a block
         rng = np.random.default_rng(23)
@@ -452,6 +467,70 @@ class TestBlockedPermutationsMatchReference:
             finally:
                 tracemalloc.stop()
             assert peak < bound
+
+
+    def test_chi2_memory_is_flat_in_n_permutations(self):
+        """Peak memory of one block of tables, however many blocks are drawn."""
+        rng = np.random.default_rng(28)
+        labels = rng.choice(["a", "b", "c", "d"], size=20_000)
+        flags = rng.integers(0, 2, size=20_000)
+        rows = _BLOCK_VALUES // 8
+        peaks = []
+        for n_permutations in (rows, 6 * rows):
+            tracemalloc.start()
+            try:
+                permutation_chi2(labels, flags, n_permutations=n_permutations, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + 2**16
+        assert peaks[1] < 5 * 8 * _BLOCK_VALUES  # five blocks of float64 tables
+
+
+class TestChi2CountSampler:
+    """Drawing the flagged counts against shuffling the flags of every row."""
+
+    TABLES = {
+        "2x2": (np.repeat(["a", "b"], 30), np.repeat([1, 0, 1, 0], [12, 18, 18, 12])),
+        "4 groups": (
+            np.repeat(["a", "b", "c", "d"], [20, 15, 25, 10]),
+            np.repeat([1, 0] * 4, [8, 12, 9, 6, 9, 16, 6, 4]),
+        ),
+        "one-member groups": (
+            np.array(["a"] + ["b"] * 6 + ["c"] + ["d"] * 5),
+            np.array([1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]),
+        ),
+        "all flagged": (np.repeat(["a", "b", "c"], [4, 7, 9]), np.ones(20, dtype=int)),
+        "none flagged": (np.repeat(["a", "b", "c"], [4, 7, 9]), np.zeros(20, dtype=int)),
+    }
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_agrees_with_row_shuffle(self, table):
+        # two estimates of one p; four standard errors of one estimate, and
+        # exact agreement where p is 1 (no permutation can move the table)
+        labels, flags = self.TABLES[table]
+        n = 2_000
+        drawn = permutation_chi2(labels, flags, n, seed=10)
+        shuffled = shuffle_permutation_chi2(labels, flags, n, seed=10)
+        assert drawn.statistic == shuffled.statistic
+        p = (drawn.p_value + shuffled.p_value) / 2
+        assert abs(drawn.p_value - shuffled.p_value) <= 4 * np.sqrt(p * (1 - p) / n)
+
+    def test_drawn_counts_have_hypergeometric_moments(self):
+        # 100,000 draws over seven blocks: the means within four standard
+        # errors, the variances within 3 % (about six standard errors)
+        totals = np.array([1, 6, 40, 13])
+        m, n = 25, 100_000
+        draws = np.concatenate(list(_flagged_count_blocks(totals, m, n, seed=11)))
+        assert draws.shape == (n, 4)
+        assert (draws.sum(axis=1) == m).all()
+        assert ((draws >= 0) & (draws <= totals)).all()
+        share = totals / totals.sum()
+        mean = m * share
+        var = m * share * (1 - share) * (totals.sum() - m) / (totals.sum() - 1)
+        np.testing.assert_array_less(np.abs(draws.mean(axis=0) - mean), 4 * np.sqrt(var / n))
+        np.testing.assert_allclose(draws.var(axis=0), var, rtol=0.03)
 
 
 class TestHolm:

@@ -170,6 +170,42 @@ class TestDispatchErrors:
         assert run("synth", "--config", cfg) == 1
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ('[{"name": "sex",', "not valid JSON"),
+            ('{"name": "sex"}', "must hold a JSON list"),
+            ('[{"name": "sex", "categories": ["f", "m"], "probs": [0.5, 0.5]}, 3]',
+             "demographic tag 1 is not a JSON object"),
+            ('[{"name": "sex", "probs": [1.0]}]', "demographic tag 0 is missing key 'categories'"),
+            ('[{"name": "sex", "categories": ["f"]}]', "demographic tag 0 is missing key 'probs'"),
+            ('[{"name": "sex", "categories": ["f"], "probs": [1.0], "weights": [1]}]',
+             "demographic tag 0 has unknown key 'weights'"),
+            ('[{"name": "sex", "categories": "fm", "probs": [1.0]}]',
+             "demographic tag 0: categories must be a JSON list"),
+            ('[{"name": "sex", "categories": ["f"], "probs": ["all"]}]',
+             "demographic tag 0: could not convert"),
+        ],
+    )
+    def test_bad_synth_demographics_file_is_an_input_error(self, tmp_path, capsys, content, named):
+        tags = tmp_path / "tags.json"
+        tags.write_text(content)
+        out = tmp_path / "world"
+        assert run("synth", "--states", 10, "--trajectories", 20, "--demographics", tags,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tags}: ") and named in err
+        assert not out.exists()
+
+    def test_synth_demographics_file_tags_every_trajectory(self, tmp_path):
+        tags = tmp_path / "tags.json"
+        tags.write_text('[{"name": "sex", "categories": ["f", "m"], "probs": [0.5, 0.5]}]')
+        out = tmp_path / "world"
+        assert run("synth", "--states", 10, "--trajectories", 20, "--demographics", tags,
+                   "--out", out) == 0
+        tset = TrajectorySet.from_csv(out / "trajectories.csv")
+        assert set(tset.demographics["sex"]) <= {"f", "m"}
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("--version")

@@ -1,0 +1,73 @@
+"""The file comparer of tools/golden.py, on two small hand-made output trees."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def write_run(root: Path, reward: str = "0.25") -> None:
+    run = root / "seed1" / "two_stage"
+    run.mkdir(parents=True)
+    (run / "rewards_stage1.json").write_text(
+        '{"n_states": 2, "rewards": [' + reward + ", -1.5]}\n"
+    )
+    (run / "tests.csv").write_text("# note\nname,statistic,p_value\nchi2,1.5,0.04\n")
+    (root / "demos").mkdir()
+    (root / "demos" / "01.txt").write_text("exit 0\nrecovered 12 of 20 states\n")
+    (root / "seed1" / "inputs").mkdir()
+    (root / "seed1" / "inputs" / "records.csv").write_text("a,b\n1,2\n")
+
+
+def test_equal_trees_are_all_identical(tmp_path):
+    write_run(tmp_path / "a")
+    write_run(tmp_path / "b")
+    summary = golden.compare_trees(tmp_path / "a", tmp_path / "b")
+    # the copied inputs are not compared
+    assert summary == {"compared": 3, "identical": 3, "differing": 0, "files": []}
+    assert golden.within(summary, rtol=0.0)
+
+
+def test_one_byte_reward_change_is_reported(tmp_path):
+    write_run(tmp_path / "a", reward="0.25")
+    write_run(tmp_path / "b", reward="0.26")
+    summary = golden.compare_trees(tmp_path / "a", tmp_path / "b")
+    assert (summary["compared"], summary["identical"], summary["differing"]) == (3, 2, 1)
+    [moved] = summary["files"]
+    assert moved["file"] == "seed1/two_stage/rewards_stage1.json"
+    assert moved["fields"] == ["rewards/0"]
+    assert not moved["text_differs"]
+    assert abs(moved["max_abs"] - 0.01) < 1e-12
+    assert abs(moved["max_rel"] - 0.01 / 0.26) < 1e-12
+    assert not golden.within(summary, rtol=0.01)
+    assert golden.within(summary, rtol=0.05)
+    json.dumps(summary)  # the report is one JSON line
+
+
+def test_text_and_missing_files_are_reported(tmp_path):
+    write_run(tmp_path / "a")
+    write_run(tmp_path / "b")
+    (tmp_path / "b" / "demos" / "01.txt").write_text("exit 1\n")
+    (tmp_path / "b" / "seed1" / "two_stage" / "tests.csv").write_text(
+        "# note\nname,statistic,p_value\nchi2,1.5,0.05\n"
+    )
+    (tmp_path / "a" / "extra.json").write_text("{}")
+    summary = golden.compare_trees(tmp_path / "a", tmp_path / "b")
+    files = {f["file"]: f for f in summary["files"]}
+    assert files["demos/01.txt"]["text_differs"]
+    assert files["extra.json"]["missing_in"] == "ref"
+    assert files["seed1/two_stage/tests.csv"]["fields"] == ["p_value"]
+    assert not golden.within(summary, rtol=1.0)
+
+
+def test_named_json_entries_are_reported_by_name(tmp_path):
+    tests = {"tests": [{"name": "chi2[sex]", "p_value": 0.5}, {"name": "anova", "p_value": 0.1}]}
+    ours = json.dumps(tests).encode()
+    tests["tests"][0]["p_value"] = 0.25
+    moved = golden.diff_file("tests.json", ours, json.dumps(tests).encode())
+    assert moved["fields"] == ["tests/chi2[sex]/p_value"]
+    assert (moved["max_abs"], moved["max_rel"]) == (0.25, 0.5)

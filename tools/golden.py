@@ -1,0 +1,310 @@
+"""Golden-run comparison of this checkout against a git ref.
+
+    python3 tools/golden.py --against <git-ref> [--rtol R] [--workdir DIR]
+
+Checks the ref out into a temporary directory with `git worktree` (a local
+checkout; nothing is fetched), runs one fixed command set in both trees at
+seeds 1 and 2, and compares every file the commands wrote. Each tree runs
+its own `src/`; the inputs (a demographic tag file and the seeded clinical
+cohort of perfbench/cohort.py) are written once and copied to both. Per seed:
+
+- the synthetic chain synth -> pipeline --world --labels -> analyze -> sweep;
+- one pipeline with --optimizer lbfgs;
+- the clinical chain ingest -> cluster -> pipeline --prepared ->
+  analyze --cluster-model;
+
+and, once per tree, the stdout of every demos/*.py. Each command's exit code
+and stdout are kept as files too, so a changed message or a failing command
+shows up as a differing file.
+
+The last line of stdout is one JSON object: the files compared, identical and
+differing, and for each differing file its largest absolute and relative
+numeric difference, whether anything other than numbers differs, and the
+CSV columns or JSON fields that moved. Exit status: 0 when every file is
+identical, or differs only in numbers within --rtol (and in the manifest
+hashes of such files); 1 otherwise; 2 when the ref cannot be checked out.
+Progress goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import math
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TAGS = [
+    {"name": "sex", "categories": ["f", "m"], "probs": [0.5, 0.5]},
+    {
+        "name": "site",
+        "categories": ["north", "south", "east"],
+        "probs": [0.5, 0.3, 0.2],
+        "corrupted_probs": [0.2, 0.3, 0.5],
+    },
+]
+SEEDS = (1, 2)
+PERMUTATIONS = ("--permutations", "2000")
+K = "40"
+
+
+def _cohort():
+    """perfbench/cohort.py, imported without writing bytecode next to it."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import cohort
+
+    return cohort
+
+
+def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
+    """(command, run directory, flags) in order; every path is relative to the seed's directory."""
+    world = ("--trajectories", "world/trajectories.csv")
+    truth = ("--world", "world/world.json", "--labels", "world/labels.csv")
+    features = ("--features", ",".join(cohort.FEATURES))
+    steps = [
+        ("synth", "world", (
+            "--states", "60", "--actions", "3", "--branching", "4", "--horizon", "12",
+            "--trajectories", "600", "--corrupted", "0.3", "--mode", "random_policy",
+            "--demographics", "inputs/tags.json",
+        )),
+        ("pipeline", "two_stage", world + truth + ("--retain", "0.5") + PERMUTATIONS),
+        ("analyze", "reports", ("--run", "two_stage") + world + PERMUTATIONS),
+        ("sweep", "sweep", world + ("--fractions", "0.2,0.5,0.8") + PERMUTATIONS),
+        ("pipeline", "lbfgs", world + ("--optimizer", "lbfgs", "--retain", "0.5") + PERMUTATIONS),
+        ("ingest", "ingest", (
+            "--records", "inputs/records.csv", "--normals", "inputs/normals.json",
+            "--bounds", "inputs/bounds.json", "--condition", "hypotension",
+            "--demographics", ",".join(cohort.DEMOGRAPHICS),
+        ) + features),
+        ("cluster", "states", ("--prepared", "ingest/prepared.csv", "--k", K) + features),
+        ("pipeline", "clinical", (
+            "--prepared", "ingest/prepared.csv", "--k", K, "--retain", "0.8",
+        ) + features + PERMUTATIONS),
+        ("analyze", "clinical_reports", (
+            "--run", "clinical", "--trajectories", "states/trajectories.csv",
+            "--cluster-model", "states/cluster_model.json", "--states", K,
+        ) + PERMUTATIONS),
+    ]
+    return [(cmd, out, flags + ("--seed", str(seed), "--out", out)) for cmd, out, flags in steps]
+
+
+def _env(tree: Path, tmp: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "CONSENSUS_IRL_OUT"}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", TMPDIR=str(tmp))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _record(path: Path, done: subprocess.CompletedProcess) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(f"exit {done.returncode}\n{done.stdout}")
+    if done.returncode != 0:
+        print(f"golden: {path.name} exited {done.returncode}:\n{done.stderr}", file=sys.stderr)
+
+
+def run_tree(tree: Path, out: Path, inputs: Path, cohort) -> None:
+    """Run the command set with tree's src/ into out/seed<S>/ and out/demos/."""
+    tmp = out / "tmp"
+    tmp.mkdir(parents=True)
+    env = _env(tree, tmp)
+    for seed in SEEDS:
+        cwd = out / f"seed{seed}"
+        shutil.copytree(inputs / f"seed{seed}", cwd / "inputs")
+        for i, (cmd, run_dir, argv) in enumerate(commands(seed, cohort)):
+            done = subprocess.run(
+                [sys.executable, "-m", "consensus_irl.cli", cmd, *argv],
+                cwd=cwd, env=env, capture_output=True, text=True,
+            )
+            _record(cwd / "commands" / f"{i:02d}_{cmd}_{run_dir}.txt", done)
+    for demo in sorted((tree / "demos").glob("*.py")):
+        done = subprocess.run(
+            [sys.executable, str(demo)], cwd=tmp, env=env, capture_output=True, text=True
+        )
+        _record(out / "demos" / f"{demo.stem}.txt", done)
+    shutil.rmtree(tmp)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def _number(token):
+    """float of a number token, or None."""
+    if isinstance(token, bool):
+        return None
+    try:
+        return float(token)
+    except (TypeError, ValueError):
+        return None
+
+
+def _json_leaves(node, path=""):
+    """(path, leaf) pairs; a list entry with a "name" is keyed by it, others by index."""
+    if isinstance(node, dict):
+        items = sorted(node.items())
+    elif isinstance(node, list):
+        items = []
+        for i, item in enumerate(node):
+            name = item.get("name") if isinstance(item, dict) else None
+            items.append((name if isinstance(name, str) else i, item))
+    else:
+        # strings in JSON are text, never numbers, so a hash stays a hash
+        yield path, node if not isinstance(node, str) else f"'{node}'"
+        return
+    for key, item in items:
+        yield from _json_leaves(item, f"{path}/{key}" if path else str(key))
+
+
+def _csv_cells(text: str):
+    rows = [row for row in csv.reader(io.StringIO(text)) if row and not row[0].startswith("#")]
+    header = rows[0] if rows else []
+    for row in rows[1:]:
+        for j, cell in enumerate(row):
+            yield (header[j] if j < len(header) else str(j)), cell
+
+
+def _text_tokens(text: str):
+    for n, line in enumerate(text.splitlines(), 1):
+        for token in re.split(r"[\s,;:=()\[\]{}]+", line):
+            if token:
+                yield f"line {n}", token
+
+
+def _fields(name: str, data: bytes) -> list:
+    text = data.decode("utf-8", errors="replace")
+    if name.endswith(".json"):
+        try:
+            return list(_json_leaves(json.loads(text)))
+        except json.JSONDecodeError:
+            pass
+    elif name.endswith(".csv"):
+        return list(_csv_cells(text))
+    return list(_text_tokens(text))
+
+
+def diff_file(name: str, ours: bytes, theirs: bytes) -> dict:
+    """Largest numeric differences of two versions of a file, and what else moved."""
+    a, b = _fields(name, ours), _fields(name, theirs)
+    report = {"file": name, "max_abs": 0.0, "max_rel": 0.0, "text_differs": False}
+    if [f for f, _ in a] != [f for f, _ in b]:
+        report["text_differs"] = True
+        report["fields"] = ["<layout>"]
+        return report
+    moved = []
+    for (field, x), (_, y) in zip(a, b):
+        if x == y:
+            continue
+        if field not in moved:
+            moved.append(field)
+        nx, ny = _number(x), _number(y)
+        if nx is None or ny is None:
+            # an artifact hash in a manifest moves with its file, which is compared itself
+            report["text_differs"] |= not field.startswith("hashes/")
+            continue
+        if nx == ny or (math.isnan(nx) and math.isnan(ny)):
+            continue
+        gap = abs(nx - ny)
+        if math.isfinite(gap):
+            rel = gap / max(abs(nx), abs(ny))
+        else:
+            gap = rel = math.inf
+        report["max_abs"] = max(report["max_abs"], gap)
+        report["max_rel"] = max(report["max_rel"], rel)
+    report["fields"] = moved
+    return report
+
+
+def _files(root: Path) -> set[str]:
+    # the inputs are copies of one set of files, so they are not compared
+    return {
+        p.relative_to(root).as_posix()
+        for p in root.rglob("*")
+        if p.is_file() and "inputs" not in p.relative_to(root).parts
+    }
+
+
+def compare_trees(ours: Path, theirs: Path) -> dict:
+    """Compare every file under two output trees but their inputs/ directories."""
+    names = sorted(_files(ours) | _files(theirs))
+    differing = []
+    for name in names:
+        a, b = ours / name, theirs / name
+        if not (a.is_file() and b.is_file()):
+            side = "ref" if a.is_file() else "checkout"
+            differing.append({"file": name, "missing_in": side, "text_differs": True})
+            continue
+        da, db = a.read_bytes(), b.read_bytes()
+        if da != db:
+            differing.append(diff_file(name, da, db))
+    return {
+        "compared": len(names),
+        "identical": len(names) - len(differing),
+        "differing": len(differing),
+        "files": differing,
+    }
+
+
+def within(summary: dict, rtol: float) -> bool:
+    return all(
+        not f["text_differs"] and f["max_rel"] <= rtol for f in summary["files"]
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, help="git ref to compare this checkout with")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest relative numeric difference that still passes")
+    parser.add_argument("--workdir", help="where to check out and run (default: a temp dir)")
+    args = parser.parse_args(argv)
+
+    work = Path(tempfile.mkdtemp(prefix="golden_", dir=args.workdir))
+    ref_tree = work / "ref_tree"
+    added = subprocess.run(
+        ["git", "-C", str(ROOT), "worktree", "add", "--detach", str(ref_tree), args.against],
+        capture_output=True, text=True,
+    )
+    if added.returncode != 0:
+        print(f"golden: cannot check out {args.against}: {added.stderr.strip()}", file=sys.stderr)
+        shutil.rmtree(work)
+        return 2
+    try:
+        cohort = _cohort()
+        inputs = work / "inputs"
+        for seed in SEEDS:
+            cohort.write_cohort(str(inputs / f"seed{seed}"), seed)
+            (inputs / f"seed{seed}" / "tags.json").write_text(json.dumps(TAGS))
+        trees = {"checkout": ROOT, "ref": ref_tree}
+        print(f"golden: running both trees in {work}", file=sys.stderr)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            jobs = [
+                pool.submit(run_tree, tree, work / name, inputs, cohort)
+                for name, tree in trees.items()
+            ]
+            for job in jobs:
+                job.result()
+        summary = {"against": args.against, **compare_trees(work / "checkout", work / "ref")}
+    finally:
+        subprocess.run(
+            ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(ref_tree)],
+            capture_output=True,
+        )
+        shutil.rmtree(work, ignore_errors=True)
+    print(json.dumps(summary, sort_keys=True))
+    return 0 if within(summary, args.rtol) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,8 +53,8 @@ def derived_vitals(bp):
 # A few cells go missing and one monitor glitch writes an impossible heart
 # rate; ingest has to absorb both.
 rng = np.random.default_rng(3)
-workdir = Path(tempfile.mkdtemp(prefix="cohort_demo_"))
-raw = workdir / "records.csv"
+workdir = tempfile.TemporaryDirectory(prefix="cohort_demo_")
+raw = Path(workdir.name) / "records.csv"
 with open(raw, "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(
@@ -101,6 +101,7 @@ print(f"wrote {raw.name}")
 
 # -------------------------------------------------------------------- ingest
 subjects = load_records_csv(raw, FEATURES, ["vasopressors", "bolus_epinephrine"], ["sex"])
+workdir.cleanup()  # the records are in memory now
 prepared, drop_report = prepare_subjects(subjects, NORMALS, BOUNDS, hypotension_codec())
 print(f"prepared {len(prepared)} subjects; outlier drops by feature: "
       f"{ {k: v for k, v in drop_report.items() if v} }")

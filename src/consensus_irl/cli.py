@@ -9,9 +9,12 @@ set a field of IrlConfig, PruneConfig or PopulationConfig take their default
 and type from that dataclass; the ingest, cluster and analyze flags that feed
 a function parameter take theirs from the function's signature.
 
-Seed derivation from the global seed S: stage-1 IRL trains with S, stage-2
-with S + 1, random pruning draws with S + 2, and permutation tests run with
-S + 3. Exit codes: 0 success, 1 input/config error, 2 numeric failure.
+Seed derivation from the global seed S: random pruning draws with S + 2 and
+permutation tests run with S + 3. The manifests also record S for stage-1 IRL
+and S + 1 for stage 2, but no fit consumes them: every fit starts from the
+same all-ones weights. Exit codes: 0 success, 1 input/config error, 2 numeric
+failure. An input file that cannot be opened or parsed is an input error
+whose message names the file.
 """
 
 from __future__ import annotations
@@ -352,14 +355,26 @@ def _write_echo_and_manifest(out, command, cfg, seeds, artifacts, **extra) -> No
     )
 
 
-def _load_trajectories(cfg) -> TrajectorySet:
-    path = cfg["trajectories"]
+def _read_input(what: str, path, read, *args, **kwargs):
+    """read(path, ...), with a file that cannot be opened or parsed reported as an InputError.
+
+    The message names the file; the package's own schema errors already start
+    with it and pass through unchanged.
+    """
     try:
-        return TrajectorySet.from_csv(
-            path, n_states=cfg.get("states"), n_actions=cfg.get("actions")
-        )
-    except OSError as exc:
-        raise InputError(f"cannot read trajectories {path}: {exc}") from exc
+        return read(path, *args, **kwargs)
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+        if isinstance(exc, InputError) and str(exc).startswith(f"{path}:"):
+            raise
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise InputError(f"cannot read {what} {path}: {reason}") from exc
+
+
+def _load_trajectories(cfg) -> TrajectorySet:
+    return _read_input(
+        "trajectories", cfg["trajectories"], TrajectorySet.from_csv,
+        n_states=cfg.get("states"), n_actions=cfg.get("actions"),
+    )
 
 
 def _irl_config(cfg) -> IrlConfig:
@@ -428,7 +443,9 @@ def _cluster(cfg, prepared, out) -> tuple[ClusterModel, TrajectorySet, dict]:
 
 
 def _load_cluster_model(cfg) -> ClusterModel | None:
-    return ClusterModel.from_json(cfg["cluster_model"]) if cfg["cluster_model"] else None
+    if not cfg["cluster_model"]:
+        return None
+    return _read_input("cluster model", cfg["cluster_model"], ClusterModel.from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +512,10 @@ def cmd_cluster(cfg) -> None:
 
 def cmd_irl(cfg) -> None:
     out = _out_dir("irl", cfg)
+    config = _irl_config(cfg)
     tset = _load_trajectories(cfg)
     transitions = estimate_transitions(tset)
-    reward = train_maxent_irl(tset, transitions, _irl_config(cfg))
+    reward = train_maxent_irl(tset, transitions, config)
     os.makedirs(out, exist_ok=True)
     reward.to_json(os.path.join(out, "rewards.json"))
     write_training_log(reward, os.path.join(out, "training_log.csv"))
@@ -521,7 +539,7 @@ def cmd_prune(cfg) -> None:
     out = _out_dir("prune", cfg)
     tset = _load_trajectories(cfg)
     transitions = estimate_transitions(tset)
-    reward = RewardModel.from_json(cfg["rewards"])
+    reward = _read_input("rewards", cfg["rewards"], RewardModel.from_json)
     policy = greedy_policy(transitions, reward)
     scores = score_trajectories(tset, transitions, reward, policy)
     retained_ids, pruned_ids = select_retained(scores, _prune_config(cfg))
@@ -636,8 +654,11 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
     """
     if bool(cfg["world"]) != bool(cfg["labels"]):
         raise InputError("--world and --labels go together: give both or neither")
+    irl_config, fractions = _irl_config(cfg), tuple(outs)
+    prune_config = _prune_config({**cfg, "retain": fractions[0]})
     if cfg["world"]:
-        world, labels = SyntheticWorld.from_json(cfg["world"]), read_labels_csv(cfg["labels"])
+        world = _read_input("world", cfg["world"], SyntheticWorld.from_json)
+        labels = _read_input("labels", cfg["labels"], read_labels_csv)
     first, *others = outs.values()
     tset, cluster_model, inputs = _pipeline_inputs(cfg, first)
     os.makedirs(first, exist_ok=True)
@@ -645,8 +666,6 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
         os.makedirs(out, exist_ok=True)
         for name in inputs:
             shutil.copyfile(os.path.join(first, name), os.path.join(out, name))
-    irl_config, fractions = _irl_config(cfg), tuple(outs)
-    prune_config = _prune_config({**cfg, "retain": fractions[0]})
     results = retention_sweep(tset, irl_config, prune_config, fractions)
     manifests = []
     for fraction, out in outs.items():
@@ -724,9 +743,10 @@ def cmd_analyze(cfg) -> None:
     if states is None:
         # the rewards span every state the run was fitted on; the trajectories
         # miss the top ids when k-means dropped the highest clusters
-        states = RewardModel.from_json(os.path.join(run, "rewards_stage1.json")).n_states
+        rewards = os.path.join(run, "rewards_stage1.json")
+        states = _read_input("rewards", rewards, RewardModel.from_json).n_states
     tset = _load_trajectories({**cfg, "states": states})
-    result = load_run_directory(run, tset)
+    result = _read_input("run", run, load_run_directory, tset)
     cluster_model = _load_cluster_model(cfg)
     os.makedirs(out, exist_ok=True)
     artifacts = _analysis_artifacts(out, tset, result, cfg, cluster_model)

@@ -3,11 +3,11 @@
 The reward is parameterized per state (one-hot features), so the feature-
 matching gradient is simply the difference between the empirical state
 visitation of the demonstrations and the visitation induced by the current
-reward. Three optimizers fit it: full-batch gradient ascent, either additive
-(SGA) or elementwise-multiplicative exponentiated (ExpSGA), both with a
-linearly decaying learning rate; or L-BFGS ("lbfgs", scipy's L-BFGS-B) on the
-exact objective J(theta) = theta . (mu_emp - d0) - d0 . V_0(theta) of
-maxent_objective, whose gradient is that same visitation difference.
+reward. Two optimizers fit it, both from the all-ones start: full-batch
+gradient ascent ("sga") with a linearly decaying learning rate, or L-BFGS
+("lbfgs", scipy's L-BFGS-B) on the exact objective
+J(theta) = theta . (mu_emp - d0) - d0 . V_0(theta) of maxent_objective, whose
+gradient is that same visitation difference.
 
 Both passes run once per epoch (Ziebart et al., AAAI 2008). The backward pass
 multiplies the dense kernel by a vector per step and takes its log-sum-exp
@@ -20,6 +20,7 @@ is imported only by the L-BFGS fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,25 +29,23 @@ from .errors import CohortEmptyError, NumericError, ParameterError
 from .mdp import RewardModel, TransitionModel
 from .trajectories import TrajectorySet
 
-OPTIMIZERS = ("sga", "expsga", "lbfgs")
-INITS = ("ones", "gaussian")
+OPTIMIZERS = ("sga", "lbfgs")
 
 
 @dataclass
 class IrlConfig:
     """Training knobs for one MaxEnt IRL stage.
 
-    horizon=None means "longest trajectory in the training set". ExpSGA
-    multiplies weights by exp(lr * grad) elementwise and therefore needs a
-    strictly positive initialization, so it is only valid with init="ones".
-    Under optimizer="lbfgs", epochs caps the L-BFGS iterations, grad_tolerance
-    is the only stopping rule and lr0 is unused.
+    Every fit starts from theta = 1 in each state. horizon=None means
+    "longest trajectory in the training set". Under optimizer="lbfgs", epochs
+    caps the L-BFGS iterations, grad_tolerance is the only stopping rule and
+    lr0 is unused. grad_tolerance=0 runs to the cap. No fit draws random
+    numbers: seed is only recorded in the reward's metadata and the manifest.
     """
 
     optimizer: str = "sga"
     lr0: float = 0.2
     epochs: int = 200
-    init: str = "ones"
     grad_tolerance: float = 1e-4
     horizon: int | None = None
     seed: int = 0
@@ -54,12 +53,12 @@ class IrlConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")
-        if self.init not in INITS:
-            raise ParameterError(f"unknown init {self.init!r}")
-        if self.optimizer == "expsga" and self.init != "ones":
-            raise ParameterError("expsga requires the all-positive 'ones' init")
-        if self.lr0 <= 0:
-            raise ParameterError("lr0 must be positive")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ParameterError(f"lr0 must be a finite positive number, got {self.lr0!r}")
+        if not (math.isfinite(self.grad_tolerance) and self.grad_tolerance >= 0):
+            raise ParameterError(
+                f"grad_tolerance must be a finite number >= 0, got {self.grad_tolerance!r}"
+            )
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
         if self.horizon is not None and self.horizon < 1:
@@ -82,24 +81,13 @@ class SoftPolicy:
         return self.probs.shape[0]
 
 
-@dataclass
-class FeatureExpectations:
-    """Per-state expected visitation mass, tagged empirical or model."""
-
-    values: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
 def _reward_vector(reward) -> np.ndarray:
     if isinstance(reward, RewardModel):
         return reward.rewards
     return np.asarray(reward, dtype=float)
 
 
-def empirical_state_visitation(trajectories: TrajectorySet, n_states=None) -> FeatureExpectations:
+def empirical_state_visitation(trajectories: TrajectorySet, n_states=None) -> np.ndarray:
     """Mean per-trajectory state visit counts (initial state plus every next state)."""
     if len(trajectories) == 0:
         raise CohortEmptyError("cannot compute visitation of an empty trajectory set")
@@ -108,7 +96,7 @@ def empirical_state_visitation(trajectories: TrajectorySet, n_states=None) -> Fe
     counts = np.bincount(trajectories.first_states, minlength=n_states) + np.bincount(
         trajectories.triples[:, 2], minlength=n_states
     )
-    return FeatureExpectations(counts / len(trajectories), "empirical")
+    return counts / len(trajectories)
 
 
 def initial_state_distribution(trajectories: TrajectorySet, n_states=None) -> np.ndarray:
@@ -166,7 +154,7 @@ def expected_state_visitation(
     policy: SoftPolicy,
     initial_distribution: np.ndarray,
     horizon: int | None = None,
-) -> FeatureExpectations:
+) -> np.ndarray:
     """Forward pass: total expected state visitation mass over t = 0..horizon.
 
     Each step is one np.bincount over the kernel's non-zeros. It adds the
@@ -192,7 +180,7 @@ def expected_state_visitation(
         flow = (d[:, None] * policy.probs[t]).ravel()
         d = np.bincount(cols, weights=flow[rows] * vals, minlength=n_states)
         total += d
-    return FeatureExpectations(total, "model")
+    return total
 
 
 def maxent_objective(transitions: TransitionModel, theta, empirical, d0, horizon: int):
@@ -207,17 +195,12 @@ def maxent_objective(transitions: TransitionModel, theta, empirical, d0, horizon
     """
     theta = np.asarray(theta, dtype=float)
     policy, v0 = _soft_backward(transitions, theta, horizon)
-    model = expected_state_visitation(transitions, SoftPolicy(policy), d0, horizon).values
+    model = expected_state_visitation(transitions, SoftPolicy(policy), d0, horizon)
     return float(theta @ (empirical - d0) - d0 @ v0), empirical - model
 
 
-def _rescale_rewards(theta: np.ndarray, optimizer: str) -> tuple[np.ndarray, str]:
-    """Affine map of the trained weights into [-1, 1]."""
-    if optimizer == "expsga":
-        lo, hi = theta.min(), theta.max()
-        if hi - lo < 1e-300:
-            return np.zeros_like(theta), "degenerate-zero"
-        return 2.0 * (theta - lo) / (hi - lo) - 1.0, "minmax"
+def _rescale_rewards(theta: np.ndarray) -> tuple[np.ndarray, str]:
+    """The trained weights divided by their largest magnitude, into [-1, 1]."""
     peak = np.abs(theta).max()
     if peak < 1e-300:
         return np.zeros_like(theta), "degenerate-zero"
@@ -225,23 +208,20 @@ def _rescale_rewards(theta: np.ndarray, optimizer: str) -> tuple[np.ndarray, str
 
 
 def _ascend(theta, empirical, d0, transitions, horizon, config):
-    """SGA / ExpSGA; returns (theta, log rows, final max|grad|, updates made)."""
+    """SGA; returns (theta, log rows, final max|grad|, updates made)."""
     log_rows = []
     grad_max = np.inf
     epochs_run = 0
     for k in range(config.epochs):
         policy = soft_backward_pass(transitions, theta, horizon)
-        model = expected_state_visitation(transitions, policy, d0, horizon).values
+        model = expected_state_visitation(transitions, policy, d0, horizon)
         grad = empirical - model
         grad_max = float(np.abs(grad).max())
         lr = config.lr0 * (1.0 - k / config.epochs)
         log_rows.append((k, grad_max, lr))
         if grad_max < config.grad_tolerance:
             break
-        if config.optimizer == "sga":
-            theta = theta + lr * grad
-        else:
-            theta = theta * np.exp(lr * grad)
+        theta = theta + lr * grad
         epochs_run = k + 1
         if not np.all(np.isfinite(theta)):
             raise NumericError(f"maxent training diverged at epoch {k}")
@@ -295,8 +275,8 @@ def train_maxent_irl(
 ) -> RewardModel:
     """Fit a per-state reward by feature matching.
 
-    The gradient is (empirical - model visitation). Under sga/expsga the step
-    size at epoch k decays linearly, eta_k = lr0 * (1 - k / epochs); under
+    Training starts from theta = 1 in every state. The gradient is
+    (empirical - model visitation). Under sga the step size at epoch k decays linearly, eta_k = lr0 * (1 - k / epochs); under
     lbfgs, L-BFGS-B maximizes maxent_objective for at most `epochs`
     iterations. Training stops early once max|grad| falls below
     config.grad_tolerance, and the metadata's `converged` says whether it did.
@@ -307,23 +287,19 @@ def train_maxent_irl(
     n_states = transitions.n_states
     horizon = config.horizon if config.horizon is not None else trajectories.max_length()
 
-    empirical = empirical_state_visitation(trajectories, n_states).values
+    empirical = empirical_state_visitation(trajectories, n_states)
     d0 = initial_state_distribution(trajectories, n_states)
 
-    if config.init == "ones":
-        theta = np.ones(n_states)
-    else:
-        theta = np.random.default_rng(config.seed).normal(0.0, 1.0, size=n_states)
-
     fit = _lbfgs if config.optimizer == "lbfgs" else _ascend
-    theta, log_rows, grad_max, epochs_run = fit(theta, empirical, d0, transitions, horizon, config)
+    theta, log_rows, grad_max, epochs_run = fit(
+        np.ones(n_states), empirical, d0, transitions, horizon, config
+    )
 
-    rewards, rescale = _rescale_rewards(theta, config.optimizer)
+    rewards, rescale = _rescale_rewards(theta)
     unvisited = np.flatnonzero(empirical == 0)
     metadata = {
         "stage": stage,
         "optimizer": config.optimizer,
-        "init": config.init,
         "lr0": config.lr0,
         "epochs_requested": config.epochs,
         "epochs_run": epochs_run,

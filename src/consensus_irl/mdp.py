@@ -57,22 +57,6 @@ class TransitionModel:
     def n_actions(self) -> int:
         return self.probs.shape[1]
 
-    def to_json(self, path) -> None:
-        payload = {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "probs": self.probs.tolist(),
-            "visit_counts": self.visit_counts.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def from_json(cls, path) -> "TransitionModel":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls(np.array(payload["probs"]), np.array(payload["visit_counts"]))
-
 
 @dataclass
 class RewardModel:
@@ -148,13 +132,6 @@ def expected_reward_table(model: TransitionModel, reward: RewardModel) -> np.nda
     if reward.n_states != model.n_states:
         raise ParameterError("reward and transition model disagree on n_states")
     return model.probs @ reward.rewards
-
-
-def expected_action_reward(s: int, a: int, model: TransitionModel, reward: RewardModel) -> float:
-    """Expected next-state reward of taking action a in state s."""
-    if not (0 <= s < model.n_states and 0 <= a < model.n_actions):
-        raise ParameterError(f"state/action ({s}, {a}) out of range")
-    return float(model.probs[s, a] @ reward.rewards)
 
 
 def greedy_policy(model: TransitionModel, reward: RewardModel) -> DeterministicPolicy:

@@ -20,11 +20,12 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
 from .analyze import reward_delta_by_state
-from .errors import CohortEmptyError
+from .errors import CohortEmptyError, SchemaError
 from .maxent import IrlConfig, train_maxent_irl, write_training_log
 from .mdp import (
     DeterministicPolicy,
@@ -83,8 +84,8 @@ def retention_sweep(
     number of steps even when pruning removes the longest trajectories. Every
     result shares the kernel, the stage-1 reward and the scores. Each stage 2
     draws its initial-state distribution from its retained set and trains
-    from a fresh initialization with seed + 1. Every fraction is checked
-    before any fitting starts.
+    from the all-ones start; its config records seed + 1. Every fraction is
+    checked before any fitting starts.
     """
     configs = {f: replace(prune_config, retain_fraction=f) for f in fractions}
     if len(trajectories) == 0:
@@ -135,12 +136,21 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
 
     Rewards, scores and the retained set are read back from the directory. The
     shared kernel is not stored, so it is estimated again from `trajectories`,
-    which must be the set the run was fitted on, and both greedy policies are
-    derived from it.
+    and both greedy policies are derived from it. `trajectories` must be the
+    set the run was fitted on: SchemaError when its ids are not those of
+    scores.csv, in the same order.
     """
     reward1 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage1.json"))
     reward2 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage2.json"))
     scores, retained_ids = read_scores_csv(os.path.join(run_dir, "scores.csv"))
+    scored = [sc.trajectory_id for sc in scores]
+    if scored != trajectories.ids:
+        pairs = list(zip_longest(trajectories.ids, scored))
+        i, (given, run) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        raise SchemaError(
+            f"{run_dir}: not the trajectories of this run: trajectory {i} is {given!r} "
+            f"but {run!r} in scores.csv ({len(trajectories)} given, {len(scored)} scored)"
+        )
     return _assemble(estimate_transitions(trajectories), reward1, reward2, scores, retained_ids)
 
 

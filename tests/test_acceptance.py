@@ -96,8 +96,8 @@ def test_criterion_01_gradient_matches_enumerated_likelihood():
 
     policy = soft_backward_pass(model, theta, horizon)
     analytic = (
-        empirical_state_visitation(ts).values
-        - expected_state_visitation(model, policy, initial_state_distribution(ts)).values
+        empirical_state_visitation(ts)
+        - expected_state_visitation(model, policy, initial_state_distribution(ts))
     )
     numeric = central_difference_gradient(
         lambda th: enumeration_objective(nxt, th, demos, horizon), theta
@@ -126,7 +126,7 @@ def test_criterion_02_visitation_matches_path_enumeration():
     arbitrary = SoftPolicy(rng.dirichlet(np.ones(n_actions), size=(horizon, n_states)))
     worst = 0.0
     for policy in (soft, arbitrary):
-        ours = expected_state_visitation(model, policy, d0).values
+        ours = expected_state_visitation(model, policy, d0)
         brute = enumeration_visitation(probs, policy.probs, d0, horizon)
         worst = max(worst, float(np.max(np.abs(ours - brute))))
 

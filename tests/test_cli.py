@@ -239,11 +239,67 @@ class TestDispatchErrors:
     def test_divergence_maps_to_exit_2(self, synth_dir, workdir, capsys):
         code = run(
             "irl", "--trajectories", synth_dir / "trajectories.csv",
-            "--optimizer", "expsga", "--lr0", 1e6, "--epochs", 80,
+            "--lr0", 1e308, "--epochs", 80,
             "--out", workdir / "diverged",
         )
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_init_flag_is_gone(self, synth_dir, tmp_path, capsys):
+        for command in ("irl", "pipeline", "sweep"):
+            code = run(command, "--trajectories", synth_dir / "trajectories.csv",
+                       "--init", "ones", "--out", tmp_path / command)
+            assert code == 1
+            assert "--init" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("irl", ("--lr0", "nan")),
+            ("irl", ("--lr0", "inf")),
+            ("irl", ("--optimizer", "lbfgs", "--grad-tolerance", "nan")),
+            ("pipeline", ("--lr0", "nan")),
+            ("pipeline", ("--grad-tolerance", "-1")),
+            ("sweep", ("--grad-tolerance", "inf")),
+        ],
+    )
+    def test_bad_training_knobs_fail_before_any_run(self, synth_dir, tmp_path, capsys,
+                                                    command, flags):
+        out = tmp_path / "out"
+        code = run(command, "--trajectories", synth_dir / "trajectories.csv", *flags,
+                   "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["world", "labels", "rewards", "cluster-model"])
+    def test_malformed_side_file_is_an_input_error(self, synth_dir, run1, tmp_path, capsys, flag):
+        trajectories = ("--trajectories", synth_dir / "trajectories.csv")
+        pipeline = ("pipeline", *trajectories, "--epochs", 5)
+        bad = tmp_path / f"bad_{flag}"
+        if flag == "world":
+            world = json.loads((synth_dir / "world.json").read_text())
+            del world["n_actions"]
+            bad.write_text(json.dumps(world))
+            argv = (*pipeline, "--world", bad, "--labels", synth_dir / "labels.csv")
+            named = "missing key 'n_actions'"
+        elif flag == "labels":
+            bad.write_text("trajectory_id,corrupted\nt0,yes\n")
+            argv = (*pipeline, "--world", synth_dir / "world.json", "--labels", bad)
+            named = "invalid literal"
+        elif flag == "rewards":
+            bad.write_text("{not json")
+            argv = ("prune", *trajectories, "--rewards", bad)
+            named = "Expecting property name"
+        else:
+            bad.write_text('{"centroids": []}')
+            argv = ("analyze", "--run", run1, *trajectories, "--cluster-model", bad)
+            named = "missing key 'feature_names'"
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and f"{bad}: " in err and named in err
+        assert not out.exists()
 
 
 class TestSynth:
@@ -531,6 +587,24 @@ class TestAnalyze:
         assert code == 0
         rows = json.loads((out / "reward_delta.json").read_text())
         assert len(rows) == 13
+
+    def test_other_trajectories_than_the_runs_are_rejected(self, run1, tmp_path, capsys):
+        """run1 was fitted on 40 trajectories; a 50-trajectory set shares its first 40 ids."""
+        more = tmp_path / "more"
+        assert run(
+            "synth", "--states", 12, "--actions", 2, "--branching", 3,
+            "--horizon", 6, "--trajectories", 50, "--seed", 3, "--out", more,
+        ) == 0
+        given = TrajectorySet.from_csv(more / "trajectories.csv").ids
+        capsys.readouterr()
+        out = tmp_path / "analysis"
+        code = run("analyze", "--run", run1, "--trajectories", more / "trajectories.csv",
+                   "--permutations", 100, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run1}: ")
+        assert f"trajectory 40 is {given[40]!r} but None in scores.csv" in err
+        assert not out.exists()
 
 
 RAW_CSV_HEADER = (

@@ -100,7 +100,7 @@ def test_kernel_matches_reference(clinical):
 def test_visitation_and_initial_distribution_match_reference(clinical):
     tset = clinical[0]
     for n_states in (N_STATES, N_STATES + 2):
-        got = empirical_state_visitation(tset, n_states).values
+        got = empirical_state_visitation(tset, n_states)
         assert np.array_equal(got, oracles.reference_state_visitation(tset, n_states))
         d0 = initial_state_distribution(tset, n_states)
         assert np.array_equal(d0, oracles.reference_initial_distribution(tset, n_states))

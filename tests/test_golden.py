@@ -71,3 +71,20 @@ def test_named_json_entries_are_reported_by_name(tmp_path):
     moved = golden.diff_file("tests.json", ours, json.dumps(tests).encode())
     assert moved["fields"] == ["tests/chi2[sex]/p_value"]
     assert (moved["max_abs"], moved["max_rel"]) == (0.25, 0.5)
+
+
+def test_removed_and_added_json_keys_are_listed_by_path(tmp_path):
+    theirs = {"metadata": {"init": "ones", "seed": 1, "stage": "stage1"}, "rewards": [0.5, -1.0]}
+    ours = {"metadata": {"seed": 1, "stage": "stage1", "tag": "x"}, "rewards": [0.25, -1.0]}
+    moved = golden.diff_file(
+        "rewards_stage1.json", json.dumps(ours).encode(), json.dumps(theirs).encode()
+    )
+    assert moved["removed"] == ["metadata/init"]
+    assert moved["added"] == ["metadata/tag"]
+    assert moved["text_differs"]
+    # the paths both sides have are still compared value by value
+    assert moved["fields"] == ["rewards/0"]
+    assert (moved["max_abs"], moved["max_rel"]) == (0.25, 0.5)
+    # a changed CSV header has no paths to list
+    table = golden.diff_file("scores.csv", b"id,C\nt0,1\n", b"id,L\nt0,1\n")
+    assert table["fields"] == ["<layout>"] and "removed" not in table

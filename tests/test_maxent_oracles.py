@@ -44,7 +44,7 @@ def _thetas(n_states, seed):
 
 def _assert_passes_match(model, trajectories, thetas, horizon=None):
     horizon = horizon or trajectories.max_length()
-    empirical = empirical_state_visitation(trajectories, model.n_states).values
+    empirical = empirical_state_visitation(trajectories, model.n_states)
     d0 = initial_state_distribution(trajectories, model.n_states)
     for theta in thetas:
         want_policy, want_v0 = oracles.reference_soft_backward(model.probs, theta, horizon)
@@ -54,7 +54,7 @@ def _assert_passes_match(model, trajectories, thetas, horizon=None):
         assert np.array_equal(policy, want_policy)
         assert np.array_equal(v0, want_v0)
         assert np.array_equal(soft_backward_pass(model, theta, horizon).probs, want_policy)
-        visits = expected_state_visitation(model, SoftPolicy(policy), d0).values
+        visits = expected_state_visitation(model, SoftPolicy(policy), d0)
         assert np.array_equal(visits, want_visits)
 
         J, grad = maxent_objective(model, theta, empirical, d0, horizon)
@@ -115,7 +115,7 @@ def test_outside_policy_visitation_matches_dense_pass(garnet, clinical):  # noqa
         policy.probs[3, : n_states // 2] = np.eye(n_actions)[0]  # deterministic rows
         d0 = initial_state_distribution(trajectories, n_states)
         for horizon in (None, 5):
-            got = expected_state_visitation(model, policy, d0, horizon).values
+            got = expected_state_visitation(model, policy, d0, horizon)
             want = oracles.reference_visitation(model.probs, policy.probs, d0, horizon or 12)
             assert np.array_equal(got, want)
 

@@ -36,10 +36,11 @@ def test_rows_sum_to_one(small_population):
     assert np.abs(sums - 1.0).max() < 1e-9
 
 
-def test_expected_action_reward_two_state(two_state):
+def test_expected_reward_table_two_state(two_state):
     transitions, reward = two_state
-    assert ci.expected_action_reward(0, 0, transitions, reward) == pytest.approx(-1.0)
-    assert ci.expected_action_reward(0, 1, transitions, reward) == pytest.approx(1.0)
+    table = ci.expected_reward_table(transitions, reward)
+    assert table[0, 0] == pytest.approx(-1.0)
+    assert table[0, 1] == pytest.approx(1.0)
 
 
 def test_expected_reward_zero_everywhere(two_state):
@@ -95,15 +96,6 @@ def test_expected_reward_linear_in_reward(small_population):
 def test_reward_range_validated():
     with pytest.raises(ci.InputError):
         ci.RewardModel(np.array([0.0, 1.5]))
-
-
-def test_transition_model_json_round_trip(tmp_path, small_population):
-    model = ci.estimate_transitions(small_population.trajectories)
-    path = tmp_path / "t.json"
-    model.to_json(path)
-    back = ci.TransitionModel.from_json(path)
-    assert np.array_equal(back.probs, model.probs)
-    assert np.array_equal(back.visit_counts, model.visit_counts)
 
 
 def test_reward_model_json_round_trip(tmp_path):

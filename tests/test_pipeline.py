@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from consensus_irl import (
     IrlConfig,
     ParameterError,
     PruneConfig,
+    SchemaError,
     TrajectorySet,
     TwoStageResult,
     estimate_transitions,
@@ -212,6 +214,20 @@ def test_run_directory_loads_back_into_the_same_result(tmp_path, quick_result):
     assert loaded.scores == result.scores
     assert np.array_equal(loaded.reward_delta, result.reward_delta)
     assert np.array_equal(loaded.policy_agreement, result.policy_agreement)
+
+
+def test_run_directory_rejects_other_trajectories(tmp_path, quick_result):
+    result, ts = quick_result
+    write_run_directory(
+        result, tmp_path, IrlConfig(epochs=25, seed=3), PruneConfig(retain_fraction=0.5),
+        trajectories=ts,
+    )
+    fewer = ts.subset(ts.ids[:-1])
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(tmp_path))}: .* {len(fewer)} is None "):
+        load_run_directory(tmp_path, fewer)
+    other = ts.subset([t for t in ts.ids if t != ts.ids[2]])
+    with pytest.raises(SchemaError, match=f"trajectory 2 is {other.ids[2]!r} but {ts.ids[2]!r}"):
+        load_run_directory(tmp_path, other)
 
 
 def test_shared_kernel_comes_from_all_trajectories(quick_result, small_population):

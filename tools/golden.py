@@ -9,6 +9,7 @@ its own `src/`; the inputs (a demographic tag file and the seeded clinical
 cohort of perfbench/cohort.py) are written once and copied to both. Per seed:
 
 - the synthetic chain synth -> pipeline --world --labels -> analyze -> sweep;
+- irl -> prune on the synthetic trajectories;
 - one pipeline with --optimizer lbfgs;
 - the clinical chain ingest -> cluster -> pipeline --prepared ->
   analyze --cluster-model;
@@ -19,8 +20,9 @@ shows up as a differing file.
 
 The last line of stdout is one JSON object: the files compared, identical and
 differing, and for each differing file its largest absolute and relative
-numeric difference, whether anything other than numbers differs, and the
-CSV columns or JSON fields that moved. Exit status: 0 when every file is
+numeric difference, whether anything other than numbers differs, the CSV
+columns or JSON fields that moved, and the JSON fields that only one side has
+("added" in this checkout, "removed" from the ref). Exit status: 0 when every file is
 identical, or differs only in numbers within --rtol (and in the manifest
 hashes of such files); 1 otherwise; 2 when the ref cannot be checked out.
 Progress goes to stderr.
@@ -78,6 +80,8 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
             "--trajectories", "600", "--corrupted", "0.3", "--mode", "random_policy",
             "--demographics", "inputs/tags.json",
         )),
+        ("irl", "irl", world),
+        ("prune", "prune", world + ("--rewards", "irl/rewards.json", "--retain", "0.5")),
         ("pipeline", "two_stage", world + truth + ("--retain", "0.5") + PERMUTATIONS),
         ("analyze", "reports", ("--run", "two_stage") + world + PERMUTATIONS),
         ("sweep", "sweep", world + ("--fractions", "0.2,0.5,0.8") + PERMUTATIONS),
@@ -182,26 +186,37 @@ def _text_tokens(text: str):
                 yield f"line {n}", token
 
 
-def _fields(name: str, data: bytes) -> list:
+def _fields(name: str, data: bytes) -> tuple[list, bool]:
+    """(field, token) pairs of a file, and whether they are the leaves of a JSON document."""
     text = data.decode("utf-8", errors="replace")
     if name.endswith(".json"):
         try:
-            return list(_json_leaves(json.loads(text)))
+            return list(_json_leaves(json.loads(text))), True
         except json.JSONDecodeError:
             pass
     elif name.endswith(".csv"):
-        return list(_csv_cells(text))
-    return list(_text_tokens(text))
+        return list(_csv_cells(text)), False
+    return list(_text_tokens(text)), False
 
 
 def diff_file(name: str, ours: bytes, theirs: bytes) -> dict:
-    """Largest numeric differences of two versions of a file, and what else moved."""
-    a, b = _fields(name, ours), _fields(name, theirs)
+    """Largest numeric differences of two versions of a file, and what else moved.
+
+    Two JSON documents are compared on the paths both have, and the paths only
+    one has are listed; any other change of layout is reported as "<layout>".
+    """
+    (a, json_a), (b, json_b) = _fields(name, ours), _fields(name, theirs)
     report = {"file": name, "max_abs": 0.0, "max_rel": 0.0, "text_differs": False}
     if [f for f, _ in a] != [f for f, _ in b]:
         report["text_differs"] = True
-        report["fields"] = ["<layout>"]
-        return report
+        if not (json_a and json_b):
+            report["fields"] = ["<layout>"]
+            return report
+        paths_a, paths_b = dict(a), dict(b)
+        report["added"] = [f for f, _ in a if f not in paths_b]
+        report["removed"] = [f for f, _ in b if f not in paths_a]
+        a = [(f, x) for f, x in a if f in paths_b]
+        b = [(f, paths_b[f]) for f, _ in a]
     moved = []
     for (field, x), (_, y) in zip(a, b):
         if x == y:

@@ -8,6 +8,8 @@ records, a synthetic ground-truth generator for quantitative validation, and
 permutation-based disparity reports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analyze import (
     ClusterReport,
     PairwiseResult,
@@ -97,76 +99,9 @@ from .synth import (
 from .trajectories import Trajectory, TrajectorySet
 from .version import __version__
 
-__all__ = [
-    "ActionCodec",
-    "ClusterModel",
-    "ClusterReport",
-    "CohortEmptyError",
-    "DemographicTag",
-    "DeterministicPolicy",
-    "InputError",
-    "IrlConfig",
-    "LabeledPopulation",
-    "NumericError",
-    "PairwiseResult",
-    "ParameterError",
-    "PopulationConfig",
-    "PruneConfig",
-    "RewardModel",
-    "SchemaError",
-    "SoftPolicy",
-    "SubjectRecords",
-    "SyntheticWorld",
-    "TestResult",
-    "Trajectory",
-    "TrajectoryScore",
-    "TrajectorySet",
-    "TransitionModel",
-    "TwoStageResult",
-    "__version__",
-    "anova_f_statistic",
-    "assign_states",
-    "build_trajectory_set",
-    "chi_squared_statistic",
-    "cluster_report",
-    "empirical_state_visitation",
-    "encode_actions",
-    "end_state_deciles",
-    "estimate_transitions",
-    "evaluate_recovery",
-    "expected_reward_table",
-    "expected_state_visitation",
-    "filter_outliers",
-    "finite_horizon_values",
-    "fit_state_space",
-    "generate_population",
-    "generate_world",
-    "greedy_policy",
-    "holm_correction",
-    "hypotension_codec",
-    "impute_series",
-    "initial_state_distribution",
-    "load_run_directory",
-    "maxent_objective",
-    "pairwise_permutation_tests",
-    "per_trajectory_reward_delta",
-    "permutation_anova",
-    "permutation_chi2",
-    "policy_value",
-    "read_scores_csv",
-    "regroup_demographics",
-    "retention_sweep",
-    "reward_delta_by_state",
-    "run_two_stage",
-    "score_deviation",
-    "score_likelihood",
-    "score_trajectories",
-    "select_retained",
-    "sepsis_codec",
-    "soft_backward_pass",
-    "test_pruning_uniformity",
-    "test_reward_loss_disparity",
-    "train_maxent_irl",
-    "write_run_directory",
-    "write_scores_csv",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not isinstance(value, _ModuleType) and (name == "__version__" or name[0] != "_")
+)

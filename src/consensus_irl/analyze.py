@@ -16,6 +16,11 @@ those counts from their exact permutation distribution, the multivariate
 hypergeometric given the table margins, and shuffles no row; its blocks draw
 the stream exactly as one draw per permutation does. Either way the block
 size changes no p-value.
+
+A p-value depends only on its seed, the statistic and the values, so each
+one is a self-contained job. test_reward_loss_disparity runs the ANOVA and
+pairwise tests of one attribute as parallel jobs, one forked worker per CPU
+the process may use, and the worker count changes no p-value.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,6 +323,112 @@ def _monte_carlo_p(batch_stat, x, observed, n_permutations: int, rng) -> float:
     return (1 + hits) / (1 + n_permutations)
 
 
+class _PermutationJob(NamedTuple):
+    """One Monte Carlo p-value and everything it depends on.
+
+    stat maps a block of permuted rows of values to one statistic per row,
+    and the permutations come from the stream seeded by seed alone. So a
+    job's p-value is the same whichever process evaluates it, and in
+    whatever order next to other jobs.
+    """
+
+    stat: Callable[[np.ndarray], np.ndarray]
+    values: np.ndarray
+    observed: float
+    n_permutations: int
+    seed: int | np.random.SeedSequence
+
+    def p_value(self) -> float:
+        rng = np.random.default_rng(self.seed)
+        return _monte_carlo_p(self.stat, self.values, self.observed, self.n_permutations, rng)
+
+
+def _checked_values(values, labels, n_permutations: int):
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    if values.shape != labels.shape:
+        raise ParameterError("values and labels must have equal length")
+    _check_permutations(n_permutations)
+    return values, labels
+
+
+def _anova_job(values, labels, n_permutations: int, seed):
+    """The permutation ANOVA's job, and its (label, size) groups."""
+    values, labels = _checked_values(values, labels, n_permutations)
+    cats, codes = np.unique(labels, return_inverse=True)
+    if len(cats) < 2:
+        raise ParameterError("need at least two groups")
+    codes, values = _canonical_order(codes, values)
+    sizes = np.bincount(codes, minlength=len(cats))
+    stat = partial(_anova_f_rows, sizes=sizes)
+    observed = float(stat(values[None])[0])
+    groups = [(str(c), int(s)) for c, s in zip(cats, sizes)]
+    return _PermutationJob(stat, values, observed, n_permutations, seed), groups
+
+
+def _pairwise_jobs(values, labels, n_permutations: int, seed):
+    """One job per pair of groups, and each pair's (a, b, mean a - mean b).
+
+    The pairs are the sorted labels' pairs in order, and each job draws from
+    its own child of SeedSequence(seed).
+    """
+    values, labels = _checked_values(values, labels, n_permutations)
+    cats = sorted(np.unique(labels).tolist())
+    pairs = [(a, b) for i, a in enumerate(cats) for b in cats[i + 1 :]]
+    seeds = np.random.SeedSequence(seed).spawn(len(pairs))
+    differences, jobs = [], []
+    for (a, b), ss in zip(pairs, seeds):
+        va = np.sort(values[labels == a])
+        vb = np.sort(values[labels == b])
+        difference = va.mean() - vb.mean()
+        differences.append((a, b, difference))
+        stat = partial(_mean_gap_rows, n_first=len(va))
+        pooled = np.concatenate([va, vb])
+        jobs.append(_PermutationJob(stat, pooled, abs(difference), n_permutations, ss))
+    return differences, jobs
+
+
+def _pairwise_results(differences, p_values) -> list[PairwiseResult]:
+    adjusted = holm_correction(p_values)
+    return [
+        PairwiseResult(str(a), str(b), float(d), float(p), float(ph))
+        for (a, b, d), p, ph in zip(differences, p_values, adjusted)
+    ]
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _p_values(jobs: list[_PermutationJob]) -> list[float]:
+    """Every job's p-value, in order, from one forked worker per usable CPU.
+
+    The largest jobs are submitted first, so a small one finishes last. With
+    one CPU, or where fork is not available, the same jobs run inline. The
+    pool's modules are imported here so that importing the package does not
+    pay for them.
+    """
+    workers = min(_worker_count(), len(jobs))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # not spawn: a spawned worker imports numpy and this package
+            # again, which costs about what the parallel tests save
+            context = multiprocessing.get_context("fork")
+            largest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i].values.size)
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = {i: pool.submit(jobs[i].p_value) for i in largest_first}
+                return [futures[i].result() for i in range(len(jobs))]
+    return [job.p_value() for job in jobs]
+
+
 def _flagged_count_blocks(totals, m: int, n_permutations: int, seed: int):
     """Per-group flagged counts of n_permutations permuted flag columns, in blocks.
 
@@ -373,21 +487,8 @@ def permutation_anova(
     values, labels, n_permutations: int = 10_000, seed: int = 0, name: str = "anova"
 ) -> TestResult:
     """One-way ANOVA with a Monte Carlo permutation p-value."""
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels)
-    if values.shape != labels.shape:
-        raise ParameterError("values and labels must have equal length")
-    _check_permutations(n_permutations)
-    cats, codes = np.unique(labels, return_inverse=True)
-    if len(cats) < 2:
-        raise ParameterError("need at least two groups")
-    codes, values = _canonical_order(codes, values)
-    sizes = np.bincount(codes, minlength=len(cats))
-    stat = partial(_anova_f_rows, sizes=sizes)
-    observed = float(stat(values[None])[0])
-    p = _monte_carlo_p(stat, values, observed, n_permutations, np.random.default_rng(seed))
-    groups = [(str(c), int(s)) for c, s in zip(cats, sizes)]
-    return TestResult(name, observed, float(p), n_permutations, seed, groups)
+    job, groups = _anova_job(values, labels, n_permutations, seed)
+    return TestResult(name, job.observed, job.p_value(), n_permutations, seed, groups)
 
 
 def holm_correction(p_values: list[float]) -> list[float]:
@@ -406,32 +507,8 @@ def pairwise_permutation_tests(
     values, labels, n_permutations: int = 10_000, seed: int = 0
 ) -> list[PairwiseResult]:
     """Two-sided two-sample permutation tests for every pair of groups."""
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels)
-    if values.shape != labels.shape:
-        raise ParameterError("values and labels must have equal length")
-    _check_permutations(n_permutations)
-    cats = sorted(np.unique(labels).tolist())
-    pairs = [(a, b) for i, a in enumerate(cats) for b in cats[i + 1 :]]
-    seeds = np.random.SeedSequence(seed).spawn(len(pairs))
-    raw = []
-    for (a, b), ss in zip(pairs, seeds):
-        va = np.sort(values[labels == a])
-        vb = np.sort(values[labels == b])
-        observed = abs(va.mean() - vb.mean())
-        p = _monte_carlo_p(
-            partial(_mean_gap_rows, n_first=len(va)),
-            np.concatenate([va, vb]),
-            observed,
-            n_permutations,
-            np.random.default_rng(ss),
-        )
-        raw.append((a, b, va.mean() - vb.mean(), p))
-    adjusted = holm_correction([r[3] for r in raw])
-    return [
-        PairwiseResult(str(a), str(b), float(d), float(p), float(ph))
-        for (a, b, d, p), ph in zip(raw, adjusted)
-    ]
+    pairs, jobs = _pairwise_jobs(values, labels, n_permutations, seed)
+    return _pairwise_results(pairs, [job.p_value() for job in jobs])
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +579,9 @@ def test_reward_loss_disparity(
     Omnibus: one-way ANOVA with permutation p. Posthoc: pairwise two-sample
     permutation tests, Holm-corrected. Groups with fewer than two members
     are dropped with a warning. Pass retained_ids to restrict the population
-    to retained trajectories; the default uses every trajectory.
+    to retained trajectories; the default uses every trajectory. All the
+    p-values are computed as parallel jobs, and equal what permutation_anova
+    and pairwise_permutation_tests return for the same values and labels.
     """
     subset = trajectories
     if retained_ids is not None:
@@ -520,17 +599,12 @@ def test_reward_loss_disparity(
         labels, values = labels[keep], values[keep]
     if len(np.unique(labels)) < 2:
         raise ParameterError("need at least two groups with >= 2 members")
-    omnibus = permutation_anova(
-        values,
-        labels,
-        n_permutations=n_permutations,
-        seed=seed,
-        name=f"reward_loss_disparity[{attribute}]",
-    )
-    posthoc = pairwise_permutation_tests(
-        values, labels, n_permutations=n_permutations, seed=seed
-    )
-    return omnibus, posthoc
+    anova, groups = _anova_job(values, labels, n_permutations, seed)
+    pairs, pair_jobs = _pairwise_jobs(values, labels, n_permutations, seed)
+    p_anova, *p_pairs = _p_values([anova, *pair_jobs])
+    name = f"reward_loss_disparity[{attribute}]"
+    omnibus = TestResult(name, anova.observed, p_anova, n_permutations, seed, groups)
+    return omnibus, _pairwise_results(pairs, p_pairs)
 
 
 # ---------------------------------------------------------------------------

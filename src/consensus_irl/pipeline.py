@@ -138,7 +138,8 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
     shared kernel is not stored, so it is estimated again from `trajectories`,
     and both greedy policies are derived from it. `trajectories` must be the
     set the run was fitted on: SchemaError when its ids are not those of
-    scores.csv, in the same order.
+    scores.csv, in the same order, or when a trajectory's stage-1 end-state
+    reward is not exactly the one scores.csv holds for it.
     """
     reward1 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage1.json"))
     reward2 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage2.json"))
@@ -150,6 +151,17 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
         raise SchemaError(
             f"{run_dir}: not the trajectories of this run: trajectory {i} is {given!r} "
             f"but {run!r} in scores.csv ({len(trajectories)} given, {len(scored)} scored)"
+        )
+    trajectories.require_space(reward1.n_states, error=SchemaError)
+    given = reward1.rewards[trajectories.end_states]
+    stored = np.array([sc.end_state_reward for sc in scores])
+    differ = np.flatnonzero(given != stored)
+    if differ.size:
+        i = differ[0]
+        raise SchemaError(
+            f"{run_dir}: not the trajectories of this run: trajectory {trajectories.ids[i]!r} "
+            f"ends where the stage-1 reward is {float(given[i])!r}, "
+            f"but {float(stored[i])!r} in scores.csv"
         )
     return _assemble(estimate_transitions(trajectories), reward1, reward2, scores, retained_ids)
 

@@ -35,6 +35,7 @@ from consensus_irl import (
 
 # aliased so pytest does not try to collect the package's analysis entry points
 from consensus_irl import test_pruning_uniformity as pruning_uniformity
+from consensus_irl import analyze
 from consensus_irl import test_reward_loss_disparity as reward_loss_disparity
 from consensus_irl.analyze import (
     _BLOCK_VALUES,
@@ -647,6 +648,28 @@ class TestDisparity:
             tset, r1, r2, "sex", n_permutations=200, seed=0, retained_ids=keep
         )
         assert dict(omnibus.groups) == {"f": 8, "m": 8}
+
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_changes_no_result(self, monkeypatch, workers):
+        """Inline or on a pool, the tests equal the one-permutation-at-a-time oracles."""
+        rng = np.random.default_rng(8)
+        sites = rng.choice(["a", "b", "c", "d"], size=41)
+        trajs = []
+        for i, site in enumerate(sites):
+            path = rng.integers(0, 5, size=int(rng.integers(2, 6))).tolist()
+            triples = [(s, 0, sp) for s, sp in zip(path, path[1:])]
+            trajs.append(Trajectory(f"t{i:03d}", triples, demographics={"site": str(site)}))
+        tset = TrajectorySet(trajs, 5, 1)
+        r1, r2 = (RewardModel(rng.uniform(-1, 1, size=5)) for _ in range(2))
+        values = [per_trajectory_reward_delta(tr, r1, r2) for tr in tset]
+        monkeypatch.setattr(analyze, "_worker_count", lambda: workers)
+        omnibus, posthoc = reward_loss_disparity(tset, r1, r2, "site", n_permutations=300, seed=3)
+        assert omnibus == reference_permutation_anova(
+            values, sites, 300, 3, name="reward_loss_disparity[site]"
+        )
+        assert posthoc == reference_pairwise_permutation_tests(values, sites, 300, 3)
+        assert len(posthoc) == 6
 
 
 class TestRewardDeltaRows:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -16,14 +17,25 @@ from consensus_irl.pipeline import sha256_file
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported by the commands that use it, not at start-up."""
+    """scipy and the worker pool's modules are imported where they are used, not at start-up."""
     src = os.path.dirname(os.path.dirname(consensus_irl.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, consensus_irl.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, consensus_irl.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_exported_names_resolve_and_are_not_submodules():
+    exported = consensus_irl.__all__
+    assert len(set(exported)) == len(exported)
+    assert {"__version__", "TrajectorySet", "test_reward_loss_disparity"} <= set(exported)
+    for name in exported:
+        assert not isinstance(getattr(consensus_irl, name), types.ModuleType), name
 
 
 def run(*argv):
@@ -605,6 +617,66 @@ class TestAnalyze:
         assert err.startswith(f"error: {run1}: ")
         assert f"trajectory 40 is {given[40]!r} but None in scores.csv" in err
         assert not out.exists()
+
+    def test_same_ids_with_other_end_states_are_rejected(self, run1, synth_dir, tmp_path,
+                                                         capsys):
+        """A set drawn with another seed has run1's ids but ends in other states."""
+        other = tmp_path / "other"
+        assert run(
+            "synth", "--states", 12, "--actions", 2, "--branching", 3,
+            "--horizon", 6, "--trajectories", 40, "--seed", 4, "--out", other,
+        ) == 0
+        given = TrajectorySet.from_csv(other / "trajectories.csv")
+        assert given.ids == TrajectorySet.from_csv(synth_dir / "trajectories.csv").ids
+        capsys.readouterr()
+        out = tmp_path / "analysis"
+        code = run("analyze", "--run", run1, "--trajectories", other / "trajectories.csv",
+                   "--permutations", 100, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run1}: not the trajectories of this run: trajectory ")
+        assert "stage-1 reward" in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and at least 2 CPUs",
+    )
+    def test_tests_json_does_not_depend_on_cpu_count(self, tmp_path):
+        """The disparity tests give the same bytes on one CPU as on all of them."""
+        tagged = tmp_path / "tagged"
+        tags = tmp_path / "tags.json"
+        tags.write_text(json.dumps([
+            {"name": "site", "categories": ["n", "s", "e"], "probs": [0.5, 0.3, 0.2]},
+        ]))
+        assert run(
+            "synth", "--states", 12, "--actions", 2, "--branching", 3, "--horizon", 6,
+            "--trajectories", 60, "--seed", 5, "--demographics", tags, "--out", tagged,
+        ) == 0
+        fitted = tmp_path / "run"
+        assert run(
+            "pipeline", "--trajectories", tagged / "trajectories.csv", "--epochs", 20,
+            "--permutations", 50, "--out", fitted,
+        ) == 0
+        src = os.path.dirname(os.path.dirname(consensus_irl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def analyze_tests_json(out, preexec_fn=None):
+            argv = [
+                sys.executable, "-m", "consensus_irl.cli", "analyze", "--run", str(fitted),
+                "--trajectories", str(tagged / "trajectories.csv"),
+                "--permutations", "3000", "--out", str(out),
+            ]
+            subprocess.run(argv, env=env, preexec_fn=preexec_fn, capture_output=True,
+                           check=True, timeout=300)
+            return (out / "tests.json").read_bytes()
+
+        def pin_to_one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        one_cpu = analyze_tests_json(tmp_path / "one", preexec_fn=pin_to_one_cpu)
+        assert one_cpu == analyze_tests_json(tmp_path / "all")
+        assert b"reward_loss_disparity[site]" in one_cpu
 
 
 RAW_CSV_HEADER = (

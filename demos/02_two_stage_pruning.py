@@ -34,10 +34,10 @@ result = run_two_stage(
 # C = exp(-L) is 1.0 for perfectly consensus-consistent behavior and decays
 # with the mean per-step expected-reward gap. Corrupted trajectories should
 # sit visibly lower.
-c_good = [sc.C for sc in result.scores if not population.corrupted[sc.trajectory_id]]
-c_bad = [sc.C for sc in result.scores if population.corrupted[sc.trajectory_id]]
+bad = np.array([population.corrupted[tid] for tid in result.scores.ids])
+c_good, c_bad = result.scores.C[~bad], result.scores.C[bad]
 print(f"\nmean deviation score C: competent {np.mean(c_good):.4f}, corrupted {np.mean(c_bad):.4f}")
-print(f"retained {len(result.retained_ids)}, pruned {len(result.pruned_ids)}")
+print(f"retained {result.retained.sum()}, pruned {(~result.retained).sum()}")
 
 # --------------------------------------------------------- recovery metrics
 metrics = evaluate_recovery(world, result, population.corrupted)

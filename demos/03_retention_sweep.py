@@ -31,7 +31,7 @@ results = retention_sweep(
 print("fraction  retained  prune recall  spearman2   EVD2   policy agreement")
 for f, result in results.items():
     metrics = evaluate_recovery(world, result, population.corrupted)
-    print(f"{f:8.1f}{len(result.retained_ids):10d}"
+    print(f"{f:8.1f}{result.retained.sum():10d}"
           f"{metrics['prune_recall']:14.3f}"
           f"{metrics['spearman_stage2']:+11.3f}"
           f"{metrics['evd_stage2']:7.3f}"

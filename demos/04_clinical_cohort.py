@@ -127,8 +127,9 @@ result = run_two_stage(
     IrlConfig(epochs=200, lr0=0.3, seed=0),
     PruneConfig(retain_fraction=0.8),
 )
-pruned_kinds = sorted(arm(int(tid[1:])) for tid in result.pruned_ids)
-print(f"retained {len(result.retained_ids)} of {len(trajectories)} trajectories; "
+pruned = np.array(result.scores.ids)[~result.retained]
+pruned_kinds = sorted(arm(int(tid[1:])) for tid in pruned)
+print(f"retained {result.retained.sum()} of {len(trajectories)} trajectories; "
       f"pruned arms: {pruned_kinds}")
 print("state rewards (stage 2):",
       np.array2string(result.reward_stage2.rewards, precision=2))

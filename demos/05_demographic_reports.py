@@ -35,11 +35,11 @@ result = run_two_stage(
     IrlConfig(epochs=250, lr0=0.5, seed=0),
     PruneConfig(retain_fraction=0.6),
 )
-print(f"pruned {len(result.pruned_ids)} of {len(population.trajectories)} trajectories")
+print(f"pruned {(~result.retained).sum()} of {len(population.trajectories)} trajectories")
 
 # ------------------------------------------- is pruning demographically flat?
 uniformity = [
-    test_pruning_uniformity(population.trajectories, result.retained_ids, attr,
+    test_pruning_uniformity(population.trajectories, result.retained, attr,
                             n_permutations=5000, seed=1)
     for attr in ("sex", "age_band")
 ]

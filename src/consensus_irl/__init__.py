@@ -77,10 +77,8 @@ from .pipeline import (
 )
 from .prune import (
     PruneConfig,
-    TrajectoryScore,
+    TrajectoryScores,
     read_scores_csv,
-    score_deviation,
-    score_likelihood,
     score_trajectories,
     select_retained,
     write_scores_csv,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mdp import RewardModel
-from .prune import TrajectoryScore
+from .prune import TrajectoryScores
 from .trajectories import TrajectorySet
 
 PERMUTATION_NOTE = (
@@ -152,17 +152,16 @@ def write_cluster_report_csv(report: ClusterReport, path) -> None:
 # consensus-score deciles
 
 
-def end_state_deciles(scores: list[TrajectoryScore]) -> list[dict]:
+def end_state_deciles(scores: TrajectoryScores) -> list[dict]:
     """Mean end-state reward per consensus-score decile.
 
-    Trajectories are ranked by C ascending (worst consensus first) and split
-    into ten buckets whose sizes differ by at most one; bucket i covers the
-    percentile band [10i, 10(i+1)).
+    Trajectories are ranked by C ascending (worst consensus first, ties by
+    id) and split into ten buckets whose sizes differ by at most one; bucket
+    i covers the percentile band [10i, 10(i+1)).
     """
     if len(scores) < 10:
         raise ParameterError("need at least 10 scored trajectories for deciles")
-    ranked = sorted(scores, key=lambda sc: (sc.C, sc.trajectory_id))
-    rewards = np.array([sc.end_state_reward for sc in ranked])
+    rewards = scores.end_state_reward[np.lexsort((np.array(scores.ids), scores.C))]
     rows = []
     for i, bucket in enumerate(np.array_split(rewards, 10)):
         rows.append(
@@ -532,18 +531,19 @@ def _attribute_labels(trajectories: TrajectorySet, attribute: str) -> np.ndarray
 
 def test_pruning_uniformity(
     trajectories: TrajectorySet,
-    retained_ids,
+    retained,
     attribute: str,
     n_permutations: int = 10_000,
     seed: int = 0,
 ) -> TestResult:
     """Is being pruned independent of a demographic attribute?
 
+    retained is the bool mask of the retained trajectories, in set order.
     Builds the attribute x {pruned, retained} contingency table and tests
     independence by permutation chi-squared.
     """
     labels = _attribute_labels(trajectories, attribute)
-    pruned = (~trajectories.mask(retained_ids)).astype(int)
+    pruned = (~trajectories.require_mask(retained)).astype(int)
     return permutation_chi2(
         labels,
         pruned,
@@ -571,21 +571,22 @@ def test_reward_loss_disparity(
     attribute: str,
     n_permutations: int = 10_000,
     seed: int = 0,
-    retained_ids=None,
+    retained=None,
 ) -> tuple[TestResult, list[PairwiseResult]]:
     """Does the stage-2 vs stage-1 reward change differ across groups?
 
     The per-trajectory effect is the mean over steps of R2(s') - R1(s').
     Omnibus: one-way ANOVA with permutation p. Posthoc: pairwise two-sample
     permutation tests, Holm-corrected. Groups with fewer than two members
-    are dropped with a warning. Pass retained_ids to restrict the population
-    to retained trajectories; the default uses every trajectory. All the
-    p-values are computed as parallel jobs, and equal what permutation_anova
-    and pairwise_permutation_tests return for the same values and labels.
+    are dropped with a warning. Pass the bool mask `retained` (in set order)
+    to restrict the population to retained trajectories; the default uses
+    every trajectory. All the p-values are computed as parallel jobs, and
+    equal what permutation_anova and pairwise_permutation_tests return for
+    the same values and labels.
     """
     subset = trajectories
-    if retained_ids is not None:
-        subset = trajectories.subset(retained_ids)
+    if retained is not None:
+        subset = trajectories.subset(retained)
     labels = _attribute_labels(subset, attribute)
     values = _reward_deltas(subset, reward1, reward2)
     cats, counts = np.unique(labels, return_counts=True)

@@ -542,20 +542,37 @@ def cmd_prune(cfg) -> None:
     reward = _read_input("rewards", cfg["rewards"], RewardModel.from_json)
     policy = greedy_policy(transitions, reward)
     scores = score_trajectories(tset, transitions, reward, policy)
-    retained_ids, pruned_ids = select_retained(scores, _prune_config(cfg))
+    retained = select_retained(scores, _prune_config(cfg))
+    n_retained = int(retained.sum())
     os.makedirs(out, exist_ok=True)
-    write_scores_csv(scores, retained_ids, os.path.join(out, "scores.csv"), tset)
-    tset.subset(retained_ids).to_csv(os.path.join(out, "retained.csv"))
+    write_scores_csv(scores, retained, os.path.join(out, "scores.csv"), tset)
+    tset.subset(retained).to_csv(os.path.join(out, "retained.csv"))
     _write_echo_and_manifest(
         out,
         "prune",
         cfg,
         {"prune": cfg["seed"] + 2},
         ["scores.csv", "retained.csv"],
-        n_retained=len(retained_ids),
-        n_pruned=len(pruned_ids),
+        n_retained=n_retained,
+        n_pruned=len(scores) - n_retained,
     )
-    print(f"prune: retained {len(retained_ids)}/{len(scores)} to {out}")
+    print(f"prune: retained {n_retained}/{len(scores)} to {out}")
+
+
+def _attributes(cfg, tset: TrajectorySet) -> list[str]:
+    """The attributes to test: --attributes, each a tag of the set or died_in_hospital.
+
+    Without --attributes, every tag and died_in_hospital.
+    """
+    known = tset.demographic_tags() + ["died_in_hospital"]
+    attributes = _as_list(cfg["attributes"]) or known
+    unknown = [a for a in attributes if a not in known]
+    if unknown:
+        raise InputError(
+            f"--attributes {','.join(unknown)}: not a tag of the trajectories "
+            f"(known: {','.join(known)})"
+        )
+    return attributes
 
 
 def _analysis_artifacts(
@@ -578,16 +595,13 @@ def _analysis_artifacts(
         write_deciles_csv(deciles, os.path.join(out, "deciles.csv"))
         artifacts.append("deciles.csv")
 
-    attributes = _as_list(cfg["attributes"])
-    if not attributes:
-        attributes = tset.demographic_tags() + ["died_in_hospital"]
     omnibus = []
     posthoc = {}
-    for attribute in attributes:
+    for attribute in _attributes(cfg, tset):
         try:
             omnibus.append(
                 test_pruning_uniformity(
-                    tset, result.retained_ids, attribute,
+                    tset, result.retained, attribute,
                     n_permutations=n_perm, seed=test_seed,
                 )
             )
@@ -656,11 +670,27 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
         raise InputError("--world and --labels go together: give both or neither")
     irl_config, fractions = _irl_config(cfg), tuple(outs)
     prune_config = _prune_config({**cfg, "retain": fractions[0]})
+    space = {}  # with a world, the trajectories are read in its space
     if cfg["world"]:
         world = _read_input("world", cfg["world"], SyntheticWorld.from_json)
         labels = _read_input("labels", cfg["labels"], read_labels_csv)
+        space = {"states": world.n_states, "actions": world.n_actions}
+        for flag, size in space.items():
+            if cfg[flag] not in (None, size):
+                raise InputError(f"--{flag} {cfg[flag]} disagrees with the world's {size}")
     first, *others = outs.values()
-    tset, cluster_model, inputs = _pipeline_inputs(cfg, first)
+    tset, cluster_model, inputs = _pipeline_inputs({**cfg, **space}, first)
+    if space:  # the ground truth must describe exactly these trajectories
+        if (tset.n_states, tset.n_actions) != tuple(space.values()):
+            raise InputError("the trajectories and the world differ in states or actions")
+        unlabelled, strangers = set(tset.ids) - set(labels), set(labels) - set(tset.ids)
+        if unlabelled or strangers:
+            raise InputError(
+                f"{cfg['labels']}: the labels must name exactly the trajectories' ids "
+                f"({len(unlabelled)} trajectories unlabelled, "
+                f"{len(strangers)} labels of no trajectory)"
+            )
+    _attributes(cfg, tset)  # an unknown name fails here, before any fitting
     os.makedirs(first, exist_ok=True)
     for out in others:
         os.makedirs(out, exist_ok=True)
@@ -748,6 +778,7 @@ def cmd_analyze(cfg) -> None:
     tset = _load_trajectories({**cfg, "states": states})
     result = _read_input("run", run, load_run_directory, tset)
     cluster_model = _load_cluster_model(cfg)
+    _attributes(cfg, tset)
     os.makedirs(out, exist_ok=True)
     artifacts = _analysis_artifacts(out, tset, result, cfg, cluster_model)
     write_json(os.path.join(out, "reward_delta.json"), reward_delta_by_state(result))

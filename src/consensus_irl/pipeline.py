@@ -9,7 +9,8 @@ starve rarely-taken actions. That choice is recorded in the run manifest.
 
 retention_sweep is the one prune-and-refit loop: it fits stage 1 once and
 refits stage 2 once per retention fraction. run_two_stage is its
-one-fraction case.
+one-fraction case. A result holds the stage-1 scores as columns and the
+retained set as one bool mask, both in the order of the fitted trajectories.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .mdp import (
 )
 from .prune import (
     PruneConfig,
-    TrajectoryScore,
+    TrajectoryScores,
     read_scores_csv,
     score_trajectories,
     select_retained,
@@ -48,16 +49,18 @@ from .version import __version__
 
 @dataclass
 class TwoStageResult:
-    """Everything both stages produced, plus the per-state comparison."""
+    """Everything both stages produced, plus the per-state comparison.
+
+    scores and the retained mask are in the order of the fitted trajectories.
+    """
 
     transitions: TransitionModel
     reward_stage1: RewardModel
     reward_stage2: RewardModel
     policy_stage1: DeterministicPolicy
     policy_stage2: DeterministicPolicy
-    scores: list[TrajectoryScore]
-    retained_ids: list[str]
-    pruned_ids: list[str]
+    scores: TrajectoryScores
+    retained: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -99,10 +102,10 @@ def retention_sweep(
     cfg2 = replace(cfg1, seed=cfg1.seed + 1)
     results = {}
     for f, config in configs.items():
-        retained_ids, _ = select_retained(scores, config)
-        retained = trajectories.subset(retained_ids)
-        reward2 = train_maxent_irl(retained, transitions, cfg2, stage="stage2")
-        results[f] = _assemble(transitions, reward1, reward2, scores, retained_ids)
+        retained = select_retained(scores, config)
+        kept = trajectories.subset(retained)
+        reward2 = train_maxent_irl(kept, transitions, cfg2, stage="stage2")
+        results[f] = _assemble(transitions, reward1, reward2, scores, retained)
     return results
 
 
@@ -116,19 +119,10 @@ def run_two_stage(
     return retention_sweep(trajectories, irl_config, prune_config, (f,))[f]
 
 
-def _assemble(transitions, reward1, reward2, scores, retained_ids) -> TwoStageResult:
-    """The result of one fit: greedy policies on the shared kernel, pruned ids from the scores."""
-    retained = set(retained_ids)
-    return TwoStageResult(
-        transitions=transitions,
-        reward_stage1=reward1,
-        reward_stage2=reward2,
-        policy_stage1=greedy_policy(transitions, reward1),
-        policy_stage2=greedy_policy(transitions, reward2),
-        scores=scores,
-        retained_ids=retained_ids,
-        pruned_ids=[sc.trajectory_id for sc in scores if sc.trajectory_id not in retained],
-    )
+def _assemble(transitions, reward1, reward2, scores, retained) -> TwoStageResult:
+    """The result of one fit, with both greedy policies on the shared kernel."""
+    policies = (greedy_policy(transitions, reward1), greedy_policy(transitions, reward2))
+    return TwoStageResult(transitions, reward1, reward2, *policies, scores, retained)
 
 
 def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
@@ -143,18 +137,17 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
     """
     reward1 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage1.json"))
     reward2 = RewardModel.from_json(os.path.join(run_dir, "rewards_stage2.json"))
-    scores, retained_ids = read_scores_csv(os.path.join(run_dir, "scores.csv"))
-    scored = [sc.trajectory_id for sc in scores]
-    if scored != trajectories.ids:
-        pairs = list(zip_longest(trajectories.ids, scored))
+    scores, retained = read_scores_csv(os.path.join(run_dir, "scores.csv"))
+    if scores.ids != trajectories.ids:
+        pairs = list(zip_longest(trajectories.ids, scores.ids))
         i, (given, run) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
         raise SchemaError(
             f"{run_dir}: not the trajectories of this run: trajectory {i} is {given!r} "
-            f"but {run!r} in scores.csv ({len(trajectories)} given, {len(scored)} scored)"
+            f"but {run!r} in scores.csv ({len(trajectories)} given, {len(scores)} scored)"
         )
     trajectories.require_space(reward1.n_states, error=SchemaError)
     given = reward1.rewards[trajectories.end_states]
-    stored = np.array([sc.end_state_reward for sc in scores])
+    stored = scores.end_state_reward
     differ = np.flatnonzero(given != stored)
     if differ.size:
         i = differ[0]
@@ -163,7 +156,7 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
             f"ends where the stage-1 reward is {float(given[i])!r}, "
             f"but {float(stored[i])!r} in scores.csv"
         )
-    return _assemble(estimate_transitions(trajectories), reward1, reward2, scores, retained_ids)
+    return _assemble(estimate_transitions(trajectories), reward1, reward2, scores, retained)
 
 
 def write_reward_delta_csv(result: TwoStageResult, path) -> None:
@@ -224,7 +217,7 @@ def write_run_directory(
     out_dir,
     irl_config: IrlConfig,
     prune_config: PruneConfig,
-    trajectories: TrajectorySet | None = None,
+    trajectories: TrajectorySet,
     extra_manifest: dict | None = None,
     config_json: dict | None = None,
     extra_artifacts: list | None = None,
@@ -247,10 +240,7 @@ def write_run_directory(
     result.reward_stage1.to_json(os.path.join(out_dir, "rewards_stage1.json"))
     result.reward_stage2.to_json(os.path.join(out_dir, "rewards_stage2.json"))
     write_scores_csv(
-        result.scores,
-        result.retained_ids,
-        os.path.join(out_dir, "scores.csv"),
-        trajectories=trajectories,
+        result.scores, result.retained, os.path.join(out_dir, "scores.csv"), trajectories
     )
     write_reward_delta_csv(result, os.path.join(out_dir, "reward_delta.csv"))
     write_training_log(result.reward_stage1, os.path.join(out_dir, "training_log_stage1.csv"))
@@ -274,7 +264,7 @@ def write_run_directory(
         },
         "transition_kernel": "estimated once from all trajectories and shared by both stages",
         "n_trajectories": len(result.scores),
-        "n_retained": len(result.retained_ids),
-        "n_pruned": len(result.pruned_ids),
+        "n_retained": int(result.retained.sum()),
+        "n_pruned": int((~result.retained).sum()),
         **(extra_manifest or {}),
     })

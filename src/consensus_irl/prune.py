@@ -1,6 +1,8 @@
 """Trajectory scoring against the consensus policy and retained-set selection.
 
-Each trajectory gets three scores against the stage-1 consensus:
+score_trajectories scores every trajectory of a set against the stage-1
+consensus and returns the scores as columns, one entry per trajectory in the
+set's order:
   L  - mean expected reward loss: the per-step average gap between the
        greedy action's expected reward and the taken action's,
   C  - deviation score, the geometric mean of exp(r_sel - r_opt) per step,
@@ -9,8 +11,10 @@ Each trajectory gets three scores against the stage-1 consensus:
        contribute nothing, so a fully off-policy trajectory scores 0, the
        maximum; that known quirk is preserved as defined and flagged).
 
-Selection keeps the top ceil(f*N) by C (deviation), everything above a
-log-likelihood cutoff (likelihood), or a seeded uniform sample (random).
+select_retained returns the retained set as one boolean mask in that same
+order. It keeps the top ceil(f*N) by C, ties broken by id (deviation),
+everything above a log-likelihood cutoff (likelihood), or a seeded uniform
+sample drawn over the id-sorted order (random).
 """
 
 from __future__ import annotations
@@ -23,19 +27,37 @@ import numpy as np
 
 from .errors import CohortEmptyError, ParameterError
 from .mdp import DeterministicPolicy, RewardModel, TransitionModel, expected_reward_table
-from .trajectories import Trajectory, TrajectorySet
+from .trajectories import TrajectorySet
 
 METHODS = ("deviation", "likelihood", "random")
 
 
-@dataclass
-class TrajectoryScore:
-    trajectory_id: str
-    L: float
-    C: float
-    log_likelihood: float
-    end_state_reward: float
-    fully_off_policy: bool = False
+@dataclass(eq=False)
+class TrajectoryScores:
+    """The scores of a set's trajectories as columns, in the set's order.
+
+    L, C, log_likelihood and end_state_reward are float64 arrays and
+    fully_off_policy a bool array, each with one entry per id.
+    """
+
+    ids: list[str]
+    L: np.ndarray
+    C: np.ndarray
+    log_likelihood: np.ndarray
+    end_state_reward: np.ndarray
+    fully_off_policy: np.ndarray
+
+    def __post_init__(self):
+        self.ids = list(self.ids)
+        for name in ("L", "C", "log_likelihood", "end_state_reward", "fully_off_policy"):
+            kind = bool if name == "fully_off_policy" else float
+            column = np.asarray(getattr(self, name), dtype=kind)
+            if column.shape != (len(self.ids),):
+                raise ParameterError(f"scores column {name} must hold one value per id")
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -71,44 +93,13 @@ class PruneConfig:
             raise ParameterError("likelihood_threshold must be a positive probability")
 
 
-def score_deviation(
-    trajectory: Trajectory,
-    transitions: TransitionModel,
-    reward: RewardModel,
-    policy: DeterministicPolicy,
-) -> TrajectoryScore:
-    """Score one trajectory's per-step deviation from the greedy consensus.
-
-    Per step t: r_opt = E(s_t, policy(s_t)), r_sel = E(s_t, a_t).
-    L = mean(r_opt - r_sel); C = exp(mean(r_sel - r_opt)) = exp(-L).
-    The end-state reward is R at the trajectory's final next state.
-    """
-    return score_trajectories(_set_of_one(trajectory, transitions), transitions, reward, policy)[0]
-
-
-def score_likelihood(
-    trajectory: Trajectory,
-    policy: DeterministicPolicy,
-    transitions: TransitionModel,
-) -> float:
-    """Sum of log P(s,a,s') over exactly the steps where a matches the policy.
+def _log_likelihoods(trajectories, policy, transitions):
+    """(log-likelihood of the on-policy steps, no on-policy step) per trajectory of the set.
 
     A zero-probability on-policy transition yields -inf. A trajectory with no
-    on-policy steps returns 0.0 (the empty product), emulating the indicator
+    on-policy steps gets 0.0 (the empty product), emulating the indicator
     formula as written.
     """
-    log_likelihood, _ = _log_likelihoods(_set_of_one(trajectory, transitions), policy, transitions)
-    return float(log_likelihood[0])
-
-
-def _set_of_one(trajectory: Trajectory, transitions: TransitionModel) -> TrajectorySet:
-    if len(trajectory) == 0:
-        raise ParameterError(f"trajectory {trajectory.id} has no steps")
-    return TrajectorySet([trajectory], transitions.n_states, transitions.n_actions)
-
-
-def _log_likelihoods(trajectories, policy, transitions):
-    """(score_likelihood, no on-policy step) per trajectory of the set."""
     s, a, sp = trajectories.triples.T
     on_policy = policy.actions[s] == a
     with np.errstate(divide="ignore"):
@@ -122,41 +113,37 @@ def score_trajectories(
     transitions: TransitionModel,
     reward: RewardModel,
     policy: DeterministicPolicy,
-) -> list[TrajectoryScore]:
-    """Deviation and likelihood scores for every trajectory in the set (see score_deviation)."""
+) -> TrajectoryScores:
+    """Deviation and likelihood scores of every trajectory in the set, as columns.
+
+    Per step t: r_opt = E(s_t, policy(s_t)), r_sel = E(s_t, a_t).
+    L = mean(r_opt - r_sel); C = exp(mean(r_sel - r_opt)) = exp(-L), taken
+    with math.exp per trajectory (np.exp rounds some values differently).
+    The end-state reward is R at the trajectory's final next state.
+    """
     table = expected_reward_table(transitions, reward)
     s, a = trajectories.triples[:, 0], trajectories.triples[:, 1]
     loss = trajectories.reduce_steps(table[s, policy.actions[s]] - table[s, a], np.mean)
     log_likelihood, off_policy = _log_likelihoods(trajectories, policy, transitions)
+    C = np.fromiter(map(math.exp, (-loss).tolist()), dtype=float, count=len(loss))
     end_reward = reward.rewards[trajectories.end_states]
-    return [
-        TrajectoryScore(tid, L, math.exp(-L), ll, end, off)
-        for tid, L, ll, end, off in zip(
-            trajectories.ids,
-            loss.tolist(),
-            log_likelihood.tolist(),
-            end_reward.tolist(),
-            off_policy.tolist(),
-        )
-    ]
+    return TrajectoryScores(trajectories.ids, loss, C, log_likelihood, end_reward, off_policy)
 
 
-def select_retained(
-    scores: list[TrajectoryScore], config: PruneConfig
-) -> tuple[list[str], list[str]]:
-    """Partition trajectory ids into (retained, pruned) per the configured method."""
-    if not scores:
-        raise CohortEmptyError("no scores to select from")
+def select_retained(scores: TrajectoryScores, config: PruneConfig) -> np.ndarray:
+    """The retained set per the configured method, as a bool mask in the order of scores."""
     n = len(scores)
+    if n == 0:
+        raise CohortEmptyError("no scores to select from")
+    k = math.ceil(config.retain_fraction * n)
+    retained = np.zeros(n, dtype=bool)
     if config.method == "deviation":
-        ranked = sorted(scores, key=lambda sc: (-sc.C, sc.trajectory_id))
-        k = math.ceil(config.retain_fraction * n)
-        retained = {sc.trajectory_id for sc in ranked[:k]}
+        # highest C first, ties by id
+        retained[np.lexsort((np.array(scores.ids), -scores.C))[:k]] = True
     elif config.method == "likelihood":
         # -inf scores are mapped onto the most negative finite float so the
         # linear-interpolation percentile stays well defined
-        sentinel = np.finfo(float).min
-        lls = np.array([max(sc.log_likelihood, sentinel) for sc in scores])
+        lls = np.maximum(scores.log_likelihood, np.finfo(float).min)
         if config.likelihood_threshold is not None:
             cutoff = math.log(config.likelihood_threshold)
         else:
@@ -164,84 +151,57 @@ def select_retained(
             if p is None:
                 p = 100.0 * config.retain_fraction
             cutoff = float(np.percentile(lls, 100.0 - p))
-        retained = {
-            sc.trajectory_id for sc, ll in zip(scores, lls) if ll >= cutoff
-        }
+        retained = lls >= cutoff
     else:
         rng = np.random.default_rng(config.seed)
-        k = math.ceil(config.retain_fraction * n)
-        ids = sorted(sc.trajectory_id for sc in scores)
-        picked = rng.choice(n, size=k, replace=False)
-        retained = {ids[i] for i in picked}
-    if not retained:
+        by_id = np.argsort(np.array(scores.ids))
+        retained[by_id[rng.choice(n, size=k, replace=False)]] = True
+    if not retained.any():
         raise CohortEmptyError("selection retained zero trajectories")
-    retained_ids = [sc.trajectory_id for sc in scores if sc.trajectory_id in retained]
-    pruned_ids = [sc.trajectory_id for sc in scores if sc.trajectory_id not in retained]
-    return retained_ids, pruned_ids
+    return retained
 
 
-def read_scores_csv(path) -> tuple[list[TrajectoryScore], list[str]]:
-    """Inverse of write_scores_csv: (scores, retained ids), extras ignored."""
-    scores = []
-    retained = []
+def read_scores_csv(path) -> tuple[TrajectoryScores, np.ndarray]:
+    """Inverse of write_scores_csv: (scores, retained mask), extras ignored.
+
+    A flag cell is set when its integer is not 0, as bool(int(cell)).
+    """
+    kinds = {"trajectory_id": str, "L": float, "C": float, "log_likelihood": float,
+             "end_state_reward": float, "fully_off_policy": int, "retained": int}
+    columns = {name: [] for name in kinds}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            sc = TrajectoryScore(
-                trajectory_id=row["trajectory_id"],
-                L=float(row["L"]),
-                C=float(row["C"]),
-                log_likelihood=float(row["log_likelihood"]),
-                end_state_reward=float(row["end_state_reward"]),
-                fully_off_policy=bool(int(row["fully_off_policy"])),
-            )
-            scores.append(sc)
-            if int(row["retained"]):
-                retained.append(sc.trajectory_id)
-    return scores, retained
+        for row in csv.DictReader(fh):
+            for name, kind in kinds.items():
+                columns[name].append(kind(row[name]))
+    retained = np.array(columns.pop("retained"), dtype=bool)
+    return TrajectoryScores(ids=columns.pop("trajectory_id"), **columns), retained
 
 
 def write_scores_csv(
-    scores: list[TrajectoryScore],
-    retained_ids,
-    path,
-    trajectories: TrajectorySet | None = None,
+    scores: TrajectoryScores, retained, path, trajectories: TrajectorySet
 ) -> None:
-    """Scores CSV with a retained flag; demographic tags copied through when available."""
-    retained = set(retained_ids)
-    tags = trajectories.demographic_tags() if trajectories is not None else []
-    row_of = {}
-    if trajectories is not None:
-        row_of = dict(zip(trajectories.ids, range(len(trajectories))))
+    """Scores CSV with a retained flag, the set's demographic tags and death flag.
+
+    scores and the retained mask are in the order of `trajectories`, the set
+    that was scored.
+    """
+    if scores.ids != trajectories.ids:
+        raise ParameterError("scores are not those of the given trajectories, in order")
+    retained = trajectories.require_mask(retained)
+    tags = trajectories.demographic_tags()
+    columns = [
+        scores.ids,
+        *(map(repr, column.tolist())
+          for column in (scores.L, scores.C, scores.log_likelihood, scores.end_state_reward)),
+        retained.astype(int).tolist(),
+        scores.fully_off_policy.astype(int).tolist(),
+        # csv writes a missing tag (None) as an empty cell
+        *(trajectories.demographics[t].tolist() for t in tags),
+        trajectories.died_in_hospital.astype(int).tolist(),
+    ]
+    header = ["trajectory_id", "L", "C", "log_likelihood", "end_state_reward", "retained",
+              "fully_off_policy", *tags, "died_in_hospital"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = [
-            "trajectory_id",
-            "L",
-            "C",
-            "log_likelihood",
-            "end_state_reward",
-            "retained",
-            "fully_off_policy",
-        ] + tags
-        if trajectories is not None:
-            header.append("died_in_hospital")
         writer.writerow(header)
-        for sc in scores:
-            row = [
-                sc.trajectory_id,
-                repr(sc.L),
-                repr(sc.C),
-                repr(sc.log_likelihood),
-                repr(sc.end_state_reward),
-                int(sc.trajectory_id in retained),
-                int(sc.fully_off_policy),
-            ]
-            i = row_of.get(sc.trajectory_id)
-            if i is None:
-                row += [""] * len(tags)
-            else:  # csv writes a missing tag (None) as an empty cell
-                row += [trajectories.demographics[t][i] for t in tags]
-            if trajectories is not None:
-                row.append(0 if i is None else int(trajectories.died_in_hospital[i]))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

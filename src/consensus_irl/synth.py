@@ -189,9 +189,15 @@ class LabeledPopulation:
 
 
 def read_labels_csv(path) -> dict[str, bool]:
+    """{trajectory id: corrupted}; every corrupted cell must be 0 or 1."""
+    labels = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return {row["trajectory_id"]: bool(int(row["corrupted"])) for row in reader}
+        for row in csv.DictReader(fh):
+            tid, flag = row["trajectory_id"], int(row["corrupted"])
+            if flag not in (0, 1):
+                raise SchemaError(f"{path}: trajectory {tid}: corrupted {flag} is not 0 or 1")
+            labels[tid] = bool(flag)
+    return labels
 
 
 def generate_world(
@@ -385,7 +391,8 @@ def evaluate_recovery(world: SyntheticWorld, result, labels: dict[str, bool]) ->
     is turned into a policy by finite-horizon planning under the true kernel,
     agreement is the per-state match of that plan with the true optimal
     policy, and EVD is the true-reward value it gives up. Precision/recall of
-    the pruned set are measured against the corruption labels.
+    the pruned set are measured against the corruption labels of the scored
+    trajectories; labels must name every one of them.
     """
     if result.reward_stage1.n_states != world.n_states:
         raise ParameterError("result and world disagree on n_states")
@@ -402,11 +409,11 @@ def evaluate_recovery(world: SyntheticWorld, result, labels: dict[str, bool]) ->
     s1, a1, e1 = stage_metrics(result.reward_stage1)
     s2, a2, e2 = stage_metrics(result.reward_stage2)
 
-    pruned = set(result.pruned_ids)
-    corrupted = {tid for tid, bad in labels.items() if bad}
-    hit = len(pruned & corrupted)
-    precision = hit / len(pruned) if pruned else float("nan")
-    recall = hit / len(corrupted) if corrupted else float("nan")
+    pruned = ~result.retained
+    corrupted = np.array([labels[t] for t in result.scores.ids], dtype=bool)
+    hit, n_pruned, n_corrupted = (int(m.sum()) for m in (pruned & corrupted, pruned, corrupted))
+    precision = hit / n_pruned if n_pruned else float("nan")
+    recall = hit / n_corrupted if n_corrupted else float("nan")
     return {
         "spearman_stage1": s1,
         "spearman_stage2": s2,

@@ -15,8 +15,11 @@ values (pairwise summation, same blocking): the results are bit-identical to
 np.sum / np.mean over each trajectory's slice. np.add.reduceat over the flat
 array adds in another order and differs in the last bits.
 
-Indexing or iterating a set yields Trajectory views of its columns. On disk a
-set is a CSV with one row per step, tags and the death flag on every row.
+Indexing or iterating a set yields Trajectory views of its columns. A
+selection of trajectories, such as the retained set of a prune, is a bool
+mask with one entry per trajectory in set order, and subset keeps where it is
+True. On disk a set is a CSV with one row per step, tags and the death flag
+on every row.
 """
 
 from __future__ import annotations
@@ -198,21 +201,22 @@ class TrajectorySet:
             out[rows] = reduce(values[offsets[rows, None] + np.arange(length)], axis=1)
         return out
 
-    def mask(self, ids) -> np.ndarray:
-        """Boolean mask of the trajectories whose id is among `ids`."""
-        keep = set(ids)
-        return np.fromiter((t in keep for t in self.ids), dtype=bool, count=len(self))
+    def require_mask(self, keep) -> np.ndarray:
+        """`keep` as a bool array with one entry per trajectory; ParameterError otherwise."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self),):
+            raise ParameterError(
+                f"a trajectory mask must be {len(self)} bools, got {keep.dtype} {keep.shape}"
+            )
+        return keep
 
-    def subset(self, ids) -> "TrajectorySet":
-        """Sub-collection restricted to the given ids, original order kept."""
-        unknown = set(ids) - set(self.ids)
-        if unknown:
-            raise SchemaError(f"unknown trajectory ids: {sorted(unknown)[:5]}")
-        keep = self.mask(ids)
+    def subset(self, keep) -> "TrajectorySet":
+        """The trajectories where the bool mask `keep` is True, original order kept."""
+        keep = self.require_mask(keep)
         return TrajectorySet.from_columns(
             self.triples[np.repeat(keep, self.lengths)],
             self.lengths[keep],
-            [t for t, k in zip(self.ids, keep) if k],
+            [t for t, k in zip(self.ids, keep.tolist()) if k],
             self.n_states,
             self.n_actions,
             {t: col[keep] for t, col in self.demographics.items()},

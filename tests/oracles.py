@@ -330,14 +330,52 @@ def reference_scores(trajectories, probs, rewards, policy_actions) -> list[tuple
     return rows
 
 
-def reference_reward_delta(trajectory, rewards1, rewards2) -> float:
-    sp = trajectory.triples[:, 2]
-    return float(np.mean(rewards2[sp] - rewards1[sp]))
+def reference_select_retained(scores, config) -> tuple[list[str], list[str]]:
+    """The id-list selection: (retained ids, pruned ids), each in the order of scores.
+
+    Deviation ranks by sorted(key=(-C, id)), likelihood keeps the ids whose
+    log-likelihood (floored at the most negative float) reaches the cutoff,
+    and random draws rng.choice over the sorted ids.
+    """
+    rows = list(zip(scores.ids, scores.C.tolist(), scores.log_likelihood.tolist()))
+    if not rows:
+        raise CohortEmptyError("no scores to select from")
+    n = len(rows)
+    if config.method == "deviation":
+        ranked = sorted(rows, key=lambda row: (-row[1], row[0]))
+        retained = {tid for tid, _, _ in ranked[: math.ceil(config.retain_fraction * n)]}
+    elif config.method == "likelihood":
+        sentinel = np.finfo(float).min
+        lls = np.array([max(ll, sentinel) for _, _, ll in rows])
+        if config.likelihood_threshold is not None:
+            cutoff = math.log(config.likelihood_threshold)
+        else:
+            p = config.likelihood_percentile
+            if p is None:
+                p = 100.0 * config.retain_fraction
+            cutoff = float(np.percentile(lls, 100.0 - p))
+        retained = {row[0] for row, ll in zip(rows, lls) if ll >= cutoff}
+    else:
+        rng = np.random.default_rng(config.seed)
+        ids = sorted(tid for tid, _, _ in rows)
+        picked = rng.choice(n, size=math.ceil(config.retain_fraction * n), replace=False)
+        retained = {ids[i] for i in picked}
+    if not retained:
+        raise CohortEmptyError("selection retained zero trajectories")
+    return (
+        [tid for tid, _, _ in rows if tid in retained],
+        [tid for tid, _, _ in rows if tid not in retained],
+    )
 
 
 def reference_subset(trajectories, ids) -> list:
     keep = set(ids)
     return [tr for tr in trajectories if tr.id in keep]
+
+
+def reference_reward_delta(trajectory, rewards1, rewards2) -> float:
+    sp = trajectory.triples[:, 2]
+    return float(np.mean(rewards2[sp] - rewards1[sp]))
 
 
 def reference_population(world, config):

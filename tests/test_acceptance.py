@@ -20,7 +20,7 @@ from consensus_irl import (
     PruneConfig,
     RewardModel,
     Trajectory,
-    TrajectoryScore,
+    TrajectoryScores,
     TrajectorySet,
     TransitionModel,
     empirical_state_visitation,
@@ -36,8 +36,6 @@ from consensus_irl import (
     permutation_anova,
     permutation_chi2,
     run_two_stage,
-    score_deviation,
-    score_likelihood,
     score_trajectories,
     select_retained,
     soft_backward_pass,
@@ -79,8 +77,15 @@ def corrupted_setting(i):
 
 
 def prune_recall(scores, corrupted, config):
-    _, pruned = select_retained(scores, config)
-    return len(set(pruned) & corrupted) / len(corrupted)
+    pruned = {tid for tid, kept in zip(scores.ids, select_retained(scores, config)) if not kept}
+    return len(pruned & corrupted) / len(corrupted)
+
+
+def score_one(trajectory, kernel, reward, policy):
+    """score_trajectories on the one-trajectory set of `trajectory`: (L, C, ll, off-policy)."""
+    one = TrajectorySet([trajectory], kernel.n_states, kernel.n_actions)
+    sc = score_trajectories(one, kernel, reward, policy)
+    return sc.L[0], sc.C[0], sc.log_likelihood[0], sc.fully_off_policy[0]
 
 
 def test_criterion_01_gradient_matches_enumerated_likelihood():
@@ -158,8 +163,8 @@ def test_criterion_03_score_identities():
             nxt = int(rng.choice(n_states, p=probs[s, a]))
             triples.append((s, int(a), nxt))
             s = nxt
-        sc = score_deviation(Trajectory(f"r{i}", triples), kernel, reward, policy)
-        worst_identity = max(worst_identity, abs(sc.C - math.exp(-sc.L)))
+        L, C, _, _ = score_one(Trajectory(f"r{i}", triples), kernel, reward, policy)
+        worst_identity = max(worst_identity, abs(C - math.exp(-L)))
 
     on_policy_exact = True
     decreases = 0
@@ -173,15 +178,15 @@ def test_criterion_03_score_identities():
             nxt = int(rng.choice(n_states, p=probs[s, a]))
             triples.append((s, a, nxt))
             s = nxt
-        base = score_deviation(Trajectory(f"p{i}", triples), kernel, reward, policy)
-        on_policy_exact &= base.L == 0.0 and base.C == 1.0
+        base_L, base_C, _, _ = score_one(Trajectory(f"p{i}", triples), kernel, reward, policy)
+        on_policy_exact &= base_L == 0.0 and base_C == 1.0
 
         j = int(rng.integers(length))
         s_j, _, nxt_j = triples[j]
         bent = list(triples)
         bent[j] = (s_j, int(np.argmin(table[s_j])), nxt_j)
-        sub = score_deviation(Trajectory(f"s{i}", bent), kernel, reward, policy)
-        decreases += sub.C < base.C
+        _, sub_C, _, _ = score_one(Trajectory(f"s{i}", bent), kernel, reward, policy)
+        decreases += sub_C < base_C
 
     ok = worst_identity <= 1e-9 and on_policy_exact and decreases == n_sub
     report(
@@ -293,7 +298,8 @@ def test_criterion_06_full_retention_reduces_to_single_stage():
     bitwise = result.reward_stage1.rewards.tobytes() == result.reward_stage2.rewards.tobytes()
     policies = np.array_equal(result.policy_stage1.actions, result.policy_stage2.actions)
 
-    ok = bitwise and policies and not result.pruned_ids
+    n_pruned = int((~result.retained).sum())
+    ok = bitwise and policies and n_pruned == 0
     report(
         6,
         ok,
@@ -301,7 +307,7 @@ def test_criterion_06_full_retention_reduces_to_single_stage():
         "nothing pruned"
         if ok
         else f"retain fraction 1.0 failed to reproduce stage 1 (bitwise={bitwise}, "
-        f"policies={policies}, pruned={len(result.pruned_ids)})",
+        f"policies={policies}, pruned={n_pruned})",
     )
     assert ok
 
@@ -415,28 +421,25 @@ def test_criterion_10_likelihood_hand_examples_and_cutoffs(two_state):
     kernel = TransitionModel(probs, np.zeros((2, 1), dtype=int))
     reward = RewardModel(np.array([0.0, 1.0]))
     policy = greedy_policy(kernel, reward)
-    ll = score_likelihood(Trajectory("t", [[0, 0, 0], [0, 0, 1]]), policy, kernel)
+    _, _, ll, _ = score_one(Trajectory("t", [[0, 0, 0], [0, 0, 1]]), kernel, reward, policy)
     quarter_exact = ll == math.log(0.25)
 
     kernel2, reward2 = two_state
     policy2 = greedy_policy(kernel2, reward2)
     off = Trajectory("off", [[0, 0, 0], [0, 0, 0]])  # action 0 self-loops; policy wants 1
-    sc_off = score_deviation(off, kernel2, reward2, policy2)
-    anomaly_ok = score_likelihood(off, policy2, kernel2) == 0.0 and sc_off.fully_off_policy
+    _, _, ll_off, off_policy = score_one(off, kernel2, reward2, policy2)
+    anomaly_ok = ll_off == 0.0 and off_policy
 
-    scores = [
-        TrajectoryScore("a", 0.0, 1.0, -1.0, 0.0),
-        TrajectoryScore("b", 0.0, 1.0, -2.0, 0.0),
-        TrajectoryScore("c", 0.0, 1.0, -3.0, 0.0),
-        TrajectoryScore("d", 0.0, 1.0, -4.0, 0.0),
-    ]
-    retained_p, pruned_p = select_retained(
-        scores, PruneConfig(method="likelihood", likelihood_percentile=50)
+    ids = ["a", "b", "c", "d"]
+    scores = TrajectoryScores(
+        ids, np.zeros(4), np.ones(4), [-1.0, -2.0, -3.0, -4.0], np.zeros(4), np.zeros(4, bool)
     )
+    kept_p = select_retained(scores, PruneConfig(method="likelihood", likelihood_percentile=50))
+    retained_p = [t for t, k in zip(ids, kept_p) if k]
+    pruned_p = [t for t, k in zip(ids, kept_p) if not k]
     percentile_ok = retained_p == ["a", "b"] and pruned_p == ["c", "d"]
-    retained_t, _ = select_retained(
-        scores, PruneConfig(method="likelihood", likelihood_threshold=0.2)
-    )
+    kept_t = select_retained(scores, PruneConfig(method="likelihood", likelihood_threshold=0.2))
+    retained_t = [t for t, k in zip(ids, kept_t) if k]
     threshold_ok = retained_t == ["a"]
 
     ok = quarter_exact and anomaly_ok and percentile_ok and threshold_ok

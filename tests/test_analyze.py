@@ -16,7 +16,7 @@ from consensus_irl import (
     PruneConfig,
     RewardModel,
     Trajectory,
-    TrajectoryScore,
+    TrajectoryScores,
     TrajectorySet,
     anova_f_statistic,
     chi_squared_statistic,
@@ -126,16 +126,15 @@ class TestClusterReport:
 
 
 def make_scores(c_values, end_rewards):
-    return [
-        TrajectoryScore(
-            trajectory_id=f"t{i:03d}",
-            L=-float(np.log(c)),
-            C=float(c),
-            log_likelihood=0.0,
-            end_state_reward=float(r),
-        )
-        for i, (c, r) in enumerate(zip(c_values, end_rewards))
-    ]
+    C, n = np.asarray(c_values, dtype=float), len(c_values)
+    return TrajectoryScores(
+        ids=[f"t{i:03d}" for i in range(n)],
+        L=-np.log(C),
+        C=C,
+        log_likelihood=np.zeros(n),
+        end_state_reward=np.asarray(list(end_rewards), dtype=float),
+        fully_off_policy=np.zeros(n, dtype=bool),
+    )
 
 
 class TestDeciles:
@@ -573,9 +572,8 @@ def labelled_set(group_sizes, end_states, n_states=4):
 class TestDisparity:
     def test_uniform_pruning_is_null(self):
         tset = labelled_set({"f": 20, "m": 20}, {"f": 1, "m": 2})
-        ids = [tr.id for tr in tset]
         # retain exactly half of each group
-        retained = ids[:10] + ids[20:30]
+        retained = np.isin(np.arange(40), [*range(10), *range(20, 30)])
         res = pruning_uniformity(tset, retained, "sex", n_permutations=500, seed=0)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
@@ -583,14 +581,14 @@ class TestDisparity:
 
     def test_skewed_pruning_detected(self):
         tset = labelled_set({"f": 20, "m": 20}, {"f": 1, "m": 2})
-        retained = [tr.id for tr in tset if tr.demographics["sex"] == "m"]
+        retained = tset.demographics["sex"] == "m"
         res = pruning_uniformity(tset, retained, "sex", n_permutations=2000, seed=0)
         assert res.p_value == res.p_floor
         assert res.name == "pruning_uniformity[sex]"
 
     def test_mortality_axis_supported(self):
         tset = labelled_set({"f": 10, "m": 10}, {"f": 0, "m": 2})
-        retained = [tr.id for tr in tset][5:15]
+        retained = np.isin(np.arange(20), range(5, 15))
         res = pruning_uniformity(
             tset, retained, "died_in_hospital", n_permutations=200, seed=0
         )
@@ -599,7 +597,7 @@ class TestDisparity:
     def test_missing_attribute_named(self):
         tset = labelled_set({"f": 4, "m": 4}, {"f": 1, "m": 2})
         with pytest.raises(ParameterError, match="race"):
-            pruning_uniformity(tset, [], "race", n_permutations=10)
+            pruning_uniformity(tset, np.ones(8, dtype=bool), "race", n_permutations=10)
 
     def test_per_trajectory_delta_hand_value(self):
         tr = Trajectory("t", [(0, 0, 1), (1, 0, 2)])
@@ -639,13 +637,13 @@ class TestDisparity:
             with pytest.raises(ParameterError, match="two groups"):
                 reward_loss_disparity(tset, r1, r2, "sex", n_permutations=100)
 
-    def test_retained_ids_restrict_population(self):
+    def test_retained_mask_restricts_population(self):
         tset = labelled_set({"f": 12, "m": 12}, {"f": 1, "m": 2})
-        keep = [tr.id for tr in tset][:8] + [tr.id for tr in tset][12:20]
+        keep = np.isin(np.arange(24), [*range(8), *range(12, 20)])
         r1 = RewardModel([0.0, 0.0, 0.0, 0.0])
         r2 = RewardModel([0.0, 1.0, 0.0, 0.0])
         omnibus, _ = reward_loss_disparity(
-            tset, r1, r2, "sex", n_permutations=200, seed=0, retained_ids=keep
+            tset, r1, r2, "sex", n_permutations=200, seed=0, retained=keep
         )
         assert dict(omnibus.groups) == {"f": 8, "m": 8}
 

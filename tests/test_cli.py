@@ -472,6 +472,80 @@ class TestPipeline:
             assert not list(out.glob("**/rewards_stage1.json"))
 
 
+class TestGroundTruthChecks:
+    """With --world, the trajectories and labels are checked against it before any fit."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    def test_trajectories_are_read_in_the_worlds_space(self, tmp_path, command):
+        """Ten short trajectories never visit state 99, but the run spans all 100 states."""
+        syn = tmp_path / "syn"
+        assert run("synth", "--states", 100, "--trajectories", 10, "--horizon", 5,
+                   "--seed", 3, "--out", syn) == 0
+        assert TrajectorySet.from_csv(syn / "trajectories.csv").n_states < 100
+        out = tmp_path / "run"
+        code = run(command, "--trajectories", syn / "trajectories.csv",
+                   "--world", syn / "world.json", "--labels", syn / "labels.csv",
+                   "--epochs", 5, "--permutations", 20, "--out", out)
+        assert code == 0
+        run_dir = out / "f050" if command == "sweep" else out
+        assert json.loads((run_dir / "recovery.json").read_text())["prune_recall"] >= 0
+        assert len(json.loads((run_dir / "rewards_stage1.json").read_text())["rewards"]) == 100
+        assert json.loads((run_dir / "config.json").read_text())["states"] is None
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("more labels", "0 trajectories unlabelled, 1 labels of no trajectory"),
+            ("fewer labels", "1 trajectories unlabelled, 0 labels of no trajectory"),
+            ("corrupted 2", "corrupted 2 is not 0 or 1"),
+            ("--states", "--states 13 disagrees with the world's 12"),
+            ("--actions", "--actions 3 disagrees with the world's 2"),
+            ("smaller world", "state id out of range for 4 states"),
+        ],
+    )
+    def test_mismatched_ground_truth_fails_before_any_run(
+        self, tmp_path, synth_dir, capsys, command, case, message
+    ):
+        world, labels = synth_dir / "world.json", tmp_path / "labels.csv"
+        rows = (synth_dir / "labels.csv").read_text().splitlines()
+        flags = []
+        if case == "more labels":  # the labels of a larger population
+            rows.append("t9999,1")
+        elif case == "fewer labels":
+            rows.pop()
+        elif case == "corrupted 2":
+            rows[3] = rows[3].split(",")[0] + ",2"
+        elif case in ("--states", "--actions"):
+            flags = [case, 13 if case == "--states" else 3]
+        else:
+            world = tmp_path / "small"
+            assert run("synth", "--states", 4, "--actions", 2, "--branching", 3,
+                       "--trajectories", 5, "--out", world) == 0
+            world = world / "world.json"
+        labels.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = run(command, "--trajectories", synth_dir / "trajectories.csv",
+                   "--world", world, "--labels", labels, *flags, "--epochs", 5, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep", "analyze"])
+    def test_unknown_attribute_fails_before_any_run(self, tmp_path, synth_dir, run1, capsys,
+                                                    command):
+        out = tmp_path / "run"
+        inputs = ("--run", run1) if command == "analyze" else ("--epochs", 5)
+        code = run(command, "--trajectories", synth_dir / "trajectories.csv", *inputs,
+                   "--attributes", "died_in_hospital,sexx", "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --attributes sexx: not a tag") and "died_in_hospital" in err
+        assert not out.exists()
+
+
 RUN_RESULTS = (
     "rewards_stage1.json", "rewards_stage2.json", "scores.csv", "reward_delta.csv",
     "training_log_stage1.csv", "training_log_stage2.csv",

@@ -21,13 +21,12 @@ from consensus_irl import (
     greedy_policy,
     initial_state_distribution,
     per_trajectory_reward_delta,
-    score_deviation,
-    score_likelihood,
     score_trajectories,
 )
 from consensus_irl.analyze import _reward_deltas
 
 N_STATES, N_ACTIONS = 30, 4
+COLUMNS = ("L", "C", "log_likelihood", "end_state_reward", "fully_off_policy")
 UNUSED_STATES = (3, 11, 29)
 USED_STATES = [s for s in range(N_STATES) if s not in UNUSED_STATES]
 
@@ -111,11 +110,7 @@ def test_every_score_field_matches_reference(clinical):
     tset, kernel, reward, policy = clinical
     scores = score_trajectories(tset, kernel, reward, policy)
     want = oracles.reference_scores(tset, kernel.probs, reward.rewards, policy.actions)
-    got = [
-        (sc.trajectory_id, sc.L, sc.C, sc.log_likelihood, sc.end_state_reward,
-         sc.fully_off_policy)
-        for sc in scores
-    ]
+    got = list(zip(scores.ids, *(getattr(scores, c).tolist() for c in COLUMNS)))
     assert got == want
     assert any(ll == float("-inf") for _, _, _, ll, _, _ in got)
     assert got[-1][0] == "off" and got[-1][5] and got[-1][3] == 0.0
@@ -125,10 +120,9 @@ def test_single_trajectory_scores_match_reference(clinical):
     tset, kernel, reward, policy = clinical
     want = oracles.reference_scores(tset, kernel.probs, reward.rewards, policy.actions)
     for tr, row in zip(tset, want):
-        sc = score_deviation(tr, kernel, reward, policy)
-        assert (sc.trajectory_id, sc.L, sc.C, sc.log_likelihood, sc.end_state_reward,
-                sc.fully_off_policy) == row
-        assert score_likelihood(tr, policy, kernel) == row[3]
+        one = TrajectorySet([tr], N_STATES, N_ACTIONS)
+        sc = score_trajectories(one, kernel, reward, policy)
+        assert (sc.ids[0], *(getattr(sc, c)[0].item() for c in COLUMNS)) == row
 
 
 def test_reward_deltas_match_reference(clinical):
@@ -144,7 +138,7 @@ def test_reward_deltas_match_reference(clinical):
 def test_subset_matches_reference(clinical):
     tset = clinical[0]
     ids = tset.ids[::3] + ["off"]
-    sub = tset.subset(ids)
+    sub = tset.subset(np.isin(tset.ids, ids))
     want = oracles.reference_subset(tset, ids)
     assert sub.ids == [tr.id for tr in want]
     assert (sub.n_states, sub.n_actions) == (N_STATES, N_ACTIONS)

@@ -51,23 +51,29 @@ def quick_result(small_population):
     )
 
 
+def assert_same_scores(a, b):
+    """Two TrajectoryScores hold the same ids and, bit for bit, the same columns."""
+    assert a.ids == b.ids
+    for column in ("L", "C", "log_likelihood", "end_state_reward", "fully_off_policy"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+
 def test_full_retention_reproduces_stage1_bitwise(small_population):
     ts = small_population.trajectories
     result = run_two_stage(ts, IrlConfig(epochs=20), PruneConfig(retain_fraction=1.0))
     assert np.array_equal(result.reward_stage1.rewards, result.reward_stage2.rewards)
     assert np.all(result.reward_delta == 0.0)
     assert np.all(result.policy_agreement)
-    assert result.retained_ids == [sc.trajectory_id for sc in result.scores]
-    assert result.pruned_ids == []
+    assert result.scores.ids == ts.ids
+    assert result.retained.dtype == bool and result.retained.all()
 
 
 def test_partition_and_monotone_selection(quick_result):
     result, ts = quick_result
-    assert len(result.retained_ids) + len(result.pruned_ids) == len(ts)
-    assert len(result.retained_ids) == math.ceil(0.5 * len(ts))
-    by_id = {sc.trajectory_id: sc.C for sc in result.scores}
-    worst_kept = min(by_id[i] for i in result.retained_ids)
-    best_cut = max(by_id[i] for i in result.pruned_ids)
+    assert result.retained.shape == (len(ts),) and result.scores.ids == ts.ids
+    assert result.retained.sum() == math.ceil(0.5 * len(ts))
+    worst_kept = result.scores.C[result.retained].min()
+    best_cut = result.scores.C[~result.retained].max()
     assert worst_kept >= best_cut
     assert result.reward_delta.shape == (ts.n_states,)
 
@@ -77,7 +83,7 @@ def test_stage2_uses_only_retained_trajectories(quick_result):
     result, ts = quick_result
     cfg2 = IrlConfig(epochs=25, seed=4, horizon=ts.max_length())
     replay = train_maxent_irl(
-        ts.subset(result.retained_ids), result.transitions, cfg2, stage="stage2"
+        ts.subset(result.retained), result.transitions, cfg2, stage="stage2"
     )
     assert np.array_equal(replay.rewards, result.reward_stage2.rewards)
 
@@ -98,7 +104,7 @@ def test_two_stage_is_deterministic(small_population):
     b = run_two_stage(ts, irl, prune)
     assert np.array_equal(a.reward_stage1.rewards, b.reward_stage1.rewards)
     assert np.array_equal(a.reward_stage2.rewards, b.reward_stage2.rewards)
-    assert a.retained_ids == b.retained_ids
+    assert np.array_equal(a.retained, b.retained)
 
 
 def test_empty_set_is_rejected():
@@ -142,20 +148,19 @@ def test_retention_sweep_runs_all_fractions(small_population, monkeypatch):
     assert stages == ["stage1", "stage2", "stage2", "stage2"]  # one stage-1 fit serves all
     assert sorted(results) == [0.2, 0.5, 0.8]
     for f, result in results.items():
-        assert len(result.retained_ids) == math.ceil(f * len(ts))
+        assert result.retained.sum() == math.ceil(f * len(ts))
         # each leg is bit for bit the one-fraction run
         alone = run_two_stage(ts, irl, replace(prune, retain_fraction=f))
         for stage in ("reward_stage1", "reward_stage2"):
             leg, single = getattr(result, stage), getattr(alone, stage)
             assert leg.rewards.tobytes() == single.rewards.tobytes()
             assert leg.metadata == single.metadata
-        assert result.scores == alone.scores
-        assert result.retained_ids == alone.retained_ids
-        assert result.pruned_ids == alone.pruned_ids
+        assert_same_scores(result.scores, alone.scores)
+        assert np.array_equal(result.retained, alone.retained)
         assert np.array_equal(result.policy_agreement, alone.policy_agreement)
     # same stage-1 scores in every sweep leg, so retained sets nest
-    assert set(results[0.2].retained_ids) <= set(results[0.5].retained_ids)
-    assert set(results[0.5].retained_ids) <= set(results[0.8].retained_ids)
+    assert not (results[0.2].retained & ~results[0.5].retained).any()
+    assert not (results[0.5].retained & ~results[0.8].retained).any()
 
 
 def test_retention_sweep_checks_every_fraction_before_fitting(small_population, monkeypatch):
@@ -209,9 +214,8 @@ def test_run_directory_loads_back_into_the_same_result(tmp_path, quick_result):
     assert np.array_equal(loaded.reward_stage2.rewards, result.reward_stage2.rewards)
     assert np.array_equal(loaded.policy_stage1.actions, result.policy_stage1.actions)
     assert np.array_equal(loaded.policy_stage2.actions, result.policy_stage2.actions)
-    assert loaded.retained_ids == result.retained_ids
-    assert loaded.pruned_ids == result.pruned_ids
-    assert loaded.scores == result.scores
+    assert np.array_equal(loaded.retained, result.retained)
+    assert_same_scores(loaded.scores, result.scores)
     assert np.array_equal(loaded.reward_delta, result.reward_delta)
     assert np.array_equal(loaded.policy_agreement, result.policy_agreement)
 
@@ -222,10 +226,10 @@ def test_run_directory_rejects_other_trajectories(tmp_path, quick_result):
         result, tmp_path, IrlConfig(epochs=25, seed=3), PruneConfig(retain_fraction=0.5),
         trajectories=ts,
     )
-    fewer = ts.subset(ts.ids[:-1])
+    fewer = ts.subset(np.arange(len(ts)) < len(ts) - 1)
     with pytest.raises(SchemaError, match=rf"^{re.escape(str(tmp_path))}: .* {len(fewer)} is None "):
         load_run_directory(tmp_path, fewer)
-    other = ts.subset([t for t in ts.ids if t != ts.ids[2]])
+    other = ts.subset(np.arange(len(ts)) != 2)
     with pytest.raises(SchemaError, match=f"trajectory 2 is {other.ids[2]!r} but {ts.ids[2]!r}"):
         load_run_directory(tmp_path, other)
 
@@ -234,5 +238,5 @@ def test_shared_kernel_comes_from_all_trajectories(quick_result, small_populatio
     result, ts = quick_result
     expected = estimate_transitions(ts)
     assert np.array_equal(result.transitions.probs, expected.probs)
-    retained_only = estimate_transitions(ts.subset(result.retained_ids))
+    retained_only = estimate_transitions(ts.subset(result.retained))
     assert not np.array_equal(result.transitions.probs, retained_only.probs)

@@ -13,7 +13,7 @@ from consensus_irl import (
     PopulationConfig,
     RewardModel,
     SyntheticWorld,
-    TrajectoryScore,
+    TrajectoryScores,
     PruneConfig,
     evaluate_recovery,
     finite_horizon_values,
@@ -296,8 +296,8 @@ def _perfect_result(world, labels):
         reward_stage2=reward,
         policy_stage1=world.optimal_policy,
         policy_stage2=world.optimal_policy,
-        pruned_ids=[tid for tid, bad in labels.items() if bad],
-        retained_ids=[tid for tid, bad in labels.items() if not bad],
+        scores=SimpleNamespace(ids=list(labels)),
+        retained=~np.array(list(labels.values())),
     )
 
 
@@ -367,17 +367,21 @@ def test_random_pruning_recall_matches_uniform_expectation(small_world):
         pop = generate_population(
             world, PopulationConfig(n_trajectories=200, corrupted_fraction=0.3, seed=seed)
         )
-        scores = [TrajectoryScore(tr.id, 0.0, 1.0, 0.0, 0.0) for tr in pop.trajectories]
+        n = len(pop.trajectories)
+        scores = TrajectoryScores(
+            pop.trajectories.ids, np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n),
+            np.zeros(n, dtype=bool),
+        )
         cfg = PruneConfig(method="random", retain_fraction=0.5, seed=seed)
-        _, pruned = select_retained(scores, cfg)
-        corrupted = {tid for tid, bad in pop.corrupted.items() if bad}
-        recalls.append(len(set(pruned) & corrupted) / len(corrupted))
+        pruned = ~select_retained(scores, cfg)
+        corrupted = np.array([pop.corrupted[tid] for tid in scores.ids])
+        recalls.append((pruned & corrupted).sum() / corrupted.sum())
     assert abs(float(np.mean(recalls)) - 0.5) <= 0.05
 
 
 def test_recall_and_precision_degenerate_edges(small_world, small_population):
     result = _perfect_result(small_world, small_population.corrupted)
-    result.pruned_ids = []
+    result.retained[:] = True
     metrics = evaluate_recovery(small_world, result, small_population.corrupted)
     assert math.isnan(metrics["prune_precision"])
     clean = {tid: False for tid in small_population.corrupted}

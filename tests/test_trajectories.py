@@ -38,13 +38,14 @@ def test_duplicate_ids_rejected():
         TrajectorySet([make("a"), make("a")], 3, 2)
 
 
-def test_subset_preserves_order_and_checks_ids():
+def test_subset_preserves_order_and_checks_the_mask():
     tset = TrajectorySet([make("a"), make("b"), make("c")], 3, 2)
-    sub = tset.subset(["c", "a"])
+    sub = tset.subset(np.array([True, False, True]))
     assert sub.ids == ["a", "c"]
     assert sub.n_states == 3
-    with pytest.raises(InputError):
-        tset.subset(["nope"])
+    for bad in ([True, False], np.ones(4, dtype=bool), [1, 0, 1], ["c", "a"], np.array(True)):
+        with pytest.raises(ParameterError, match="mask must be 3 bools"):
+            tset.subset(bad)
 
 
 def test_max_length_and_tags():

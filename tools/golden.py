@@ -9,10 +9,13 @@ its own `src/`; the inputs (a demographic tag file and the seeded clinical
 cohort of perfbench/cohort.py) are written once and copied to both. Per seed:
 
 - the synthetic chain synth -> pipeline --world --labels -> analyze -> sweep;
-- irl -> prune on the synthetic trajectories;
-- one pipeline with --optimizer lbfgs;
+- irl -> prune on the synthetic trajectories, once per selection rule:
+  deviation, likelihood with --percentile 40, and likelihood with
+  --threshold 0.001 (which keeps some of them but not all);
+- one pipeline with --method random and the ground truth, and one with
+  --optimizer lbfgs;
 - the clinical chain ingest -> cluster -> pipeline --prepared ->
-  analyze --cluster-model;
+  analyze --cluster-model, and sweep --prepared on the tagged clinical rows;
 
 and, once per tree, the stdout of every demos/*.py. Each command's exit code
 and stdout are kept as files too, so a changed message or a failing command
@@ -82,9 +85,17 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         )),
         ("irl", "irl", world),
         ("prune", "prune", world + ("--rewards", "irl/rewards.json", "--retain", "0.5")),
+        ("prune", "prune_percentile", world + (
+            "--rewards", "irl/rewards.json", "--method", "likelihood", "--percentile", "40",
+        )),
+        ("prune", "prune_threshold", world + (
+            "--rewards", "irl/rewards.json", "--method", "likelihood", "--threshold", "0.001",
+        )),
         ("pipeline", "two_stage", world + truth + ("--retain", "0.5") + PERMUTATIONS),
         ("analyze", "reports", ("--run", "two_stage") + world + PERMUTATIONS),
         ("sweep", "sweep", world + ("--fractions", "0.2,0.5,0.8") + PERMUTATIONS),
+        ("pipeline", "random", world + truth + ("--method", "random", "--retain", "0.5")
+         + PERMUTATIONS),
         ("pipeline", "lbfgs", world + ("--optimizer", "lbfgs", "--retain", "0.5") + PERMUTATIONS),
         ("ingest", "ingest", (
             "--records", "inputs/records.csv", "--normals", "inputs/normals.json",
@@ -99,6 +110,9 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
             "--run", "clinical", "--trajectories", "states/trajectories.csv",
             "--cluster-model", "states/cluster_model.json", "--states", K,
         ) + PERMUTATIONS),
+        ("sweep", "clinical_sweep", (
+            "--prepared", "ingest/prepared.csv", "--k", K, "--fractions", "0.5,0.8",
+        ) + features + PERMUTATIONS),
     ]
     return [(cmd, out, flags + ("--seed", str(seed), "--out", out)) for cmd, out, flags in steps]
 

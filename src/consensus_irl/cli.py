@@ -397,10 +397,11 @@ def _codec_from_cfg(cfg) -> ActionCodec:
     )
 
 
-def _ingest(cfg, out) -> tuple[dict, dict]:
-    """Raw records -> prepared subjects, written to out/prepared.csv.
+def _ingest(cfg) -> tuple[dict, dict, dict]:
+    """Raw records -> prepared subjects; ingest and pipeline --records both run this.
 
-    Returns (prepared, report); ingest and pipeline --records both run this.
+    Returns (prepared, report, files) and writes nothing: files maps
+    "prepared.csv" to its writer, for _write_files once every check has passed.
     """
     codec = _codec_from_cfg(cfg)
     features = _as_list(cfg["features"])
@@ -413,17 +414,16 @@ def _ingest(cfg, out) -> tuple[dict, dict]:
     normals = load_normal_values(cfg["normals"])
     bounds = load_bounds(cfg["bounds"])
     prepared, report = prepare_subjects(subjects, normals, bounds, codec)
-    os.makedirs(out, exist_ok=True)
-    write_prepared_csv(prepared, features, os.path.join(out, "prepared.csv"))
-    return prepared, report
+    files = {"prepared.csv": lambda path: write_prepared_csv(prepared, features, path)}
+    return prepared, report, files
 
 
-def _cluster(cfg, prepared, out) -> tuple[ClusterModel, TrajectorySet, dict]:
+def _cluster(cfg, prepared) -> tuple[ClusterModel, TrajectorySet, dict, dict]:
     """Prepared subjects -> k-means states -> trajectories.
 
-    Writes out/cluster_model.json and out/trajectories.csv and returns
-    (model, trajectories, report); cluster and pipeline --prepared/--records
-    both run this.
+    Returns (model, trajectories, report, files) and writes nothing: files maps
+    cluster_model.json and trajectories.csv to their writers. cluster and
+    pipeline --prepared/--records both run this.
     """
     features = _as_list(cfg["features"])
     rows, _ = feature_matrix(prepared, features)
@@ -436,10 +436,15 @@ def _cluster(cfg, prepared, out) -> tuple[ClusterModel, TrajectorySet, dict]:
         n_restarts=cfg["restarts"],
     )
     tset, report = trajectories_from_prepared(prepared, model, features)
+    files = {"cluster_model.json": model.to_json, "trajectories.csv": tset.to_csv}
+    return model, tset, report, files
+
+
+def _write_files(out, files: dict) -> None:
+    """Make out and call each {name: writer} of files with its path in it."""
     os.makedirs(out, exist_ok=True)
-    model.to_json(os.path.join(out, "cluster_model.json"))
-    tset.to_csv(os.path.join(out, "trajectories.csv"))
-    return model, tset, report
+    for name, write in files.items():
+        write(os.path.join(out, name))
 
 
 def _load_cluster_model(cfg) -> ClusterModel | None:
@@ -478,7 +483,8 @@ def cmd_synth(cfg) -> None:
 
 def cmd_ingest(cfg) -> None:
     out = _out_dir("ingest", cfg)
-    prepared, report = _ingest(cfg, out)
+    prepared, report, files = _ingest(cfg)
+    _write_files(out, files)
     write_json(os.path.join(out, "ingest_report.json"), report)
     _write_echo_and_manifest(
         out, "ingest", cfg, {}, ["prepared.csv", "ingest_report.json"]
@@ -489,7 +495,8 @@ def cmd_ingest(cfg) -> None:
 def cmd_cluster(cfg) -> None:
     out = _out_dir("cluster", cfg)
     prepared = read_prepared_csv(cfg["prepared"], _as_list(cfg["features"]))
-    model, tset, report = _cluster(cfg, prepared, out)
+    model, tset, report, files = _cluster(cfg, prepared)
+    _write_files(out, files)
     report = {
         **report,
         "retained_clusters": len(model.retained_ids),
@@ -638,22 +645,25 @@ def _analysis_artifacts(
     return artifacts
 
 
-def _pipeline_inputs(cfg, out) -> tuple[TrajectorySet, ClusterModel | None, list[str]]:
-    """Resolve the pipeline's entry point: raw records, prepared rows, or trajectories."""
+def _pipeline_inputs(cfg) -> tuple[TrajectorySet, ClusterModel | None, dict]:
+    """Resolve the pipeline's entry point: raw records, prepared rows, or trajectories.
+
+    Returns (trajectories, cluster model, files): the writers, by artifact
+    name, of the files that ingesting and clustering made. Nothing is written.
+    """
     if cfg["records"] or cfg["prepared"]:
         features = _as_list(cfg["features"])
         if not features:
             raise InputError("pipeline: --features is required with --records/--prepared")
-        artifacts = []
+        files = {}
         if cfg["records"]:
-            prepared, _ = _ingest(cfg, out)
-            artifacts.append("prepared.csv")
+            prepared, _, files = _ingest(cfg)
         else:
             prepared = read_prepared_csv(cfg["prepared"], features)
-        cluster_model, tset, _ = _cluster(cfg, prepared, out)
-        return tset, cluster_model, artifacts + ["cluster_model.json", "trajectories.csv"]
+        cluster_model, tset, _, states = _cluster(cfg, prepared)
+        return tset, cluster_model, {**files, **states}
     if cfg["trajectories"]:
-        return _load_trajectories(cfg), _load_cluster_model(cfg), []
+        return _load_trajectories(cfg), _load_cluster_model(cfg), {}
     raise InputError(
         "pipeline: provide --trajectories, --prepared, or --records"
     )
@@ -662,9 +672,10 @@ def _pipeline_inputs(cfg, out) -> tuple[TrajectorySet, ClusterModel | None, list
 def _run_fractions(cfg, outs: dict) -> list[dict]:
     """Write one run per {retain fraction: run directory}; pipeline and sweep both run this.
 
-    The inputs are resolved once, into the first directory, and copied into
-    the others; retention_sweep fits stage 1 once for every fraction. No
-    directory is made until the input files have been read.
+    The inputs are resolved once, written into the first directory and copied
+    into the others; retention_sweep fits stage 1 once for every fraction. No
+    directory is made, and no file written, until every input has been read
+    and checked.
     """
     if bool(cfg["world"]) != bool(cfg["labels"]):
         raise InputError("--world and --labels go together: give both or neither")
@@ -678,8 +689,7 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
         for flag, size in space.items():
             if cfg[flag] not in (None, size):
                 raise InputError(f"--{flag} {cfg[flag]} disagrees with the world's {size}")
-    first, *others = outs.values()
-    tset, cluster_model, inputs = _pipeline_inputs({**cfg, **space}, first)
+    tset, cluster_model, files = _pipeline_inputs({**cfg, **space})
     if space:  # the ground truth must describe exactly these trajectories
         if (tset.n_states, tset.n_actions) != tuple(space.values()):
             raise InputError("the trajectories and the world differ in states or actions")
@@ -691,7 +701,9 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
                 f"{len(strangers)} labels of no trajectory)"
             )
     _attributes(cfg, tset)  # an unknown name fails here, before any fitting
-    os.makedirs(first, exist_ok=True)
+    first, *others = outs.values()
+    _write_files(first, files)
+    inputs = list(files)
     for out in others:
         os.makedirs(out, exist_ok=True)
         for name in inputs:

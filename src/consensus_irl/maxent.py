@@ -9,13 +9,14 @@ gradient ascent ("sga") with a linearly decaying learning rate, or L-BFGS
 J(theta) = theta . (mu_emp - d0) - d0 . V_0(theta) of maxent_objective, whose
 gradient is that same visitation difference.
 
-Both passes run once per epoch (Ziebart et al., AAAI 2008). The backward pass
-multiplies the dense kernel by a vector per step and takes its log-sum-exp
-over actions inline, by the algorithm of scipy.special.logsumexp (1.17), so
-the values do not depend on the installed scipy. The forward pass is one
-np.bincount per step over the kernel's non-zeros (TransitionModel.nonzero),
-which adds the same products in the same order as a dense contraction. scipy
-is imported only by the L-BFGS fit.
+Both passes run once per epoch (Ziebart et al., AAAI 2008), and each step of
+either is one np.bincount over the kernel's non-zeros (TransitionModel.nonzero),
+so a step costs O(nnz) rather than O(S^2 A). The backward pass adds each
+(s, a) row's products in column order, which differs from a dense matvec only
+in rounding; it takes its log-sum-exp over actions inline, by the algorithm of
+scipy.special.logsumexp (1.17), so the values do not depend on the installed
+scipy. The forward pass adds the same products in the same order as a dense
+contraction. scipy is imported only by the L-BFGS fit.
 """
 
 from __future__ import annotations
@@ -115,6 +116,11 @@ def soft_backward_pass(transitions: TransitionModel, reward, horizon: int) -> So
     and V_t = logsumexp_a Q_t. The returned policy is pi_t(a|s) =
     exp(Q_t(s,a) - V_t(s)). Rewards are collected on arrival at s'.
 
+    Each Q_t is one np.bincount over the kernel's non-zeros: it adds the
+    products P(s,a,s') (R(s') + V_{t+1}(s')) of each (s, a) row in column
+    order, starting from 0. A dense matvec adds the same products in another
+    order, so the two agree to rounding, not to the bit.
+
     The log-sum-exp is computed inline as scipy.special.logsumexp (1.17)
     computes it: with m the row maximum, k the number of entries equal to it
     and s the sum of exp(Q - m) over the other entries,
@@ -131,10 +137,12 @@ def _soft_backward(transitions: TransitionModel, reward, horizon: int):
     if len(r) != transitions.n_states:
         raise ParameterError("reward length does not match transition model")
     n_states, n_actions = transitions.n_states, transitions.n_actions
+    rows, cols, vals = transitions.nonzero
     policy = np.empty((horizon, n_states, n_actions))
     v = np.zeros(n_states)
     for t in range(horizon - 1, -1, -1):
-        q = transitions.probs @ (r + v)
+        q = np.bincount(rows, weights=vals * (r + v)[cols], minlength=n_states * n_actions)
+        q = q.reshape(n_states, n_actions)
         m = q.max(axis=1)
         # V is finite exactly where the row maximum is
         if not np.all(np.isfinite(m)):

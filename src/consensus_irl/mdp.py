@@ -25,8 +25,9 @@ class TransitionModel:
     """Tabular stochastic kernel P(s, a, s') with per-(s, a) visit counts.
 
     `nonzero` holds the kernel's non-zero entries as (rows, cols, vals) of its
-    (S*A, S) reshape, in row-major order; the forward visitation pass runs
-    over them. `probs` is made read-only so that they cannot go stale.
+    (S*A, S) reshape, in row-major order; the soft backward and forward
+    visitation passes of maxent run over them. `probs` is made read-only so
+    that they cannot go stale.
     """
 
     probs: np.ndarray  # (n_states, n_actions, n_states), read-only

@@ -229,10 +229,12 @@ def exact_randomization_chi2_2x2(table) -> float:
 # ---------------------------------------------------------------------------
 # dense MaxEnt passes
 #
-# The package's soft backward and forward passes as they were before the
-# forward pass went sparse and the log-sum-exp went inline: scipy's logsumexp
-# over a dense Q and a dense einsum contraction with the full kernel. The
-# package must reproduce them bit for bit.
+# The package's soft backward and forward passes as they were before both
+# went sparse and the log-sum-exp went inline: scipy's logsumexp over a dense
+# Q and a dense einsum contraction with the full kernel. The forward pass must
+# reproduce its oracle bit for bit. The backward pass adds Q's products in
+# another order than the dense matvec, so it must reproduce
+# reference_sparse_backward bit for bit and the dense recursion to rounding.
 
 
 def reference_soft_backward(probs, rewards, horizon: int):
@@ -242,6 +244,35 @@ def reference_soft_backward(probs, rewards, horizon: int):
     v = np.zeros(n_states)
     for t in range(horizon - 1, -1, -1):
         q = probs @ (rewards + v)
+        v = logsumexp(q, axis=1)
+        policy[t] = np.exp(q - v[:, None])
+    return policy, v
+
+
+def reference_sparse_backward(probs, rewards, horizon: int):
+    """(pi_t(a|s), V_0) with each Q_t(s, a) summed over the row's non-zeros.
+
+    A plain loop: each (s, a) row adds its products P(s,a,s') x(s') in column
+    order, starting from 0.0, skipping the zero entries. That is the order the
+    package's O(nnz) backward pass adds them in.
+    """
+    n_states, n_actions, _ = probs.shape
+    support = [
+        [[(int(sp), float(probs[s, a, sp])) for sp in np.flatnonzero(probs[s, a])]
+         for a in range(n_actions)]
+        for s in range(n_states)
+    ]
+    policy = np.empty((horizon, n_states, n_actions))
+    v = np.zeros(n_states)
+    for t in range(horizon - 1, -1, -1):
+        x = [float(value) for value in np.asarray(rewards, dtype=float) + v]
+        q = np.zeros((n_states, n_actions))
+        for s in range(n_states):
+            for a in range(n_actions):
+                total = 0.0
+                for sp, p in support[s][a]:
+                    total += p * x[sp]
+                q[s, a] = total
         v = logsumexp(q, axis=1)
         policy[t] = np.exp(q - v[:, None])
     return policy, v

@@ -917,6 +917,36 @@ class TestClinicalFlow:
         ingested = (workdir / "ingest" / "prepared.csv").read_bytes()
         assert (out / "prepared.csv").read_bytes() == ingested
 
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    @pytest.mark.parametrize("source", ["--prepared", "--records"])
+    @pytest.mark.parametrize("case", ["world", "attributes"])
+    def test_failed_check_writes_no_clustered_inputs(
+        self, synth_dir, clinical_inputs, tmp_path, capsys, command, source, case
+    ):
+        """The checks on the clustered trajectories run before any file is written."""
+        records, normals, bounds = clinical_inputs
+        inputs = ["--records", records, "--normals", normals, "--bounds", bounds,
+                  "--demographics", "sex", "--condition", "hypotension"]
+        if source == "--prepared":
+            ingested = tmp_path / "ingest"
+            assert run("ingest", *inputs, "--features", "heart_rate,mean_bp",
+                       "--out", ingested) == 0
+            inputs = ["--prepared", ingested / "prepared.csv"]
+        if case == "world":
+            check = ["--world", synth_dir / "world.json", "--labels", synth_dir / "labels.csv"]
+            message = "the trajectories and the world differ in states or actions"
+        else:
+            check = ["--attributes", "sex,sexx"]
+            message = "--attributes sexx: not a tag"
+        legs = ["--fractions", "0.5,0.75"] if command == "sweep" else []
+        out = tmp_path / "run"
+        code = run(command, *inputs, "--features", "heart_rate,mean_bp", "--k", 2,
+                   "--min-size", 2, "--epochs", 5, *check, *legs, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+        assert not out.exists()
+
     def test_sweep_resolves_inputs_once(self, workdir):
         """Every leg holds the states the first leg clustered, byte for byte."""
         out = workdir / "clinical_sweep"

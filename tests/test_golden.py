@@ -28,7 +28,10 @@ def test_equal_trees_are_all_identical(tmp_path):
     write_run(tmp_path / "b")
     summary = golden.compare_trees(tmp_path / "a", tmp_path / "b")
     # the copied inputs are not compared
-    assert summary == {"compared": 3, "identical": 3, "differing": 0, "files": []}
+    assert summary == {
+        "compared": 3, "identical": 3, "differing": 0,
+        "decisions_moved": False, "decision_files": [], "files": [],
+    }
     assert golden.within(summary, rtol=0.0)
 
 
@@ -41,6 +44,8 @@ def test_one_byte_reward_change_is_reported(tmp_path):
     assert moved["file"] == "seed1/two_stage/rewards_stage1.json"
     assert moved["fields"] == ["rewards/0"]
     assert not moved["text_differs"]
+    # a reward is an estimate, not a decision
+    assert moved["decisions"] == [] and not summary["decisions_moved"]
     assert abs(moved["max_abs"] - 0.01) < 1e-12
     assert abs(moved["max_rel"] - 0.01 / 0.26) < 1e-12
     assert not golden.within(summary, rtol=0.01)
@@ -61,6 +66,7 @@ def test_text_and_missing_files_are_reported(tmp_path):
     assert files["demos/01.txt"]["text_differs"]
     assert files["extra.json"]["missing_in"] == "ref"
     assert files["seed1/two_stage/tests.csv"]["fields"] == ["p_value"]
+    assert summary["decision_files"] == ["seed1/two_stage/tests.csv"]
     assert not golden.within(summary, rtol=1.0)
 
 
@@ -88,3 +94,37 @@ def test_removed_and_added_json_keys_are_listed_by_path(tmp_path):
     # a changed CSV header has no paths to list
     table = golden.diff_file("scores.csv", b"id,C\nt0,1\n", b"id,L\nt0,1\n")
     assert table["fields"] == ["<layout>"] and "removed" not in table
+
+
+def test_moved_decisions_are_flagged_by_file(tmp_path):
+    """Each kind of decision, moved alone, names its file; within() then fails at any rtol."""
+    delta = [{"state": 0, "r1": 0.5, "policy1": 1, "policy2": 1, "agree": True}]
+    recovery = {"prune_precision": 0.75, "prune_recall": 0.5, "spearman_stage2": 0.25}
+    files = {
+        "scores.csv": ("id,C,retained\nt0,0.5,1\nt1,0.25,0\n",
+                       "id,C,retained\nt0,0.5,0\nt1,0.25,1\n"),
+        "reward_delta.json": (delta, [{**delta[0], "policy2": 0, "agree": False}]),
+        "recovery.json": (recovery, {**recovery, "prune_recall": 0.55}),
+        "manifest.json": ({"n_retained": 3}, {"n_retained": 4}),
+        "tests.json": (
+            {"tests": [{"name": "anova", "posthoc": [{"group_a": "f", "p_holm": 0.5}]}]},
+            {"tests": [{"name": "anova", "posthoc": [{"group_a": "f", "p_holm": 0.25}]}]},
+        ),
+    }
+    for name, sides in files.items():
+        for side, content in zip("ab", sides):
+            path = tmp_path / side / "seed1" / "run" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+    summary = golden.compare_trees(tmp_path / "a", tmp_path / "b")
+    assert summary["decisions_moved"]
+    assert summary["decision_files"] == [f"seed1/run/{name}" for name in sorted(files)]
+    moved = {f["file"].rsplit("/", 1)[-1]: f["decisions"] for f in summary["files"]}
+    assert moved == {
+        "manifest.json": ["n_retained"],
+        "recovery.json": ["prune_recall"],
+        "reward_delta.json": ["0/agree", "0/policy2"],
+        "scores.csv": ["retained"],
+        "tests.json": ["tests/anova/posthoc/0/p_holm"],
+    }
+    assert not golden.within(summary, rtol=1.0)

@@ -24,11 +24,16 @@ shows up as a differing file.
 The last line of stdout is one JSON object: the files compared, identical and
 differing, and for each differing file its largest absolute and relative
 numeric difference, whether anything other than numbers differs, the CSV
-columns or JSON fields that moved, and the JSON fields that only one side has
-("added" in this checkout, "removed" from the ref). Exit status: 0 when every file is
-identical, or differs only in numbers within --rtol (and in the manifest
-hashes of such files); 1 otherwise; 2 when the ref cannot be checked out.
-Progress goes to stderr.
+columns or JSON fields that moved, the decision fields among them, and the
+JSON fields that only one side has ("added" in this checkout, "removed" from
+the ref). A decision is an outcome that a rounding difference should never
+move (DECISIONS): the retained set, both greedy policies and their agreement,
+each test's p-values, and the prune precision and recall against the ground
+truth. The summary's decisions_moved says whether any moved, and
+decision_files lists the files where one did. Exit status: 0 when every file
+is identical, or differs only in numbers within --rtol (and in the manifest
+hashes of such files) with no decision moved; 1 otherwise; 2 when the ref
+cannot be checked out. Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -61,6 +66,13 @@ TAGS = [
 SEEDS = (1, 2)
 PERMUTATIONS = ("--permutations", "2000")
 K = "40"
+# the last part of a JSON path, or a CSV column, that holds a decision: in
+# scores.csv, reward_delta.*, tests.*, recovery.json, manifest.json and
+# sweep_summary.csv
+DECISIONS = frozenset({
+    "retained", "n_retained", "policy1", "policy2", "agree", "p_value", "p_holm",
+    "prune_precision", "prune_recall",
+})
 
 
 def _cohort():
@@ -252,6 +264,7 @@ def diff_file(name: str, ours: bytes, theirs: bytes) -> dict:
         report["max_abs"] = max(report["max_abs"], gap)
         report["max_rel"] = max(report["max_rel"], rel)
     report["fields"] = moved
+    report["decisions"] = [f for f in moved if f.rsplit("/", 1)[-1] in DECISIONS]
     return report
 
 
@@ -277,16 +290,19 @@ def compare_trees(ours: Path, theirs: Path) -> dict:
         da, db = a.read_bytes(), b.read_bytes()
         if da != db:
             differing.append(diff_file(name, da, db))
+    decision_files = [f["file"] for f in differing if f.get("decisions")]
     return {
         "compared": len(names),
         "identical": len(names) - len(differing),
         "differing": len(differing),
+        "decisions_moved": bool(decision_files),
+        "decision_files": decision_files,
         "files": differing,
     }
 
 
 def within(summary: dict, rtol: float) -> bool:
-    return all(
+    return not summary["decisions_moved"] and all(
         not f["text_differs"] and f["max_rel"] <= rtol for f in summary["files"]
     )
 

@@ -32,8 +32,8 @@ population = generate_population(world, pop_cfg)
 n_bad = sum(population.corrupted.values())
 print(f"\npopulation: {len(population.trajectories)} trajectories, {n_bad} corrupted")
 
-lengths = [len(tr) for tr in population.trajectories]
-print(f"steps per trajectory: min {min(lengths)}, max {max(lengths)}")
+lengths = population.trajectories.lengths
+print(f"steps per trajectory: min {lengths.min()}, max {lengths.max()}")
 
 # ------------------------------------------------- kernel estimation quality
 kernel = estimate_transitions(population.trajectories)

@@ -20,7 +20,6 @@ from .analyze import (
     end_state_deciles,
     holm_correction,
     pairwise_permutation_tests,
-    per_trajectory_reward_delta,
     permutation_anova,
     permutation_chi2,
     reward_delta_by_state,
@@ -30,7 +29,6 @@ from .analyze import (
 from .discretize import (
     ClusterModel,
     assign_states,
-    build_trajectory_set,
     fit_state_space,
 )
 from .errors import (
@@ -94,7 +92,7 @@ from .synth import (
     generate_world,
     policy_value,
 )
-from .trajectories import Trajectory, TrajectorySet
+from .trajectories import TrajectorySet
 from .version import __version__
 
 # every public name imported above, and nothing else

@@ -553,13 +553,8 @@ def test_pruning_uniformity(
     )
 
 
-def per_trajectory_reward_delta(trajectory, reward1: RewardModel, reward2: RewardModel) -> float:
-    """Mean per-step change in reward over the trajectory's visited next-states."""
-    return float(_reward_deltas(TrajectorySet([trajectory]), reward1, reward2)[0])
-
-
 def _reward_deltas(trajectories: TrajectorySet, reward1, reward2) -> np.ndarray:
-    """per_trajectory_reward_delta of every trajectory in the set."""
+    """Each trajectory's mean per-step change in reward over its visited next-states."""
     sp = trajectories.triples[:, 2]
     return trajectories.reduce_steps(reward2.rewards[sp] - reward1.rewards[sp], np.mean)
 

@@ -377,6 +377,18 @@ def _load_trajectories(cfg) -> TrajectorySet:
     )
 
 
+def _warn_unconverged(reward: RewardModel, where: str = "") -> None:
+    """One stderr line when a fit stopped above its gradient tolerance."""
+    meta = reward.metadata
+    if not meta["converged"]:
+        print(
+            f"warning: {meta['stage']} fit{where} did not converge: stopped after "
+            f"{meta['epochs_run']} of {meta['epochs_requested']} iterations at "
+            f"max|grad| {meta['final_grad_max']:.3g} (tolerance {meta['grad_tolerance']:g})",
+            file=sys.stderr,
+        )
+
+
 def _irl_config(cfg) -> IrlConfig:
     return _from_flags(IrlConfig, cfg, seed=cfg["seed"])
 
@@ -523,6 +535,7 @@ def cmd_irl(cfg) -> None:
     tset = _load_trajectories(cfg)
     transitions = estimate_transitions(tset)
     reward = train_maxent_irl(tset, transitions, config)
+    _warn_unconverged(reward)
     os.makedirs(out, exist_ok=True)
     reward.to_json(os.path.join(out, "rewards.json"))
     write_training_log(reward, os.path.join(out, "training_log.csv"))
@@ -709,9 +722,11 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
         for name in inputs:
             shutil.copyfile(os.path.join(first, name), os.path.join(out, name))
     results = retention_sweep(tset, irl_config, prune_config, fractions)
+    _warn_unconverged(results[fractions[0]].reward_stage1)  # one stage 1 serves every fraction
     manifests = []
     for fraction, out in outs.items():
         leg, result = {**cfg, "retain": fraction}, results[fraction]
+        _warn_unconverged(result.reward_stage2, f" at retain {fraction:g}")
         artifacts = inputs + _analysis_artifacts(out, tset, result, leg, cluster_model)
         extra_manifest = {"subcommand": "pipeline"}
         if cfg["world"]:

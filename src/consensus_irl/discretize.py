@@ -16,6 +16,12 @@ reproduce the plain broadcast-and-mask computation to the bit: the same
 distances, the same first-minimum ties, the same rows summed in the same
 order. So a fitted model and its state assignments do not depend on the chunk
 size.
+
+The prepared cohort becomes trajectories in columns: one feature matrix over
+every subject's rows in sorted id order, one state per row, one action
+column. Each row but a subject's last starts a step, (state, action, state of
+the next row), so the triples are three gathers over the rows and no subject
+is chained on its own.
 """
 
 from __future__ import annotations
@@ -302,40 +308,6 @@ def assign_states(rows, model: ClusterModel) -> np.ndarray:
     return np.asarray(retained, dtype=np.int64)[picked]
 
 
-def build_trajectory_set(
-    state_seqs: dict,
-    action_seqs: dict,
-    demographics: dict,
-    outcomes: dict,
-    n_states: int,
-    n_actions: int,
-) -> tuple[TrajectorySet, dict]:
-    """Chain per-subject (state, action) sequences into trajectories.
-
-    Subjects with fewer than two time steps cannot form a transition and are
-    excluded; the report counts them. Ids enter the set in sorted order.
-    """
-    sids = [sid for sid in sorted(state_seqs) if len(state_seqs[sid]) >= 2]
-    if not sids:
-        raise CohortEmptyError("no subject has two or more time steps")
-    blocks = []
-    for sid in sids:
-        states = np.asarray(state_seqs[sid], dtype=np.int64)
-        actions = np.asarray(action_seqs[sid], dtype=np.int64)[: len(states) - 1]
-        blocks.append(np.stack([states[:-1], actions, states[1:]], axis=1))
-    tags = sorted({t for sid in sids for t in demographics.get(sid, {})})
-    tset = TrajectorySet.from_columns(
-        np.concatenate(blocks),
-        [len(block) for block in blocks],
-        [str(sid) for sid in sids],
-        n_states,
-        n_actions,
-        {t: [demographics.get(sid, {}).get(t) for sid in sids] for t in tags},
-        [bool(outcomes.get(sid, False)) for sid in sids],
-    )
-    return tset, {"excluded_short": len(state_seqs) - len(sids)}
-
-
 def feature_matrix(prepared: dict, features: list[str]) -> tuple[np.ndarray, dict]:
     """Stack prepared records into a row matrix; remember each subject's rows.
 
@@ -355,14 +327,36 @@ def feature_matrix(prepared: dict, features: list[str]) -> tuple[np.ndarray, dic
 def trajectories_from_prepared(
     prepared: dict, model: ClusterModel, features: list[str]
 ) -> tuple[TrajectorySet, dict]:
-    """Full prepared-records path: assign states, then chain trajectories."""
+    """Assign every prepared row a state, then chain each subject's rows.
+
+    A row and its action start a step that ends in the state of the next
+    row, unless it is its subject's last row. So a subject with one row has
+    no transition: it is left out, and the report counts it as
+    excluded_short. Ids enter the set in sorted order; n_actions is one more
+    than the largest action of any subject, and the tags are those of the
+    subjects kept.
+    """
     rows, index = feature_matrix(prepared, features)
     states = assign_states(rows, model)
-    state_seqs = {sid: states[index[sid]] for sid in index}
-    action_seqs = {sid: prepared[sid][1] for sid in index}
-    demographics = {sid: prepared[sid][0].demographics for sid in index}
-    outcomes = {sid: prepared[sid][0].died_in_hospital for sid in index}
-    n_actions = int(max(a.max() for a in action_seqs.values())) + 1
-    return build_trajectory_set(
-        state_seqs, action_seqs, demographics, outcomes, model.k, n_actions
+    for sid, (records, acts) in prepared.items():
+        if len(acts) != len(records):
+            raise SchemaError(f"subject {sid}: needs one action per row")
+    actions = np.concatenate([prepared[sid][1] for sid in index])
+    starts = np.ones(len(states), dtype=bool)
+    starts[[span.stop - 1 for span in index.values()]] = False
+    at = np.flatnonzero(starts)
+    kept = [sid for sid, span in index.items() if span.stop - span.start >= 2]
+    if not kept:
+        raise CohortEmptyError("no subject has two or more time steps")
+    records = [prepared[sid][0] for sid in kept]
+    tags = {t for r in records for t in r.demographics}
+    tset = TrajectorySet(
+        np.stack([states[at], actions[at], states[at + 1]], axis=1),
+        [len(r) - 1 for r in records],
+        [str(sid) for sid in kept],
+        model.k,
+        int(actions.max()) + 1,
+        {t: [r.demographics.get(t) for r in records] for t in tags},
+        [r.died_in_hospital for r in records],
     )
+    return tset, {"excluded_short": len(index) - len(kept)}

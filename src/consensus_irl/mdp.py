@@ -98,12 +98,6 @@ class DeterministicPolicy:
     def __post_init__(self):
         self.actions = np.asarray(self.actions, dtype=np.int64)
 
-    def __getitem__(self, s) -> int:
-        return int(self.actions[s])
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
 
 def estimate_transitions(trajectories: TrajectorySet, n_states=None, n_actions=None) -> TransitionModel:
     """Empirical next-state frequencies per (s, a).

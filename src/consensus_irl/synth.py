@@ -336,7 +336,7 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
         demographics[tag.name] = labels[_inverse_cdf(cdf, bad.astype(int), tag_uniforms[:, j])]
 
     ids = [f"t{i:05d}" for i in range(n)]
-    tset = TrajectorySet.from_columns(
+    tset = TrajectorySet(
         triples.reshape(n * horizon, 3),
         np.full(n, horizon),
         ids,

@@ -5,8 +5,9 @@ step t is the state of step t+1. A TrajectorySet holds its N trajectories in
 columns: `triples`, an (M, 3) int64 array in which trajectory i owns rows
 offsets[i] : offsets[i] + lengths[i] in step order; `lengths` and `offsets`;
 the unique `ids`; `demographics`, one object array per tag with None where a
-trajectory lacks the tag; and the `died_in_hospital` flags. Every way of
-building a set ends in one validation routine.
+trajectory lacks the tag; and the `died_in_hospital` flags. Every set is
+built from these columns by one constructor, which runs one validation
+routine.
 
 Per-trajectory sums and means go through reduce_steps. It groups the
 trajectories by length and reduces each group's contiguous (n_L, L) block
@@ -15,10 +16,11 @@ values (pairwise summation, same blocking): the results are bit-identical to
 np.sum / np.mean over each trajectory's slice. np.add.reduceat over the flat
 array adds in another order and differs in the last bits.
 
-Indexing or iterating a set yields Trajectory views of its columns. A
-selection of trajectories, such as the retained set of a prune, is a bool
-mask with one entry per trajectory in set order, and subset keeps where it is
-True. On disk a set is a CSV with one row per step, tags and the death flag
+A selection of trajectories, such as the retained set of a prune, is a
+bool mask with one entry per trajectory in set order, and subset keeps where
+it is True. There is no per-trajectory object: iterating a set yields each
+trajectory's block of triples, and its other fields are the columns at its
+index. On disk a set is a CSV with one row per step, tags and the death flag
 on every row.
 """
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,63 +40,18 @@ _CORE_COLUMNS = ("trajectory_id", "step", "state", "action", "next_state")
 _DEATH_COLUMN = "died_in_hospital"
 
 
-@dataclass
-class Trajectory:
-    """One subject's path through the discrete MDP."""
-
-    id: str
-    triples: np.ndarray  # int array of shape (n_steps, 3): state, action, next_state
-    demographics: dict[str, str] = field(default_factory=dict)
-    died_in_hospital: bool = False
-
-    def __post_init__(self):
-        # validated as a one-trajectory set, by the same routine as every set
-        one = TrajectorySet.from_columns(self.triples, [len(self.triples)], [self.id])
-        self.triples = one.triples
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    @property
-    def states(self) -> np.ndarray:
-        """All visited states: the initial state followed by every next_state."""
-        return np.concatenate(([self.triples[0, 0]], self.triples[:, 2]))
-
-    @property
-    def end_state(self) -> int:
-        return int(self.triples[-1, 2])
-
-
 class TrajectorySet:
     """Ordered trajectories over a shared state/action space, stored as columns."""
 
-    def __init__(self, trajectories, n_states=None, n_actions=None):
-        """The set of these Trajectory values; a dimension left None is inferred."""
-        trs = list(trajectories)
-        tags = {t for tr in trs for t in tr.demographics}
-        self._assign(
-            np.concatenate([tr.triples for tr in trs] or [np.empty((0, 3))]),
-            [len(tr) for tr in trs],
-            [tr.id for tr in trs],
-            n_states,
-            n_actions,
-            {t: [tr.demographics.get(t) for tr in trs] for t in tags},
-            [tr.died_in_hospital for tr in trs],
-        )
-
-    @classmethod
-    def from_columns(
-        cls, triples, lengths, ids, n_states=None, n_actions=None,
+    def __init__(
+        self, triples, lengths, ids, n_states=None, n_actions=None,
         demographics=None, died_in_hospital=None,
-    ) -> "TrajectorySet":
-        """The set held by these columns; died_in_hospital defaults to all False."""
-        tset = cls.__new__(cls)
-        tset._assign(
-            triples, lengths, ids, n_states, n_actions, demographics or {}, died_in_hospital
-        )
-        return tset
+    ):
+        """The set held by these columns.
 
-    def _assign(self, triples, lengths, ids, n_states, n_actions, demographics, died):
+        A dimension left None is inferred from the ids in triples, a missing
+        demographics has no tags, and died_in_hospital defaults to all False.
+        """
         self.triples = np.asarray(triples, dtype=np.int64)
         if self.triples.ndim != 2 or self.triples.shape[1] != 3:
             raise SchemaError("triples must have shape (n_steps, 3)")
@@ -103,11 +59,11 @@ class TrajectorySet:
         self.offsets = np.cumsum(self.lengths) - self.lengths
         self.ids = list(ids)
         # a tag that no trajectory carries is not a tag of the set
-        columns = {t: np.asarray(col, dtype=object) for t, col in demographics.items()}
+        columns = {t: np.asarray(col, dtype=object) for t, col in (demographics or {}).items()}
         self.demographics = {
             t: columns[t] for t in sorted(columns) if not np.equal(columns[t], None).all()
         }
-        died = np.zeros(len(self.ids)) if died is None else died
+        died = np.zeros(len(self.ids)) if died_in_hospital is None else died_in_hospital
         self.died_in_hospital = np.asarray(died, dtype=bool)
         highest = self.triples.max(axis=0, initial=-1)
         self.n_states = n_states if n_states is not None else 1 + int(max(highest[[0, 2]]))
@@ -155,17 +111,13 @@ class TrajectorySet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i) -> Trajectory:
-        i = range(len(self))[i]  # an IndexError past the end also ends iteration
-        tr = Trajectory.__new__(Trajectory)  # a view: the set's rows are validated
-        tr.id, tr.died_in_hospital = self.ids[i], bool(self.died_in_hospital[i])
-        tr.triples = self.triples[self.offsets[i] : self.offsets[i] + self.lengths[i]]
-        tr.demographics = {t: c[i] for t, c in self.demographics.items() if c[i] is not None}
-        return tr
+    def __iter__(self):
+        """Each trajectory's (L, 3) block of triples, in set order.
 
-    @property
-    def trajectories(self) -> list[Trajectory]:
-        return list(self)
+        The package reads the columns; this serves callers outside it that
+        count rows per trajectory with `len(block) for block in tset`.
+        """
+        return iter(np.split(self.triples, self.offsets[1:])[: len(self)])
 
     @property
     def first_states(self) -> np.ndarray:
@@ -213,7 +165,7 @@ class TrajectorySet:
     def subset(self, keep) -> "TrajectorySet":
         """The trajectories where the bool mask `keep` is True, original order kept."""
         keep = self.require_mask(keep)
-        return TrajectorySet.from_columns(
+        return TrajectorySet(
             self.triples[np.repeat(keep, self.lengths)],
             self.lengths[keep],
             [t for t, k in zip(self.ids, keep.tolist()) if k],
@@ -305,7 +257,7 @@ class TrajectorySet:
                 )
             died = flags[first]
         try:
-            return cls.from_columns(
+            return cls(
                 np.stack([state, action, next_state], axis=1)[order],
                 lengths,
                 ids,

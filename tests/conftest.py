@@ -16,6 +16,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def make_set(blocks, ids=None, tags=None, died=None, n_states=None, n_actions=None):
+    """The TrajectorySet of these per-trajectory triple blocks, in order.
+
+    ids default to t0, t1, ...; tags is one {tag: value} dict per trajectory
+    (a tag a trajectory lacks is missing), died one flag per trajectory.
+    """
+    blocks = [np.asarray(block, dtype=np.int64) for block in blocks]
+    ids = [f"t{i}" for i in range(len(blocks))] if ids is None else ids
+    tags = [{}] * len(blocks) if tags is None else tags
+    names = {t for carried in tags for t in carried}
+    return ci.TrajectorySet(
+        np.concatenate(blocks) if blocks else np.empty((0, 3)),
+        [len(block) for block in blocks],
+        ids,
+        n_states,
+        n_actions,
+        {t: [carried.get(t) for carried in tags] for t in names},
+        died,
+    )
+
+
 @pytest.fixture(scope="session")
 def small_world():
     return ci.generate_world(20, 3, 4, seed=11, horizon=8)

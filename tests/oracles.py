@@ -17,8 +17,8 @@ import numpy as np
 from scipy import stats
 from scipy.special import logsumexp
 
-from consensus_irl.discretize import assign_states, build_trajectory_set
 from consensus_irl.errors import CohortEmptyError, ParameterError, SchemaError
+from consensus_irl.trajectories import TrajectorySet
 
 
 def deterministic_kernel(n_states: int, n_actions: int, seed: int):
@@ -293,15 +293,45 @@ def reference_visitation(probs, policy_probs, d0, horizon: int) -> np.ndarray:
 #
 # These are the package's per-trajectory implementations from before
 # TrajectorySet became columnar, kept unchanged so that the vectorised code
-# can be checked against them for exact (bitwise) equality. They take any
-# iterable of trajectories with .id, .triples, .states, .end_state,
-# .demographics and .died_in_hospital.
+# can be checked against them for exact (bitwise) equality. They take a
+# TrajectorySet and loop over it one RefTrajectory record at a time.
+
+
+@dataclass
+class RefTrajectory:
+    """One trajectory as the reference loops read it."""
+
+    id: str
+    triples: np.ndarray
+    demographics: dict
+    died_in_hospital: bool
+
+    @property
+    def states(self) -> np.ndarray:
+        """The initial state followed by every next_state."""
+        return np.concatenate(([self.triples[0, 0]], self.triples[:, 2]))
+
+    @property
+    def end_state(self) -> int:
+        return int(self.triples[-1, 2])
+
+
+def reference_trajectories(tset) -> list[RefTrajectory]:
+    """The set split into one record per trajectory, a step count at a time."""
+    records, start = [], 0
+    for i, tid in enumerate(tset.ids):
+        stop = start + int(tset.lengths[i])
+        tags = {t: col[i] for t, col in tset.demographics.items() if col[i] is not None}
+        died = bool(tset.died_in_hospital[i])
+        records.append(RefTrajectory(tid, tset.triples[start:stop], tags, died))
+        start = stop
+    return records
 
 
 def reference_estimate_transitions(trajectories, n_states, n_actions):
     """(probs, visit_counts) of the empirical kernel, unseen (s, a) self-looping."""
     counts = np.zeros((n_states, n_actions, n_states))
-    for tr in trajectories:
+    for tr in reference_trajectories(trajectories):
         s, a, sp = tr.triples[:, 0], tr.triples[:, 1], tr.triples[:, 2]
         np.add.at(counts, (s, a, sp), 1)
     visit = counts.sum(axis=2)
@@ -317,7 +347,7 @@ def reference_state_visitation(trajectories, n_states) -> np.ndarray:
     """Mean per-trajectory visit counts of the initial state and every next state."""
     counts = np.zeros(n_states)
     n = 0
-    for tr in trajectories:
+    for tr in reference_trajectories(trajectories):
         np.add.at(counts, tr.states, 1)
         n += 1
     return counts / n
@@ -326,7 +356,7 @@ def reference_state_visitation(trajectories, n_states) -> np.ndarray:
 def reference_initial_distribution(trajectories, n_states) -> np.ndarray:
     d0 = np.zeros(n_states)
     n = 0
-    for tr in trajectories:
+    for tr in reference_trajectories(trajectories):
         d0[tr.triples[0, 0]] += 1
         n += 1
     return d0 / n
@@ -350,7 +380,7 @@ def reference_scores(trajectories, probs, rewards, policy_actions) -> list[tuple
     """(id, L, C, log-likelihood, end-state reward, fully off-policy) per trajectory."""
     table = probs @ rewards
     rows = []
-    for tr in trajectories:
+    for tr in reference_trajectories(trajectories):
         s = tr.triples[:, 0]
         a = tr.triples[:, 1]
         gaps = table[s, policy_actions[s]] - table[s, a]
@@ -401,7 +431,7 @@ def reference_select_retained(scores, config) -> tuple[list[str], list[str]]:
 
 def reference_subset(trajectories, ids) -> list:
     keep = set(ids)
-    return [tr for tr in trajectories if tr.id in keep]
+    return [tr for tr in reference_trajectories(trajectories) if tr.id in keep]
 
 
 def reference_reward_delta(trajectory, rewards1, rewards2) -> float:
@@ -693,8 +723,8 @@ def reference_fit_state_space(rows, k, min_size, seed, n_restarts=1):
 # ---------------------------------------------------------------------------
 # the clinical ingest path as one row object per CSV row, kept as it was
 # before subjects became column blocks: every step loops over RawRecord rows.
-# The codec, assign_states and build_trajectory_set are the package's own;
-# only the row handling is the reference.
+# The codec is the package's own; the row handling, the state assignment and
+# the chaining, one subject at a time, are the reference.
 
 
 @dataclass
@@ -1034,17 +1064,33 @@ def reference_feature_matrix(prepared: dict, features: list[str]) -> tuple[np.nd
     return np.vstack(blocks), index
 
 
-def reference_trajectories_from_prepared(
-    prepared: dict, model, features: list[str]
-):
-    """Full prepared-records path: assign states, then chain trajectories."""
+def reference_trajectories_from_prepared(prepared: dict, model, features: list[str]):
+    """(TrajectorySet, report): assign states, then chain one subject at a time.
+
+    Subjects enter in sorted id order; one with fewer than two rows forms no
+    transition and is counted as excluded_short. n_actions is one more than
+    the largest action of any subject; the tags are those of the kept subjects.
+    """
     rows, index = reference_feature_matrix(prepared, features)
-    states = assign_states(rows, model)
-    state_seqs = {sid: states[index[sid]] for sid in index}
-    action_seqs = {sid: prepared[sid][1] for sid in index}
-    demographics = {sid: prepared[sid][0][0].demographics for sid in index}
-    outcomes = {sid: prepared[sid][0][0].died_in_hospital for sid in index}
-    n_actions = int(max(a.max() for a in action_seqs.values())) + 1
-    return build_trajectory_set(
-        state_seqs, action_seqs, demographics, outcomes, model.k, n_actions
+    states = reference_assign_states(rows, model)
+    n_actions = int(max(actions.max() for _, actions in prepared.values())) + 1
+    triples, lengths, ids, tags, died = [], [], [], [], []
+    for sid in sorted(prepared):
+        records, actions = prepared[sid]
+        seq = states[index[sid]]
+        if len(seq) < 2:
+            continue
+        for t in range(len(seq) - 1):
+            triples.append((int(seq[t]), int(actions[t]), int(seq[t + 1])))
+        lengths.append(len(seq) - 1)
+        ids.append(str(sid))
+        tags.append(records[0].demographics)
+        died.append(bool(records[0].died_in_hospital))
+    if not ids:
+        raise CohortEmptyError("no subject has two or more time steps")
+    names = sorted({t for carried in tags for t in carried})
+    tset = TrajectorySet(
+        np.array(triples, dtype=np.int64), lengths, ids, model.k, n_actions,
+        {t: [carried.get(t) for carried in tags] for t in names}, died,
     )
+    return tset, {"excluded_short": len(prepared) - len(ids)}

@@ -19,9 +19,7 @@ from consensus_irl import (
     PopulationConfig,
     PruneConfig,
     RewardModel,
-    Trajectory,
     TrajectoryScores,
-    TrajectorySet,
     TransitionModel,
     empirical_state_visitation,
     end_state_deciles,
@@ -44,6 +42,7 @@ from consensus_irl import (
 from consensus_irl.cli import dispatch
 from consensus_irl.maxent import SoftPolicy
 
+from conftest import make_set
 from oracles import (
     central_difference_gradient,
     deterministic_kernel,
@@ -81,9 +80,9 @@ def prune_recall(scores, corrupted, config):
     return len(pruned & corrupted) / len(corrupted)
 
 
-def score_one(trajectory, kernel, reward, policy):
-    """score_trajectories on the one-trajectory set of `trajectory`: (L, C, ll, off-policy)."""
-    one = TrajectorySet([trajectory], kernel.n_states, kernel.n_actions)
+def score_one(triples, kernel, reward, policy):
+    """score_trajectories on the one-trajectory set of `triples`: (L, C, ll, off-policy)."""
+    one = make_set([triples], n_states=kernel.n_states, n_actions=kernel.n_actions)
     sc = score_trajectories(one, kernel, reward, policy)
     return sc.L[0], sc.C[0], sc.log_likelihood[0], sc.fully_off_policy[0]
 
@@ -93,9 +92,8 @@ def test_criterion_01_gradient_matches_enumerated_likelihood():
     t0 = time.perf_counter()
     probs, nxt = deterministic_kernel(n_states, n_actions, seed=3)
     demos = sample_deterministic_demos(nxt, n_demos=12, horizon=horizon, seed=8)
-    ts = TrajectorySet(
-        [Trajectory(f"d{i}", tr) for i, tr in enumerate(demos)], n_states, n_actions
-    )
+    ts = make_set(demos, [f"d{i}" for i in range(len(demos))], n_states=n_states,
+                  n_actions=n_actions)
     model = TransitionModel(probs, np.zeros((n_states, n_actions), dtype=int))
     theta = np.random.default_rng(4).normal(0.0, 0.7, size=n_states)
 
@@ -163,7 +161,7 @@ def test_criterion_03_score_identities():
             nxt = int(rng.choice(n_states, p=probs[s, a]))
             triples.append((s, int(a), nxt))
             s = nxt
-        L, C, _, _ = score_one(Trajectory(f"r{i}", triples), kernel, reward, policy)
+        L, C, _, _ = score_one(triples, kernel, reward, policy)
         worst_identity = max(worst_identity, abs(C - math.exp(-L)))
 
     on_policy_exact = True
@@ -178,14 +176,14 @@ def test_criterion_03_score_identities():
             nxt = int(rng.choice(n_states, p=probs[s, a]))
             triples.append((s, a, nxt))
             s = nxt
-        base_L, base_C, _, _ = score_one(Trajectory(f"p{i}", triples), kernel, reward, policy)
+        base_L, base_C, _, _ = score_one(triples, kernel, reward, policy)
         on_policy_exact &= base_L == 0.0 and base_C == 1.0
 
         j = int(rng.integers(length))
         s_j, _, nxt_j = triples[j]
         bent = list(triples)
         bent[j] = (s_j, int(np.argmin(table[s_j])), nxt_j)
-        _, sub_C, _, _ = score_one(Trajectory(f"s{i}", bent), kernel, reward, policy)
+        _, sub_C, _, _ = score_one(bent, kernel, reward, policy)
         decreases += sub_C < base_C
 
     ok = worst_identity <= 1e-9 and on_policy_exact and decreases == n_sub
@@ -421,12 +419,12 @@ def test_criterion_10_likelihood_hand_examples_and_cutoffs(two_state):
     kernel = TransitionModel(probs, np.zeros((2, 1), dtype=int))
     reward = RewardModel(np.array([0.0, 1.0]))
     policy = greedy_policy(kernel, reward)
-    _, _, ll, _ = score_one(Trajectory("t", [[0, 0, 0], [0, 0, 1]]), kernel, reward, policy)
+    _, _, ll, _ = score_one([[0, 0, 0], [0, 0, 1]], kernel, reward, policy)
     quarter_exact = ll == math.log(0.25)
 
     kernel2, reward2 = two_state
     policy2 = greedy_policy(kernel2, reward2)
-    off = Trajectory("off", [[0, 0, 0], [0, 0, 0]])  # action 0 self-loops; policy wants 1
+    off = [[0, 0, 0], [0, 0, 0]]  # action 0 self-loops; policy wants 1
     _, _, ll_off, off_policy = score_one(off, kernel2, reward2, policy2)
     anomaly_ok = ll_off == 0.0 and off_policy
 

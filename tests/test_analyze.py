@@ -15,9 +15,7 @@ from consensus_irl import (
     PopulationConfig,
     PruneConfig,
     RewardModel,
-    Trajectory,
     TrajectoryScores,
-    TrajectorySet,
     anova_f_statistic,
     chi_squared_statistic,
     cluster_report,
@@ -28,7 +26,6 @@ from consensus_irl import (
     pairwise_permutation_tests,
     permutation_anova,
     permutation_chi2,
-    per_trajectory_reward_delta,
     reward_delta_by_state,
     run_two_stage,
 )
@@ -41,12 +38,14 @@ from consensus_irl.analyze import (
     _BLOCK_VALUES,
     PERMUTATION_NOTE,
     _flagged_count_blocks,
+    _reward_deltas,
     write_cluster_report_csv,
     write_deciles_csv,
     write_tests_csv,
     write_tests_json,
 )
 
+from conftest import make_set
 from oracles import (
     exact_anova_p,
     exact_chi2_p,
@@ -552,21 +551,16 @@ class TestHolm:
 
 def labelled_set(group_sizes, end_states, n_states=4):
     """One-transition trajectories tagged with a demographic group."""
-    trajs = []
-    i = 0
-    for group, size in group_sizes.items():
-        for _ in range(size):
-            end = end_states[group]
-            trajs.append(
-                Trajectory(
-                    f"t{i:03d}",
-                    [(0, 0, end)],
-                    demographics={"sex": group},
-                    died_in_hospital=(end == 0),
-                )
-            )
-            i += 1
-    return TrajectorySet(trajs, n_states, 1)
+    groups = [group for group, size in group_sizes.items() for _ in range(size)]
+    ends = [end_states[group] for group in groups]
+    return make_set(
+        [[(0, 0, end)] for end in ends],
+        [f"t{i:03d}" for i in range(len(groups))],
+        [{"sex": group} for group in groups],
+        [end == 0 for end in ends],
+        n_states,
+        1,
+    )
 
 
 class TestDisparity:
@@ -600,10 +594,10 @@ class TestDisparity:
             pruning_uniformity(tset, np.ones(8, dtype=bool), "race", n_permutations=10)
 
     def test_per_trajectory_delta_hand_value(self):
-        tr = Trajectory("t", [(0, 0, 1), (1, 0, 2)])
+        tset = make_set([[(0, 0, 1), (1, 0, 2)]], ["t"])
         r1 = RewardModel([0.9, 0.0, 0.0])  # initial state never enters the delta
         r2 = RewardModel([-0.9, 1.0, 0.5])
-        assert per_trajectory_reward_delta(tr, r1, r2) == pytest.approx(0.75)
+        assert _reward_deltas(tset, r1, r2).tolist() == [pytest.approx(0.75)]
 
     def test_separated_groups_detected_with_posthoc(self):
         tset = labelled_set({"f": 12, "m": 12}, {"f": 1, "m": 2})
@@ -653,14 +647,16 @@ class TestDisparity:
         """Inline or on a pool, the tests equal the one-permutation-at-a-time oracles."""
         rng = np.random.default_rng(8)
         sites = rng.choice(["a", "b", "c", "d"], size=41)
-        trajs = []
-        for i, site in enumerate(sites):
+        blocks = []
+        for _ in sites:
             path = rng.integers(0, 5, size=int(rng.integers(2, 6))).tolist()
-            triples = [(s, 0, sp) for s, sp in zip(path, path[1:])]
-            trajs.append(Trajectory(f"t{i:03d}", triples, demographics={"site": str(site)}))
-        tset = TrajectorySet(trajs, 5, 1)
+            blocks.append([(s, 0, sp) for s, sp in zip(path, path[1:])])
+        tset = make_set(
+            blocks, [f"t{i:03d}" for i in range(len(sites))],
+            [{"site": str(site)} for site in sites], n_states=5, n_actions=1,
+        )
         r1, r2 = (RewardModel(rng.uniform(-1, 1, size=5)) for _ in range(2))
-        values = [per_trajectory_reward_delta(tr, r1, r2) for tr in tset]
+        values = _reward_deltas(tset, r1, r2).tolist()
         monkeypatch.setattr(analyze, "_worker_count", lambda: workers)
         omnibus, posthoc = reward_loss_disparity(tset, r1, r2, "site", n_permutations=300, seed=3)
         assert omnibus == reference_permutation_anova(
@@ -708,13 +704,18 @@ class TestRewardDeltaRows:
             IrlConfig(epochs=150, lr0=0.5, seed=0),
             PruneConfig(retain_fraction=0.6),
         )
-        corrupted_visits = np.zeros(world.n_states)
-        total_visits = np.zeros(world.n_states)
-        for tr in pop.trajectories:
-            counts = np.bincount(tr.states, minlength=world.n_states)
-            total_visits += counts
-            if pop.corrupted[tr.id]:
-                corrupted_visits += counts
+        tset = pop.trajectories
+        corrupted = np.array([pop.corrupted[tid] for tid in tset.ids])
+
+        def visits(keep):
+            """Visits of the first and every next state by the kept trajectories."""
+            states = np.concatenate(
+                [tset.first_states[keep], tset.triples[np.repeat(keep, tset.lengths), 2]]
+            )
+            return np.bincount(states, minlength=world.n_states).astype(float)
+
+        corrupted_visits = visits(corrupted)
+        total_visits = visits(np.ones(len(tset), dtype=bool))
         dominated = corrupted_visits > (total_visits - corrupted_visits)
         visited = total_visits > 0
         assert (dominated & visited).any() and (~dominated & visited).any()

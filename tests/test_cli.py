@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -399,6 +400,47 @@ class TestIrlAndPrune:
         assert manifest["n_pruned"] == 20
         retained = TrajectorySet.from_csv(out / "retained.csv")
         assert len(retained) == 20
+
+
+class TestConvergenceWarnings:
+    WARNING = (
+        r"warning: stage{} fit{} did not converge: stopped after 5 of 5 iterations "
+        r"at max\|grad\| \S+ \(tolerance 0\.0001\)"
+    )
+
+    def test_capped_fits_warn_once_per_stage(self, synth_dir, tmp_path, capsys):
+        trajectories = synth_dir / "trajectories.csv"
+        fit = ("--optimizer", "sga", "--epochs", 5, "--permutations", 10)
+        assert run("irl", "--trajectories", trajectories, *fit[:4], "--out", tmp_path / "i") == 0
+        out, err = capsys.readouterr()
+        assert "warning" not in out
+        assert re.fullmatch(self.WARNING.format(1, ""), err.strip())
+        code = run(
+            "sweep", "--trajectories", trajectories, "--fractions", "0.5,0.8", *fit,
+            "--out", tmp_path / "s",
+        )
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "warning" not in out
+        stage1, *stage2 = err.splitlines()
+        assert re.fullmatch(self.WARNING.format(1, ""), stage1)
+        assert len(stage2) == 2
+        for line, fraction in zip(stage2, ("0.5", "0.8")):
+            assert re.fullmatch(self.WARNING.format(2, rf" at retain {fraction}"), line)
+
+    def test_converged_fits_do_not_warn(self, tmp_path, capsys):
+        # two self-looping states visited alike: the gradient is zero at the start
+        path = tmp_path / "loops.csv"
+        path.write_text("trajectory_id,step,state,action,next_state\na,0,0,0,0\nb,0,1,0,1\n")
+        assert run("irl", "--trajectories", path, "--out", tmp_path / "i") == 0
+        rewards = json.loads((tmp_path / "i" / "rewards.json").read_text())
+        assert rewards["metadata"]["converged"] is True
+        code = run(
+            "pipeline", "--trajectories", path, "--retain", 0.5, "--permutations", 10,
+            "--out", tmp_path / "p",
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestPipeline:
@@ -818,7 +860,7 @@ class TestClinicalFlow:
         tset = TrajectorySet.from_csv(clus / "trajectories.csv")
         assert len(tset) == 8
         # sick and stable subjects should land in different clusters
-        ends = {tr.id: tr.end_state for tr in tset}
+        ends = dict(zip(tset.ids, tset.end_states))
         assert ends["p0"] != ends["p1"]
 
     def test_pipeline_from_prepared_records(self, workdir, clinical_inputs):

@@ -13,17 +13,17 @@ import pytest
 import oracles
 from consensus_irl import (
     RewardModel,
-    Trajectory,
     TrajectorySet,
     TransitionModel,
     empirical_state_visitation,
     estimate_transitions,
     greedy_policy,
     initial_state_distribution,
-    per_trajectory_reward_delta,
     score_trajectories,
 )
 from consensus_irl.analyze import _reward_deltas
+
+from conftest import make_set
 
 N_STATES, N_ACTIONS = 30, 4
 COLUMNS = ("L", "C", "log_likelihood", "end_state_reward", "fully_off_policy")
@@ -45,23 +45,22 @@ def _chain(rng, length, pick_action):
 def clinical():
     """(set, scoring kernel, reward, policy) for the clinical-shaped set."""
     rng = np.random.default_rng(2024)
-    trajectories = []
+    blocks, ids, tags, died = [], [], [], []
     for i in range(150):
         # action 3 is never taken, so every (s, 3) pair is unseen
-        triples = _chain(rng, 1 + i % 24, lambda s: int(rng.integers(3)))
-        demographics = {"sex": str(rng.choice(["f", "m"]))}
+        blocks.append(_chain(rng, 1 + i % 24, lambda s: int(rng.integers(3))))
+        tags.append({"sex": str(rng.choice(["f", "m"]))})
         if i % 5:
-            demographics["site"] = str(rng.choice(["north", "south"]))
-        trajectories.append(
-            Trajectory(f"p{i:03d}", triples, demographics, bool(rng.random() < 0.2))
-        )
-    base = TrajectorySet(trajectories, N_STATES, N_ACTIONS)
+            tags[-1]["site"] = str(rng.choice(["north", "south"]))
+        ids.append(f"p{i:03d}")
+        died.append(bool(rng.random() < 0.2))
+    base = make_set(blocks, ids, tags, died, N_STATES, N_ACTIONS)
     reward = RewardModel(rng.uniform(-1, 1, N_STATES))
     policy = greedy_policy(estimate_transitions(base), reward)
 
-    off = _chain(rng, 7, lambda s: next(a for a in range(3) if a != policy[s]))
-    tset = TrajectorySet(
-        trajectories + [Trajectory("off", off, {"sex": "f"})], N_STATES, N_ACTIONS
+    off = _chain(rng, 7, lambda s: next(a for a in range(3) if a != policy.actions[s]))
+    tset = make_set(
+        blocks + [off], ids + ["off"], tags + [{"sex": "f"}], died + [False], N_STATES, N_ACTIONS
     )
     # zero out one observed on-policy transition in the scoring kernel
     kernel = estimate_transitions(tset)
@@ -69,7 +68,7 @@ def clinical():
     s, a, sp = next(
         (s, a, sp)
         for s, a, sp in tset.triples
-        if a == policy[s] and np.count_nonzero(probs[s, a]) > 1
+        if a == policy.actions[s] and np.count_nonzero(probs[s, a]) > 1
     )
     probs[s, a, sp] = 0.0
     probs[s, a] /= probs[s, a].sum()
@@ -119,8 +118,8 @@ def test_every_score_field_matches_reference(clinical):
 def test_single_trajectory_scores_match_reference(clinical):
     tset, kernel, reward, policy = clinical
     want = oracles.reference_scores(tset, kernel.probs, reward.rewards, policy.actions)
-    for tr, row in zip(tset, want):
-        one = TrajectorySet([tr], N_STATES, N_ACTIONS)
+    for i, row in enumerate(want):
+        one = tset.subset(np.arange(len(tset)) == i)
         sc = score_trajectories(one, kernel, reward, policy)
         assert (sc.ids[0], *(getattr(sc, c)[0].item() for c in COLUMNS)) == row
 
@@ -130,9 +129,11 @@ def test_reward_deltas_match_reference(clinical):
     rng = np.random.default_rng(5)
     r1 = RewardModel(rng.uniform(-1, 1, N_STATES))
     r2 = RewardModel(rng.uniform(-1, 1, N_STATES))
-    want = [oracles.reference_reward_delta(tr, r1.rewards, r2.rewards) for tr in tset]
+    want = [
+        oracles.reference_reward_delta(tr, r1.rewards, r2.rewards)
+        for tr in oracles.reference_trajectories(tset)
+    ]
     assert _reward_deltas(tset, r1, r2).tolist() == want
-    assert [per_trajectory_reward_delta(tr, r1, r2) for tr in tset] == want
 
 
 def test_subset_matches_reference(clinical):
@@ -142,7 +143,7 @@ def test_subset_matches_reference(clinical):
     want = oracles.reference_subset(tset, ids)
     assert sub.ids == [tr.id for tr in want]
     assert (sub.n_states, sub.n_actions) == (N_STATES, N_ACTIONS)
-    for got, ref in zip(sub, want):
+    for got, ref in zip(oracles.reference_trajectories(sub), want):
         assert np.array_equal(got.triples, ref.triples)
         assert got.demographics == ref.demographics
         assert got.died_in_hospital == ref.died_in_hospital

@@ -12,12 +12,11 @@ from consensus_irl import (
     SchemaError,
     SubjectRecords,
     assign_states,
-    build_trajectory_set,
     fit_state_space,
 )
 from consensus_irl.discretize import feature_matrix, trajectories_from_prepared
 
-from oracles import random_assignment_inertia
+from oracles import random_assignment_inertia, reference_trajectories
 
 
 def two_blobs(seed=0, n_per=40, spread=0.05):
@@ -202,63 +201,72 @@ class TestSerialization:
         assert first.read_bytes() == second.read_bytes()
 
 
+def chain(seqs, actions=None, tags=None, died=None):
+    """trajectories_from_prepared over subjects whose rows sit at these states.
+
+    The model puts state s at x = s, so a row at x = s is assigned state s.
+    Actions default to 0 on every row.
+    """
+    prepared = {}
+    for sid, states in seqs.items():
+        records = SubjectRecords(
+            subject_id=sid,
+            timestamps=np.arange(len(states)),
+            features={"x": np.asarray(states, dtype=float)},
+            demographics=(tags or {}).get(sid, {}),
+            died_in_hospital=(died or {}).get(sid, False),
+        )
+        acts = [0] * len(states) if actions is None else actions[sid]
+        prepared[sid] = (records, np.asarray(acts, dtype=np.int64))
+    return trajectories_from_prepared(prepared, hand_model(np.arange(10)), ["x"])
+
+
 class TestChaining:
     def test_three_step_subject_chains_two_transitions(self):
-        tset, report = build_trajectory_set(
-            {"p": [3, 3, 9]}, {"p": [0, 2, 7]}, {}, {}, n_states=10, n_actions=8
-        )
-        assert tset.trajectories[0].triples.tolist() == [[3, 0, 3], [3, 2, 9]]
+        tset, report = chain({"p": [3, 3, 9]}, {"p": [0, 2, 7]})
+        assert tset.triples.tolist() == [[3, 0, 3], [3, 2, 9]]
+        assert tset.lengths.tolist() == [2]
+        assert (tset.n_states, tset.n_actions) == (10, 8)
         assert report == {"excluded_short": 0}
 
-    def test_trailing_action_optional(self):
-        with_pad, _ = build_trajectory_set(
-            {"p": [3, 3, 9]}, {"p": [0, 2, 7]}, {}, {}, n_states=10, n_actions=8
-        )
-        without, _ = build_trajectory_set(
-            {"p": [3, 3, 9]}, {"p": [0, 2]}, {}, {}, n_states=10, n_actions=8
-        )
-        assert np.array_equal(
-            with_pad.trajectories[0].triples, without.trajectories[0].triples
-        )
+    def test_last_rows_action_starts_no_step(self):
+        with_seven, _ = chain({"p": [3, 3, 9]}, {"p": [0, 2, 7]})
+        with_one, _ = chain({"p": [3, 3, 9]}, {"p": [0, 2, 1]})
+        assert np.array_equal(with_seven.triples, with_one.triples)
+        assert (with_seven.n_actions, with_one.n_actions) == (8, 3)
 
     def test_single_step_subject_excluded_and_counted(self):
-        tset, report = build_trajectory_set(
-            {"a": [1, 2, 0], "b": [4]},
-            {"a": [0, 1], "b": []},
-            {},
-            {},
-            n_states=5,
-            n_actions=2,
-        )
-        assert [t.id for t in tset.trajectories] == ["a"]
+        tset, report = chain({"a": [1, 2, 0], "b": [4]}, {"a": [0, 1, 1], "b": [1]})
+        assert tset.ids == ["a"]
+        assert tset.triples.tolist() == [[1, 0, 2], [2, 1, 0]]
         assert report == {"excluded_short": 1}
 
     def test_all_subjects_short_rejected(self):
         with pytest.raises(CohortEmptyError):
-            build_trajectory_set(
-                {"a": [1], "b": [2]}, {"a": [], "b": []}, {}, {}, 5, 2
-            )
+            chain({"a": [1], "b": [2]})
 
     def test_subjects_enter_sorted(self):
-        seqs = {"s9": [0, 1], "s1": [1, 2], "s5": [2, 0]}
-        acts = {sid: [0] for sid in seqs}
-        tset, _ = build_trajectory_set(seqs, acts, {}, {}, 3, 1)
-        assert [t.id for t in tset.trajectories] == ["s1", "s5", "s9"]
+        tset, _ = chain({"s9": [0, 1], "s1": [1, 2], "s5": [2, 0]})
+        assert tset.ids == ["s1", "s5", "s9"]
+        assert tset.triples.tolist() == [[1, 0, 2], [2, 0, 0], [0, 0, 1]]
 
     def test_metadata_attached_with_defaults(self):
-        tset, _ = build_trajectory_set(
-            {"a": [0, 1], "b": [1, 0]},
-            {"a": [0], "b": [1]},
-            {"a": {"sex": "female"}},
+        tset, _ = chain(
+            {"a": [0, 1], "b": [1, 0], "c": [5]},
+            {"a": [0, 0], "b": [1, 1], "c": [6]},
+            {"a": {"sex": "female"}, "c": {"ward": "icu"}},
             {"a": True},
-            2,
-            2,
         )
-        by_id = {t.id: t for t in tset.trajectories}
-        assert by_id["a"].demographics == {"sex": "female"}
-        assert by_id["a"].died_in_hospital is True
-        assert by_id["b"].demographics == {}
-        assert by_id["b"].died_in_hospital is False
+        assert tset.ids == ["a", "b"]
+        assert [tr.demographics for tr in reference_trajectories(tset)] == [{"sex": "female"}, {}]
+        assert tset.died_in_hospital.tolist() == [True, False]
+        # c is left out, so its tag is not a tag of the set; its action still counts
+        assert tset.demographic_tags() == ["sex"]
+        assert tset.n_actions == 7
+
+    def test_one_action_per_row_required(self):
+        with pytest.raises(SchemaError, match="subject p: needs one action per row"):
+            chain({"p": [3, 3, 9]}, {"p": [0, 2]})
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -271,16 +279,13 @@ class TestChaining:
     def test_every_trajectory_is_chained(self, seqs):
         assume(any(len(s) >= 2 for s in seqs))
         state_seqs = {f"s{i}": s for i, s in enumerate(seqs)}
-        action_seqs = {f"s{i}": [0] * len(s) for i, s in enumerate(seqs)}
-        tset, report = build_trajectory_set(state_seqs, action_seqs, {}, {}, 10, 1)
+        tset, report = chain(state_seqs)
         assert report["excluded_short"] == sum(len(s) < 2 for s in seqs)
-        assert len(tset.trajectories) == len(seqs) - report["excluded_short"]
-        for traj in tset.trajectories:
-            src = state_seqs[traj.id]
-            assert len(traj.triples) == len(src) - 1
-            assert np.array_equal(
-                traj.triples[1:, 0], traj.triples[:-1, 2]
-            ), "consecutive triples must chain"
+        assert len(tset) == len(seqs) - report["excluded_short"]
+        for tr in reference_trajectories(tset):
+            src = state_seqs[tr.id]
+            assert tr.triples.tolist() == [[s, 0, sp] for s, sp in zip(src, src[1:])]
+            assert np.array_equal(tr.triples[1:, 0], tr.triples[:-1, 2]), "triples must chain"
 
 
 def make_prepared():
@@ -331,10 +336,10 @@ class TestPreparedPath:
         assert tset.n_states == model.k
         assert tset.n_actions == 3  # max action id 2 observed
         states = assign_states(rows, model)
-        by_id = {t.id: t for t in tset.trajectories}
-        p1 = by_id["p1"]
-        assert np.array_equal(p1.triples[:, 0], states[index["p1"]][:-1])
-        assert np.array_equal(p1.triples[:, 2], states[index["p1"]][1:])
-        assert np.array_equal(p1.triples[:, 1], [0, 1])
-        assert by_id["p2"].died_in_hospital is True
-        assert by_id["p1"].demographics == {"sex": "male"}
+        assert tset.ids == ["p1", "p2"]
+        p1 = reference_trajectories(tset)[0].triples
+        assert np.array_equal(p1[:, 0], states[index["p1"]][:-1])
+        assert np.array_equal(p1[:, 2], states[index["p1"]][1:])
+        assert np.array_equal(p1[:, 1], [0, 1])
+        assert tset.died_in_hospital.tolist() == [False, True]
+        assert reference_trajectories(tset)[0].demographics == {"sex": "male"}

@@ -3,7 +3,8 @@
 Each cohort is deliberately dirty: empty cells, a feature that is never
 observed, out-of-bounds rows, a subject whose every row is out of bounds, a
 demographic category too rare to survive regrouping, rows out of time order
-and interleaved between subjects, and a one-row subject. The new path must
+and interleaved between subjects, and a one-row subject. A cohort built in
+memory adds a subject that lacks a tag, which the CSV readers cannot produce. The new path must
 write the same prepared.csv bytes, report the same drops, stack the same
 feature matrix and chain the same trajectories.csv bytes as the reference.
 """
@@ -11,7 +12,7 @@ feature matrix and chain the same trajectories.csv bytes as the reference.
 import numpy as np
 import pytest
 
-from consensus_irl import SchemaError, fit_state_space, hypotension_codec
+from consensus_irl import SchemaError, SubjectRecords, fit_state_space, hypotension_codec
 from consensus_irl.discretize import feature_matrix, trajectories_from_prepared
 from consensus_irl.ingest import (
     load_records_csv,
@@ -22,6 +23,7 @@ from consensus_irl.ingest import (
 )
 
 from oracles import (
+    RawRecord,
     reference_feature_matrix,
     reference_load_records_csv,
     reference_prepare_subjects,
@@ -157,6 +159,47 @@ def test_trajectories_csv_matches_reference(cohort):
     assert written == (tmp_path / "reference_trajectories.csv").read_bytes()
     assert report == reference_report
     assert report["excluded_short"] >= 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chaining_matches_reference_with_short_and_untagged_subjects(tmp_path, seed):
+    """A prepared cohort built in memory: subjects may lack a tag, which no CSV allows.
+
+    u01 and u04 have one row each; u02 has no site, and u04's ward is a tag of
+    no subject with two rows, so the set must not carry it.
+    """
+    rng = np.random.default_rng(seed)
+    got, want = {}, {}
+    for i in range(12):
+        sid = f"u{i:02d}"
+        n_rows = 1 if i in (1, 4) else int(rng.integers(2, 7))
+        times = np.sort(rng.choice(50, n_rows, replace=False))
+        columns = {f: rng.normal(80, 20, n_rows) for f in FEATURES}
+        tags = {"sex": str(rng.choice(["f", "m"]))}
+        if i != 2:
+            tags["site"] = str(rng.choice(["north", "south"]))
+        if i == 4:
+            tags["ward"] = "icu"
+        died = bool(rng.random() < 0.3)
+        actions = rng.integers(0, 4, n_rows)
+        got[sid] = (SubjectRecords(sid, times, columns, {}, tags, died), actions)
+        rows = [
+            RawRecord(sid, int(t), {f: float(columns[f][j]) for f in FEATURES}, set(), tags, died)
+            for j, t in enumerate(times)
+        ]
+        want[sid] = (rows, actions)
+    rows, _ = feature_matrix(got, FEATURES)
+    model = fit_state_space(rows, k=5, min_size=3, seed=seed, feature_names=FEATURES)
+    tset, report = trajectories_from_prepared(got, model, FEATURES)
+    reference_tset, reference_report = reference_trajectories_from_prepared(want, model, FEATURES)
+    tset.to_csv(tmp_path / "trajectories.csv")
+    reference_tset.to_csv(tmp_path / "reference_trajectories.csv")
+    written = (tmp_path / "trajectories.csv").read_bytes()
+    assert written == (tmp_path / "reference_trajectories.csv").read_bytes()
+    assert (tset.n_states, tset.n_actions) == (reference_tset.n_states, reference_tset.n_actions)
+    assert report == reference_report == {"excluded_short": 2}
+    assert tset.demographic_tags() == ["sex", "site"]
+    assert tset.demographics["site"][tset.ids.index("u02")] is None
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,6 @@ from consensus_irl import (
     ParameterError,
     SoftPolicy,
     TransitionModel,
-    Trajectory,
-    TrajectorySet,
     empirical_state_visitation,
     expected_state_visitation,
     estimate_transitions,
@@ -24,6 +22,8 @@ from consensus_irl import (
 )
 from consensus_irl.maxent import write_training_log
 from consensus_irl.synth import PopulationConfig
+
+from conftest import make_set
 
 from oracles import (
     central_difference_gradient,
@@ -42,8 +42,8 @@ def _model(probs):
 
 
 def _demo_set(demos, n_states, n_actions):
-    trs = [Trajectory(f"d{i}", triples) for i, triples in enumerate(demos)]
-    return TrajectorySet(trs, n_states, n_actions)
+    return make_set(demos, [f"d{i}" for i in range(len(demos))], n_states=n_states,
+                    n_actions=n_actions)
 
 
 def _random_stochastic(n_states, n_actions, seed):
@@ -110,8 +110,7 @@ def test_backward_pass_rejects_bad_horizon(two_state):
 
 
 def test_empirical_visitation_counts_initial_and_next_states():
-    t = Trajectory("a", np.array([[3, 0, 9], [9, 1, 3]]))
-    ts = TrajectorySet([t], n_states=10, n_actions=2)
+    ts = make_set([[[3, 0, 9], [9, 1, 3]]], ["a"], n_states=10, n_actions=2)
     values = empirical_state_visitation(ts)
     assert values[3] == 2.0
     assert values[9] == 1.0
@@ -119,21 +118,17 @@ def test_empirical_visitation_counts_initial_and_next_states():
 
 
 def test_empirical_visitation_is_mean_over_trajectories():
-    t1 = Trajectory("a", np.array([[3, 0, 9], [9, 1, 3]]))
-    t2 = Trajectory("b", np.array([[3, 0, 9], [9, 1, 3]]))
-    one = empirical_state_visitation(TrajectorySet([t1], 10, 2))
-    two = empirical_state_visitation(TrajectorySet([t1, t2], 10, 2))
+    steps = [[3, 0, 9], [9, 1, 3]]
+    one = empirical_state_visitation(make_set([steps], ["a"], n_states=10, n_actions=2))
+    two = empirical_state_visitation(make_set([steps, steps], ["a", "b"], n_states=10, n_actions=2))
     assert np.array_equal(one, two)
 
 
 def test_initial_state_distribution():
-    trs = [
-        Trajectory("a", np.array([[0, 0, 1]])),
-        Trajectory("b", np.array([[0, 0, 1]])),
-        Trajectory("c", np.array([[2, 0, 1]])),
-        Trajectory("d", np.array([[1, 0, 2]])),
-    ]
-    d0 = initial_state_distribution(TrajectorySet(trs, 3, 1))
+    tset = make_set(
+        [[[0, 0, 1]], [[0, 0, 1]], [[2, 0, 1]], [[1, 0, 2]]], list("abcd"), n_states=3, n_actions=1
+    )
+    d0 = initial_state_distribution(tset)
     assert np.allclose(d0, [0.5, 0.25, 0.25])
 
 
@@ -238,11 +233,7 @@ def test_gradient_zero_when_demos_match_model_symmetry():
     probs = np.zeros((2, 2, 2))
     probs[0, :, 0] = 1.0
     probs[1, :, 1] = 1.0
-    trs = [
-        Trajectory("a", np.array([[0, 0, 0]])),
-        Trajectory("b", np.array([[1, 0, 1]])),
-    ]
-    ts = TrajectorySet(trs, 2, 2)
+    ts = make_set([[[0, 0, 0]], [[1, 0, 1]]], ["a", "b"], n_states=2, n_actions=2)
     for optimizer in ("sga", "lbfgs"):
         out = train_maxent_irl(ts, _model(probs), IrlConfig(optimizer=optimizer))
         assert out.metadata["epochs_run"] == 0
@@ -252,8 +243,7 @@ def test_gradient_zero_when_demos_match_model_symmetry():
 
 
 def test_unvisited_state_has_exactly_zero_gradient():
-    trs = [Trajectory("a", np.array([[0, 0, 1], [1, 0, 0]]))]
-    ts = TrajectorySet(trs, 2, 1)
+    ts = make_set([[[0, 0, 1], [1, 0, 0]]], ["a"], n_states=2, n_actions=1)
     model = estimate_transitions(ts, n_states=4, n_actions=1)
     theta = np.array([0.5, -0.3, 0.8, -0.8])
     policy = soft_backward_pass(model, theta, horizon=2)

@@ -100,7 +100,7 @@ def test_conftest_worlds_match_dense_passes(small_world, small_population, two_s
     _assert_passes_match(world_kernel, trajectories, thetas)
 
     model, reward = two_state
-    demos = TrajectorySet.from_columns([[0, 1, 1], [1, 0, 1], [0, 0, 0]], [2, 1], ["a", "b"])
+    demos = TrajectorySet([[0, 1, 1], [1, 0, 1], [0, 0, 0]], [2, 1], ["a", "b"])
     _assert_passes_match(model, demos, [reward.rewards, np.zeros(2)], horizon=4)
 
 

@@ -3,13 +3,11 @@ import pytest
 
 import consensus_irl as ci
 
+from conftest import make_set
+
 
 def tset_from_triples(triple_lists, n_states, n_actions):
-    trs = [
-        ci.Trajectory(f"t{i}", np.array(t, dtype=np.int64), {}, False)
-        for i, t in enumerate(triple_lists)
-    ]
-    return ci.TrajectorySet(trs, n_states, n_actions)
+    return make_set(triple_lists, n_states=n_states, n_actions=n_actions)
 
 
 def test_estimate_transitions_frequencies():

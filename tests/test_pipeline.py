@@ -108,7 +108,7 @@ def test_two_stage_is_deterministic(small_population):
 
 
 def test_empty_set_is_rejected():
-    empty = TrajectorySet([], n_states=2, n_actions=2)
+    empty = TrajectorySet(np.empty((0, 3)), [], [], n_states=2, n_actions=2)
     with pytest.raises(CohortEmptyError):
         run_two_stage(empty, IrlConfig(), PruneConfig())
 

@@ -15,9 +15,7 @@ from consensus_irl import (
     ParameterError,
     PruneConfig,
     RewardModel,
-    Trajectory,
     TrajectoryScores,
-    TrajectorySet,
     TransitionModel,
     expected_reward_table,
     greedy_policy,
@@ -26,6 +24,9 @@ from consensus_irl import (
     select_retained,
     write_scores_csv,
 )
+
+from conftest import make_set
+from oracles import reference_trajectories
 
 COLUMNS = ("L", "C", "log_likelihood", "end_state_reward", "fully_off_policy")
 
@@ -46,9 +47,9 @@ def _kept(scores, config):
     return ids[retained].tolist(), ids[~retained].tolist()
 
 
-def _score_one(tr, model, reward, policy):
-    """score_trajectories on the one-trajectory set of tr, as plain Python values."""
-    one = TrajectorySet([tr], model.n_states, model.n_actions)
+def _score_one(triples, model, reward, policy, tid="a"):
+    """score_trajectories on the one-trajectory set of these triples, as plain Python values."""
+    one = make_set([triples], [tid], n_states=model.n_states, n_actions=model.n_actions)
     sc = score_trajectories(one, model, reward, policy)
     return SimpleNamespace(id=sc.ids[0], **{c: getattr(sc, c)[0].item() for c in COLUMNS})
 
@@ -66,7 +67,7 @@ def random_instance():
     model = _model(probs)
     reward = RewardModel(rng.uniform(-1, 1, size=8))
     policy = greedy_policy(model, reward)
-    trajectories = []
+    blocks = []
     for i in range(1000):
         length = int(rng.integers(1, 7))
         triples = np.empty((length, 3), dtype=np.int64)
@@ -76,8 +77,9 @@ def random_instance():
             sp = int(rng.integers(8))
             triples[t] = (s, a, sp)
             s = sp
-        trajectories.append(Trajectory(f"t{i:04d}", triples))
-    return TrajectorySet(trajectories, 8, 3), model, reward, policy
+        blocks.append(triples)
+    ids = [f"t{i:04d}" for i in range(1000)]
+    return make_set(blocks, ids, n_states=8, n_actions=3), model, reward, policy
 
 
 # ---------------------------------------------------------------- deviation
@@ -86,8 +88,7 @@ def random_instance():
 def test_on_policy_trajectory_scores_perfectly(two_state):
     model, reward = two_state
     policy = greedy_policy(model, reward)
-    tr = Trajectory("a", np.array([[0, 1, 1], [1, 0, 1]]))
-    sc = _score_one(tr, model, reward, policy)
+    sc = _score_one([[0, 1, 1], [1, 0, 1]], model, reward, policy)
     assert sc.L == 0.0
     assert sc.C == 1.0
     assert sc.log_likelihood == 0.0
@@ -99,7 +100,7 @@ def test_single_bad_step_hand_values(two_state):
     model, reward = two_state
     policy = greedy_policy(model, reward)
     # staying at state 0 forfeits the +1 arrival: r_opt = +1, r_sel = -1
-    sc = _score_one(Trajectory("a", np.array([[0, 0, 0]])), model, reward, policy)
+    sc = _score_one([[0, 0, 0]], model, reward, policy)
     assert sc.L == pytest.approx(2.0, abs=1e-12)
     assert sc.C == pytest.approx(math.exp(-2.0), abs=1e-9)
     assert sc.C == pytest.approx(0.13534, abs=5e-6)
@@ -109,8 +110,7 @@ def test_two_step_mixed_gaps_hand_values(two_state):
     model, reward = two_state
     policy = greedy_policy(model, reward)
     # per-step gaps 2 then 0, so the mean loss is 1
-    tr = Trajectory("a", np.array([[0, 0, 0], [0, 1, 1]]))
-    sc = _score_one(tr, model, reward, policy)
+    sc = _score_one([[0, 0, 0], [0, 1, 1]], model, reward, policy)
     assert sc.L == pytest.approx(1.0, abs=1e-12)
     assert sc.C == pytest.approx(math.exp(-1.0), abs=1e-9)
     assert sc.C == pytest.approx(0.36788, abs=5e-6)
@@ -119,12 +119,8 @@ def test_two_step_mixed_gaps_hand_values(two_state):
 def test_zero_length_trajectory_is_rejected(two_state):
     model, reward = two_state
     policy = greedy_policy(model, reward)
-    bad = Trajectory.__new__(Trajectory)
-    bad.id = "empty"
-    bad.triples = np.empty((0, 3), dtype=np.int64)
-    bad.demographics, bad.died_in_hospital = {}, False
     with pytest.raises(InputError, match="empty: at least one transition"):
-        _score_one(bad, model, reward, policy)
+        _score_one(np.empty((0, 3)), model, reward, policy, tid="empty")
 
 
 def test_deviation_score_identity_on_random_trajectories(random_instance):
@@ -133,7 +129,7 @@ def test_deviation_score_identity_on_random_trajectories(random_instance):
     table = expected_reward_table(model, reward)
     scores = score_trajectories(ts, model, reward, policy)
     assert len(scores) == 1000 and scores.ids == ts.ids
-    for tr, L, C in zip(ts, scores.L.tolist(), scores.C.tolist()):
+    for tr, L, C in zip(reference_trajectories(ts), scores.L.tolist(), scores.C.tolist()):
         s, a = tr.triples[:, 0], tr.triples[:, 1]
         gaps = table[s, policy.actions[s]] - table[s, a]
         geometric = float(np.prod(np.exp(-gaps)) ** (1.0 / len(gaps)))
@@ -149,16 +145,16 @@ def test_worse_action_substitution_strictly_lowers_C(random_instance):
     ts, model, reward, policy = random_instance
     table = expected_reward_table(model, reward)
     checked = 0
-    for tr in list(ts)[:200]:
-        base = _score_one(tr, model, reward, policy)
-        for t in range(len(tr)):
+    for tr in reference_trajectories(ts)[:200]:
+        base = _score_one(tr.triples, model, reward, policy)
+        for t in range(len(tr.triples)):
             s, a = tr.triples[t, 0], tr.triples[t, 1]
             worse = [b for b in range(3) if table[s, b] < table[s, a] - 1e-12]
             if not worse:
                 continue
             triples = tr.triples.copy()
             triples[t, 1] = worse[0]
-            swapped = _score_one(Trajectory(tr.id, triples), model, reward, policy)
+            swapped = _score_one(triples, model, reward, policy)
             assert swapped.C < base.C
             assert swapped.L > base.L
             checked += 1
@@ -174,8 +170,7 @@ def test_likelihood_two_half_probability_steps():
     model = _model(probs)
     reward = RewardModel(np.array([0.0, 1.0]))
     policy = greedy_policy(model, reward)
-    tr = Trajectory("a", np.array([[0, 0, 0], [0, 0, 1]]))
-    ll = _score_one(tr, model, reward, policy).log_likelihood
+    ll = _score_one([[0, 0, 0], [0, 0, 1]], model, reward, policy).log_likelihood
     assert ll == pytest.approx(math.log(0.25), abs=1e-12)
     assert ll == pytest.approx(-1.38629, abs=5e-6)
 
@@ -183,8 +178,7 @@ def test_likelihood_two_half_probability_steps():
 def test_likelihood_fully_off_policy_is_zero_and_flagged(two_state):
     model, reward = two_state
     policy = greedy_policy(model, reward)  # policy takes action 1 at state 0
-    tr = Trajectory("a", np.array([[0, 0, 0], [0, 0, 0]]))
-    sc = _score_one(tr, model, reward, policy)
+    sc = _score_one([[0, 0, 0], [0, 0, 0]], model, reward, policy)
     assert sc.log_likelihood == 0.0
     assert sc.fully_off_policy
 
@@ -192,8 +186,8 @@ def test_likelihood_fully_off_policy_is_zero_and_flagged(two_state):
 def test_likelihood_deterministic_on_policy_is_zero(two_state):
     model, reward = two_state
     policy = greedy_policy(model, reward)
-    tr = Trajectory("a", np.array([[0, 1, 1], [1, 0, 1], [1, 0, 1]]))
-    assert _score_one(tr, model, reward, policy).log_likelihood == 0.0
+    on_policy = [[0, 1, 1], [1, 0, 1], [1, 0, 1]]
+    assert _score_one(on_policy, model, reward, policy).log_likelihood == 0.0
 
 
 def test_likelihood_zero_probability_on_policy_step(two_state):
@@ -201,15 +195,13 @@ def test_likelihood_zero_probability_on_policy_step(two_state):
     policy = greedy_policy(model, reward)
     # the policy's action at state 0 lands in state 1 with probability 1,
     # so observing it land in state 0 is impossible under the kernel
-    tr = Trajectory("a", np.array([[0, 1, 0]]))
-    assert _score_one(tr, model, reward, policy).log_likelihood == float("-inf")
+    assert _score_one([[0, 1, 0]], model, reward, policy).log_likelihood == float("-inf")
 
 
 def test_likelihood_ignores_off_policy_steps(two_state):
     model, reward = two_state
     policy = greedy_policy(model, reward)
-    on_only = Trajectory("a", np.array([[0, 1, 1]]))
-    mixed = Trajectory("b", np.array([[0, 0, 0], [0, 1, 1]]))
+    on_only, mixed = [[0, 1, 1]], [[0, 0, 0], [0, 1, 1]]
     ll = [_score_one(tr, model, reward, policy).log_likelihood for tr in (mixed, on_only)]
     assert ll[0] == ll[1]
 

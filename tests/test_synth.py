@@ -131,19 +131,17 @@ def test_huge_beta_tracks_the_optimal_policy(small_world):
         PopulationConfig(n_trajectories=30, expert_beta=1e6, corrupted_fraction=0.0, seed=7),
     )
     optimal = small_world.optimal_policy.actions
-    for tr in pop.trajectories:
-        s, a = tr.triples[:, 0], tr.triples[:, 1]
-        assert np.array_equal(a, optimal[s])
+    s, a = pop.trajectories.triples[:, 0], pop.trajectories.triples[:, 1]
+    assert np.array_equal(a, optimal[s])
 
 
 def test_population_respects_world_dimensions(small_population, small_world):
     ts = small_population.trajectories
     assert ts.n_states == small_world.n_states
     assert ts.n_actions == small_world.n_actions
-    for tr in ts:
-        assert len(tr) == small_world.horizon
-        assert tr.triples[:, [0, 2]].max() < small_world.n_states
-        assert tr.triples[:, 1].max() < small_world.n_actions
+    assert (ts.lengths == small_world.horizon).all()
+    assert ts.triples[:, [0, 2]].max() < small_world.n_states
+    assert ts.triples[:, 1].max() < small_world.n_actions
 
 
 def test_population_determinism(small_world):
@@ -151,14 +149,11 @@ def test_population_determinism(small_world):
     a = generate_population(small_world, cfg)
     b = generate_population(small_world, cfg)
     assert a.corrupted == b.corrupted
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert ta.id == tb.id
-        assert np.array_equal(ta.triples, tb.triples)
+    assert a.trajectories.ids == b.trajectories.ids
+    assert np.array_equal(a.trajectories.triples, b.trajectories.triples)
+    assert np.array_equal(a.trajectories.lengths, b.trajectories.lengths)
     c = generate_population(small_world, replace(cfg, seed=14))
-    assert any(
-        not np.array_equal(ta.triples, tc.triples)
-        for ta, tc in zip(a.trajectories, c.trajectories)
-    )
+    assert not np.array_equal(a.trajectories.triples, c.trajectories.triples)
 
 
 def test_corruption_modes_produce_distinct_behaviour(small_world):
@@ -167,9 +162,9 @@ def test_corruption_modes_produce_distinct_behaviour(small_world):
             n_trajectories=30, corrupted_fraction=0.5, corruption_mode=mode, seed=21
         )
         pop = generate_population(small_world, cfg)
-        return np.concatenate(
-            [tr.triples[:, 1] for tr in pop.trajectories if pop.corrupted[tr.id]]
-        )
+        tset = pop.trajectories
+        corrupted = np.array([pop.corrupted[tid] for tid in tset.ids])
+        return tset.triples[np.repeat(corrupted, tset.lengths), 1]
 
     random_a = corrupted_actions("random_policy")
     negated_a = corrupted_actions("negated_reward")
@@ -187,10 +182,11 @@ def test_demographics_attached_and_correlated(small_world):
         n_trajectories=60, corrupted_fraction=0.4, demographics=tags, seed=2
     )
     pop = generate_population(small_world, cfg)
-    for tr in pop.trajectories:
-        assert tr.demographics["site"] in {"north", "south"}
-        if pop.corrupted[tr.id]:
-            assert tr.demographics["flagged"] == "yes"
+    tags = pop.trajectories.demographics
+    assert set(tags["site"].tolist()) <= {"north", "south"}
+    for tid, flagged in zip(pop.trajectories.ids, tags["flagged"].tolist()):
+        if pop.corrupted[tid]:
+            assert flagged == "yes"
 
 
 def test_demographic_tag_validates_distributions():
@@ -275,9 +271,9 @@ def test_inverse_cdf_is_searchsorted_right_per_row(width):
 
 
 def test_death_label_follows_end_state_reward(small_world, small_population):
-    for tr in small_population.trajectories:
-        expected = small_world.rewards[tr.end_state] <= DEATH_REWARD_CUTOFF
-        assert tr.died_in_hospital == bool(expected)
+    tset = small_population.trajectories
+    expected = small_world.rewards[tset.end_states] <= DEATH_REWARD_CUTOFF
+    assert np.array_equal(tset.died_in_hospital, expected)
 
 
 def test_labels_csv_round_trip(tmp_path, small_population):

@@ -1,45 +1,59 @@
 import numpy as np
 import pytest
 
-from consensus_irl import InputError, ParameterError, SchemaError, Trajectory, TrajectorySet
+from consensus_irl import InputError, ParameterError, SchemaError, TrajectorySet
+
+from conftest import make_set
+from oracles import reference_trajectories
+
+STEPS = ((0, 1, 2), (2, 0, 1))
 
 
-def make(tid="t0", triples=((0, 1, 2), (2, 0, 1)), **kw):
-    return Trajectory(tid, np.array(triples, dtype=np.int64), kw.get("demo", {}),
-                      kw.get("died", False))
+def test_first_and_end_states():
+    tset = make_set([STEPS, [(1, 0, 0)]])
+    assert tset.first_states.tolist() == [0, 1]
+    assert tset.end_states.tolist() == [1, 0]
 
 
-def test_states_include_initial_and_next():
-    tr = make()
-    assert tr.states.tolist() == [0, 2, 1]
-    assert tr.end_state == 1
+def test_iterating_yields_each_trajectorys_triples():
+    tset = make_set([STEPS, [(1, 0, 0)]])
+    assert [block.tolist() for block in tset] == [list(map(list, STEPS)), [[1, 0, 0]]]
+    assert list(make_set([], n_states=3, n_actions=2)) == []
 
 
 def test_chaining_violation_rejected():
-    with pytest.raises(InputError):
-        make(triples=((0, 1, 2), (3, 0, 1)))
+    with pytest.raises(InputError, match="trajectory t1: triples do not chain"):
+        make_set([STEPS, ((0, 1, 2), (3, 0, 1))])
 
 
 def test_zero_length_rejected():
-    with pytest.raises(InputError):
-        Trajectory("t0", np.empty((0, 3), dtype=np.int64), {}, False)
+    with pytest.raises(InputError, match="trajectory t0: at least one transition"):
+        TrajectorySet(np.empty((0, 3), dtype=np.int64), [0], ["t0"])
+
+
+def test_columns_must_agree():
+    with pytest.raises(SchemaError, match="shape"):
+        TrajectorySet(np.zeros((2, 2)), [2], ["a"])
+    with pytest.raises(SchemaError, match="do not add up"):
+        TrajectorySet(np.array(STEPS), [1], ["a"])
+    with pytest.raises(SchemaError, match="disagree on the number"):
+        TrajectorySet(np.array(STEPS), [2], ["a"], died_in_hospital=[True, False])
 
 
 def test_set_validates_id_ranges():
-    tr = make(triples=((0, 1, 5),))
     with pytest.raises(InputError):
-        TrajectorySet([tr], n_states=3, n_actions=2)
+        make_set([[(0, 1, 5)]], n_states=3, n_actions=2)
     with pytest.raises(InputError):
-        TrajectorySet([make(triples=((0, 7, 1),))], n_states=3, n_actions=2)
+        make_set([[(0, 7, 1)]], n_states=3, n_actions=2)
 
 
 def test_duplicate_ids_rejected():
     with pytest.raises(InputError):
-        TrajectorySet([make("a"), make("a")], 3, 2)
+        make_set([STEPS, STEPS], ["a", "a"], n_states=3, n_actions=2)
 
 
 def test_subset_preserves_order_and_checks_the_mask():
-    tset = TrajectorySet([make("a"), make("b"), make("c")], 3, 2)
+    tset = make_set([STEPS] * 3, ["a", "b", "c"], n_states=3, n_actions=2)
     sub = tset.subset(np.array([True, False, True]))
     assert sub.ids == ["a", "c"]
     assert sub.n_states == 3
@@ -49,9 +63,13 @@ def test_subset_preserves_order_and_checks_the_mask():
 
 
 def test_max_length_and_tags():
-    t1 = make("a", ((0, 0, 1),), demo={"race": "x", "language": "en"})
-    t2 = make("b", ((0, 0, 1), (1, 0, 2), (2, 0, 0)), demo={"race": "y"})
-    tset = TrajectorySet([t1, t2], 3, 1)
+    tset = make_set(
+        [[(0, 0, 1)], [(0, 0, 1), (1, 0, 2), (2, 0, 0)]],
+        ["a", "b"],
+        [{"race": "x", "language": "en"}, {"race": "y"}],
+        n_states=3,
+        n_actions=1,
+    )
     assert tset.max_length() == 3
     assert tset.demographic_tags() == ["language", "race"]
 
@@ -63,34 +81,36 @@ def test_csv_round_trip(tmp_path, small_population):
     back = TrajectorySet.from_csv(path, n_states=tset.n_states,
                                   n_actions=tset.n_actions)
     assert back.ids == tset.ids
-    for a, b in zip(tset, back):
-        assert np.array_equal(a.triples, b.triples)
-        assert a.demographics == b.demographics
-        assert a.died_in_hospital == b.died_in_hospital
+    assert np.array_equal(back.triples, tset.triples)
+    assert np.array_equal(back.lengths, tset.lengths)
+    assert [tr.demographics for tr in reference_trajectories(back)] == [
+        tr.demographics for tr in reference_trajectories(tset)
+    ]
+    assert np.array_equal(back.died_in_hospital, tset.died_in_hospital)
 
 
 def test_csv_round_trip_with_demographics(tmp_path):
-    t1 = make("a", demo={"race": "x"}, died=True)
-    t2 = make("b", demo={"race": "y"}, died=False)
-    tset = TrajectorySet([t1, t2], 3, 2)
+    tset = make_set(
+        [STEPS, STEPS], ["a", "b"], [{"race": "x"}, {"race": "y"}], [True, False], 3, 2
+    )
     path = tmp_path / "t.csv"
     tset.to_csv(path)
     back = TrajectorySet.from_csv(path)
     assert back.ids == ["a", "b"]
-    assert back[0].died_in_hospital is True
-    assert back[1].demographics == {"race": "y"}
+    assert back.died_in_hospital.tolist() == [True, False]
+    assert reference_trajectories(back)[1].demographics == {"race": "y"}
 
 
 def test_csv_round_trip_keeps_missing_tags_missing(tmp_path):
     from consensus_irl.analyze import _attribute_labels
 
     tags = {"race": "x", "language": "en", "site": "north"}
-    tset = TrajectorySet([make("a", demo=tags), make("b", demo={"race": "y"})], 3, 2)
+    tset = make_set([STEPS, STEPS], ["a", "b"], [tags, {"race": "y"}], n_states=3, n_actions=2)
     path = tmp_path / "t.csv"
     tset.to_csv(path)
     back = TrajectorySet.from_csv(path)
-    assert back[0].demographics == tags
-    assert back[1].demographics == {"race": "y"}
+    assert reference_trajectories(back)[0].demographics == tags
+    assert reference_trajectories(back)[1].demographics == {"race": "y"}
     assert back.demographics["site"].tolist() == ["north", None]
     for attribute in ("language", "site"):
         with pytest.raises(ParameterError, match=f"trajectory b is missing .*{attribute}"):
@@ -99,7 +119,7 @@ def test_csv_round_trip_keeps_missing_tags_missing(tmp_path):
 
 
 def test_from_csv_infers_dimensions(tmp_path):
-    tset = TrajectorySet([make("a", ((0, 3, 4), (4, 1, 2)))], 5, 4)
+    tset = make_set([[(0, 3, 4), (4, 1, 2)]], ["a"], n_states=5, n_actions=4)
     path = tmp_path / "t.csv"
     tset.to_csv(path)
     back = TrajectorySet.from_csv(path)
@@ -150,8 +170,10 @@ def test_csv_interleaved_rows_keep_first_appearance_order(tmp_path):
     path = write_csv(tmp_path, "b,1,2,0,1,1\na,0,0,1,2,0\nb,0,0,1,2,1\na,1,2,0,0,0\n")
     tset = TrajectorySet.from_csv(path)
     assert tset.ids == ["b", "a"]
-    assert tset[0].triples.tolist() == [[0, 1, 2], [2, 0, 1]]
-    assert tset[1].triples.tolist() == [[0, 1, 2], [2, 0, 0]]
+    assert [tr.triples.tolist() for tr in reference_trajectories(tset)] == [
+        [[0, 1, 2], [2, 0, 1]],
+        [[0, 1, 2], [2, 0, 0]],
+    ]
     assert tset.died_in_hospital.tolist() == [True, False]
 
 
@@ -161,7 +183,7 @@ def test_reduce_steps_matches_per_trajectory_reductions():
     values = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-6, 6, size=lengths.sum())
     where = rng.random(lengths.sum()) < 0.6
     states = np.zeros(lengths.sum(), dtype=np.int64)
-    tset = TrajectorySet.from_columns(
+    tset = TrajectorySet(
         np.stack([states, states, states], axis=1), lengths, [f"t{i}" for i in range(400)]
     )
     slices = np.split(np.arange(lengths.sum()), np.cumsum(lengths)[:-1])
@@ -174,13 +196,13 @@ def test_reduce_steps_matches_per_trajectory_reductions():
 def test_csv_round_trip_quotes_commas_and_hashes(tmp_path):
     tags = {"note": "a, b", "quote": 'say "hi"', "mark": "#1"}
     other = {"note": "#", "quote": '""', "mark": ","}
-    tset = TrajectorySet([make("#a", demo=tags, died=True), make("b#", demo=other)], 3, 2)
+    tset = make_set([STEPS, STEPS], ["#a", "b#"], [tags, other], [True, False], 3, 2)
     path = tmp_path / "t.csv"
     tset.to_csv(path)
     back = TrajectorySet.from_csv(path)
     assert back.ids == ["#a", "b#"]
-    assert back[0].demographics == tags
-    assert back[1].demographics == other
+    assert reference_trajectories(back)[0].demographics == tags
+    assert reference_trajectories(back)[1].demographics == other
     assert back.died_in_hospital.tolist() == [True, False]
     assert back.triples.tolist() == tset.triples.tolist()
 

@@ -16,6 +16,8 @@ cohort of perfbench/cohort.py) are written once and copied to both. Per seed:
   --optimizer lbfgs;
 - the clinical chain ingest -> cluster -> pipeline --prepared ->
   analyze --cluster-model, and sweep --prepared on the tagged clinical rows;
+- a clinical cluster at k = 80, which drops clusters and so leaves gaps in
+  the state ids, and one pipeline --records straight from the raw cohort;
 
 and, once per tree, the stdout of every demos/*.py. Each command's exit code
 and stdout are kept as files too, so a changed message or a failing command
@@ -89,6 +91,11 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
     world = ("--trajectories", "world/trajectories.csv")
     truth = ("--world", "world/world.json", "--labels", "world/labels.csv")
     features = ("--features", ",".join(cohort.FEATURES))
+    records = (
+        "--records", "inputs/records.csv", "--normals", "inputs/normals.json",
+        "--bounds", "inputs/bounds.json", "--condition", "hypotension",
+        "--demographics", ",".join(cohort.DEMOGRAPHICS),
+    ) + features
     steps = [
         ("synth", "world", (
             "--states", "60", "--actions", "3", "--branching", "4", "--horizon", "12",
@@ -109,11 +116,7 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ("pipeline", "random", world + truth + ("--method", "random", "--retain", "0.5")
          + PERMUTATIONS),
         ("pipeline", "lbfgs", world + ("--optimizer", "lbfgs", "--retain", "0.5") + PERMUTATIONS),
-        ("ingest", "ingest", (
-            "--records", "inputs/records.csv", "--normals", "inputs/normals.json",
-            "--bounds", "inputs/bounds.json", "--condition", "hypotension",
-            "--demographics", ",".join(cohort.DEMOGRAPHICS),
-        ) + features),
+        ("ingest", "ingest", records),
         ("cluster", "states", ("--prepared", "ingest/prepared.csv", "--k", K) + features),
         ("pipeline", "clinical", (
             "--prepared", "ingest/prepared.csv", "--k", K, "--retain", "0.8",
@@ -125,6 +128,8 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ("sweep", "clinical_sweep", (
             "--prepared", "ingest/prepared.csv", "--k", K, "--fractions", "0.5,0.8",
         ) + features + PERMUTATIONS),
+        ("cluster", "states_k80", ("--prepared", "ingest/prepared.csv", "--k", "80") + features),
+        ("pipeline", "clinical_records", records + ("--k", K, "--retain", "0.8") + PERMUTATIONS),
     ]
     return [(cmd, out, flags + ("--seed", str(seed), "--out", out)) for cmd, out, flags in steps]
 

@@ -277,8 +277,14 @@ def fit_state_space(
         seed=seed,
     )
     # statistics in original units over the post-reassignment membership,
-    # which is what downstream cluster tables describe
-    order, slices = _slices(assign_states(rows, model), k)
+    # which is what downstream cluster tables describe. A row whose nearest
+    # center is retained keeps it, since each distance does not depend on the
+    # other centers, so only the dropped clusters' rows are assigned again
+    states = assign.astype(np.int64)
+    moved = np.isin(assign, sorted(dropped))
+    if moved.any():
+        states[moved] = assign_states(rows[moved], model)
+    order, slices = _slices(states, k)
     sorted_rows = rows[order]
     stats = {}
     for c in model.retained_ids:

@@ -11,12 +11,19 @@ gradient is that same visitation difference.
 
 Both passes run once per epoch (Ziebart et al., AAAI 2008), and each step of
 either is one np.bincount over the kernel's non-zeros (TransitionModel.nonzero),
-so a step costs O(nnz) rather than O(S^2 A). The backward pass adds each
-(s, a) row's products in column order, which differs from a dense matvec only
-in rounding; it takes its log-sum-exp over actions inline, by the algorithm of
-scipy.special.logsumexp (1.17), so the values do not depend on the installed
-scipy. The forward pass adds the same products in the same order as a dense
-contraction. scipy is imported only by the L-BFGS fit.
+so a step costs O(nnz) rather than O(S^2 A). Both work in one action-major
+layout: the bin of (s, a) is a*S + s, so a step's values form a contiguous
+(A, S) block whose reductions over actions run down its rows, and numpy
+spends far less per call on those than on the short rows of an (S, A) block.
+The layout moves no result: bincount adds each bin's products in the order
+of the non-zero list, whatever the bin's index, and the one sum over actions
+keeps the order numpy adds a contiguous row in (_action_sum). The backward
+pass adds each (s, a) row's products in column order, which differs from a
+dense matvec only in rounding; it takes its log-sum-exp over actions inline,
+by the algorithm of scipy.special.logsumexp (1.17), so the values do not
+depend on the installed scipy. The forward pass adds the same products in
+the same order as a dense contraction. scipy is imported only by the L-BFGS
+fit.
 """
 
 from __future__ import annotations
@@ -116,17 +123,33 @@ def soft_backward_pass(transitions: TransitionModel, reward, horizon: int) -> So
     and V_t = logsumexp_a Q_t. The returned policy is pi_t(a|s) =
     exp(Q_t(s,a) - V_t(s)). Rewards are collected on arrival at s'.
 
-    Each Q_t is one np.bincount over the kernel's non-zeros: it adds the
-    products P(s,a,s') (R(s') + V_{t+1}(s')) of each (s, a) row in column
-    order, starting from 0. A dense matvec adds the same products in another
-    order, so the two agree to rounding, not to the bit.
+    Each Q_t is one np.bincount over the kernel's non-zeros into the
+    action-major bins a*S + s: it adds the products
+    P(s,a,s') (R(s') + V_{t+1}(s')) of each (s, a) row in column order,
+    starting from 0, because the non-zero list keeps that order. A dense
+    matvec adds the same products in another order, so the two agree to
+    rounding, not to the bit.
 
     The log-sum-exp is computed inline as scipy.special.logsumexp (1.17)
-    computes it: with m the row maximum, k the number of entries equal to it
-    and s the sum of exp(Q - m) over the other entries,
-    V = log1p(s / k) + log(k) + m. A non-finite value raises NumericError.
+    computes it: with m the maximum over actions, k the number of actions
+    equal to it and s the sum of exp(Q - m) over the others,
+    V = log1p(s / k) + log(k) + m. m and k are reductions down the rows of
+    the (A, S) block, and s adds its terms as scipy's sum over a row of the
+    (S, A) block does (_action_sum). A non-finite value raises NumericError.
     """
     return SoftPolicy(_soft_backward(transitions, reward, horizon)[0])
+
+
+def _action_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of each column of an (A, S) block, added as numpy adds a row of A.
+
+    numpy adds a contiguous row of fewer than eight terms left to right, as
+    adding the block's rows top down does. From eight terms on it sums a row
+    pairwise, so there the sums run over a C-contiguous (S, A) copy.
+    """
+    if len(x) < 8:
+        return x.sum(axis=0)
+    return np.ascontiguousarray(x.T).sum(axis=1)
 
 
 def _soft_backward(transitions: TransitionModel, reward, horizon: int):
@@ -137,24 +160,29 @@ def _soft_backward(transitions: TransitionModel, reward, horizon: int):
     if len(r) != transitions.n_states:
         raise ParameterError("reward length does not match transition model")
     n_states, n_actions = transitions.n_states, transitions.n_actions
-    rows, cols, vals = transitions.nonzero
-    policy = np.empty((horizon, n_states, n_actions))
+    bins, cols, vals = transitions.nonzero
+    policy = np.empty((horizon, n_actions, n_states))
     v = np.zeros(n_states)
     for t in range(horizon - 1, -1, -1):
-        q = np.bincount(rows, weights=vals * (r + v)[cols], minlength=n_states * n_actions)
-        q = q.reshape(n_states, n_actions)
-        m = q.max(axis=1)
-        # V is finite exactly where the row maximum is
-        if not np.all(np.isfinite(m)):
+        q = np.bincount(bins, weights=vals * (r + v)[cols], minlength=n_actions * n_states)
+        q = q.reshape(n_actions, n_states)
+        m = q.max(axis=0)
+        # V is finite exactly where the maximum over actions is
+        if not np.isfinite(m).all():
             s_bad = int(np.flatnonzero(~np.isfinite(m))[0])
             raise NumericError(f"soft backward pass: non-finite value at (t={t}, s={s_bad})")
-        top = q == m[:, None]
-        k = np.count_nonzero(top, axis=1)
-        rest = np.exp(q - m[:, None])
+        top = q == m
+        rest = np.exp(q - m)
         np.putmask(rest, top, 0.0)
-        v = np.log1p(rest.sum(axis=1) / k) + np.log(k) + m
-        policy[t] = np.exp(q - v[:, None])
-    return policy, v
+        if np.count_nonzero(top) == n_states:
+            # no ties, so every k is 1: s / 1 is s, and log(1) = 0 added to
+            # log1p(s) >= 0 changes nothing, so skipping both is exact
+            v = np.log1p(_action_sum(rest)) + m
+        else:
+            k = np.count_nonzero(top, axis=0)
+            v = np.log1p(_action_sum(rest) / k) + np.log(k) + m
+        policy[t] = np.exp(q - v)
+    return np.ascontiguousarray(policy.transpose(0, 2, 1)), v
 
 
 def expected_state_visitation(
@@ -165,10 +193,12 @@ def expected_state_visitation(
 ) -> np.ndarray:
     """Forward pass: total expected state visitation mass over t = 0..horizon.
 
-    Each step is one np.bincount over the kernel's non-zeros. It adds the
-    products (D_t(s) pi_t(a|s)) P(s,a,s') for each s' in (s, a) order, as the
-    dense contraction np.einsum("s,sa,sap->p", ...) does, and the terms it
-    skips are zeros, so the result is the same to the bit.
+    Each step is one np.bincount over the kernel's non-zeros. The flow
+    D_t(s) pi_t(a|s) of each (s, a) sits at its action-major bin a*S + s, in
+    one transposed copy of the policy, and the non-zero list keeps its (s, a)
+    order, so each s' adds its products (D_t(s) pi_t(a|s)) P(s,a,s') in
+    (s, a) order, as the dense contraction np.einsum("s,sa,sap->p", ...) does.
+    The terms it skips are zeros, so the result is the same to the bit.
     """
     d = np.asarray(initial_distribution, dtype=float)
     n_states = transitions.n_states
@@ -181,12 +211,13 @@ def expected_state_visitation(
     horizon = horizon if horizon is not None else policy.horizon
     if horizon > policy.horizon:
         raise ParameterError("horizon exceeds the policy's time range")
-    rows, cols, vals = transitions.nonzero
+    bins, cols, vals = transitions.nonzero
+    pi = np.ascontiguousarray(policy.probs[:horizon].transpose(0, 2, 1))
     total = d.copy()
     for t in range(horizon):
         # D_{t+1}(s') = sum_{s,a} D_t(s) pi_t(a|s) P(s,a,s')
-        flow = (d[:, None] * policy.probs[t]).ravel()
-        d = np.bincount(cols, weights=flow[rows] * vals, minlength=n_states)
+        flow = (pi[t] * d).ravel()
+        d = np.bincount(cols, weights=flow[bins] * vals, minlength=n_states)
         total += d
     return total
 
@@ -288,7 +319,10 @@ def train_maxent_irl(
     lbfgs, L-BFGS-B maximizes maxent_objective for at most `epochs`
     iterations. Training stops early once max|grad| falls below
     config.grad_tolerance, and the metadata's `converged` says whether it did.
-    The final weights are affinely rescaled into [-1, 1].
+    The final weights are affinely rescaled into [-1, 1]. The metadata's
+    `unvisited_states` lists the states no demonstration arrives at, a state
+    seen only as a first state among them: the fit gets no arrival evidence
+    for their reward.
     """
     if len(trajectories) == 0:
         raise CohortEmptyError("cannot train on an empty trajectory set")
@@ -304,7 +338,7 @@ def train_maxent_irl(
     )
 
     rewards, rescale = _rescale_rewards(theta)
-    unvisited = np.flatnonzero(empirical == 0)
+    unvisited = np.flatnonzero(np.bincount(trajectories.triples[:, 2], minlength=n_states) == 0)
     metadata = {
         "stage": stage,
         "optimizer": config.optimizer,

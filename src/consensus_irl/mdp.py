@@ -24,10 +24,12 @@ ROW_SUM_TOL = 1e-9
 class TransitionModel:
     """Tabular stochastic kernel P(s, a, s') with per-(s, a) visit counts.
 
-    `nonzero` holds the kernel's non-zero entries as (rows, cols, vals) of its
-    (S*A, S) reshape, in row-major order; the soft backward and forward
-    visitation passes of maxent run over them. `probs` is made read-only so
-    that they cannot go stale.
+    `nonzero` holds the kernel's non-zero entries P(s, a, s') as
+    (bins, cols, vals), in the row-major order of its (S*A, S) reshape: bins
+    is the bin a*S + s of the entry's (s, a) row in an action-major (A, S)
+    block, the layout of the soft backward and forward visitation passes of
+    maxent, cols is s' and vals the probability. It is built once, and
+    `probs` is made read-only so that it cannot go stale.
     """
 
     probs: np.ndarray  # (n_states, n_actions, n_states), read-only
@@ -48,7 +50,8 @@ class TransitionModel:
         self.probs.flags.writeable = False
         flat = self.probs.reshape(-1, self.n_states)
         rows, cols = np.nonzero(flat)
-        self.nonzero = (rows, cols, flat[rows, cols])
+        s, a = np.divmod(rows, self.n_actions)
+        self.nonzero = (a * self.n_states + s, cols, flat[rows, cols])
 
     @property
     def n_states(self) -> int:

@@ -85,6 +85,13 @@ def test_fit_matches_reference_around_the_chunk_size(n, d):
     assert_same_fit(scaled_normal(n, d, seed=n), k=6, min_size=20, seed=1)
 
 
+@pytest.mark.parametrize("d", [3, 9])
+def test_dropped_clusters_match_reference(d):
+    # the statistics reassign the dropped clusters' rows to retained centers
+    model = assert_same_fit(scaled_normal(300, d, seed=40 + d), k=20, min_size=15, seed=3)
+    assert model.dropped_cluster_ids and model.feature_stats
+
+
 def test_restarts_match_reference():
     assert_same_fit(scaled_normal(500, 3, seed=8), k=8, min_size=10, seed=5, n_restarts=4)
 

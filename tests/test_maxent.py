@@ -258,6 +258,16 @@ def test_unvisited_state_has_exactly_zero_gradient():
     assert out.metadata["unvisited_states"] == [2, 3]
 
 
+def test_a_state_seen_only_first_is_unvisited():
+    # state 2 starts trajectory "a" and is never arrived at; state 3 is never seen
+    ts = make_set([[[2, 0, 0], [0, 0, 1]], [[1, 0, 0]]], ["a", "b"], n_states=4, n_actions=1)
+    model = estimate_transitions(ts, n_states=4, n_actions=1)
+    assert empirical_state_visitation(ts, n_states=4)[2] == 0.5
+    for optimizer in ("sga", "lbfgs"):
+        out = train_maxent_irl(ts, model, IrlConfig(optimizer=optimizer, epochs=5))
+        assert out.metadata["unvisited_states"] == [2, 3]
+
+
 # --------------------------------------------------------------------- training
 
 
@@ -374,6 +384,25 @@ def test_divergence_raises_numeric_error(small_population):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite"):
             train_maxent_irl(pop.trajectories, model, cfg)
+
+
+@pytest.mark.parametrize(
+    "reward_3, t", [(np.inf, 3), (1e308, 2)], ids=["infinite", "overflowing"]
+)
+def test_non_finite_value_names_its_step_and_state(reward_3, t):
+    """Only state 2's action 1 and state 3's own loop reach state 3.
+
+    An infinite reward there makes Q non-finite at the last step; a reward of
+    1e308 is finite at the last step, and adding V = 1e308 overflows one step
+    earlier. Either way state 2 is the first state whose value is not finite.
+    """
+    probs = np.stack([np.eye(4), np.eye(4)], axis=1)
+    probs[2, 1] = [0.0, 0.0, 0.0, 1.0]
+    model = _model(probs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as raised:
+            soft_backward_pass(model, [0.0, 0.0, 0.0, reward_3], horizon=4)
+    assert str(raised.value) == f"soft backward pass: non-finite value at (t={t}, s=2)"
 
 
 def test_lbfgs_non_finite_objective_raises_numeric_error(small_population, monkeypatch):

@@ -9,7 +9,8 @@ forward pass, J and its gradient are exact against the dense einsum oracle fed
 the package's own policy. The inputs are the conftest worlds, the
 clinical-shaped set of test_clinical_oracles.py (lengths 1-24, unused state
 ids and an action never taken, which gives rows of exactly tied Q), a
-400-state garnet and policies built outside the package.
+400-state garnet, garnets of 8 to 130 actions and policies built outside the
+package.
 """
 
 import numpy as np
@@ -119,6 +120,24 @@ def test_400_state_garnet_matches_dense_passes(garnet):
     _assert_passes_match(estimate_transitions(trajectories, 400, 4), trajectories, thetas)
     world_kernel = TransitionModel(world.probs.copy(), np.zeros((400, 4), dtype=int))
     _assert_passes_match(world_kernel, trajectories, thetas[:1])
+
+
+@pytest.mark.parametrize("n_actions", [8, 9, 16, 130])
+def test_wide_action_spaces_match_dense_passes(n_actions):
+    """From eight actions on, numpy sums a row pairwise, and past 128 it also
+    splits the row in two; the sum over actions must keep that order at every
+    width. The estimated kernel's unobserved actions loop in place, which ties
+    their Q values."""
+    n_states = 10 if n_actions > 16 else 30
+    world = generate_world(n_states, n_actions, 4, seed=n_actions, horizon=8)
+    config = PopulationConfig(n_trajectories=200, seed=5)
+    trajectories = generate_population(world, config).trajectories
+    thetas = _thetas(n_states, n_actions)
+    estimated = estimate_transitions(trajectories, n_states, n_actions)
+    assert any(_tied_rows(estimated, theta) for theta in thetas)
+    _assert_passes_match(estimated, trajectories, thetas)
+    world_kernel = TransitionModel(world.probs.copy(), np.zeros((n_states, n_actions), dtype=int))
+    _assert_passes_match(world_kernel, trajectories, thetas)
 
 
 def test_dense_backward_pass_takes_the_same_decisions(small_population, monkeypatch):

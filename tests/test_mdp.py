@@ -109,7 +109,11 @@ def test_kernel_is_read_only(small_population):
     model = ci.estimate_transitions(small_population.trajectories)
     with pytest.raises(ValueError, match="read-only"):
         model.probs[0, 0, 0] = 0.5
-    rows, cols, vals = model.nonzero
+    bins, cols, vals = model.nonzero
     flat = model.probs.reshape(-1, model.n_states)
-    assert np.array_equal(np.stack(np.nonzero(flat)), np.stack([rows, cols]))
+    rows, want_cols = np.nonzero(flat)
+    assert np.array_equal(cols, want_cols)
     assert np.array_equal(vals, flat[rows, cols])
+    # each entry's (s, a) row s * A + a sits at bin a * S + s
+    s, a = np.divmod(rows, model.n_actions)
+    assert np.array_equal(bins, a * model.n_states + s)

@@ -14,6 +14,9 @@ cohort of perfbench/cohort.py) are written once and copied to both. Per seed:
   --threshold 0.001 (which keeps some of them but not all);
 - one pipeline with --method random and the ground truth, and one with
   --optimizer lbfgs;
+- a chain of 9 actions, synth -> pipeline --world --labels, since numpy sums
+  a row of eight or more values pairwise, so the MaxEnt passes' sums over
+  actions take another order there;
 - the clinical chain ingest -> cluster -> pipeline --prepared ->
   analyze --cluster-model, and sweep --prepared on the tagged clinical rows;
 - a clinical cluster at k = 80, which drops clusters and so leaves gaps in
@@ -116,6 +119,14 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ("pipeline", "random", world + truth + ("--method", "random", "--retain", "0.5")
          + PERMUTATIONS),
         ("pipeline", "lbfgs", world + ("--optimizer", "lbfgs", "--retain", "0.5") + PERMUTATIONS),
+        ("synth", "wide", (
+            "--states", "40", "--actions", "9", "--branching", "4", "--horizon", "10",
+            "--trajectories", "400", "--corrupted", "0.3", "--mode", "random_policy",
+        )),
+        ("pipeline", "wide_two_stage", (
+            "--trajectories", "wide/trajectories.csv", "--world", "wide/world.json",
+            "--labels", "wide/labels.csv", "--retain", "0.5",
+        ) + PERMUTATIONS),
         ("ingest", "ingest", records),
         ("cluster", "states", ("--prepared", "ingest/prepared.csv", "--k", K) + features),
         ("pipeline", "clinical", (

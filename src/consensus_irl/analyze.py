@@ -25,7 +25,6 @@ the process may use, and the worker count changes no p-value.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -40,6 +39,7 @@ import numpy as np
 from .errors import ParameterError
 from .mdp import RewardModel
 from .prune import TrajectoryScores
+from .table import write_table
 from .trajectories import TrajectorySet
 
 PERMUTATION_NOTE = (
@@ -128,24 +128,22 @@ def cluster_report(
 def write_cluster_report_csv(report: ClusterReport, path) -> None:
     feats = report.features
     has_delta = any(r.delta_means is not None for r in report.best + report.worst)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["side", "rank", "cluster", "reward", "count"]
-        for f in feats:
-            header += [f"{f}_mean", f"{f}_std"]
-            if has_delta:
-                header += [f"{f}_delta_mean", f"{f}_delta_std"]
-        writer.writerow(header)
-        for side in ("best", "worst"):
-            for r in getattr(report, side):
-                row = [side, r.rank, r.cluster, repr(r.reward), r.count]
-                for f in feats:
-                    row += [repr(r.means[f]), repr(r.stds[f])]
-                    if has_delta:
-                        dm = r.delta_means or {}
-                        ds = r.delta_stds or {}
-                        row += [repr(dm.get(f, 0.0)), repr(ds.get(f, 0.0))]
-                writer.writerow(row)
+    header = ["side", "rank", "cluster", "reward", "count"]
+    for f in feats:
+        header += [f"{f}_mean", f"{f}_std"]
+        if has_delta:
+            header += [f"{f}_delta_mean", f"{f}_delta_std"]
+    rows = []
+    for side in ("best", "worst"):
+        for r in getattr(report, side):
+            row = [side, r.rank, r.cluster, repr(r.reward), r.count]
+            for f in feats:
+                row += [repr(r.means[f]), repr(r.stds[f])]
+                if has_delta:
+                    dm, ds = r.delta_means or {}, r.delta_stds or {}
+                    row += [repr(dm.get(f, 0.0)), repr(ds.get(f, 0.0))]
+            rows.append(row)
+    write_table(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +175,10 @@ def end_state_deciles(scores: TrajectoryScores) -> list[dict]:
 
 
 def write_deciles_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["bucket", "percentile_low", "percentile_high", "mean_end_state_reward", "count"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r["bucket"],
-                    r["percentile_low"],
-                    r["percentile_high"],
-                    repr(r["mean_end_state_reward"]),
-                    r["count"],
-                ]
-            )
+    header = ["bucket", "percentile_low", "percentile_high", "mean_end_state_reward", "count"]
+    write_table(path, header, (
+        [repr(r[k]) if k == "mean_end_state_reward" else r[k] for k in header] for r in rows
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -638,22 +625,10 @@ def write_tests_json(results, path, posthoc: dict | None = None) -> None:
 
 
 def write_tests_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {PERMUTATION_NOTE}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["name", "statistic", "p_value", "p_floor", "n_permutations", "seed", "groups"]
-        )
-        for res in results:
-            groups = ";".join(f"{label}:{size}" for label, size in res.groups)
-            writer.writerow(
-                [
-                    res.name,
-                    repr(res.statistic),
-                    repr(res.p_value),
-                    repr(res.p_floor),
-                    res.n_permutations,
-                    res.seed,
-                    groups,
-                ]
-            )
+    header = ["name", "statistic", "p_value", "p_floor", "n_permutations", "seed", "groups"]
+    rows = (
+        [res.name, repr(res.statistic), repr(res.p_value), repr(res.p_floor), res.n_permutations,
+         res.seed, ";".join(f"{label}:{size}" for label, size in res.groups)]
+        for res in results
+    )
+    write_table(path, header, rows, note=PERMUTATION_NOTE)

@@ -20,7 +20,6 @@ whose message names the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import os
@@ -80,6 +79,7 @@ from .synth import (
     load_demographic_tags,
     read_labels_csv,
 )
+from .table import write_table
 from .trajectories import TrajectorySet
 from .version import __version__
 
@@ -459,10 +459,20 @@ def _write_files(out, files: dict) -> None:
         write(os.path.join(out, name))
 
 
-def _load_cluster_model(cfg) -> ClusterModel | None:
-    if not cfg["cluster_model"]:
+def _load_cluster_model(cfg, n_states: int) -> ClusterModel | None:
+    """The --cluster-model, which must cluster into the run's n_states states: a
+    model of fewer clusters, or one that keeps a cluster id at or beyond
+    n_states, would pair a cluster's vitals with another state's reward."""
+    path = cfg["cluster_model"]
+    if not path:
         return None
-    return _read_input("cluster model", cfg["cluster_model"], ClusterModel.from_json)
+    model = _read_input("cluster model", path, ClusterModel.from_json)
+    beyond = [c for c in model.retained_ids if c >= n_states]
+    if model.k < n_states or beyond:
+        keeps = f" that keeps cluster {beyond[0]}" if beyond else ""
+        raise InputError(f"--cluster-model {path}: a model of {model.k} clusters{keeps} "
+                         f"is not a clustering of the run's {n_states} states")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +686,8 @@ def _pipeline_inputs(cfg) -> tuple[TrajectorySet, ClusterModel | None, dict]:
         cluster_model, tset, _, states = _cluster(cfg, prepared)
         return tset, cluster_model, {**files, **states}
     if cfg["trajectories"]:
-        return _load_trajectories(cfg), _load_cluster_model(cfg), {}
+        tset = _load_trajectories(cfg)
+        return tset, _load_cluster_model(cfg, tset.n_states), {}
     raise InputError(
         "pipeline: provide --trajectories, --prepared, or --records"
     )
@@ -782,11 +793,9 @@ def cmd_sweep(cfg) -> None:
         rows.append(row)
 
     keys = sorted(rows[0])  # every row has the same keys
-    with open(os.path.join(out, "sweep_summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        writer.writerows([repr(row[k]) if isinstance(row[k], float) else row[k] for k in keys]
-                         for row in rows)
+    write_table(os.path.join(out, "sweep_summary.csv"), keys,
+                ([repr(row[k]) if isinstance(row[k], float) else row[k] for k in keys]
+                 for row in rows))
     seed = cfg["seed"]
     seeds = {"stage1": seed, "stage2": seed + 1, "prune": seed + 2, "tests": seed + 3}
     _write_echo_and_manifest(out, "sweep", cfg, seeds, ["sweep_summary.csv"], fractions=fractions)
@@ -804,7 +813,7 @@ def cmd_analyze(cfg) -> None:
         states = _read_input("rewards", rewards, RewardModel.from_json).n_states
     tset = _load_trajectories({**cfg, "states": states})
     result = _read_input("run", run, load_run_directory, tset)
-    cluster_model = _load_cluster_model(cfg)
+    cluster_model = _load_cluster_model(cfg, states)
     _attributes(cfg, tset)
     os.makedirs(out, exist_ok=True)
     artifacts = _analysis_artifacts(out, tset, result, cfg, cluster_model)

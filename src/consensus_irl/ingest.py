@@ -6,15 +6,14 @@ bit. Each subject is one `SubjectRecords` block of columns. This module makes
 them fully valued (last observation carried forward, clinical normal values
 before the first measurement), drops rows with out-of-range observations, and
 turns treatment-flag patterns into discrete action ids via a declared codec.
-Each step works on whole columns and returns a new block.
-
-Rows are taken as already bucketed to uniform time steps upstream; nothing
-here resamples.
+Each step works on whole columns and returns a new block. The records and
+prepared CSVs go through the package's one CSV reader (table.py), so an empty
+tag cell is a missing tag (None), which regrouping leaves missing. Rows are
+taken as already bucketed to uniform time steps upstream; nothing resamples.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -23,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CohortEmptyError, ParameterError, SchemaError
+from .table import BINARY, FINITE, FLAG, INTEGER, OPTIONAL, TEXT, read_table, write_table
 
 
 @dataclass(eq=False)
@@ -215,7 +215,8 @@ def regroup_demographics(subjects: dict, relabel: dict, min_share: float = 0.01)
     subjects maps subject id -> SubjectRecords; relabel maps tag name ->
     {old category -> new category}. After relabeling, categories held by
     fewer than min_share of subjects collapse into "other". Shares are
-    computed per subject, not per row.
+    computed per subject, not per row. A missing tag (None) stays missing: it
+    is no category, so it is neither counted nor collapsed.
     """
     if not (0.0 <= min_share < 1.0):
         raise ParameterError("min_share must be in [0, 1)")
@@ -223,7 +224,9 @@ def regroup_demographics(subjects: dict, relabel: dict, min_share: float = 0.01)
         sid: {tag: relabel.get(tag, {}).get(value, value) for tag, value in r.demographics.items()}
         for sid, r in subjects.items()
     }
-    counts = Counter((tag, cat) for demo in mapped.values() for tag, cat in demo.items())
+    counts = Counter(
+        (tag, cat) for demo in mapped.values() for tag, cat in demo.items() if cat is not None
+    )
     rare = {key for key, count in counts.items() if count / len(subjects) < min_share}
     return {
         sid: replace(subjects[sid], demographics={
@@ -278,94 +281,22 @@ def _number(cell) -> float:
     return value
 
 
-def _optional_number(cell) -> float:
-    return math.nan if cell in ("", None) else _number(cell)  # NaN marks a missing value
-
-
-def _integer(cell) -> int:
-    value = int(cell)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(cell)
-    return value
-
-
-def _flag(cell) -> bool:
-    if cell in ("", "0", None):
-        return False
-    if cell == "1":
-        return True
-    raise ValueError(cell)
-
-
-def _binary(cell) -> bool:
-    value = int(cell)
-    if value not in (0, 1):
-        raise ValueError(cell)
-    return bool(value)
-
-
-def _bad_cell(path, rows, cells) -> SchemaError:
-    """The error naming the file, subject and column of the first cell, row by
-    row in file order, that its (column, parse, kind) in cells does not parse."""
-    for row in rows:
-        for column, parse, kind in cells:
-            try:
-                parse(row[column])
-            except (TypeError, ValueError):
-                return SchemaError(
-                    f"{path}: subject {row['subject_id']}: {column} {row[column]!r} is not {kind}"
-                )
-
-
-def _read_subjects(path, what, cells, features, flags, demographics, sort_by_time) -> dict:
-    """{subject_id: (SubjectRecords, {column: its rows' values})}, by first appearance.
-
-    cells holds (column, parse, kind) per parsed column; demographics names the
-    text columns (None: all others). Rows are sorted by time or kept in file order.
-    """
-    with open(path, newline="") as fh:
-        reader = (row for row in csv.reader(fh) if row)
-        header = next(reader, [])
-        parsed = [column for column, _, _ in cells]
-        if demographics is None:
-            demographics = [c for c in header if c != "subject_id" and c not in parsed]
-        missing = [c for c in ["subject_id", *parsed, *demographics] if c not in header]
-        if missing:
-            raise SchemaError(f"{what} CSV missing columns: " + ", ".join(missing))
-        rows = [row + [None] * (len(header) - len(row)) for row in reader]  # None pads short rows
-    if not rows:
-        raise CohortEmptyError(f"{what} CSV contains no rows")
-    text = dict(zip(header, zip(*rows)))  # a repeated column reads as its last copy
-    try:
-        values = {column: [parse(cell) for cell in text[column]] for column, parse, _ in cells}
-    except (TypeError, ValueError):
-        raise _bad_cell(path, (dict(zip(header, row)) for row in rows), cells) from None
-
-    number: dict = {}  # subject id -> its position, by first appearance
-    owner = np.array([number.setdefault(sid, len(number)) for sid in text["subject_id"]])
-    columns = {c: np.array(v) for c, v in values.items()}  # float, bool or int64
-    columns |= {c: np.array(text[c], dtype=object) for c in demographics}
-    order = np.lexsort((columns["timestamp"], owner) if sort_by_time else (owner,))
-    owner, columns = owner[order], {c: v[order] for c, v in columns.items()}
-    for column in (*demographics, "died_in_hospital"):
-        value = columns[column]
-        differs = (owner[1:] == owner[:-1]) & (value[1:] != value[:-1])
-        if differs.any():
-            i = np.argmax(differs)
-            raise SchemaError(f"{path}: subject {list(number)[owner[i]]}: {column} differs "
-                              f"between rows {value[i : i + 2].tolist()}; a subject has one value")
-    ends = np.cumsum(np.bincount(owner)).tolist()
+def _subjects(path, table, features, flags=()) -> dict:
+    """{subject id: (SubjectRecords, its actions or None)} of a records or prepared table."""
+    if not table.ids:
+        raise CohortEmptyError(f"{path}: no rows")
+    columns, owned = table.columns, dict(table.owned)
+    died, ends = owned.pop("died_in_hospital"), np.cumsum(table.lengths).tolist()
     subjects = {}
-    for sid, lo, hi in zip(number, [0, *ends], ends):
-        block = {c: v[lo:hi] for c, v in columns.items()}
+    for i, (sid, lo, hi) in enumerate(zip(table.ids, [0, *ends], ends)):
         try:
             records = SubjectRecords(
-                sid, block["timestamp"], {c: block[c] for c in features},
-                {c: block[c] for c in flags}, {c: block[c][0] for c in demographics},
-                block["died_in_hospital"][0])
+                sid, columns["timestamp"][lo:hi], {c: columns[c][lo:hi] for c in features},
+                {c: columns[c][lo:hi] for c in flags}, {t: v[i] for t, v in owned.items()},
+                died[i])
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from None
-        subjects[sid] = (records, block)
+        subjects[sid] = (records, columns["action"][lo:hi] if "action" in columns else None)
     return subjects
 
 
@@ -379,14 +310,10 @@ def load_records_csv(
     0 or 1), one column per demographic tag, died_in_hospital (0 or 1); the
     last two hold one value per subject.
     """
-    cells = [
-        ("timestamp", _integer, "an integer"),
-        ("died_in_hospital", _binary, "0 or 1"),
-        *((name, _optional_number, "a finite number") for name in features),
-        *((name, _flag, "empty, 0 or 1") for name in flags),
-    ]
-    subjects = _read_subjects(path, "records", cells, features, flags, demographics, True)
-    return {sid: records for sid, (records, _) in subjects.items()}
+    kinds = {"timestamp": INTEGER, "died_in_hospital": BINARY, **dict.fromkeys(features, OPTIONAL),
+             **dict.fromkeys(flags, FLAG), **dict.fromkeys(demographics, TEXT)}
+    table = read_table(path, "subject_id", kinds, owned=("died_in_hospital",), sort_by="timestamp")
+    return {sid: records for sid, (records, _) in _subjects(path, table, features, flags).items()}
 
 
 def prepare_subjects(
@@ -417,15 +344,15 @@ def prepare_subjects(
 def write_prepared_csv(prepared: dict, features: list[str], path) -> None:
     """Emit fully-valued rows with encoded actions, ready for clustering."""
     tags = sorted({t for records, _ in prepared.values() for t in records.demographics})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "timestamp", *features, "action", *tags, "died_in_hospital"])
-        for sid in sorted(prepared):
-            records, actions = prepared[sid]
-            tail = [records.demographics.get(t, "") for t in tags] + [int(records.died_in_hospital)]
-            columns = [records.features[f].tolist() for f in features]  # repr of Python floats
-            rows = zip(records.timestamps.tolist(), *columns, actions.tolist())
-            writer.writerows([sid, t, *map(repr, values), a, *tail] for t, *values, a in rows)
+    rows = []
+    for sid in sorted(prepared):
+        records, actions = prepared[sid]
+        tail = [records.demographics.get(t) for t in tags] + [int(records.died_in_hospital)]
+        columns = [records.features[f].tolist() for f in features]  # repr of Python floats
+        steps = zip(records.timestamps.tolist(), *columns, actions.tolist())
+        rows += ([sid, t, *map(repr, values), a, *tail] for t, *values, a in steps)
+    write_table(path, ["subject_id", "timestamp", *features, "action", *tags, "died_in_hospital"],
+                rows)
 
 
 def read_prepared_csv(path, features: list[str]) -> dict:
@@ -434,11 +361,7 @@ def read_prepared_csv(path, features: list[str]) -> dict:
     Each subject's rows must come in strictly increasing timestamp order, as
     write_prepared_csv writes them.
     """
-    cells = [
-        ("timestamp", _integer, "an integer"),
-        ("action", _integer, "an integer"),
-        ("died_in_hospital", _binary, "0 or 1"),
-        *((f, _number, "a finite number") for f in features),
-    ]
-    subjects = _read_subjects(path, "prepared", cells, features, [], None, False)
-    return {sid: (records, block["action"]) for sid, (records, block) in subjects.items()}
+    kinds = {"timestamp": INTEGER, "action": INTEGER, "died_in_hospital": BINARY,
+             **dict.fromkeys(features, FINITE)}
+    table = read_table(path, "subject_id", kinds, rest=TEXT, owned=("died_in_hospital",))
+    return _subjects(path, table, features)

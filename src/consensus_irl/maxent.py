@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import CohortEmptyError, NumericError, ParameterError
 from .mdp import RewardModel, TransitionModel
+from .table import write_table
 from .trajectories import TrajectorySet
 
 OPTIMIZERS = ("sga", "lbfgs")
@@ -365,12 +366,8 @@ def write_training_log(reward: RewardModel, path) -> None:
 
     The lr cell is empty for lbfgs, which has no learning rate.
     """
-    import csv
-
     rows = reward.metadata.get("training_log", [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "grad_max", "lr"])
-        for row in rows:
-            lr = "" if row["lr"] is None else repr(row["lr"])
-            writer.writerow([row["epoch"], repr(row["grad_max"]), lr])
+    write_table(path, ["epoch", "grad_max", "lr"], (
+        [row["epoch"], repr(row["grad_max"]), None if row["lr"] is None else repr(row["lr"])]
+        for row in rows
+    ))

@@ -8,13 +8,13 @@ E(s, a) = sum_s' R(s') * P(s, a, s').
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, SchemaError
+from .table import write_table
 from .trajectories import TrajectorySet
 
 ROW_SUM_TOL = 1e-9
@@ -141,8 +141,5 @@ def greedy_policy(model: TransitionModel, reward: RewardModel) -> DeterministicP
 def write_expected_reward_csv(model: TransitionModel, reward: RewardModel, path) -> None:
     """Debug export of the full E(s, a) table."""
     table = expected_reward_table(model, reward)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state"] + [f"action_{a}" for a in range(model.n_actions)])
-        for s in range(model.n_states):
-            writer.writerow([s] + [repr(float(v)) for v in table[s]])
+    header = ["state"] + [f"action_{a}" for a in range(model.n_actions)]
+    write_table(path, header, ([s, *map(repr, row)] for s, row in enumerate(table.tolist())))

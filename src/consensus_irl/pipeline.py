@@ -15,7 +15,6 @@ retained set as one bool mask, both in the order of the fitted trajectories.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -43,6 +42,7 @@ from .prune import (
     select_retained,
     write_scores_csv,
 )
+from .table import write_table
 from .trajectories import TrajectorySet
 from .version import __version__
 
@@ -161,11 +161,9 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
 
 def write_reward_delta_csv(result: TwoStageResult, path) -> None:
     """The rows of reward_delta_by_state, floats as repr and agree as 0/1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "r1", "r2", "delta", "policy1", "policy2", "agree"])
-        for row in reward_delta_by_state(result):
-            writer.writerow([repr(v) if isinstance(v, float) else int(v) for v in row.values()])
+    rows = ([repr(v) if isinstance(v, float) else int(v) for v in row.values()]
+            for row in reward_delta_by_state(result))
+    write_table(path, ["state", "r1", "r2", "delta", "policy1", "policy2", "agree"], rows)
 
 
 def sha256_file(path) -> str:

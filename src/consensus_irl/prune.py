@@ -19,7 +19,6 @@ sample drawn over the id-sorted order (random).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import CohortEmptyError, ParameterError
 from .mdp import DeterministicPolicy, RewardModel, TransitionModel, expected_reward_table
+from .table import BINARY, NUMBER, read_table, write_table
 from .trajectories import TrajectorySet
 
 METHODS = ("deviation", "likelihood", "random")
@@ -164,17 +164,16 @@ def select_retained(scores: TrajectoryScores, config: PruneConfig) -> np.ndarray
 def read_scores_csv(path) -> tuple[TrajectoryScores, np.ndarray]:
     """Inverse of write_scores_csv: (scores, retained mask), extras ignored.
 
-    A flag cell is set when its integer is not 0, as bool(int(cell)).
+    One row per trajectory; the scores are any float (-inf included) and the
+    two flags 0 or 1.
     """
-    kinds = {"trajectory_id": str, "L": float, "C": float, "log_likelihood": float,
-             "end_state_reward": float, "fully_off_policy": int, "retained": int}
-    columns = {name: [] for name in kinds}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            for name, kind in kinds.items():
-                columns[name].append(kind(row[name]))
-    retained = np.array(columns.pop("retained"), dtype=bool)
-    return TrajectoryScores(ids=columns.pop("trajectory_id"), **columns), retained
+    kinds = {
+        **dict.fromkeys(("L", "C", "log_likelihood", "end_state_reward"), NUMBER),
+        **dict.fromkeys(("fully_off_policy", "retained"), BINARY),
+    }
+    table = read_table(path, "trajectory_id", kinds, one_row=True)
+    retained = table.columns.pop("retained")
+    return TrajectoryScores(ids=table.ids, **table.columns), retained
 
 
 def write_scores_csv(
@@ -201,7 +200,4 @@ def write_scores_csv(
     ]
     header = ["trajectory_id", "L", "C", "log_likelihood", "end_state_reward", "retained",
               "fully_off_policy", *tags, "died_in_hospital"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    write_table(path, header, zip(*columns))

@@ -11,7 +11,6 @@ can be measured directly.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, SchemaError
 from .mdp import DeterministicPolicy
+from .table import BINARY, read_table, write_table
 from .trajectories import TrajectorySet
 
 CORRUPTION_MODES = ("random_policy", "negated_reward", "low_temperature")
@@ -181,23 +181,14 @@ class LabeledPopulation:
     corrupted: dict[str, bool]
 
     def write_labels_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trajectory_id", "corrupted"])
-            for tid in self.trajectories.ids:
-                writer.writerow([tid, int(self.corrupted[tid])])
+        rows = ([tid, int(self.corrupted[tid])] for tid in self.trajectories.ids)
+        write_table(path, ["trajectory_id", "corrupted"], rows)
 
 
 def read_labels_csv(path) -> dict[str, bool]:
-    """{trajectory id: corrupted}; every corrupted cell must be 0 or 1."""
-    labels = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            tid, flag = row["trajectory_id"], int(row["corrupted"])
-            if flag not in (0, 1):
-                raise SchemaError(f"{path}: trajectory {tid}: corrupted {flag} is not 0 or 1")
-            labels[tid] = bool(flag)
-    return labels
+    """{trajectory id: corrupted}: one row per id, and every corrupted cell 0 or 1."""
+    table = read_table(path, "trajectory_id", {"corrupted": BINARY}, one_row=True)
+    return dict(zip(table.ids, table.columns["corrupted"].tolist()))
 
 
 def generate_world(

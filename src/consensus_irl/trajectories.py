@@ -21,18 +21,17 @@ bool mask with one entry per trajectory in set order, and subset keeps where
 it is True. There is no per-trajectory object: iterating a set yields each
 trajectory's block of triples, and its other fields are the columns at its
 index. On disk a set is a CSV with one row per step, tags and the death flag
-on every row.
+on every row; it is read by the package's one CSV reader (table.py), so an
+empty tag cell reads as a missing tag and every row of a trajectory must carry
+the same tags and death flag.
 """
 
 from __future__ import annotations
 
-import csv
-import re
-import warnings
-
 import numpy as np
 
 from .errors import ParameterError, SchemaError
+from .table import BINARY, INTEGER, TEXT, read_table, write_table
 
 # fixed leading columns of the trajectory CSV; any extra column except
 # died_in_hospital is treated as a demographic tag
@@ -186,10 +185,7 @@ class TrajectorySet:
             *(self.demographics[t][per_step].tolist() for t in tags),
             self.died_in_hospital[per_step].astype(int).tolist(),
         ]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(_CORE_COLUMNS) + tags + [_DEATH_COLUMN])
-            writer.writerows(zip(*columns))
+        write_table(path, [*_CORE_COLUMNS, *tags, _DEATH_COLUMN], zip(*columns))
 
     @classmethod
     def from_csv(cls, path, n_states=None, n_actions=None) -> "TrajectorySet":
@@ -197,97 +193,29 @@ class TrajectorySet:
 
         Rows of different ids may interleave: trajectories come in the order
         their ids first appear, each one's rows in step order. The steps of an
-        id must be exactly 0..L-1. Tags and the death flag come from step 0;
-        an empty tag cell is a missing tag, and every death flag must be 0 or 1.
+        id must be exactly 0..L-1. Cells follow the package's one CSV grammar
+        (see table.py): an empty tag cell is a missing tag, and the tags and
+        the death flag must agree on every row of a trajectory.
         """
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next((row for row in csv.reader(fh) if row), None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file")
-            missing = [c for c in _CORE_COLUMNS if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing columns {missing}")
-            integer = (*_CORE_COLUMNS[1:], _DEATH_COLUMN)
-            dtype = [(f"c{j}", np.int64 if c in integer else object) for j, c in enumerate(header)]
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    # numpy releases that still parse "2.7" into an int64 column
-                    # (truncating it) warn instead of raising: make that raise
-                    warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-                    table = np.loadtxt(
-                        fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
-                    )
-            except ValueError as exc:
-                raise _malformed(path, exc) from None
-        if not len(table):
-            raise SchemaError(f"{path}: no trajectories")
-        columns = {c: table[f"c{j}"] for j, c in enumerate(header)}
-        number: dict = {}  # id -> its trajectory's position, by first appearance
-        owner = np.fromiter(
-            (number.setdefault(t, len(number)) for t in columns["trajectory_id"]),
-            dtype=np.int64, count=len(table),
+        table = read_table(
+            path, "trajectory_id", dict.fromkeys(_CORE_COLUMNS[1:], INTEGER), rest=TEXT,
+            optional={_DEATH_COLUMN: BINARY}, owned=(_DEATH_COLUMN,), sort_by="step",
         )
-        ids = list(number)
-
-        step, state, action, next_state = (columns[c] for c in _CORE_COLUMNS[1:])
-        order = np.lexsort((step, owner))
-        lengths = np.bincount(owner, minlength=len(ids))
+        if not table.ids:
+            raise SchemaError(f"{path}: no trajectories")
+        step, state, action, next_state = (table.columns[c] for c in _CORE_COLUMNS[1:])
+        lengths = table.lengths
         offsets = np.cumsum(lengths) - lengths
-        wrong = step[order] != np.arange(len(order)) - np.repeat(offsets, lengths)
+        wrong = step != np.arange(len(step)) - np.repeat(offsets, lengths)
         if wrong.any():
-            i = owner[order[np.argmax(wrong)]]
+            i = int(np.searchsorted(offsets, np.argmax(wrong), side="right")) - 1
             raise SchemaError(
-                f"{path}: trajectory {ids[i]}: steps must be 0..{lengths[i] - 1}, each once"
+                f"{path}: trajectory {table.ids[i]}: steps must be 0..{lengths[i] - 1}, each once"
             )
-        first = order[offsets]  # each trajectory's step-0 row
-        tags = {
-            c: columns[c][first] for c in header if c not in _CORE_COLUMNS and c != _DEATH_COLUMN
-        }
-        for column in tags.values():
-            column[column == ""] = None  # to_csv writes a missing tag as an empty cell
-        died = None
-        if _DEATH_COLUMN in header:
-            flags = columns[_DEATH_COLUMN]
-            wrong = (flags != 0) & (flags != 1)
-            if wrong.any():
-                k = np.argmax(wrong)
-                raise SchemaError(
-                    f"{path}: trajectory {ids[owner[k]]}: {_DEATH_COLUMN} {flags[k]} is not 0 or 1"
-                )
-            died = flags[first]
+        tags = dict(table.owned)
+        died = tags.pop(_DEATH_COLUMN, None)
+        triples = np.stack([state, action, next_state], axis=1)
         try:
-            return cls(
-                np.stack([state, action, next_state], axis=1)[order],
-                lengths,
-                ids,
-                n_states,
-                n_actions,
-                tags,
-                died,
-            )
+            return cls(triples, lengths, table.ids, n_states, n_actions, tags, died)
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
-
-
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # an int64 cell as np.loadtxt reads it
-
-
-def _malformed(path, exc: ValueError) -> SchemaError:
-    """The error for a trajectory CSV that np.loadtxt rejected.
-
-    Scans the file with the csv module for the first row whose width differs
-    from the header's, then for the first integer cell that is not an int64
-    in loadtxt's grammar, column by column; a file that has neither gets
-    loadtxt's own message.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = [row for row in csv.reader(fh) if row]
-    if any(len(row) != len(header) for row in rows):
-        return SchemaError(f"{path}: every row must have the header's {len(header)} fields")
-    columns = dict(zip(header, zip(*rows)))
-    for name in (*_CORE_COLUMNS[1:], _DEATH_COLUMN):
-        for tid, cell in zip(columns.get("trajectory_id", ()), columns.get(name, ())):
-            if not (_INTEGER.fullmatch(cell) and -(2**63) <= int(cell) < 2**63):
-                return SchemaError(f"{path}: trajectory {tid}: {name} {cell!r} is not an integer")
-    return SchemaError(f"{path}: {exc}")

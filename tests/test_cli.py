@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import consensus_irl
-from consensus_irl import SyntheticWorld, TrajectorySet, analyze
+from consensus_irl import ClusterModel, SyntheticWorld, TrajectorySet, analyze
 from consensus_irl.cli import OUT_ROOT_ENV, dispatch
 from consensus_irl.pipeline import sha256_file
 
@@ -299,7 +299,7 @@ class TestDispatchErrors:
         elif flag == "labels":
             bad.write_text("trajectory_id,corrupted\nt0,yes\n")
             argv = (*pipeline, "--world", synth_dir / "world.json", "--labels", bad)
-            named = "invalid literal"
+            named = "trajectory t0: corrupted 'yes' is not 0 or 1"
         elif flag == "rewards":
             bad.write_text("{not json")
             argv = ("prune", *trajectories, "--rewards", bad)
@@ -311,7 +311,9 @@ class TestDispatchErrors:
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot read ") and f"{bad}: " in err and named in err
+        # a bad cell is named in the CSV reader's own message, which starts with the file
+        lead = f"error: {bad}: " if flag == "labels" else "error: cannot read "
+        assert err.startswith(lead) and f"{bad}: " in err and named in err
         assert not out.exists()
 
 
@@ -540,7 +542,7 @@ class TestGroundTruthChecks:
         [
             ("more labels", "0 trajectories unlabelled, 1 labels of no trajectory"),
             ("fewer labels", "1 trajectories unlabelled, 0 labels of no trajectory"),
-            ("corrupted 2", "corrupted 2 is not 0 or 1"),
+            ("corrupted 2", "corrupted '2' is not 0 or 1"),
             ("--states", "--states 13 disagrees with the world's 12"),
             ("--actions", "--actions 3 disagrees with the world's 2"),
             ("smaller world", "state id out of range for 4 states"),
@@ -674,6 +676,45 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (out / "f050").exists() and not (out / "f080").exists()
+
+
+def write_cluster_model(path, k, dropped=()):
+    """A one-feature k-means model of k clusters, the dropped ones without statistics."""
+    stats = {c: {"count": 3, "means": {"hr": float(c)}, "stds": {"hr": 1.0}}
+             for c in range(k) if c not in dropped}
+    ClusterModel(np.arange(k, dtype=float)[:, None], ["hr"], np.zeros(1), np.ones(1),
+                 np.ones(1, dtype=bool), np.full(k, 3), set(dropped), stats, 0.0, 0).to_json(path)
+
+
+class TestClusterModelOfTheRun:
+    """run1 has 12 states; a --cluster-model must be a clustering into them."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep", "analyze"])
+    @pytest.mark.parametrize("k, named", [(20, "20 clusters that keeps cluster 12"),
+                                          (6, "6 clusters")])
+    def test_another_clustering_fails_before_any_run(self, synth_dir, run1, tmp_path, capsys,
+                                                     command, k, named):
+        model = tmp_path / "model.json"
+        write_cluster_model(model, k)
+        given = ["--run", run1] if command == "analyze" else ["--epochs", 5]
+        out = tmp_path / "out"
+        code = run(command, *given, "--trajectories", synth_dir / "trajectories.csv",
+                   "--cluster-model", model, "--permutations", 20, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --cluster-model {model}: a model of {named} "
+                       "is not a clustering of the run's 12 states\n")
+        assert not out.exists()
+
+    def test_a_dropped_top_cluster_leaves_the_run_its_states(self, synth_dir, run1, tmp_path):
+        model = tmp_path / "model.json"
+        write_cluster_model(model, 13, dropped={12})
+        out = tmp_path / "out"
+        code = run("analyze", "--run", run1, "--trajectories", synth_dir / "trajectories.csv",
+                   "--cluster-model", model, "--permutations", 20, "--out", out)
+        assert code == 0
+        table = (out / "cluster_report_stage1.csv").read_text()
+        assert table.count("\n") == 1 + 2 * 12  # the header, then best and worst of 12
 
 
 class TestAnalyze:
@@ -882,6 +923,34 @@ class TestClinicalFlow:
         payload = json.loads((out / "tests.json").read_text())
         names = [t["name"] for t in payload["tests"]]
         assert any(name.startswith("pruning_uniformity[sex]") for name in names)
+
+    def test_an_empty_tag_cell_drops_the_same_tests_everywhere(self, tmp_path, clinical_inputs):
+        """An empty sex cell is a missing tag, in the records and in every file made from them.
+
+        The pipeline from prepared rows and analyze on the clustered
+        trajectories then skip the same tests.
+        """
+        records, normals, bounds = clinical_inputs
+        untagged = tmp_path / "records.csv"
+        untagged.write_text(re.sub(r"^(p5,.*),male,", r"\1,,", records.read_text(), flags=re.M))
+        features = ("--features", "heart_rate,mean_bp")
+        states = ("--k", 2, "--min-size", 2, *features)
+        assert run("ingest", "--records", untagged, "--normals", normals, "--bounds", bounds,
+                   "--demographics", "sex", "--condition", "hypotension", *features,
+                   "--out", tmp_path / "ingest") == 0
+        prepared = tmp_path / "ingest" / "prepared.csv"
+        assert run("cluster", "--prepared", prepared, *states, "--out", tmp_path / "states") == 0
+        assert run("pipeline", "--prepared", prepared, *states, "--epochs", 40,
+                   "--retain", 0.75, "--permutations", 100, "--out", tmp_path / "run") == 0
+        assert run("analyze", "--run", tmp_path / "run", "--permutations", 100,
+                   "--trajectories", tmp_path / "states" / "trajectories.csv",
+                   "--out", tmp_path / "reports") == 0
+
+        def tests(out):
+            return [t["name"] for t in json.loads((out / "tests.json").read_text())["tests"]]
+
+        assert tests(tmp_path / "run") == tests(tmp_path / "reports")
+        assert not any("[sex]" in name for name in tests(tmp_path / "run"))
 
     def test_bad_clinical_cells_are_input_errors(self, workdir, tmp_path, clinical_inputs, capsys):
         records, normals, bounds = clinical_inputs

@@ -1,0 +1,218 @@
+"""The one CSV reader behind trajectories, raw records, prepared rows, scores and labels."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from consensus_irl import SchemaError, SubjectRecords, TrajectorySet, regroup_demographics
+from consensus_irl.ingest import load_records_csv, read_prepared_csv, write_prepared_csv
+from consensus_irl.prune import read_scores_csv
+from consensus_irl.synth import read_labels_csv
+
+# per file: its reader, its rows (the third row belongs to the owner named in
+# errors), the owner's label and id, an integer column, a number column and
+# what that number column's cells must be
+FILES = {
+    "trajectories": (
+        lambda path: TrajectorySet.from_csv(path),
+        ["trajectory_id,step,state,action,next_state,sex,died_in_hospital",
+         "a,0,0,1,2,f,0", "b,0,0,1,2,m,1", "b,1,2,0,1,m,1"],
+        "trajectory b", "action", "state", "an integer",
+    ),
+    "records": (
+        lambda path: load_records_csv(path, ["hr"], ["vasopressors"], ["sex"]),
+        ["subject_id,timestamp,hr,vasopressors,sex,died_in_hospital",
+         "p1,0,70.5,0,f,0", "p2,0,80,1,m,1", "p2,1,81,,m,1"],
+        "subject p2", "timestamp", "hr", "a finite number",
+    ),
+    "prepared": (
+        lambda path: read_prepared_csv(path, ["hr"]),
+        ["subject_id,timestamp,hr,action,sex,died_in_hospital",
+         "p1,0,70.5,0,f,0", "p2,0,80.0,1,m,1", "p2,1,81.0,2,m,1"],
+        "subject p2", "action", "hr", "a finite number",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+@pytest.mark.parametrize("case", ["1_0", "full-width digit", "nan", "short row"])
+def test_a_bad_cell_is_named_alike_in_every_csv(tmp_path, name, case):
+    read, lines, owner, integer, number, kind = FILES[name]
+    header, cells = lines[0].split(","), lines[3].split(",")
+    if case == "short row":
+        cells.pop()
+        named = (f"died_in_hospital is missing: a row has {len(cells)} fields, "
+                 f"not the header's {len(header)}")
+    else:
+        column, cell, kind = {
+            "1_0": (integer, "1_0", "an integer"),
+            "full-width digit": (integer, "１", "an integer"),
+            "nan": (number, "nan", kind),
+        }[case]
+        cells[header.index(column)] = cell
+        named = f"{column} {cell!r} is not {kind}"
+    path = tmp_path / f"{name}.csv"
+    path.write_text("\n".join([*lines[:3], ",".join(cells)]) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: {owner}: {named}"
+
+
+@pytest.mark.parametrize(
+    "second, named",
+    [("b,1,2,0,1,f,1", "sex differs between rows ['m', 'f']"),
+     ("b,1,2,0,1,,1", "sex differs between rows ['m', None]"),
+     ("b,1,2,0,1,m,0", "died_in_hospital differs between rows [True, False]")],
+)
+def test_a_trajectory_carries_one_tag_and_death_flag(tmp_path, second, named):
+    lines = FILES["trajectories"][1]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([*lines[:3], second]) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        TrajectorySet.from_csv(path)
+    assert str(exc.value) == f"{path}: trajectory b: {named}; a trajectory has one value"
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_an_empty_tag_cell_is_a_missing_tag(tmp_path, name):
+    read, lines = FILES[name][:2]
+    path = tmp_path / f"{name}.csv"
+    path.write_text("\n".join([lines[0], lines[1].replace(",f,", ",,"), *lines[2:]]) + "\n")
+    got = read(path)
+    if name == "trajectories":
+        tags = dict(zip(got.ids, got.demographics["sex"].tolist()))
+    else:
+        tags = {sid: value[0].demographics["sex"] if name == "prepared"
+                else value.demographics["sex"] for sid, value in got.items()}
+    assert tags == {lines[1].split(",")[0]: None, lines[2].split(",")[0]: "m"}
+
+
+def test_regrouping_leaves_a_missing_tag_missing():
+    subjects = {
+        sid: SubjectRecords(sid, [0], {}, demographics={"sex": sex})
+        for sid, sex in [("a", "f"), ("b", "f"), ("c", None), ("d", "m")]
+    }
+    out = regroup_demographics(subjects, {"sex": {"m": "male"}}, min_share=0.3)
+    # m, relabelled male, is rare (1 of 4) and collapses; the missing tag stays missing
+    assert {sid: r.demographics["sex"] for sid, r in out.items()} == {
+        "a": "f", "b": "f", "c": None, "d": "other",
+    }
+
+
+SCORES = (
+    "trajectory_id,L,C,log_likelihood,end_state_reward,retained,fully_off_policy,sex\n"
+    "a,0.5,0.6,-inf,1.25,1,0,f\n"
+    "b,0.0,1.0,0.0,-0.5,0,1,\n"
+)
+
+
+def test_scores_read_any_float_and_binary_flags(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text(SCORES)
+    scores, retained = read_scores_csv(path)
+    assert scores.ids == ["a", "b"]
+    assert scores.log_likelihood.tolist() == [-np.inf, 0.0]
+    assert retained.tolist() == [True, False]
+    assert scores.fully_off_policy.tolist() == [False, True]
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [("1.25,1,0", "1.25,2,0", "trajectory a: retained '2' is not 0 or 1"),
+     ("-0.5,0,1", "-0.5,0,x", "trajectory b: fully_off_policy 'x' is not 0 or 1"),
+     ("a,0.5,", "a,abc,", "trajectory a: L 'abc' is not a number"),
+     ("b,0.0,", "a,0.0,", "trajectory a: more than one row")],
+)
+def test_bad_scores_name_the_file_trajectory_and_column(tmp_path, old, new, named):
+    path = tmp_path / "scores.csv"
+    path.write_text(SCORES.replace(old, new))
+    with pytest.raises(SchemaError) as exc:
+        read_scores_csv(path)
+    assert str(exc.value) == f"{path}: {named}"
+
+
+def test_labels_name_each_id_once(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("trajectory_id,corrupted\nt0,0\nt1,1\n")
+    assert read_labels_csv(path) == {"t0": False, "t1": True}
+    path.write_text("trajectory_id,corrupted\nt0,0\nt1,1\nt0,1\n")
+    with pytest.raises(SchemaError) as exc:
+        read_labels_csv(path)
+    assert str(exc.value) == f"{path}: trajectory t0: more than one row"
+
+
+# text a CSV has to quote, or that a reader could take for a comment
+TEXT = st.text(alphabet=["a", "Z", " ", ",", '"', "#", "'", "\n"], min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(TEXT, min_size=1, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_trajectories_round_trip_any_text(tmp_path_factory, ids, data):
+    n = len(ids)
+    lengths = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    sex = data.draw(st.lists(st.none() | TEXT, min_size=n, max_size=n))
+    died = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    triples = np.zeros((sum(lengths), 3), dtype=np.int64)  # state 0 loops under action 0
+    tset = TrajectorySet(triples, lengths, ids, 2, 1, {"sex": sex}, died)
+    path = tmp_path_factory.mktemp("round_trip") / "t.csv"
+    tset.to_csv(path)
+    back = TrajectorySet.from_csv(path, 2, 1)
+    assert back.ids == tset.ids
+    assert back.lengths.tolist() == tset.lengths.tolist()
+    assert back.triples.tolist() == tset.triples.tolist()
+    assert {t: c.tolist() for t, c in back.demographics.items()} == {
+        t: c.tolist() for t, c in tset.demographics.items()
+    }
+    assert back.died_in_hospital.tolist() == died
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(TEXT, min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+def test_prepared_rows_round_trip_any_text(tmp_path_factory, ids, data):
+    prepared = {}
+    for sid in ids:
+        n = data.draw(st.integers(1, 3))
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=n, max_size=n))
+        tags = data.draw(st.fixed_dictionaries({}, optional={"sex": TEXT, "site": TEXT}))
+        records = SubjectRecords(sid, np.arange(n) * 5 - 3, {"hr": values}, {}, tags,
+                                 data.draw(st.booleans()))
+        prepared[sid] = (records, np.array(data.draw(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64))
+    path = tmp_path_factory.mktemp("round_trip") / "prepared.csv"
+    write_prepared_csv(prepared, ["hr"], path)
+    back = read_prepared_csv(path, ["hr"])
+    assert list(back) == sorted(prepared)
+    tags = {t for records, _ in prepared.values() for t in records.demographics}
+    for sid, (records, actions) in prepared.items():
+        got, got_actions = back[sid]
+        assert got.timestamps.tolist() == records.timestamps.tolist()
+        assert got.features["hr"].tolist() == records.features["hr"].tolist()
+        assert got_actions.tolist() == actions.tolist()
+        assert got.demographics == {t: records.demographics.get(t) for t in tags}
+        assert got.died_in_hospital is records.died_in_hospital
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.text(alphabet=list("0123456789+-.eE _infaNx\t") + ["１"], min_size=1, max_size=6),
+       kind=st.sampled_from(["INTEGER", "NUMBER", "FINITE", "BINARY"]))
+def test_the_scan_names_the_cell_whenever_parsing_fails(tmp_path_factory, cell, kind):
+    """The bad-cell scan judges one cell by the grammar np.loadtxt parses by."""
+    from consensus_irl import table
+
+    kind = getattr(table, kind)
+    path = tmp_path_factory.mktemp("cell") / "t.csv"
+    path.write_text(f"trajectory_id,v\na,{cell}\n", encoding="utf-8")
+    try:
+        table.read_table(path, "trajectory_id", {"v": kind})
+    except SchemaError as exc:
+        assert str(exc) == f"{path}: trajectory a: v {cell!r} is not {kind.name}"
+    else:
+        assert table._accepts(kind, cell)

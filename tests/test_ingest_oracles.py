@@ -4,9 +4,12 @@ Each cohort is deliberately dirty: empty cells, a feature that is never
 observed, out-of-bounds rows, a subject whose every row is out of bounds, a
 demographic category too rare to survive regrouping, rows out of time order
 and interleaved between subjects, and a one-row subject. A cohort built in
-memory adds a subject that lacks a tag, which the CSV readers cannot produce. The new path must
-write the same prepared.csv bytes, report the same drops, stack the same
-feature matrix and chain the same trajectories.csv bytes as the reference.
+memory adds a subject that lacks a tag. The CSV readers read an empty tag cell
+as such a missing tag, but the reference readers keep it as the category '',
+so the CSV cohorts carry every tag and the in-memory one covers the missing
+tag. The new path must write the same prepared.csv bytes, report the same
+drops, stack the same feature matrix and chain the same trajectories.csv bytes
+as the reference.
 """
 
 import numpy as np
@@ -163,7 +166,7 @@ def test_trajectories_csv_matches_reference(cohort):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_chaining_matches_reference_with_short_and_untagged_subjects(tmp_path, seed):
-    """A prepared cohort built in memory: subjects may lack a tag, which no CSV allows.
+    """A prepared cohort built in memory: subjects may lack a tag, as after an empty tag cell.
 
     u01 and u04 have one row each; u02 has no site, and u04's ward is a tag of
     no subject with two rows, so the set must not carry it.

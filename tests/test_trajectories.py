@@ -225,8 +225,8 @@ def test_csv_crlf_line_endings(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cell, message", [("2", "2 is not 0 or 1"), ("-1", "-1 is not 0 or 1"),
-                      ("1.5", r"'1\.5' is not an integer")],
+    "cell, message", [("2", "'2' is not 0 or 1"), ("-1", "'-1' is not 0 or 1"),
+                      ("1.5", r"'1\.5' is not 0 or 1")],
 )
 def test_csv_death_flag_must_be_zero_or_one(tmp_path, cell, message):
     path = write_csv(tmp_path, f"a,0,0,1,2,0\nb,0,0,1,2,{cell}\nb,1,2,0,1,{cell}\n")
@@ -242,8 +242,10 @@ def test_csv_death_flag_must_be_zero_or_one(tmp_path, cell, message):
         ("trajectory_id,step,state,action\na,0,0,1\n", r"missing columns \['next_state'\]"),
         (HEADER, "no trajectories"),
         (HEADER + "\n", "no trajectories"),
-        (HEADER + "a,0,0,1,2,0\na,1,2,0,1\n", "every row must have the header's 6 fields"),
-        (HEADER + "a,0,0,1,2,0\na,1,2,0,1,0,7\n", "every row must have the header's 6 fields"),
+        (HEADER + "a,0,0,1,2,0\na,1,2,0,1\n",
+         "trajectory a: died_in_hospital is missing: a row has 5 fields, not the header's 6"),
+        (HEADER + "a,0,0,1,2,0\na,1,2,0,1,0,7\n",
+         "trajectory a: a row has 7 fields, not the header's 6"),
         (HEADER + 'a,0,0,1,2,0\n"a,1",1,2,0,1,0\n', r"trajectory a,1: steps must be 0\.\.0"),
     ],
 )

@@ -5,8 +5,9 @@
 Checks the ref out into a temporary directory with `git worktree` (a local
 checkout; nothing is fetched), runs one fixed command set in both trees at
 seeds 1 and 2, and compares every file the commands wrote. Each tree runs
-its own `src/`; the inputs (a demographic tag file and the seeded clinical
-cohort of perfbench/cohort.py) are written once and copied to both. Per seed:
+its own `src/`; the inputs (a demographic tag file, a regroup mapping and the
+seeded clinical cohort of perfbench/cohort.py) are written once and copied to
+both. Per seed:
 
 - the synthetic chain synth -> pipeline --world --labels -> analyze -> sweep;
 - irl -> prune on the synthetic trajectories, once per selection rule:
@@ -20,7 +21,9 @@ cohort of perfbench/cohort.py) are written once and copied to both. Per seed:
 - the clinical chain ingest -> cluster -> pipeline --prepared ->
   analyze --cluster-model, and sweep --prepared on the tagged clinical rows;
 - a clinical cluster at k = 80, which drops clusters and so leaves gaps in
-  the state ids, and one pipeline --records straight from the raw cohort;
+  the state ids, one pipeline --records straight from the raw cohort, one
+  ingest --regroup that relabels tag categories before the rare ones
+  collapse, and one sweep --records;
 
 and, once per tree, the stdout of every demos/*.py. Each command's exit code
 and stdout are kept as files too, so a changed message or a failing command
@@ -68,6 +71,9 @@ TAGS = [
         "corrupted_probs": [0.2, 0.3, 0.5],
     },
 ]
+# ingest --regroup's relabelling of the cohort's tags: two age bands merge and
+# one ethnicity joins another
+REGROUP = {"age_band": {"65-79": "65+", "80+": "65+"}, "ethnicity": {"d": "c"}}
 SEEDS = (1, 2)
 PERMUTATIONS = ("--permutations", "2000")
 K = "40"
@@ -141,6 +147,9 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ) + features + PERMUTATIONS),
         ("cluster", "states_k80", ("--prepared", "ingest/prepared.csv", "--k", "80") + features),
         ("pipeline", "clinical_records", records + ("--k", K, "--retain", "0.8") + PERMUTATIONS),
+        ("ingest", "ingest_regroup", records + ("--regroup", "inputs/regroup.json")),
+        ("sweep", "clinical_records_sweep", records + ("--k", K, "--fractions", "0.5,0.8")
+         + PERMUTATIONS),
     ]
     return [(cmd, out, flags + ("--seed", str(seed), "--out", out)) for cmd, out, flags in steps]
 
@@ -347,6 +356,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             cohort.write_cohort(str(inputs / f"seed{seed}"), seed)
             (inputs / f"seed{seed}" / "tags.json").write_text(json.dumps(TAGS))
+            (inputs / f"seed{seed}" / "regroup.json").write_text(json.dumps(REGROUP))
         trees = {"checkout": ROOT, "ref": ref_tree}
         print(f"golden: running both trees in {work}", file=sys.stderr)
         with ThreadPoolExecutor(max_workers=2) as pool:

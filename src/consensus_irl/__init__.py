@@ -41,10 +41,7 @@ from .errors import (
 from .ingest import (
     ActionCodec,
     SubjectRecords,
-    encode_actions,
-    filter_outliers,
     hypotension_codec,
-    impute_series,
     regroup_demographics,
     sepsis_codec,
 )

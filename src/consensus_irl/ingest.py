@@ -2,14 +2,17 @@
 
 Records arrive as time-stamped rows per subject with possibly-missing
 feature values, binary treatment flags, demographic tags, and an outcome
-bit. Each subject is one `SubjectRecords` block of columns. This module makes
-them fully valued (last observation carried forward, clinical normal values
-before the first measurement), drops rows with out-of-range observations, and
-turns treatment-flag patterns into discrete action ids via a declared codec.
-Each step works on whole columns and returns a new block. The records and
-prepared CSVs go through the package's one CSV reader (table.py), so an empty
-tag cell is a missing tag (None), which regrouping leaves missing. Rows are
-taken as already bucketed to uniform time steps upstream; nothing resamples.
+bit. Each subject is one `SubjectRecords` block of columns. prepare_subjects
+makes them fully valued (last observation carried forward, clinical normal
+values before the first measurement), drops rows with out-of-range
+observations, and turns treatment-flag patterns into discrete action ids via
+a declared codec. It joins every subject's columns once and runs each step in
+one pass over all rows, then splits the result back into one block per
+subject; its errors are the ones a subject-by-subject pass in sorted-id order
+would raise. The records and prepared CSVs go through the package's one CSV
+reader (table.py), so an empty tag cell is a missing tag (None), which
+regrouping leaves missing. Rows are taken as already bucketed to uniform time
+steps upstream; nothing resamples.
 """
 
 from __future__ import annotations
@@ -56,54 +59,6 @@ class SubjectRecords:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-
-def impute_series(records: SubjectRecords, normals: dict) -> SubjectRecords:
-    """Fill missing feature values: LOCF after the first measurement, the
-    normal-value table before it.
-
-    Observed values are never altered, and the operation is idempotent.
-    Raises a schema error naming the feature if a normal value is needed
-    but absent from the table.
-    """
-    rows = np.arange(len(records))
-    filled = {}
-    for name in sorted(records.features):
-        column = records.features[name]
-        # the latest observed row at or before each row; -1 before the first
-        last = np.maximum.accumulate(np.where(np.isnan(column), -1, rows))
-        values = column[last]
-        if last[0] < 0:  # unobserved at the first row
-            if name not in normals:
-                raise SchemaError(f"feature {name!r} missing from the normal-value table")
-            values[last < 0] = normals[name]
-        filled[name] = values
-    return replace(records, features=filled)
-
-
-def filter_outliers(records: SubjectRecords, bounds: dict) -> tuple[SubjectRecords, dict]:
-    """Drop rows with any observed feature outside its inclusive [lo, hi] bound.
-
-    Returns (kept rows, per-feature counts of the rows breaking each bound).
-    Missing values never trigger a drop. Raises if nothing survives.
-    """
-    keep = np.ones(len(records), dtype=bool)
-    report = {}
-    for name, (lo, hi) in bounds.items():
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ParameterError(f"bounds for {name!r} must be finite with lo < hi")
-        if name in records.features:
-            column = records.features[name]
-            broken = (column < lo) | (column > hi)  # NaN compares false
-            if broken.any():
-                report[name] = int(broken.sum())
-                keep &= ~broken
-    if not keep.any():
-        raise CohortEmptyError("outlier filtering removed every record")
-    features = {k: v[keep] for k, v in records.features.items()}
-    flags = {k: v[keep] for k, v in records.treatment_flags.items()}
-    return replace(records, timestamps=records.timestamps[keep], features=features,
-                   treatment_flags=flags), report
 
 
 @dataclass
@@ -195,18 +150,6 @@ def sepsis_codec() -> ActionCodec:
         (frozenset({"vasoactive"}), 4),
     ]
     return ActionCodec("sepsis", labels, entries)
-
-
-def encode_actions(records: SubjectRecords, codec: ActionCodec) -> np.ndarray:
-    """Action index per row; the codec encodes each distinct flag pattern once,
-    in order of first use, so a pattern it rejects raises at its first row."""
-    columns = [column.tolist() for column in records.treatment_flags.values()]
-    patterns = list(zip(*columns)) or [()] * len(records)
-    codes = {
-        pattern: codec.encode({name for name, on in zip(records.treatment_flags, pattern) if on})
-        for pattern in dict.fromkeys(patterns)
-    }
-    return np.fromiter(map(codes.__getitem__, patterns), dtype=np.int64, count=len(patterns))
 
 
 def regroup_demographics(subjects: dict, relabel: dict, min_share: float = 0.01) -> dict:
@@ -316,43 +259,179 @@ def load_records_csv(
     return {sid: records for sid, (records, _) in _subjects(path, table, features, flags).items()}
 
 
+def _join(blocks: list, field: str, missing) -> tuple[dict, dict]:
+    """One field's columns over every block's rows, names sorted, and for each
+    name which blocks have it; a block without the column gives it `missing`."""
+    names = sorted({name for r in blocks for name in getattr(r, field)})
+    columns, owners = {}, {}
+    for name in names:
+        owners[name] = np.array([name in getattr(r, field) for r in blocks])
+        columns[name] = np.concatenate([
+            getattr(r, field)[name] if has else np.full(len(r), missing)
+            for r, has in zip(blocks, owners[name].tolist())
+        ])
+    return columns, owners
+
+
+def _outlier_rows(features: dict, bounds: dict, who: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rows with no observed feature outside its inclusive [lo, hi] bound, and
+    per feature the count of rows it breaks in subjects that keep a row.
+
+    who numbers each row's subject. The report lists the features in order of
+    the first subject with such a row, then in bounds order, as adding up one
+    subject at a time does. A missing value (NaN) breaks no bound.
+    """
+    keep, broken = np.ones(len(who), dtype=bool), {}
+    for name, (lo, hi) in bounds.items():
+        if name in features:
+            broken[name] = (features[name] < lo) | (features[name] > hi)  # NaN compares false
+            keep &= ~broken[name]
+    counted = (np.bincount(who[keep], minlength=who[-1] + 1) > 0)[who]
+    first = {}
+    for name, rows in broken.items():
+        rows &= counted  # a dropped subject's rows count in no feature's drops
+        if rows.any():
+            first[name] = who[rows.argmax()]
+    return keep, {name: int(broken[name].sum()) for name in sorted(first, key=first.get)}
+
+
+def _impute(features: dict, owners: dict, who: np.ndarray, normals: dict) -> tuple[dict, tuple]:
+    """Each feature carried forward from its last observation in the row's subject,
+    and the normal value before the subject's first one.
+
+    Returns (filled columns, failure): failure is None, or (subject, error) for
+    the first subject, then the first feature by name, that needs a normal
+    value the table lacks. owners says which subjects have each feature.
+    """
+    rows = np.arange(len(who))
+    first_row = np.searchsorted(who, who)  # rows are grouped by subject
+    filled, failure = {}, None
+    for name, column in features.items():
+        # the latest observed row so far; before the subject's first, one of another
+        last = np.where(np.isnan(column), -1, rows)
+        np.maximum.accumulate(last, out=last)
+        values, unseen = column[last], last < first_row
+        if name in normals:
+            values[unseen] = normals[name]
+        else:
+            lacking = unseen & owners[name][who]
+            if lacking.any() and (failure is None or who[lacking.argmax()] < failure[0]):
+                failure = (who[lacking.argmax()],
+                           SchemaError(f"feature {name!r} missing from the normal-value table"))
+        filled[name] = values
+    return filled, failure
+
+
+def _encode(flags: dict, who: np.ndarray, codec: ActionCodec) -> tuple[np.ndarray, tuple]:
+    """Action per row; each distinct flag pattern is encoded once, in order of first use.
+
+    Returns (actions, failure): failure is None, or (subject, error) for the
+    first row of the first pattern the codec rejects, and actions then None.
+    """
+    # number the patterns densely, one flag at a time, so no code overflows
+    code = np.zeros(len(who), dtype=np.int64)
+    for column in flags.values():
+        code = np.unique(2 * code + column, return_inverse=True)[1]
+    _, first_use, pattern_of = np.unique(code, return_index=True, return_inverse=True)
+    codes = np.empty(len(first_use), dtype=np.int64)
+    for p in np.argsort(first_use).tolist():
+        row = first_use[p]
+        try:
+            codes[p] = codec.encode({name for name, column in flags.items() if column[row]})
+        except SchemaError as exc:
+            return None, (who[row], exc)
+    return codes[pattern_of], None
+
+
 def prepare_subjects(
     subjects: dict, normals: dict, bounds: dict, codec: ActionCodec
 ) -> tuple[dict, dict]:
-    """Filter outliers, impute, and encode actions for every subject.
+    """Filter outliers, impute, and encode actions: one pass over every subject's rows.
 
-    Outlier rows are dropped before imputation so extreme observed values
-    never propagate forward into imputed ones. Subjects whose rows are all
-    outliers are dropped (counted in the report rather than raising).
-    Returns ({subject_id: (records, actions)}, drop report).
+    The subjects' columns are joined once, in sorted-id order, and each step
+    runs over all rows. A row with any observed feature outside its inclusive
+    [lo, hi] bound is dropped first, so an extreme observed value never
+    propagates into imputed ones; a missing value never drops a row. A subject
+    whose every row is dropped is left out and counted as subjects_dropped,
+    and its rows count in no feature's drops. Each feature is then carried
+    forward from its last observation within the subject, with the normal
+    value before the subject's first one, and each distinct treatment-flag
+    pattern is encoded once, in order of first use.
+
+    Errors are those a subject-by-subject pass in sorted-id order raises:
+    malformed bounds first, then the first subject that fails, and within it
+    a missing normal value (of the first feature by name) before a flag
+    pattern the codec rejects. Returns ({subject_id: (records, actions)},
+    drop report).
     """
-    prepared, report, dropped = {}, Counter(), 0
-    for sid in sorted(subjects):
-        try:
-            kept, drops = filter_outliers(subjects[sid], bounds)
-        except CohortEmptyError:
-            dropped += 1  # its rows count in no feature's drops
-            continue
-        report.update(drops)
-        full = impute_series(kept, normals)
-        prepared[sid] = (full, encode_actions(full, codec))
-    if not prepared:
+    if not subjects:
         raise CohortEmptyError("no subjects survived outlier filtering")
-    return prepared, {**report, "subjects_dropped": dropped}
+    for name, (lo, hi) in bounds.items():
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ParameterError(f"bounds for {name!r} must be finite with lo < hi")
+    ids = sorted(subjects)
+    blocks = [subjects[sid] for sid in ids]
+    who = np.repeat(np.arange(len(blocks)), [len(r) for r in blocks])
+    features, owners = _join(blocks, "features", np.nan)
+    flags, _ = _join(blocks, "treatment_flags", False)
+
+    keep, report = _outlier_rows(features, bounds, who)
+    if not keep.any():
+        raise CohortEmptyError("no subjects survived outlier filtering")
+    who = who[keep]
+    features = {name: column[keep] for name, column in features.items()}
+    flags = {name: column[keep] for name, column in flags.items()}
+    features, missing = _impute(features, owners, who, normals)
+    actions, rejected = _encode(flags, who, codec)
+    failures = [f for f in (missing, rejected) if f is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]  # a tie keeps imputation's
+
+    timestamps = np.concatenate([r.timestamps for r in blocks])[keep]
+    kept, starts = np.unique(who, return_index=True)
+    prepared = {}
+    for i, lo, hi in zip(kept.tolist(), starts.tolist(), [*starts[1:].tolist(), len(who)]):
+        r = blocks[i]
+        prepared[ids[i]] = (SubjectRecords(
+            r.subject_id, timestamps[lo:hi],
+            {name: features[name][lo:hi] for name in sorted(r.features)},
+            {name: flags[name][lo:hi] for name in r.treatment_flags},
+            r.demographics, r.died_in_hospital,
+        ), actions[lo:hi])
+    return prepared, {**report, "subjects_dropped": len(blocks) - len(kept)}
+
+
+def _decimals(values: np.ndarray) -> list:
+    """The decimal string of each integer, formatted once per distinct value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[index].tolist()
 
 
 def write_prepared_csv(prepared: dict, features: list[str], path) -> None:
-    """Emit fully-valued rows with encoded actions, ready for clustering."""
-    tags = sorted({t for records, _ in prepared.values() for t in records.demographics})
-    rows = []
-    for sid in sorted(prepared):
-        records, actions = prepared[sid]
-        tail = [records.demographics.get(t) for t in tags] + [int(records.died_in_hospital)]
-        columns = [records.features[f].tolist() for f in features]  # repr of Python floats
-        steps = zip(records.timestamps.tolist(), *columns, actions.tolist())
-        rows += ([sid, t, *map(repr, values), a, *tail] for t, *values, a in steps)
+    """Emit fully-valued rows with encoded actions, ready for clustering.
+
+    Each column is formatted whole: a float through repr, an integer from the
+    decimal strings of its distinct values.
+    """
+    ids = sorted(prepared)
+    blocks = [prepared[sid][0] for sid in ids]
+    lengths = [len(r) for r in blocks]
+    tags = sorted({t for r in blocks for t in r.demographics})
+
+    def per_row(values: list) -> list:  # one value per subject, on each of its rows
+        return np.repeat(np.array(values, dtype=object), lengths).tolist()
+
+    columns = [
+        per_row(ids),
+        _decimals(np.concatenate([r.timestamps for r in blocks])),
+        *(list(map(repr, np.concatenate([r.features[f] for r in blocks]).tolist()))
+          for f in features),
+        _decimals(np.concatenate([prepared[sid][1] for sid in ids])),
+        *(per_row([r.demographics.get(t) for r in blocks]) for t in tags),
+        per_row([int(r.died_in_hospital) for r in blocks]),
+    ]
     write_table(path, ["subject_id", "timestamp", *features, "action", *tags, "died_in_hospital"],
-                rows)
+                zip(*columns))
 
 
 def read_prepared_csv(path, features: list[str]) -> dict:

@@ -164,25 +164,32 @@ def _soft_backward(transitions: TransitionModel, reward, horizon: int):
     bins, cols, vals = transitions.nonzero
     policy = np.empty((horizon, n_actions, n_states))
     v = np.zeros(n_states)
-    for t in range(horizon - 1, -1, -1):
-        q = np.bincount(bins, weights=vals * (r + v)[cols], minlength=n_actions * n_states)
-        q = q.reshape(n_actions, n_states)
-        m = q.max(axis=0)
-        # V is finite exactly where the maximum over actions is
-        if not np.isfinite(m).all():
-            s_bad = int(np.flatnonzero(~np.isfinite(m))[0])
-            raise NumericError(f"soft backward pass: non-finite value at (t={t}, s={s_bad})")
-        top = q == m
-        rest = np.exp(q - m)
-        np.putmask(rest, top, 0.0)
-        if np.count_nonzero(top) == n_states:
-            # no ties, so every k is 1: s / 1 is s, and log(1) = 0 added to
-            # log1p(s) >= 0 changes nothing, so skipping both is exact
-            v = np.log1p(_action_sum(rest)) + m
-        else:
-            k = np.count_nonzero(top, axis=0)
-            v = np.log1p(_action_sum(rest) / k) + np.log(k) + m
-        policy[t] = np.exp(q - v)
+    # the steps after a non-finite one run on, silently, and the check below names it
+    with np.errstate(all="ignore"):
+        for t in range(horizon - 1, -1, -1):
+            q = np.bincount(bins, weights=vals * (r + v)[cols], minlength=n_actions * n_states)
+            q = q.reshape(n_actions, n_states)
+            m = q.max(axis=0)
+            top = q == m
+            rest = np.exp(q - m)
+            np.putmask(rest, top, 0.0)
+            if np.count_nonzero(top) == n_states:
+                # no ties, so every k is 1: s / 1 is s, and log(1) = 0 added to
+                # log1p(s) >= 0 changes nothing, so skipping both is exact
+                v = np.log1p(_action_sum(rest)) + m
+            else:
+                k = np.count_nonzero(top, axis=0)
+                v = np.log1p(_action_sum(rest) / k) + np.log(k) + m
+            policy[t] = np.exp(q - v)
+    # a finite maximum over actions leaves its policy column finite, and an
+    # infinite or NaN one makes it NaN: so the last step with a NaN column, at
+    # its lowest state, is the first non-finite value of the pass
+    if np.isnan(policy.sum()):
+        steps, states = np.nonzero(np.isnan(policy).any(axis=1))
+        t = steps.max()
+        raise NumericError(
+            f"soft backward pass: non-finite value at (t={t}, s={states[steps == t].min()})"
+        )
     return np.ascontiguousarray(policy.transpose(0, 2, 1)), v
 
 

@@ -642,16 +642,30 @@ def reference_pairwise_permutation_tests(values, labels, n_permutations=10_000, 
     ]
 
 
-# The package's k-means rounds as they were before they ran in row chunks:
-# one (n, k, d) broadcast per distance table and one boolean mask per
-# cluster per round. fit_state_space and assign_states must return results
-# equal to these (==), byte for byte. The k-means++ seeding did not change
-# and is the package's own.
+# The package's k-means as it was before it ran in row chunks: k-means++
+# seeding over whole-row distance sums, then one (n, k, d) broadcast per
+# distance table and one boolean mask per cluster per round. fit_state_space
+# and assign_states must return results equal to these (==), byte for byte.
 
 
 def reference_squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # (n, k) table of squared Euclidean distances
     return ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def reference_kmeans_pp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
+    n = z.shape[0]
+    centers = np.empty((k, z.shape[1]))
+    centers[0] = z[rng.integers(n)]
+    d2 = ((z - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total == 0:
+            centers[j] = z[rng.integers(n)]
+            continue
+        centers[j] = z[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((z - centers[j]) ** 2).sum(axis=1))
+    return centers
 
 
 def reference_lloyd(z: np.ndarray, centers: np.ndarray, max_iterations=300, reltol=1e-6):
@@ -690,7 +704,7 @@ def reference_assign_states(rows, model) -> np.ndarray:
 
 def reference_fit_state_space(rows, k, min_size, seed, n_restarts=1):
     """fit_state_space (features named f0, f1, ...) over the reference rounds."""
-    from consensus_irl.discretize import ClusterModel, _kmeans_pp_init
+    from consensus_irl.discretize import ClusterModel
 
     rows = np.asarray(rows, dtype=float)
     means = rows.mean(axis=0)
@@ -700,7 +714,7 @@ def reference_fit_state_space(rows, k, min_size, seed, n_restarts=1):
     best = None
     for child in np.random.SeedSequence(seed).spawn(n_restarts):
         rng = np.random.default_rng(child)
-        fit = reference_lloyd(z, _kmeans_pp_init(z, k, rng))
+        fit = reference_lloyd(z, reference_kmeans_pp_init(z, k, rng))
         if best is None or fit[2] < best[2]:
             best = fit
     centers, assign, inertia = best

@@ -12,10 +12,7 @@ from consensus_irl import (
     ParameterError,
     SchemaError,
     SubjectRecords,
-    encode_actions,
-    filter_outliers,
     hypotension_codec,
-    impute_series,
     regroup_demographics,
     sepsis_codec,
 )
@@ -32,6 +29,18 @@ from consensus_irl.ingest import (
 
 def series(sid, values, feature="heart_rate", start=0):
     return SubjectRecords(sid, np.arange(start, start + len(values)), {feature: values})
+
+
+def prepare_one(records, normals=None, bounds=None, codec=None):
+    """prepare_subjects over a cohort of this one subject: (records, actions, report)."""
+    prepared, report = prepare_subjects(
+        {records.subject_id: records}, normals or {}, bounds or {}, codec or hypotension_codec()
+    )
+    return (*prepared[records.subject_id], report)
+
+
+def impute(records, normals):
+    return prepare_one(records, normals)[0]
 
 
 def values(records, feature="heart_rate"):
@@ -74,27 +83,27 @@ class TestSubjectRecords:
 class TestImpute:
     def test_normal_then_carry_forward(self):
         recs = series("p", [None, 80.0, None, 90.0])
-        out = impute_series(recs, {"heart_rate": 75.0})
+        out = impute(recs, {"heart_rate": 75.0})
         assert values(out) == [75.0, 80.0, 80.0, 90.0]
 
     def test_fully_observed_unchanged(self):
         recs = series("p", [60.0, 61.0, 62.0])
-        out = impute_series(recs, {})
+        out = impute(recs, {})
         assert values(out) == [60.0, 61.0, 62.0]
 
     def test_all_missing_uses_normal_throughout(self):
         recs = series("p", [None] * 4, feature="temperature")
-        out = impute_series(recs, {"temperature": 36.9})
+        out = impute(recs, {"temperature": 36.9})
         assert values(out, "temperature") == [36.9] * 4
 
     def test_missing_normal_names_the_feature(self):
         recs = series("p", [None, 70.0], feature="lactate")
         with pytest.raises(SchemaError, match="lactate"):
-            impute_series(recs, {"heart_rate": 75.0})
+            impute(recs, {"heart_rate": 75.0})
 
     def test_features_imputed_independently(self):
         recs = SubjectRecords("p", [0, 1], {"hr": [50.0, None], "bp": [None, 90.0]})
-        out = impute_series(recs, {"bp": 85.0})
+        out = impute(recs, {"bp": 85.0})
         assert values(out, "hr") == [50.0, 50.0]
         assert values(out, "bp") == [85.0, 90.0]
 
@@ -107,16 +116,16 @@ class TestImpute:
 
     def test_later_gap_carries_the_latest_observation(self):
         recs = series("p", [None, 60.0, None, None, 70.0, None, 71.0, None])
-        out = impute_series(recs, {"heart_rate": 75.0})
+        out = impute(recs, {"heart_rate": 75.0})
         assert values(out) == [75.0, 60.0, 60.0, 60.0, 70.0, 70.0, 71.0, 71.0]
 
     def test_normal_needed_only_before_the_first_observation(self):
         recs = series("p", [61.0, None, None], feature="lactate")
-        assert values(impute_series(recs, {}), "lactate") == [61.0, 61.0, 61.0]
+        assert values(impute(recs, {}), "lactate") == [61.0, 61.0, 61.0]
 
     def test_input_records_not_mutated(self):
         recs = series("p", [None, 80.0])
-        impute_series(recs, {"heart_rate": 75.0})
+        impute(recs, {"heart_rate": 75.0})
         assert np.isnan(recs.features["heart_rate"][0])
 
     @settings(max_examples=80, deadline=None)
@@ -130,8 +139,8 @@ class TestImpute:
     def test_idempotent_and_observation_preserving(self, vals):
         recs = series("p", vals)
         normals = {"heart_rate": 75.0}
-        once = impute_series(recs, normals)
-        twice = impute_series(once, normals)
+        once = impute(recs, normals)
+        twice = impute(once, normals)
         assert values(once) == values(twice)
         for raw, filled in zip(vals, values(once)):
             assert not np.isnan(filled)
@@ -141,47 +150,56 @@ class TestImpute:
 
 class TestFilterOutliers:
     BOUNDS = {"heart_rate": (20.0, 300.0)}
+    NORMALS = {"heart_rate": 75.0, "hr": 75.0, "bp": 85.0}
+
+    def kept(self, records, bounds=None):
+        """The subject's rows after filtering (and imputation), and the drop report."""
+        kept, _, report = prepare_one(records, self.NORMALS, bounds or self.BOUNDS)
+        return kept, report
 
     def test_out_of_range_row_dropped_and_counted(self):
         recs = series("p", [80.0, 9999.0])
-        kept, report = filter_outliers(recs, self.BOUNDS)
+        kept, report = self.kept(recs)
         assert values(kept) == [80.0]
-        assert report == {"heart_rate": 1}
+        assert report == {"heart_rate": 1, "subjects_dropped": 0}
 
     def test_all_in_range_is_identity(self):
         recs = series("p", [80.0, 90.0])
-        kept, report = filter_outliers(recs, self.BOUNDS)
+        kept, report = self.kept(recs)
         assert same_rows(kept, recs)
-        assert report == {}
+        assert report == {"subjects_dropped": 0}
 
     def test_bounds_are_inclusive(self):
         recs = series("p", [20.0, 300.0])
-        kept, report = filter_outliers(recs, self.BOUNDS)
+        kept, report = self.kept(recs)
         assert len(kept) == 2
-        assert report == {}
+        assert report == {"subjects_dropped": 0}
 
     def test_missing_value_never_drops(self):
         recs = series("p", [None, 50.0])
-        kept, _ = filter_outliers(recs, self.BOUNDS)
+        kept, _ = self.kept(recs)
         assert len(kept) == 2
 
     def test_idempotent(self):
         recs = series("p", [10.0, 80.0, 400.0, 90.0])
-        once, _ = filter_outliers(recs, self.BOUNDS)
-        twice, again = filter_outliers(once, self.BOUNDS)
+        once, _ = self.kept(recs)
+        twice, again = self.kept(once)
         assert same_rows(twice, once)
-        assert again == {}
+        assert again == {"subjects_dropped": 0}
 
     def test_dropped_rows_leave_every_column(self):
         recs = SubjectRecords(
             "p", [0, 3, 5], {"heart_rate": [80.0, 9999.0, 90.0], "bp": [1.0, 2.0, None]},
             {"vaso": [True, False, True]}, {"sex": "f"}, True,
         )
-        kept, _ = filter_outliers(recs, self.BOUNDS)
+        codec = ActionCodec("x", ["none", "vaso"], [(frozenset(), 0), (frozenset({"vaso"}), 1)])
+        kept, actions, _ = prepare_one(recs, self.NORMALS, self.BOUNDS, codec)
         assert kept.timestamps.tolist() == [0, 5]
         assert values(kept) == [80.0, 90.0]
-        np.testing.assert_array_equal(kept.features["bp"], [1.0, np.nan])
+        # the dropped row's bp is not carried forward: the one before it is
+        assert values(kept, "bp") == [1.0, 1.0]
         assert kept.treatment_flags["vaso"].tolist() == [True, True]
+        assert actions.tolist() == [1, 1]
         assert kept.demographics == {"sex": "f"} and kept.died_in_hospital is True
         assert len(recs) == 3 and values(recs) == [80.0, 9999.0, 90.0]  # input unchanged
 
@@ -189,22 +207,22 @@ class TestFilterOutliers:
         recs = SubjectRecords("p", [0], {"hr": [1000.0], "bp": [-5.0]})
         bounds = {"hr": (20.0, 300.0), "bp": (0.0, 200.0)}
         with pytest.raises(CohortEmptyError):
-            filter_outliers(recs, bounds)
+            self.kept(recs, bounds)
         recs = SubjectRecords("p", [0, 1], {"hr": [1000.0, 80.0], "bp": [-5.0, 90.0]})
-        kept, report = filter_outliers(recs, bounds)
+        kept, report = self.kept(recs, bounds)
         assert len(kept) == 1
-        assert report == {"hr": 1, "bp": 1}
+        assert report == {"hr": 1, "bp": 1, "subjects_dropped": 0}
 
     def test_everything_dropped_rejected(self):
         with pytest.raises(CohortEmptyError):
-            filter_outliers(series("p", [9999.0]), self.BOUNDS)
+            self.kept(series("p", [9999.0]))
 
     @pytest.mark.parametrize(
         "bad", [(300.0, 20.0), (50.0, 50.0), (float("nan"), 100.0), (0.0, float("inf"))]
     )
     def test_malformed_bounds_rejected(self, bad):
         with pytest.raises(ParameterError, match="bounds"):
-            filter_outliers(series("p", [80.0]), {"heart_rate": bad})
+            self.kept(series("p", [80.0]), {"heart_rate": bad})
 
 
 class TestActionCodec:
@@ -235,16 +253,16 @@ class TestActionCodec:
         assert codec.encode({"ventilation", "antibiotics"}) == 1
         assert codec.encode({"vasoactive", "glucocorticoids"}) == 2
 
-    def test_encode_actions_one_index_per_record(self):
+    def test_actions_one_index_per_record(self):
         recs = SubjectRecords(
             "p", [0, 1, 2], {},
             {"vasopressors": [False, True, True], "bolus_epinephrine": [False, False, True]},
         )
-        actions = encode_actions(recs, hypotension_codec())
+        _, actions, _ = prepare_one(recs)
         assert actions.tolist() == [0, 1, 3]
         assert actions.dtype == np.int64
 
-    def test_encode_actions_encodes_each_pattern_once_in_order_of_first_use(self):
+    def test_each_pattern_encoded_once_per_cohort_in_order_of_first_use(self):
         seen = []
 
         class Recording(ActionCodec):
@@ -254,18 +272,24 @@ class TestActionCodec:
 
         reference = hypotension_codec()
         codec = Recording(reference.condition, reference.labels, reference.entries)
-        recs = SubjectRecords(
-            "p", range(6), {},
-            {"bolus_epinephrine": [1, 0, 1, 0, 0, 1], "vasopressors": [1, 0, 1, 1, 0, 0]},
-        )
-        assert encode_actions(recs, codec).tolist() == [3, 0, 3, 1, 0, 2]
+        cohort = {
+            "p": SubjectRecords(
+                "p", range(4), {},
+                {"bolus_epinephrine": [1, 0, 1, 0], "vasopressors": [1, 0, 1, 1]},
+            ),
+            # q lacks the vasopressors column: it is off on every q row
+            "q": SubjectRecords("q", range(3), {}, {"bolus_epinephrine": [0, 1, 1]}),
+        }
+        prepared, _ = prepare_subjects(cohort, {}, {}, codec)
+        assert prepared["p"][1].tolist() == [3, 0, 3, 1]
+        assert prepared["q"][1].tolist() == [0, 2, 2]
         assert seen == [
             {"vasopressors", "bolus_epinephrine"}, set(), {"vasopressors"}, {"bolus_epinephrine"},
         ]
 
-    def test_encode_actions_without_flag_columns(self):
+    def test_actions_without_flag_columns(self):
         recs = series("p", [80.0, 81.0, 82.0])
-        assert encode_actions(recs, hypotension_codec()).tolist() == [0, 0, 0]
+        assert prepare_one(recs)[1].tolist() == [0, 0, 0]
 
     def test_codec_needs_two_actions(self):
         with pytest.raises(ParameterError, match="2 actions"):
@@ -508,6 +532,28 @@ class TestPrepareSubjects:
         # a dropped subject's rows count only in subjects_dropped
         assert report == {"subjects_dropped": 1}
 
+    def test_carry_forward_stops_at_each_subject(self):
+        # b's first rows are unobserved: they take the normal value, not a's last one
+        cohort = {
+            "a": SubjectRecords("a", [0, 1], {"heart_rate": [60.0, None]}),
+            "b": SubjectRecords("b", [0, 1, 2], {"heart_rate": [None, None, 90.0]}),
+        }
+        prepared, _ = prepare_subjects(cohort, self.NORMALS, self.BOUNDS, hypotension_codec())
+        assert values(prepared["a"][0]) == [60.0, 60.0]
+        assert values(prepared["b"][0]) == [75.0, 75.0, 90.0]
+
+    def test_feature_of_some_subjects_needs_no_normal_for_the_rest(self):
+        cohort = {
+            "a": SubjectRecords("a", [0, 1], {"heart_rate": [60.0, None], "lactate": [1.5, None]}),
+            "b": SubjectRecords("b", [0], {"heart_rate": [70.0]}),
+        }
+        prepared, _ = prepare_subjects(cohort, {}, self.BOUNDS, hypotension_codec())
+        assert values(prepared["a"][0], "lactate") == [1.5, 1.5]
+        assert list(prepared["b"][0].features) == ["heart_rate"]
+        cohort["a"].features["lactate"][0] = np.nan
+        with pytest.raises(SchemaError, match="'lactate' missing from the normal-value table"):
+            prepare_subjects(cohort, {}, self.BOUNDS, hypotension_codec())
+
     def test_empty_cohort_after_filtering_rejected(self):
         cohort = {"gone": SubjectRecords("gone", [0], {"heart_rate": [9999.0]})}
         with pytest.raises(CohortEmptyError):
@@ -563,9 +609,6 @@ class TestPrepareSubjects:
         bounds = {"heart_rate": (20.0, 71.0)}  # drops p1's second row and all of p2
         prepare_subjects(subjects, {"heart_rate": 75.0, "mean_bp": 85.0}, bounds,
                          hypotension_codec())
-        kept, _ = filter_outliers(subjects["p1"], bounds)
-        encode_actions(impute_series(kept, {"heart_rate": 75.0, "mean_bp": 85.0}),
-                       hypotension_codec())
         assert repr(snapshot()) == repr(before)  # repr: NaN equal to NaN
 
     PREPARED_CSV = (

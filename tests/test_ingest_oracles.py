@@ -9,7 +9,8 @@ as such a missing tag, but the reference readers keep it as the category '',
 so the CSV cohorts carry every tag and the in-memory one covers the missing
 tag. The new path must write the same prepared.csv bytes, report the same
 drops, stack the same feature matrix and chain the same trajectories.csv bytes
-as the reference.
+as the reference, and on a cohort where subjects fail, raise the reference's
+first error.
 """
 
 import numpy as np
@@ -240,17 +241,61 @@ def test_repeated_timestamp_error_matches_reference(tmp_path):
     assert messages[0] == f"{records}: subject s04: timestamps must be strictly increasing"
 
 
-def test_missing_normal_error_matches_reference(tmp_path):
+# how a subject of failing_cohort fails: its lactate unobserved on its first row
+# (the normals lack lactate), a flag the codec does not know on its second row,
+# both on its first row, or every row out of bounds on top of both, which drops
+# the subject before either can fail
+FAILURES = {
+    "normal": "feature 'lactate' missing from the normal-value table",
+    "flag": "treatment flags unknown to the hypotension codec: leeches",
+    "both": "feature 'lactate' missing from the normal-value table",
+    "bound": None,
+}
+
+
+def failing_cohort(path, kinds):
+    """A records CSV of healthy subjects h0 and h9 around one subject per kind,
+    f1, f2, ... in the order given, each row with a leeches flag column."""
+    header = ["subject_id", "timestamp", *FEATURES, *FLAGS, "leeches", *DEMOGRAPHICS,
+              "died_in_hospital"]
+    lines = [",".join(header)]
+    for sid, kind in [("h0", None), *((f"f{i}", k) for i, k in enumerate(kinds, 1)), ("h9", None)]:
+        for t in range(3):
+            lactate = "" if t > 0 or kind in ("normal", "both", "bound") else "1.5"
+            leeches = "1" if (kind == "flag" and t == 1) or kind in ("both", "bound") else "0"
+            bp = "999.5" if kind == "bound" else "80.0"
+            lines.append(",".join([sid, str(t), "90.0", bp, lactate, "1", "", leeches,
+                                   "north", "f", "0"]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+PAIRS = [("normal", "flag"), ("normal", "bound"), ("flag", "bound"), ("both", "flag")]
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [None, *PAIRS, *(pair[::-1] for pair in PAIRS)],
+    ids=lambda kinds: "-".join(kinds) if kinds else "dirty",
+)
+def test_missing_normal_error_matches_reference(tmp_path, kinds):
+    """The first failing subject in sorted-id order wins, as one subject at a time;
+    within a subject a missing normal value comes before an unknown flag."""
     records = tmp_path / "records.csv"
-    dirty_cohort(records, 2)
-    normals = {"hr": 80.0}
+    if kinds is None:
+        dirty_cohort(records, 2)
+        flags, normals = FLAGS, {"hr": 80.0}
+    else:
+        failing_cohort(records, kinds)
+        flags, normals = [*FLAGS, "leeches"], {"hr": 80.0, "bp": 85.0}
     messages = []
     for load, prepare in (
         (load_records_csv, prepare_subjects),
         (reference_load_records_csv, reference_prepare_subjects),
     ):
-        subjects = load(records, FEATURES, FLAGS, DEMOGRAPHICS)
+        subjects = load(records, FEATURES, flags, DEMOGRAPHICS)
         with pytest.raises(SchemaError) as exc:
             prepare(subjects, normals, BOUNDS, hypotension_codec())
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+    if kinds is not None:
+        assert messages[0] == next(FAILURES[k] for k in kinds if FAILURES[k])

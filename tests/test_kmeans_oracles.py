@@ -1,8 +1,9 @@
-"""Chunked k-means against the broadcast-and-mask rounds it replaced.
+"""Chunked, bound-pruned k-means against the broadcast-and-mask rounds it replaced.
 
 Every fit and assignment must equal the reference in tests/oracles.py byte
 for byte: centroids, inertia, member counts, dropped ids, per-cluster
-feature statistics and state ids.
+feature statistics and state ids. The bounds must also spare most rows the
+full distance pass once the centers settle.
 """
 
 import tracemalloc
@@ -13,11 +14,12 @@ import pytest
 
 from consensus_irl import ClusterModel, assign_states, fit_state_space
 from consensus_irl import discretize
-from consensus_irl.discretize import _CHUNK_ROWS, _kmeans_pp_init, _nearest
+from consensus_irl.discretize import _CHUNK_ROWS, _kmeans_pp_init, _nearest, _row_distances
 
 from oracles import (
     reference_assign_states,
     reference_fit_state_space,
+    reference_kmeans_pp_init,
     reference_squared_distances,
 )
 
@@ -34,6 +36,22 @@ def assert_same_fit(rows, k, min_size=1, seed=0, n_restarts=1):
     return got
 
 
+def tally_nearest(monkeypatch) -> dict:
+    """Count _nearest's calls, the rows it gets and its exact runner-up ties."""
+    tally = {"calls": 0, "rows": 0, "ties": 0}
+    nearest = discretize._nearest
+
+    def counting(z, centers):
+        assign, best, second = nearest(z, centers)
+        tally["calls"] += 1
+        tally["rows"] += len(z)
+        tally["ties"] += int((best == second).sum())
+        return assign, best, second
+
+    monkeypatch.setattr(discretize, "_nearest", counting)
+    return tally
+
+
 def scaled_normal(n, d, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, d)) * rng.uniform(0.5, 20.0, size=d) + rng.normal(size=d)
@@ -45,12 +63,30 @@ def test_nearest_matches_broadcast_distances(d):
     z = rng.normal(size=(3 * _CHUNK_ROWS + 5, d))
     centers = rng.normal(size=(17, d))
     centers[5] = centers[2]  # an exact tie: the lower index must win
-    assign, best = _nearest(z, centers)
+    assign, best, second = _nearest(z, centers)
     d2 = reference_squared_distances(z, centers)
     want = d2.argmin(axis=1)
     assert np.array_equal(assign, want)
     assert best.tobytes() == d2[np.arange(len(z)), want].tobytes()
     assert not (assign == 5).any()
+    # the runner-up is the nearest other center, so a tie gives it the best distance
+    assert second.tobytes() == np.sort(d2, axis=1)[:, 1].tobytes()
+    assert (second[np.isin(want, [2, 5])] == best[np.isin(want, [2, 5])]).all()
+    # the distances to one center per row, or to one center, are the same entries
+    assert _row_distances(z, centers[assign]).tobytes() == best.tobytes()
+    assert _row_distances(z, centers[3]).tobytes() == d2[:, 3].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12])
+def test_seeding_matches_reference(d):
+    spread = scaled_normal(700, d, seed=50 + d)
+    # three distinct rows: after three seeds every distance is 0
+    few = spread[:3][np.random.default_rng(d).integers(0, 3, size=200)]
+    for z in (spread, few):
+        for seed in range(3):
+            got = _kmeans_pp_init(z, 12, np.random.default_rng(seed))
+            want = reference_kmeans_pp_init(z, 12, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 11])
@@ -62,6 +98,16 @@ def test_fit_matches_reference_across_widths(d):
 def test_fit_matches_reference_on_tied_rows(d):
     rows = np.round(scaled_normal(600, d, seed=20 + d) / 5.0)  # few distinct values
     assert_same_fit(rows, k=9, min_size=3, seed=2)
+
+
+def test_long_fit_on_rounded_rows_matches_reference(monkeypatch):
+    # integer rows, most of them repeated: the fit takes 73 rounds, and some
+    # rows lie exactly between two centers, which only a full pass may settle
+    rows = np.round(scaled_normal(4000, 3, seed=7) / 4.0)
+    assert len(np.unique(rows, axis=0)) < len(rows) / 2
+    tally = tally_nearest(monkeypatch)
+    assert_same_fit(rows, k=16, min_size=0, seed=7)
+    assert tally["calls"] >= 50 and tally["ties"] > 0
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -141,3 +187,21 @@ def test_fit_temporaries_stay_small_at_clinical_shape(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_bounds_spare_most_rows_the_full_pass(monkeypatch):
+    # clinical-shaped: 28k rows of 3 vitals in discrete regimes with small
+    # noise, k = 80. Every row takes the first pass; after that only the rows
+    # whose bounds cannot keep them on their center take one.
+    rng = np.random.default_rng(1)
+    regimes = np.array(
+        [[bp, hr, lactate] for bp in (43, 55, 67, 79, 88) for hr in (50, 65, 80, 95, 110)
+         for lactate in (1.0, 2.0, 3.0, 4.0)],
+        dtype=float,
+    )
+    rows = regimes[rng.integers(len(regimes), size=28_000)]
+    rows += rng.normal(size=rows.shape) * [2.0, 3.0, 0.15]
+    tally = tally_nearest(monkeypatch)
+    fit_state_space(rows, k=80, min_size=0, seed=1)  # min_size 0: every call is a round
+    assert tally["calls"] > 10
+    assert tally["rows"] < 0.5 * len(rows) * tally["calls"], tally

@@ -5,9 +5,9 @@
 Checks the ref out into a temporary directory with `git worktree` (a local
 checkout; nothing is fetched), runs one fixed command set in both trees at
 seeds 1 and 2, and compares every file the commands wrote. Each tree runs
-its own `src/`; the inputs (a demographic tag file, a regroup mapping and the
-seeded clinical cohort of perfbench/cohort.py) are written once and copied to
-both. Per seed:
+its own `src/`; the inputs (a demographic tag file, a regroup mapping, the
+seeded clinical cohort of perfbench/cohort.py and the edge-case records derived
+from it by write_edge_records) are written once and copied to both. Per seed:
 
 - the synthetic chain synth -> pipeline --world --labels -> analyze -> sweep;
 - irl -> prune on the synthetic trajectories, once per selection rule:
@@ -24,6 +24,9 @@ both. Per seed:
   the state ids, one pipeline --records straight from the raw cohort, one
   ingest --regroup that relabels tag categories before the rare ones
   collapse, and one sweep --records;
+- ingest and pipeline --records on the edge-case records: a subject dropped
+  whole by the bounds, a one-row subject, a feature missing on a subject's
+  first rows and subjects with an empty tag cell;
 
 and, once per tree, the stdout of every demos/*.py. Each command's exit code
 and stdout are kept as files too, so a changed message or a failing command
@@ -95,6 +98,41 @@ def _cohort():
     return cohort
 
 
+def write_edge_records(directory: Path, cohort) -> None:
+    """records_edges.csv: the directory's records.csv with the cases a whole-cohort
+    ingest must keep, each on subjects picked in sorted-id order.
+
+    The first subject has every mean_bp out of bounds, so ingest drops it; the
+    second keeps only its first row, so it starts no step; the third has no
+    lactate on its first two rows, which take the normal value; and the next
+    three have an empty ethnicity cell, a missing tag.
+    """
+    with open(directory / "records.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    column = {name: j for j, name in enumerate(header)}
+    ids = sorted({row[0] for row in rows})
+    dropped, single, late, untagged = ids[0], ids[1], ids[2], set(ids[3:6])
+
+    def first_times(sid, count):
+        return sorted(int(row[1]) for row in rows if row[0] == sid)[:count]
+
+    keep_single, late_times = first_times(single, 1), first_times(late, 2)
+    edited = []
+    for row in rows:
+        sid, at = row[0], int(row[1])
+        if sid == single and at not in keep_single:
+            continue
+        if sid == dropped:
+            row[column["mean_bp"]] = repr(cohort.GLITCHES["mean_bp"])
+        if sid == late and at in late_times:
+            row[column["lactate"]] = ""
+        if sid in untagged:
+            row[column["ethnicity"]] = ""
+        edited.append(row)
+    with open(directory / "records_edges.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *edited])
+
+
 def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
     """(command, run directory, flags) in order; every path is relative to the seed's directory."""
     world = ("--trajectories", "world/trajectories.csv")
@@ -105,6 +143,7 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         "--bounds", "inputs/bounds.json", "--condition", "hypotension",
         "--demographics", ",".join(cohort.DEMOGRAPHICS),
     ) + features
+    edges = ("--records", "inputs/records_edges.csv", *records[2:])
     steps = [
         ("synth", "world", (
             "--states", "60", "--actions", "3", "--branching", "4", "--horizon", "12",
@@ -150,6 +189,8 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ("ingest", "ingest_regroup", records + ("--regroup", "inputs/regroup.json")),
         ("sweep", "clinical_records_sweep", records + ("--k", K, "--fractions", "0.5,0.8")
          + PERMUTATIONS),
+        ("ingest", "ingest_edges", edges),
+        ("pipeline", "clinical_edges", edges + ("--k", K, "--retain", "0.8") + PERMUTATIONS),
     ]
     return [(cmd, out, flags + ("--seed", str(seed), "--out", out)) for cmd, out, flags in steps]
 
@@ -355,6 +396,7 @@ def main(argv=None) -> int:
         inputs = work / "inputs"
         for seed in SEEDS:
             cohort.write_cohort(str(inputs / f"seed{seed}"), seed)
+            write_edge_records(inputs / f"seed{seed}", cohort)
             (inputs / f"seed{seed}" / "tags.json").write_text(json.dumps(TAGS))
             (inputs / f"seed{seed}" / "regroup.json").write_text(json.dumps(REGROUP))
         trees = {"checkout": ROOT, "ref": ref_tree}

@@ -126,24 +126,29 @@ def cluster_report(
 
 
 def write_cluster_report_csv(report: ClusterReport, path) -> None:
-    feats = report.features
-    has_delta = any(r.delta_means is not None for r in report.best + report.worst)
-    header = ["side", "rank", "cluster", "reward", "count"]
-    for f in feats:
-        header += [f"{f}_mean", f"{f}_std"]
+    rows = report.best + report.worst
+    has_delta = any(r.delta_means is not None for r in rows)
+
+    def floats(values) -> np.ndarray:
+        return np.array(list(values), dtype=np.float64)
+
+    def ints(key) -> np.ndarray:
+        return np.array([getattr(r, key) for r in rows], dtype=np.int64)
+
+    columns = {
+        "side": ["best"] * len(report.best) + ["worst"] * len(report.worst),
+        "rank": ints("rank"),
+        "cluster": ints("cluster"),
+        "reward": floats(r.reward for r in rows),
+        "count": ints("count"),
+    }
+    for f in report.features:
+        columns[f"{f}_mean"] = floats(r.means[f] for r in rows)
+        columns[f"{f}_std"] = floats(r.stds[f] for r in rows)
         if has_delta:
-            header += [f"{f}_delta_mean", f"{f}_delta_std"]
-    rows = []
-    for side in ("best", "worst"):
-        for r in getattr(report, side):
-            row = [side, r.rank, r.cluster, repr(r.reward), r.count]
-            for f in feats:
-                row += [repr(r.means[f]), repr(r.stds[f])]
-                if has_delta:
-                    dm, ds = r.delta_means or {}, r.delta_stds or {}
-                    row += [repr(dm.get(f, 0.0)), repr(ds.get(f, 0.0))]
-            rows.append(row)
-    write_table(path, header, rows)
+            columns[f"{f}_delta_mean"] = floats((r.delta_means or {}).get(f, 0.0) for r in rows)
+            columns[f"{f}_delta_std"] = floats((r.delta_stds or {}).get(f, 0.0) for r in rows)
+    write_table(path, list(columns), list(columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +181,11 @@ def end_state_deciles(scores: TrajectoryScores) -> list[dict]:
 
 def write_deciles_csv(rows: list[dict], path) -> None:
     header = ["bucket", "percentile_low", "percentile_high", "mean_end_state_reward", "count"]
-    write_table(path, header, (
-        [repr(r[k]) if k == "mean_end_state_reward" else r[k] for k in header] for r in rows
-    ))
+    write_table(path, header, [
+        np.array([r[k] for r in rows],
+                 dtype=np.float64 if k == "mean_end_state_reward" else np.int64)
+        for k in header
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +633,12 @@ def write_tests_json(results, path, posthoc: dict | None = None) -> None:
 
 def write_tests_csv(results, path) -> None:
     header = ["name", "statistic", "p_value", "p_floor", "n_permutations", "seed", "groups"]
-    rows = (
-        [res.name, repr(res.statistic), repr(res.p_value), repr(res.p_floor), res.n_permutations,
-         res.seed, ";".join(f"{label}:{size}" for label, size in res.groups)]
-        for res in results
-    )
-    write_table(path, header, rows, note=PERMUTATION_NOTE)
+    columns = [
+        [res.name for res in results],
+        *(np.array([getattr(res, k) for res in results], dtype=np.float64)
+          for k in ("statistic", "p_value", "p_floor")),
+        *(np.array([getattr(res, k) for res in results], dtype=np.int64)
+          for k in ("n_permutations", "seed")),
+        [";".join(f"{label}:{size}" for label, size in res.groups) for res in results],
+    ]
+    write_table(path, header, columns, note=PERMUTATION_NOTE)

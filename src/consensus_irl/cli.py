@@ -308,6 +308,9 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    seed = merged["seed"]
+    if seed < 0:  # a SeedSequence takes no negative entropy
+        raise InputError(f"{command}: --seed must be a non-negative integer, got {seed}")
     missing = [key for key in spec["required"] if merged.get(key) is None]
     if missing:
         raise InputError(
@@ -792,10 +795,9 @@ def cmd_sweep(cfg) -> None:
             row["prune_recall"] = manifest["recovery"]["prune_recall"]
         rows.append(row)
 
-    keys = sorted(rows[0])  # every row has the same keys
+    keys = sorted(rows[0])  # every row has the same keys, each an int or a float in all
     write_table(os.path.join(out, "sweep_summary.csv"), keys,
-                ([repr(row[k]) if isinstance(row[k], float) else row[k] for k in keys]
-                 for row in rows))
+                [np.array([row[k] for row in rows]) for k in keys])
     seed = cfg["seed"]
     seeds = {"stage1": seed, "stage2": seed + 1, "prune": seed + 2, "tests": seed + 3}
     _write_echo_and_manifest(out, "sweep", cfg, seeds, ["sweep_summary.csv"], fractions=fractions)

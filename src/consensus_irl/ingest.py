@@ -401,37 +401,27 @@ def prepare_subjects(
     return prepared, {**report, "subjects_dropped": len(blocks) - len(kept)}
 
 
-def _decimals(values: np.ndarray) -> list:
-    """The decimal string of each integer, formatted once per distinct value."""
-    distinct, index = np.unique(values, return_inverse=True)
-    return np.array(list(map(str, distinct.tolist())), dtype=object)[index].tolist()
-
-
 def write_prepared_csv(prepared: dict, features: list[str], path) -> None:
-    """Emit fully-valued rows with encoded actions, ready for clustering.
-
-    Each column is formatted whole: a float through repr, an integer from the
-    decimal strings of its distinct values.
-    """
+    """Emit fully-valued rows with encoded actions, ready for clustering."""
     ids = sorted(prepared)
     blocks = [prepared[sid][0] for sid in ids]
     lengths = [len(r) for r in blocks]
     tags = sorted({t for r in blocks for t in r.demographics})
 
-    def per_row(values: list) -> list:  # one value per subject, on each of its rows
-        return np.repeat(np.array(values, dtype=object), lengths).tolist()
+    def per_row(values: list, dtype=object) -> np.ndarray:
+        """One value per subject, repeated on each of its rows."""
+        return np.repeat(np.array(values, dtype=dtype), lengths)
 
     columns = [
         per_row(ids),
-        _decimals(np.concatenate([r.timestamps for r in blocks])),
-        *(list(map(repr, np.concatenate([r.features[f] for r in blocks]).tolist()))
-          for f in features),
-        _decimals(np.concatenate([prepared[sid][1] for sid in ids])),
+        np.concatenate([r.timestamps for r in blocks]),
+        *(np.concatenate([r.features[f] for r in blocks]) for f in features),
+        np.concatenate([prepared[sid][1] for sid in ids]),
         *(per_row([r.demographics.get(t) for r in blocks]) for t in tags),
-        per_row([int(r.died_in_hospital) for r in blocks]),
+        per_row([r.died_in_hospital for r in blocks], np.int64),
     ]
     write_table(path, ["subject_id", "timestamp", *features, "action", *tags, "died_in_hospital"],
-                zip(*columns))
+                columns)
 
 
 def read_prepared_csv(path, features: list[str]) -> dict:

@@ -374,7 +374,8 @@ def write_training_log(reward: RewardModel, path) -> None:
     The lr cell is empty for lbfgs, which has no learning rate.
     """
     rows = reward.metadata.get("training_log", [])
-    write_table(path, ["epoch", "grad_max", "lr"], (
-        [row["epoch"], repr(row["grad_max"]), None if row["lr"] is None else repr(row["lr"])]
-        for row in rows
-    ))
+    write_table(path, ["epoch", "grad_max", "lr"], [
+        np.array([row["epoch"] for row in rows], dtype=np.int64),
+        np.array([row["grad_max"] for row in rows], dtype=np.float64),
+        [None if row["lr"] is None else repr(row["lr"]) for row in rows],
+    ])

@@ -142,4 +142,4 @@ def write_expected_reward_csv(model: TransitionModel, reward: RewardModel, path)
     """Debug export of the full E(s, a) table."""
     table = expected_reward_table(model, reward)
     header = ["state"] + [f"action_{a}" for a in range(model.n_actions)]
-    write_table(path, header, ([s, *map(repr, row)] for s, row in enumerate(table.tolist())))
+    write_table(path, header, [np.arange(model.n_states), *table.T])

@@ -161,9 +161,11 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
 
 def write_reward_delta_csv(result: TwoStageResult, path) -> None:
     """The rows of reward_delta_by_state, floats as repr and agree as 0/1."""
-    rows = ([repr(v) if isinstance(v, float) else int(v) for v in row.values()]
-            for row in reward_delta_by_state(result))
-    write_table(path, ["state", "r1", "r2", "delta", "policy1", "policy2", "agree"], rows)
+    rows = reward_delta_by_state(result)
+    header = ["state", "r1", "r2", "delta", "policy1", "policy2", "agree"]
+    columns = [np.array([row[k] for row in rows]) for k in header]
+    columns[-1] = columns[-1].astype(np.int64)
+    write_table(path, header, columns)
 
 
 def sha256_file(path) -> str:

@@ -190,14 +190,13 @@ def write_scores_csv(
     tags = trajectories.demographic_tags()
     columns = [
         scores.ids,
-        *(map(repr, column.tolist())
-          for column in (scores.L, scores.C, scores.log_likelihood, scores.end_state_reward)),
-        retained.astype(int).tolist(),
-        scores.fully_off_policy.astype(int).tolist(),
-        # csv writes a missing tag (None) as an empty cell
-        *(trajectories.demographics[t].tolist() for t in tags),
-        trajectories.died_in_hospital.astype(int).tolist(),
+        scores.L, scores.C, scores.log_likelihood, scores.end_state_reward,
+        retained.astype(np.int64),
+        scores.fully_off_policy.astype(np.int64),
+        # a missing tag (None) is an empty cell
+        *(trajectories.demographics[t] for t in tags),
+        trajectories.died_in_hospital.astype(np.int64),
     ]
     header = ["trajectory_id", "L", "C", "log_likelihood", "end_state_reward", "retained",
               "fully_off_policy", *tags, "died_in_hospital"]
-    write_table(path, header, zip(*columns))
+    write_table(path, header, columns)

@@ -173,6 +173,8 @@ class PopulationConfig:
             raise ParameterError(f"unknown corruption mode {self.corruption_mode!r}")
         if self.n_trajectories < 1:
             raise ParameterError("n_trajectories must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -181,8 +183,9 @@ class LabeledPopulation:
     corrupted: dict[str, bool]
 
     def write_labels_csv(self, path) -> None:
-        rows = ([tid, int(self.corrupted[tid])] for tid in self.trajectories.ids)
-        write_table(path, ["trajectory_id", "corrupted"], rows)
+        ids = self.trajectories.ids
+        corrupted = np.array([self.corrupted[t] for t in ids], dtype=np.int64)
+        write_table(path, ["trajectory_id", "corrupted"], [ids, corrupted])
 
 
 def read_labels_csv(path) -> dict[str, bool]:
@@ -264,6 +267,80 @@ def _inverse_cdf(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray
     return count
 
 
+_MASK32, _MASK64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _spawned_uniforms(seed: int, keys: np.ndarray, k: int) -> np.ndarray:
+    """Row i: default_rng(SeedSequence(seed, spawn_key=(keys[i],))).random(k), bit for bit.
+
+    numpy's SeedSequence hash and PCG64 seeding and stepping, run over all
+    children at once: the hash in uint32 columns, one per child, and the
+    128-bit generator state in two uint64 limbs. Each key must fit one uint32.
+    """
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    # a spawned sequence pads its run entropy to the pool size, then appends its key
+    words += [0] * (4 - len(words))
+    entropy = [np.full(len(keys), w, dtype=np.uint32) for w in words]
+    entropy.append(np.asarray(keys, dtype=np.uint32))
+    constant = 0x43B0D7E5  # the hash constant, advanced on every hashmix
+
+    def hashmix(value, multiplier=0x931E8875):
+        nonlocal constant
+        value = value ^ np.uint32(constant)
+        constant = constant * multiplier & _MASK32
+        value = value * np.uint32(constant)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return result ^ (result >> np.uint32(16))
+
+    m32 = np.uint64(_MASK32)
+    mult_high, mult_low = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+
+    def mul_hi(a, b):  # high 64 bits of the 128-bit product of uint64 a and b
+        a1, a0, b1, b0 = a >> np.uint64(32), a & m32, b >> np.uint64(32), b & m32
+        cross = a1 * b0 + ((a0 * b0) >> np.uint64(32))
+        low = (cross & m32) + a0 * b1
+        return a1 * b1 + (cross >> np.uint64(32)) + (low >> np.uint64(32))
+
+    def add(high, low, inc_high, inc_low):
+        low = low + inc_low
+        return high + inc_high + (low < inc_low).astype(np.uint64), low
+
+    def step(high, low):  # state * multiplier + increment, mod 2**128
+        high = mul_hi(low, mult_low) + high * mult_low + low * mult_high
+        return add(high, low * mult_low, inc_high, inc_low)
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(entropy[i]) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight words cycling over the pool, paired low first
+        constant = 0x8B51F9DD
+        state32 = [hashmix(pool[i % 4], 0x58F38DED).astype(np.uint64) for i in range(8)]
+        seed_high, seed_low, seq_high, seq_low = (
+            state32[j] | (state32[j + 1] << np.uint64(32)) for j in range(0, 8, 2)
+        )
+        # pcg64 srandom: inc = seq << 1 | 1, step from 0, add the seed, step
+        inc_high = (seq_high << np.uint64(1)) | (seq_low >> np.uint64(63))
+        inc_low = (seq_low << np.uint64(1)) | np.uint64(1)
+        high, low = step(*add(inc_high, inc_low, seed_high, seed_low))
+        out = np.empty((k, len(keys)))
+        for j in range(k):  # each output: step, then XSL-RR of the new state
+            high, low = step(high, low)
+            x, rot = high ^ low, high >> np.uint64(58)
+            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+            out[j] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return out.T
+
+
 def generate_population(world: SyntheticWorld, config: PopulationConfig) -> LabeledPopulation:
     """Sample a mixed expert population with ground-truth corruption labels.
 
@@ -272,14 +349,22 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     true optimal action values. Ids, labels, and demographic tags are
     deterministic under the config seed.
 
-    The stream: the seed's SeedSequence spawns N + 2 children, the first
-    choosing the corrupted members, the second drawing the tags (trajectory by
-    trajectory, tag by tag), and one per trajectory. Trajectory i takes
-    1 + 2H uniforms from default_rng(its child), in order s0, then a_t and
-    s_{t+1} for each step t, and turns each into a value by the inverse CDF
-    of numpy's Generator.choice. Every trajectory thus gets exactly what one
-    rng.choice(n, p=...) call per draw would give it, while all N advance
-    together one step at a time.
+    The stream: children of the seed's SeedSequence, as numpy's spawn numbers
+    them, the first choosing the corrupted members, the second drawing the tags
+    (trajectory by trajectory, tag by tag), and child i + 2 belonging to
+    trajectory i. Trajectory i takes 1 + 2H uniforms from default_rng(its
+    child), in order s0, then a_t and s_{t+1} for each step t, and turns each
+    into a value by the inverse CDF of numpy's Generator.choice. Every
+    trajectory thus gets exactly what one rng.choice(n, p=...) call per draw
+    would give it, while all N advance together one step at a time.
+
+    The N trajectory streams are not made by N default_rng calls:
+    _spawned_uniforms runs SeedSequence's integer hash and PCG64's 128-bit
+    recurrence over all children at once, in uint32 and uint64 arrays. A spawn
+    key then has to fit one uint32 word, which holds for any population that
+    fits in memory. Those recurrences are numpy's, not ours, so
+    tests/test_synth.py's oracle checks the stream bit for bit against the
+    installed numpy's default_rng.
     """
     horizon = config.horizon if config.horizon is not None else world.horizon
     if horizon != world.horizon:
@@ -299,13 +384,11 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     n, n_states, n_actions = config.n_trajectories, world.n_states, world.n_actions
     n_corrupt = math.ceil(config.corrupted_fraction * n)
     root = np.random.SeedSequence(config.seed)
-    member_ss, demo_ss, *traj_ss = root.spawn(n + 2)
+    member_ss, demo_ss = root.spawn(2)
     bad = np.zeros(n, dtype=bool)
     bad[np.random.default_rng(member_ss).permutation(n)[:n_corrupt]] = True
 
-    uniforms = np.empty((n, 1 + 2 * horizon))
-    for i, child in enumerate(traj_ss):
-        np.random.default_rng(child).random(out=uniforms[i])
+    uniforms = _spawned_uniforms(int(config.seed), np.arange(2, n + 2), 1 + 2 * horizon)
     # policy rows: the expert's for states 0..S-1, then the corrupted policy's
     policy_cdf = _cdf_rows(np.concatenate([expert_policy, bad_policy]))
     step_cdf = _cdf_rows(world.probs).reshape(n_states * n_actions, n_states)

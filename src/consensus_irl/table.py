@@ -1,4 +1,4 @@
-"""The one CSV reader: typed columns, with owners numbered by first appearance.
+"""The one CSV reader and the one CSV writer: typed columns in, typed columns out.
 
 Trajectories, raw records, prepared rows, scores and labels are CSVs whose
 owner column (trajectory_id or subject_id) groups the rows. read_table parses
@@ -13,6 +13,19 @@ cell is anything, and an empty one is missing (None). Every row has the
 header's number of fields, and blank lines are skipped. Parsing works on whole
 columns; only when it fails does a scan of the file find the first bad cell in
 file order, for one error: "{path}: {owner} {id}: {column} {cell!r} is not {kind}".
+
+write_table writes every CSV the package makes, the same bytes csv.writer
+would, from whole columns. An integer array's cells come from one table of
+decimal strings: of every value from its least to its greatest when that range
+is shorter than the column (states, actions, steps, flags), so a cell is one
+subtraction and one lookup away with no sort; otherwise of its distinct values
+(np.unique), since a timestamp column can span 1e9. A float array's cells are
+the repr of each value. Any other column holds text or None, and each distinct
+value is quoted once by csv's own rule (quotes around a cell holding a comma, a
+quote, CR or LF, with its quotes doubled), None being an empty cell. Rows are
+joined into text 512 at a time (_BLOCK): a block's cell strings are what the
+writer holds beyond the columns, and at 4,096 rows of a scores table they
+raised a small pipeline's peak memory by most of a MiB.
 """
 
 from __future__ import annotations
@@ -171,14 +184,53 @@ def _bad_cell(path, header, kinds, owner, reason) -> SchemaError:
     return SchemaError(f"{path}: {reason}")
 
 
-def write_table(path, header, rows, note=None) -> None:
-    """Write a CSV: an optional `# note` line, the header, then the rows.
+_BLOCK = 512  # rows joined into one string per write
 
-    csv writes None as an empty cell, which read_table takes for a missing value.
+
+def _text_cell(value) -> str:
+    """A cell as csv.writer writes it in the excel dialect: None is empty, and a
+    cell holding a comma, quote, CR or LF is quoted with its quotes doubled."""
+    text = "" if value is None else str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column, width: int):
+    """The function of (lo, hi) that gives the CSV cells of rows lo..hi-1 of column."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        low, high = (int(column.min()), int(column.max())) if len(column) else (0, -1)
+        if high - low < len(column):  # a table of the range is no longer than the column
+            decimals = np.array(list(map(str, range(low, high + 1))), dtype=object)
+            return lambda lo, hi: decimals[column[lo:hi] - low].tolist()
+        distinct, index = np.unique(column, return_inverse=True)
+        decimals = np.array(list(map(str, distinct.tolist())), dtype=object)
+        return lambda lo, hi: decimals[index[lo:hi]].tolist()
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return lambda lo, hi: list(map(repr, column[lo:hi].tolist()))
+    text = {value: _text_cell(value) for value in dict.fromkeys(column)}
+    if width == 1:  # csv quotes a row that is one empty cell, so that it is not blank
+        text = {value: cell or '""' for value, cell in text.items()}
+    return lambda lo, hi: list(map(text.__getitem__, column[lo:hi]))
+
+
+def write_table(path, header, columns, note=None) -> None:
+    """Write a CSV: an optional `# note` line, the header, then one row per
+    position of the columns, each cell formatted by its column's kind (see above).
     """
+    lengths = {len(column) for column in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(
+            f"{path}: {len(header)} header fields but {len(columns)} columns "
+            f"of lengths {sorted(lengths)}; need one column per field, all one length"
+        )
+    n_rows = lengths.pop() if lengths else 0
+    cells = [_cells(column, len(header)) for column in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if note:
             fh.write(f"# {note}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(_cells(header, len(header))(0, len(header))) + "\r\n")  # text cells
+        for lo in range(0, n_rows, _BLOCK):
+            hi = min(lo + _BLOCK, n_rows)
+            fh.write("\r\n".join(map(",".join, zip(*(cell(lo, hi) for cell in cells)))))
+            fh.write("\r\n")

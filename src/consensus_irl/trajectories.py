@@ -178,14 +178,14 @@ class TrajectorySet:
         tags = self.demographic_tags()
         per_step = np.repeat(np.arange(len(self)), self.lengths)
         columns = [
-            np.asarray(self.ids, dtype=object)[per_step].tolist(),
-            (np.arange(len(self.triples)) - self.offsets[per_step]).tolist(),
-            *self.triples.T.tolist(),
-            # csv writes a missing tag (None) as an empty cell
-            *(self.demographics[t][per_step].tolist() for t in tags),
-            self.died_in_hospital[per_step].astype(int).tolist(),
+            np.asarray(self.ids, dtype=object)[per_step],
+            np.arange(len(self.triples)) - self.offsets[per_step],
+            *self.triples.T,
+            # a missing tag (None) is an empty cell
+            *(self.demographics[t][per_step] for t in tags),
+            self.died_in_hospital[per_step].astype(np.uint8),
         ]
-        write_table(path, [*_CORE_COLUMNS, *tags, _DEATH_COLUMN], zip(*columns))
+        write_table(path, [*_CORE_COLUMNS, *tags, _DEATH_COLUMN], columns)
 
     @classmethod
     def from_csv(cls, path, n_states=None, n_actions=None) -> "TrajectorySet":

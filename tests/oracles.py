@@ -227,6 +227,29 @@ def exact_randomization_chi2_2x2(table) -> float:
 
 
 # ---------------------------------------------------------------------------
+# CSV writing
+
+
+def reference_write_table(path, header, columns, note=None) -> None:
+    """The row-by-row csv.writer the package wrote its CSVs with before it
+    formatted whole columns: each row goes to csv as a list, a float array's
+    cells as the repr of each value, an integer array's as Python ints, and
+    any other column's as they are."""
+
+    def cells(column) -> list:
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+        return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if note:
+            fh.write(f"# {note}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*map(cells, columns)))
+
+
+# ---------------------------------------------------------------------------
 # dense MaxEnt passes
 #
 # The package's soft backward and forward passes as they were before both

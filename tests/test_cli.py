@@ -13,7 +13,7 @@ import pytest
 
 import consensus_irl
 from consensus_irl import ClusterModel, SyntheticWorld, TrajectorySet, analyze
-from consensus_irl.cli import OUT_ROOT_ENV, dispatch
+from consensus_irl.cli import OUT_ROOT_ENV, SPECS, dispatch
 from consensus_irl.pipeline import sha256_file
 
 
@@ -122,6 +122,24 @@ class TestDispatchErrors:
         paths = [tmp_path / arg if arg.startswith("missing") else arg for arg in inputs]
         assert run(command, *paths, "--out", out) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command", [name for name, spec in SPECS.items() if "seed" in spec["defaults"]]
+    )
+    def test_a_negative_seed_is_one_error_line(self, tmp_path, capsys, command, source):
+        """Checked with the flags, before any input is read or any output made."""
+        if source == "flag":
+            seed = ("--seed", -3)
+        else:
+            (tmp_path / "cfg.json").write_text('{"seed": -3}')
+            seed = ("--config", tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert run(command, *seed, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {command}: --seed must be a non-negative integer, got -3\n"
+        )
         assert not out.exists()
 
     def test_unreadable_config_fails(self, tmp_path, capsys):
@@ -235,8 +253,6 @@ class TestDispatchErrors:
         assert "bad.csv: trajectory t0: next_state 'x'" in err
 
     def test_flag_defaults_follow_function_signatures(self):
-        from consensus_irl.cli import SPECS
-
         defaults = SPECS["pipeline"]["defaults"]
         assert (defaults["min_share"], defaults["k"], defaults["min_size"]) == (0.01, 200, 10)
         assert (defaults["restarts"], defaults["permutations"], defaults["top_k"]) == (

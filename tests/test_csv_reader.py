@@ -1,9 +1,11 @@
-"""The one CSV reader behind trajectories, raw records, prepared rows, scores and labels."""
+"""The one CSV reader behind trajectories, raw records, prepared rows, scores and
+labels, and the one writer behind every CSV the package makes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_write_table
 
 from consensus_irl import SchemaError, SubjectRecords, TrajectorySet, regroup_demographics
 from consensus_irl.ingest import load_records_csv, read_prepared_csv, write_prepared_csv
@@ -216,3 +218,83 @@ def test_the_scan_names_the_cell_whenever_parsing_fails(tmp_path_factory, cell, 
         assert str(exc) == f"{path}: trajectory a: v {cell!r} is not {kind.name}"
     else:
         assert table._accepts(kind, cell)
+
+
+# text csv quotes (comma, quote, CR, LF), text it does not ("#", space, non-ASCII),
+# the empty string and None
+WRITTEN_TEXT = st.none() | st.text(
+    alphabet=st.sampled_from([",", '"', "\r", "\n", "#", " ", "a", "é", "中", "\x00"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=5,
+)
+# a narrow range (a table of the range) or a wide one (a table of distinct values)
+INT64 = st.integers(-3, 3) | st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
+    [-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2, 0, -1]
+)
+FLOAT64 = st.floats(allow_subnormal=True) | st.sampled_from(
+    [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -2.2250738585072014e-308]
+)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): one to four columns of text, int64 or float64 cells."""
+    width, n = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    header = draw(st.lists(st.text(max_size=4), min_size=width, max_size=width))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["text", "int", "float"]),
+                              min_size=width, max_size=width)):
+        if kind == "text":
+            columns.append(draw(st.lists(WRITTEN_TEXT, min_size=n, max_size=n)))
+        else:
+            cells = draw(st.lists(INT64 if kind == "int" else FLOAT64, min_size=n, max_size=n))
+            columns.append(np.array(cells, dtype=np.int64 if kind == "int" else np.float64))
+    return header, columns
+
+
+def _both_write(tmp, header, columns, note=None):
+    from consensus_irl.table import write_table
+
+    ours, theirs = tmp / "ours.csv", tmp / "theirs.csv"
+    write_table(ours, header, columns, note=note)
+    reference_write_table(theirs, header, columns, note=note)
+    return ours.read_bytes(), theirs.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(), note=st.none() | st.just("permutation p-values"))
+def test_the_column_writer_writes_what_csv_writes(tmp_path_factory, table, note):
+    ours, theirs = _both_write(tmp_path_factory.mktemp("write"), *table, note=note)
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("cells", [["x", "", None, "y"], [None], [""]])
+def test_a_one_column_empty_cell_is_quoted(tmp_path, cells):
+    """csv writes a row of one empty cell as "" so that it is not a blank line."""
+    ours, theirs = _both_write(tmp_path, ["v"], [cells])
+    assert ours == theirs
+    assert b'\r\n""\r\n' in ours
+
+
+def test_rows_span_write_blocks(tmp_path):
+    from consensus_irl.table import _BLOCK
+
+    n = 2 * _BLOCK + 3
+    rng = np.random.default_rng(0)
+    columns = [[f"t{i}" if i % 7 else "a,b" for i in range(n)], rng.integers(0, 400, size=n),
+               rng.integers(-(10**9), 10**9, size=n), rng.normal(size=n)]
+    ours, theirs = _both_write(tmp_path, ["id", "state", "when", "value"], columns)
+    assert ours == theirs and ours.count(b"\r\n") == n + 1
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [[1, 2], [3]]),
+    (["a", "b"], [np.arange(2)]),
+    (["a"], [np.arange(2), np.arange(2)]),
+])
+def test_the_writer_rejects_ragged_columns(tmp_path, header, columns):
+    from consensus_irl.table import write_table
+
+    with pytest.raises(ValueError, match="one column per field, all one length"):
+        write_table(tmp_path / "t.csv", header, columns)
+    assert not (tmp_path / "t.csv").exists()

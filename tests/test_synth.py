@@ -25,6 +25,7 @@ from consensus_irl import (
 from consensus_irl.synth import (
     DEATH_REWARD_CUTOFF,
     _inverse_cdf,
+    _spawned_uniforms,
     _spearman_rho,
     read_labels_csv,
 )
@@ -238,6 +239,8 @@ def sparse_start(world):
             120, corrupted_fraction=0.0, demographics=TAGS, seed=11), id="no-corruption"),
         pytest.param((12, 2, 3, 10), PopulationConfig(
             120, corrupted_fraction=1.0, demographics=TAGS, seed=12), id="all-corrupted"),
+        pytest.param((12, 2, 3, 10), PopulationConfig(80, demographics=TAGS, seed=2**70),
+                     id="three-word-seed"),
     ],
 )
 def test_sampler_reproduces_the_per_step_stream(world, config):
@@ -254,6 +257,29 @@ def test_sampler_reproduces_the_per_step_stream(world, config):
     assert list(pop.corrupted.values()) == corrupted
     assert {t: col.tolist() for t, col in tset.demographics.items()} == demographics
     assert tset.died_in_hospital.tolist() == died
+
+
+# seeds of one 32-bit entropy word (the largest too), two, three, and five: more
+# words than SeedSequence's pool of four
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
+@pytest.mark.parametrize("k", [1, 41])
+def test_child_streams_equal_numpy(seed, k):
+    keys = np.array([0, 1, 2, 3, 7, 1000, 2**32 - 1])
+    got = _spawned_uniforms(seed, keys, k)
+    expected = np.array([
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(key),))).random(k)
+        for key in keys
+    ])
+    assert got.shape == (len(keys), k)
+    assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+    # the children generate_population takes: spawn numbers 2.. of the root
+    children = np.random.SeedSequence(seed).spawn(5)[2:]
+    assert [c.spawn_key for c in children] == [(2,), (3,), (4,)]
+
+
+def test_a_negative_seed_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+        PopulationConfig(10, seed=-1)
 
 
 @pytest.mark.parametrize("width", [1, 2, 5, 8, 13])

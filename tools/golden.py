@@ -5,7 +5,7 @@
 Checks the ref out into a temporary directory with `git worktree` (a local
 checkout; nothing is fetched), runs one fixed command set in both trees at
 seeds 1 and 2, and compares every file the commands wrote. Each tree runs
-its own `src/`; the inputs (a demographic tag file, a regroup mapping, the
+its own `src/`; the inputs (two demographic tag files, a regroup mapping, the
 seeded clinical cohort of perfbench/cohort.py and the edge-case records derived
 from it by write_edge_records) are written once and copied to both. Per seed:
 
@@ -18,6 +18,10 @@ from it by write_edge_records) are written once and copied to both. Per seed:
 - a chain of 9 actions, synth -> pipeline --world --labels, since numpy sums
   a row of eight or more values pairwise, so the MaxEnt passes' sums over
   actions take another order there;
+- a chain synth --demographics -> pipeline --world --labels -> analyze whose
+  tag categories a CSV must quote or could misread (a comma, quotes, a
+  non-ASCII letter, a leading #), so the writer's quoting path reaches
+  trajectories.csv, labels.csv, scores.csv and tests.csv;
 - the clinical chain ingest -> cluster -> pipeline --prepared ->
   analyze --cluster-model, and sweep --prepared on the tagged clinical rows;
 - a clinical cluster at k = 80, which drops clusters and so leaves gaps in
@@ -73,6 +77,11 @@ TAGS = [
         "probs": [0.5, 0.3, 0.2],
         "corrupted_probs": [0.2, 0.3, 0.5],
     },
+]
+# categories that CSV quoting and comment handling must keep intact
+QUOTED_TAGS = [
+    {"name": "unit", "categories": ["a,b", 'say "hi"', "é", "#x"],
+     "probs": [0.4, 0.3, 0.2, 0.1], "corrupted_probs": [0.1, 0.2, 0.3, 0.4]},
 ]
 # ingest --regroup's relabelling of the cohort's tags: two age bands merge and
 # one ethnicity joins another
@@ -171,6 +180,18 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ("pipeline", "wide_two_stage", (
             "--trajectories", "wide/trajectories.csv", "--world", "wide/world.json",
             "--labels", "wide/labels.csv", "--retain", "0.5",
+        ) + PERMUTATIONS),
+        ("synth", "quoted", (
+            "--states", "30", "--actions", "3", "--branching", "4", "--horizon", "10",
+            "--trajectories", "300", "--corrupted", "0.3", "--mode", "random_policy",
+            "--demographics", "inputs/tags_quoted.json",
+        )),
+        ("pipeline", "quoted_two_stage", (
+            "--trajectories", "quoted/trajectories.csv", "--world", "quoted/world.json",
+            "--labels", "quoted/labels.csv", "--retain", "0.5",
+        ) + PERMUTATIONS),
+        ("analyze", "quoted_reports", (
+            "--run", "quoted_two_stage", "--trajectories", "quoted/trajectories.csv",
         ) + PERMUTATIONS),
         ("ingest", "ingest", records),
         ("cluster", "states", ("--prepared", "ingest/prepared.csv", "--k", K) + features),
@@ -398,6 +419,7 @@ def main(argv=None) -> int:
             cohort.write_cohort(str(inputs / f"seed{seed}"), seed)
             write_edge_records(inputs / f"seed{seed}", cohort)
             (inputs / f"seed{seed}" / "tags.json").write_text(json.dumps(TAGS))
+            (inputs / f"seed{seed}" / "tags_quoted.json").write_text(json.dumps(QUOTED_TAGS))
             (inputs / f"seed{seed}" / "regroup.json").write_text(json.dumps(REGROUP))
         trees = {"checkout": ROOT, "ref": ref_tree}
         print(f"golden: running both trees in {work}", file=sys.stderr)

@@ -560,24 +560,18 @@ def test_reward_loss_disparity(
     attribute: str,
     n_permutations: int = 10_000,
     seed: int = 0,
-    retained=None,
 ) -> tuple[TestResult, list[PairwiseResult]]:
     """Does the stage-2 vs stage-1 reward change differ across groups?
 
     The per-trajectory effect is the mean over steps of R2(s') - R1(s').
     Omnibus: one-way ANOVA with permutation p. Posthoc: pairwise two-sample
     permutation tests, Holm-corrected. Groups with fewer than two members
-    are dropped with a warning. Pass the bool mask `retained` (in set order)
-    to restrict the population to retained trajectories; the default uses
-    every trajectory. All the p-values are computed as parallel jobs, and
-    equal what permutation_anova and pairwise_permutation_tests return for
-    the same values and labels.
+    are dropped with a warning. All the p-values are computed as parallel
+    jobs, and equal what permutation_anova and pairwise_permutation_tests
+    return for the same values and labels.
     """
-    subset = trajectories
-    if retained is not None:
-        subset = trajectories.subset(retained)
-    labels = _attribute_labels(subset, attribute)
-    values = _reward_deltas(subset, reward1, reward2)
+    labels = _attribute_labels(trajectories, attribute)
+    values = _reward_deltas(trajectories, reward1, reward2)
     cats, counts = np.unique(labels, return_counts=True)
     small = [str(c) for c, n in zip(cats, counts) if n < 2]
     if small:

@@ -130,7 +130,6 @@ def _default_of(fn, parameter: str):
     return inspect.signature(fn).parameters[parameter].default
 
 
-_POPULATION_UNFLAGGED = ("horizon", "demographics")  # world horizon; tags come from a file
 _INGEST_DEFAULTS = {
     "records": None,
     "normals": None,
@@ -160,7 +159,7 @@ _ANALYZE_DEFAULTS = {
 SPECS = {
     "synth": {
         "defaults": {
-            **_flag_defaults(PopulationConfig, skip=_POPULATION_UNFLAGGED),
+            **_flag_defaults(PopulationConfig, skip=("demographics",)),  # tags come from a file
             "states": 100,
             "actions": 4,
             "branching": 5,
@@ -318,10 +317,10 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         )
     # checked here, before any work: the analysis step skips a test whose
     # parameters it rejects rather than failing the run
-    if merged.get("permutations", 1) < 1:
-        raise InputError(
-            f"{command}: --permutations must be at least 1, got {merged['permutations']}"
-        )
+    for key in ("permutations", "restarts", "top_k"):
+        if merged.get(key, 1) < 1:
+            flag = "--" + key.replace("_", "-")
+            raise InputError(f"{command}: {flag} must be at least 1, got {merged[key]}")
     return merged
 
 
@@ -488,9 +487,7 @@ def cmd_synth(cfg) -> None:
         cfg["states"], cfg["actions"], cfg["branching"], cfg["seed"], cfg["horizon"]
     )
     tags = load_demographic_tags(cfg["demographics"]) if cfg["demographics"] else []
-    pop_cfg = _from_flags(
-        PopulationConfig, cfg, horizon=None, demographics=tags, seed=cfg["seed"]
-    )
+    pop_cfg = _from_flags(PopulationConfig, cfg, demographics=tags, seed=cfg["seed"])
     population = generate_population(world, pop_cfg)
     os.makedirs(out, exist_ok=True)
     world.to_json(os.path.join(out, "world.json"))

@@ -311,6 +311,8 @@ def fit_state_space(
         raise ParameterError("k must be >= 2")
     if n < k:
         raise ParameterError(f"need at least k={k} rows, got {n}")
+    if n_restarts < 1:
+        raise ParameterError("n_restarts must be >= 1")
 
     means = rows.mean(axis=0)
     stds = rows.std(axis=0)

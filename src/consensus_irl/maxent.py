@@ -3,18 +3,21 @@
 The reward is parameterized per state (one-hot features), so the feature-
 matching gradient is simply the difference between the empirical state
 visitation of the demonstrations and the visitation induced by the current
-reward. Two optimizers fit it, both from the all-ones start: full-batch
-gradient ascent ("sga") with a linearly decaying learning rate, or L-BFGS
-("lbfgs", scipy's L-BFGS-B) on the exact objective
-J(theta) = theta . (mu_emp - d0) - d0 . V_0(theta) of maxent_objective, whose
-gradient is that same visitation difference.
+reward. maxent_objective is the one place that computes the exact objective
+J(theta) = theta . (mu_emp - d0) - d0 . V_0(theta) and that gradient, from the
+two public passes: soft_backward_pass, whose SoftPolicy carries V_0 in .v0,
+and expected_state_visitation. Two optimizers fit it, both from the all-ones
+start and both through maxent_objective: full-batch gradient ascent ("sga")
+steps on its gradient with a linearly decaying learning rate, and L-BFGS
+("lbfgs", scipy's L-BFGS-B) minimizes -J.
 
-Both passes run once per epoch (Ziebart et al., AAAI 2008), and each step of
-either is one np.bincount over the kernel's non-zeros (TransitionModel.nonzero),
-so a step costs O(nnz) rather than O(S^2 A). Both work in one action-major
-layout: the bin of (s, a) is a*S + s, so a step's values form a contiguous
-(A, S) block whose reductions over actions run down its rows, and numpy
-spends far less per call on those than on the short rows of an (S, A) block.
+Both passes run once per evaluation (Ziebart et al., AAAI 2008), and each
+step of either is one np.bincount over the kernel's non-zeros
+(TransitionModel.nonzero), so a step costs O(nnz) rather than O(S^2 A). Both
+work in one action-major layout: the bin of (s, a) is a*S + s, so a step's
+values form a contiguous (A, S) block whose reductions over actions run down
+its rows, and numpy spends far less per call on those than on the short rows
+of an (S, A) block.
 The layout moves no result: bincount adds each bin's products in the order
 of the non-zero list, whatever the bin's index, and the one sum over actions
 keeps the order numpy adds a contiguous row in (_action_sum). The backward
@@ -76,9 +79,14 @@ class IrlConfig:
 
 @dataclass
 class SoftPolicy:
-    """Per-time-step action probabilities pi_t(a | s), shape (horizon, S, A)."""
+    """Per-time-step action probabilities pi_t(a | s), shape (horizon, S, A).
+
+    v0 is the soft value V_0 of a policy soft_backward_pass computed, and None
+    for a policy built by hand.
+    """
 
     probs: np.ndarray
+    v0: np.ndarray | None = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -117,12 +125,25 @@ def initial_state_distribution(trajectories: TrajectorySet, n_states=None) -> np
     return np.bincount(trajectories.first_states, minlength=n_states) / len(trajectories)
 
 
+def _action_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of each column of an (A, S) block, added as numpy adds a row of A.
+
+    numpy adds a contiguous row of fewer than eight terms left to right, as
+    adding the block's rows top down does. From eight terms on it sums a row
+    pairwise, so there the sums run over a C-contiguous (S, A) copy.
+    """
+    if len(x) < 8:
+        return x.sum(axis=0)
+    return np.ascontiguousarray(x.T).sum(axis=1)
+
+
 def soft_backward_pass(transitions: TransitionModel, reward, horizon: int) -> SoftPolicy:
     """Finite-horizon soft value recursion.
 
     V_horizon = 0; going backward, Q_t(s,a) = sum_s' P(s,a,s') (R(s') + V_{t+1}(s'))
     and V_t = logsumexp_a Q_t. The returned policy is pi_t(a|s) =
-    exp(Q_t(s,a) - V_t(s)). Rewards are collected on arrival at s'.
+    exp(Q_t(s,a) - V_t(s)), and its v0 is V_0. Rewards are collected on
+    arrival at s'.
 
     Each Q_t is one np.bincount over the kernel's non-zeros into the
     action-major bins a*S + s: it adds the products
@@ -138,23 +159,6 @@ def soft_backward_pass(transitions: TransitionModel, reward, horizon: int) -> So
     the (A, S) block, and s adds its terms as scipy's sum over a row of the
     (S, A) block does (_action_sum). A non-finite value raises NumericError.
     """
-    return SoftPolicy(_soft_backward(transitions, reward, horizon)[0])
-
-
-def _action_sum(x: np.ndarray) -> np.ndarray:
-    """The sum of each column of an (A, S) block, added as numpy adds a row of A.
-
-    numpy adds a contiguous row of fewer than eight terms left to right, as
-    adding the block's rows top down does. From eight terms on it sums a row
-    pairwise, so there the sums run over a C-contiguous (S, A) copy.
-    """
-    if len(x) < 8:
-        return x.sum(axis=0)
-    return np.ascontiguousarray(x.T).sum(axis=1)
-
-
-def _soft_backward(transitions: TransitionModel, reward, horizon: int):
-    """The soft backward pass; returns (pi_t(a|s) of shape (horizon, S, A), V_0)."""
     r = _reward_vector(reward)
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
@@ -190,16 +194,15 @@ def _soft_backward(transitions: TransitionModel, reward, horizon: int):
         raise NumericError(
             f"soft backward pass: non-finite value at (t={t}, s={states[steps == t].min()})"
         )
-    return np.ascontiguousarray(policy.transpose(0, 2, 1)), v
+    return SoftPolicy(np.ascontiguousarray(policy.transpose(0, 2, 1)), v)
 
 
 def expected_state_visitation(
     transitions: TransitionModel,
     policy: SoftPolicy,
     initial_distribution: np.ndarray,
-    horizon: int | None = None,
 ) -> np.ndarray:
-    """Forward pass: total expected state visitation mass over t = 0..horizon.
+    """Forward pass: total expected state visitation mass over t = 0..policy.horizon.
 
     Each step is one np.bincount over the kernel's non-zeros. The flow
     D_t(s) pi_t(a|s) of each (s, a) sits at its action-major bin a*S + s, in
@@ -216,13 +219,10 @@ def expected_state_visitation(
         raise ParameterError("initial distribution must be a probability vector")
     if policy.probs.shape[1:] != transitions.probs.shape[:2]:
         raise ParameterError("soft policy shape does not match transition model")
-    horizon = horizon if horizon is not None else policy.horizon
-    if horizon > policy.horizon:
-        raise ParameterError("horizon exceeds the policy's time range")
     bins, cols, vals = transitions.nonzero
-    pi = np.ascontiguousarray(policy.probs[:horizon].transpose(0, 2, 1))
+    pi = np.ascontiguousarray(policy.probs.transpose(0, 2, 1))
     total = d.copy()
-    for t in range(horizon):
+    for t in range(policy.horizon):
         # D_{t+1}(s') = sum_{s,a} D_t(s) pi_t(a|s) P(s,a,s')
         flow = (pi[t] * d).ravel()
         d = np.bincount(cols, weights=flow[bins] * vals, minlength=n_states)
@@ -239,11 +239,15 @@ def maxent_objective(transitions: TransitionModel, theta, empirical, d0, horizon
     states. For a deterministic kernel it is the mean demonstration
     log-likelihood. J is concave and its gradient is (empirical - model)
     visitation. Returns (J, gradient).
+
+    This is the only evaluation of J and its gradient: sga steps on the
+    gradient and lbfgs minimizes -J. Each call runs soft_backward_pass once
+    and expected_state_visitation once.
     """
     theta = np.asarray(theta, dtype=float)
-    policy, v0 = _soft_backward(transitions, theta, horizon)
-    model = expected_state_visitation(transitions, SoftPolicy(policy), d0, horizon)
-    return float(theta @ (empirical - d0) - d0 @ v0), empirical - model
+    policy = soft_backward_pass(transitions, theta, horizon)
+    model = expected_state_visitation(transitions, policy, d0)
+    return float(np.dot(theta, empirical - d0) - np.dot(d0, policy.v0)), empirical - model
 
 
 def _rescale_rewards(theta: np.ndarray) -> tuple[np.ndarray, str]:
@@ -255,14 +259,11 @@ def _rescale_rewards(theta: np.ndarray) -> tuple[np.ndarray, str]:
 
 
 def _ascend(theta, empirical, d0, transitions, horizon, config):
-    """SGA; returns (theta, log rows, final max|grad|, updates made)."""
+    """SGA on maxent_objective's gradient; returns (theta, log rows, updates made)."""
     log_rows = []
-    grad_max = np.inf
     epochs_run = 0
     for k in range(config.epochs):
-        policy = soft_backward_pass(transitions, theta, horizon)
-        model = expected_state_visitation(transitions, policy, d0, horizon)
-        grad = empirical - model
+        grad = maxent_objective(transitions, theta, empirical, d0, horizon)[1]
         grad_max = float(np.abs(grad).max())
         lr = config.lr0 * (1.0 - k / config.epochs)
         log_rows.append((k, grad_max, lr))
@@ -272,11 +273,11 @@ def _ascend(theta, empirical, d0, transitions, horizon, config):
         epochs_run = k + 1
         if not np.all(np.isfinite(theta)):
             raise NumericError(f"maxent training diverged at epoch {k}")
-    return theta, log_rows, grad_max, epochs_run
+    return theta, log_rows, epochs_run
 
 
 def _lbfgs(theta, empirical, d0, transitions, horizon, config):
-    """L-BFGS-B on -J; returns (theta, log rows, final max|grad|, iterations).
+    """L-BFGS-B on -J; returns (theta, log rows, iterations).
 
     The log has one row for the starting point and one per iteration, each
     with the iterate's max|grad| and no learning rate.
@@ -311,7 +312,7 @@ def _lbfgs(theta, empirical, d0, transitions, horizon, config):
             options={"maxiter": config.epochs, "gtol": config.grad_tolerance, "ftol": 0.0},
         )
         theta, iterations = result.x, int(result.nit)
-    return theta, log_rows, log_rows[-1][1], iterations
+    return theta, log_rows, iterations
 
 
 def train_maxent_irl(
@@ -322,10 +323,11 @@ def train_maxent_irl(
 ) -> RewardModel:
     """Fit a per-state reward by feature matching.
 
-    Training starts from theta = 1 in every state. The gradient is
-    (empirical - model visitation). Under sga the step size at epoch k decays linearly, eta_k = lr0 * (1 - k / epochs); under
-    lbfgs, L-BFGS-B maximizes maxent_objective for at most `epochs`
-    iterations. Training stops early once max|grad| falls below
+    Training starts from theta = 1 in every state. Both optimizers evaluate
+    through maxent_objective, whose gradient is (empirical - model
+    visitation). Under sga the step size at epoch k decays linearly,
+    eta_k = lr0 * (1 - k / epochs); under lbfgs, L-BFGS-B maximizes J for at
+    most `epochs` iterations. Training stops early once max|grad| falls below
     config.grad_tolerance, and the metadata's `converged` says whether it did.
     The final weights are affinely rescaled into [-1, 1]. The metadata's
     `unvisited_states` lists the states no demonstration arrives at, a state
@@ -341,9 +343,10 @@ def train_maxent_irl(
     d0 = initial_state_distribution(trajectories, n_states)
 
     fit = _lbfgs if config.optimizer == "lbfgs" else _ascend
-    theta, log_rows, grad_max, epochs_run = fit(
+    theta, log_rows, epochs_run = fit(
         np.ones(n_states), empirical, d0, transitions, horizon, config
     )
+    grad_max = log_rows[-1][1]
 
     rewards, rescale = _rescale_rewards(theta)
     unvisited = np.flatnonzero(np.bincount(trajectories.triples[:, 2], minlength=n_states) == 0)

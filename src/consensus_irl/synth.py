@@ -158,7 +158,6 @@ def load_demographic_tags(path) -> list[DemographicTag]:
 @dataclass
 class PopulationConfig:
     n_trajectories: int = 2000
-    horizon: int | None = None  # None: use the world's horizon
     expert_beta: float = 5.0
     corrupted_fraction: float = 0.3
     corruption_mode: str = "random_policy"
@@ -366,11 +365,7 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     tests/test_synth.py's oracle checks the stream bit for bit against the
     installed numpy's default_rng.
     """
-    horizon = config.horizon if config.horizon is not None else world.horizon
-    if horizon != world.horizon:
-        _, q0 = finite_horizon_values(world.probs, world.rewards, horizon)
-    else:
-        q0 = world.optimal_q
+    horizon, q0 = world.horizon, world.optimal_q
     expert_policy = _boltzmann(q0, config.expert_beta)
 
     if config.corruption_mode == "random_policy":

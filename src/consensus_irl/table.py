@@ -2,17 +2,18 @@
 
 Trajectories, raw records, prepared rows, scores and labels are CSVs whose
 owner column (trajectory_id or subject_id) groups the rows. read_table parses
-one with a single np.loadtxt call, numbers the owners in the order their ids
-first appear, sorts each owner's rows, and checks that the columns holding one
-value per owner agree on all of its rows. One grammar per kind of cell: an
-integer is what np.loadtxt reads into int64 (ASCII digits, an optional sign and
-surrounding whitespace, within int64) and a number what it reads into float64;
-a finite number is a finite such float, and an optional one may be empty (NaN,
-missing); a flag is empty, 0 or 1; a binary cell is the integer 0 or 1; a text
-cell is anything, and an empty one is missing (None). Every row has the
-header's number of fields, and blank lines are skipped. Parsing works on whole
-columns; only when it fails does a scan of the file find the first bad cell in
-file order, for one error: "{path}: {owner} {id}: {column} {cell!r} is not {kind}".
+one with a single np.loadtxt call, numbers the owners in sorted id order,
+whatever order their rows come in, sorts each owner's rows, and checks that the
+columns holding one value per owner agree on all of its rows. One grammar per
+kind of cell: an integer is what np.loadtxt reads into int64 (ASCII digits, an
+optional sign and surrounding whitespace, within int64) and a number what it
+reads into float64; a finite number is a finite such float, and an optional one
+may be empty (NaN, missing); a flag is empty, 0 or 1; a binary cell is the
+integer 0 or 1; a text cell is anything, and an empty one is missing (None).
+Every row has the header's number of fields, and blank lines are skipped.
+Parsing works on whole columns; only when it fails does a scan of the file find
+the first bad cell in file order, for one error:
+"{path}: {owner} {id}: {column} {cell!r} is not {kind}".
 
 write_table writes every CSV the package makes, the same bytes csv.writer
 would, from whole columns. An integer array's cells come from one table of
@@ -80,7 +81,7 @@ _ID = Kind("an id", object, lambda v: v)  # an empty id is an id
 
 
 class Table(NamedTuple):
-    """The owners' ids by first appearance and their row counts; each column read
+    """The owners' ids in sorted order and their row counts; each column read
     per row, the owners' rows one after the other; and each owned column's one
     value per owner, in ids order."""
 
@@ -130,7 +131,7 @@ def read_table(
             raise _bad_cell(path, header, kinds, owner, f"a bad {column} cell")
 
     owners, label = columns.pop(owner), owner.removesuffix("_id")
-    ids = list(dict.fromkeys(owners))
+    ids = sorted(dict.fromkeys(owners))
     number = {t: i for i, t in enumerate(ids)}
     who = np.fromiter(map(number.__getitem__, owners), dtype=np.int64, count=len(owners))
     lengths = np.bincount(who, minlength=len(ids))

@@ -191,8 +191,8 @@ class TrajectorySet:
     def from_csv(cls, path, n_states=None, n_actions=None) -> "TrajectorySet":
         """Load a trajectory CSV; dimensions inferred from the data if not given.
 
-        Rows of different ids may interleave: trajectories come in the order
-        their ids first appear, each one's rows in step order. The steps of an
+        Rows of different ids may come in any order: trajectories come in id
+        order, each one's rows in step order. The steps of an
         id must be exactly 0..L-1. Cells follow the package's one CSV grammar
         (see table.py): an empty tag cell is a missing tag, and the tags and
         the death flag must agree on every row of a trajectory.

@@ -477,11 +477,7 @@ def reference_population(world, config):
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
-    horizon = config.horizon if config.horizon is not None else world.horizon
-    if horizon != world.horizon:
-        _, q0 = finite_horizon_values(world.probs, world.rewards, horizon)
-    else:
-        q0 = world.optimal_q
+    horizon, q0 = world.horizon, world.optimal_q
     expert_policy = boltzmann(q0, config.expert_beta)
     if config.corruption_mode == "random_policy":
         bad_policy = np.full_like(expert_policy, 1.0 / world.n_actions)

@@ -637,7 +637,7 @@ class TestDisparity:
         r1 = RewardModel([0.0, 0.0, 0.0, 0.0])
         r2 = RewardModel([0.0, 1.0, 0.0, 0.0])
         omnibus, _ = reward_loss_disparity(
-            tset, r1, r2, "sex", n_permutations=200, seed=0, retained=keep
+            tset.subset(keep), r1, r2, "sex", n_permutations=200, seed=0
         )
         assert dict(omnibus.groups) == {"f": 8, "m": 8}
 

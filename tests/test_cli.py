@@ -142,6 +142,29 @@ class TestDispatchErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (name, key)
+            for name, spec in SPECS.items()
+            for key in ("restarts", "top_k")
+            if key in spec["defaults"]
+        ],
+    )
+    def test_fewer_than_one_restart_or_top_k_is_one_error_line(
+        self, tmp_path, capsys, command, key, value
+    ):
+        """Checked with the flags, before any input is read or any output made."""
+        inputs = [a for m in SPECS[command]["required"] for a in ("--" + m, tmp_path / "missing")]
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "out"
+        assert run(command, *inputs, flag, value, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {command}: {flag} must be at least 1, got {value}\n"
+        )
+        assert not out.exists()
+
     def test_unreadable_config_fails(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
@@ -733,7 +756,47 @@ class TestClusterModelOfTheRun:
         assert table.count("\n") == 1 + 2 * 12  # the header, then best and worst of 12
 
 
+def assert_same_outputs(left, right, inputs):
+    """Every file of two run directories byte for byte, but for the trajectories
+    path that config.json (and analyze's manifest.json) echo, left's inputs[0]
+    and right's inputs[1], and through it config.json's hash in manifest.json."""
+    names = sorted(path.name for path in left.iterdir())
+    assert names == sorted(path.name for path in right.iterdir())
+    echoed = [json.dumps(str(path)).encode() for path in inputs]
+    for name in names:
+        ours, theirs = (left / name).read_bytes(), (right / name).read_bytes()
+        assert name != "config.json" or echoed[0] in ours
+        if name in ("config.json", "manifest.json"):
+            ours = ours.replace(*echoed)
+        if name == "manifest.json":
+            ours, theirs = json.loads(ours), json.loads(theirs)
+            del ours["hashes"]["config.json"], theirs["hashes"]["config.json"]
+        assert ours == theirs, name
+
+
 class TestAnalyze:
+    def test_shuffled_trajectory_rows_are_the_same_input(self, synth_dir, run1, tmp_path):
+        """Every reader takes trajectories in id order, whatever the order of the rows."""
+        original = synth_dir / "trajectories.csv"
+        header, *rows = original.read_bytes().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.csv"
+        order = np.random.default_rng(0).permutation(len(rows))
+        shuffled.write_bytes(header + b"".join(rows[i] for i in order))
+        assert shuffled.read_bytes() != original.read_bytes()
+
+        analyses = [tmp_path / "analysis_original", tmp_path / "analysis_shuffled"]
+        for trajectories, out in zip((original, shuffled), analyses):
+            code = run("analyze", "--run", run1, "--trajectories", trajectories,
+                       "--permutations", 100, "--out", out)
+            assert code == 0
+        assert_same_outputs(*analyses, (original, shuffled))
+
+        out = tmp_path / "run"
+        code = run("pipeline", "--trajectories", shuffled, "--epochs", 60, "--retain", 0.6,
+                   "--seed", 4, "--permutations", 200, "--out", out)
+        assert code == 0
+        assert_same_outputs(run1, out, (original, shuffled))
+
     def test_reports_from_existing_run(self, workdir, synth_dir, run1):
         out = workdir / "analysis"
         code = run(

@@ -88,6 +88,11 @@ class TestFit:
         many = fit_state_space(rows, k=5, min_size=1, seed=4, n_restarts=8)
         assert many.inertia <= one.inertia
 
+    @pytest.mark.parametrize("n_restarts", [0, -1])
+    def test_fewer_than_one_restart_rejected(self, n_restarts):
+        with pytest.raises(ParameterError, match="n_restarts must be >= 1"):
+            fit_state_space(two_blobs(seed=3), k=2, min_size=1, n_restarts=n_restarts)
+
     def test_fit_is_deterministic(self):
         rows = two_blobs(seed=9)
         a = fit_state_space(rows, k=3, min_size=1, seed=6, n_restarts=3)

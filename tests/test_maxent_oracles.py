@@ -35,7 +35,6 @@ from consensus_irl import (
     soft_backward_pass,
 )
 from consensus_irl import maxent
-from consensus_irl.maxent import _soft_backward
 from consensus_irl.synth import PopulationConfig
 from test_clinical_oracles import clinical  # noqa: F401  (the clinical-shaped set)
 
@@ -62,10 +61,10 @@ def _assert_passes_match(model, trajectories, thetas, horizon=None):
     d0 = initial_state_distribution(trajectories, model.n_states)
     for theta in thetas:
         want_policy, want_v0 = oracles.reference_sparse_backward(model.probs, theta, horizon)
-        policy, v0 = _soft_backward(model, theta, horizon)
+        soft = soft_backward_pass(model, theta, horizon)
+        policy, v0 = soft.probs, soft.v0
         assert np.array_equal(policy, want_policy)
         assert np.array_equal(v0, want_v0)
-        assert np.array_equal(soft_backward_pass(model, theta, horizon).probs, want_policy)
 
         dense_policy, dense_v0 = oracles.reference_soft_backward(model.probs, theta, horizon)
         np.testing.assert_allclose(policy, dense_policy, rtol=DENSE_RTOL, atol=0)
@@ -152,9 +151,9 @@ def test_dense_backward_pass_takes_the_same_decisions(small_population, monkeypa
 
     def dense(transitions, reward, horizon):
         rewards = maxent._reward_vector(reward)
-        return oracles.reference_soft_backward(transitions.probs, rewards, horizon)
+        return SoftPolicy(*oracles.reference_soft_backward(transitions.probs, rewards, horizon))
 
-    monkeypatch.setattr(maxent, "_soft_backward", dense)
+    monkeypatch.setattr(maxent, "soft_backward_pass", dense)
     reference = run_two_stage(trajectories, *configs)
 
     assert 0 < shipped.retained.sum() < len(trajectories)
@@ -177,9 +176,9 @@ def test_outside_policy_visitation_matches_dense_pass(garnet, clinical):  # noqa
         policy = SoftPolicy(rng.dirichlet(np.ones(n_actions), size=(12, n_states)))
         policy.probs[3, : n_states // 2] = np.eye(n_actions)[0]  # deterministic rows
         d0 = initial_state_distribution(trajectories, n_states)
-        for horizon in (None, 5):
-            got = expected_state_visitation(model, policy, d0, horizon)
-            want = oracles.reference_visitation(model.probs, policy.probs, d0, horizon or 12)
+        for horizon in (12, 5):
+            got = expected_state_visitation(model, SoftPolicy(policy.probs[:horizon]), d0)
+            want = oracles.reference_visitation(model.probs, policy.probs, d0, horizon)
             assert np.array_equal(got, want)
 
 
@@ -222,7 +221,7 @@ def test_inline_logsumexp_matches_scipy():
 
     q = model.probs @ rewards
     assert np.array_equal(q, pool[rows])
-    policy, v0 = _soft_backward(model, rewards, 1)
+    soft = soft_backward_pass(model, rewards, 1)
     want = logsumexp(q, axis=1)
-    assert np.array_equal(v0, want)
-    assert np.array_equal(policy[0], np.exp(q - want[:, None]))
+    assert np.array_equal(soft.v0, want)
+    assert np.array_equal(soft.probs[0], np.exp(q - want[:, None]))

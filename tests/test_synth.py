@@ -229,8 +229,6 @@ def sparse_start(world):
         pytest.param((20, 3, 4, 8), PopulationConfig(
             200, corruption_mode="low_temperature", demographics=TAGS[:1], seed=7),
             id="low_temperature-plain-tag"),
-        pytest.param((20, 3, 4, 8), PopulationConfig(150, horizon=13, seed=8),
-                     id="horizon-override"),
         pytest.param((30, 4, 2, 6), PopulationConfig(200, expert_beta=1e6, seed=9),
                      id="zero-probability-successors"),
         pytest.param((12, 2, 3, 10), PopulationConfig(1, demographics=TAGS, seed=10),

@@ -1,4 +1,4 @@
-"""Smoke test of perfbench/trace_cli.py over the clinical commands.
+"""Smoke tests of perfbench/trace_cli.py over the clinical and MaxEnt commands.
 
 The harness wraps the package's public functions from outside and counts
 rows from their arguments and results: `len()` of each subject's records and
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import consensus_irl
 
@@ -75,3 +77,22 @@ def test_trace_counts_clinical_rows(tmp_path):
     assert len(attrs(spans, "ingest.read_prepared")) == 1
     assert len(attrs(spans, "maxent.train")) == 2
     assert (tmp_path / "two_stage" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("optimizer", ["sga", "lbfgs"])
+def test_trace_sees_both_passes_of_every_fit(tmp_path, optimizer):
+    """Every evaluation of the objective runs one backward and one forward pass,
+    under either optimizer, and each is a direct child of its fit's span."""
+    trace(tmp_path, "synth", "synth", "--states", "12", "--actions", "2", "--branching", "3",
+          "--horizon", "6", "--trajectories", "40", "--seed", "3", "--out", "synth")
+    spans = trace(
+        tmp_path, "pipeline", "pipeline", "--trajectories", "synth/trajectories.csv",
+        "--optimizer", optimizer, "--epochs", "20", "--permutations", "20", "--out", "run",
+    )
+    fits = [i for i, span in enumerate(spans) if span[0] == "maxent.train"]
+    assert len(fits) == 2
+    for fit in fits:
+        children = [span[0] for span in spans if span[1] == fit]
+        backward = children.count("maxent.backward")
+        assert backward >= 1
+        assert backward == children.count("maxent.forward")

@@ -166,15 +166,15 @@ def test_csv_broken_chain_names_file(tmp_path):
         TrajectorySet.from_csv(path)
 
 
-def test_csv_interleaved_rows_keep_first_appearance_order(tmp_path):
+def test_csv_interleaved_rows_come_in_id_order(tmp_path):
     path = write_csv(tmp_path, "b,1,2,0,1,1\na,0,0,1,2,0\nb,0,0,1,2,1\na,1,2,0,0,0\n")
     tset = TrajectorySet.from_csv(path)
-    assert tset.ids == ["b", "a"]
+    assert tset.ids == ["a", "b"]
     assert [tr.triples.tolist() for tr in reference_trajectories(tset)] == [
-        [[0, 1, 2], [2, 0, 1]],
         [[0, 1, 2], [2, 0, 0]],
+        [[0, 1, 2], [2, 0, 1]],
     ]
-    assert tset.died_in_hospital.tolist() == [True, False]
+    assert tset.died_in_hospital.tolist() == [False, True]
 
 
 def test_reduce_steps_matches_per_trajectory_reductions():

@@ -31,6 +31,10 @@ from it by write_edge_records) are written once and copied to both. Per seed:
 - ingest and pipeline --records on the edge-case records: a subject dropped
   whole by the bounds, a one-row subject, a feature missing on a subject's
   first rows and subjects with an empty tag cell;
+- a seeded shuffle of the synthetic trajectories.csv's rows, header kept
+  (shuffle_rows, a step of this script), through pipeline --world --labels
+  and through analyze --run on the run of the unshuffled rows: every reader
+  takes trajectories in id order, so the row order should move nothing;
 
 and, once per tree, the stdout of every demos/*.py. Each command's exit code
 and stdout are kept as files too, so a changed message or a failing command
@@ -59,6 +63,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -212,8 +217,23 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
          + PERMUTATIONS),
         ("ingest", "ingest_edges", edges),
         ("pipeline", "clinical_edges", edges + ("--k", K, "--retain", "0.8") + PERMUTATIONS),
+        ("shuffle", "shuffled", ("world/trajectories.csv",)),
+        ("pipeline", "shuffled_two_stage", (
+            "--trajectories", "shuffled/trajectories.csv", *truth, "--retain", "0.5",
+        ) + PERMUTATIONS),
+        ("analyze", "shuffled_reports", (
+            "--run", "two_stage", "--trajectories", "shuffled/trajectories.csv",
+        ) + PERMUTATIONS),
     ]
     return [(cmd, out, flags + ("--seed", str(seed), "--out", out)) for cmd, out, flags in steps]
+
+
+def shuffle_rows(source: Path, out_dir: Path, seed: int) -> None:
+    """Write out_dir/<source's name>: source's rows in a seeded random order, header first."""
+    header, *rows = source.read_bytes().splitlines(keepends=True)
+    random.Random(seed).shuffle(rows)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / source.name).write_bytes(header + b"".join(rows))
 
 
 def _env(tree: Path, tmp: Path) -> dict:
@@ -240,6 +260,9 @@ def run_tree(tree: Path, out: Path, inputs: Path, cohort) -> None:
         cwd = out / f"seed{seed}"
         shutil.copytree(inputs / f"seed{seed}", cwd / "inputs")
         for i, (cmd, run_dir, argv) in enumerate(commands(seed, cohort)):
+            if cmd == "shuffle":  # a step of this script, not a command
+                shuffle_rows(cwd / argv[0], cwd / run_dir, seed)
+                continue
             done = subprocess.run(
                 [sys.executable, "-m", "consensus_irl.cli", cmd, *argv],
                 cwd=cwd, env=env, capture_output=True, text=True,

@@ -14,7 +14,9 @@ permutation tests run with S + 3. The manifests also record S for stage-1 IRL
 and S + 1 for stage 2, but no fit consumes them: every fit starts from the
 same all-ones weights. Exit codes: 0 success, 1 input/config error, 2 numeric
 failure. An input file that cannot be opened or parsed is an input error
-whose message names the file.
+whose message names the file. Each command does all its work first and then
+writes its run directory in one call that reaches write_manifest, so a
+command that fails, with exit 1 or 2, leaves no directory and no file behind.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import argparse
 import inspect
 import json
 import os
-import shutil
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -163,7 +165,7 @@ SPECS = {
             "states": 100,
             "actions": 4,
             "branching": 5,
-            "horizon": 20,
+            "horizon": _default_of(generate_world, "horizon"),
             "demographics": None,
         },
         "required": [],
@@ -325,7 +327,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _out_dir(command: str, cfg: dict) -> str:
-    """The run directory's path; each command makes it once its inputs have been read."""
+    """The run directory's path; write_manifest makes it once the command's work is done."""
     out = cfg.get("out") or f"run_{command}"
     if not os.path.isabs(out):
         out = os.path.join(os.environ.get(OUT_ROOT_ENV, "."), out)
@@ -346,13 +348,13 @@ def _echo(command: str, cfg: dict) -> dict:
     return {"subcommand": command, **{k: cfg[k] for k in sorted(cfg) if k != "out"}}
 
 
-def _write_echo_and_manifest(out, command, cfg, seeds, artifacts, **extra) -> None:
-    """Echo the config to config.json, then hash it and `artifacts` into manifest.json."""
+def _publish(out, command, cfg, seeds, files, **extra) -> None:
+    """Write the run directory: the config echo as config.json, then `files`
+    ({name: writer}) and manifest.json, which hashes them all."""
     echo = _echo(command, cfg)
-    write_json(os.path.join(out, "config.json"), echo)
     write_manifest(
         out,
-        ["config.json", *artifacts],
+        {"config.json": partial(write_json, payload=echo), **files},
         {"subcommand": command, "config": echo, "seeds": seeds, **extra},
     )
 
@@ -415,7 +417,7 @@ def _ingest(cfg) -> tuple[dict, dict, dict]:
     """Raw records -> prepared subjects; ingest and pipeline --records both run this.
 
     Returns (prepared, report, files) and writes nothing: files maps
-    "prepared.csv" to its writer, for _write_files once every check has passed.
+    "prepared.csv" to its writer, for write_manifest once every check has passed.
     """
     codec = _codec_from_cfg(cfg)
     features = _as_list(cfg["features"])
@@ -436,8 +438,8 @@ def _cluster(cfg, prepared) -> tuple[ClusterModel, TrajectorySet, dict, dict]:
     """Prepared subjects -> k-means states -> trajectories.
 
     Returns (model, trajectories, report, files) and writes nothing: files maps
-    cluster_model.json and trajectories.csv to their writers. cluster and
-    pipeline --prepared/--records both run this.
+    cluster_model.json and trajectories.csv to their writers, for
+    write_manifest. cluster and pipeline --prepared/--records both run this.
     """
     features = _as_list(cfg["features"])
     rows, _ = feature_matrix(prepared, features)
@@ -452,13 +454,6 @@ def _cluster(cfg, prepared) -> tuple[ClusterModel, TrajectorySet, dict, dict]:
     tset, report = trajectories_from_prepared(prepared, model, features)
     files = {"cluster_model.json": model.to_json, "trajectories.csv": tset.to_csv}
     return model, tset, report, files
-
-
-def _write_files(out, files: dict) -> None:
-    """Make out and call each {name: writer} of files with its path in it."""
-    os.makedirs(out, exist_ok=True)
-    for name, write in files.items():
-        write(os.path.join(out, name))
 
 
 def _load_cluster_model(cfg, n_states: int) -> ClusterModel | None:
@@ -489,28 +484,19 @@ def cmd_synth(cfg) -> None:
     tags = load_demographic_tags(cfg["demographics"]) if cfg["demographics"] else []
     pop_cfg = _from_flags(PopulationConfig, cfg, demographics=tags, seed=cfg["seed"])
     population = generate_population(world, pop_cfg)
-    os.makedirs(out, exist_ok=True)
-    world.to_json(os.path.join(out, "world.json"))
-    population.trajectories.to_csv(os.path.join(out, "trajectories.csv"))
-    population.write_labels_csv(os.path.join(out, "labels.csv"))
-    _write_echo_and_manifest(
-        out,
-        "synth",
-        cfg,
-        {"world": cfg["seed"], "population": cfg["seed"]},
-        ["world.json", "trajectories.csv", "labels.csv"],
-    )
+    _publish(out, "synth", cfg, {"world": cfg["seed"], "population": cfg["seed"]}, {
+        "world.json": world.to_json,
+        "trajectories.csv": population.trajectories.to_csv,
+        "labels.csv": population.write_labels_csv,
+    })
     print(f"synth: wrote {cfg['trajectories']} trajectories to {out}")
 
 
 def cmd_ingest(cfg) -> None:
     out = _out_dir("ingest", cfg)
     prepared, report, files = _ingest(cfg)
-    _write_files(out, files)
-    write_json(os.path.join(out, "ingest_report.json"), report)
-    _write_echo_and_manifest(
-        out, "ingest", cfg, {}, ["prepared.csv", "ingest_report.json"]
-    )
+    files["ingest_report.json"] = partial(write_json, payload=report)
+    _publish(out, "ingest", cfg, {}, files)
     print(f"ingest: prepared {len(prepared)} subjects to {out}")
 
 
@@ -518,21 +504,13 @@ def cmd_cluster(cfg) -> None:
     out = _out_dir("cluster", cfg)
     prepared = read_prepared_csv(cfg["prepared"], _as_list(cfg["features"]))
     model, tset, report, files = _cluster(cfg, prepared)
-    _write_files(out, files)
-    report = {
+    files["cluster_report.json"] = partial(write_json, payload={
         **report,
         "retained_clusters": len(model.retained_ids),
         "dropped_clusters": sorted(model.dropped_cluster_ids),
         "inertia": model.inertia,
-    }
-    write_json(os.path.join(out, "cluster_report.json"), report)
-    _write_echo_and_manifest(
-        out,
-        "cluster",
-        cfg,
-        {"kmeans": cfg["seed"]},
-        ["cluster_model.json", "trajectories.csv", "cluster_report.json"],
-    )
+    })
+    _publish(out, "cluster", cfg, {"kmeans": cfg["seed"]}, files)
     print(
         f"cluster: {len(model.retained_ids)} retained states, "
         f"{len(tset)} trajectories to {out}"
@@ -546,19 +524,11 @@ def cmd_irl(cfg) -> None:
     transitions = estimate_transitions(tset)
     reward = train_maxent_irl(tset, transitions, config)
     _warn_unconverged(reward)
-    os.makedirs(out, exist_ok=True)
-    reward.to_json(os.path.join(out, "rewards.json"))
-    write_training_log(reward, os.path.join(out, "training_log.csv"))
-    write_expected_reward_csv(
-        transitions, reward, os.path.join(out, "expected_reward.csv")
-    )
-    _write_echo_and_manifest(
-        out,
-        "irl",
-        cfg,
-        {"stage1": cfg["seed"]},
-        ["rewards.json", "training_log.csv", "expected_reward.csv"],
-    )
+    _publish(out, "irl", cfg, {"stage1": cfg["seed"]}, {
+        "rewards.json": reward.to_json,
+        "training_log.csv": partial(write_training_log, reward),
+        "expected_reward.csv": partial(write_expected_reward_csv, transitions, reward),
+    })
     print(
         f"irl: trained on {len(tset)} trajectories "
         f"({reward.metadata['epochs_run']} epochs) to {out}"
@@ -574,18 +544,12 @@ def cmd_prune(cfg) -> None:
     scores = score_trajectories(tset, transitions, reward, policy)
     retained = select_retained(scores, _prune_config(cfg))
     n_retained = int(retained.sum())
-    os.makedirs(out, exist_ok=True)
-    write_scores_csv(scores, retained, os.path.join(out, "scores.csv"), tset)
-    tset.subset(retained).to_csv(os.path.join(out, "retained.csv"))
-    _write_echo_and_manifest(
-        out,
-        "prune",
-        cfg,
-        {"prune": cfg["seed"] + 2},
-        ["scores.csv", "retained.csv"],
-        n_retained=n_retained,
-        n_pruned=len(scores) - n_retained,
-    )
+    files = {
+        "scores.csv": partial(write_scores_csv, scores, retained, trajectories=tset),
+        "retained.csv": tset.subset(retained).to_csv,
+    }
+    _publish(out, "prune", cfg, {"prune": cfg["seed"] + 2}, files,
+             n_retained=n_retained, n_pruned=len(scores) - n_retained)
     print(f"prune: retained {n_retained}/{len(scores)} to {out}")
 
 
@@ -605,15 +569,17 @@ def _attributes(cfg, tset: TrajectorySet) -> list[str]:
     return attributes
 
 
-def _analysis_artifacts(
-    out,
+def _analysis_files(
     tset: TrajectorySet,
     result,
     cfg,
     cluster_model: ClusterModel | None,
-) -> list[str]:
-    """Deciles, disparity tests, and cluster tables shared by pipeline/analyze."""
-    artifacts = []
+) -> dict:
+    """Deciles, disparity tests, and cluster tables shared by pipeline/analyze.
+
+    Every report is computed here; the result maps each file name to its writer.
+    """
+    files = {}
     test_seed = cfg["seed"] + 3
     n_perm = cfg["permutations"]
 
@@ -622,8 +588,7 @@ def _analysis_artifacts(
     except ParameterError:
         deciles = None
     if deciles is not None:
-        write_deciles_csv(deciles, os.path.join(out, "deciles.csv"))
-        artifacts.append("deciles.csv")
+        files["deciles.csv"] = partial(write_deciles_csv, deciles)
 
     omnibus = []
     posthoc = {}
@@ -649,9 +614,8 @@ def _analysis_artifacts(
         except ParameterError:
             pass
     if omnibus:
-        write_tests_json(omnibus, os.path.join(out, "tests.json"), posthoc)
-        write_tests_csv(omnibus, os.path.join(out, "tests.csv"))
-        artifacts += ["tests.json", "tests.csv"]
+        files["tests.json"] = partial(write_tests_json, omnibus, posthoc=posthoc)
+        files["tests.csv"] = partial(write_tests_csv, omnibus)
 
     if cluster_model is not None and cluster_model.feature_stats:
         top_k = min(cfg["top_k"], len(cluster_model.feature_stats))
@@ -662,10 +626,9 @@ def _analysis_artifacts(
             cluster_model.feature_stats, result.reward_stage2, top_k,
             stage="stage2", baseline=report1,
         )
-        write_cluster_report_csv(report1, os.path.join(out, "cluster_report_stage1.csv"))
-        write_cluster_report_csv(report2, os.path.join(out, "cluster_report_stage2.csv"))
-        artifacts += ["cluster_report_stage1.csv", "cluster_report_stage2.csv"]
-    return artifacts
+        files["cluster_report_stage1.csv"] = partial(write_cluster_report_csv, report1)
+        files["cluster_report_stage2.csv"] = partial(write_cluster_report_csv, report2)
+    return files
 
 
 def _pipeline_inputs(cfg) -> tuple[TrajectorySet, ClusterModel | None, dict]:
@@ -696,10 +659,10 @@ def _pipeline_inputs(cfg) -> tuple[TrajectorySet, ClusterModel | None, dict]:
 def _run_fractions(cfg, outs: dict) -> list[dict]:
     """Write one run per {retain fraction: run directory}; pipeline and sweep both run this.
 
-    The inputs are resolved once, written into the first directory and copied
-    into the others; retention_sweep fits stage 1 once for every fraction. No
-    directory is made, and no file written, until every input has been read
-    and checked.
+    The inputs are resolved once and written into every directory;
+    retention_sweep fits stage 1 once for every fraction. No directory is
+    made, and no file written, until every fit has ended and every report of
+    every fraction has been computed.
     """
     if bool(cfg["world"]) != bool(cfg["labels"]):
         raise InputError("--world and --labels go together: give both or neither")
@@ -725,33 +688,26 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
                 f"{len(strangers)} labels of no trajectory)"
             )
     _attributes(cfg, tset)  # an unknown name fails here, before any fitting
-    first, *others = outs.values()
-    _write_files(first, files)
-    inputs = list(files)
-    for out in others:
-        os.makedirs(out, exist_ok=True)
-        for name in inputs:
-            shutil.copyfile(os.path.join(first, name), os.path.join(out, name))
     results = retention_sweep(tset, irl_config, prune_config, fractions)
     _warn_unconverged(results[fractions[0]].reward_stage1)  # one stage 1 serves every fraction
-    manifests = []
+    runs = []
     for fraction, out in outs.items():
         leg, result = {**cfg, "retain": fraction}, results[fraction]
         _warn_unconverged(result.reward_stage2, f" at retain {fraction:g}")
-        artifacts = inputs + _analysis_artifacts(out, tset, result, leg, cluster_model)
+        extra_files = {**files, **_analysis_files(tset, result, leg, cluster_model)}
         extra_manifest = {"subcommand": "pipeline"}
         if cfg["world"]:
             recovery = evaluate_recovery(world, result, labels)
-            write_json(os.path.join(out, "recovery.json"), recovery)
-            artifacts.append("recovery.json")
+            extra_files["recovery.json"] = partial(write_json, payload=recovery)
             extra_manifest["recovery"] = recovery
-        manifest = write_run_directory(
-            result, out, irl_config, _prune_config(leg), trajectories=tset,
+        runs.append(partial(
+            write_run_directory, result, out, irl_config, _prune_config(leg), trajectories=tset,
             extra_manifest=extra_manifest, config_json=_echo("pipeline", leg),
-            extra_artifacts=artifacts,
-        )
+            extra_files=extra_files,
+        ))
+    manifests = [write() for write in runs]
+    for manifest, result in zip(manifests, results.values()):
         manifest["agreement_rate"] = float(np.mean(result.policy_agreement))
-        manifests.append(manifest)
     return manifests
 
 
@@ -793,11 +749,11 @@ def cmd_sweep(cfg) -> None:
         rows.append(row)
 
     keys = sorted(rows[0])  # every row has the same keys, each an int or a float in all
-    write_table(os.path.join(out, "sweep_summary.csv"), keys,
-                [np.array([row[k] for row in rows]) for k in keys])
+    summary = partial(write_table, header=keys,
+                      columns=[np.array([row[k] for row in rows]) for k in keys])
     seed = cfg["seed"]
     seeds = {"stage1": seed, "stage2": seed + 1, "prune": seed + 2, "tests": seed + 3}
-    _write_echo_and_manifest(out, "sweep", cfg, seeds, ["sweep_summary.csv"], fractions=fractions)
+    _publish(out, "sweep", cfg, seeds, {"sweep_summary.csv": summary}, fractions=fractions)
     print(f"sweep: {len(fractions)} fractions done in {out}")
 
 
@@ -814,12 +770,10 @@ def cmd_analyze(cfg) -> None:
     result = _read_input("run", run, load_run_directory, tset)
     cluster_model = _load_cluster_model(cfg, states)
     _attributes(cfg, tset)
-    os.makedirs(out, exist_ok=True)
-    artifacts = _analysis_artifacts(out, tset, result, cfg, cluster_model)
-    write_json(os.path.join(out, "reward_delta.json"), reward_delta_by_state(result))
-    artifacts.append("reward_delta.json")
-    _write_echo_and_manifest(out, "analyze", cfg, {"tests": cfg["seed"] + 3}, artifacts)
-    print(f"analyze: {len(artifacts)} report files in {out}")
+    files = _analysis_files(tset, result, cfg, cluster_model)
+    files["reward_delta.json"] = partial(write_json, payload=reward_delta_by_state(result))
+    _publish(out, "analyze", cfg, {"tests": cfg["seed"] + 3}, files)
+    print(f"analyze: {len(files)} report files in {out}")
 
 
 HANDLERS = {

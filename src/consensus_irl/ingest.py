@@ -277,9 +277,7 @@ def _outlier_rows(features: dict, bounds: dict, who: np.ndarray) -> tuple[np.nda
     """The rows with no observed feature outside its inclusive [lo, hi] bound, and
     per feature the count of rows it breaks in subjects that keep a row.
 
-    who numbers each row's subject. The report lists the features in order of
-    the first subject with such a row, then in bounds order, as adding up one
-    subject at a time does. A missing value (NaN) breaks no bound.
+    who numbers each row's subject. A missing value (NaN) breaks no bound.
     """
     keep, broken = np.ones(len(who), dtype=bool), {}
     for name, (lo, hi) in bounds.items():
@@ -287,12 +285,9 @@ def _outlier_rows(features: dict, bounds: dict, who: np.ndarray) -> tuple[np.nda
             broken[name] = (features[name] < lo) | (features[name] > hi)  # NaN compares false
             keep &= ~broken[name]
     counted = (np.bincount(who[keep], minlength=who[-1] + 1) > 0)[who]
-    first = {}
-    for name, rows in broken.items():
-        rows &= counted  # a dropped subject's rows count in no feature's drops
-        if rows.any():
-            first[name] = who[rows.argmax()]
-    return keep, {name: int(broken[name].sum()) for name in sorted(first, key=first.get)}
+    # a dropped subject's rows count in no feature's drops
+    counts = {name: int((rows & counted).sum()) for name, rows in broken.items()}
+    return keep, {name: n for name, n in counts.items() if n}
 
 
 def _impute(features: dict, owners: dict, who: np.ndarray, normals: dict) -> tuple[dict, tuple]:

@@ -269,7 +269,8 @@ def _ascend(theta, empirical, d0, transitions, horizon, config):
         log_rows.append((k, grad_max, lr))
         if grad_max < config.grad_tolerance:
             break
-        theta = theta + lr * grad
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            theta = theta + lr * grad
         epochs_run = k + 1
         if not np.all(np.isfinite(theta)):
             raise NumericError(f"maxent training diverged at epoch {k}")

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import zip_longest
 
 import numpy as np
@@ -197,17 +198,21 @@ def write_json(path, payload) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def write_manifest(out_dir, artifacts, fields: dict) -> dict:
-    """Write and return manifest.json: tool, version, `fields` and a sha256 per artifact.
+def write_manifest(out_dir, files: dict, fields: dict) -> dict:
+    """Make out_dir, write `files` into it, then write and return manifest.json.
 
-    `artifacts` are file names relative to out_dir and must already be written.
+    `files` maps each file name to its writer, called as writer(path). The
+    manifest holds the tool, its version, `fields` and a sha256 per file. This
+    is the only code that makes a run directory: a caller that computes
+    everything first and then calls it once writes nothing when it fails.
     """
-    manifest = {
-        "tool": "consensus-irl",
-        "version": __version__,
-        **fields,
-        "hashes": {name: sha256_file(os.path.join(out_dir, name)) for name in artifacts},
-    }
+    os.makedirs(out_dir, exist_ok=True)
+    hashes = {}
+    for name, write in files.items():
+        path = os.path.join(out_dir, name)
+        write(path)
+        hashes[name] = sha256_file(path)
+    manifest = {"tool": "consensus-irl", "version": __version__, **fields, "hashes": hashes}
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
@@ -220,42 +225,32 @@ def write_run_directory(
     trajectories: TrajectorySet,
     extra_manifest: dict | None = None,
     config_json: dict | None = None,
-    extra_artifacts: list | None = None,
+    extra_files: dict | None = None,
 ) -> dict:
     """Emit the standard run layout and return the manifest dict.
 
     Files: config.json (echo), rewards_stage1.json, rewards_stage2.json,
     scores.csv, reward_delta.csv, training_log_stage1.csv,
-    training_log_stage2.csv, manifest.json. All writers format numbers with
-    repr and sort JSON keys, so reruns are byte-identical. config_json, when
-    given, replaces the default echo written to config.json (the CLI uses
-    this to echo its flat flag namespace).
+    training_log_stage2.csv, then extra_files ({name: writer}, as for
+    write_manifest), and manifest.json. All writers format numbers with repr
+    and sort JSON keys, so reruns are byte-identical. config_json, when given,
+    replaces the default echo written to config.json (the CLI uses this to
+    echo its flat flag namespace).
     """
-    os.makedirs(out_dir, exist_ok=True)
     echo = config_echo(irl_config, prune_config)
-    write_json(
-        os.path.join(out_dir, "config.json"), config_json if config_json is not None else echo
-    )
-
-    result.reward_stage1.to_json(os.path.join(out_dir, "rewards_stage1.json"))
-    result.reward_stage2.to_json(os.path.join(out_dir, "rewards_stage2.json"))
-    write_scores_csv(
-        result.scores, result.retained, os.path.join(out_dir, "scores.csv"), trajectories
-    )
-    write_reward_delta_csv(result, os.path.join(out_dir, "reward_delta.csv"))
-    write_training_log(result.reward_stage1, os.path.join(out_dir, "training_log_stage1.csv"))
-    write_training_log(result.reward_stage2, os.path.join(out_dir, "training_log_stage2.csv"))
-
-    artifacts = [
-        "config.json",
-        "rewards_stage1.json",
-        "rewards_stage2.json",
-        "scores.csv",
-        "reward_delta.csv",
-        "training_log_stage1.csv",
-        "training_log_stage2.csv",
-    ] + list(extra_artifacts or [])
-    return write_manifest(out_dir, artifacts, {
+    files = {
+        "config.json": partial(write_json, payload=echo if config_json is None else config_json),
+        "rewards_stage1.json": result.reward_stage1.to_json,
+        "rewards_stage2.json": result.reward_stage2.to_json,
+        "scores.csv": partial(
+            write_scores_csv, result.scores, result.retained, trajectories=trajectories
+        ),
+        "reward_delta.csv": partial(write_reward_delta_csv, result),
+        "training_log_stage1.csv": partial(write_training_log, result.reward_stage1),
+        "training_log_stage2.csv": partial(write_training_log, result.reward_stage2),
+        **(extra_files or {}),
+    }
+    return write_manifest(out_dir, files, {
         "config": echo,
         "seeds": {
             "stage1": result.reward_stage1.metadata.get("seed"),

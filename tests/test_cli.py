@@ -1,9 +1,11 @@
 """End-to-end command-line tests driven through the in-process dispatcher."""
 
 import inspect
+import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -17,18 +19,21 @@ from consensus_irl.cli import OUT_ROOT_ENV, SPECS, dispatch
 from consensus_irl.pipeline import sha256_file
 
 
-def test_import_loads_no_scipy():
-    """scipy and the worker pool's modules are imported where they are used, not at start-up."""
+def python(*argv, check=True) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this package, run on argv."""
     src = os.path.dirname(os.path.dirname(consensus_irl.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, *map(str, argv)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=check)
+
+
+def test_import_loads_no_scipy():
+    """scipy and the worker pool's modules are imported where they are used, not at start-up."""
     code = (
         "import sys, consensus_irl.cli; print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert python("-c", code).stdout.strip() == "[]"
 
 
 def test_exported_names_resolve_and_are_not_submodules():
@@ -61,8 +66,6 @@ def synth_dir(workdir):
 
 def test_pipeline_with_world_loads_no_scipy(synth_dir, tmp_path):
     """The recovery report's Spearman correlation is computed without scipy."""
-    src = os.path.dirname(os.path.dirname(consensus_irl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = [
         "pipeline", "--trajectories", synth_dir / "trajectories.csv",
         "--world", synth_dir / "world.json", "--labels", synth_dir / "labels.csv",
@@ -73,9 +76,7 @@ def test_pipeline_with_world_loads_no_scipy(synth_dir, tmp_path):
         f"assert dispatch({[str(a) for a in argv]!r}) == 0; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = python("-c", code)
     assert (tmp_path / "run" / "recovery.json").exists()
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
@@ -756,9 +757,22 @@ class TestClusterModelOfTheRun:
         assert table.count("\n") == 1 + 2 * 12  # the header, then best and worst of 12
 
 
+def shuffle_rows(source, target, key=None):
+    """Write target: source's header, then its rows in a seeded random order.
+
+    With key, the blocks of consecutive rows of one key move whole, each
+    keeping the order of its rows.
+    """
+    header, *rows = source.read_bytes().splitlines(keepends=True)
+    blocks = [b"".join(block) for _, block in itertools.groupby(rows, key)]
+    order = np.random.default_rng(0).permutation(len(blocks))
+    target.write_bytes(header + b"".join(blocks[i] for i in order))
+    assert target.read_bytes() != source.read_bytes()
+
+
 def assert_same_outputs(left, right, inputs):
-    """Every file of two run directories byte for byte, but for the trajectories
-    path that config.json (and analyze's manifest.json) echo, left's inputs[0]
+    """Every file of two run directories byte for byte, but for the input path
+    that config.json (and analyze's manifest.json) echo, left's inputs[0]
     and right's inputs[1], and through it config.json's hash in manifest.json."""
     names = sorted(path.name for path in left.iterdir())
     assert names == sorted(path.name for path in right.iterdir())
@@ -777,12 +791,8 @@ def assert_same_outputs(left, right, inputs):
 class TestAnalyze:
     def test_shuffled_trajectory_rows_are_the_same_input(self, synth_dir, run1, tmp_path):
         """Every reader takes trajectories in id order, whatever the order of the rows."""
-        original = synth_dir / "trajectories.csv"
-        header, *rows = original.read_bytes().splitlines(keepends=True)
-        shuffled = tmp_path / "shuffled.csv"
-        order = np.random.default_rng(0).permutation(len(rows))
-        shuffled.write_bytes(header + b"".join(rows[i] for i in order))
-        assert shuffled.read_bytes() != original.read_bytes()
+        original, shuffled = synth_dir / "trajectories.csv", tmp_path / "shuffled.csv"
+        shuffle_rows(original, shuffled)
 
         analyses = [tmp_path / "analysis_original", tmp_path / "analysis_shuffled"]
         for trajectories, out in zip((original, shuffled), analyses):
@@ -1155,3 +1165,92 @@ class TestClinicalFlow:
         for name in RUN_RESULTS:
             leg = (out / "f075" / name).read_bytes()
             assert leg == (workdir / "clinical_run" / name).read_bytes(), name
+
+
+CLINICAL_FEATURES = ("--features", "heart_rate,mean_bp")
+
+
+def ingest_into(out, clinical_inputs, records=None):
+    """Run ingest on the clinical inputs, with records in place of their records.csv."""
+    given, normals, bounds = clinical_inputs
+    assert run("ingest", "--records", records or given, "--normals", normals, "--bounds", bounds,
+               *CLINICAL_FEATURES, "--demographics", "sex", "--condition", "hypotension",
+               "--out", out) == 0
+    return out / "prepared.csv"
+
+
+class TestNumericFailure:
+    """A fit that diverges ends its command with exit 2 before anything is written."""
+
+    @pytest.mark.parametrize("command, source", [
+        ("pipeline", "--trajectories"), ("pipeline", "--prepared"), ("sweep", "--trajectories"),
+    ])
+    def test_a_diverging_fit_leaves_no_run_directory(
+        self, synth_dir, clinical_inputs, tmp_path, capsys, command, source
+    ):
+        if source == "--prepared":
+            prepared = ingest_into(tmp_path / "ingest", clinical_inputs)
+            inputs = ["--prepared", prepared, *CLINICAL_FEATURES, "--k", 3, "--min-size", 1]
+        else:
+            inputs = ["--trajectories", synth_dir / "trajectories.csv"]
+        out = tmp_path / "run"
+        code = run(command, *inputs, "--lr0", 1e308, "--epochs", 50, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_an_overflowing_step_prints_only_the_error_line(self, clinical_inputs, tmp_path):
+        """The step that overflows theta raises no numpy warning before the error line."""
+        prepared = ingest_into(tmp_path / "ingest", clinical_inputs)
+        states = tmp_path / "states"
+        assert run("cluster", "--prepared", prepared, *CLINICAL_FEATURES, "--k", 3,
+                   "--min-size", 1, "--out", states) == 0
+        done = python("-m", "consensus_irl.cli", "irl",
+                      "--trajectories", states / "trajectories.csv", "--lr0", 1e308,
+                      "--epochs", 50, "--out", tmp_path / "irl", check=False)
+        assert done.returncode == 2
+        assert done.stderr == "numeric failure: maxent training diverged at epoch 1\n"
+        assert not (tmp_path / "irl").exists()
+
+
+class TestRowOrder:
+    """Each CSV the CLI reads is the same input in any row order: records, prepared
+    rows (whole subjects move, each in time order), labels and a run's scores."""
+
+    def test_shuffled_records_and_prepared_rows(self, clinical_inputs, tmp_path):
+        records = clinical_inputs[0]
+        shuffled = tmp_path / "records.csv"
+        shuffle_rows(records, shuffled)
+        ingested = [tmp_path / "ingest", tmp_path / "ingest_shuffled"]
+        ingest_into(ingested[0], clinical_inputs)
+        ingest_into(ingested[1], clinical_inputs, records=shuffled)
+        assert_same_outputs(*ingested, (records, shuffled))
+
+        prepared = ingested[0] / "prepared.csv"
+        blocks = tmp_path / "prepared.csv"
+        shuffle_rows(prepared, blocks, key=lambda row: row.split(b",", 1)[0])
+        clustered = [tmp_path / "states", tmp_path / "states_shuffled"]
+        for rows, out in zip((prepared, blocks), clustered):
+            assert run("cluster", "--prepared", rows, *CLINICAL_FEATURES, "--k", 2,
+                       "--min-size", 2, "--out", out) == 0
+        assert_same_outputs(*clustered, (prepared, blocks))
+
+    def test_shuffled_labels_and_scores(self, synth_dir, run1, tmp_path):
+        labels, shuffled = synth_dir / "labels.csv", tmp_path / "labels.csv"
+        shuffle_rows(labels, shuffled)
+        runs = [tmp_path / "run", tmp_path / "run_shuffled"]
+        for given, out in zip((labels, shuffled), runs):
+            assert run("pipeline", "--trajectories", synth_dir / "trajectories.csv",
+                       "--world", synth_dir / "world.json", "--labels", given,
+                       "--epochs", 20, "--permutations", 50, "--out", out) == 0
+        assert_same_outputs(*runs, (labels, shuffled))
+
+        copy = tmp_path / "run1_shuffled"
+        shutil.copytree(run1, copy)
+        shuffle_rows(run1 / "scores.csv", copy / "scores.csv")
+        analyses = [tmp_path / "analysis", tmp_path / "analysis_shuffled"]
+        for given, out in zip((run1, copy), analyses):
+            assert run("analyze", "--run", given, "--trajectories", synth_dir / "trajectories.csv",
+                       "--permutations", 100, "--out", out) == 0
+        assert_same_outputs(*analyses, (run1, copy))

@@ -128,3 +128,22 @@ def test_moved_decisions_are_flagged_by_file(tmp_path):
         "tests.json": ["tests/anova/posthoc/0/p_holm"],
     }
     assert not golden.within(summary, rtol=1.0)
+
+
+def test_csv_rows_are_paired_by_their_owner():
+    """Rows of one trajectory_id are compared with each other, wherever they stand."""
+    ours = "trajectory_id,C,retained\nt0,0.5,1\nt1,0.25,0\nt2,0.125,1\n"
+    permuted = "trajectory_id,C,retained\nt2,0.125,1\nt0,0.5,1\nt1,0.25,0\n"
+    moved = golden.diff_file("scores.csv", ours.encode(), permuted.encode())
+    assert moved["fields"] == [] and moved["decisions"] == []
+    assert not moved["text_differs"]
+    # a flipped flag is still a moved decision when the rows are permuted too
+    flipped = "trajectory_id,C,retained\nt2,0.125,1\nt0,0.5,0\nt1,0.25,0\n"
+    moved = golden.diff_file("scores.csv", ours.encode(), flipped.encode())
+    assert moved["fields"] == ["retained"] and moved["decisions"] == ["retained"]
+    # rows of one subject keep their order: a swap within a subject moves its cells
+    rows = "subject_id,timestamp\np1,0\np0,0\np0,1\n"
+    swapped = "subject_id,timestamp\np0,1\np0,0\np1,0\n"
+    assert golden.diff_file("prepared.csv", rows.encode(), swapped.encode())["fields"] == [
+        "timestamp"
+    ]

@@ -45,7 +45,8 @@ differing, and for each differing file its largest absolute and relative
 numeric difference, whether anything other than numbers differs, the CSV
 columns or JSON fields that moved, the decision fields among them, and the
 JSON fields that only one side has ("added" in this checkout, "removed" from
-the ref). A decision is an outcome that a rounding difference should never
+the ref). CSV rows are paired by their trajectory_id or subject_id where the
+header has one, and by position otherwise. A decision is an outcome that a rounding difference should never
 move (DECISIONS): the retained set, both greedy policies and their agreement,
 each test's p-values, and the prune precision and recall against the ground
 truth. The summary's decisions_moved says whether any moved, and
@@ -101,6 +102,8 @@ DECISIONS = frozenset({
     "retained", "n_retained", "policy1", "policy2", "agree", "p_value", "p_holm",
     "prune_precision", "prune_recall",
 })
+# the columns that name the trajectory or subject a CSV row belongs to
+OWNERS = ("trajectory_id", "subject_id")
 
 
 def _cohort():
@@ -308,9 +311,14 @@ def _json_leaves(node, path=""):
 
 
 def _csv_cells(text: str):
+    """(column, cell) of every row but comments. Under an owner column (OWNERS),
+    rows come in a stable sort by it, so a reorder of the rows moves no cell."""
     rows = [row for row in csv.reader(io.StringIO(text)) if row and not row[0].startswith("#")]
-    header = rows[0] if rows else []
-    for row in rows[1:]:
+    header, rows = (rows[0], rows[1:]) if rows else ([], [])
+    owner = next((header.index(c) for c in OWNERS if c in header), None)
+    if owner is not None:
+        rows.sort(key=lambda row: row[owner:owner + 1])
+    for row in rows:
         for j, cell in enumerate(row):
             yield (header[j] if j < len(header) else str(j)), cell
 

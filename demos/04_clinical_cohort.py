@@ -144,13 +144,13 @@ after = end_state_deciles(
                        result.reward_stage2, result.policy_stage2)
 )
 print(f"\nend-state reward, bottom vs top consensus decile:")
-print(f"  scored by stage 1: {before[0]['mean_end_state_reward']:+.3f} vs "
-      f"{before[-1]['mean_end_state_reward']:+.3f}")
-print(f"  scored by stage 2: {after[0]['mean_end_state_reward']:+.3f} vs "
-      f"{after[-1]['mean_end_state_reward']:+.3f}")
+for stage, deciles in (("stage 1", before), ("stage 2", after)):
+    means = deciles["mean_end_state_reward"]
+    print(f"  scored by {stage}: {means[0]:+.3f} vs {means[-1]:+.3f}")
 
 report = cluster_report(model.feature_stats, result.reward_stage2, top_k=3)
 print("\nstates ranked by stage-2 reward (count, mean vitals):")
-for row in report.best + report.worst:
-    print(f"  #{row.rank} state {row.cluster} reward {row.reward:+.2f} "
-          f"(n={row.count}): " + ", ".join(f"{k}={v:.1f}" for k, v in row.means.items()))
+for i, rank in enumerate(report["rank"]):
+    vitals = ", ".join(f"{f}={report[f + '_mean'][i]:.1f}" for f in model.feature_names)
+    print(f"  #{rank} state {report['cluster'][i]} reward {report['reward'][i]:+.2f} "
+          f"(n={report['count'][i]}): {vitals}")

@@ -11,7 +11,6 @@ permutation-based disparity reports.
 from types import ModuleType as _ModuleType
 
 from .analyze import (
-    ClusterReport,
     PairwiseResult,
     TestResult,
     anova_f_statistic,

@@ -1,5 +1,9 @@
 """Report surfaces: cluster feature tables, score deciles, disparity tests.
 
+The cluster table, the deciles and the per-state reward comparison are each
+built once as a table: a {column name: column} dict in CSV header order,
+which the CSV writers pass to write_table unchanged.
+
 Statistical tests use Monte Carlo permutation p-values in place of asymptotic
 chi-squared / F distributions and Tukey's range test (pairwise permutation
 with Holm correction stands in for the latter). Every emitted report states
@@ -46,52 +50,28 @@ PERMUTATION_NOTE = (
     "p-values are seeded Monte Carlo permutation estimates, "
     "not asymptotic chi-squared/F probabilities"
 )
+N_PERMUTATIONS = 10_000  # every test's default
 
 
 # ---------------------------------------------------------------------------
 # cluster feature tables
 
 
-@dataclass
-class ClusterRow:
-    cluster: int
-    reward: float
-    rank: int
-    count: int
-    means: dict[str, float]
-    stds: dict[str, float]
-    delta_means: dict[str, float] | None = None
-    delta_stds: dict[str, float] | None = None
-
-
-@dataclass
-class ClusterReport:
-    """Best and worst clusters by learned reward with feature summaries."""
-
-    stage: str
-    best: list[ClusterRow]
-    worst: list[ClusterRow]
-
-    @property
-    def features(self) -> list[str]:
-        if self.best:
-            return sorted(self.best[0].means)
-        return []
-
-
 def cluster_report(
     cluster_stats: dict,
     reward: RewardModel,
     top_k: int = 25,
-    stage: str = "stage2",
-    baseline: "ClusterReport | None" = None,
-) -> ClusterReport:
-    """Rank clusters by reward and summarize features of the two extremes.
+    baseline: dict | None = None,
+) -> dict:
+    """The best and worst top_k clusters by reward, as a table of columns.
 
     cluster_stats maps cluster index -> {"count", "means", "stds"} with
-    feature statistics in original units. When a baseline report is given
-    (e.g. the random-pruning control), each row gains per-feature deltas
-    against the baseline row of the same rank position.
+    feature statistics in original units. The table maps each column name to
+    its column, in CSV order: side, rank, cluster, reward, count, then for
+    each feature in sorted order its mean and std. A baseline is the report
+    of the same clusters and top_k under another reward (the stage-1 report,
+    for stage 2's); with one, each feature also gets delta_mean and
+    delta_std, this report's column minus the baseline's, row for row.
     """
     clusters = sorted(cluster_stats)
     if not (1 <= top_k <= len(clusters)):
@@ -99,64 +79,35 @@ def cluster_report(
             f"top_k={top_k} out of range for {len(clusters)} clusters"
         )
     order = sorted(clusters, key=lambda c: (-reward.rewards[c], c))
-
-    def row(c, rank):
-        st = cluster_stats[c]
-        return ClusterRow(
-            cluster=int(c),
-            reward=float(reward.rewards[c]),
-            rank=rank,
-            count=int(st["count"]),
-            means={k: float(v) for k, v in st["means"].items()},
-            stds={k: float(v) for k, v in st["stds"].items()},
-        )
-
-    rows = [row(c, i) for i, c in enumerate(order)]
-    report = ClusterReport(stage=stage, best=rows[:top_k], worst=rows[-top_k:])
-    if baseline is not None:
-        for side in ("best", "worst"):
-            for here, there in zip(getattr(report, side), getattr(baseline, side)):
-                here.delta_means = {
-                    k: here.means[k] - there.means.get(k, 0.0) for k in here.means
-                }
-                here.delta_stds = {
-                    k: here.stds[k] - there.stds.get(k, 0.0) for k in here.stds
-                }
-    return report
-
-
-def write_cluster_report_csv(report: ClusterReport, path) -> None:
-    rows = report.best + report.worst
-    has_delta = any(r.delta_means is not None for r in rows)
-
-    def floats(values) -> np.ndarray:
-        return np.array(list(values), dtype=np.float64)
-
-    def ints(key) -> np.ndarray:
-        return np.array([getattr(r, key) for r in rows], dtype=np.int64)
-
-    columns = {
-        "side": ["best"] * len(report.best) + ["worst"] * len(report.worst),
-        "rank": ints("rank"),
-        "cluster": ints("cluster"),
-        "reward": floats(r.reward for r in rows),
-        "count": ints("count"),
+    rank = np.r_[0:top_k, len(order) - top_k : len(order)]
+    cluster = np.array(order, dtype=np.int64)[rank]
+    picked = [cluster_stats[c] for c in cluster.tolist()]
+    table = {
+        "side": ["best"] * top_k + ["worst"] * top_k,
+        "rank": rank,
+        "cluster": cluster,
+        "reward": reward.rewards[cluster],
+        "count": np.array([st["count"] for st in picked], dtype=np.int64),
     }
-    for f in report.features:
-        columns[f"{f}_mean"] = floats(r.means[f] for r in rows)
-        columns[f"{f}_std"] = floats(r.stds[f] for r in rows)
-        if has_delta:
-            columns[f"{f}_delta_mean"] = floats((r.delta_means or {}).get(f, 0.0) for r in rows)
-            columns[f"{f}_delta_std"] = floats((r.delta_stds or {}).get(f, 0.0) for r in rows)
-    write_table(path, list(columns), list(columns.values()))
+    for f in sorted(picked[0]["means"]):
+        for stat in ("mean", "std"):
+            table[f"{f}_{stat}"] = np.array([st[stat + "s"][f] for st in picked], np.float64)
+        if baseline is not None:
+            for stat in ("mean", "std"):
+                table[f"{f}_delta_{stat}"] = table[f"{f}_{stat}"] - baseline[f"{f}_{stat}"]
+    return table
+
+
+def write_cluster_report_csv(table: dict, path) -> None:
+    write_table(path, list(table), list(table.values()))
 
 
 # ---------------------------------------------------------------------------
 # consensus-score deciles
 
 
-def end_state_deciles(scores: TrajectoryScores) -> list[dict]:
-    """Mean end-state reward per consensus-score decile.
+def end_state_deciles(scores: TrajectoryScores) -> dict:
+    """Mean end-state reward per consensus-score decile, as a table of columns.
 
     Trajectories are ranked by C ascending (worst consensus first, ties by
     id) and split into ten buckets whose sizes differ by at most one; bucket
@@ -165,27 +116,18 @@ def end_state_deciles(scores: TrajectoryScores) -> list[dict]:
     if len(scores) < 10:
         raise ParameterError("need at least 10 scored trajectories for deciles")
     rewards = scores.end_state_reward[np.lexsort((np.array(scores.ids), scores.C))]
-    rows = []
-    for i, bucket in enumerate(np.array_split(rewards, 10)):
-        rows.append(
-            {
-                "bucket": i,
-                "percentile_low": 10 * i,
-                "percentile_high": 10 * (i + 1),
-                "mean_end_state_reward": float(bucket.mean()),
-                "count": int(bucket.size),
-            }
-        )
-    return rows
+    buckets = np.array_split(rewards, 10)
+    return {
+        "bucket": np.arange(10),
+        "percentile_low": np.arange(0, 100, 10),
+        "percentile_high": np.arange(10, 110, 10),
+        "mean_end_state_reward": np.array([float(bucket.mean()) for bucket in buckets]),
+        "count": np.array([bucket.size for bucket in buckets]),
+    }
 
 
-def write_deciles_csv(rows: list[dict], path) -> None:
-    header = ["bucket", "percentile_low", "percentile_high", "mean_end_state_reward", "count"]
-    write_table(path, header, [
-        np.array([r[k] for r in rows],
-                 dtype=np.float64 if k == "mean_end_state_reward" else np.int64)
-        for k in header
-    ])
+def write_deciles_csv(table: dict, path) -> None:
+    write_table(path, list(table), list(table.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +382,7 @@ def _flagged_count_blocks(totals, m: int, n_permutations: int, seed: int):
 
 
 def permutation_chi2(
-    labels, flags, n_permutations: int = 10_000, seed: int = 0, name: str = "chi2"
+    labels, flags, n_permutations: int = N_PERMUTATIONS, seed: int = 0, name: str = "chi2"
 ) -> TestResult:
     """Independence test of a categorical label against a binary flag.
 
@@ -477,7 +419,7 @@ def permutation_chi2(
 
 
 def permutation_anova(
-    values, labels, n_permutations: int = 10_000, seed: int = 0, name: str = "anova"
+    values, labels, n_permutations: int = N_PERMUTATIONS, seed: int = 0, name: str = "anova"
 ) -> TestResult:
     """One-way ANOVA with a Monte Carlo permutation p-value."""
     job, groups = _anova_job(values, labels, n_permutations, seed)
@@ -497,7 +439,7 @@ def holm_correction(p_values: list[float]) -> list[float]:
 
 
 def pairwise_permutation_tests(
-    values, labels, n_permutations: int = 10_000, seed: int = 0
+    values, labels, n_permutations: int = N_PERMUTATIONS, seed: int = 0
 ) -> list[PairwiseResult]:
     """Two-sided two-sample permutation tests for every pair of groups."""
     pairs, jobs = _pairwise_jobs(values, labels, n_permutations, seed)
@@ -527,7 +469,7 @@ def test_pruning_uniformity(
     trajectories: TrajectorySet,
     retained,
     attribute: str,
-    n_permutations: int = 10_000,
+    n_permutations: int = N_PERMUTATIONS,
     seed: int = 0,
 ) -> TestResult:
     """Is being pruned independent of a demographic attribute?
@@ -558,7 +500,7 @@ def test_reward_loss_disparity(
     reward1: RewardModel,
     reward2: RewardModel,
     attribute: str,
-    n_permutations: int = 10_000,
+    n_permutations: int = N_PERMUTATIONS,
     seed: int = 0,
 ) -> tuple[TestResult, list[PairwiseResult]]:
     """Does the stage-2 vs stage-1 reward change differ across groups?
@@ -592,24 +534,20 @@ def test_reward_loss_disparity(
 
 
 # ---------------------------------------------------------------------------
-# per-state comparison rows and report serialization
+# per-state comparison and report serialization
 
 
-def reward_delta_by_state(result) -> list[dict]:
-    """Plot-ready per-state comparison of the two stages."""
-    delta, agree = result.reward_delta, result.policy_agreement
-    return [
-        {
-            "state": s,
-            "r1": float(result.reward_stage1.rewards[s]),
-            "r2": float(result.reward_stage2.rewards[s]),
-            "delta": float(delta[s]),
-            "policy1": int(result.policy_stage1.actions[s]),
-            "policy2": int(result.policy_stage2.actions[s]),
-            "agree": bool(agree[s]),
-        }
-        for s in range(result.n_states)
-    ]
+def reward_delta_by_state(result) -> dict:
+    """Plot-ready per-state comparison of the two stages, as a table of columns."""
+    return {
+        "state": np.arange(result.n_states),
+        "r1": result.reward_stage1.rewards,
+        "r2": result.reward_stage2.rewards,
+        "delta": result.reward_delta,
+        "policy1": result.policy_stage1.actions,
+        "policy2": result.policy_stage2.actions,
+        "agree": result.policy_agreement,
+    }
 
 
 def write_tests_json(results, path, posthoc: dict | None = None) -> None:

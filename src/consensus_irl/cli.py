@@ -2,12 +2,13 @@
 
 One executable, eight subcommands: ingest, cluster, irl, prune, pipeline,
 synth, analyze, sweep. Every subcommand accepts --config pointing at a JSON
-file whose keys mirror the flag names (flags win over the file; unknown keys
-are rejected), takes one global --seed, and writes a manifest.json with the
-echoed config, derived seeds, artifact hashes, and tool version. Flags that
-set a field of IrlConfig, PruneConfig or PopulationConfig take their default
-and type from that dataclass; the ingest, cluster and analyze flags that feed
-a function parameter take theirs from the function's signature.
+file whose keys mirror the flag names (flags win over the file, a null keeps
+the default, unknown keys are rejected), takes one global --seed, and writes a
+manifest.json with the echoed config, derived seeds, artifact hashes, and tool
+version. Flags that set a field of IrlConfig, PruneConfig or PopulationConfig
+take their default and type from that dataclass; the ingest, cluster and
+analyze flags that feed a function parameter take theirs from the function's
+signature, and --permutations from N_PERMUTATIONS, every test's default.
 
 Seed derivation from the global seed S: random pruning draws with S + 2 and
 permutation tests run with S + 3. The manifests also record S for stage-1 IRL
@@ -32,6 +33,7 @@ from functools import partial
 import numpy as np
 
 from .analyze import (
+    N_PERMUTATIONS,
     cluster_report,
     end_state_deciles,
     reward_delta_by_state,
@@ -152,8 +154,7 @@ _CLUSTER_DEFAULTS = {
 }
 _ANALYZE_DEFAULTS = {
     "attributes": None,
-    # test_reward_loss_disparity shares this default
-    "permutations": _default_of(test_pruning_uniformity, "n_permutations"),
+    "permutations": N_PERMUTATIONS,
     "top_k": _default_of(cluster_report, "top_k"),
     "cluster_model": None,
 }
@@ -291,8 +292,6 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             raise InputError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InputError(f"config {path} must hold a JSON object")
-        if "cli" in loaded and isinstance(loaded["cli"], dict):
-            loaded = loaded["cli"]  # accept an echoed config.json verbatim
         sub = loaded.pop("subcommand", command)
         if sub != command:
             raise InputError(
@@ -304,7 +303,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
                 f"unknown config keys for {command}: " + ", ".join(sorted(unknown))
             )
         _check_config_types(loaded, merged)
-        merged.update(loaded)
+        merged.update((key, value) for key, value in loaded.items() if value is not None)
     for key in spec["defaults"]:
         value = getattr(args, key, None)
         if value is not None:
@@ -357,6 +356,12 @@ def _publish(out, command, cfg, seeds, files, **extra) -> None:
         {"config.json": partial(write_json, payload=echo), **files},
         {"subcommand": command, "config": echo, "seeds": seeds, **extra},
     )
+
+
+def _write_rows_json(table: dict, path) -> None:
+    """A {column: column} table as a JSON list of rows, one {column: value} each."""
+    columns = [column.tolist() for column in table.values()]
+    write_json(path, [dict(zip(table, row)) for row in zip(*columns)])
 
 
 def _read_input(what: str, path, read, *args, **kwargs):
@@ -618,14 +623,10 @@ def _analysis_files(
         files["tests.csv"] = partial(write_tests_csv, omnibus)
 
     if cluster_model is not None and cluster_model.feature_stats:
-        top_k = min(cfg["top_k"], len(cluster_model.feature_stats))
-        report1 = cluster_report(
-            cluster_model.feature_stats, result.reward_stage1, top_k, stage="stage1"
-        )
-        report2 = cluster_report(
-            cluster_model.feature_stats, result.reward_stage2, top_k,
-            stage="stage2", baseline=report1,
-        )
+        stats = cluster_model.feature_stats
+        top_k = min(cfg["top_k"], len(stats))
+        report1 = cluster_report(stats, result.reward_stage1, top_k)
+        report2 = cluster_report(stats, result.reward_stage2, top_k, baseline=report1)
         files["cluster_report_stage1.csv"] = partial(write_cluster_report_csv, report1)
         files["cluster_report_stage2.csv"] = partial(write_cluster_report_csv, report2)
     return files
@@ -736,24 +737,18 @@ def cmd_sweep(cfg) -> None:
         dirs[fraction] = name
     out = _out_dir("sweep", cfg)
     manifests = _run_fractions(cfg, {f: os.path.join(out, name) for f, name in dirs.items()})
-    rows = []
-    for fraction, manifest in zip(fractions, manifests):
-        row = {
-            "fraction": fraction,
-            "n_retained": manifest["n_retained"],
-            "agreement_rate": manifest["agreement_rate"],
-        }
-        if "recovery" in manifest:
-            row["spearman_stage2"] = manifest["recovery"]["spearman_stage2"]
-            row["prune_recall"] = manifest["recovery"]["prune_recall"]
-        rows.append(row)
-
-    keys = sorted(rows[0])  # every row has the same keys, each an int or a float in all
-    summary = partial(write_table, header=keys,
-                      columns=[np.array([row[k] for row in rows]) for k in keys])
+    summary = {  # columns by name; a ground truth adds the last two
+        "agreement_rate": np.array([m["agreement_rate"] for m in manifests]),
+        "fraction": np.array(fractions),
+        "n_retained": np.array([m["n_retained"] for m in manifests]),
+    }
+    if cfg["world"]:
+        for key in ("prune_recall", "spearman_stage2"):
+            summary[key] = np.array([m["recovery"][key] for m in manifests])
+    write = partial(write_table, header=list(summary), columns=list(summary.values()))
     seed = cfg["seed"]
     seeds = {"stage1": seed, "stage2": seed + 1, "prune": seed + 2, "tests": seed + 3}
-    _publish(out, "sweep", cfg, seeds, {"sweep_summary.csv": summary}, fractions=fractions)
+    _publish(out, "sweep", cfg, seeds, {"sweep_summary.csv": write}, fractions=fractions)
     print(f"sweep: {len(fractions)} fractions done in {out}")
 
 
@@ -771,7 +766,7 @@ def cmd_analyze(cfg) -> None:
     cluster_model = _load_cluster_model(cfg, states)
     _attributes(cfg, tset)
     files = _analysis_files(tset, result, cfg, cluster_model)
-    files["reward_delta.json"] = partial(write_json, payload=reward_delta_by_state(result))
+    files["reward_delta.json"] = partial(_write_rows_json, reward_delta_by_state(result))
     _publish(out, "analyze", cfg, {"tests": cfg["seed"] + 3}, files)
     print(f"analyze: {len(files)} report files in {out}")
 

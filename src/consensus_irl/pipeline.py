@@ -161,12 +161,9 @@ def load_run_directory(run_dir, trajectories: TrajectorySet) -> TwoStageResult:
 
 
 def write_reward_delta_csv(result: TwoStageResult, path) -> None:
-    """The rows of reward_delta_by_state, floats as repr and agree as 0/1."""
-    rows = reward_delta_by_state(result)
-    header = ["state", "r1", "r2", "delta", "policy1", "policy2", "agree"]
-    columns = [np.array([row[k] for row in rows]) for k in header]
-    columns[-1] = columns[-1].astype(np.int64)
-    write_table(path, header, columns)
+    """The table of reward_delta_by_state, floats as repr and agree as 0/1."""
+    table = reward_delta_by_state(result)
+    write_table(path, list(table), list(table.values()))
 
 
 def sha256_file(path) -> str:

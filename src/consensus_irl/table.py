@@ -20,13 +20,14 @@ would, from whole columns. An integer array's cells come from one table of
 decimal strings: of every value from its least to its greatest when that range
 is shorter than the column (states, actions, steps, flags), so a cell is one
 subtraction and one lookup away with no sort; otherwise of its distinct values
-(np.unique), since a timestamp column can span 1e9. A float array's cells are
-the repr of each value. Any other column holds text or None, and each distinct
-value is quoted once by csv's own rule (quotes around a cell holding a comma, a
-quote, CR or LF, with its quotes doubled), None being an empty cell. Rows are
-joined into text 512 at a time (_BLOCK): a block's cell strings are what the
-writer holds beyond the columns, and at 4,096 rows of a scores table they
-raised a small pipeline's peak memory by most of a MiB.
+(np.unique), since a timestamp column can span 1e9. A bool array's cells are 0
+and 1, as BINARY reads them. A float array's cells are the repr of each value.
+Any other column holds text or None, and each distinct value is quoted once by
+csv's own rule (quotes around a cell holding a comma, a quote, CR or LF, with
+its quotes doubled), None being an empty cell. Rows are joined into text 512 at
+a time (_BLOCK): a block's cell strings are what the writer holds beyond the
+columns, and at 4,096 rows of a scores table they raised a small pipeline's
+peak memory by most of a MiB.
 """
 
 from __future__ import annotations
@@ -199,6 +200,8 @@ def _text_cell(value) -> str:
 
 def _cells(column, width: int):
     """The function of (lo, hi) that gives the CSV cells of rows lo..hi-1 of column."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "b":
+        column = column.astype(np.int64)  # a flag is 0 or 1
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
         low, high = (int(column.min()), int(column.max())) if len(column) else (0, -1)
         if high - low < len(column):  # a table of the range is no longer than the column

@@ -321,8 +321,8 @@ def test_criterion_07_bottom_decile_worse_than_top():
         kernel = estimate_transitions(trajectories)
         reward1 = train_maxent_irl(trajectories, kernel, IrlConfig(epochs=150, lr0=0.5, seed=i))
         scores = score_trajectories(trajectories, kernel, reward1, greedy_policy(kernel, reward1))
-        rows = end_state_deciles(scores)
-        outcomes.append((rows[0]["mean_end_state_reward"], rows[-1]["mean_end_state_reward"]))
+        means = end_state_deciles(scores)["mean_end_state_reward"]
+        outcomes.append((means[0], means[-1]))
 
     wins = sum(bottom < top for bottom, top in outcomes)
     ok = wins >= 4

@@ -219,6 +219,39 @@ class TestDispatchErrors:
         assert code == 0
         assert json.loads((out / "config.json").read_text())["retain"] == 1
 
+    @pytest.mark.parametrize(
+        "command, key", [("analyze", "permutations"), ("irl", "epochs"), ("cluster", "k"),
+                         ("prune", "retain"), ("synth", "seed")],
+    )
+    def test_a_null_config_value_keeps_the_default(
+        self, tmp_path, synth_dir, irl_dir, run1, command, key
+    ):
+        """The run of a config holding {key: null} echoes the config without that key."""
+        trajectories = ("--trajectories", synth_dir / "trajectories.csv")
+        inputs = {
+            "analyze": ("--run", run1, *trajectories),
+            "irl": trajectories,
+            "cluster": ("--prepared", prepared_rows(tmp_path / "prepared.csv", 2000),
+                        "--features", "heart_rate,mean_bp"),
+            "prune": (*trajectories, "--rewards", irl_dir / "rewards.json"),
+            "synth": ("--states", 12, "--trajectories", 40),
+        }[command]
+        echoes = []
+        for name, config in (("null", {key: None}), ("absent", {})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            out = tmp_path / name
+            assert run(command, "--config", tmp_path / f"{name}.json", *inputs, "--out", out) == 0
+            echoes.append((out / "config.json").read_bytes())
+        assert echoes[0] == echoes[1]
+
+    def test_a_config_wrapped_in_cli_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cli": {"states": 5}}')
+        out = tmp_path / "out"
+        assert run("synth", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == "error: unknown config keys for synth: cli\n"
+        assert not out.exists()
+
     def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -1168,6 +1201,17 @@ class TestClinicalFlow:
 
 
 CLINICAL_FEATURES = ("--features", "heart_rate,mean_bp")
+
+
+def prepared_rows(path, n_rows):
+    """A prepared CSV of n_rows seeded vitals rows, eight per subject."""
+    rng = np.random.default_rng(0)
+    lines = ["subject_id,timestamp,heart_rate,mean_bp,action,died_in_hospital"]
+    for i in range(n_rows):
+        hr, bp = rng.normal(90, 20), rng.normal(80, 15)
+        lines.append(f"s{i // 8:04d},{i % 8},{hr:.1f},{bp:.1f},{i % 3},{int(i // 8 % 7 == 0)}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def ingest_into(out, clinical_inputs, records=None):

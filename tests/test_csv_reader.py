@@ -288,6 +288,16 @@ def test_rows_span_write_blocks(tmp_path):
     assert ours == theirs and ours.count(b"\r\n") == n + 1
 
 
+def test_a_bool_column_is_written_as_0_and_1(tmp_path):
+    """The bytes csv writes for the flags as int64 0/1, as BINARY reads them back."""
+    from consensus_irl.table import write_table
+
+    ids, flags = ["a", "b", "c", "d"], np.array([True, False, False, True])
+    write_table(tmp_path / "ours.csv", ["id", "flag"], [ids, flags])
+    reference_write_table(tmp_path / "theirs.csv", ["id", "flag"], [ids, flags.astype(np.int64)])
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
+
+
 @pytest.mark.parametrize("header, columns", [
     (["a", "b"], [[1, 2], [3]]),
     (["a", "b"], [np.arange(2)]),

@@ -292,8 +292,8 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             raise InputError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InputError(f"config {path} must hold a JSON object")
-        sub = loaded.pop("subcommand", command)
-        if sub != command:
+        sub = loaded.pop("subcommand", None)
+        if sub is not None and sub != command:  # a null is absent, as under a flag key
             raise InputError(
                 f"config file is for subcommand {sub!r}, not {command!r}"
             )

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ def make_set(blocks, ids=None, tags=None, died=None, n_states=None, n_actions=No
         died,
     )
 
+
+def traced_peak(call):
+    """The peak of tracemalloc's traced memory while call runs, after one untraced warm-up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 @pytest.fixture(scope="session")
 def small_world():

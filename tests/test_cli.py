@@ -244,6 +244,18 @@ class TestDispatchErrors:
             echoes.append((out / "config.json").read_bytes())
         assert echoes[0] == echoes[1]
 
+    def test_a_null_subcommand_in_a_config_is_absent(self, tmp_path):
+        """{"subcommand": null} runs as a config without the key, as a null flag value does."""
+        echoes = []
+        for name, config in (("null", {"subcommand": None}), ("absent", {})):
+            (tmp_path / f"{name}.json").write_text(json.dumps({**config, "states": 12}))
+            out = tmp_path / name
+            code = run("synth", "--config", tmp_path / f"{name}.json", "--trajectories", 40,
+                       "--out", out)
+            assert code == 0
+            echoes.append((out / "config.json").read_bytes())
+        assert echoes[0] == echoes[1]
+
     def test_a_config_wrapped_in_cli_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"cli": {"states": 5}}')

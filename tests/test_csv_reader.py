@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import traced_peak
 from oracles import reference_write_table
 
-from consensus_irl import SchemaError, SubjectRecords, TrajectorySet, regroup_demographics
+from consensus_irl import (
+    PopulationConfig, SchemaError, SubjectRecords, TrajectorySet, generate_population,
+    generate_world, regroup_demographics,
+)
 from consensus_irl.ingest import load_records_csv, read_prepared_csv, write_prepared_csv
 from consensus_irl.prune import read_scores_csv
 from consensus_irl.synth import read_labels_csv
@@ -142,6 +146,80 @@ def test_labels_name_each_id_once(tmp_path):
     with pytest.raises(SchemaError) as exc:
         read_labels_csv(path)
     assert str(exc.value) == f"{path}: trajectory t0: more than one row"
+
+
+# --------------------------------------------------- text cells parsed as codes
+
+
+def test_owners_come_in_sorted_order_whatever_order_they_first_appear_in(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("trajectory_id,step,state,action,next_state,sex\n"
+                    "b,0,1,0,2,f\na10,0,2,1,3,m\na9,0,3,0,1,\nb,1,2,1,0,f\na,0,0,0,0,m\n")
+    got = TrajectorySet.from_csv(path)
+    assert got.ids == ["a", "a10", "a9", "b"]
+    assert got.lengths.tolist() == [1, 1, 1, 2]
+    assert got.triples.tolist() == [[0, 0, 0], [2, 1, 3], [3, 0, 1], [1, 0, 2], [2, 1, 0]]
+    assert got.demographics["sex"].tolist() == ["m", "m", None, "f"]
+
+
+def test_quoted_ids_and_the_empty_id_read_as_written(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('trajectory_id,step,state,action,next_state\n'
+                    '"x,y",0,0,0,1\n"say ""hi""",0,1,0,0\n\u00e9,0,0,0,0\n,0,1,0,1\n'
+                    '"x,y",1,1,0,0\n', encoding="utf-8")
+    got = TrajectorySet.from_csv(path)
+    assert got.ids == ["", 'say "hi"', "x,y", "\u00e9"]
+    assert got.lengths.tolist() == [1, 1, 2, 1]
+    again = tmp_path / "again.csv"
+    got.to_csv(again)
+    assert TrajectorySet.from_csv(again).ids == got.ids
+
+
+RECORDS = "subject_id,timestamp,hr,vasopressors,sex,died_in_hospital\n"
+
+
+def _records(path):
+    return load_records_csv(path, ["hr"], ["vasopressors"], ["sex"])
+
+
+def test_a_bad_flag_after_good_ones_names_the_first_bad_row_in_file_order(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(RECORDS + "p2,0,70,1,f,0\np2,1,71,,f,0\np3,0,72,yes,m,1\n"
+                    "p1,0,73,0,m,0\np1,1,74,2,m,0\n")
+    with pytest.raises(SchemaError) as exc:
+        _records(path)
+    assert str(exc.value) == f"{path}: subject p3: vasopressors 'yes' is not empty, 0 or 1"
+
+
+def test_text_that_differs_between_an_owners_rows_is_named_in_time_order(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(RECORDS + "p1,0,70,0,m,0\np2,5,71,0,f,0\np2,3,72,1,m,0\n")
+    with pytest.raises(SchemaError) as exc:
+        _records(path)
+    assert str(exc.value) == (
+        f"{path}: subject p2: sex differs between rows ['m', 'f']; a subject has one value"
+    )
+
+
+def test_a_row_with_a_field_too_many_is_named_beside_an_unread_column(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(RECORDS.replace("\n", ",note\n")
+                    + "p1,0,70,0,m,0,a\np2,0,71,1,f,1,b,extra\np2,1,72,0,f,1,c\n")
+    with pytest.raises(SchemaError) as exc:
+        _records(path)
+    assert str(exc.value) == f"{path}: subject p2: a row has 8 fields, not the header's 7"
+
+
+def test_reading_a_trajectory_file_holds_no_str_per_row(tmp_path):
+    """Peak traced memory of TrajectorySet.from_csv per row, on the 40,000 rows of a
+    seeded 100-state population: 164.4 bytes when every owner cell was a str, 96.9
+    with the owner column parsed as codes."""
+    world = generate_world(100, 4, 5, seed=3, horizon=20)
+    config = PopulationConfig(n_trajectories=2000, corrupted_fraction=0.3, seed=3)
+    path = tmp_path / "trajectories.csv"
+    generate_population(world, config).trajectories.to_csv(path)
+    assert TrajectorySet.from_csv(path).lengths.sum() == 40_000
+    assert traced_peak(lambda: TrajectorySet.from_csv(path)) < 128 * 40_000
 
 
 # text a CSV has to quote, or that a reader could take for a comment

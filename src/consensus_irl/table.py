@@ -19,10 +19,10 @@ Cells whose text repeats are parsed as codes: the owner ids, text, flag and
 optional-number columns and the columns nobody reads come out of np.loadtxt as
 int64 codes of their distinct texts, numbered in order of first appearance by
 the C-level __getitem__ of a dict (_Codes). A column then holds one str per
-distinct cell, not one per row: the 400k-row trajectory file of a 20k-id world
-reads with 41 % less traced memory and about 30 % less time. Each kind converts
-a column's distinct texts once and its rows gather the result by code; the
-owners are numbered from their sorted distinct ids.
+distinct cell, not one per row. Each kind converts a column's distinct texts
+once and its rows gather the result by code; the owners are numbered from their
+sorted distinct ids. Every column returned is its own contiguous array, in
+owner then sort order, whatever order the file's rows come in.
 
 write_table writes every CSV the package makes, the same bytes csv.writer
 would, from whole columns. An integer array's cells come from one table of
@@ -147,6 +147,7 @@ def read_table(
                 table = np.loadtxt(
                     fh, dtype=fields, delimiter=",", comments=None, quotechar='"', ndmin=1,
                     converters={j: texts.__getitem__ for j, texts in codes.items()},
+                    encoding=None,  # numpy 1.x's default, 'bytes', hands converters bytes, not str
                 )
         except ValueError as exc:
             raise _bad_cell(path, header, kinds, owner, exc) from None
@@ -170,8 +171,9 @@ def read_table(
     if one_row and (lengths > 1).any():
         raise SchemaError(f"{path}: {label} {ids[np.argmax(lengths > 1)]}: more than one row")
     order = np.lexsort((columns[sort_by], who) if sort_by else (who,))
-    if (order != np.arange(len(order))).any():  # rows already in order are not copied
-        who, columns = who[order], {c: v[order] for c, v in columns.items()}
+    who = who[order]
+    for column, values in columns.items():  # one at a time: each old copy goes when replaced
+        columns[column] = values[order]
     shared = {c: columns.pop(c) for c in list(columns) if kinds[c] is TEXT or c in owned}
     for column, value in shared.items():
         differs = (who[1:] == who[:-1]) & (value[1:] != value[:-1])

@@ -108,21 +108,30 @@ def estimate_transitions(trajectories: TrajectorySet, n_states=None, n_actions=N
     (s, a) pairs never observed get a deterministic self-loop P(s, a, s) = 1,
     which keeps unseen actions reward-neutral relative to the current state.
     No smoothing is applied to observed rows.
+
+    The kernel is built with no copy of its size beyond the counts: one
+    np.bincount of a single int64 (s, a, s') cell index counts the
+    transitions, and one np.divide writes count / visits into the kernel. An
+    unseen row's counts are all 0, so its divisor may be 1; every other cell
+    is the division it always was, to the bit.
     """
     n_states = n_states if n_states is not None else trajectories.n_states
     n_actions = n_actions if n_actions is not None else trajectories.n_actions
     trajectories.require_space(n_states, n_actions)
     s, a, sp = trajectories.triples.T
-    counts = np.bincount(
-        (s * n_actions + a) * n_states + sp, minlength=n_states * n_actions * n_states
-    ).reshape(n_states, n_actions, n_states).astype(float)
+    cell = s * n_actions  # (s * A + a) * S + s', built in place
+    cell += a
+    cell *= n_states
+    cell += sp
+    shape = (n_states, n_actions, n_states)
+    counts = np.bincount(cell, minlength=n_states * n_actions * n_states).reshape(shape)
+    del cell
     visit = counts.sum(axis=2)
-    probs = np.zeros_like(counts)
-    seen = visit > 0
-    probs[seen] = counts[seen] / visit[seen, None]
-    unseen_s, unseen_a = np.nonzero(~seen)
+    probs = np.divide(counts, np.maximum(visit, 1)[:, :, None])
+    del counts
+    unseen_s, unseen_a = np.nonzero(visit == 0)
     probs[unseen_s, unseen_a, unseen_s] = 1.0
-    return TransitionModel(probs, visit.astype(np.int64))
+    return TransitionModel(probs, visit)
 
 
 def expected_reward_table(model: TransitionModel, reward: RewardModel) -> np.ndarray:

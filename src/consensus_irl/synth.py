@@ -267,7 +267,8 @@ def _boltzmann(q: np.ndarray, beta: float) -> np.ndarray:
 def _cdf_rows(p: np.ndarray) -> np.ndarray:
     """Each row's cumulative table as numpy's Generator.choice builds it."""
     cdf = np.cumsum(p, axis=-1)
-    return cdf / cdf[..., -1:]
+    cdf /= cdf[..., -1:]  # numpy buffers the overlapping last column, so this is cdf / total
+    return cdf
 
 
 def _inverse_cdf(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -275,14 +276,16 @@ def _inverse_cdf(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray
 
     choice returns searchsorted(cdf, u, side="right"): the number of entries
     of the non-decreasing row that are <= u. A binary search over all rows at
-    once finds that count with no temporary wider than len(rows).
+    once finds that count with no temporary wider than len(rows), each probe
+    one take from the flat table.
     """
     width = cdf.shape[1]
+    flat, before = cdf.ravel(), rows * width - 1  # flat[before + j] is cdf[rows, j - 1]
     count = np.zeros(len(rows), dtype=np.int64)
     step = 1 << (width.bit_length() - 1)
     while step:
         probe = np.minimum(count + step, width)
-        count = np.where(cdf[rows, probe - 1] <= u, probe, count)
+        count = np.where(flat.take(before + probe) <= u, probe, count)
         step >>= 1
     return count
 
@@ -361,6 +364,9 @@ def _spawned_uniforms(seed: int, keys: np.ndarray, k: int) -> np.ndarray:
     return out.T
 
 
+_SAMPLE_BLOCK = 4096  # trajectories sampled together
+
+
 def generate_population(world: SyntheticWorld, config: PopulationConfig) -> LabeledPopulation:
     """Sample a mixed expert population with ground-truth corruption labels.
 
@@ -376,11 +382,15 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     child), in order s0, then a_t and s_{t+1} for each step t, and turns each
     into a value by the inverse CDF of numpy's Generator.choice. Every
     trajectory thus gets exactly what one rng.choice(n, p=...) call per draw
-    would give it, while all N advance together one step at a time.
+    would give it, while a block of _SAMPLE_BLOCK trajectories advances
+    together one step at a time. Each block draws only its own children's
+    uniforms, so what sampling holds beyond the result is one block's draws,
+    not N's, and since every trajectory has its own stream the blocks change
+    no value.
 
-    The N trajectory streams are not made by N default_rng calls:
+    The trajectory streams are not made by one default_rng call each:
     _spawned_uniforms runs SeedSequence's integer hash and PCG64's 128-bit
-    recurrence over all children at once, in uint32 and uint64 arrays. A spawn
+    recurrence over a block's children at once, in uint32 and uint64 arrays. A spawn
     key then has to fit one uint32 word, which holds for any population that
     fits in memory. Those recurrences are numpy's, not ours, so
     tests/test_synth.py's oracle checks the stream bit for bit against the
@@ -404,18 +414,23 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     bad = np.zeros(n, dtype=bool)
     bad[np.random.default_rng(member_ss).permutation(n)[:n_corrupt]] = True
 
-    uniforms = _spawned_uniforms(int(config.seed), np.arange(2, n + 2), 1 + 2 * horizon)
     # policy rows: the expert's for states 0..S-1, then the corrupted policy's
     policy_cdf = _cdf_rows(np.concatenate([expert_policy, bad_policy]))
     step_cdf = _cdf_rows(world.probs).reshape(n_states * n_actions, n_states)
-    s = _inverse_cdf(_cdf_rows(world.initial_distribution[None]), np.zeros(n, int), uniforms[:, 0])
+    start_cdf = _cdf_rows(world.initial_distribution[None])
     triples = np.empty((n, horizon, 3), dtype=np.int64)
-    for t in range(horizon):
-        a = _inverse_cdf(policy_cdf, bad * n_states + s, uniforms[:, 1 + 2 * t])
-        sp = _inverse_cdf(step_cdf, s * n_actions + a, uniforms[:, 2 + 2 * t])
-        triples[:, t, 0], triples[:, t, 1], triples[:, t, 2] = s, a, sp
-        s = sp
-    died = world.rewards[s] <= DEATH_REWARD_CUTOFF
+    last = np.empty(n, dtype=np.int64)  # each trajectory's final state
+    for lo in range(0, n, _SAMPLE_BLOCK):
+        hi = min(lo + _SAMPLE_BLOCK, n)
+        uniforms = _spawned_uniforms(int(config.seed), np.arange(lo + 2, hi + 2), 1 + 2 * horizon)
+        s = _inverse_cdf(start_cdf, np.zeros(hi - lo, int), uniforms[:, 0])
+        for t in range(horizon):
+            a = _inverse_cdf(policy_cdf, bad[lo:hi] * n_states + s, uniforms[:, 1 + 2 * t])
+            sp = _inverse_cdf(step_cdf, s * n_actions + a, uniforms[:, 2 + 2 * t])
+            triples[lo:hi, t, 0], triples[lo:hi, t, 1], triples[lo:hi, t, 2] = s, a, sp
+            s = sp
+        last[lo:hi] = s
+    died = world.rewards[last] <= DEATH_REWARD_CUTOFF
 
     tag_uniforms = np.random.default_rng(demo_ss).random((n, len(config.demographics)))
     demographics = {}

@@ -2,9 +2,9 @@
 
 Trajectories, raw records, prepared rows, scores and labels are CSVs whose
 owner column (trajectory_id or subject_id) groups the rows. read_table parses
-one with a single np.loadtxt call, numbers the owners in sorted id order,
-whatever order their rows come in, sorts each owner's rows, and checks that the
-columns holding one value per owner agree on all of its rows. One grammar per
+one with np.loadtxt, numbers the owners in sorted id order, whatever order
+their rows come in, sorts each owner's rows, and checks that the columns
+holding one value per owner agree on all of its rows. One grammar per
 kind of cell: an integer is what np.loadtxt reads into int64 (ASCII digits, an
 optional sign and surrounding whitespace, within int64) and a number what it
 reads into float64; a finite number is a finite such float, and an optional one
@@ -23,6 +23,13 @@ distinct cell, not one per row. Each kind converts a column's distinct texts
 once and its rows gather the result by code; the owners are numbered from their
 sorted distinct ids. Every column returned is its own contiguous array, in
 owner then sort order, whatever order the file's rows come in.
+
+The rows are parsed _READ_BLOCK at a time, each np.loadtxt call reading on
+from the same handle, and copied into columns allocated once, as long as a
+first binary pass over the file counts line breaks. A read thus holds its
+columns and one block's parse, not a whole-file parse beside them; a column it
+does not read is checked but not kept. After the parse, the owners' numbers,
+the sort order and one column's sorted copy at a time come beside them.
 
 write_table writes every CSV the package makes, the same bytes csv.writer
 would, from whole columns. An integer array's cells come from one table of
@@ -113,6 +120,9 @@ class Table(NamedTuple):
     owned: dict
 
 
+_READ_BLOCK = 4096  # rows parsed per np.loadtxt call
+
+
 def read_table(
     path, owner: str, kinds: dict, rest: Kind | None = None, optional=None, owned=(),
     sort_by=None, one_row=False,
@@ -126,6 +136,7 @@ def read_table(
     kept in file order; with one_row, an owner may have only one. Errors name
     the owner by its column without `_id`.
     """
+    bound = _line_breaks(path)  # a row takes at least one line, the header another
     with open(path, newline="", encoding="utf-8") as fh:
         header = next((row for row in csv.reader(fh) if row), None)
         if header is None:
@@ -139,41 +150,58 @@ def read_table(
         fields = [
             (f"c{j}", np.int64 if j in codes else kinds[c].dtype) for j, c in enumerate(header)
         ]
+        at = {c: j for j, c in enumerate(header)}  # a repeated column reads as its last copy
+        # each column read is allocated once; the blocks are copied into it
+        parsed = {j: np.empty(bound, fields[j][1]) for c, j in at.items() if kinds[c]}
+        converters = {j: texts.__getitem__ for j, texts in codes.items()}
+        n_rows = 0
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
                 # numpy releases that truncate "2.7" into an int64 warn: make that raise
                 warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-                table = np.loadtxt(
-                    fh, dtype=fields, delimiter=",", comments=None, quotechar='"', ndmin=1,
-                    converters={j: texts.__getitem__ for j, texts in codes.items()},
-                    encoding=None,  # numpy 1.x's default, 'bytes', hands converters bytes, not str
-                )
+                while True:  # each call reads on from where the last one stopped
+                    block = np.loadtxt(
+                        fh, dtype=fields, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                        converters=converters,
+                        encoding=None,  # numpy 1.x's default, 'bytes', hands converters bytes
+                        max_rows=_READ_BLOCK,  # blank lines do not count toward it
+                    )
+                    for j, values in parsed.items():
+                        values[n_rows : n_rows + len(block)] = block[f"c{j}"]
+                    n_rows += len(block)
+                    if len(block) < _READ_BLOCK:
+                        break
         except ValueError as exc:
             raise _bad_cell(path, header, kinds, owner, exc) from None
-    at = {c: j for j, c in enumerate(header)}  # a repeated column reads as its last copy
+    parsed = {j: values[:n_rows] for j, values in parsed.items()}
+    owner_codes = parsed.pop(at[owner])
     columns = {}
     for column, j in at.items():
-        kind, texts = kinds[column], codes.get(j)
-        if kind and column != owner:
-            # a coded column converts each distinct text once; its rows gather by code
-            parsed = table[f"c{j}"] if texts is None else np.array(list(texts), dtype=object)
-            values = kind.convert(parsed)
+        if j in parsed:  # a coded column converts each distinct text once; its rows gather by code
+            texts = codes.get(j)
+            values = kinds[column].convert(
+                parsed.pop(j) if texts is None else np.array(list(texts), dtype=object)
+            )
             if values is None:
                 raise _bad_cell(path, header, kinds, owner, f"a bad {column} cell")
-            columns[column] = values if texts is None else values[table[f"c{j}"]]
+            columns[column] = values if texts is None else values[parsed.pop(j)]
 
     # the owners numbered in sorted id order, from their distinct ids
     label, distinct = owner.removesuffix("_id"), list(codes[at[owner]])
     ranked = sorted(range(len(distinct)), key=distinct.__getitem__)
-    ids, who = [distinct[i] for i in ranked], np.argsort(ranked)[table[f"c{at[owner]}"]]
+    ids, who = [distinct[i] for i in ranked], np.argsort(ranked)[owner_codes]
+    del owner_codes
     lengths = np.bincount(who, minlength=len(ids))
     if one_row and (lengths > 1).any():
         raise SchemaError(f"{path}: {label} {ids[np.argmax(lengths > 1)]}: more than one row")
     order = np.lexsort((columns[sort_by], who) if sort_by else (who,))
-    who = who[order]
-    for column, values in columns.items():  # one at a time: each old copy goes when replaced
-        columns[column] = values[order]
+    del who
+    for column in columns:  # one at a time: each old copy goes when replaced
+        columns[column] = columns[column][order]
+    del order
+    who = np.repeat(np.arange(len(ids)), lengths)  # each row's owner, now in owner order
     shared = {c: columns.pop(c) for c in list(columns) if kinds[c] is TEXT or c in owned}
     for column, value in shared.items():
         differs = (who[1:] == who[:-1]) & (value[1:] != value[:-1])
@@ -185,6 +213,20 @@ def read_table(
             )
     firsts = np.cumsum(lengths) - lengths
     return Table(ids, lengths, columns, {c: v[firsts] for c, v in shared.items()})
+
+
+def _line_breaks(path) -> int:
+    """How many line breaks the file holds, a CR LF, a lone CR or a lone LF each
+    counting one, as the reader splits lines: one binary pass, 256 KiB at a time."""
+    count, cr_last = 0, False
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 18), b""):
+            text = np.frombuffer(chunk, dtype=np.uint8)
+            cr, lf = text == 13, text == 10
+            count += np.count_nonzero(cr) + np.count_nonzero(lf)
+            count -= np.count_nonzero(cr[:-1] & lf[1:]) + (cr_last and lf[0])
+            cr_last = cr[-1]
+    return int(count)
 
 
 def _accepts(kind: Kind, cell: str) -> bool:

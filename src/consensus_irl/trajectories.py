@@ -88,23 +88,25 @@ class TrajectorySet:
         chained = np.ones(len(triples), dtype=bool)
         chained[1:] = triples[1:, 0] == triples[:-1, 2]
         chained[self.offsets] = True
-        self._reject(~chained[:, None], "triples do not chain")
+        self._reject(~chained, "triples do not chain")
         self._reject(triples < 0, "negative state/action id")
         self.require_space(self.n_states, self.n_actions, SchemaError)
 
     def require_space(self, n_states, n_actions=None, error=ParameterError) -> None:
         """Raise `error` if a state (or action) id does not fit the given space."""
-        bad = self.triples[:, [0, 2]] >= n_states
-        self._reject(bad, f"state id out of range for {n_states} states", error)
+        s, a, sp = self.triples.T  # views of the id columns, not copies
+        self._reject((s >= n_states) | (sp >= n_states),
+                     f"state id out of range for {n_states} states", error)
         if n_actions is not None:
-            bad = self.triples[:, [1]] >= n_actions
-            self._reject(bad, f"action id out of range for {n_actions} actions", error)
+            self._reject(a >= n_actions, f"action id out of range for {n_actions} actions", error)
 
     def _reject(self, bad, message, error=SchemaError) -> None:
-        """Raise `error` naming the trajectory of the first row flagged in `bad`."""
-        rows = np.flatnonzero(bad.any(axis=1))
-        if rows.size:
-            owner = int(np.searchsorted(self.offsets, rows[0], side="right")) - 1
+        """Raise `error` naming the trajectory of the first row flagged in `bad`,
+        a mask of the rows of triples or of their cells."""
+        flagged = np.flatnonzero(bad)
+        if flagged.size:
+            row = flagged[0] // (bad.size // len(bad))  # a flat index over the row width
+            owner = int(np.searchsorted(self.offsets, row, side="right")) - 1
             raise error(f"trajectory {self.ids[owner]}: {message}")
 
     def __len__(self) -> int:
@@ -203,10 +205,12 @@ class TrajectorySet:
         )
         if not table.ids:
             raise SchemaError(f"{path}: no trajectories")
-        step, state, action, next_state = (table.columns[c] for c in _CORE_COLUMNS[1:])
-        lengths = table.lengths
+        columns, lengths = table.columns, table.lengths
         offsets = np.cumsum(lengths) - lengths
-        wrong = step != np.arange(len(step)) - np.repeat(offsets, lengths)
+        step = columns.pop("step")
+        step += np.repeat(offsets, lengths)  # a right step plus its trajectory's offset is its row
+        wrong = step != np.arange(len(step))
+        del step
         if wrong.any():
             i = int(np.searchsorted(offsets, np.argmax(wrong), side="right")) - 1
             raise SchemaError(
@@ -214,7 +218,9 @@ class TrajectorySet:
             )
         tags = dict(table.owned)
         died = tags.pop(_DEATH_COLUMN, None)
-        triples = np.stack([state, action, next_state], axis=1)
+        triples = np.empty((len(wrong), 3), dtype=np.int64)
+        for j, column in enumerate(_CORE_COLUMNS[2:]):  # each column goes once it is copied
+            triples[:, j] = columns.pop(column)
         try:
             return cls(triples, lengths, table.ids, n_states, n_actions, tags, died)
         except SchemaError as exc:

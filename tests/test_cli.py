@@ -1226,6 +1226,26 @@ def prepared_rows(path, n_rows):
     return path
 
 
+def lingering_rows(path):
+    """A prepared CSV on which the first sga step at --lr0 1e308 overflows theta.
+
+    Six subjects stay their eight steps in one vitals cluster under action 0;
+    a seventh leaves it under action 1 for a second cluster and stays there.
+    A uniform policy leaves the first cluster half the time, so at k = 2 the
+    data visit it 5.0078125 times per trajectory more than the model does,
+    and 1e308 times that gradient is not a float, under any rounding of the
+    soft backward pass.
+    """
+    lines = ["subject_id,timestamp,heart_rate,mean_bp,action,died_in_hospital"]
+    for i in range(7):
+        for t in range(8):
+            left = i == 6 and t > 0
+            hr, bp = (140, 50) if left else (60, 80)
+            lines.append(f"s{i},{t},{hr}.{i},{bp}.{t},{int(i == 6 and t == 0)},0")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def ingest_into(out, clinical_inputs, records=None):
     """Run ingest on the clinical inputs, with records in place of their records.csv."""
     given, normals, bounds = clinical_inputs
@@ -1242,11 +1262,11 @@ class TestNumericFailure:
         ("pipeline", "--trajectories"), ("pipeline", "--prepared"), ("sweep", "--trajectories"),
     ])
     def test_a_diverging_fit_leaves_no_run_directory(
-        self, synth_dir, clinical_inputs, tmp_path, capsys, command, source
+        self, synth_dir, tmp_path, capsys, command, source
     ):
         if source == "--prepared":
-            prepared = ingest_into(tmp_path / "ingest", clinical_inputs)
-            inputs = ["--prepared", prepared, *CLINICAL_FEATURES, "--k", 3, "--min-size", 1]
+            prepared = lingering_rows(tmp_path / "prepared.csv")
+            inputs = ["--prepared", prepared, *CLINICAL_FEATURES, "--k", 2, "--min-size", 1]
         else:
             inputs = ["--trajectories", synth_dir / "trajectories.csv"]
         out = tmp_path / "run"
@@ -1256,17 +1276,17 @@ class TestNumericFailure:
         assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
         assert not out.exists()
 
-    def test_an_overflowing_step_prints_only_the_error_line(self, clinical_inputs, tmp_path):
+    def test_an_overflowing_step_prints_only_the_error_line(self, tmp_path):
         """The step that overflows theta raises no numpy warning before the error line."""
-        prepared = ingest_into(tmp_path / "ingest", clinical_inputs)
+        prepared = lingering_rows(tmp_path / "prepared.csv")
         states = tmp_path / "states"
-        assert run("cluster", "--prepared", prepared, *CLINICAL_FEATURES, "--k", 3,
+        assert run("cluster", "--prepared", prepared, *CLINICAL_FEATURES, "--k", 2,
                    "--min-size", 1, "--out", states) == 0
         done = python("-m", "consensus_irl.cli", "irl",
                       "--trajectories", states / "trajectories.csv", "--lr0", 1e308,
                       "--epochs", 50, "--out", tmp_path / "irl", check=False)
         assert done.returncode == 2
-        assert done.stderr == "numeric failure: maxent training diverged at epoch 1\n"
+        assert done.stderr == "numeric failure: maxent training diverged at epoch 0\n"
         assert not (tmp_path / "irl").exists()
 
 

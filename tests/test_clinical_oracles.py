@@ -41,8 +41,7 @@ def _chain(rng, length, pick_action):
     return triples
 
 
-@pytest.fixture(scope="module")
-def clinical():
+def clinical_shaped():
     """(set, scoring kernel, reward, policy) for the clinical-shaped set."""
     rng = np.random.default_rng(2024)
     blocks, ids, tags, died = [], [], [], []
@@ -73,6 +72,11 @@ def clinical():
     probs[s, a, sp] = 0.0
     probs[s, a] /= probs[s, a].sum()
     return tset, TransitionModel(probs, kernel.visit_counts), reward, policy
+
+
+@pytest.fixture(scope="module")
+def clinical():
+    return clinical_shaped()
 
 
 def test_set_has_the_clinical_shape(clinical):

@@ -3,7 +3,7 @@ import pytest
 
 import consensus_irl as ci
 
-from conftest import make_set
+from conftest import make_set, traced_peak
 
 
 def tset_from_triples(triple_lists, n_states, n_actions):
@@ -32,6 +32,17 @@ def test_rows_sum_to_one(small_population):
     model = ci.estimate_transitions(small_population.trajectories)
     sums = model.probs.sum(axis=2)
     assert np.abs(sums - 1.0).max() < 1e-9
+
+
+def test_estimating_a_kernel_holds_less_than_three_kernels():
+    """Traced peak of estimate_transitions over the kernel's nbytes, on a seeded
+    100-state, 2,000-trajectory population: 4.23 when the counts were copied to
+    floats and the seen rows gathered, 2.43 with the kernel divided in place."""
+    world = ci.generate_world(100, 4, 5, seed=3, horizon=20)
+    config = ci.PopulationConfig(n_trajectories=2000, corrupted_fraction=0.3, seed=3)
+    tset = ci.generate_population(world, config).trajectories
+    model = ci.estimate_transitions(tset)
+    assert traced_peak(lambda: ci.estimate_transitions(tset)) < 3.0 * model.probs.nbytes
 
 
 def test_expected_reward_table_two_state(two_state):

@@ -369,13 +369,15 @@ def _flagged_count_blocks(totals, m: int, n_permutations: int, seed: int):
 
     Permuting m flags over groups of the given totals leaves the flagged
     counts multivariate hypergeometric, so each (b, k) block is drawn from
-    that distribution directly. A block keeps its (b, k, 2) table stack
-    within _BLOCK_VALUES values. The "marginals" method draws the stream the
-    same way whatever the block size ("count" does not), so the blocks are
-    the draws that one call per permutation would give, in order.
+    that distribution directly. A block's draws and the statistic's
+    temporaries (the (b, k, 2) tables, expected counts, contributions and
+    their masks) come to under 8 b k values, kept within _BLOCK_VALUES. The
+    "marginals" method draws the stream the same way whatever the block size
+    ("count" does not), so the blocks are the draws that one call per
+    permutation would give, in order.
     """
     rng = np.random.default_rng(seed)
-    block = max(1, _BLOCK_VALUES // (2 * len(totals)))
+    block = max(1, _BLOCK_VALUES // (8 * len(totals)))
     for start in range(0, n_permutations, block):
         size = min(block, n_permutations - start)
         yield rng.multivariate_hypergeometric(totals, m, size=size, method="marginals")
@@ -491,8 +493,8 @@ def test_pruning_uniformity(
 
 def _reward_deltas(trajectories: TrajectorySet, reward1, reward2) -> np.ndarray:
     """Each trajectory's mean per-step change in reward over its visited next-states."""
-    sp = trajectories.triples[:, 2]
-    return trajectories.reduce_steps(reward2.rewards[sp] - reward1.rewards[sp], np.mean)
+    delta = reward2.rewards - reward1.rewards  # each step's difference, taken per state
+    return trajectories.reduce_steps(lambda rows: delta[trajectories.triples[rows, 2]], np.mean)
 
 
 def test_reward_loss_disparity(

@@ -247,7 +247,9 @@ def maxent_objective(transitions: TransitionModel, theta, empirical, d0, horizon
     theta = np.asarray(theta, dtype=float)
     policy = soft_backward_pass(transitions, theta, horizon)
     model = expected_state_visitation(transitions, policy, d0)
-    return float(np.dot(theta, empirical - d0) - np.dot(d0, policy.v0)), empirical - model
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite J is the callers' to report
+        objective = float(np.dot(theta, empirical - d0) - np.dot(d0, policy.v0))
+    return objective, empirical - model
 
 
 def _rescale_rewards(theta: np.ndarray) -> tuple[np.ndarray, str]:

@@ -109,29 +109,35 @@ def estimate_transitions(trajectories: TrajectorySet, n_states=None, n_actions=N
     which keeps unseen actions reward-neutral relative to the current state.
     No smoothing is applied to observed rows.
 
-    The kernel is built with no copy of its size beyond the counts: one
-    np.bincount of a single int64 (s, a, s') cell index counts the
-    transitions, and one np.divide writes count / visits into the kernel. An
-    unseen row's counts are all 0, so its divisor may be 1; every other cell
-    is the division it always was, to the bit.
+    The counts are accumulated as floats in the kernel's own array, one block
+    of trajectories at a time: each block's int64 (s, a, s') cell index is
+    added in with np.add.at, so no set-sized index and no integer copy of
+    the kernel sit beside it. Counts are exact integers in float64, and one
+    in-place division by max(visits, 1) makes each seen cell the division
+    count / visits always was, to the bit; an unseen row's counts are all 0.
     """
     n_states = n_states if n_states is not None else trajectories.n_states
     n_actions = n_actions if n_actions is not None else trajectories.n_actions
     trajectories.require_space(n_states, n_actions)
-    s, a, sp = trajectories.triples.T
-    cell = s * n_actions  # (s * A + a) * S + s', built in place
-    cell += a
-    cell *= n_states
-    cell += sp
-    shape = (n_states, n_actions, n_states)
-    counts = np.bincount(cell, minlength=n_states * n_actions * n_states).reshape(shape)
-    del cell
-    visit = counts.sum(axis=2)
-    probs = np.divide(counts, np.maximum(visit, 1)[:, :, None])
-    del counts
+    probs = np.zeros((n_states, n_actions, n_states))
+    flat = probs.reshape(-1)  # a view: the counts go straight into the kernel
+    for _, rows in trajectories.blocks():  # each block's index goes before the next is built
+        np.add.at(flat, _cell_index(trajectories.triples[rows], n_states, n_actions), 1.0)
+    visit = probs.sum(axis=2)
+    probs /= np.maximum(visit, 1.0)[:, :, None]
     unseen_s, unseen_a = np.nonzero(visit == 0)
     probs[unseen_s, unseen_a, unseen_s] = 1.0
     return TransitionModel(probs, visit)
+
+
+def _cell_index(triples, n_states: int, n_actions: int) -> np.ndarray:
+    """(s * A + a) * S + s' of each triple, the flat index of its kernel cell, built in place."""
+    s, a, sp = triples.T
+    cell = s * n_actions
+    cell += a
+    cell *= n_states
+    cell += sp
+    return cell
 
 
 def expected_reward_table(model: TransitionModel, reward: RewardModel) -> np.ndarray:

@@ -100,10 +100,16 @@ def _log_likelihoods(trajectories, policy, transitions):
     on-policy steps gets 0.0 (the empty product), emulating the indicator
     formula as written.
     """
-    s, a, sp = trajectories.triples.T
-    on_policy = policy.actions[s] == a
-    with np.errstate(divide="ignore"):
-        log_p = np.log(transitions.probs[s, a, sp])
+    triples = trajectories.triples
+
+    def on_policy(rows):
+        return policy.actions[triples[rows, 0]] == triples[rows, 1]
+
+    def log_p(rows):
+        s, a, sp = triples[rows].T
+        with np.errstate(divide="ignore"):
+            return np.log(transitions.probs[s, a, sp])
+
     on_policy_steps = trajectories.reduce_steps(on_policy, np.sum)
     return trajectories.reduce_steps(log_p, np.sum, where=on_policy), on_policy_steps == 0
 
@@ -121,9 +127,13 @@ def score_trajectories(
     with math.exp per trajectory (np.exp rounds some values differently).
     The end-state reward is R at the trajectory's final next state.
     """
-    table = expected_reward_table(transitions, reward)
-    s, a = trajectories.triples[:, 0], trajectories.triples[:, 1]
-    loss = trajectories.reduce_steps(table[s, policy.actions[s]] - table[s, a], np.mean)
+    table, triples = expected_reward_table(transitions, reward), trajectories.triples
+
+    def gap(rows):
+        s, a = triples[rows, 0], triples[rows, 1]
+        return table[s, policy.actions[s]] - table[s, a]
+
+    loss = trajectories.reduce_steps(gap, np.mean)
     log_likelihood, off_policy = _log_likelihoods(trajectories, policy, transitions)
     C = np.fromiter(map(math.exp, (-loss).tolist()), dtype=float, count=len(loss))
     end_reward = reward.rewards[trajectories.end_states]

@@ -71,9 +71,9 @@ class SyntheticWorld:
             "seed": self.seed,
         }
         with open(path, "w") as fh:
-            # the bytes of json.dumps with every array as its tolist(), built
+            # the bytes of json.dumps with every array as its tolist(), written
             # one innermost row at a time
-            fh.write(_json_text(payload))
+            _write_json(fh, payload)
 
     @classmethod
     def from_json(cls, path) -> "SyntheticWorld":
@@ -103,15 +103,25 @@ class _Floats(dict):
         return value
 
 
-def _json_text(value) -> str:
-    """json.dumps(value) for a dict of plain values and arrays, each array as its
-    tolist(). json.dumps encodes one innermost row at a time, so no more than one
-    row exists as Python numbers: a whole 400-state kernel would be 640k floats."""
+def _write_json(fh, value) -> None:
+    """Write json.dumps(value) for a dict of plain values and arrays, each array as
+    its tolist(). json.dumps encodes one innermost row at a time, and each row's
+    text is written as it is made, so neither the kernel's 640k floats (at 400
+    states) nor the file's text is ever whole in memory."""
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, np.ndarray) and value.ndim > 1:
-        return "[" + ", ".join(map(_json_text, value)) + "]"
-    return json.dumps(value.tolist() if isinstance(value, np.ndarray) else value)
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(fh, item)
+        fh.write("}")
+    elif isinstance(value, np.ndarray) and value.ndim > 1:
+        fh.write("[")
+        for i, row in enumerate(value):
+            fh.write(", " if i else "")
+            _write_json(fh, row)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
 
 
 @dataclass
@@ -267,7 +277,9 @@ def _boltzmann(q: np.ndarray, beta: float) -> np.ndarray:
 def _cdf_rows(p: np.ndarray) -> np.ndarray:
     """Each row's cumulative table as numpy's Generator.choice builds it."""
     cdf = np.cumsum(p, axis=-1)
-    cdf /= cdf[..., -1:]  # numpy buffers the overlapping last column, so this is cdf / total
+    # the totals copied out: dividing by a view of cdf's own last column would
+    # make numpy buffer a whole copy of the table
+    cdf /= cdf[..., -1:].copy()
     return cdf
 
 
@@ -416,20 +428,7 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
 
     # policy rows: the expert's for states 0..S-1, then the corrupted policy's
     policy_cdf = _cdf_rows(np.concatenate([expert_policy, bad_policy]))
-    step_cdf = _cdf_rows(world.probs).reshape(n_states * n_actions, n_states)
-    start_cdf = _cdf_rows(world.initial_distribution[None])
-    triples = np.empty((n, horizon, 3), dtype=np.int64)
-    last = np.empty(n, dtype=np.int64)  # each trajectory's final state
-    for lo in range(0, n, _SAMPLE_BLOCK):
-        hi = min(lo + _SAMPLE_BLOCK, n)
-        uniforms = _spawned_uniforms(int(config.seed), np.arange(lo + 2, hi + 2), 1 + 2 * horizon)
-        s = _inverse_cdf(start_cdf, np.zeros(hi - lo, int), uniforms[:, 0])
-        for t in range(horizon):
-            a = _inverse_cdf(policy_cdf, bad[lo:hi] * n_states + s, uniforms[:, 1 + 2 * t])
-            sp = _inverse_cdf(step_cdf, s * n_actions + a, uniforms[:, 2 + 2 * t])
-            triples[lo:hi, t, 0], triples[lo:hi, t, 1], triples[lo:hi, t, 2] = s, a, sp
-            s = sp
-        last[lo:hi] = s
+    triples, last = _sample_steps(world, policy_cdf, bad, int(config.seed))
     died = world.rewards[last] <= DEATH_REWARD_CUTOFF
 
     tag_uniforms = np.random.default_rng(demo_ss).random((n, len(config.demographics)))
@@ -451,6 +450,28 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
         died,
     )
     return LabeledPopulation(tset, dict(zip(ids, bad.tolist())))
+
+
+def _sample_steps(world: SyntheticWorld, policy_cdf, bad, seed: int):
+    """Every trajectory's (horizon, 3) triples and its final state, sampled as
+    generate_population describes; the kernel's cumulative table and a block's
+    draws go when it returns, before the set is built."""
+    n, horizon, n_states, n_actions = len(bad), world.horizon, world.n_states, world.n_actions
+    step_cdf = _cdf_rows(world.probs).reshape(n_states * n_actions, n_states)
+    start_cdf = _cdf_rows(world.initial_distribution[None])
+    triples = np.empty((n, horizon, 3), dtype=np.int64)
+    last = np.empty(n, dtype=np.int64)  # each trajectory's final state
+    for lo in range(0, n, _SAMPLE_BLOCK):
+        hi = min(lo + _SAMPLE_BLOCK, n)
+        uniforms = _spawned_uniforms(seed, np.arange(lo + 2, hi + 2), 1 + 2 * horizon)
+        s = _inverse_cdf(start_cdf, np.zeros(hi - lo, int), uniforms[:, 0])
+        for t in range(horizon):
+            a = _inverse_cdf(policy_cdf, bad[lo:hi] * n_states + s, uniforms[:, 1 + 2 * t])
+            sp = _inverse_cdf(step_cdf, s * n_actions + a, uniforms[:, 2 + 2 * t])
+            triples[lo:hi, t, 0], triples[lo:hi, t, 1], triples[lo:hi, t, 2] = s, a, sp
+            s = sp
+        last[lo:hi] = s
+    return triples, last
 
 
 def policy_value(world: SyntheticWorld, actions: np.ndarray, horizon: int | None = None) -> float:

@@ -26,24 +26,33 @@ owner then sort order, whatever order the file's rows come in.
 
 The rows are parsed _READ_BLOCK at a time, each np.loadtxt call reading on
 from the same handle, and copied into columns allocated once, as long as a
-first binary pass over the file counts line breaks. A read thus holds its
-columns and one block's parse, not a whole-file parse beside them; a column it
-does not read is checked but not kept. After the parse, the owners' numbers,
-the sort order and one column's sorted copy at a time come beside them.
+first binary pass over the file counts line breaks; once parsed, each column
+shrinks in place to the rows read (ndarray.resize, no copy). A read thus holds
+its columns and one block's parse, not a whole-file parse beside them; a column
+it does not read is checked but not kept. Columns named in stack (the
+trajectory triples) are parsed straight into one (n, k) array. After the
+parse come the owners' numbers and, unless the rows already come in (owner,
+sort key) order (_in_order: owner numbers never decrease, and within an owner
+the key never does), the sort order and one column's sorted copy at a time.
+Rows already in that order are where a stable sort would leave them, so
+skipping it gives the same table; the package's own writers write every file
+in that order.
 
-write_table writes every CSV the package makes, the same bytes csv.writer
-would, from whole columns. An integer array's cells come from one table of
-decimal strings: of every value from its least to its greatest when that range
-is shorter than the column (states, actions, steps, flags), so a cell is one
-subtraction and one lookup away with no sort; otherwise of its distinct values
-(np.unique), since a timestamp column can span 1e9. A bool array's cells are 0
-and 1, as BINARY reads them. A float array's cells are the repr of each value.
-Any other column holds text or None, and each distinct value is quoted once by
-csv's own rule (quotes around a cell holding a comma, a quote, CR or LF, with
-its quotes doubled), None being an empty cell. Rows are joined into text 512 at
-a time (_BLOCK): a block's cell strings are what the writer holds beyond the
-columns, and at 4,096 rows of a scores table they raised a small pipeline's
-peak memory by most of a MiB.
+write_blocks writes every CSV the package makes, the same bytes csv.writer
+would, from blocks of rows, each block one column per field (write_table: one
+block of whole columns). A block's cells are made from that block alone, as a
+cell's text depends only on its value and kind. An integer array's cells come
+from one table of decimal strings: of every value from its least to its
+greatest when that range is shorter than the column (states, actions, steps,
+flags), so a cell is one subtraction and one lookup away with no sort;
+otherwise of its distinct values (np.unique), since a timestamp column can
+span 1e9. A bool array's cells are 0 and 1, as BINARY reads them. A float
+array's cells are the repr of each value. Any other column holds text or None,
+and each distinct value is quoted once by csv's own rule (quotes around a cell
+holding a comma, a quote, CR or LF, with its quotes doubled), None being an
+empty cell. Rows are joined into text 512 at a time (_BLOCK): a block's cell
+strings are what the writer holds beyond the columns, and at 4,096 rows of a
+scores table they raised a small pipeline's peak memory by most of a MiB.
 """
 
 from __future__ import annotations
@@ -125,7 +134,7 @@ _READ_BLOCK = 4096  # rows parsed per np.loadtxt call
 
 def read_table(
     path, owner: str, kinds: dict, rest: Kind | None = None, optional=None, owned=(),
-    sort_by=None, one_row=False,
+    sort_by=None, one_row=False, stack=(),
 ) -> Table:
     """Read the CSV at path, grouped by the owner column.
 
@@ -133,8 +142,10 @@ def read_table(
     read if the header has it; every other column has the kind rest, or is
     not read when rest is None. Text columns and those named in owned hold one
     value per owner. Each owner's rows are sorted by the sort_by column, or
-    kept in file order; with one_row, an owner may have only one. Errors name
-    the owner by its column without `_id`.
+    kept in file order; with one_row, an owner may have only one. The required
+    columns named in stack, of one kind that np.loadtxt parses natively, are
+    parsed into one (n, len(stack)) array, columns[stack]. Errors name the
+    owner by its column without `_id`.
     """
     bound = _line_breaks(path)  # a row takes at least one line, the header another
     with open(path, newline="", encoding="utf-8") as fh:
@@ -152,7 +163,11 @@ def read_table(
         ]
         at = {c: j for j, c in enumerate(header)}  # a repeated column reads as its last copy
         # each column read is allocated once; the blocks are copied into it
-        parsed = {j: np.empty(bound, fields[j][1]) for c, j in at.items() if kinds[c]}
+        parsed = {
+            j: np.empty(bound, fields[j][1]) for c, j in at.items() if kinds[c] and c not in stack
+        }
+        stacked = np.empty((bound, len(stack)), kinds[stack[0]].dtype if stack else None)
+        into = {**parsed, **{at[c]: stacked[:, i] for i, c in enumerate(stack)}}
         converters = {j: texts.__getitem__ for j, texts in codes.items()}
         n_rows = 0
         try:
@@ -168,14 +183,16 @@ def read_table(
                         encoding=None,  # numpy 1.x's default, 'bytes', hands converters bytes
                         max_rows=_READ_BLOCK,  # blank lines do not count toward it
                     )
-                    for j, values in parsed.items():
+                    for j, values in into.items():
                         values[n_rows : n_rows + len(block)] = block[f"c{j}"]
                     n_rows += len(block)
                     if len(block) < _READ_BLOCK:
                         break
         except ValueError as exc:
             raise _bad_cell(path, header, kinds, owner, exc) from None
-    parsed = {j: values[:n_rows] for j, values in parsed.items()}
+    del into, block  # no view of a column is left, so each shrinks in place to the rows read
+    for values in [stacked, *parsed.values()]:
+        values.resize((n_rows, *values.shape[1:]), refcheck=False)
     owner_codes = parsed.pop(at[owner])
     columns = {}
     for column, j in at.items():
@@ -187,6 +204,11 @@ def read_table(
             if values is None:
                 raise _bad_cell(path, header, kinds, owner, f"a bad {column} cell")
             columns[column] = values if texts is None else values[parsed.pop(j)]
+    if stack:
+        columns[stack] = kinds[stack[0]].convert(stacked)
+        if columns[stack] is None:
+            raise _bad_cell(path, header, kinds, owner, f"a bad {stack[0]} cell")
+    del stacked
 
     # the owners numbered in sorted id order, from their distinct ids
     label, distinct = owner.removesuffix("_id"), list(codes[at[owner]])
@@ -196,13 +218,14 @@ def read_table(
     lengths = np.bincount(who, minlength=len(ids))
     if one_row and (lengths > 1).any():
         raise SchemaError(f"{path}: {label} {ids[np.argmax(lengths > 1)]}: more than one row")
-    order = np.lexsort((columns[sort_by], who) if sort_by else (who,))
-    del who
-    for column in columns:  # one at a time: each old copy goes when replaced
-        columns[column] = columns[column][order]
-    del order
-    who = np.repeat(np.arange(len(ids)), lengths)  # each row's owner, now in owner order
-    shared = {c: columns.pop(c) for c in list(columns) if kinds[c] is TEXT or c in owned}
+    if not _in_order(who, columns[sort_by] if sort_by else None):
+        order = np.lexsort((columns[sort_by], who) if sort_by else (who,))
+        del who
+        for column in columns:  # one at a time: each old copy goes when replaced
+            columns[column] = columns[column][order]
+        del order
+        who = np.repeat(np.arange(len(ids)), lengths)  # each row's owner, now in owner order
+    shared = {c: columns.pop(c) for c in list(columns) if c in owned or kinds.get(c) is TEXT}
     for column, value in shared.items():
         differs = (who[1:] == who[:-1]) & (value[1:] != value[:-1])
         if differs.any():
@@ -213,6 +236,14 @@ def read_table(
             )
     firsts = np.cumsum(lengths) - lengths
     return Table(ids, lengths, columns, {c: v[firsts] for c, v in shared.items()})
+
+
+def _in_order(who, key) -> bool:
+    """Whether the stable lexsort by owner, then key, would leave every row in place:
+    the owner numbers never decrease, and within an owner the key never does."""
+    if not (who[1:] >= who[:-1]).all():
+        return False
+    return key is None or bool(((who[1:] > who[:-1]) | (key[1:] >= key[:-1])).all())
 
 
 def _line_breaks(path) -> int:
@@ -298,19 +329,35 @@ def write_table(path, header, columns, note=None) -> None:
     """Write a CSV: an optional `# note` line, the header, then one row per
     position of the columns, each cell formatted by its column's kind (see above).
     """
+    _block_rows(path, header, columns)  # a bad table raises before the file is opened
+    write_blocks(path, header, [columns], note)
+
+
+def write_blocks(path, header, blocks, note=None) -> None:
+    """write_table's file from an iterable of blocks of rows, each block one column
+    per header field: the bytes of one call on the blocks' columns joined end to
+    end, as every cell's text depends on its value and kind alone."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if note:
+            fh.write(f"# {note}\n")
+        fh.write(",".join(_cells(header, len(header))(0, len(header))) + "\r\n")  # text cells
+        for columns in blocks:
+            n_rows = _block_rows(path, header, columns)
+            cells = [_cells(column, len(header)) for column in columns]
+            for lo in range(0, n_rows, _BLOCK):
+                hi = min(lo + _BLOCK, n_rows)
+                fh.write("\r\n".join(map(",".join, zip(*(cell(lo, hi) for cell in cells)))))
+                fh.write("\r\n")
+            del columns, cells  # the next block is built once this one is gone
+
+
+def _block_rows(path, header, columns) -> int:
+    """The number of rows of a block of columns; ValueError unless it has one column
+    per header field, all of one length."""
     lengths = {len(column) for column in columns}
     if len(columns) != len(header) or len(lengths) > 1:
         raise ValueError(
             f"{path}: {len(header)} header fields but {len(columns)} columns "
             f"of lengths {sorted(lengths)}; need one column per field, all one length"
         )
-    n_rows = lengths.pop() if lengths else 0
-    cells = [_cells(column, len(header)) for column in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if note:
-            fh.write(f"# {note}\n")
-        fh.write(",".join(_cells(header, len(header))(0, len(header))) + "\r\n")  # text cells
-        for lo in range(0, n_rows, _BLOCK):
-            hi = min(lo + _BLOCK, n_rows)
-            fh.write("\r\n".join(map(",".join, zip(*(cell(lo, hi) for cell in cells)))))
-            fh.write("\r\n")
+    return lengths.pop() if lengths else 0

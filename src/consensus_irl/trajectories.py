@@ -9,12 +9,17 @@ trajectory lacks the tag; and the `died_in_hospital` flags. Every set is
 built from these columns by one constructor, which runs one validation
 routine.
 
-Per-trajectory sums and means go through reduce_steps. It groups the
-trajectories by length and reduces each group's contiguous (n_L, L) block
-along axis 1, so each row is summed exactly as numpy sums a 1-D array of L
-values (pairwise summation, same blocking): the results are bit-identical to
-np.sum / np.mean over each trajectory's slice. np.add.reduceat over the flat
-array adds in another order and differs in the last bits.
+Work that derives a value per step walks the set one block of whole
+trajectories at a time (blocks: at most _STEP_BLOCK rows each, or one longer
+trajectory alone), so no per-step array beside triples grows with the set.
+Per-trajectory sums and means go through reduce_steps, which takes a function
+of a block's row slice. Within a block it groups the trajectories by length
+and reduces each group's contiguous (n_L, L) gather along axis 1, so each row
+is summed exactly as numpy sums a 1-D array of L values (pairwise summation,
+same blocking): the results are bit-identical to np.sum / np.mean over each
+trajectory's slice, whatever the block size. np.add.reduceat over the flat
+array adds in another order and differs in the last bits. to_csv builds its
+per-step columns one block at a time and writes each block as it is built.
 
 A selection of trajectories, such as the retained set of a prune, is a
 bool mask with one entry per trajectory in set order, and subset keeps where
@@ -31,12 +36,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .table import BINARY, INTEGER, TEXT, read_table, write_table
+from .table import BINARY, INTEGER, TEXT, read_table, write_blocks
 
 # fixed leading columns of the trajectory CSV; any extra column except
 # died_in_hospital is treated as a demographic tag
 _CORE_COLUMNS = ("trajectory_id", "step", "state", "action", "next_state")
 _DEATH_COLUMN = "died_in_hospital"
+# rows of whole trajectories per block of per-step work: a block's temporaries
+# stay a few MiB, and a 400k-row set is 7 blocks, as a where-reduction pays one
+# numpy call per block and selected length (16k-row blocks made scoring 30 %
+# slower)
+_STEP_BLOCK = 1 << 16
 
 
 class TrajectorySet:
@@ -134,24 +144,44 @@ class TrajectorySet:
     def demographic_tags(self) -> list[str]:
         return list(self.demographics)
 
-    def reduce_steps(self, values, reduce, where=None) -> np.ndarray:
-        """reduce (np.sum, np.mean, ...) of `values` over each trajectory's steps.
+    def blocks(self):
+        """(trajectories, rows) slice pairs covering the set in order: each block is
+        whole trajectories of at most _STEP_BLOCK rows, or one longer trajectory alone."""
+        ends = self.offsets + self.lengths
+        first = 0
+        while first < len(self):
+            budget = self.offsets[first] + _STEP_BLOCK
+            stop = max(first + 1, int(np.searchsorted(ends, budget, side="right")))
+            yield slice(first, stop), slice(int(self.offsets[first]), int(ends[stop - 1]))
+            first = stop
 
-        values holds one entry per row of triples. The result is bit-identical
-        to reducing each trajectory's slice on its own. With a boolean `where`
-        per row, a trajectory is reduced over its selected steps only, and one
-        with none selected gets 0.0.
+    def reduce_steps(self, values, reduce, where=None) -> np.ndarray:
+        """reduce (np.sum, np.mean, ...) of per-step values over each trajectory's steps.
+
+        values maps a slice of rows of triples to one value per row; it is
+        called once per block. The result is bit-identical to reducing each
+        trajectory's slice on its own. With `where`, a function of the same
+        slice giving one bool per row, a trajectory is reduced over its
+        selected steps only, and one with none selected gets 0.0.
         """
-        values, lengths = np.asarray(values, dtype=float), self.lengths
-        if where is not None:
-            values = values[where]
-            selected = np.concatenate(([0], np.cumsum(where)))
-            lengths = selected[self.offsets + self.lengths] - selected[self.offsets]
-        offsets = np.cumsum(lengths) - lengths
         out = np.zeros(len(self))
-        for length in np.unique(lengths[lengths > 0]):
-            rows = np.flatnonzero(lengths == length)
-            out[rows] = reduce(values[offsets[rows, None] + np.arange(length)], axis=1)
+
+        def reduce_block(owners, rows):  # its temporaries go before the next block's
+            block, lengths = np.asarray(values(rows), dtype=float), self.lengths[owners]
+            if where is not None:
+                keep = where(rows)
+                block = block[keep]
+                selected = np.concatenate(([0], np.cumsum(keep)))
+                starts = self.offsets[owners] - rows.start
+                lengths = selected[starts + lengths] - selected[starts]
+            starts = np.cumsum(lengths) - lengths
+            for length in np.unique(lengths[lengths > 0]):
+                at = np.flatnonzero(lengths == length)
+                gather = starts[at, None] + np.arange(length)
+                out[owners.start + at] = reduce(block[gather], axis=1)
+
+        for owners, rows in self.blocks():
+            reduce_block(owners, rows)
         return out
 
     def require_mask(self, keep) -> np.ndarray:
@@ -177,17 +207,24 @@ class TrajectorySet:
         )
 
     def to_csv(self, path) -> None:
+        """One row per step, each with its trajectory's tags and death flag; the
+        per-step columns are built and written one block at a time."""
         tags = self.demographic_tags()
-        per_step = np.repeat(np.arange(len(self)), self.lengths)
-        columns = [
-            np.asarray(self.ids, dtype=object)[per_step],
-            np.arange(len(self.triples)) - self.offsets[per_step],
-            *self.triples.T,
-            # a missing tag (None) is an empty cell
-            *(self.demographics[t][per_step] for t in tags),
-            self.died_in_hospital[per_step].astype(np.uint8),
-        ]
-        write_table(path, [*_CORE_COLUMNS, *tags, _DEATH_COLUMN], columns)
+        ids = np.asarray(self.ids, dtype=object)
+
+        def columns(owners, rows):
+            lengths = self.lengths[owners]
+            return [
+                np.repeat(ids[owners], lengths),
+                np.arange(rows.start, rows.stop) - np.repeat(self.offsets[owners], lengths),
+                *self.triples[rows].T,
+                # a missing tag (None) is an empty cell
+                *(np.repeat(self.demographics[t][owners], lengths) for t in tags),
+                np.repeat(self.died_in_hospital[owners], lengths).astype(np.uint8),
+            ]
+
+        header = [*_CORE_COLUMNS, *tags, _DEATH_COLUMN]
+        write_blocks(path, header, (columns(*block) for block in self.blocks()))
 
     @classmethod
     def from_csv(cls, path, n_states=None, n_actions=None) -> "TrajectorySet":
@@ -202,6 +239,7 @@ class TrajectorySet:
         table = read_table(
             path, "trajectory_id", dict.fromkeys(_CORE_COLUMNS[1:], INTEGER), rest=TEXT,
             optional={_DEATH_COLUMN: BINARY}, owned=(_DEATH_COLUMN,), sort_by="step",
+            stack=_CORE_COLUMNS[2:],
         )
         if not table.ids:
             raise SchemaError(f"{path}: no trajectories")
@@ -218,9 +256,7 @@ class TrajectorySet:
             )
         tags = dict(table.owned)
         died = tags.pop(_DEATH_COLUMN, None)
-        triples = np.empty((len(wrong), 3), dtype=np.int64)
-        for j, column in enumerate(_CORE_COLUMNS[2:]):  # each column goes once it is copied
-            triples[:, j] = columns.pop(column)
+        triples = columns.pop(_CORE_COLUMNS[2:])  # state, action, next_state, parsed as one array
         try:
             return cls(triples, lengths, table.ids, n_states, n_actions, tags, died)
         except SchemaError as exc:

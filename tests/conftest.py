@@ -49,6 +49,15 @@ def traced_peak(call):
         tracemalloc.stop()
 
 @pytest.fixture(scope="session")
+def rows_400k():
+    """A seeded 100-state set of 20,000 trajectories of 20 steps, the large_world
+    benchmark's 400,000 rows, for the guards on per-step working sets."""
+    world = ci.generate_world(100, 4, 5, seed=3, horizon=20)
+    config = ci.PopulationConfig(n_trajectories=20_000, corrupted_fraction=0.3, seed=3)
+    return ci.generate_population(world, config).trajectories
+
+
+@pytest.fixture(scope="session")
 def small_world():
     return ci.generate_world(20, 3, 4, seed=11, horizon=8)
 

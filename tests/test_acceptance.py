@@ -10,7 +10,9 @@ visible without -s. Run the gate alone with
 
 import itertools
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +42,12 @@ from consensus_irl import (
     train_maxent_irl,
 )
 from consensus_irl.cli import dispatch
+from consensus_irl.discretize import feature_matrix, fit_state_space, trajectories_from_prepared
+from consensus_irl.ingest import (
+    hypotension_codec, load_bounds, load_normal_values, load_records_csv, prepare_subjects,
+)
 from consensus_irl.maxent import SoftPolicy
+from consensus_irl.synth import read_labels_csv
 
 from conftest import make_set
 from oracles import (
@@ -447,5 +454,57 @@ def test_criterion_10_likelihood_hand_examples_and_cutoffs(two_state):
         f"two half-probability on-policy steps score ll == ln 0.25 exactly ({quarter_exact}); "
         f"fully off-policy trajectory yields ll = 0 and is flagged ({anomaly_ok}); "
         f"percentile-50 cutoff keeps {retained_p}, threshold-0.2 keeps {retained_t}",
+    )
+    assert ok
+
+
+def _benchmark_cohort():
+    """perfbench/cohort.py, imported as tools/golden.py does, without writing bytecode
+    next to it."""
+    folder = str(Path(__file__).resolve().parents[1] / "perfbench")
+    writes = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, folder)
+    try:
+        import cohort
+    finally:
+        sys.path.remove(folder)
+        sys.dont_write_bytecode = writes
+    return cohort
+
+
+def test_criterion_11_deviation_pruning_finds_the_erratic_arm(tmp_path):
+    """The clinical benchmark's path at its settings (hypotension codec, k = 80,
+    retain 0.8, every seed = the cohort seed; no tags, which pruning does not
+    read), run in process: the pruned fifth holds mostly erratic-arm subjects,
+    against a fifth of them in a random prune."""
+    cohort, codec = _benchmark_cohort(), hypotension_codec()
+    features, flags, bound, precisions = cohort.FEATURES, sorted(codec.known_flags), 0.40, {}
+    for seed in (1, 2, 3):
+        inputs = tmp_path / f"seed{seed}"
+        cohort.write_cohort(str(inputs), seed)
+        subjects = load_records_csv(inputs / "records.csv", features, flags, [])
+        prepared, _ = prepare_subjects(
+            subjects, load_normal_values(inputs / "normals.json"),
+            load_bounds(inputs / "bounds.json"), codec,
+        )
+        states = fit_state_space(feature_matrix(prepared, features)[0], k=80, seed=seed,
+                                 feature_names=features)
+        tset, _ = trajectories_from_prepared(prepared, states, features)
+        result = run_two_stage(
+            tset, IrlConfig(seed=seed), PruneConfig(retain_fraction=0.8, seed=seed + 2)
+        )
+        labels = read_labels_csv(inputs / "labels.csv")
+        erratic = {t for t, corrupted in labels.items() if corrupted}
+        pruned = [t for t, kept in zip(tset.ids, result.retained.tolist()) if not kept]
+        precisions[seed] = len(erratic.intersection(pruned)) / len(pruned)
+
+    ok = min(precisions.values()) > bound
+    report(
+        11,
+        ok,
+        f"clinical deviation pruning at retain 0.8: precision against the erratic arm "
+        f"above {bound} at every cohort seed",
+        [f"seed {seed}: precision {p:.4f}" for seed, p in precisions.items()],
     )
     assert ok

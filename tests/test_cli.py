@@ -1289,6 +1289,20 @@ class TestNumericFailure:
         assert done.stderr == "numeric failure: maxent training diverged at epoch 0\n"
         assert not (tmp_path / "irl").exists()
 
+    def test_an_overflowing_objective_prints_only_the_error_line(self, tmp_path):
+        """The fit's J overflows before the backward pass fails: no numpy warning
+        comes before the error line."""
+        prepared = prepared_rows(tmp_path / "prepared.csv", 400)
+        out = tmp_path / "run"
+        done = python("-m", "consensus_irl.cli", "pipeline", "--prepared", prepared,
+                      *CLINICAL_FEATURES, "--k", 3, "--min-size", 1, "--lr0", 1e308,
+                      "--epochs", 50, "--out", out, check=False)
+        assert done.returncode == 2
+        assert done.stderr.startswith("numeric failure: ") and done.stderr.count("\n") == 1, (
+            done.stderr
+        )
+        assert not out.exists()
+
 
 class TestRowOrder:
     """Each CSV the CLI reads is the same input in any row order: records, prepared

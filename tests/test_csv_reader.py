@@ -295,6 +295,61 @@ def test_a_bad_cell_in_a_later_block_is_named_as_in_one_block(tmp_path, monkeypa
     assert str(exc.value) == str(whole.value)
 
 
+# rows already in (owner, step) order, with equal steps within a and within c
+IN_ORDER = ["a,0,1.5,,f", "a,1,2.5,1,f", "a,1,3.5,0,f", "b,0,4.5,,m", "c,2,5.5,1,", "c,2,6.5,0,"]
+ORDERS = {
+    "in order": IN_ORDER,
+    # rows moved, each tie kept in its order, as the stable sort keeps it
+    "shuffled": [IN_ORDER[i] for i in (4, 1, 3, 0, 5, 2)],
+    # a's rows grouped but its steps descending
+    "descending": [IN_ORDER[i] for i in (1, 2, 0, 3, 4, 5)],
+}
+
+
+def _spy_in_order(monkeypatch) -> list:
+    """The list to which each read then appends whether it found its rows in order."""
+    from consensus_irl import table
+
+    found, in_order = [], table._in_order
+    monkeypatch.setattr(table, "_in_order", lambda *a: found.append(in_order(*a)) or found[-1])
+    return found
+
+
+def _read_steps(path, lines):
+    from consensus_irl import table
+
+    path.write_text("\n".join(["trajectory_id,step,x,flag,sex", *lines]) + "\n")
+    kinds = {"step": table.INTEGER, "x": table.NUMBER, "flag": table.FLAG, "sex": table.TEXT}
+    return table.read_table(path, "trajectory_id", kinds, sort_by="step")
+
+
+@pytest.mark.parametrize("rows", sorted(ORDERS))
+def test_rows_in_order_read_as_the_sorted_table(tmp_path, monkeypatch, rows):
+    from consensus_irl import table
+
+    monkeypatch.setattr(table, "_in_order", lambda *a: False)  # always the lexsort path
+    sorted_table = _read_steps(tmp_path / "t.csv", IN_ORDER)
+    monkeypatch.undo()
+    found = _spy_in_order(monkeypatch)
+    got = _read_steps(tmp_path / "t.csv", ORDERS[rows])
+    assert found == [rows == "in order"]
+    _same_table(got, sorted_table)
+    assert got.columns["x"].tolist() == [1.5, 2.5, 3.5, 4.5, 5.5, 6.5]
+
+
+@pytest.mark.parametrize("rows", ["in order", "shuffled"])
+def test_triples_are_read_into_one_array_of_their_own(tmp_path, monkeypatch, rows):
+    lines = ["a,0,0,1,2,f,0", "a,1,2,0,1,f,0", "b,0,1,1,1,m,1"]
+    path = tmp_path / "t.csv"
+    path.write_text("trajectory_id,step,state,action,next_state,sex,died_in_hospital\n"
+                    + "\n".join(lines if rows == "in order" else lines[::-1]) + "\n")
+    found = _spy_in_order(monkeypatch)
+    tset = TrajectorySet.from_csv(path)
+    assert found == [rows == "in order"]
+    assert tset.triples.tolist() == [[0, 1, 2], [2, 0, 1], [1, 1, 1]]
+    assert tset.triples.flags.c_contiguous and tset.triples.base is None
+
+
 def test_line_breaks_count_a_cr_lf_split_between_chunks_once(tmp_path):
     from consensus_irl import table
 

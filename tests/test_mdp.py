@@ -45,6 +45,17 @@ def test_estimating_a_kernel_holds_less_than_three_kernels():
     assert traced_peak(lambda: ci.estimate_transitions(tset)) < 3.0 * model.probs.nbytes
 
 
+def test_counting_into_the_kernel_holds_less_than_two_kernels():
+    """The same ratio where the kernel outweighs a block's cell index, 5,000
+    trajectories of a 400-state world: 2.03 with integer counts divided into the
+    kernel, 1.13 with float counts added into it a block at a time."""
+    world = ci.generate_world(400, 4, 5, seed=3, horizon=20)
+    config = ci.PopulationConfig(n_trajectories=5000, corrupted_fraction=0.3, seed=3)
+    tset = ci.generate_population(world, config).trajectories
+    model = ci.estimate_transitions(tset)
+    assert traced_peak(lambda: ci.estimate_transitions(tset)) < 1.8 * model.probs.nbytes
+
+
 def test_expected_reward_table_two_state(two_state):
     transitions, reward = two_state
     table = ci.expected_reward_table(transitions, reward)

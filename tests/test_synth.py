@@ -170,8 +170,9 @@ def test_hand_world_keeps_every_float_bit(tmp_path):
 class TestWorldJsonPeakMemory:
     """A 100-state world's kernel (320 KB) is written and read without one Python
     float per cell. Traced peak over the kernel's nbytes, measured: to_json 13.9
-    through nested lists, 1.55 row by row (the text and its rows); from_json 5.30
-    with a float per cell, 2.86 with one per distinct number."""
+    through nested lists, 1.55 encoded row by row into one text, 0.095 with each
+    row's text written as it is made; from_json 5.30 with a float per cell, 2.86
+    with one per distinct number."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -179,7 +180,7 @@ class TestWorldJsonPeakMemory:
 
     def test_to_json_encodes_row_by_row(self, tmp_path, world):
         peak = traced_peak(lambda: world.to_json(tmp_path / "world.json"))
-        assert peak < 4.0 * world.probs.nbytes
+        assert peak < 0.5 * world.probs.nbytes
 
     def test_from_json_shares_each_distinct_float(self, tmp_path, world):
         world.to_json(tmp_path / "world.json")

@@ -3,7 +3,7 @@ import pytest
 
 from consensus_irl import InputError, ParameterError, SchemaError, TrajectorySet
 
-from conftest import make_set
+from conftest import make_set, traced_peak
 from oracles import reference_trajectories
 
 STEPS = ((0, 1, 2), (2, 0, 1))
@@ -187,10 +187,96 @@ def test_reduce_steps_matches_per_trajectory_reductions():
         np.stack([states, states, states], axis=1), lengths, [f"t{i}" for i in range(400)]
     )
     slices = np.split(np.arange(lengths.sum()), np.cumsum(lengths)[:-1])
-    assert tset.reduce_steps(values, np.mean).tolist() == [np.mean(values[i]) for i in slices]
-    assert tset.reduce_steps(values, np.sum, where=where).tolist() == [
+    assert tset.reduce_steps(values.__getitem__, np.mean).tolist() == [
+        np.mean(values[i]) for i in slices
+    ]
+    assert tset.reduce_steps(values.__getitem__, np.sum, where=where.__getitem__).tolist() == [
         np.sum(values[i][where[i]]) for i in slices
     ]
+
+
+# ------------------------------------------------ per-step work, a block at a time
+
+MIXED = [3, 1, 4, 4, 4, 2, 5, 1, 4]  # the 4s split across blocks of 9 rows
+
+
+def walks(lengths, n_states=51, seed=0, **columns):
+    """A set of random walks of these lengths over n_states states and two actions."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for length in lengths:
+        states = rng.integers(0, n_states, size=length + 1)
+        blocks.append(np.stack([states[:-1], rng.integers(0, 2, size=length), states[1:]], 1))
+    return TrajectorySet(np.concatenate(blocks), lengths, [f"t{i}" for i in range(len(lengths))],
+                         n_states, 2, **columns)
+
+
+@pytest.mark.parametrize("block", [1, 5, 9])
+def test_blocks_hold_whole_trajectories(monkeypatch, block):
+    from consensus_irl import trajectories
+
+    tset = walks(MIXED)
+    monkeypatch.setattr(trajectories, "_STEP_BLOCK", block)
+    blocks = list(tset.blocks())
+    assert [i for owners, _ in blocks for i in range(owners.start, owners.stop)] == list(
+        range(len(MIXED))
+    )
+    for owners, rows in blocks:
+        assert rows.start == tset.offsets[owners.start]
+        assert rows.stop - rows.start == tset.lengths[owners].sum()
+        assert rows.stop - rows.start <= block or owners.stop - owners.start == 1
+    assert max(owners.stop - owners.start for owners, _ in blocks) <= 3
+
+
+@pytest.mark.parametrize("block", [1, 5, 9])
+def test_reduce_steps_in_blocks_is_the_per_slice_reduction(monkeypatch, block):
+    """Mixed lengths, a length group split across blocks, and a trajectory with no
+    selected step: every value is np.sum / np.mean of its slice, to the bit."""
+    from consensus_irl import trajectories
+
+    tset, rng = walks(MIXED), np.random.default_rng(4)
+    n = len(tset.triples)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
+    where = rng.random(n) < 0.6
+    where[tset.offsets[3] : tset.offsets[4]] = False
+    slices = [slice(o, o + length) for o, length in zip(tset.offsets, tset.lengths)]
+    monkeypatch.setattr(trajectories, "_STEP_BLOCK", block)
+    assert tset.reduce_steps(values.__getitem__, np.mean).tolist() == [
+        np.mean(values[i]) for i in slices
+    ]
+    sums = tset.reduce_steps(values.__getitem__, np.sum, where=where.__getitem__).tolist()
+    assert sums == [np.sum(values[i][where[i]]) for i in slices]
+    assert sums[3] == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 5, 9])
+def test_to_csv_in_blocks_writes_the_bytes_of_one_block(tmp_path, monkeypatch, block):
+    """Tags that need quoting, missing tags and death flags; a block's state cells
+    come from np.unique where the whole column's come from its range."""
+    from consensus_irl import trajectories
+
+    lengths = MIXED * 4
+    notes = ["a, b", 'say "hi"', None, "two\nlines", "#1", "plain"]
+    tset = walks(lengths, demographics={"note": [notes[i % 6] for i in range(len(lengths))]},
+                 died_in_hospital=[i % 3 == 0 for i in range(len(lengths))])
+    states = tset.triples[:, 0]
+    assert np.ptp(states) < len(states) and np.ptp(states[:3]) >= 3
+    assert len(list(tset.blocks())) == 1
+    tset.to_csv(tmp_path / "whole.csv")
+    monkeypatch.setattr(trajectories, "_STEP_BLOCK", block)
+    tset.to_csv(tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    back = TrajectorySet.from_csv(tmp_path / "blocks.csv")
+    assert dict(zip(back.ids, back.demographics["note"])) == dict(
+        zip(tset.ids, tset.demographics["note"])
+    )
+
+
+def test_writing_a_trajectory_file_holds_one_block_of_columns(tmp_path, rows_400k):
+    """Peak traced memory of to_csv per row, on 400,000 rows: 32.0 bytes with
+    every per-step column built at once, 4.9 built and written one block of
+    trajectories at a time."""
+    assert traced_peak(lambda: rows_400k.to_csv(tmp_path / "t.csv")) < 16 * 400_000
 
 
 def test_csv_round_trip_quotes_commas_and_hashes(tmp_path):

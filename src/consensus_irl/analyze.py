@@ -494,7 +494,7 @@ def test_pruning_uniformity(
 def _reward_deltas(trajectories: TrajectorySet, reward1, reward2) -> np.ndarray:
     """Each trajectory's mean per-step change in reward over its visited next-states."""
     delta = reward2.rewards - reward1.rewards  # each step's difference, taken per state
-    return trajectories.reduce_steps(lambda rows: delta[trajectories.triples[rows, 2]], np.mean)
+    return trajectories.reduce_steps(lambda rows: delta[trajectories.id_column(rows, 2)], np.mean)
 
 
 def test_reward_loss_disparity(

@@ -122,7 +122,7 @@ def estimate_transitions(trajectories: TrajectorySet, n_states=None, n_actions=N
     probs = np.zeros((n_states, n_actions, n_states))
     flat = probs.reshape(-1)  # a view: the counts go straight into the kernel
     for _, rows in trajectories.blocks():  # each block's index goes before the next is built
-        np.add.at(flat, _cell_index(trajectories.triples[rows], n_states, n_actions), 1.0)
+        np.add.at(flat, cell_index(trajectories.triples[rows], n_states, n_actions), 1.0)
     visit = probs.sum(axis=2)
     probs /= np.maximum(visit, 1.0)[:, :, None]
     unseen_s, unseen_a = np.nonzero(visit == 0)
@@ -130,10 +130,13 @@ def estimate_transitions(trajectories: TrajectorySet, n_states=None, n_actions=N
     return TransitionModel(probs, visit)
 
 
-def _cell_index(triples, n_states: int, n_actions: int) -> np.ndarray:
-    """(s * A + a) * S + s' of each triple, the flat index of its kernel cell, built in place."""
+def cell_index(triples, n_states: int, n_actions: int) -> np.ndarray:
+    """(s * A + a) * S + s' of each triple, the flat index of its kernel cell: the one
+    arithmetic on ids that can pass 2**31, so it is built in int64, from a copy of
+    the state column into which the other two are added in place."""
     s, a, sp = triples.T
-    cell = s * n_actions
+    cell = s.astype(np.int64)
+    cell *= n_actions
     cell += a
     cell *= n_states
     cell += sp

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CohortEmptyError, ParameterError
-from .mdp import DeterministicPolicy, RewardModel, TransitionModel, expected_reward_table
+from .mdp import (
+    DeterministicPolicy, RewardModel, TransitionModel, cell_index, expected_reward_table,
+)
 from .table import BINARY, NUMBER, read_table, write_table
 from .trajectories import TrajectorySet
 
@@ -100,15 +102,15 @@ def _log_likelihoods(trajectories, policy, transitions):
     on-policy steps gets 0.0 (the empty product), emulating the indicator
     formula as written.
     """
-    triples = trajectories.triples
-
     def on_policy(rows):
-        return policy.actions[triples[rows, 0]] == triples[rows, 1]
+        return policy.actions[trajectories.id_column(rows, 0)] == trajectories.triples[rows, 1]
+
+    flat = transitions.probs.reshape(-1)  # P(s, a, s') at the cell's flat index
 
     def log_p(rows):
-        s, a, sp = triples[rows].T
+        cells = cell_index(trajectories.triples[rows], transitions.n_states, transitions.n_actions)
         with np.errstate(divide="ignore"):
-            return np.log(transitions.probs[s, a, sp])
+            return np.log(flat[cells])
 
     on_policy_steps = trajectories.reduce_steps(on_policy, np.sum)
     return trajectories.reduce_steps(log_p, np.sum, where=on_policy), on_policy_steps == 0
@@ -127,11 +129,12 @@ def score_trajectories(
     with math.exp per trajectory (np.exp rounds some values differently).
     The end-state reward is R at the trajectory's final next state.
     """
-    table, triples = expected_reward_table(transitions, reward), trajectories.triples
+    table = expected_reward_table(transitions, reward)
+    greedy = table[np.arange(len(table)), policy.actions]  # r_opt of each state
 
     def gap(rows):
-        s, a = triples[rows, 0], triples[rows, 1]
-        return table[s, policy.actions[s]] - table[s, a]
+        s = trajectories.id_column(rows, 0)
+        return greedy[s] - table[s, trajectories.id_column(rows, 1)]
 
     loss = trajectories.reduce_steps(gap, np.mean)
     log_likelihood, off_policy = _log_likelihoods(trajectories, policy, transitions)

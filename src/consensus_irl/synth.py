@@ -453,13 +453,13 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
 
 
 def _sample_steps(world: SyntheticWorld, policy_cdf, bad, seed: int):
-    """Every trajectory's (horizon, 3) triples and its final state, sampled as
-    generate_population describes; the kernel's cumulative table and a block's
-    draws go when it returns, before the set is built."""
+    """Every trajectory's (horizon, 3) int32 triples, the set's own dtype, and its
+    final state, sampled as generate_population describes; the kernel's cumulative
+    table and a block's draws go when it returns, before the set is built."""
     n, horizon, n_states, n_actions = len(bad), world.horizon, world.n_states, world.n_actions
     step_cdf = _cdf_rows(world.probs).reshape(n_states * n_actions, n_states)
     start_cdf = _cdf_rows(world.initial_distribution[None])
-    triples = np.empty((n, horizon, 3), dtype=np.int64)
+    triples = np.empty((n, horizon, 3), dtype=np.int32)
     last = np.empty(n, dtype=np.int64)  # each trajectory's final state
     for lo in range(0, n, _SAMPLE_BLOCK):
         hi = min(lo + _SAMPLE_BLOCK, n)

@@ -5,9 +5,10 @@ owner column (trajectory_id or subject_id) groups the rows. read_table parses
 one with np.loadtxt, numbers the owners in sorted id order, whatever order
 their rows come in, sorts each owner's rows, and checks that the columns
 holding one value per owner agree on all of its rows. One grammar per
-kind of cell: an integer is what np.loadtxt reads into int64 (ASCII digits, an
-optional sign and surrounding whitespace, within int64) and a number what it
-reads into float64; a finite number is a finite such float, and an optional one
+kind of cell: an integer is what np.loadtxt reads into int64 or int32 (ASCII
+digits, an optional sign and surrounding whitespace, within the type's range:
+int32 for the trajectory steps and ids), and a number what it reads into
+float64; a finite number is a finite such float, and an optional one
 may be empty (NaN, missing); a flag is empty, 0 or 1; a binary cell is the
 integer 0 or 1; a text cell is anything, and an empty one is missing (None).
 Every row has the header's number of fields, and blank lines are skipped.
@@ -30,7 +31,8 @@ first binary pass over the file counts line breaks; once parsed, each column
 shrinks in place to the rows read (ndarray.resize, no copy). A read thus holds
 its columns and one block's parse, not a whole-file parse beside them; a column
 it does not read is checked but not kept. Columns named in stack (the
-trajectory triples) are parsed straight into one (n, k) array. After the
+trajectory triples, int32) are parsed straight into one (n, k) array of
+their kind's dtype, so no int64 parse of them is made. After the
 parse come the owners' numbers and, unless the rows already come in (owner,
 sort key) order (_in_order: owner numbers never decrease, and within an owner
 the key never does), the sort order and one column's sorted copy at a time.
@@ -70,7 +72,7 @@ class Kind(NamedTuple):
     """How a column is read: np.loadtxt's field type, then its whole-column conversion."""
 
     name: str  # what an error says a bad cell is not
-    dtype: type  # np.int64 and np.float64 parse natively; object reads the text as codes
+    dtype: type  # integer types and np.float64 parse natively; object reads the text as codes
     convert: Callable  # the parsed column, or its distinct texts -> values; None if one is bad
 
 
@@ -107,6 +109,7 @@ def _flags(text):
 
 
 INTEGER = Kind("an integer", np.int64, lambda v: v)
+INT32 = Kind("an integer", np.int32, lambda v: v)  # an INTEGER within int32
 NUMBER = Kind("a number", np.float64, lambda v: v)
 FINITE = Kind("a finite number", np.float64, lambda v: v if np.isfinite(v).all() else None)
 OPTIONAL = Kind("a finite number", object, _optional_numbers)
@@ -266,7 +269,12 @@ def _accepts(kind: Kind, cell: str) -> bool:
         if kind.dtype is not object:  # as np.loadtxt parses numbers
             if not cell.isascii() or "_" in cell:
                 return False
-            cell = (int if kind.dtype is np.int64 else float)(cell)
+            if np.issubdtype(kind.dtype, np.integer):  # the integer grammar, in the dtype's range
+                cell, limits = int(cell), np.iinfo(kind.dtype)
+                if not limits.min <= cell <= limits.max:
+                    return False
+            else:
+                cell = float(cell)
         return kind.convert(np.array([cell], dtype=kind.dtype)) is not None
     except (ValueError, OverflowError):
         return False

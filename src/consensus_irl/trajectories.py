@@ -2,12 +2,22 @@
 
 A trajectory chains (state, action, next_state) triples: the next_state of
 step t is the state of step t+1. A TrajectorySet holds its N trajectories in
-columns: `triples`, an (M, 3) int64 array in which trajectory i owns rows
+columns: `triples`, an (M, 3) int32 array in which trajectory i owns rows
 offsets[i] : offsets[i] + lengths[i] in step order; `lengths` and `offsets`;
 the unique `ids`; `demographics`, one object array per tag with None where a
 trajectory lacks the tag; and the `died_in_hospital` flags. Every set is
 built from these columns by one constructor, which runs one validation
 routine.
+
+A state or action id is at least 0 and at most 2**31 - 1, the int32 range.
+The constructor range-checks ids given in any other dtype before its one
+cast, since a cast wraps (2**31 would become -2**31), and the readers and the
+sampler write int32 in the first place. Ids are only ever indices, bins and
+decimal text; the one arithmetic on them that can pass 2**31, a kernel cell's
+flat index, is done in int64 (mdp.cell_index). numpy converts an int32
+index array to intp on every fancy-index call, and slowly for a column of
+the (M, 3) array, so work that indexes by a block's ids takes each column
+converted once into a contiguous intp array (id_column).
 
 Work that derives a value per step walks the set one block of whole
 trajectories at a time (blocks: at most _STEP_BLOCK rows each, or one longer
@@ -36,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .table import BINARY, INTEGER, TEXT, read_table, write_blocks
+from .table import BINARY, INT32, TEXT, read_table, write_blocks
 
 # fixed leading columns of the trajectory CSV; any extra column except
 # died_in_hospital is treated as a demographic tag
@@ -47,6 +57,7 @@ _DEATH_COLUMN = "died_in_hospital"
 # numpy call per block and selected length (16k-row blocks made scoring 30 %
 # slower)
 _STEP_BLOCK = 1 << 16
+_MAX_ID = np.iinfo(np.int32).max
 
 
 class TrajectorySet:
@@ -60,8 +71,11 @@ class TrajectorySet:
 
         A dimension left None is inferred from the ids in triples, a missing
         demographics has no tags, and died_in_hospital defaults to all False.
+        Triples that are not int32 are stored as an int32 copy once checked.
         """
-        self.triples = np.asarray(triples, dtype=np.int64)
+        self.triples = np.asarray(triples)
+        if self.triples.dtype != np.int32:
+            self.triples = np.asarray(self.triples, dtype=np.int64)
         if self.triples.ndim != 2 or self.triples.shape[1] != 3:
             raise SchemaError("triples must have shape (n_steps, 3)")
         self.lengths = np.asarray(lengths, dtype=np.int64)
@@ -78,6 +92,7 @@ class TrajectorySet:
         self.n_states = n_states if n_states is not None else 1 + int(max(highest[[0, 2]]))
         self.n_actions = n_actions if n_actions is not None else 1 + int(highest[1])
         self._validate()
+        self.triples = self.triples.astype(np.int32, copy=False)
 
     def _validate(self) -> None:
         """The one check of the columns, run by every construction path."""
@@ -100,6 +115,8 @@ class TrajectorySet:
         chained[self.offsets] = True
         self._reject(~chained, "triples do not chain")
         self._reject(triples < 0, "negative state/action id")
+        if triples.dtype != np.int32:  # checked before the cast, which would wrap
+            self._reject(triples > _MAX_ID, f"state/action id above {_MAX_ID}, the int32 limit")
         self.require_space(self.n_states, self.n_actions, SchemaError)
 
     def require_space(self, n_states, n_actions=None, error=ParameterError) -> None:
@@ -154,6 +171,11 @@ class TrajectorySet:
             stop = max(first + 1, int(np.searchsorted(ends, budget, side="right")))
             yield slice(first, stop), slice(int(self.offsets[first]), int(ends[stop - 1]))
             first = stop
+
+    def id_column(self, rows, k: int) -> np.ndarray:
+        """Id column k (0 state, 1 action, 2 next state) of a slice of rows, as its
+        own contiguous intp array, ready to index with."""
+        return self.triples[rows, k].astype(np.intp)
 
     def reduce_steps(self, values, reduce, where=None) -> np.ndarray:
         """reduce (np.sum, np.mean, ...) of per-step values over each trajectory's steps.
@@ -237,7 +259,7 @@ class TrajectorySet:
         the death flag must agree on every row of a trajectory.
         """
         table = read_table(
-            path, "trajectory_id", dict.fromkeys(_CORE_COLUMNS[1:], INTEGER), rest=TEXT,
+            path, "trajectory_id", dict.fromkeys(_CORE_COLUMNS[1:], INT32), rest=TEXT,
             optional={_DEATH_COLUMN: BINARY}, owned=(_DEATH_COLUMN,), sort_by="step",
             stack=_CORE_COLUMNS[2:],
         )
@@ -246,7 +268,9 @@ class TrajectorySet:
         columns, lengths = table.columns, table.lengths
         offsets = np.cumsum(lengths) - lengths
         step = columns.pop("step")
-        step += np.repeat(offsets, lengths)  # a right step plus its trajectory's offset is its row
+        # a right step plus its trajectory's offset is its row (a sum past int32 wraps
+        # negative, so it is no row either)
+        step += np.repeat(offsets, lengths)
         wrong = step != np.arange(len(step))
         del step
         if wrong.any():
@@ -256,7 +280,7 @@ class TrajectorySet:
             )
         tags = dict(table.owned)
         died = tags.pop(_DEATH_COLUMN, None)
-        triples = columns.pop(_CORE_COLUMNS[2:])  # state, action, next_state, parsed as one array
+        triples = columns.pop(_CORE_COLUMNS[2:])  # state, action, next_state: one int32 array
         try:
             return cls(triples, lengths, table.ids, n_states, n_actions, tags, died)
         except SchemaError as exc:

@@ -48,6 +48,18 @@ def run(*argv):
     return dispatch([str(a) for a in argv])
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_peak_probe_names_the_trajectory_read(synth_dir, tmp_path):
+    """tools/peaks.py runs one command and names the package calls that raised VmHWM."""
+    peaks = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "peaks.py")
+    done = python(peaks, "irl", "--trajectories", synth_dir / "trajectories.csv",
+                  "--epochs", 2, "--out", tmp_path / "irl")
+    lines = done.stderr.splitlines()
+    assert lines[0].endswith("MiB  import") and lines[-1].endswith("MiB  ru_maxrss")
+    assert "trajectories.py:TrajectorySet.from_csv" in done.stderr
+    assert (tmp_path / "irl" / "rewards.json").exists()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
@@ -890,6 +902,26 @@ class TestAnalyze:
         assert code == 0
         rows = json.loads((out / "reward_delta.json").read_text())
         assert len(rows) == 13
+
+    def test_a_dropped_top_cluster_needs_no_state_count(self, synth_dir, tmp_path):
+        """The clinical analyze without --states: a 13-cluster model that dropped
+        cluster 12, a run over its 13 states and trajectories that never visit
+        state 12; the reports span all 13 states and the 12 kept clusters."""
+        trajectories = synth_dir / "trajectories.csv"
+        assert TrajectorySet.from_csv(trajectories).n_states == 12
+        model = tmp_path / "model.json"
+        write_cluster_model(model, 13, dropped={12})
+        wide = tmp_path / "run"
+        assert run("pipeline", "--trajectories", trajectories, "--states", 13,
+                   "--cluster-model", model, "--epochs", 20, "--permutations", 20,
+                   "--out", wide) == 0
+        out = tmp_path / "analysis"
+        assert run("analyze", "--run", wide, "--trajectories", trajectories,
+                   "--cluster-model", model, "--permutations", 20, "--out", out) == 0
+        assert len(json.loads((out / "reward_delta.json").read_text())) == 13
+        table = (out / "cluster_report_stage1.csv").read_text()
+        assert table.count("\n") == 1 + 2 * 12  # the header, then best and worst of 12
+        assert json.loads((out / "config.json").read_text())["states"] is None
 
     def test_other_trajectories_than_the_runs_are_rejected(self, run1, tmp_path, capsys):
         """run1 was fitted on 40 trajectories; a 50-trajectory set shares its first 40 ids."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import consensus_irl as ci
+from consensus_irl.mdp import cell_index
 
 from conftest import make_set, traced_peak
 
@@ -32,6 +33,15 @@ def test_rows_sum_to_one(small_population):
     model = ci.estimate_transitions(small_population.trajectories)
     sums = model.probs.sum(axis=2)
     assert np.abs(sums - 1.0).max() < 1e-9
+
+
+def test_cell_index_is_exact_past_int32():
+    """(s * A + a) * S + s' is 2,499,999,998 here: int32 arithmetic would wrap it."""
+    triples = np.array([[49_999, 0, 49_998], [1, 0, 2]], dtype=np.int32)
+    cells = cell_index(triples, 50_000, 1)
+    assert cells.dtype == np.int64
+    assert cells.tolist() == [49_999 * 50_000 + 49_998, 50_002]
+    assert triples.tolist() == [[49_999, 0, 49_998], [1, 0, 2]]
 
 
 def test_estimating_a_kernel_holds_less_than_three_kernels():

@@ -213,7 +213,8 @@ def test_likelihood_ignores_off_policy_steps(two_state):
 def test_scoring_holds_one_block_of_steps(rows_400k):
     """Peak traced memory of score_trajectories per row, on 400,000 rows: 34.6
     bytes with every step's gaps and log-probabilities gathered at once, 5.4 one
-    block of trajectories at a time."""
+    block of trajectories at a time, 8.2 with a block's int32 ids copied to intp
+    columns to index with."""
     transitions = estimate_transitions(rows_400k)
     reward = RewardModel(np.linspace(-1, 1, 100))
     policy = greedy_policy(transitions, reward)

@@ -47,6 +47,35 @@ def test_set_validates_id_ranges():
         make_set([[(0, 7, 1)]], n_states=3, n_actions=2)
 
 
+def test_every_producer_stores_int32_ids(tmp_path, small_population):
+    given = [np.array(STEPS, dtype=np.int64), [list(step) for step in STEPS]]
+    sets = [TrajectorySet(triples, [2], ["a"]) for triples in given]
+    small_population.trajectories.to_csv(tmp_path / "t.csv")
+    sets += [
+        small_population.trajectories,  # generate_population's
+        TrajectorySet.from_csv(tmp_path / "t.csv"),
+        sets[0].subset(np.array([True])),
+    ]
+    for tset in sets:
+        assert tset.triples.dtype == np.int32 and tset.triples.flags.c_contiguous
+    assert sets[0].triples.tolist() == sets[1].triples.tolist() == list(map(list, STEPS))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_an_id_beyond_int32_is_rejected_before_the_cast(column):
+    """Cast first, 2**31 would wrap to -2**31 and -2**31 - 1 to 2**31 - 1."""
+    for cell, message in [(2**31, "state/action id above 2147483647"),
+                          (-(2**31) - 1, "negative state/action id")]:
+        triples = np.zeros((2, 3), dtype=np.int64)
+        triples[1, column] = cell
+        with pytest.raises(SchemaError, match=f"trajectory b: {message}"):
+            TrajectorySet(triples, [1, 1], ["a", "b"])
+        with pytest.raises(SchemaError, match=f"trajectory b: {message}"):
+            TrajectorySet(triples.tolist(), [1, 1], ["a", "b"])
+    triples = np.full((1, 3), 2**31 - 1, dtype=np.int64)
+    assert TrajectorySet(triples, [1], ["a"]).n_states == 2**31
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(InputError):
         make_set([STEPS, STEPS], ["a", "a"], n_states=3, n_actions=2)
@@ -139,7 +168,7 @@ def write_csv(tmp_path, body):
 @pytest.mark.parametrize("column", ["step", "state", "action", "next_state"])
 def test_csv_non_integer_cell_names_file_and_trajectory(tmp_path, column):
     # a float cell must not be truncated into an integer one
-    for cell in ["x", "2.7", "1.0", "1e0"]:
+    for cell in ["x", "2.7", "1.0", "1e0", "2147483648"]:  # the last one past int32
         rows = [["a", "0", "0", "1", "2", "0"], ["b", "0", "0", "1", "2", "0"],
                 ["b", "1", "2", "0", "1", "0"]]
         rows[2][HEADER.strip().split(",").index(column)] = cell

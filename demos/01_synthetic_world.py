@@ -37,7 +37,7 @@ print(f"steps per trajectory: min {lengths.min()}, max {lengths.max()}")
 
 # ------------------------------------------------- kernel estimation quality
 kernel = estimate_transitions(population.trajectories)
-err = np.abs(kernel.probs - world.probs).max()
+err = np.abs(kernel.probs - world.kernel.probs).max()
 print(f"\nestimated kernel, max abs error vs truth: {err:.4f}")
 print(f"visited (state, action) pairs: {(kernel.visit_counts > 0).sum()} / {world.n_states * world.n_actions}")
 

@@ -308,7 +308,8 @@ def _pairwise_jobs(values, labels, n_permutations: int, seed):
     its own child of SeedSequence(seed).
     """
     values, labels = _checked_values(values, labels, n_permutations)
-    cats = sorted(np.unique(labels).tolist())
+    # with counts, np.unique sorts rather than hashing, the path that imports numpy.ma
+    cats = sorted(np.unique(labels, return_counts=True)[0].tolist())
     pairs = [(a, b) for i, a in enumerate(cats) for b in cats[i + 1 :]]
     seeds = np.random.SeedSequence(seed).spawn(len(pairs))
     differences, jobs = [], []
@@ -525,7 +526,7 @@ def test_reward_loss_disparity(
         )
         keep = ~np.isin(labels, small)
         labels, values = labels[keep], values[keep]
-    if len(np.unique(labels)) < 2:
+    if np.count_nonzero(counts >= 2) < 2:  # the groups kept
         raise ParameterError("need at least two groups with >= 2 members")
     anova, groups = _anova_job(values, labels, n_permutations, seed)
     pairs, pair_jobs = _pairwise_jobs(values, labels, n_permutations, seed)

@@ -13,7 +13,8 @@ steps on its gradient with a linearly decaying learning rate, and L-BFGS
 
 Both passes run once per evaluation (Ziebart et al., AAAI 2008), and each
 step of either is one np.bincount over the kernel's non-zeros
-(TransitionModel.nonzero), so a step costs O(nnz) rather than O(S^2 A). Both
+(TransitionModel.nonzero), so a step costs O(nnz) rather than O(S^2 A); the
+kernel is kept as those non-zeros only, and no (S, A, S) array is made. Both
 work in one action-major layout: the bin of (s, a) is a*S + s, so a step's
 values form a contiguous (A, S) block whose reductions over actions run down
 its rows, and numpy spends far less per call on those than on the short rows
@@ -110,10 +111,17 @@ def empirical_state_visitation(trajectories: TrajectorySet, n_states=None) -> np
         raise CohortEmptyError("cannot compute visitation of an empty trajectory set")
     n_states = n_states if n_states is not None else trajectories.n_states
     trajectories.require_space(n_states)
-    counts = np.bincount(trajectories.first_states, minlength=n_states) + np.bincount(
-        trajectories.triples[:, 2], minlength=n_states
-    )
-    return counts / len(trajectories)
+    counts = np.bincount(trajectories.first_states, minlength=n_states)
+    return (counts + _arrivals(trajectories, n_states)) / len(trajectories)
+
+
+def _arrivals(trajectories: TrajectorySet, n_states: int) -> np.ndarray:
+    """How many steps arrive at each state, counted one block at a time: a bincount
+    of the whole next-state column would convert all of it to intp at once."""
+    counts = np.zeros(n_states, dtype=np.int64)
+    for _, rows in trajectories.blocks():
+        counts += np.bincount(trajectories.id_column(rows, 2), minlength=n_states)
+    return counts
 
 
 def initial_state_distribution(trajectories: TrajectorySet, n_states=None) -> np.ndarray:
@@ -217,7 +225,7 @@ def expected_state_visitation(
         raise ParameterError("initial distribution length does not match transition model")
     if abs(d.sum() - 1.0) > 1e-9 or np.any(d < 0):
         raise ParameterError("initial distribution must be a probability vector")
-    if policy.probs.shape[1:] != transitions.probs.shape[:2]:
+    if policy.probs.shape[1:] != (n_states, transitions.n_actions):
         raise ParameterError("soft policy shape does not match transition model")
     bins, cols, vals = transitions.nonzero
     pi = np.ascontiguousarray(policy.probs.transpose(0, 2, 1))
@@ -352,7 +360,7 @@ def train_maxent_irl(
     grad_max = log_rows[-1][1]
 
     rewards, rescale = _rescale_rewards(theta)
-    unvisited = np.flatnonzero(np.bincount(trajectories.triples[:, 2], minlength=n_states) == 0)
+    unvisited = np.flatnonzero(_arrivals(trajectories, n_states) == 0)
     metadata = {
         "stage": stage,
         "optimizer": config.optimizer,

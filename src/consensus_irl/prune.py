@@ -105,12 +105,22 @@ def _log_likelihoods(trajectories, policy, transitions):
     def on_policy(rows):
         return policy.actions[trajectories.id_column(rows, 0)] == trajectories.triples[rows, 1]
 
-    flat = transitions.probs.reshape(-1)  # P(s, a, s') at the cell's flat index
+    # P(s, a, s') of a cell is the value at its place in the sorted cells; an absent
+    # cell reads the 0 appended after the last value
+    cells, values = transitions.cells, np.append(transitions.values, 0.0)
+    n_states, n_actions = transitions.n_states, transitions.n_actions
 
-    def log_p(rows):
-        cells = cell_index(trajectories.triples[rows], transitions.n_states, transitions.n_actions)
+    def log_p(rows):  # at the on-policy steps, the only ones kept; 0 at the others
+        keep = on_policy(rows)
+        cell = cell_index(trajectories.triples[rows][keep], n_states, n_actions)
+        order = np.argsort(cell)  # searchsorted is several times faster on sorted needles
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(cells, cell[order])
+        at[cells.take(at, mode="clip") != cell] = len(cells)
+        logs = np.zeros(len(keep))
         with np.errstate(divide="ignore"):
-            return np.log(flat[cells])
+            logs[keep] = np.log(values[at])
+        return logs
 
     on_policy_steps = trajectories.reduce_steps(on_policy, np.sum)
     return trajectories.reduce_steps(log_p, np.sum, where=on_policy), on_policy_steps == 0

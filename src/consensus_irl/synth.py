@@ -1,12 +1,15 @@
 """Ground-truth random MDPs and mixed expert populations.
 
 Worlds are garnet-style: every (s, a) row spreads its probability over a
-fixed number of uniformly chosen successor states with Dirichlet weights.
-The true reward marks a small set of good (+1) and bad (-1) states with the
-rest near zero. Expert populations mix Boltzmann-rational demonstrators with
-a corrupted subset (random actions, negated reward, or degraded temperature),
-each trajectory carrying a ground-truth corruption label so pruning quality
-can be measured directly.
+fixed number of uniformly chosen successor states with Dirichlet weights, so
+the true kernel is a TransitionModel kept as its non-zeros, and planning,
+policy values, sampling and world.json work from them without an (S, A, S)
+array, to the bits of the dense computations. The true reward marks a small
+set of good (+1) and bad (-1) states with the rest near zero. Expert
+populations mix Boltzmann-rational demonstrators with a corrupted subset
+(random actions, negated reward, or degraded temperature), each trajectory
+carrying a ground-truth corruption label so pruning quality can be measured
+directly.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .mdp import DeterministicPolicy
+from .mdp import DeterministicPolicy, TransitionModel
 from .table import BINARY, read_table, write_table
 from .trajectories import TrajectorySet
 
@@ -26,30 +29,34 @@ CORRUPTION_MODES = ("random_policy", "negated_reward", "low_temperature")
 
 # synthetic subjects "die" when they end in a clearly bad true-reward state
 DEATH_REWARD_CUTOFF = -0.5
+_JSON_BLOCK = 64  # states of world.json's kernel converted per np.array call
 
 
-def finite_horizon_values(probs: np.ndarray, rewards: np.ndarray, horizon: int):
+def finite_horizon_values(kernel: TransitionModel, rewards: np.ndarray, horizon: int):
     """Hard-max value iteration with rewards collected on arrival.
 
     Returns (v0, q0): the optimal state values and action values at the
-    first step of an undiscounted horizon-step episode.
+    first step of an undiscounted horizon-step episode. Each step's Q is the
+    kernel's blockwise dense product (TransitionModel.expect), the bits of
+    the whole dense kernel @ (R + V).
     """
-    v = np.zeros(probs.shape[0])
+    v = np.zeros(kernel.n_states)
     q = None
     for _ in range(horizon):
-        q = probs @ (rewards + v)
+        q = kernel.expect(rewards + v)
         v = q.max(axis=1)
     return v, q
 
 
 @dataclass
 class SyntheticWorld:
-    """A random tabular MDP with known reward and optimal behavior."""
+    """A random tabular MDP with known reward and optimal behavior; its true
+    kernel is a TransitionModel, kept as its non-zeros, with no visits."""
 
     n_states: int
     n_actions: int
     branching: int
-    probs: np.ndarray
+    kernel: TransitionModel
     rewards: np.ndarray
     optimal_policy: DeterministicPolicy
     optimal_q: np.ndarray
@@ -62,7 +69,7 @@ class SyntheticWorld:
             "n_states": self.n_states,
             "n_actions": self.n_actions,
             "branching": self.branching,
-            "probs": self.probs,
+            "probs": self.kernel,
             "rewards": self.rewards,
             "optimal_policy": self.optimal_policy.actions,
             "optimal_q": self.optimal_q,
@@ -85,7 +92,7 @@ class SyntheticWorld:
             n_states=p["n_states"],
             n_actions=p["n_actions"],
             branching=p["branching"],
-            probs=np.array(p["probs"]),
+            kernel=_kernel_from_json(p["probs"], p["n_states"], p["n_actions"]),
             rewards=np.array(p["rewards"]),
             optimal_policy=DeterministicPolicy(np.array(p["optimal_policy"])),
             optimal_q=np.array(p["optimal_q"]),
@@ -93,6 +100,27 @@ class SyntheticWorld:
             initial_distribution=np.array(p["initial_distribution"]),
             seed=p["seed"],
         )
+
+
+def _kernel_from_json(probs, n_states: int, n_actions: int) -> TransitionModel:
+    """The kernel held by world.json's nested (S, A, S) lists, converted a block of
+    _JSON_BLOCK states per np.array call straight into its non-zeros: one call per
+    (s, a) row took twice as long, and no dense kernel is made."""
+    shape = "world probs must have shape (n_states, n_actions, n_states)"
+    if len(probs) != n_states:
+        raise SchemaError(shape)
+    cells, values = [], []
+    for lo in range(0, n_states, _JSON_BLOCK):
+        block = np.array(probs[lo : lo + _JSON_BLOCK], dtype=float)
+        if block.shape[1:] != (n_actions, n_states):
+            raise SchemaError(shape)
+        at = np.flatnonzero(block)
+        cells.append(at + lo * n_actions * n_states)
+        values.append(block.reshape(-1)[at])
+    return TransitionModel(
+        n_states, n_actions, np.concatenate(cells), np.concatenate(values),
+        np.zeros((n_states, n_actions), dtype=np.int64),
+    )
 
 
 class _Floats(dict):
@@ -104,11 +132,19 @@ class _Floats(dict):
 
 
 def _write_json(fh, value) -> None:
-    """Write json.dumps(value) for a dict of plain values and arrays, each array as
-    its tolist(). json.dumps encodes one innermost row at a time, and each row's
-    text is written as it is made, so neither the kernel's 640k floats (at 400
-    states) nor the file's text is ever whole in memory."""
-    if isinstance(value, dict):
+    """Write json.dumps(value) for a dict of plain values, arrays and kernels, each
+    array as its tolist() and each kernel as its dense (S, A, S) array's.
+    json.dumps encodes one innermost row at a time, and each row's text is
+    written as it is made; a kernel's rows are made dense one state at a time
+    from its non-zeros. So neither the kernel's 640k floats (at 400 states) nor
+    the file's text is ever whole in memory."""
+    if isinstance(value, TransitionModel):
+        fh.write("[")
+        for s in range(value.n_states):
+            fh.write(", " if s else "")
+            _write_json(fh, value.dense_block(s, s + 1)[0])
+        fh.write("]")
+    elif isinstance(value, dict):
         fh.write("{")
         for i, (key, item) in enumerate(value.items()):
             fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
@@ -230,20 +266,29 @@ def generate_world(
     """Garnet-style random MDP with ground-truth reward and optimal policy.
 
     Each (s, a) row places Dirichlet(1) probabilities on `branching`
-    uniformly chosen successors. About 10% of states get reward +1, 10%
-    get -1, the rest 0, with a small uniform jitter; the optimal policy is
-    the first step of hard-max value iteration at the given horizon.
+    uniformly chosen successors, drawn row by row in (s, a) order; the
+    kernel keeps each row's values at its successors in sorted order. About
+    10% of states get reward +1, 10% get -1, the rest 0, with a small
+    uniform jitter; the optimal policy is the first step of hard-max value
+    iteration at the given horizon.
     """
     if branching > n_states:
         raise ParameterError("branching factor cannot exceed n_states")
     if n_states < 2 or n_actions < 1 or branching < 1:
         raise ParameterError("need n_states >= 2, n_actions >= 1, branching >= 1")
     rng = np.random.default_rng(seed)
-    probs = np.zeros((n_states, n_actions, n_states))
-    for s in range(n_states):
-        for a in range(n_actions):
-            succ = rng.choice(n_states, size=branching, replace=False)
-            probs[s, a, succ] = rng.dirichlet(np.ones(branching))
+    n_rows = n_states * n_actions
+    successors = np.empty((n_rows, branching), dtype=np.int64)
+    weights = np.empty((n_rows, branching))
+    for row in range(n_rows):
+        successors[row] = rng.choice(n_states, size=branching, replace=False)
+        weights[row] = rng.dirichlet(np.ones(branching))
+    order = np.argsort(successors, axis=1)
+    cells = np.arange(n_rows)[:, None] * n_states + np.take_along_axis(successors, order, axis=1)
+    kernel = TransitionModel(
+        n_states, n_actions, cells.ravel(), np.take_along_axis(weights, order, axis=1).ravel(),
+        np.zeros((n_states, n_actions), dtype=np.int64),
+    )
 
     n_special = max(1, round(0.1 * n_states))
     order = rng.permutation(n_states)
@@ -252,12 +297,12 @@ def generate_world(
     rewards[order[n_special : 2 * n_special]] = -1.0
     rewards = np.clip(rewards + rng.uniform(-0.05, 0.05, size=n_states), -1.0, 1.0)
 
-    _, q0 = finite_horizon_values(probs, rewards, horizon)
+    _, q0 = finite_horizon_values(kernel, rewards, horizon)
     return SyntheticWorld(
         n_states=n_states,
         n_actions=n_actions,
         branching=branching,
-        probs=probs,
+        kernel=kernel,
         rewards=rewards,
         optimal_policy=DeterministicPolicy(np.argmax(q0, axis=1)),
         optimal_q=q0,
@@ -414,7 +459,7 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     if config.corruption_mode == "random_policy":
         bad_policy = np.full_like(expert_policy, 1.0 / world.n_actions)
     elif config.corruption_mode == "negated_reward":
-        _, q_bad = finite_horizon_values(world.probs, -world.rewards, horizon)
+        _, q_bad = finite_horizon_values(world.kernel, -world.rewards, horizon)
         bad_policy = _boltzmann(q_bad, config.expert_beta)
     else:
         bad_policy = _boltzmann(q0, config.corruption_beta)
@@ -452,12 +497,33 @@ def generate_population(world: SyntheticWorld, config: PopulationConfig) -> Labe
     return LabeledPopulation(tset, dict(zip(ids, bad.tolist())))
 
 
+def _step_table(kernel: TransitionModel):
+    """(cumulative table, successors): row s*A + a holds the cumulative table of
+    the kernel's (s, a) row over its non-zeros, as _cdf_rows builds it, and the
+    successor s' of each entry; a row shorter than the longest is padded at its end.
+
+    Over the dense row, choice(p=...) draws the count of entries <= u, which
+    is always the column of a non-zero: np.cumsum adds the zeros exactly, so
+    the dense table's value at each non-zero is the sparse table's, and the
+    values between two non-zeros repeat the lower one. So the dense draw is the
+    successor of entry k, k the count of the sparse row's entries <= u; the
+    padding repeats the row's total, 1.0, which no u in [0, 1) reaches.
+    """
+    rows, cols = np.divmod(kernel.cells, kernel.n_states)
+    lengths = np.bincount(rows, minlength=kernel.n_states * kernel.n_actions)
+    at = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    weights = np.zeros((len(lengths), lengths.max()))
+    successors = np.zeros(weights.shape, dtype=np.int64)
+    weights[rows, at], successors[rows, at] = kernel.values, cols
+    return _cdf_rows(weights), successors
+
+
 def _sample_steps(world: SyntheticWorld, policy_cdf, bad, seed: int):
     """Every trajectory's (horizon, 3) int32 triples, the set's own dtype, and its
     final state, sampled as generate_population describes; the kernel's cumulative
     table and a block's draws go when it returns, before the set is built."""
     n, horizon, n_states, n_actions = len(bad), world.horizon, world.n_states, world.n_actions
-    step_cdf = _cdf_rows(world.probs).reshape(n_states * n_actions, n_states)
+    step_cdf, successors = _step_table(world.kernel)
     start_cdf = _cdf_rows(world.initial_distribution[None])
     triples = np.empty((n, horizon, 3), dtype=np.int32)
     last = np.empty(n, dtype=np.int64)  # each trajectory's final state
@@ -467,7 +533,8 @@ def _sample_steps(world: SyntheticWorld, policy_cdf, bad, seed: int):
         s = _inverse_cdf(start_cdf, np.zeros(hi - lo, int), uniforms[:, 0])
         for t in range(horizon):
             a = _inverse_cdf(policy_cdf, bad[lo:hi] * n_states + s, uniforms[:, 1 + 2 * t])
-            sp = _inverse_cdf(step_cdf, s * n_actions + a, uniforms[:, 2 + 2 * t])
+            row = s * n_actions + a
+            sp = successors[row, _inverse_cdf(step_cdf, row, uniforms[:, 2 + 2 * t])]
             triples[lo:hi, t, 0], triples[lo:hi, t, 1], triples[lo:hi, t, 2] = s, a, sp
             s = sp
         last[lo:hi] = s
@@ -475,11 +542,19 @@ def _sample_steps(world: SyntheticWorld, policy_cdf, bad, seed: int):
 
 
 def policy_value(world: SyntheticWorld, actions: np.ndarray, horizon: int | None = None) -> float:
-    """Expected true-reward return of a stationary deterministic policy."""
+    """Expected true-reward return of a stationary deterministic policy.
+
+    Only the chosen actions' rows are made dense, as one (S, S) kernel: the
+    product keeps the shape, and so the bits, that it always had.
+    """
     horizon = horizon if horizon is not None else world.horizon
-    idx = np.arange(world.n_states)
-    kernel = world.probs[idx, np.asarray(actions, dtype=int)]
-    v = np.zeros(world.n_states)
+    n_states = world.n_states
+    bins, cols, vals = world.kernel.nonzero  # bins a*S + s
+    s = bins % n_states
+    chosen = bins // n_states == np.asarray(actions, dtype=int)[s]
+    kernel = np.zeros((n_states, n_states))
+    kernel[s[chosen], cols[chosen]] = vals[chosen]
+    v = np.zeros(n_states)
     for _ in range(horizon):
         v = kernel @ (world.rewards + v)
     return float(world.initial_distribution @ v)
@@ -526,7 +601,7 @@ def evaluate_recovery(world: SyntheticWorld, result, labels: dict[str, bool]) ->
 
     def stage_metrics(reward):
         rho = _spearman_rho(reward.rewards, world.rewards)
-        _, q0 = finite_horizon_values(world.probs, reward.rewards, world.horizon)
+        _, q0 = finite_horizon_values(world.kernel, reward.rewards, world.horizon)
         plan = np.argmax(q0, axis=1)
         agree = float(np.mean(plan == world.optimal_policy.actions))
         evd = true_value - policy_value(world, plan)

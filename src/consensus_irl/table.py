@@ -18,12 +18,13 @@ the first bad cell in file order, for one error:
 
 Cells whose text repeats are parsed as codes: the owner ids, text, flag and
 optional-number columns and the columns nobody reads come out of np.loadtxt as
-int64 codes of their distinct texts, numbered in order of first appearance by
+int32 codes of their distinct texts, numbered in order of first appearance by
 the C-level __getitem__ of a dict (_Codes). A column then holds one str per
 distinct cell, not one per row. Each kind converts a column's distinct texts
 once and its rows gather the result by code; the owners are numbered from their
-sorted distinct ids. Every column returned is its own contiguous array, in
-owner then sort order, whatever order the file's rows come in.
+sorted distinct ids, in place over their codes. A binary cell is parsed as int8.
+Every column returned is its own contiguous array, in owner then sort order,
+whatever order the file's rows come in.
 
 The rows are parsed _READ_BLOCK at a time, each np.loadtxt call reading on
 from the same handle, and copied into columns allocated once, as long as a
@@ -114,8 +115,8 @@ NUMBER = Kind("a number", np.float64, lambda v: v)
 FINITE = Kind("a finite number", np.float64, lambda v: v if np.isfinite(v).all() else None)
 OPTIONAL = Kind("a finite number", object, _optional_numbers)
 FLAG = Kind("empty, 0 or 1", object, _flags)
-BINARY = Kind(
-    "0 or 1", np.int64, lambda v: v.astype(bool) if ((v == 0) | (v == 1)).all() else None
+BINARY = Kind(  # an INTEGER within int8, which np.loadtxt parses with one byte a row
+    "0 or 1", np.int8, lambda v: v.astype(bool) if ((v == 0) | (v == 1)).all() else None
 )
 TEXT = Kind("text", object, lambda v: np.where(v == "", None, v))
 _ID = Kind("an id", object, lambda v: v)  # an empty id is an id
@@ -162,7 +163,7 @@ def read_table(
         # every text column, read or not, is parsed as codes
         codes = {j: _Codes() for j, c in enumerate(header) if (kinds[c] or TEXT).dtype is object}
         fields = [
-            (f"c{j}", np.int64 if j in codes else kinds[c].dtype) for j, c in enumerate(header)
+            (f"c{j}", np.int32 if j in codes else kinds[c].dtype) for j, c in enumerate(header)
         ]
         at = {c: j for j, c in enumerate(header)}  # a repeated column reads as its last copy
         # each column read is allocated once; the blocks are copied into it
@@ -213,10 +214,14 @@ def read_table(
             raise _bad_cell(path, header, kinds, owner, f"a bad {stack[0]} cell")
     del stacked
 
-    # the owners numbered in sorted id order, from their distinct ids
+    # the owners numbered in sorted id order, from their distinct ids, in place over
+    # their codes a block at a time (take converts a block's codes to intp indices)
     label, distinct = owner.removesuffix("_id"), list(codes[at[owner]])
     ranked = sorted(range(len(distinct)), key=distinct.__getitem__)
-    ids, who = [distinct[i] for i in ranked], np.argsort(ranked)[owner_codes]
+    ids, who = [distinct[i] for i in ranked], owner_codes
+    rank = np.argsort(ranked).astype(np.int32)
+    for lo in range(0, n_rows, _READ_BLOCK):
+        np.take(rank, who[lo : lo + _READ_BLOCK], out=who[lo : lo + _READ_BLOCK], mode="clip")
     del owner_codes
     lengths = np.bincount(who, minlength=len(ids))
     if one_row and (lengths > 1).any():

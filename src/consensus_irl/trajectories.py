@@ -197,7 +197,8 @@ class TrajectorySet:
                 starts = self.offsets[owners] - rows.start
                 lengths = selected[starts + lengths] - selected[starts]
             starts = np.cumsum(lengths) - lengths
-            for length in np.unique(lengths[lengths > 0]):
+            # with counts, np.unique sorts rather than hashing, the path that imports numpy.ma
+            for length in np.unique(lengths[lengths > 0], return_counts=True)[0]:
                 at = np.flatnonzero(lengths == length)
                 gather = starts[at, None] + np.arange(length)
                 out[owners.start + at] = reduce(block[gather], axis=1)
@@ -267,11 +268,13 @@ class TrajectorySet:
             raise SchemaError(f"{path}: no trajectories")
         columns, lengths = table.columns, table.lengths
         offsets = np.cumsum(lengths) - lengths
+        # a trajectory's first step is 0 and each later one its predecessor + 1, all
+        # in int32: the first row that breaks this is the first whose step is not
+        # its place in its trajectory
         step = columns.pop("step")
-        # a right step plus its trajectory's offset is its row (a sum past int32 wraps
-        # negative, so it is no row either)
-        step += np.repeat(offsets, lengths)
-        wrong = step != np.arange(len(step))
+        wrong = np.empty(len(step), dtype=bool)
+        np.not_equal(step[1:], step[:-1] + 1, out=wrong[1:])
+        wrong[offsets] = step[offsets] != 0
         del step
         if wrong.any():
             i = int(np.searchsorted(offsets, np.argmax(wrong), side="right")) - 1

@@ -76,6 +76,6 @@ def two_state():
     probs[0, 1, 1] = 1.0
     probs[1, 0, 1] = 1.0
     probs[1, 1, 1] = 1.0
-    transitions = ci.TransitionModel(probs, np.ones((2, 2), dtype=np.int64))
+    transitions = ci.TransitionModel.from_dense(probs, np.ones((2, 2), dtype=np.int64))
     reward = ci.RewardModel(np.array([-1.0, 1.0]))
     return transitions, reward

@@ -482,7 +482,7 @@ def reference_population(world, config):
     if config.corruption_mode == "random_policy":
         bad_policy = np.full_like(expert_policy, 1.0 / world.n_actions)
     elif config.corruption_mode == "negated_reward":
-        _, q_bad = finite_horizon_values(world.probs, -world.rewards, horizon)
+        _, q_bad = finite_horizon_values(world.kernel, -world.rewards, horizon)
         bad_policy = boltzmann(q_bad, config.expert_beta)
     else:
         bad_policy = boltzmann(q0, config.corruption_beta)
@@ -505,7 +505,7 @@ def reference_population(world, config):
         s = int(rng.choice(world.n_states, p=world.initial_distribution))
         for t in range(horizon):
             a = int(rng.choice(world.n_actions, p=policy[s]))
-            sp = int(rng.choice(world.n_states, p=world.probs[s, a]))
+            sp = int(rng.choice(world.n_states, p=world.kernel.probs[s, a]))
             triples[i, t] = (s, a, sp)
             s = sp
         for tag in config.demographics:

@@ -101,7 +101,7 @@ def test_criterion_01_gradient_matches_enumerated_likelihood():
     demos = sample_deterministic_demos(nxt, n_demos=12, horizon=horizon, seed=8)
     ts = make_set(demos, [f"d{i}" for i in range(len(demos))], n_states=n_states,
                   n_actions=n_actions)
-    model = TransitionModel(probs, np.zeros((n_states, n_actions), dtype=int))
+    model = TransitionModel.from_dense(probs, np.zeros((n_states, n_actions), dtype=int))
     theta = np.random.default_rng(4).normal(0.0, 0.7, size=n_states)
 
     policy = soft_backward_pass(model, theta, horizon)
@@ -129,7 +129,7 @@ def test_criterion_02_visitation_matches_path_enumeration():
     rng = np.random.default_rng(5)
     n_states, n_actions, horizon = 4, 2, 5
     probs = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
-    model = TransitionModel(probs, np.zeros((n_states, n_actions), dtype=int))
+    model = TransitionModel.from_dense(probs, np.zeros((n_states, n_actions), dtype=int))
     d0 = rng.dirichlet(np.ones(n_states))
 
     soft = soft_backward_pass(model, rng.normal(0.0, 1.0, n_states), horizon)
@@ -154,7 +154,7 @@ def test_criterion_03_score_identities():
     rng = np.random.default_rng(14)
     n_states, n_actions = 8, 3
     probs = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
-    kernel = TransitionModel(probs, np.zeros((n_states, n_actions), dtype=int))
+    kernel = TransitionModel.from_dense(probs, np.zeros((n_states, n_actions), dtype=int))
     reward = RewardModel(rng.uniform(-1.0, 1.0, n_states))
     policy = greedy_policy(kernel, reward)
     table = expected_reward_table(kernel, reward)
@@ -423,7 +423,7 @@ def test_criterion_09_pipeline_runs_are_byte_identical(tmp_path):
 
 def test_criterion_10_likelihood_hand_examples_and_cutoffs(two_state):
     probs = np.full((2, 1, 2), 0.5)
-    kernel = TransitionModel(probs, np.zeros((2, 1), dtype=int))
+    kernel = TransitionModel.from_dense(probs, np.zeros((2, 1), dtype=int))
     reward = RewardModel(np.array([0.0, 1.0]))
     policy = greedy_policy(kernel, reward)
     _, _, ll, _ = score_one([[0, 0, 0], [0, 0, 1]], kernel, reward, policy)

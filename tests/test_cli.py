@@ -60,6 +60,17 @@ def test_peak_probe_names_the_trajectory_read(synth_dir, tmp_path):
     assert (tmp_path / "irl" / "rewards.json").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_peak_probe_names_the_modules_a_rise_first_imported(tmp_path):
+    """numpy.random is imported on first use, by generate_world's default_rng, and
+    its import raises VmHWM by more than the probe's step."""
+    peaks = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "peaks.py")
+    done = python(peaks, "synth", "--states", 12, "--actions", 2, "--branching", 3,
+                  "--horizon", 6, "--trajectories", 40, "--out", tmp_path / "world")
+    line = next(line for line in done.stderr.splitlines() if "synth.py:generate_world" in line)
+    assert "(first imports " in line and "numpy.random" in line.split("(first imports ")[1]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
@@ -91,6 +102,50 @@ def test_pipeline_with_world_loads_no_scipy(synth_dir, tmp_path):
     out = python("-c", code)
     assert (tmp_path / "run" / "recovery.json").exists()
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_scoring_commands_load_no_numpy_ma(synth_dir, tmp_path):
+    """np.unique without indices or counts imports numpy.ma (16 ms, 1.25 MiB) to
+    ask whether its input is masked; no command that scores makes that call."""
+    world = ["--trajectories", synth_dir / "trajectories.csv"]
+    argvs = [
+        ["pipeline", *world, "--world", synth_dir / "world.json", "--labels",
+         synth_dir / "labels.csv", "--epochs", 10, "--permutations", 20,
+         "--out", tmp_path / "run"],
+        ["analyze", "--run", tmp_path / "run", *world, "--permutations", 20,
+         "--out", tmp_path / "reports"],
+        ["sweep", *world, "--fractions", "0.5,0.8", "--epochs", 10, "--permutations", 20,
+         "--out", tmp_path / "sweep"],
+    ]
+    code = (
+        "import sys; from consensus_irl.cli import dispatch; "
+        f"assert all(dispatch(argv) == 0 for argv in {[[str(a) for a in v] for v in argvs]!r}); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = python("-c", code)
+    assert (tmp_path / "sweep" / "sweep_summary.csv").exists()
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_no_command_makes_a_dense_kernel(tmp_path, monkeypatch):
+    """synth, pipeline --world, analyze and sweep run with TransitionModel.probs, the
+    dense (S, A, S) array built on demand, raising: every kernel product goes
+    through the non-zeros or a block of states."""
+
+    def dense(self):
+        raise AssertionError("a command built the dense kernel")
+
+    monkeypatch.setattr(consensus_irl.TransitionModel, "probs", property(dense))
+    world = ("--trajectories", tmp_path / "world" / "trajectories.csv")
+    assert run("synth", "--states", 70, "--actions", 3, "--branching", 4, "--horizon", 6,
+               "--trajectories", 60, "--seed", 2, "--out", tmp_path / "world") == 0
+    assert run("pipeline", *world, "--world", tmp_path / "world" / "world.json",
+               "--labels", tmp_path / "world" / "labels.csv", "--epochs", 10,
+               "--permutations", 20, "--out", tmp_path / "run") == 0
+    assert run("analyze", "--run", tmp_path / "run", *world, "--permutations", 20,
+               "--out", tmp_path / "reports") == 0
+    assert run("sweep", *world, "--fractions", "0.5,0.8", "--epochs", 10,
+               "--permutations", 20, "--out", tmp_path / "sweep") == 0
 
 
 @pytest.fixture(scope="module")

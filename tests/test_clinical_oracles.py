@@ -71,7 +71,7 @@ def clinical_shaped():
     )
     probs[s, a, sp] = 0.0
     probs[s, a] /= probs[s, a].sum()
-    return tset, TransitionModel(probs, kernel.visit_counts), reward, policy
+    return tset, TransitionModel.from_dense(probs, kernel.visit_counts), reward, policy
 
 
 @pytest.fixture(scope="module")

@@ -382,13 +382,15 @@ def test_reading_a_trajectory_file_holds_no_str_per_row(tmp_path):
     """Peak traced memory of TrajectorySet.from_csv per row, on the 40,000 rows of a
     seeded 100-state population: 164.4 bytes when every owner cell was a str, 109.4
     with the owner column parsed as codes, 63.7 parsed a block at a time into
-    columns allocated once, 44.5 with the steps and triples parsed as int32."""
+    columns allocated once, 44.5 with the steps and triples parsed as int32, 37.6
+    with the owner codes int32 and renumbered in place, the death flags int8 and
+    the steps checked in int32."""
     world = generate_world(100, 4, 5, seed=3, horizon=20)
     config = PopulationConfig(n_trajectories=2000, corrupted_fraction=0.3, seed=3)
     path = tmp_path / "trajectories.csv"
     generate_population(world, config).trajectories.to_csv(path)
     assert TrajectorySet.from_csv(path).lengths.sum() == 40_000
-    assert traced_peak(lambda: TrajectorySet.from_csv(path)) < 56 * 40_000
+    assert traced_peak(lambda: TrajectorySet.from_csv(path)) < 40 * 40_000
 
 
 # text a CSV has to quote, or that a reader could take for a comment

@@ -96,7 +96,7 @@ def test_conftest_worlds_match_dense_passes(small_world, small_population, two_s
     trajectories = small_population.trajectories
     thetas = _thetas(small_world.n_states, 0)
     _assert_passes_match(estimate_transitions(trajectories), trajectories, thetas)
-    world_kernel = TransitionModel(small_world.probs.copy(), np.zeros((20, 3), dtype=int))
+    world_kernel = small_world.kernel
     _assert_passes_match(world_kernel, trajectories, thetas)
 
     model, reward = two_state
@@ -117,7 +117,7 @@ def test_400_state_garnet_matches_dense_passes(garnet):
     world, trajectories = garnet
     thetas = _thetas(world.n_states, 2)[1::2]
     _assert_passes_match(estimate_transitions(trajectories, 400, 4), trajectories, thetas)
-    world_kernel = TransitionModel(world.probs.copy(), np.zeros((400, 4), dtype=int))
+    world_kernel = world.kernel
     _assert_passes_match(world_kernel, trajectories, thetas[:1])
 
 
@@ -135,7 +135,7 @@ def test_wide_action_spaces_match_dense_passes(n_actions):
     estimated = estimate_transitions(trajectories, n_states, n_actions)
     assert any(_tied_rows(estimated, theta) for theta in thetas)
     _assert_passes_match(estimated, trajectories, thetas)
-    world_kernel = TransitionModel(world.probs.copy(), np.zeros((n_states, n_actions), dtype=int))
+    world_kernel = world.kernel
     _assert_passes_match(world_kernel, trajectories, thetas)
 
 
@@ -169,7 +169,7 @@ def test_dense_backward_pass_takes_the_same_decisions(small_population, monkeypa
 def test_outside_policy_visitation_matches_dense_pass(garnet, clinical):  # noqa: F811
     rng = np.random.default_rng(7)
     for model, trajectories in (
-        (TransitionModel(garnet[0].probs.copy(), np.zeros((400, 4), dtype=int)), garnet[1]),
+        (garnet[0].kernel, garnet[1]),
         (estimate_transitions(clinical[0]), clinical[0]),
     ):
         n_states, n_actions = model.n_states, model.n_actions
@@ -217,7 +217,7 @@ def test_inline_logsumexp_matches_scipy():
     probs = np.zeros((n_states, n_actions, n_states))
     for s, row in enumerate(rows):
         probs[s, np.arange(n_actions), row] = 1.0
-    model = TransitionModel(probs, np.zeros((n_states, n_actions), dtype=int))
+    model = TransitionModel.from_dense(probs, np.zeros((n_states, n_actions), dtype=int))
 
     q = model.probs @ rewards
     assert np.array_equal(q, pool[rows])

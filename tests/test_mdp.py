@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import consensus_irl as ci
 from consensus_irl.mdp import cell_index
+from consensus_irl.synth import _cdf_rows, _inverse_cdf, _step_table
 
 from conftest import make_set, traced_peak
 
@@ -56,14 +59,15 @@ def test_estimating_a_kernel_holds_less_than_three_kernels():
 
 
 def test_counting_into_the_kernel_holds_less_than_two_kernels():
-    """The same ratio where the kernel outweighs a block's cell index, 5,000
+    """The same ratio where the dense kernel outweighs a block's cell index, 5,000
     trajectories of a 400-state world: 2.03 with integer counts divided into the
-    kernel, 1.13 with float counts added into it a block at a time."""
+    kernel, 1.13 with float counts added into it a block at a time, 0.24 with the
+    cells of each block sorted and counted into the non-zeros."""
     world = ci.generate_world(400, 4, 5, seed=3, horizon=20)
     config = ci.PopulationConfig(n_trajectories=5000, corrupted_fraction=0.3, seed=3)
     tset = ci.generate_population(world, config).trajectories
     model = ci.estimate_transitions(tset)
-    assert traced_peak(lambda: ci.estimate_transitions(tset)) < 1.8 * model.probs.nbytes
+    assert traced_peak(lambda: ci.estimate_transitions(tset)) < 0.5 * model.probs.nbytes
 
 
 def test_expected_reward_table_two_state(two_state):
@@ -81,7 +85,7 @@ def test_expected_reward_zero_everywhere(two_state):
 
 def test_expected_reward_uniform_kernel():
     probs = np.full((4, 1, 4), 0.25)
-    model = ci.TransitionModel(probs, np.ones((4, 1), dtype=np.int64))
+    model = ci.TransitionModel.from_dense(probs, np.ones((4, 1), dtype=np.int64))
     reward = ci.RewardModel(np.array([0.1, 0.2, 0.3, 0.4]))
     table = ci.expected_reward_table(model, reward)
     assert table == pytest.approx(np.full((4, 1), 0.25))
@@ -97,7 +101,7 @@ def test_greedy_tie_break_lowest_action():
     # both actions share one kernel: every E(s, a) ties, action 0 must win
     probs = np.zeros((3, 2, 3))
     probs[:, :, 1] = 1.0
-    model = ci.TransitionModel(probs, np.ones((3, 2), dtype=np.int64))
+    model = ci.TransitionModel.from_dense(probs, np.ones((3, 2), dtype=np.int64))
     reward = ci.RewardModel(np.array([0.3, -0.2, 0.9]))
     assert np.all(ci.greedy_policy(model, reward).actions == 0)
 
@@ -139,8 +143,9 @@ def test_reward_model_json_round_trip(tmp_path):
 
 def test_kernel_is_read_only(small_population):
     model = ci.estimate_transitions(small_population.trajectories)
-    with pytest.raises(ValueError, match="read-only"):
-        model.probs[0, 0, 0] = 0.5
+    for array in (model.probs, model.cells, model.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
     bins, cols, vals = model.nonzero
     flat = model.probs.reshape(-1, model.n_states)
     rows, want_cols = np.nonzero(flat)
@@ -149,3 +154,76 @@ def test_kernel_is_read_only(small_population):
     # each entry's (s, a) row s * A + a sits at bin a * S + s
     s, a = np.divmod(rows, model.n_actions)
     assert np.array_equal(bins, a * model.n_states + s)
+
+
+def test_a_kernel_is_its_sorted_non_zeros(small_population):
+    model = ci.estimate_transitions(small_population.trajectories)
+    dense = model.probs.reshape(-1)
+    assert np.array_equal(model.cells, np.flatnonzero(dense))
+    assert model.values.tobytes() == dense[model.cells].tobytes()
+    back = ci.TransitionModel.from_dense(model.probs, model.visit_counts)
+    assert np.array_equal(back.cells, model.cells) and np.array_equal(back.values, model.values)
+
+
+@pytest.mark.parametrize("cells, values, message", [
+    ([1, 0], [1.0, 0.0], "sorted"),
+    ([0, 0], [0.5, 0.5], "sorted"),
+    ([0, 8], [1.0, 1.0], "in range"),
+    ([0, 3], [1.5, -0.5], "negative"),
+    ([0], [1.0], "row"),
+])
+def test_a_kernel_rejects_bad_non_zeros(cells, values, message):
+    with pytest.raises(ci.SchemaError, match=message):
+        ci.TransitionModel(2, 1, cells, values, np.zeros((2, 1)))
+
+
+def _dense_values(probs, rewards, horizon):
+    v, q = np.zeros(len(rewards)), None
+    for _ in range(horizon):
+        q = probs @ (rewards + v)
+        v = q.max(axis=1)
+    return v, q
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_states=st.integers(31, 200).filter(lambda s: s % 64),
+    n_actions=st.sampled_from([1, 3, 9]),
+    seed=st.integers(0, 2**16),
+)
+def test_sparse_kernel_products_are_the_dense_products_bit_for_bit(n_states, n_actions, seed):
+    """E(s, a), finite_horizon_values, policy_value and the sampler's draws, on a
+    garnet world and on the kernel estimated from 30 of its steps (so that most
+    rows are unseen self-loops), against the dense kernel's products. No state
+    count is a multiple of the 64-state block, and 9 actions are golden's wide
+    chain's."""
+    world = ci.generate_world(n_states, n_actions, min(4, n_states), seed=seed, horizon=6)
+    config = ci.PopulationConfig(n_trajectories=5, corrupted_fraction=0.3, seed=seed)
+    estimated = ci.estimate_transitions(
+        ci.generate_population(world, config).trajectories, n_states, n_actions
+    )
+    rng = np.random.default_rng(seed)
+    assert (estimated.visit_counts == 0).any()
+    for kernel in (world.kernel, estimated):
+        probs = kernel.probs
+        x = rng.uniform(-1, 1, n_states)
+        table = ci.expected_reward_table(kernel, ci.RewardModel(x))
+        assert table.tobytes() == (probs @ x).tobytes()
+        for got, want in zip(ci.finite_horizon_values(kernel, x, 6), _dense_values(probs, x, 6)):
+            assert got.tobytes() == want.tobytes()
+        # the sampler: the sparse table's draw is the dense choice(p=...) draw, also
+        # for u at every cumulative value of a row
+        step_cdf, successors = _step_table(kernel)
+        dense_cdf = _cdf_rows(probs).reshape(n_states * n_actions, n_states)
+        picked = rng.integers(0, n_states * n_actions, 200)
+        rows = np.concatenate([picked, np.repeat(picked, step_cdf.shape[1])])
+        u = np.concatenate([rng.random(200), step_cdf[picked].ravel()])
+        rows, u = rows[u < 1], u[u < 1]
+        want = _inverse_cdf(dense_cdf, rows, u)
+        assert np.array_equal(successors[rows, _inverse_cdf(step_cdf, rows, u)], want)
+    actions = rng.integers(0, n_actions, n_states)
+    probs = world.kernel.probs[np.arange(n_states), actions]
+    v = np.zeros(n_states)
+    for _ in range(world.horizon):
+        v = probs @ (world.rewards + v)
+    assert ci.policy_value(world, actions) == float(world.initial_distribution @ v)

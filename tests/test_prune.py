@@ -57,7 +57,7 @@ def _score_one(triples, model, reward, policy, tid="a"):
 
 def _model(probs):
     probs = np.asarray(probs, dtype=float)
-    return TransitionModel(probs, np.zeros(probs.shape[:2], dtype=int))
+    return TransitionModel.from_dense(probs, np.zeros(probs.shape[:2], dtype=int))
 
 
 @pytest.fixture

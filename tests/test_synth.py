@@ -12,6 +12,7 @@ from consensus_irl import (
     DemographicTag,
     ParameterError,
     PopulationConfig,
+    SchemaError,
     RewardModel,
     SyntheticWorld,
     TrajectoryScores,
@@ -23,7 +24,7 @@ from consensus_irl import (
     policy_value,
     select_retained,
 )
-from consensus_irl.mdp import DeterministicPolicy
+from consensus_irl.mdp import DeterministicPolicy, TransitionModel
 from consensus_irl.synth import (
     DEATH_REWARD_CUTOFF,
     _inverse_cdf,
@@ -41,16 +42,16 @@ from oracles import brute_force_optimal_values, reference_population
 
 def test_minimal_world_invariants():
     world = generate_world(2, 1, 2, seed=0)
-    assert np.allclose(world.probs.sum(axis=2), 1.0, atol=1e-12)
+    assert np.allclose(world.kernel.probs.sum(axis=2), 1.0, atol=1e-12)
     assert world.rewards.min() >= -1.0
     assert world.rewards.max() <= 1.0
 
 
 def test_branching_limits_successors(small_world):
-    support = (small_world.probs > 0).sum(axis=2)
+    support = (small_world.kernel.probs > 0).sum(axis=2)
     assert support.max() <= small_world.branching
     assert support.min() >= 1
-    assert np.allclose(small_world.probs.sum(axis=2), 1.0, atol=1e-12)
+    assert np.allclose(small_world.kernel.probs.sum(axis=2), 1.0, atol=1e-12)
 
 
 def test_reward_classes_are_tenth_tenth_rest():
@@ -67,10 +68,10 @@ def test_world_determinism():
     a = generate_world(12, 3, 4, seed=9)
     b = generate_world(12, 3, 4, seed=9)
     c = generate_world(12, 3, 4, seed=10)
-    assert np.array_equal(a.probs, b.probs)
+    assert np.array_equal(a.kernel.probs, b.kernel.probs)
     assert np.array_equal(a.rewards, b.rewards)
     assert np.array_equal(a.optimal_policy.actions, b.optimal_policy.actions)
-    assert not np.array_equal(a.probs, c.probs)
+    assert not np.array_equal(a.kernel.probs, c.kernel.probs)
 
 
 def test_world_parameter_validation():
@@ -84,8 +85,8 @@ def test_world_parameter_validation():
 
 def test_value_iteration_matches_policy_enumeration():
     world = generate_world(4, 2, 2, seed=3, horizon=3)
-    v0, q0 = finite_horizon_values(world.probs, world.rewards, horizon=3)
-    brute = brute_force_optimal_values(world.probs, world.rewards, horizon=3)
+    v0, q0 = finite_horizon_values(world.kernel, world.rewards, horizon=3)
+    brute = brute_force_optimal_values(world.kernel.probs, world.rewards, horizon=3)
     assert np.max(np.abs(v0 - brute)) <= 1e-10
     assert np.allclose(v0, q0.max(axis=1), atol=1e-12)
 
@@ -100,22 +101,27 @@ def test_world_json_round_trip(tmp_path, small_world):
     path = tmp_path / "world.json"
     small_world.to_json(path)
     back = SyntheticWorld.from_json(path)
-    assert np.array_equal(back.probs, small_world.probs)
+    assert np.array_equal(back.kernel.probs, small_world.kernel.probs)
     assert np.array_equal(back.rewards, small_world.rewards)
     assert np.array_equal(back.optimal_policy.actions, small_world.optimal_policy.actions)
     assert back.horizon == small_world.horizon
     assert back.seed == small_world.seed
 
 
-_ARRAYS = ("probs", "rewards", "optimal_policy", "optimal_q", "initial_distribution")
+_ARRAYS = ("kernel", "rewards", "optimal_policy", "optimal_q", "initial_distribution")
 
 
 def _hand_world():
-    """A 2-state, 2-action world whose arrays hold the float edge cases of JSON."""
+    """A 2-state, 2-action world whose arrays hold the float edge cases of JSON. Its
+    kernel is a kernel, so its rows sum to 1 and it holds no -0.0 (a zero is not
+    kept); the non-zeros take the edge cases a probability can: the least
+    subnormal and a sum that is not its literal."""
     big, sum_ = 1.7976931348623157e308, 0.1 + 0.2
     return SyntheticWorld(
         n_states=2, n_actions=2, branching=2,
-        probs=np.array([[[-0.0, 5e-324], [big, sum_]], [[0.5, 0.5], [-0.0, -0.0]]]),
+        kernel=TransitionModel.from_dense(
+            np.array([[[1.0, 5e-324], [sum_, 0.7]], [[0.5, 0.5], [0.0, 1.0]]]), np.zeros((2, 2)),
+        ),
         rewards=np.array([-0.0, 0.0]),
         optimal_policy=DeterministicPolicy(np.array([1, 0])),
         optimal_q=np.array([[sum_, sum_], [0.0, big]]), horizon=3,
@@ -127,7 +133,7 @@ def _tolist_payload(world):
     """The world as json.dumps encoded it through nested Python lists."""
     return {
         "n_states": world.n_states, "n_actions": world.n_actions,
-        "branching": world.branching, "probs": world.probs.tolist(),
+        "branching": world.branching, "probs": world.kernel.probs.tolist(),
         "rewards": world.rewards.tolist(),
         "optimal_policy": world.optimal_policy.actions.tolist(),
         "optimal_q": world.optimal_q.tolist(), "horizon": world.horizon,
@@ -152,17 +158,32 @@ def test_world_json_arrays_read_as_json_load_reads_them(tmp_path, make):
     loaded, back = json.loads(path.read_text()), SyntheticWorld.from_json(path)
     for key in _ARRAYS:
         got = getattr(back, key)
-        got = got.actions if key == "optimal_policy" else got
-        expected = np.array(loaded[key])
+        got = got.actions if key == "optimal_policy" else got.probs if key == "kernel" else got
+        expected = np.array(loaded["probs" if key == "kernel" else key])
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape), key
         assert got.tobytes() == expected.tobytes(), key
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda probs: probs.pop(), "shape"),
+    (lambda probs: [state.pop() for state in probs], "shape"),
+    (lambda probs: probs[3][0].__setitem__(0, probs[3][0][0] + 0.5), "does not sum to 1"),
+])
+def test_a_world_kernel_must_be_a_kernel(tmp_path, small_world, edit, message):
+    path = tmp_path / "world.json"
+    small_world.to_json(path)
+    payload = json.loads(path.read_text())
+    edit(payload["probs"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=message):
+        SyntheticWorld.from_json(path)
 
 
 def test_hand_world_keeps_every_float_bit(tmp_path):
     world = _hand_world()
     world.to_json(tmp_path / "world.json")
     back = SyntheticWorld.from_json(tmp_path / "world.json")
-    assert back.probs.tobytes() == world.probs.tobytes()
+    assert back.kernel.probs.tobytes() == world.kernel.probs.tobytes()
     assert np.signbit(back.rewards).tolist() == [True, False]  # -0.0 is not 0.0
     assert back.seed is None
 
@@ -180,12 +201,12 @@ class TestWorldJsonPeakMemory:
 
     def test_to_json_encodes_row_by_row(self, tmp_path, world):
         peak = traced_peak(lambda: world.to_json(tmp_path / "world.json"))
-        assert peak < 0.5 * world.probs.nbytes
+        assert peak < 0.5 * world.kernel.probs.nbytes
 
     def test_from_json_shares_each_distinct_float(self, tmp_path, world):
         world.to_json(tmp_path / "world.json")
         peak = traced_peak(lambda: SyntheticWorld.from_json(tmp_path / "world.json"))
-        assert peak < 4.0 * world.probs.nbytes
+        assert peak < 4.0 * world.kernel.probs.nbytes
 
 
 # --------------------------------------------------------------- populations
@@ -339,7 +360,7 @@ def sparse_start(world):
 def test_sampler_reproduces_the_per_step_stream(world, config):
     n_states, n_actions, branching, horizon = world
     world = sparse_start(generate_world(n_states, n_actions, branching, seed=3, horizon=horizon))
-    assert (world.probs == 0).any()
+    assert (world.kernel.probs == 0).any()
     pop = generate_population(world, config)
     triples, ids, corrupted, demographics, died = reference_population(world, config)
     tset = pop.trajectories
@@ -464,7 +485,7 @@ def test_policy_value_hand_example():
     probs[0, 0, 1] = 1.0
     probs[1, 0, 1] = 1.0
     world = SimpleNamespace(
-        probs=probs,
+        kernel=TransitionModel.from_dense(probs, np.zeros((2, 1))),
         rewards=np.array([0.0, 1.0]),
         initial_distribution=np.array([0.5, 0.5]),
         horizon=2,

@@ -18,6 +18,9 @@ from it by write_edge_records) are written once and copied to both. Per seed:
 - a chain of 9 actions, synth -> pipeline --world --labels, since numpy sums
   a row of eight or more values pairwise, so the MaxEnt passes' sums over
   actions take another order there;
+- a chain of 100 states, synth -> pipeline --world --labels -> analyze: a
+  kernel's products run one dense block of 64 states at a time, and every
+  other world here fits in one block;
 - a chain synth --demographics -> pipeline --world --labels -> analyze whose
   tag categories a CSV must quote or could misread (a comma, quotes, a
   non-ASCII letter, a leading #), so the writer's quoting path reaches
@@ -188,6 +191,17 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ("pipeline", "wide_two_stage", (
             "--trajectories", "wide/trajectories.csv", "--world", "wide/world.json",
             "--labels", "wide/labels.csv", "--retain", "0.5",
+        ) + PERMUTATIONS),
+        ("synth", "hundred", (
+            "--states", "100", "--actions", "4", "--branching", "5", "--horizon", "12",
+            "--trajectories", "800", "--corrupted", "0.3", "--mode", "random_policy",
+        )),
+        ("pipeline", "hundred_two_stage", (
+            "--trajectories", "hundred/trajectories.csv", "--world", "hundred/world.json",
+            "--labels", "hundred/labels.csv", "--retain", "0.5",
+        ) + PERMUTATIONS),
+        ("analyze", "hundred_reports", (
+            "--run", "hundred_two_stage", "--trajectories", "hundred/trajectories.csv",
         ) + PERMUTATIONS),
         ("synth", "quoted", (
             "--states", "30", "--actions", "3", "--branching", "4", "--horizon", "10",

@@ -8,10 +8,13 @@ from /proc/self/status) as each function of the package is entered and as it
 returns. On stderr it prints the VmHWM after the package import; then, as
 each package call returns having raised VmHWM by at least 0.25 MiB since it
 was entered, the VmHWM, the rise and the call (file:function), so a rise is
-named by every call it happened under, innermost first; then the process's
-final ru_maxrss. A forked child (the permutation pool of analyze) runs
-unprofiled, so every line is this process's own. The command's stdout and
-exit status are its own. Linux only: it needs /proc/self/status.
+named by every call it happened under, innermost first, and after it the
+modules first imported during that call that no line has named yet (an
+import's code and data count toward the rise: numpy.random's first use costs
+about 2.5 MiB); then the process's final ru_maxrss. A forked child (the
+permutation pool of analyze) runs unprofiled, so every line is this process's
+own. The command's stdout and exit status are its own. Linux only: it needs
+/proc/self/status.
 
 The kernel counts resident pages per thread in batches, so a VmHWM read can
 lag the true peak by a fraction of a MiB, and a line may show a little less
@@ -46,20 +49,29 @@ def main(argv: list[str]) -> int:
 
     package = os.path.dirname(consensus_irl.__file__) + os.sep
     report(vm_hwm_mib(), "import")
-    entered = []  # VmHWM on entry to each package call now running, innermost last
+    # (VmHWM, number of modules loaded) on entry to each package call now running,
+    # innermost last; sys.modules keeps its modules in the order they were loaded
+    entered = []
+    named = set()  # the modules a line has named
 
     def probe(frame, event, _arg):
         code = frame.f_code
         if event not in ("call", "return") or not code.co_filename.startswith(package):
             return
         if event == "call":
-            entered.append(vm_hwm_mib())
+            entered.append((vm_hwm_mib(), len(sys.modules)))
             return
         now = vm_hwm_mib()
-        rise = now - entered.pop()
-        if rise >= STEP_MIB:
+        before, n_modules = entered.pop()
+        if now - before >= STEP_MIB:
             name = getattr(code, "co_qualname", code.co_name)
-            report(now, f"+{rise:.2f}  {os.path.basename(code.co_filename)}:{name}")
+            loaded = list(sys.modules)[n_modules:]
+            # a module is named unless the package it belongs to was loaded here too
+            new = [m for m in loaded if m.rpartition(".")[0] not in loaded and m not in named]
+            named.update(new)
+            imports = f"  (first imports {', '.join(new)})" if new else ""
+            where = f"{os.path.basename(code.co_filename)}:{name}{imports}"
+            report(now, f"+{now - before:.2f}  {where}")
 
     os.register_at_fork(after_in_child=lambda: sys.setprofile(None))
     sys.setprofile(probe)

@@ -45,7 +45,7 @@ from .analyze import (
     write_tests_json,
 )
 from .discretize import ClusterModel, feature_matrix, fit_state_space, trajectories_from_prepared
-from .errors import InputError, NumericError, ParameterError
+from .errors import InputError, NumericError, ParameterError, SchemaError
 from .ingest import (
     ActionCodec,
     hypotension_codec,
@@ -632,29 +632,59 @@ def _analysis_files(
     return files
 
 
-def _pipeline_inputs(cfg) -> tuple[TrajectorySet, ClusterModel | None, dict]:
-    """Resolve the pipeline's entry point: raw records, prepared rows, or trajectories.
+def _pipeline_inputs(cfg) -> tuple[TrajectorySet, ClusterModel | None, dict, tuple | None]:
+    """Resolve the pipeline's entry point (raw records, prepared rows, or
+    trajectories) and its ground truth, --world and --labels.
 
-    Returns (trajectories, cluster model, files): the writers, by artifact
-    name, of the files that ingesting and clustering made. Nothing is written.
+    Returns (trajectories, cluster model, files, truth): files holds the writers,
+    by artifact name, of the files that ingesting and clustering made, and truth
+    is (world, labels), or None without a world. Nothing is written. The
+    trajectories are read first, in the space their ids imply when a world is
+    to set it, and then put in the world's space with no copy of their ids: a
+    world read first would leave the heap its text freed under the read's columns.
     """
-    if cfg["records"] or cfg["prepared"]:
+    files, cluster_model, read = {}, None, not (cfg["records"] or cfg["prepared"])
+    if not read:
         features = _as_list(cfg["features"])
         if not features:
             raise InputError("pipeline: --features is required with --records/--prepared")
-        files = {}
         if cfg["records"]:
             prepared, _, files = _ingest(cfg)
         else:
             prepared = read_prepared_csv(cfg["prepared"], features)
         cluster_model, tset, _, states = _cluster(cfg, prepared)
-        return tset, cluster_model, {**files, **states}
-    if cfg["trajectories"]:
-        tset = _load_trajectories(cfg)
-        return tset, _load_cluster_model(cfg, tset.n_states), {}
-    raise InputError(
-        "pipeline: provide --trajectories, --prepared, or --records"
-    )
+        files = {**files, **states}
+    elif cfg["trajectories"]:
+        tset = _load_trajectories({**cfg, "states": None, "actions": None} if cfg["world"] else cfg)
+    else:
+        raise InputError("pipeline: provide --trajectories, --prepared, or --records")
+    truth = None
+    if cfg["world"]:  # the ground truth must describe exactly these trajectories
+        world = _read_input("world", cfg["world"], SyntheticWorld.from_json)
+        labels = _read_input("labels", cfg["labels"], read_labels_csv)
+        space = {"states": world.n_states, "actions": world.n_actions}
+        for flag, size in space.items():
+            if cfg[flag] not in (None, size):
+                raise InputError(f"--{flag} {cfg[flag]} disagrees with the world's {size}")
+        if read:  # the same columns, checked again in the world's space, as the read would
+            try:
+                tset = TrajectorySet(tset.triples, tset.lengths, tset.ids, *space.values(),
+                                     tset.demographics, tset.died_in_hospital)
+            except SchemaError as exc:
+                raise SchemaError(f"{cfg['trajectories']}: {exc}") from exc
+        elif (tset.n_states, tset.n_actions) != tuple(space.values()):
+            raise InputError("the trajectories and the world differ in states or actions")
+        truth = world, labels
+    if read:
+        cluster_model = _load_cluster_model(cfg, tset.n_states)
+    if truth and sorted(tset.ids) != sorted(labels):  # sets only to count the difference
+        unlabelled, strangers = set(tset.ids) - set(labels), set(labels) - set(tset.ids)
+        raise InputError(
+            f"{cfg['labels']}: the labels must name exactly the trajectories' ids "
+            f"({len(unlabelled)} trajectories unlabelled, "
+            f"{len(strangers)} labels of no trajectory)"
+        )
+    return tset, cluster_model, files, truth
 
 
 def _run_fractions(cfg, outs: dict) -> list[dict]:
@@ -669,25 +699,7 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
         raise InputError("--world and --labels go together: give both or neither")
     irl_config, fractions = _irl_config(cfg), tuple(outs)
     prune_config = _prune_config({**cfg, "retain": fractions[0]})
-    space = {}  # with a world, the trajectories are read in its space
-    if cfg["world"]:
-        world = _read_input("world", cfg["world"], SyntheticWorld.from_json)
-        labels = _read_input("labels", cfg["labels"], read_labels_csv)
-        space = {"states": world.n_states, "actions": world.n_actions}
-        for flag, size in space.items():
-            if cfg[flag] not in (None, size):
-                raise InputError(f"--{flag} {cfg[flag]} disagrees with the world's {size}")
-    tset, cluster_model, files = _pipeline_inputs({**cfg, **space})
-    if space:  # the ground truth must describe exactly these trajectories
-        if (tset.n_states, tset.n_actions) != tuple(space.values()):
-            raise InputError("the trajectories and the world differ in states or actions")
-        unlabelled, strangers = set(tset.ids) - set(labels), set(labels) - set(tset.ids)
-        if unlabelled or strangers:
-            raise InputError(
-                f"{cfg['labels']}: the labels must name exactly the trajectories' ids "
-                f"({len(unlabelled)} trajectories unlabelled, "
-                f"{len(strangers)} labels of no trajectory)"
-            )
+    tset, cluster_model, files, truth = _pipeline_inputs(cfg)
     _attributes(cfg, tset)  # an unknown name fails here, before any fitting
     results = retention_sweep(tset, irl_config, prune_config, fractions)
     _warn_unconverged(results[fractions[0]].reward_stage1)  # one stage 1 serves every fraction
@@ -697,7 +709,8 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
         _warn_unconverged(result.reward_stage2, f" at retain {fraction:g}")
         extra_files = {**files, **_analysis_files(tset, result, leg, cluster_model)}
         extra_manifest = {"subcommand": "pipeline"}
-        if cfg["world"]:
+        if truth:
+            world, labels = truth
             recovery = evaluate_recovery(world, result, labels)
             extra_files["recovery.json"] = partial(write_json, payload=recovery)
             extra_manifest["recovery"] = recovery

@@ -102,28 +102,37 @@ def _log_likelihoods(trajectories, policy, transitions):
     on-policy steps gets 0.0 (the empty product), emulating the indicator
     formula as written.
     """
-    def on_policy(rows):
+    def on_policy(rows):  # each block's mask is made once
         return policy.actions[trajectories.id_column(rows, 0)] == trajectories.triples[rows, 1]
 
-    # P(s, a, s') of a cell is the value at its place in the sorted cells; an absent
+    # P(s, a, s') of a cell is the value at its place in the sorted cells, which
+    # lies among its (s, a) row's cells, firsts[r] up to firsts[r + 1]; an absent
     # cell reads the 0 appended after the last value
     cells, values = transitions.cells, np.append(transitions.values, 0.0)
     n_states, n_actions = transitions.n_states, transitions.n_actions
+    firsts = np.searchsorted(cells, np.arange(n_states * n_actions + 1) * n_states)
+    widths = np.diff(firsts)  # every row holds at least one cell
+    widest = int(widths.max(initial=1))
 
-    def log_p(rows):  # at the on-policy steps, the only ones kept; 0 at the others
-        keep = on_policy(rows)
+    def log_p(rows, keep):  # at the on-policy steps
         cell = cell_index(trajectories.triples[rows][keep], n_states, n_actions)
-        order = np.argsort(cell)  # searchsorted is several times faster on sorted needles
-        at = np.empty_like(order)
-        at[order] = np.searchsorted(cells, cell[order])
+        row = cell // n_states
+        first, width = firsts[row], widths[row]
+        # a binary search of each row's few cells: before[i], the number of them
+        # below cell[i], found one halving of the widest row at a time
+        before = np.zeros(len(cell), dtype=np.intp)
+        step = 1 << (widest.bit_length() - 1)
+        while step:
+            probe = np.minimum(before + step, width)
+            before = np.where(cells.take(first + probe - 1) < cell, probe, before)
+            step >>= 1
+        at = first + before
         at[cells.take(at, mode="clip") != cell] = len(cells)
-        logs = np.zeros(len(keep))
         with np.errstate(divide="ignore"):
-            logs[keep] = np.log(values[at])
-        return logs
+            return np.log(values[at])
 
-    on_policy_steps = trajectories.reduce_steps(on_policy, np.sum)
-    return trajectories.reduce_steps(log_p, np.sum, where=on_policy), on_policy_steps == 0
+    log_likelihood, on_policy_steps = trajectories.reduce_steps(log_p, np.sum, where=on_policy)
+    return log_likelihood, on_policy_steps == 0
 
 
 def score_trajectories(

@@ -23,13 +23,12 @@ import numpy as np
 from .errors import ParameterError, SchemaError
 from .mdp import DeterministicPolicy, TransitionModel
 from .table import BINARY, read_table, write_table
-from .trajectories import TrajectorySet
+from .trajectories import TrajectorySet, id_dtype
 
 CORRUPTION_MODES = ("random_policy", "negated_reward", "low_temperature")
 
 # synthetic subjects "die" when they end in a clearly bad true-reward state
 DEATH_REWARD_CUTOFF = -0.5
-_JSON_BLOCK = 64  # states of world.json's kernel converted per np.array call
 
 
 def finite_horizon_values(kernel: TransitionModel, rewards: np.ndarray, horizon: int):
@@ -85,9 +84,13 @@ class SyntheticWorld:
     @classmethod
     def from_json(cls, path) -> "SyntheticWorld":
         with open(path) as fh:
-            # each distinct number literal becomes one float, which every cell
-            # holding it shares: float(literal) is what json.load would make
-            p = json.load(fh, parse_float=_Floats().__getitem__)
+            text = fh.read()
+        try:
+            p = _decode_world(text)
+        except ValueError:  # not one JSON object: json.load's own error, if it makes one
+            json.loads(text)["n_states"]
+            raise
+        del text
         return cls(
             n_states=p["n_states"],
             n_actions=p["n_actions"],
@@ -102,23 +105,77 @@ class SyntheticWorld:
         )
 
 
+_skip = json.decoder.WHITESPACE.match  # JSON's whitespace, from a position on
+
+
+def _decode_world(text: str) -> dict:
+    """The top-level object of world.json's text, as json.load reads it, except
+    that probs, whatever its place among the keys, is decoded one state at a
+    time into _KernelRows: the (A, S) lists of only one state are ever whole.
+    Each distinct number literal becomes one float, which every cell holding
+    it shares: float(literal) is what json.load would make. A text that is not
+    one JSON object raises ValueError."""
+    decode = json.JSONDecoder(parse_float=_Floats().__getitem__).raw_decode
+    payload = {}
+
+    def state(at: int, states: _KernelRows) -> int:
+        rows, at = decode(text, at)
+        block = np.array(rows, dtype=float)
+        nonzero = np.flatnonzero(block)
+        states.append((block.shape, nonzero, block.reshape(-1)[nonzero]))
+        return at
+
+    def pair(at: int) -> int:
+        key, at = decode(text, at)
+        at = _skip(text, at).end()
+        if not isinstance(key, str) or not text.startswith(":", at):
+            raise ValueError("not a JSON object")
+        at = _skip(text, at + 1).end()
+        if key == "probs" and text.startswith("[", at):
+            payload[key] = states = _KernelRows()
+            return _members(text, at, "]", lambda at: state(at, states))
+        payload[key], at = decode(text, at)
+        return at
+
+    at = _skip(text, 0).end()
+    if not text.startswith("{", at) or _members(text, at, "}", pair) != len(text):
+        raise ValueError("not one JSON object")
+    return payload
+
+
+def _members(text: str, at: int, close: str, member) -> int:
+    """Decode the members of the JSON object or list whose bracket is text[at],
+    one at a time: member(at) decodes the one that starts at text[at] and gives
+    where it ends. Gives where the container and the whitespace after it end."""
+    at = _skip(text, at + 1).end()
+    if not text.startswith(close, at):
+        at = _skip(text, member(at)).end()
+        while text.startswith(",", at):
+            at = _skip(text, member(_skip(text, at + 1).end())).end()
+    if not text.startswith(close, at):
+        raise ValueError("not a JSON object or list")
+    return _skip(text, at + 1).end()
+
+
+class _KernelRows(list):
+    """world.json's probs, one (shape, non-zero places, values) per state: each
+    state's (A, S) lists made one array and reduced to its non-zeros as it is
+    decoded."""
+
+
 def _kernel_from_json(probs, n_states: int, n_actions: int) -> TransitionModel:
-    """The kernel held by world.json's nested (S, A, S) lists, converted a block of
-    _JSON_BLOCK states per np.array call straight into its non-zeros: one call per
-    (s, a) row took twice as long, and no dense kernel is made."""
+    """The kernel held by world.json's probs, decoded state by state into its
+    non-zeros (_KernelRows): no dense kernel is made."""
     shape = "world probs must have shape (n_states, n_actions, n_states)"
-    if len(probs) != n_states:
+    if not isinstance(probs, _KernelRows) or len(probs) != n_states:
         raise SchemaError(shape)
-    cells, values = [], []
-    for lo in range(0, n_states, _JSON_BLOCK):
-        block = np.array(probs[lo : lo + _JSON_BLOCK], dtype=float)
-        if block.shape[1:] != (n_actions, n_states):
-            raise SchemaError(shape)
-        at = np.flatnonzero(block)
-        cells.append(at + lo * n_actions * n_states)
-        values.append(block.reshape(-1)[at])
+    if any(state_shape != (n_actions, n_states) for state_shape, _, _ in probs):
+        raise SchemaError(shape)
+    width = n_actions * n_states
     return TransitionModel(
-        n_states, n_actions, np.concatenate(cells), np.concatenate(values),
+        n_states, n_actions,
+        np.concatenate([s * width + nonzero for s, (_, nonzero, _) in enumerate(probs)]),
+        np.concatenate([values for _, _, values in probs]),
         np.zeros((n_states, n_actions), dtype=np.int64),
     )
 
@@ -519,13 +576,16 @@ def _step_table(kernel: TransitionModel):
 
 
 def _sample_steps(world: SyntheticWorld, policy_cdf, bad, seed: int):
-    """Every trajectory's (horizon, 3) int32 triples, the set's own dtype, and its
-    final state, sampled as generate_population describes; the kernel's cumulative
-    table and a block's draws go when it returns, before the set is built."""
+    """Every trajectory's (horizon, 3) triples and its final state, sampled as
+    generate_population describes. The triples are drawn into the set's own
+    narrow ids, the id_dtype of the largest state or action id the world has
+    (int16 up to 2**15 states and actions, int32 beyond), so the set keeps them
+    with no copy; the kernel's cumulative table and a block's draws go when it
+    returns, before the set is built."""
     n, horizon, n_states, n_actions = len(bad), world.horizon, world.n_states, world.n_actions
     step_cdf, successors = _step_table(world.kernel)
     start_cdf = _cdf_rows(world.initial_distribution[None])
-    triples = np.empty((n, horizon, 3), dtype=np.int32)
+    triples = np.empty((n, horizon, 3), dtype=id_dtype(max(n_states, n_actions) - 1))
     last = np.empty(n, dtype=np.int64)  # each trajectory's final state
     for lo in range(0, n, _SAMPLE_BLOCK):
         hi = min(lo + _SAMPLE_BLOCK, n)

@@ -32,11 +32,15 @@ first binary pass over the file counts line breaks; once parsed, each column
 shrinks in place to the rows read (ndarray.resize, no copy). A read thus holds
 its columns and one block's parse, not a whole-file parse beside them; a column
 it does not read is checked but not kept. Columns named in stack (the
-trajectory triples, int32) are parsed straight into one (n, k) array of
-their kind's dtype, so no int64 parse of them is made. After the
-parse come the owners' numbers and, unless the rows already come in (owner,
-sort key) order (_in_order: owner numbers never decrease, and within an owner
-the key never does), the sort order and one column's sorted copy at a time.
+trajectory triples, INT32) are parsed block by block in their kind's dtype,
+so the grammar and every message stay the kind's, and copied into one (n, k)
+array held as narrow as the values allow: int16 while every value read fits
+int16, and from the first block holding one that does not, the kind's dtype,
+into which the rows read so far are copied once. After the parse come the
+owners' numbers and row counts, a block at a time, and, unless the rows
+already come in (owner, sort key) order (_in_order: owner numbers never
+decrease, and within an owner the key never does), the sort order and one
+column's sorted copy at a time.
 Rows already in that order are where a stable sort would leave them, so
 skipping it gives the same table; the package's own writers write every file
 in that order.
@@ -148,7 +152,8 @@ def read_table(
     value per owner. Each owner's rows are sorted by the sort_by column, or
     kept in file order; with one_row, an owner may have only one. The required
     columns named in stack, of one kind that np.loadtxt parses natively, are
-    parsed into one (n, len(stack)) array, columns[stack]. Errors name the
+    parsed into one (n, len(stack)) array, columns[stack], held int16 while
+    every value fits it when the kind is a wider integer. Errors name the
     owner by its column without `_id`.
     """
     bound = _line_breaks(path)  # a row takes at least one line, the header another
@@ -170,8 +175,10 @@ def read_table(
         parsed = {
             j: np.empty(bound, fields[j][1]) for c, j in at.items() if kinds[c] and c not in stack
         }
-        stacked = np.empty((bound, len(stack)), kinds[stack[0]].dtype if stack else None)
-        into = {**parsed, **{at[c]: stacked[:, i] for i, c in enumerate(stack)}}
+        # stacked integers wider than int16 are held int16 while every value read fits
+        wide = kinds[stack[0]].dtype if stack else None
+        narrow = np.int16 if stack and np.dtype(wide).itemsize > 2 else wide
+        stacked = np.empty((bound, len(stack)), narrow)
         converters = {j: texts.__getitem__ for j, texts in codes.items()}
         n_rows = 0
         try:
@@ -187,14 +194,19 @@ def read_table(
                         encoding=None,  # numpy 1.x's default, 'bytes', hands converters bytes
                         max_rows=_READ_BLOCK,  # blank lines do not count toward it
                     )
-                    for j, values in into.items():
+                    for j, values in parsed.items():
                         values[n_rows : n_rows + len(block)] = block[f"c{j}"]
+                    block_ids = [block[f"c{at[c]}"] for c in stack]
+                    if stacked.dtype != wide and not all(_fits(v, narrow) for v in block_ids):
+                        stacked = _widen(stacked, n_rows, wide)  # once, at the first such block
+                    for i, values in enumerate(block_ids):
+                        stacked[n_rows : n_rows + len(block), i] = values
                     n_rows += len(block)
                     if len(block) < _READ_BLOCK:
                         break
         except ValueError as exc:
             raise _bad_cell(path, header, kinds, owner, exc) from None
-    del into, block  # no view of a column is left, so each shrinks in place to the rows read
+    del block, block_ids  # no view of a column is left, so each shrinks in place to the rows read
     for values in [stacked, *parsed.values()]:
         values.resize((n_rows, *values.shape[1:]), refcheck=False)
     owner_codes = parsed.pop(at[owner])
@@ -214,16 +226,12 @@ def read_table(
             raise _bad_cell(path, header, kinds, owner, f"a bad {stack[0]} cell")
     del stacked
 
-    # the owners numbered in sorted id order, from their distinct ids, in place over
-    # their codes a block at a time (take converts a block's codes to intp indices)
+    # the owners numbered in sorted id order, from their distinct ids
     label, distinct = owner.removesuffix("_id"), list(codes[at[owner]])
     ranked = sorted(range(len(distinct)), key=distinct.__getitem__)
     ids, who = [distinct[i] for i in ranked], owner_codes
-    rank = np.argsort(ranked).astype(np.int32)
-    for lo in range(0, n_rows, _READ_BLOCK):
-        np.take(rank, who[lo : lo + _READ_BLOCK], out=who[lo : lo + _READ_BLOCK], mode="clip")
+    lengths = _number_owners(who, np.argsort(ranked).astype(np.int32))
     del owner_codes
-    lengths = np.bincount(who, minlength=len(ids))
     if one_row and (lengths > 1).any():
         raise SchemaError(f"{path}: {label} {ids[np.argmax(lengths > 1)]}: more than one row")
     if not _in_order(who, columns[sort_by] if sort_by else None):
@@ -244,6 +252,34 @@ def read_table(
             )
     firsts = np.cumsum(lengths) - lengths
     return Table(ids, lengths, columns, {c: v[firsts] for c, v in shared.items()})
+
+
+def _number_owners(who, rank) -> np.ndarray:
+    """Renumber the owner codes who in place, each code c becoming rank[c], and
+    count each owner's rows: a block at a time, as take and bincount convert
+    their input to intp, and a block's counts start at its least owner."""
+    lengths = np.zeros(len(rank), dtype=np.intp)
+    for lo in range(0, len(who), _READ_BLOCK):
+        block = who[lo : lo + _READ_BLOCK]
+        np.take(rank, block, out=block, mode="clip")
+        least = block.min()
+        counts = np.bincount(block - least)
+        lengths[least : least + len(counts)] += counts
+    return lengths
+
+
+def _fits(values, dtype) -> bool:
+    """Whether every one of the integers values lies within dtype's range."""
+    limits = np.iinfo(dtype)
+    return not len(values) or (limits.min <= values.min() and values.max() <= limits.max)
+
+
+def _widen(stacked, n_rows: int, dtype):
+    """A new array of stacked's shape and the given dtype, its first n_rows rows
+    those of stacked."""
+    wide = np.empty(stacked.shape, dtype)
+    wide[:n_rows] = stacked[:n_rows]
+    return wide
 
 
 def _in_order(who, key) -> bool:

@@ -2,22 +2,27 @@
 
 A trajectory chains (state, action, next_state) triples: the next_state of
 step t is the state of step t+1. A TrajectorySet holds its N trajectories in
-columns: `triples`, an (M, 3) int32 array in which trajectory i owns rows
-offsets[i] : offsets[i] + lengths[i] in step order; `lengths` and `offsets`;
-the unique `ids`; `demographics`, one object array per tag with None where a
-trajectory lacks the tag; and the `died_in_hospital` flags. Every set is
-built from these columns by one constructor, which runs one validation
-routine.
+columns: `triples`, an (M, 3) array of narrow ids (below) in which trajectory
+i owns rows offsets[i] : offsets[i] + lengths[i] in step order; `lengths` and
+`offsets`; the unique `ids`; `demographics`, one object array per tag with
+None where a trajectory lacks the tag; and the `died_in_hospital` flags.
+Every set is built from these columns by one constructor, which runs one
+validation routine.
 
-A state or action id is at least 0 and at most 2**31 - 1, the int32 range.
-The constructor range-checks ids given in any other dtype before its one
-cast, since a cast wraps (2**31 would become -2**31), and the readers and the
-sampler write int32 in the first place. Ids are only ever indices, bins and
-decimal text; the one arithmetic on them that can pass 2**31, a kernel cell's
-flat index, is done in int64 (mdp.cell_index). numpy converts an int32
-index array to intp on every fancy-index call, and slowly for a column of
-the (M, 3) array, so work that indexes by a block's ids takes each column
-converted once into a contiguous intp array (id_column).
+A state or action id is at least 0 and at most 2**31 - 1, the int32 range,
+and ids are stored as narrow as they fit: `triples` is int16 while every id
+is below 2**15, int32 otherwise (id_dtype). The constructor picks the type
+from the ids, with no copy when they come in it, and range-checks ids given
+in a wider dtype before its one cast, since a cast wraps (2**31 would become
+-2**31). The reader (table.read_table) holds the ids int16 until a block has
+one that does not fit, then widens the rows read so far to int32 once; the
+sampler draws into the type its state and action counts need. Ids are only
+ever indices, bins, comparisons and decimal text, never operands of
+arithmetic in their own type, where int16 wraps silently: a kernel cell's
+flat index, which can pass 2**31, is computed in int64 (mdp.cell_index).
+numpy converts a narrow index array to intp on every fancy-index call, and
+slowly for a column of the (M, 3) array, so work that indexes by a block's
+ids takes each column converted once into a contiguous intp array (id_column).
 
 Work that derives a value per step walks the set one block of whole
 trajectories at a time (blocks: at most _STEP_BLOCK rows each, or one longer
@@ -60,6 +65,12 @@ _STEP_BLOCK = 1 << 16
 _MAX_ID = np.iinfo(np.int32).max
 
 
+def id_dtype(highest: int):
+    """The narrowest type of the stored ids when the largest is `highest`:
+    int16 below 2**15, int32 otherwise (up to _MAX_ID)."""
+    return np.int16 if highest <= np.iinfo(np.int16).max else np.int32
+
+
 class TrajectorySet:
     """Ordered trajectories over a shared state/action space, stored as columns."""
 
@@ -71,10 +82,11 @@ class TrajectorySet:
 
         A dimension left None is inferred from the ids in triples, a missing
         demographics has no tags, and died_in_hospital defaults to all False.
-        Triples that are not int32 are stored as an int32 copy once checked.
+        Triples are stored in id_dtype of their largest id, as a copy once
+        checked unless they already are.
         """
         self.triples = np.asarray(triples)
-        if self.triples.dtype != np.int32:
+        if self.triples.dtype not in (np.int16, np.int32):
             self.triples = np.asarray(self.triples, dtype=np.int64)
         if self.triples.ndim != 2 or self.triples.shape[1] != 3:
             raise SchemaError("triples must have shape (n_steps, 3)")
@@ -92,7 +104,7 @@ class TrajectorySet:
         self.n_states = n_states if n_states is not None else 1 + int(max(highest[[0, 2]]))
         self.n_actions = n_actions if n_actions is not None else 1 + int(highest[1])
         self._validate()
-        self.triples = self.triples.astype(np.int32, copy=False)
+        self.triples = self.triples.astype(id_dtype(int(highest.max())), copy=False)
 
     def _validate(self) -> None:
         """The one check of the columns, run by every construction path."""
@@ -115,7 +127,7 @@ class TrajectorySet:
         chained[self.offsets] = True
         self._reject(~chained, "triples do not chain")
         self._reject(triples < 0, "negative state/action id")
-        if triples.dtype != np.int32:  # checked before the cast, which would wrap
+        if triples.dtype == np.int64:  # checked before the cast, which would wrap
             self._reject(triples > _MAX_ID, f"state/action id above {_MAX_ID}, the int32 limit")
         self.require_space(self.n_states, self.n_actions, SchemaError)
 
@@ -184,18 +196,24 @@ class TrajectorySet:
         called once per block. The result is bit-identical to reducing each
         trajectory's slice on its own. With `where`, a function of the same
         slice giving one bool per row, a trajectory is reduced over its
-        selected steps only, and one with none selected gets 0.0.
+        selected steps only, and one with none selected gets 0.0: `where` is
+        called once per block, values then takes the slice and that mask and
+        gives one value per selected row, and the result is the pair
+        (reductions, number of selected steps per trajectory).
         """
         out = np.zeros(len(self))
+        counts = np.zeros(len(self), dtype=np.int64)
 
         def reduce_block(owners, rows):  # its temporaries go before the next block's
-            block, lengths = np.asarray(values(rows), dtype=float), self.lengths[owners]
-            if where is not None:
+            lengths = self.lengths[owners]
+            if where is None:
+                block = np.asarray(values(rows), dtype=float)
+            else:
                 keep = where(rows)
-                block = block[keep]
+                block = np.asarray(values(rows, keep), dtype=float)
                 selected = np.concatenate(([0], np.cumsum(keep)))
                 starts = self.offsets[owners] - rows.start
-                lengths = selected[starts + lengths] - selected[starts]
+                lengths = counts[owners] = selected[starts + lengths] - selected[starts]
             starts = np.cumsum(lengths) - lengths
             # with counts, np.unique sorts rather than hashing, the path that imports numpy.ma
             for length in np.unique(lengths[lengths > 0], return_counts=True)[0]:
@@ -205,7 +223,7 @@ class TrajectorySet:
 
         for owners, rows in self.blocks():
             reduce_block(owners, rows)
-        return out
+        return out if where is None else (out, counts)
 
     def require_mask(self, keep) -> np.ndarray:
         """`keep` as a bool array with one entry per trajectory; ParameterError otherwise."""

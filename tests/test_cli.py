@@ -55,8 +55,13 @@ def test_peak_probe_names_the_trajectory_read(synth_dir, tmp_path):
     done = python(peaks, "irl", "--trajectories", synth_dir / "trajectories.csv",
                   "--epochs", 2, "--out", tmp_path / "irl")
     lines = done.stderr.splitlines()
-    assert lines[0].endswith("MiB  import") and lines[-1].endswith("MiB  ru_maxrss")
+    assert lines[0].endswith("  import") and lines[-1].endswith("  ru_maxrss")
     assert "trajectories.py:TrajectorySet.from_csv" in done.stderr
+    for line in lines:  # the peak, then the resident set read with it, which is no larger
+        if line.startswith("warning:"):  # the command's own stderr
+            continue
+        peak, unit, column, now, _ = line.split(maxsplit=4)
+        assert (unit, column) == ("MiB", "VmRSS") and 0 < float(now) <= float(peak), line
     assert (tmp_path / "irl" / "rewards.json").exists()
 
 
@@ -728,6 +733,26 @@ class TestGroundTruthChecks:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, err
         assert not out.exists()
+
+    def test_labels_of_other_ids_name_both_counts(self, tmp_path, synth_dir, capsys):
+        """Labels in another order are the same labels; one id renamed is one
+        trajectory unlabelled and one label of no trajectory, in the whole message."""
+        header, *rows = (synth_dir / "labels.csv").read_text().splitlines()
+        labels = tmp_path / "labels.csv"
+        truth = ("--world", synth_dir / "world.json", "--labels", labels)
+        pipeline = ("pipeline", "--trajectories", synth_dir / "trajectories.csv", *truth,
+                    "--epochs", 5, "--permutations", 20)
+        labels.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        assert run(*pipeline, "--out", tmp_path / "reversed") == 0
+        rows[0] = "stranger," + rows[0].split(",")[1]
+        labels.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert run(*pipeline, "--out", tmp_path / "renamed") == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels}: the labels must name exactly the trajectories' ids "
+            "(1 trajectories unlabelled, 1 labels of no trajectory)\n"
+        )
+        assert not (tmp_path / "renamed").exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "sweep", "analyze"])
     def test_unknown_attribute_fails_before_any_run(self, tmp_path, synth_dir, run1, capsys,

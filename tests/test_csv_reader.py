@@ -370,6 +370,25 @@ def test_id_columns_are_read_as_int32(tmp_path, column):
     assert str(exc.value) == f"{path}: trajectory b: {column} '2147483648' is not an integer"
 
 
+@pytest.mark.parametrize("column", ["state", "action", "next_state"])
+@pytest.mark.parametrize("row", [0, 4095, 4096, 8999])  # first and last of blocks 1 and 2, last row
+def test_ids_are_read_int16_until_one_does_not_fit(tmp_path, column, row):
+    """9,000 one-step trajectories, three parse blocks of 4,096 rows: an id of
+    32767 keeps the triples int16; 32768 in any block, the last one included,
+    widens every row read so far to int32 once, and every id reads as written."""
+    at = ["state", "action", "next_state"].index(column)
+    rng = np.random.default_rng(row)
+    path = tmp_path / "t.csv"
+    for highest, dtype in [(2**15 - 1, np.int16), (2**15, np.int32)]:
+        triples = rng.integers(0, 2**15, size=(9000, 3))
+        triples[row, at] = highest
+        lines = [f"t{i:04d},0,{s},{a},{sp}" for i, (s, a, sp) in enumerate(triples.tolist())]
+        path.write_text("trajectory_id,step,state,action,next_state\n" + "\n".join(lines) + "\n")
+        tset = TrajectorySet.from_csv(path)
+        assert tset.triples.dtype == dtype
+        assert np.array_equal(tset.triples, triples) and tset.triples.base is None
+
+
 def test_line_breaks_count_a_cr_lf_split_between_chunks_once(tmp_path):
     from consensus_irl import table
 
@@ -384,13 +403,14 @@ def test_reading_a_trajectory_file_holds_no_str_per_row(tmp_path):
     with the owner column parsed as codes, 63.7 parsed a block at a time into
     columns allocated once, 44.5 with the steps and triples parsed as int32, 37.6
     with the owner codes int32 and renumbered in place, the death flags int8 and
-    the steps checked in int32."""
+    the steps checked in int32, 32.9 with the ids held int16 and the owners'
+    rows counted a block at a time."""
     world = generate_world(100, 4, 5, seed=3, horizon=20)
     config = PopulationConfig(n_trajectories=2000, corrupted_fraction=0.3, seed=3)
     path = tmp_path / "trajectories.csv"
     generate_population(world, config).trajectories.to_csv(path)
     assert TrajectorySet.from_csv(path).lengths.sum() == 40_000
-    assert traced_peak(lambda: TrajectorySet.from_csv(path)) < 40 * 40_000
+    assert traced_peak(lambda: TrajectorySet.from_csv(path)) < 35 * 40_000
 
 
 # text a CSV has to quote, or that a reader could take for a comment

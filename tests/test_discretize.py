@@ -234,9 +234,9 @@ class TestChaining:
         assert (tset.n_states, tset.n_actions) == (10, 8)
         assert report == {"excluded_short": 0}
 
-    def test_chained_ids_are_stored_as_int32(self):
+    def test_chained_ids_are_stored_narrow(self):
         tset, _ = chain({"p": [3, 3, 9], "q": [1, 2]}, {"p": [0, 2, 7], "q": [1, 1]})
-        assert tset.triples.dtype == np.int32
+        assert tset.triples.dtype == np.int16
         assert tset.triples.tolist() == [[3, 0, 3], [3, 2, 9], [1, 1, 2]]
 
     def test_last_rows_action_starts_no_step(self):

@@ -1,5 +1,6 @@
 """Deviation/likelihood scoring identities and retained-set selection rules."""
 
+import copy
 import math
 from types import SimpleNamespace
 
@@ -26,6 +27,10 @@ from consensus_irl import (
     write_scores_csv,
 )
 
+from consensus_irl.analyze import _reward_deltas
+from consensus_irl.mdp import DeterministicPolicy, cell_index
+from consensus_irl.prune import _log_likelihoods
+from consensus_irl.trajectories import TrajectorySet
 from conftest import make_set, traced_peak
 from oracles import reference_trajectories
 
@@ -220,6 +225,55 @@ def test_scoring_holds_one_block_of_steps(rows_400k):
     policy = greedy_policy(transitions, reward)
     peak = traced_peak(lambda: score_trajectories(rows_400k, transitions, reward, policy))
     assert peak < 16 * 400_000
+
+
+def _int32_copy(tset):
+    """The same set with its ids held int32, as a set with an id of 2**15 holds them."""
+    wide = copy.copy(tset)
+    wide.triples = tset.triples.astype(np.int32)
+    return wide
+
+
+def _all_scores(tset, model, reward, policy):
+    return [getattr(score_trajectories(tset, model, reward, policy), c) for c in COLUMNS]
+
+
+def _log_likelihoods_only(tset, model, reward, policy):  # no dense reward products
+    return list(_log_likelihoods(tset, policy, model))
+
+
+def _top_ids_walks(n_states=2**15):
+    """300 random walks of 6 steps among the top 50 state ids, 32767 included."""
+    rng = np.random.default_rng(7)
+    states = rng.integers(n_states - 50, n_states, size=(300, 7))
+    states[0, 0] = n_states - 1
+    triples = np.stack([states[:, :-1], rng.integers(0, 2, (300, 6)), states[:, 1:]], 2)
+    tset = TrajectorySet(triples.reshape(-1, 3), [6] * 300, range(300), n_states, 2)
+    cells = cell_index(triples.reshape(-1, 3).astype(np.int64), n_states, 2)
+    assert set(estimate_transitions(tset).cells) >= set(cells.tolist())
+    return tset
+
+
+@pytest.mark.parametrize("walks, scores", [
+    (None, _all_scores), (_top_ids_walks, _log_likelihoods_only),
+], ids=["20 states", "top ids of 32768 states"])
+def test_narrow_ids_give_the_int32_bits(small_population, walks, scores):
+    """Kernel cells, scores (log-likelihoods alone at 32768 states, where the
+    dense reward products would take seconds) and reward deltas, each step on
+    or off a random policy, are those of the same ids held int32, bit for bit."""
+    tset = walks() if walks else small_population.trajectories
+    assert tset.triples.dtype == np.int16
+    rng = np.random.default_rng(1)
+    reward1, reward2 = (RewardModel(rng.uniform(-1, 1, tset.n_states)) for _ in range(2))
+    policy = DeterministicPolicy(rng.integers(0, tset.n_actions, tset.n_states))
+
+    def results(t):
+        model = estimate_transitions(t)
+        return [model.cells, model.values, model.visit_counts,
+                *scores(t, model, reward1, policy), _reward_deltas(t, reward1, reward2)]
+
+    for got, expected in zip(results(tset), results(_int32_copy(tset))):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_deviation_selection_keeps_highest_C():

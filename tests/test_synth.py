@@ -223,6 +223,31 @@ def test_sampling_holds_one_block_of_draws_at_a_time():
     assert traced_peak(lambda: generate_population(world, config)) < 780 * 10_000
 
 
+@pytest.mark.parametrize("n_states, n_actions, dtype", [
+    (2**15, 2, np.int16), (2**15 + 1, 2, np.int32),
+    (2, 2**15, np.int16), (2, 2**15 + 1, np.int32),
+])
+def test_sampling_draws_ids_as_narrow_as_the_world_needs(n_states, n_actions, dtype):
+    """Every walk starts in the last state, takes the last action and moves to
+    state 0: ids up to 32767 are drawn into int16 triples, and 32768 into int32."""
+    rows = np.arange(n_states * n_actions)  # every (s, a) row moves to state 0
+    world = SyntheticWorld(
+        n_states=n_states, n_actions=n_actions, branching=1,
+        kernel=TransitionModel(n_states, n_actions, rows * n_states,
+                               np.ones(len(rows)), np.zeros((n_states, n_actions))),
+        rewards=np.zeros(n_states), optimal_policy=DeterministicPolicy(np.zeros(n_states)),
+        optimal_q=np.tile(np.arange(n_actions, dtype=float), (n_states, 1)), horizon=3,
+        initial_distribution=np.zeros(n_states), seed=0,
+    )
+    world.initial_distribution[-1] = 1.0
+    config = PopulationConfig(n_trajectories=4, corrupted_fraction=0.0, expert_beta=50.0, seed=1)
+    tset = generate_population(world, config).trajectories
+    assert tset.triples.dtype == dtype
+    assert tset.triples.base is not None  # the sampler's own array, not a copy of it
+    steps = [[n_states - 1, n_actions - 1, 0], [0, n_actions - 1, 0], [0, n_actions - 1, 0]]
+    assert tset.triples.tolist() == steps * 4
+
+
 def test_zero_corruption_has_no_labels(small_world):
     pop = generate_population(
         small_world, PopulationConfig(n_trajectories=40, corrupted_fraction=0.0, seed=1)

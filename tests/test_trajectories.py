@@ -47,8 +47,10 @@ def test_set_validates_id_ranges():
         make_set([[(0, 7, 1)]], n_states=3, n_actions=2)
 
 
-def test_every_producer_stores_int32_ids(tmp_path, small_population):
-    given = [np.array(STEPS, dtype=np.int64), [list(step) for step in STEPS]]
+def test_every_producer_stores_narrow_ids(tmp_path, small_population):
+    """Ids below 2**15 are stored int16, whichever producer made the set."""
+    given = [np.array(STEPS, dtype=np.int64), [list(step) for step in STEPS],
+             np.array(STEPS, dtype=np.int32)]
     sets = [TrajectorySet(triples, [2], ["a"]) for triples in given]
     small_population.trajectories.to_csv(tmp_path / "t.csv")
     sets += [
@@ -57,8 +59,24 @@ def test_every_producer_stores_int32_ids(tmp_path, small_population):
         sets[0].subset(np.array([True])),
     ]
     for tset in sets:
-        assert tset.triples.dtype == np.int32 and tset.triples.flags.c_contiguous
+        assert tset.triples.dtype == np.int16 and tset.triples.flags.c_contiguous
     assert sets[0].triples.tolist() == sets[1].triples.tolist() == list(map(list, STEPS))
+    sampled = sets[3]
+    again = TrajectorySet(sampled.triples, sampled.lengths, sampled.ids, sampled.n_states)
+    assert again.triples is sampled.triples  # a set of int16 ids is not copied
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_ids_widen_to_int32_from_2_to_the_15(column):
+    """32767 is the largest id stored int16; 32768 anywhere makes the set int32,
+    from int64 given ids, and a subset is int32 while it keeps that id."""
+    for highest, dtype in [(2**15 - 1, np.int16), (2**15, np.int32)]:
+        triples = np.zeros((3, 3), dtype=np.int64)
+        triples[1, column] = highest  # each trajectory is one step: nothing to chain
+        tset = TrajectorySet(triples, [1, 1, 1], ["a", "b", "c"])
+        assert tset.triples.dtype == dtype and tset.triples.tolist() == triples.tolist()
+        assert tset.subset(np.array([False, True, True])).triples.dtype == dtype
+        assert tset.subset(np.array([True, False, False])).triples.dtype == np.int16
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])
@@ -219,9 +237,10 @@ def test_reduce_steps_matches_per_trajectory_reductions():
     assert tset.reduce_steps(values.__getitem__, np.mean).tolist() == [
         np.mean(values[i]) for i in slices
     ]
-    assert tset.reduce_steps(values.__getitem__, np.sum, where=where.__getitem__).tolist() == [
-        np.sum(values[i][where[i]]) for i in slices
-    ]
+    sums, counts = tset.reduce_steps(lambda rows, keep: values[rows][keep], np.sum,
+                                     where=where.__getitem__)
+    assert sums.tolist() == [np.sum(values[i][where[i]]) for i in slices]
+    assert counts.tolist() == [np.count_nonzero(where[i]) for i in slices]
 
 
 # ------------------------------------------------ per-step work, a block at a time
@@ -273,9 +292,18 @@ def test_reduce_steps_in_blocks_is_the_per_slice_reduction(monkeypatch, block):
     assert tset.reduce_steps(values.__getitem__, np.mean).tolist() == [
         np.mean(values[i]) for i in slices
     ]
-    sums = tset.reduce_steps(values.__getitem__, np.sum, where=where.__getitem__).tolist()
-    assert sums == [np.sum(values[i][where[i]]) for i in slices]
-    assert sums[3] == 0.0
+    calls = []
+
+    def where_once(rows):  # each block's mask is asked for once
+        calls.append(rows)
+        return where[rows]
+
+    sums, counts = tset.reduce_steps(lambda rows, keep: values[rows][keep], np.sum,
+                                     where=where_once)
+    assert sums.tolist() == [np.sum(values[i][where[i]]) for i in slices]
+    assert counts.tolist() == [np.count_nonzero(where[i]) for i in slices]
+    assert sums[3] == 0.0 and counts[3] == 0
+    assert calls == [rows for _, rows in tset.blocks()]
 
 
 @pytest.mark.parametrize("block", [1, 5, 9])

@@ -11,9 +11,12 @@ was entered, the VmHWM, the rise and the call (file:function), so a rise is
 named by every call it happened under, innermost first, and after it the
 modules first imported during that call that no line has named yet (an
 import's code and data count toward the rise: numpy.random's first use costs
-about 2.5 MiB); then the process's final ru_maxrss. A forked child (the
-permutation pool of analyze) runs unprofiled, so every line is this process's
-own. The command's stdout and exit status are its own. Linux only: it needs
+about 2.5 MiB); then the process's final ru_maxrss. Each line also gives the
+current resident set, VmRSS, read with its VmHWM: memory that a call freed
+but that the allocator kept (a heap that cannot shrink past a live block
+above the freed one) stays in VmRSS, and so under every later peak. A forked
+child (the permutation pool of analyze) runs unprofiled, so every line is this
+process's own. The command's stdout and exit status are its own. Linux only: it needs
 /proc/self/status.
 
 The kernel counts resident pages per thread in batches, so a VmHWM read can
@@ -35,20 +38,26 @@ STEP_MIB = 0.25  # the least rise of VmHWM within one call that gets a line
 def main(argv: list[str]) -> int:
     status_fd = os.open("/proc/self/status", os.O_RDONLY)
 
-    def vm_hwm_mib() -> float:
-        status = os.pread(status_fd, 1 << 16, 0)
-        at = status.index(b"VmHWM:") + len(b"VmHWM:")
+    def status() -> bytes:
+        return os.pread(status_fd, 1 << 16, 0)
+
+    def mib(status: bytes, field: bytes) -> float:
+        at = status.index(field) + len(field)
         return int(status[at : status.index(b"kB", at)]) / 1024
 
-    def report(mib: float, where: str) -> None:
-        print(f"{mib:9.2f} MiB  {where}", file=sys.stderr)
+    def vm_hwm_mib() -> float:
+        return mib(status(), b"VmHWM:")
+
+    def report(peak: float, where: str, now: bytes) -> None:
+        print(f"{peak:9.2f} MiB  VmRSS {mib(now, b'VmRSS:'):9.2f}  {where}", file=sys.stderr)
 
     sys.path.insert(0, str(ROOT / "src"))
     import consensus_irl
     from consensus_irl.cli import dispatch
 
     package = os.path.dirname(consensus_irl.__file__) + os.sep
-    report(vm_hwm_mib(), "import")
+    now = status()
+    report(mib(now, b"VmHWM:"), "import", now)
     # (VmHWM, number of modules loaded) on entry to each package call now running,
     # innermost last; sys.modules keeps its modules in the order they were loaded
     entered = []
@@ -61,9 +70,9 @@ def main(argv: list[str]) -> int:
         if event == "call":
             entered.append((vm_hwm_mib(), len(sys.modules)))
             return
-        now = vm_hwm_mib()
-        before, n_modules = entered.pop()
-        if now - before >= STEP_MIB:
+        now = status()
+        peak, (before, n_modules) = mib(now, b"VmHWM:"), entered.pop()
+        if peak - before >= STEP_MIB:
             name = getattr(code, "co_qualname", code.co_name)
             loaded = list(sys.modules)[n_modules:]
             # a module is named unless the package it belongs to was loaded here too
@@ -71,7 +80,7 @@ def main(argv: list[str]) -> int:
             named.update(new)
             imports = f"  (first imports {', '.join(new)})" if new else ""
             where = f"{os.path.basename(code.co_filename)}:{name}{imports}"
-            report(now, f"+{now - before:.2f}  {where}")
+            report(peak, f"+{peak - before:.2f}  {where}", now)
 
     os.register_at_fork(after_in_child=lambda: sys.setprofile(None))
     sys.setprofile(probe)
@@ -79,7 +88,7 @@ def main(argv: list[str]) -> int:
         exit_status = dispatch(argv)
     finally:
         sys.setprofile(None)
-    report(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "ru_maxrss")
+    report(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "ru_maxrss", status())
     return exit_status
 
 

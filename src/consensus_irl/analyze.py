@@ -30,7 +30,6 @@ the process may use, and the worker count changes no p-value.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import warnings
 from collections.abc import Callable
@@ -43,7 +42,7 @@ import numpy as np
 from .errors import ParameterError
 from .mdp import RewardModel
 from .prune import TrajectoryScores
-from .table import write_table
+from .table import write_json, write_table
 from .trajectories import TrajectorySet
 
 PERMUTATION_NOTE = (
@@ -562,8 +561,7 @@ def write_tests_json(results, path, posthoc: dict | None = None) -> None:
         if posthoc and res.name in posthoc:
             entry["posthoc"] = [dataclasses.asdict(p) for p in posthoc[res.name]]
         payload["tests"].append(entry)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    write_json(path, payload)
 
 
 def write_tests_csv(results, path) -> None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import sys
 from dataclasses import fields
@@ -64,7 +63,6 @@ from .mdp import RewardModel, estimate_transitions, greedy_policy, write_expecte
 from .pipeline import (
     load_run_directory,
     retention_sweep,
-    write_json,
     write_manifest,
     write_run_directory,
 )
@@ -83,7 +81,7 @@ from .synth import (
     load_demographic_tags,
     read_labels_csv,
 )
-from .table import write_table
+from .table import read_json, write_json, write_table
 from .trajectories import TrajectorySet
 from .version import __version__
 
@@ -285,13 +283,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     merged = dict(spec["defaults"])
     path = getattr(args, "config", None)
     if path:
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise InputError(f"config {path} must hold a JSON object")
+        loaded = read_json(path)
         sub = loaded.pop("subcommand", None)
         if sub is not None and sub != command:  # a null is absent, as under a flag key
             raise InputError(
@@ -356,12 +348,6 @@ def _publish(out, command, cfg, seeds, files, **extra) -> None:
         {"config.json": partial(write_json, payload=echo), **files},
         {"subcommand": command, "config": echo, "seeds": seeds, **extra},
     )
-
-
-def _write_rows_json(table: dict, path) -> None:
-    """A {column: column} table as a JSON list of rows, one {column: value} each."""
-    columns = [column.tolist() for column in table.values()]
-    write_json(path, [dict(zip(table, row)) for row in zip(*columns)])
 
 
 def _read_input(what: str, path, read, *args, **kwargs):
@@ -779,7 +765,10 @@ def cmd_analyze(cfg) -> None:
     cluster_model = _load_cluster_model(cfg, states)
     _attributes(cfg, tset)
     files = _analysis_files(tset, result, cfg, cluster_model)
-    files["reward_delta.json"] = partial(_write_rows_json, reward_delta_by_state(result))
+    table = reward_delta_by_state(result)  # written as a list of rows, one {column: value} each
+    files["reward_delta.json"] = lambda path: write_json(
+        path, [dict(zip(table, row)) for row in zip(*table.values())]
+    )
     _publish(out, "analyze", cfg, {"tests": cfg["seed"] + 3}, files)
     print(f"analyze: {len(files)} report files in {out}")
 

@@ -27,12 +27,13 @@ is chained on its own.
 
 from __future__ import annotations
 
-import json
+import inspect
 import warnings
 
 import numpy as np
 
 from .errors import CohortEmptyError, ParameterError, SchemaError
+from .table import read_json, write_json
 from .trajectories import TrajectorySet
 
 MAX_LLOYD_ITERATIONS = 300
@@ -65,7 +66,7 @@ class ClusterModel:
         self.used = np.asarray(used, dtype=bool)
         self.member_counts = np.asarray(member_counts, dtype=np.int64)
         self.dropped_cluster_ids = set(int(c) for c in dropped_cluster_ids)
-        self.feature_stats = feature_stats
+        self.feature_stats = {int(c): st for c, st in feature_stats.items()}
         self.inertia = float(inertia)
         self.seed = seed
         if not np.all(np.isfinite(self.centroids)):
@@ -98,39 +99,19 @@ class ClusterModel:
         return self.centroids * self.feature_stds[self.used] + self.feature_means[self.used]
 
     def to_json(self, path) -> None:
-        payload = {
-            "centroids": self.centroids.tolist(),
-            "feature_names": self.feature_names,
-            "feature_means": self.feature_means.tolist(),
-            "feature_stds": self.feature_stds.tolist(),
-            "used": self.used.astype(int).tolist(),
-            "member_counts": self.member_counts.tolist(),
+        """One JSON object whose keys are the constructor's parameters."""
+        payload = {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
+        write_json(path, {
+            **payload,
+            "used": self.used.astype(int),  # 1 and 0, not true and false
             "dropped_cluster_ids": sorted(self.dropped_cluster_ids),
-            "feature_stats": {
-                str(c): st for c, st in sorted(self.feature_stats.items())
-            },
-            "inertia": self.inertia,
-            "seed": self.seed,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            "feature_stats": {str(c): st for c, st in self.feature_stats.items()},  # sorted as text
+        }, indent=None)
 
     @classmethod
     def from_json(cls, path) -> "ClusterModel":
-        with open(path) as fh:
-            p = json.load(fh)
-        return cls(
-            centroids=np.array(p["centroids"]),
-            feature_names=p["feature_names"],
-            feature_means=np.array(p["feature_means"]),
-            feature_stds=np.array(p["feature_stds"]),
-            used=np.array(p["used"], dtype=bool),
-            member_counts=np.array(p["member_counts"]),
-            dropped_cluster_ids=set(p["dropped_cluster_ids"]),
-            feature_stats={int(c): st for c, st in p["feature_stats"].items()},
-            inertia=p["inertia"],
-            seed=p["seed"],
-        )
+        payload = read_json(path)
+        return cls(**{name: payload[name] for name in inspect.signature(cls).parameters})
 
 
 def _nearest(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

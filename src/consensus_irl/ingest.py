@@ -17,7 +17,6 @@ steps upstream; nothing resamples.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CohortEmptyError, ParameterError, SchemaError
-from .table import BINARY, FINITE, FLAG, INTEGER, OPTIONAL, TEXT, read_table, write_table
+from .table import BINARY, FINITE, FLAG, INTEGER, OPTIONAL, TEXT, read_json, read_table, write_table
 
 
 @dataclass(eq=False)
@@ -114,7 +113,7 @@ class ActionCodec:
 
     @classmethod
     def from_json(cls, path) -> "ActionCodec":
-        payload = _json_table(path, "codec", lambda value: value, "")
+        payload = read_json(path)
         try:
             labels = payload["labels"]
             entries = []
@@ -185,13 +184,7 @@ def regroup_demographics(subjects: dict, relabel: dict, min_share: float = 0.01)
 
 def _json_table(path, what: str, convert, kind: str) -> dict:
     """{key: convert(value)} over a JSON object; an error names the file and the key."""
-    with open(path) as fh:
-        try:
-            table = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(table, dict):
-        raise SchemaError(f"{path}: must hold a JSON object")
+    table = read_json(path)
     for key, value in table.items():
         try:
             table[key] = convert(value)
@@ -202,7 +195,7 @@ def _json_table(path, what: str, convert, kind: str) -> dict:
 
 def _pair(value) -> tuple[float, float]:
     lo, hi = value
-    return float(lo), float(hi)
+    return _number(lo), _number(hi)
 
 
 def load_normal_values(path) -> dict:
@@ -210,7 +203,7 @@ def load_normal_values(path) -> dict:
 
 
 def load_bounds(path) -> dict:
-    return _json_table(path, "bound", _pair, "a [lo, hi] pair of numbers")
+    return _json_table(path, "bound", _pair, "a [lo, hi] pair of finite numbers")
 
 
 def load_relabel(path) -> dict:

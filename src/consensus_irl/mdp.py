@@ -9,13 +9,12 @@ E is the dense product taken one block of states at a time, to the same bits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .table import write_table
+from .table import read_json, write_json, write_table
 from .trajectories import TrajectorySet
 
 ROW_SUM_TOL = 1e-9
@@ -59,8 +58,8 @@ class TransitionModel:
             and (self.cells[1:] > self.cells[:-1]).all()
         ):
             raise SchemaError("transition kernel cells must be distinct, sorted and in range")
-        if np.any(self.values < 0):
-            raise SchemaError("transition kernel has negative entries")
+        if not (np.isfinite(self.values) & (self.values >= 0)).all():
+            raise SchemaError("transition kernel has negative or non-finite entries")
         rows, cols = np.divmod(self.cells, n_states)
         sums = np.bincount(rows, weights=self.values, minlength=n_states * n_actions)
         sums = sums.reshape(n_states, n_actions)
@@ -128,23 +127,20 @@ class RewardModel:
         self.rewards = np.asarray(self.rewards, dtype=float)
         if self.rewards.ndim != 1:
             raise SchemaError("rewards must be a flat per-state vector")
-        if np.any(self.rewards < -1.0 - 1e-12) or np.any(self.rewards > 1.0 + 1e-12):
-            raise SchemaError("rewards outside [-1, 1]")
+        if not (np.abs(self.rewards) <= 1.0 + 1e-12).all():  # NaN fails it
+            raise SchemaError("rewards not finite or outside [-1, 1]")
 
     @property
     def n_states(self) -> int:
         return len(self.rewards)
 
     def to_json(self, path) -> None:
-        payload = {"rewards": self.rewards.tolist(), "metadata": self.metadata}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+        write_json(path, {"rewards": self.rewards, "metadata": self.metadata}, indent=None)
 
     @classmethod
     def from_json(cls, path) -> "RewardModel":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls(np.array(payload["rewards"]), payload.get("metadata", {}))
+        payload = read_json(path)
+        return cls(payload["rewards"], payload.get("metadata", {}))
 
 
 @dataclass

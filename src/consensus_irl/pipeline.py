@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -43,7 +42,7 @@ from .prune import (
     select_retained,
     write_scores_csv,
 )
-from .table import write_table
+from .table import write_json, write_table
 from .trajectories import TrajectorySet
 from .version import __version__
 
@@ -174,25 +173,8 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
-    return value
-
-
 def config_echo(irl_config: IrlConfig, prune_config: PruneConfig) -> dict:
-    return {
-        "irl": {k: _jsonable(v) for k, v in dataclasses.asdict(irl_config).items()},
-        "prune": {k: _jsonable(v) for k, v in dataclasses.asdict(prune_config).items()},
-    }
-
-
-def write_json(path, payload) -> None:
-    """Indented JSON with sorted keys, so equal payloads give equal bytes."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    return {"irl": dataclasses.asdict(irl_config), "prune": dataclasses.asdict(prune_config)}
 
 
 def write_manifest(out_dir, files: dict, fields: dict) -> dict:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .mdp import DeterministicPolicy, TransitionModel
-from .table import BINARY, read_table, write_table
+from .mdp import ROW_SUM_TOL, DeterministicPolicy, TransitionModel
+from .table import BINARY, finite_number, read_json, read_table, write_table
 from .trajectories import TrajectorySet, id_dtype
 
 CORRUPTION_MODES = ("random_policy", "negated_reward", "low_temperature")
@@ -87,22 +87,36 @@ class SyntheticWorld:
             text = fh.read()
         try:
             p = _decode_world(text)
-        except ValueError:  # not one JSON object: json.load's own error, if it makes one
-            json.loads(text)["n_states"]
+        except ValueError:  # not one JSON object: read_json's own error, if it makes one
+            read_json(path)
             raise
         del text
-        return cls(
-            n_states=p["n_states"],
-            n_actions=p["n_actions"],
-            branching=p["branching"],
-            kernel=_kernel_from_json(p["probs"], p["n_states"], p["n_actions"]),
-            rewards=np.array(p["rewards"]),
-            optimal_policy=DeterministicPolicy(np.array(p["optimal_policy"])),
-            optimal_q=np.array(p["optimal_q"]),
-            horizon=p["horizon"],
-            initial_distribution=np.array(p["initial_distribution"]),
-            seed=p["seed"],
-        )
+        n_states, n_actions = p["n_states"], p["n_actions"]
+        kernel = _kernel_from_json(p["probs"], n_states, n_actions)
+        arrays = _world_arrays(p, n_states, n_actions)
+        policy = DeterministicPolicy(arrays.pop("optimal_policy"))
+        return cls(n_states, n_actions, p["branching"], kernel, optimal_policy=policy,
+                   horizon=p["horizon"], seed=p["seed"], **arrays)
+
+
+def _world_arrays(p: dict, n_states: int, n_actions: int) -> dict:
+    """world.json's rewards, optimal_policy, optimal_q and initial_distribution as
+    json.load's lists make them, each checked against the world's own shape:
+    SchemaError names the first that is not of its shape, holds a number that is
+    not finite or an action outside [0, n_actions), or is not a probability vector."""
+    shapes = {"rewards": (n_states,), "optimal_policy": (n_states,),
+              "optimal_q": (n_states, n_actions), "initial_distribution": (n_states,)}
+    arrays = {key: np.array(p[key]) for key in shapes}
+    for key, values in arrays.items():
+        numbers = values.dtype.kind in "iuf"  # not a null, a string or a bool
+        if values.shape != shapes[key] or not (numbers and np.isfinite(values).all()):
+            raise SchemaError(f"world {key} must hold {shapes[key]} finite numbers")
+    policy, start = arrays["optimal_policy"], arrays["initial_distribution"]
+    if policy.dtype.kind != "i" or not ((policy >= 0) & (policy < n_actions)).all():
+        raise SchemaError(f"world optimal_policy must hold actions in [0, {n_actions})")
+    if (start < 0).any() or abs(start.sum() - 1.0) > ROW_SUM_TOL:
+        raise SchemaError("world initial_distribution must be a probability vector")
+    return arrays
 
 
 _skip = json.decoder.WHITESPACE.match  # JSON's whitespace, from a position on
@@ -113,9 +127,11 @@ def _decode_world(text: str) -> dict:
     that probs, whatever its place among the keys, is decoded one state at a
     time into _KernelRows: the (A, S) lists of only one state are ever whole.
     Each distinct number literal becomes one float, which every cell holding
-    it shares: float(literal) is what json.load would make. A text that is not
-    one JSON object raises ValueError."""
-    decode = json.JSONDecoder(parse_float=_Floats().__getitem__).raw_decode
+    it shares: finite_number(literal) is what read_json would make. A text that is
+    not one JSON object, or holds a number read_json rejects, raises ValueError."""
+    decode = json.JSONDecoder(
+        parse_float=_Floats().__getitem__, parse_constant=finite_number
+    ).raw_decode
     payload = {}
 
     def state(at: int, states: _KernelRows) -> int:
@@ -184,7 +200,7 @@ class _Floats(dict):
     """Each distinct number literal -> its float, made the first time it is asked for."""
 
     def __missing__(self, literal):
-        self[literal] = value = float(literal)
+        self[literal] = value = finite_number(literal)
         return value
 
 
@@ -249,13 +265,7 @@ def load_demographic_tags(path) -> list[DemographicTag]:
 
     An error names the file and, for a bad entry, its index in the list.
     """
-    with open(path) as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(entries, list):
-        raise SchemaError(f"{path}: must hold a JSON list of demographic tags")
+    entries = read_json(path, expect=list)
     keys = [f.name for f in fields(DemographicTag)]
     tags = []
     for i, entry in enumerate(entries):

@@ -1,4 +1,5 @@
-"""The one CSV reader and the one CSV writer: typed columns in, typed columns out.
+"""The one CSV reader and the one CSV writer: typed columns in, typed columns out;
+and the one JSON reader and the one JSON writer.
 
 Trajectories, raw records, prepared rows, scores and labels are CSVs whose
 owner column (trajectory_id or subject_id) groups the rows. read_table parses
@@ -60,11 +61,19 @@ holding a comma, a quote, CR or LF, with its quotes doubled), None being an
 empty cell. Rows are joined into text 512 at a time (_BLOCK): a block's cell
 strings are what the writer holds beyond the columns, and at 4,096 rows of a
 scores table they raised a small pipeline's peak memory by most of a MiB.
+
+read_json reads and write_json writes every JSON file but world.json, whose
+kernel synth streams one state at a time through read_json's number hook. A
+number is one RFC 8259 allows, within a double's range: NaN, Infinity and 1e999
+are rejected, and a bad file is one error, "{path}: not valid JSON: {reason}".
+write_json sorts keys and writes numpy arrays and scalars as lists and numbers.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
 import warnings
 from typing import Callable, NamedTuple
 
@@ -410,3 +419,39 @@ def _block_rows(path, header, columns) -> int:
             f"of lengths {sorted(lengths)}; need one column per field, all one length"
         )
     return lengths.pop() if lengths else 0
+
+
+def finite_number(literal: str) -> float:
+    """json's parse_float and parse_constant hook: the literal's float, which must be
+    finite, so NaN, Infinity, -Infinity and a literal such as 1e999 are rejected."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
+def read_json(path, expect=dict):
+    """The JSON value in the file at path; SchemaError, naming the file, unless it
+    is JSON and an expect (dict or list). An OSError passes through."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json.load(fh, parse_float=finite_number, parse_constant=finite_number)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(value, expect):
+        raise SchemaError(f"{path}: must hold a JSON {'object' if expect is dict else 'list'}")
+    return value
+
+
+def _plain(value):
+    """json's default hook: a numpy array as its nested lists, a numpy scalar as its number."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def write_json(path, payload, indent=2) -> None:
+    """payload as JSON with sorted keys, so equal payloads give equal bytes;
+    indent None writes it on one line."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=indent, sort_keys=True, default=_plain)

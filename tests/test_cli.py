@@ -242,7 +242,8 @@ class TestDispatchErrors:
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
         assert run("synth", "--config", bad) == 1
-        assert "cannot read config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON: ") and "Expecting property name" in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -460,7 +461,7 @@ class TestDispatchErrors:
         elif flag == "rewards":
             bad.write_text("{not json")
             argv = ("prune", *trajectories, "--rewards", bad)
-            named = "Expecting property name"
+            named = "not valid JSON: Expecting property name"
         else:
             bad.write_text('{"centroids": []}')
             argv = ("analyze", "--run", run1, *trajectories, "--cluster-model", bad)
@@ -469,7 +470,7 @@ class TestDispatchErrors:
         assert run(*argv, "--out", out) == 1
         err = capsys.readouterr().err
         # a bad cell is named in the CSV reader's own message, which starts with the file
-        lead = f"error: {bad}: " if flag == "labels" else "error: cannot read "
+        lead = f"error: {bad}: " if flag in ("labels", "rewards") else "error: cannot read "
         assert err.startswith(lead) and f"{bad}: " in err and named in err
         assert not out.exists()
 

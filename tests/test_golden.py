@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from consensus_irl.ingest import ActionCodec, hypotension_codec
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
 golden = importlib.util.module_from_spec(_spec)
@@ -21,6 +23,13 @@ def write_run(root: Path, reward: str = "0.25") -> None:
     (root / "demos" / "01.txt").write_text("exit 0\nrecovered 12 of 20 states\n")
     (root / "seed1" / "inputs").mkdir()
     (root / "seed1" / "inputs" / "records.csv").write_text("a,b\n1,2\n")
+
+
+def test_golden_codec_is_the_hypotension_codec(tmp_path):
+    """ingest --codec in the command set reads the codec --condition hypotension names."""
+    path = tmp_path / "codec.json"
+    path.write_text(json.dumps(golden.CODEC))
+    assert ActionCodec.from_json(path) == hypotension_codec()
 
 
 def test_equal_trees_are_all_identical(tmp_path):

@@ -471,7 +471,7 @@ class TestRecordsCsv:
     @pytest.mark.parametrize(
         "load, text, named",
         [
-            (load_normal_values, '{"hr": NaN}', "normal value for 'hr' is not a finite number"),
+            (load_normal_values, '{"hr": NaN}', "not valid JSON: NaN is not a finite number"),
             (load_normal_values, '{"hr": [75]}', "normal value for 'hr' is not a finite number"),
             (load_bounds, '{"hr": [20, 300, 400]}', "bound for 'hr' is not a [lo, hi] pair"),
             (load_bounds, '{"hr": ["low", 300]}', "bound for 'hr' is not a [lo, hi] pair"),

@@ -132,6 +132,19 @@ def test_reward_range_validated():
         ci.RewardModel(np.array([0.0, 1.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rewards_must_be_finite(bad):
+    with pytest.raises(ci.SchemaError, match="not finite"):
+        ci.RewardModel(np.array([0.0, bad]))
+
+
+def test_a_null_reward_read_from_json_is_not_finite(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text('{"rewards": [null, 0.5]}')  # numpy reads null as NaN
+    with pytest.raises(ci.SchemaError, match="not finite"):
+        ci.RewardModel.from_json(path)
+
+
 def test_reward_model_json_round_trip(tmp_path):
     reward = ci.RewardModel(np.array([0.25, -1.0, 1.0]), {"stage": "stage1", "seed": 3})
     path = tmp_path / "r.json"
@@ -171,6 +184,8 @@ def test_a_kernel_is_its_sorted_non_zeros(small_population):
     ([0, 8], [1.0, 1.0], "in range"),
     ([0, 3], [1.5, -0.5], "negative"),
     ([0], [1.0], "row"),
+    ([0, 3], [np.nan, 1.0], "non-finite"),  # a NaN row sum is no distance from 1
+    ([0, 3], [np.inf, 1.0], "non-finite"),
 ])
 def test_a_kernel_rejects_bad_non_zeros(cells, values, message):
     with pytest.raises(ci.SchemaError, match=message):

@@ -125,7 +125,7 @@ def _hand_world():
         rewards=np.array([-0.0, 0.0]),
         optimal_policy=DeterministicPolicy(np.array([1, 0])),
         optimal_q=np.array([[sum_, sum_], [0.0, big]]), horizon=3,
-        initial_distribution=np.array([5e-324, 5e-324]), seed=None,
+        initial_distribution=np.array([5e-324, 1.0]), seed=None,
     )
 
 

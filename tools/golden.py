@@ -5,9 +5,10 @@
 Checks the ref out into a temporary directory with `git worktree` (a local
 checkout; nothing is fetched), runs one fixed command set in both trees at
 seeds 1 and 2, and compares every file the commands wrote. Each tree runs
-its own `src/`; the inputs (two demographic tag files, a regroup mapping, the
-seeded clinical cohort of perfbench/cohort.py and the edge-case records derived
-from it by write_edge_records) are written once and copied to both. Per seed:
+its own `src/`; the inputs (two demographic tag files, a regroup mapping, a
+codec file, the seeded clinical cohort of perfbench/cohort.py and the edge-case
+records derived from it by write_edge_records) are written once and copied to
+both. Per seed:
 
 - the synthetic chain synth -> pipeline --world --labels -> analyze -> sweep;
 - irl -> prune on the synthetic trajectories, once per selection rule:
@@ -38,6 +39,9 @@ from it by write_edge_records) are written once and copied to both. Per seed:
   (shuffle_rows, a step of this script), through pipeline --world --labels
   and through analyze --run on the run of the unshuffled rows: every reader
   takes trajectories in id order, so the row order should move nothing;
+- synth --config fed the first synth run's own config.json, and
+  ingest --codec with the built-in hypotension codec written out as a file
+  (CODEC), so every JSON input a command reads is in the set;
 
 and, once per tree, the stdout of every demos/*.py. Each command's exit code
 and stdout are kept as files too, so a changed message or a failing command
@@ -95,6 +99,17 @@ QUOTED_TAGS = [
 # ingest --regroup's relabelling of the cohort's tags: two age bands merge and
 # one ethnicity joins another
 REGROUP = {"age_band": {"65-79": "65+", "80+": "65+"}, "ethnicity": {"d": "c"}}
+# ingest --codec's file: the codec that --condition hypotension names
+CODEC = {
+    "condition": "hypotension",
+    "labels": ["no_treatment", "vasopressors", "bolus_epinephrine", "combined"],
+    "mapping": [
+        {"flags": [], "action": 0},
+        {"flags": ["vasopressors"], "action": 1},
+        {"flags": ["bolus_epinephrine"], "action": 2},
+        {"flags": ["vasopressors", "bolus_epinephrine"], "action": 3},
+    ],
+}
 SEEDS = (1, 2)
 PERMUTATIONS = ("--permutations", "2000")
 K = "40"
@@ -241,6 +256,10 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ("analyze", "shuffled_reports", (
             "--run", "two_stage", "--trajectories", "shuffled/trajectories.csv",
         ) + PERMUTATIONS),
+        ("synth", "world_config", ("--config", "world/config.json")),
+        ("ingest", "ingest_codec", ("--codec", "inputs/codec.json", *(
+            arg for arg in records if arg not in ("--condition", "hypotension")
+        ))),
     ]
     return [(cmd, out, flags + ("--seed", str(seed), "--out", out)) for cmd, out, flags in steps]
 
@@ -466,6 +485,7 @@ def main(argv=None) -> int:
             (inputs / f"seed{seed}" / "tags.json").write_text(json.dumps(TAGS))
             (inputs / f"seed{seed}" / "tags_quoted.json").write_text(json.dumps(QUOTED_TAGS))
             (inputs / f"seed{seed}" / "regroup.json").write_text(json.dumps(REGROUP))
+            (inputs / f"seed{seed}" / "codec.json").write_text(json.dumps(CODEC))
         trees = {"checkout": ROOT, "ref": ref_tree}
         print(f"golden: running both trees in {work}", file=sys.stderr)
         with ThreadPoolExecutor(max_workers=2) as pool:

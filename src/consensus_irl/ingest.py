@@ -120,12 +120,13 @@ class ActionCodec:
             for entry in payload["mapping"]:
                 idx = entry["action"] if "action" in entry else labels.index(entry["label"])
                 entries.append((frozenset(entry["flags"]), int(idx)))
-            condition = payload["condition"]
+            return cls(payload["condition"], labels, entries)
         except KeyError as exc:
             raise SchemaError(f"{path}: codec is missing key {exc}") from None
+        except ParameterError as exc:  # the codec's own checks: an action out of range, ...
+            raise SchemaError(f"{path}: {exc}") from None
         except (TypeError, ValueError) as exc:  # an entry that is not {flags, label or action}
             raise SchemaError(f"{path}: codec mapping entry, bad label or action: {exc}") from None
-        return cls(condition, labels, entries)
 
 
 def hypotension_codec() -> ActionCodec:
@@ -194,8 +195,10 @@ def _json_table(path, what: str, convert, kind: str) -> dict:
 
 
 def _pair(value) -> tuple[float, float]:
-    lo, hi = value
-    return _number(lo), _number(hi)
+    lo, hi = map(_number, value)
+    if not lo < hi:
+        raise ValueError(value)
+    return lo, hi
 
 
 def load_normal_values(path) -> dict:
@@ -203,7 +206,7 @@ def load_normal_values(path) -> dict:
 
 
 def load_bounds(path) -> dict:
-    return _json_table(path, "bound", _pair, "a [lo, hi] pair of finite numbers")
+    return _json_table(path, "bound", _pair, "a [lo, hi] pair of finite numbers, lo < hi")
 
 
 def load_relabel(path) -> dict:

@@ -62,9 +62,9 @@ class TransitionModel:
             raise SchemaError("transition kernel has negative or non-finite entries")
         rows, cols = np.divmod(self.cells, n_states)
         sums = np.bincount(rows, weights=self.values, minlength=n_states * n_actions)
-        sums = sums.reshape(n_states, n_actions)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            worst = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
+        off = np.abs(sums - 1.0)
+        if np.any(off > ROW_SUM_TOL):
+            worst = divmod(int(np.argmax(off)), n_actions)  # the (s, a) of the row furthest off
             raise SchemaError(f"transition row {worst} does not sum to 1")
         self.cells.flags.writeable = self.values.flags.writeable = False
         s, a = np.divmod(rows, n_actions)
@@ -81,18 +81,12 @@ class TransitionModel:
 
     @property
     def probs(self) -> np.ndarray:
-        """The dense (S, A, S) kernel, built on each call, read-only."""
-        dense = self.dense_block(0, self.n_states)
+        """The dense (S, A, S) kernel: zeros with the values scattered at their cells,
+        built on each call, read-only."""
+        dense = np.zeros(self.n_states * self.n_actions * self.n_states)
+        dense[self.cells] = self.values
         dense.flags.writeable = False
-        return dense
-
-    def dense_block(self, lo: int, hi: int) -> np.ndarray:
-        """P(s, a, s') of states lo..hi-1 as a dense (hi - lo, A, S) array."""
-        width = self.n_actions * self.n_states
-        first, last = np.searchsorted(self.cells, (lo * width, hi * width))
-        block = np.zeros((hi - lo) * width)
-        block[self.cells[first:last] - lo * width] = self.values[first:last]
-        return block.reshape(hi - lo, self.n_actions, self.n_states)
+        return dense.reshape(self.n_states, self.n_actions, self.n_states)
 
     def expect(self, x: np.ndarray) -> np.ndarray:
         """sum_s' P(s, a, s') x(s') for every (s, a), as an (S, A) array.

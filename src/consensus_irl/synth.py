@@ -2,10 +2,11 @@
 
 Worlds are garnet-style: every (s, a) row spreads its probability over a
 fixed number of uniformly chosen successor states with Dirichlet weights, so
-the true kernel is a TransitionModel kept as its non-zeros, and planning,
-policy values, sampling and world.json work from them without an (S, A, S)
-array, to the bits of the dense computations. The true reward marks a small
-set of good (+1) and bad (-1) states with the rest near zero. Expert
+the true kernel is a TransitionModel kept as its non-zeros. Planning, policy
+values and sampling work from them without an (S, A, S) array, to the bits of
+the dense computations, and world.json stores them as they are: the sorted
+flat cells (s*A + a)*S + s' and their probabilities. The true reward marks a
+small set of good (+1) and bad (-1) states with the rest near zero. Expert
 populations mix Boltzmann-rational demonstrators with a corrupted subset
 (random actions, negated reward, or degraded temperature), each trajectory
 carrying a ground-truth corruption label so pruning quality can be measured
@@ -14,7 +15,6 @@ directly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, SchemaError
 from .mdp import ROW_SUM_TOL, DeterministicPolicy, TransitionModel
-from .table import BINARY, finite_number, read_json, read_table, write_table
+from .table import BINARY, read_json, read_table, write_json, write_table
 from .trajectories import TrajectorySet, id_dtype
 
 CORRUPTION_MODES = ("random_policy", "negated_reward", "low_temperature")
@@ -64,173 +64,49 @@ class SyntheticWorld:
     seed: int
 
     def to_json(self, path) -> None:
-        payload = {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "branching": self.branching,
-            "probs": self.kernel,
-            "rewards": self.rewards,
-            "optimal_policy": self.optimal_policy.actions,
-            "optimal_q": self.optimal_q,
-            "horizon": self.horizon,
-            "initial_distribution": self.initial_distribution,
-            "seed": self.seed,
-        }
-        with open(path, "w") as fh:
-            # the bytes of json.dumps with every array as its tolist(), written
-            # one innermost row at a time
-            _write_json(fh, payload)
+        """world.json: each field under its own name, on one line with sorted keys; the
+        optimal policy as its actions, and the kernel as TransitionModel's own cells
+        and values in place of a kernel key."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        kernel, policy = payload.pop("kernel"), payload.pop("optimal_policy")
+        write_json(path, {**payload, "cells": kernel.cells, "values": kernel.values,
+                          "optimal_policy": policy.actions}, indent=None)
 
     @classmethod
     def from_json(cls, path) -> "SyntheticWorld":
-        with open(path) as fh:
-            text = fh.read()
-        try:
-            p = _decode_world(text)
-        except ValueError:  # not one JSON object: read_json's own error, if it makes one
-            read_json(path)
-            raise
-        del text
+        p = read_json(path)
         n_states, n_actions = p["n_states"], p["n_actions"]
-        kernel = _kernel_from_json(p["probs"], n_states, n_actions)
         arrays = _world_arrays(p, n_states, n_actions)
+        kernel = TransitionModel(n_states, n_actions, arrays.pop("cells"), arrays.pop("values"),
+                                 np.zeros((n_states, n_actions), dtype=np.int64))
         policy = DeterministicPolicy(arrays.pop("optimal_policy"))
         return cls(n_states, n_actions, p["branching"], kernel, optimal_policy=policy,
                    horizon=p["horizon"], seed=p["seed"], **arrays)
 
 
 def _world_arrays(p: dict, n_states: int, n_actions: int) -> dict:
-    """world.json's rewards, optimal_policy, optimal_q and initial_distribution as
-    json.load's lists make them, each checked against the world's own shape:
-    SchemaError names the first that is not of its shape, holds a number that is
-    not finite or an action outside [0, n_actions), or is not a probability vector."""
-    shapes = {"rewards": (n_states,), "optimal_policy": (n_states,),
+    """world.json's values, cells, rewards, optimal_policy, optimal_q and
+    initial_distribution as json.load's lists make them, each checked against the
+    world's own shape, one cell per value: SchemaError names the first that is not
+    of its shape, holds a number that is not finite, a cell that is not an integer
+    or an action outside [0, n_actions), or is not a probability vector.
+    TransitionModel checks that the cells and values make a kernel."""
+    nnz = (len(p["values"]),)
+    shapes = {"values": nnz, "cells": nnz, "rewards": (n_states,), "optimal_policy": (n_states,),
               "optimal_q": (n_states, n_actions), "initial_distribution": (n_states,)}
     arrays = {key: np.array(p[key]) for key in shapes}
-    for key, values in arrays.items():
-        numbers = values.dtype.kind in "iuf"  # not a null, a string or a bool
-        if values.shape != shapes[key] or not (numbers and np.isfinite(values).all()):
+    for key, array in arrays.items():
+        numbers = array.dtype.kind in "iuf"  # not a null, a string or a bool
+        if array.shape != shapes[key] or not (numbers and np.isfinite(array).all()):
             raise SchemaError(f"world {key} must hold {shapes[key]} finite numbers")
+    if arrays["cells"].size and arrays["cells"].dtype.kind != "i":  # [] reads as float
+        raise SchemaError("world cells must hold integers")
     policy, start = arrays["optimal_policy"], arrays["initial_distribution"]
     if policy.dtype.kind != "i" or not ((policy >= 0) & (policy < n_actions)).all():
         raise SchemaError(f"world optimal_policy must hold actions in [0, {n_actions})")
     if (start < 0).any() or abs(start.sum() - 1.0) > ROW_SUM_TOL:
         raise SchemaError("world initial_distribution must be a probability vector")
     return arrays
-
-
-_skip = json.decoder.WHITESPACE.match  # JSON's whitespace, from a position on
-
-
-def _decode_world(text: str) -> dict:
-    """The top-level object of world.json's text, as json.load reads it, except
-    that probs, whatever its place among the keys, is decoded one state at a
-    time into _KernelRows: the (A, S) lists of only one state are ever whole.
-    Each distinct number literal becomes one float, which every cell holding
-    it shares: finite_number(literal) is what read_json would make. A text that is
-    not one JSON object, or holds a number read_json rejects, raises ValueError."""
-    decode = json.JSONDecoder(
-        parse_float=_Floats().__getitem__, parse_constant=finite_number
-    ).raw_decode
-    payload = {}
-
-    def state(at: int, states: _KernelRows) -> int:
-        rows, at = decode(text, at)
-        block = np.array(rows, dtype=float)
-        nonzero = np.flatnonzero(block)
-        states.append((block.shape, nonzero, block.reshape(-1)[nonzero]))
-        return at
-
-    def pair(at: int) -> int:
-        key, at = decode(text, at)
-        at = _skip(text, at).end()
-        if not isinstance(key, str) or not text.startswith(":", at):
-            raise ValueError("not a JSON object")
-        at = _skip(text, at + 1).end()
-        if key == "probs" and text.startswith("[", at):
-            payload[key] = states = _KernelRows()
-            return _members(text, at, "]", lambda at: state(at, states))
-        payload[key], at = decode(text, at)
-        return at
-
-    at = _skip(text, 0).end()
-    if not text.startswith("{", at) or _members(text, at, "}", pair) != len(text):
-        raise ValueError("not one JSON object")
-    return payload
-
-
-def _members(text: str, at: int, close: str, member) -> int:
-    """Decode the members of the JSON object or list whose bracket is text[at],
-    one at a time: member(at) decodes the one that starts at text[at] and gives
-    where it ends. Gives where the container and the whitespace after it end."""
-    at = _skip(text, at + 1).end()
-    if not text.startswith(close, at):
-        at = _skip(text, member(at)).end()
-        while text.startswith(",", at):
-            at = _skip(text, member(_skip(text, at + 1).end())).end()
-    if not text.startswith(close, at):
-        raise ValueError("not a JSON object or list")
-    return _skip(text, at + 1).end()
-
-
-class _KernelRows(list):
-    """world.json's probs, one (shape, non-zero places, values) per state: each
-    state's (A, S) lists made one array and reduced to its non-zeros as it is
-    decoded."""
-
-
-def _kernel_from_json(probs, n_states: int, n_actions: int) -> TransitionModel:
-    """The kernel held by world.json's probs, decoded state by state into its
-    non-zeros (_KernelRows): no dense kernel is made."""
-    shape = "world probs must have shape (n_states, n_actions, n_states)"
-    if not isinstance(probs, _KernelRows) or len(probs) != n_states:
-        raise SchemaError(shape)
-    if any(state_shape != (n_actions, n_states) for state_shape, _, _ in probs):
-        raise SchemaError(shape)
-    width = n_actions * n_states
-    return TransitionModel(
-        n_states, n_actions,
-        np.concatenate([s * width + nonzero for s, (_, nonzero, _) in enumerate(probs)]),
-        np.concatenate([values for _, _, values in probs]),
-        np.zeros((n_states, n_actions), dtype=np.int64),
-    )
-
-
-class _Floats(dict):
-    """Each distinct number literal -> its float, made the first time it is asked for."""
-
-    def __missing__(self, literal):
-        self[literal] = value = finite_number(literal)
-        return value
-
-
-def _write_json(fh, value) -> None:
-    """Write json.dumps(value) for a dict of plain values, arrays and kernels, each
-    array as its tolist() and each kernel as its dense (S, A, S) array's.
-    json.dumps encodes one innermost row at a time, and each row's text is
-    written as it is made; a kernel's rows are made dense one state at a time
-    from its non-zeros. So neither the kernel's 640k floats (at 400 states) nor
-    the file's text is ever whole in memory."""
-    if isinstance(value, TransitionModel):
-        fh.write("[")
-        for s in range(value.n_states):
-            fh.write(", " if s else "")
-            _write_json(fh, value.dense_block(s, s + 1)[0])
-        fh.write("]")
-    elif isinstance(value, dict):
-        fh.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _write_json(fh, item)
-        fh.write("}")
-    elif isinstance(value, np.ndarray) and value.ndim > 1:
-        fh.write("[")
-        for i, row in enumerate(value):
-            fh.write(", " if i else "")
-            _write_json(fh, row)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
 
 
 @dataclass

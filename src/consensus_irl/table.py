@@ -62,11 +62,11 @@ empty cell. Rows are joined into text 512 at a time (_BLOCK): a block's cell
 strings are what the writer holds beyond the columns, and at 4,096 rows of a
 scores table they raised a small pipeline's peak memory by most of a MiB.
 
-read_json reads and write_json writes every JSON file but world.json, whose
-kernel synth streams one state at a time through read_json's number hook. A
-number is one RFC 8259 allows, within a double's range: NaN, Infinity and 1e999
-are rejected, and a bad file is one error, "{path}: not valid JSON: {reason}".
-write_json sorts keys and writes numpy arrays and scalars as lists and numbers.
+read_json reads and write_json writes every JSON file, world.json included; no
+other module imports json. A number is one RFC 8259 allows, within a double's
+range: NaN, Infinity and 1e999 are rejected, and a bad file is one error,
+"{path}: not valid JSON: {reason}". write_json sorts keys and writes numpy
+arrays and scalars as lists and numbers.
 """
 
 from __future__ import annotations
@@ -421,7 +421,7 @@ def _block_rows(path, header, columns) -> int:
     return lengths.pop() if lengths else 0
 
 
-def finite_number(literal: str) -> float:
+def _finite_number(literal: str) -> float:
     """json's parse_float and parse_constant hook: the literal's float, which must be
     finite, so NaN, Infinity, -Infinity and a literal such as 1e999 are rejected."""
     value = float(literal)
@@ -435,7 +435,7 @@ def read_json(path, expect=dict):
     is JSON and an expect (dict or list). An OSError passes through."""
     with open(path, encoding="utf-8") as fh:
         try:
-            value = json.load(fh, parse_float=finite_number, parse_constant=finite_number)
+            value = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
         except ValueError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(value, expect):

@@ -11,16 +11,24 @@ and no output directory:
 - the valid text cut in half;
 - a top-level value of the wrong type;
 
-and, for world.json alone, a null kernel cell (which numpy reads as NaN),
-rewards one entry short and an initial distribution that sums to 3.
+and faults of one input alone, each of whose error lines must also give its
+reason: for world.json, a null kernel value (which numpy reads as NaN), a
+kernel cell that is not an integer, kernel cells out of order, values one short
+of the cells, the dense probs array of the format before cells and values, no
+kernel cells at all, rewards one entry short and an initial distribution that
+sums to 3; for the codec, an action index out of range and a single label; for
+the bounds, a pair with lo > hi.
 """
 
+import ast
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consensus_irl
 from consensus_irl.cli import dispatch
 from consensus_irl.errors import SchemaError
 from consensus_irl.table import read_json, write_json
@@ -165,19 +173,54 @@ def _world_fault(edit):
     return fault
 
 
-def _null_kernel_cell(payload):
-    row = payload["probs"][0][0]
-    row[next(j for j, p in enumerate(row) if p)] = None
+def _swap_first_cells(payload):
+    for key in ("cells", "values"):
+        payload[key][:2] = payload[key][1::-1]
 
 
-WORLD_FAULTS = {
-    "null_kernel_cell": _world_fault(_null_kernel_cell),
-    "short_rewards": _world_fault(lambda payload: payload["rewards"].pop()),
-    "initial_distribution_sums_to_3": _world_fault(lambda payload: payload.update(
-        initial_distribution=[3 / payload["n_states"]] * payload["n_states"])),
+def _dense_probs(payload):
+    """The world as written before its kernel was stored as cells and values."""
+    n_states, n_actions = payload["n_states"], payload["n_actions"]
+    probs = np.zeros(n_states * n_actions * n_states)
+    probs[payload.pop("cells")] = payload.pop("values")
+    payload["probs"] = probs.reshape(n_states, n_actions, n_states).tolist()
+
+
+def _one_label(text, value, kind):
+    return text.replace(X, value).replace('["none", "vaso", "bolus", "both"]', '["none"]')
+
+
+# input name: {fault: (its edit, as in FAULTS, and a reason its error line gives)}
+INPUT_FAULTS = {
+    "world": {
+        "null_kernel_cell": (_world_fault(lambda payload: payload["values"].__setitem__(0, None)),
+                             "world values must hold"),
+        "non_integer_cell": (_world_fault(lambda payload: payload["cells"].__setitem__(0, 0.5)),
+                             "world cells must hold integers"),
+        "unsorted_cells": (_world_fault(_swap_first_cells), "distinct, sorted and in range"),
+        "values_one_short": (_world_fault(lambda payload: payload["values"].pop()),
+                             "world cells must hold"),
+        "dense_probs": (_world_fault(_dense_probs), "missing key 'values'"),
+        "empty_kernel": (_world_fault(lambda payload: payload.update(cells=[], values=[])),
+                         "transition row (0, 0) does not sum to 1"),
+        "short_rewards": (_world_fault(lambda payload: payload["rewards"].pop()),
+                          "world rewards must hold"),
+        "initial_distribution_sums_to_3": (_world_fault(lambda payload: payload.update(
+            initial_distribution=[3 / payload["n_states"]] * payload["n_states"])),
+            "probability vector"),
+    },
+    "codec": {
+        "action_7": (lambda text, value, kind: text.replace(X, "7"),
+                     "action index 7 out of range"),
+        "one_label": (_one_label, "an action codec needs at least 2 actions"),
+    },
+    "bounds": {
+        "inverted": (lambda text, value, kind: text.replace(X, value).replace(
+            "[10, 200]", "[180.0, 30.0]"), "bound for 'mean_bp' is not a [lo, hi] pair"),
+    },
 }
 CASES = [(name, fault) for name in INPUTS for fault in FAULTS] + [
-    ("world", fault) for fault in WORLD_FAULTS
+    (name, fault) for name, faults in INPUT_FAULTS.items() for fault in faults
 ]
 
 
@@ -186,7 +229,8 @@ def test_a_json_fault_is_one_error_line_naming_its_file(root, tmp_path, capsys, 
     source, kind, argv = INPUTS[name]
     text, value = source(root) if callable(source) else source
     path, out = _place(root, tmp_path, name), tmp_path / "out"
-    path.write_text({**FAULTS, **WORLD_FAULTS}[fault](text, value, kind))
+    edit, reason = (FAULTS[fault], "") if fault in FAULTS else INPUT_FAULTS[name][fault]
+    path.write_text(edit(text, value, kind))
     code = run(*argv(root, path, out))
     err = capsys.readouterr().err
     if fault == "valid":
@@ -194,7 +238,7 @@ def test_a_json_fault_is_one_error_line_naming_its_file(root, tmp_path, capsys, 
         return
     lines = err.splitlines()
     assert code == 1 and len(lines) == 1, err
-    assert lines[0].startswith("error: ") and str(path) in lines[0], err
+    assert lines[0].startswith("error: ") and str(path) in lines[0] and reason in lines[0], err
     assert not out.exists()
 
 
@@ -233,3 +277,20 @@ def test_write_json_is_json_dumps_of_plain_values(tmp_path, indent):
     write_json(tmp_path / "out.json", payload, indent=indent)
     expected = json.dumps(plain, indent=indent, sort_keys=True)
     assert (tmp_path / "out.json").read_text() == expected
+
+
+def test_table_is_the_only_module_that_imports_json():
+    """One JSON reader and one JSON writer: no other module of the package can read
+    or write JSON its own way."""
+    importers = set()
+    for path in sorted(Path(consensus_irl.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "json" for module in modules):
+                importers.add(path.name)
+    assert importers == {"table.py"}

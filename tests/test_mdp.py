@@ -192,6 +192,14 @@ def test_a_kernel_rejects_bad_non_zeros(cells, values, message):
         ci.TransitionModel(2, 1, cells, values, np.zeros((2, 1)))
 
 
+def test_a_row_that_does_not_sum_to_1_is_named_by_its_plain_s_a():
+    # rows (0, 0), (0, 1), (1, 0), (1, 1) of a 2-state, 2-action kernel; (1, 0) sums to 0.5
+    cells, values = [0, 2, 4, 6], [1.0, 1.0, 0.5, 1.0]
+    with pytest.raises(ci.SchemaError) as info:
+        ci.TransitionModel(2, 2, cells, values, np.zeros((2, 2)))
+    assert str(info.value) == "transition row (1, 0) does not sum to 1"
+
+
 def _dense_values(probs, rewards, horizon):
     v, q = np.zeros(len(rewards)), None
     for _ in range(horizon):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -108,7 +109,7 @@ def test_world_json_round_trip(tmp_path, small_world):
     assert back.seed == small_world.seed
 
 
-_ARRAYS = ("kernel", "rewards", "optimal_policy", "optimal_q", "initial_distribution")
+_ARRAYS = ("cells", "values", "rewards", "optimal_policy", "optimal_q", "initial_distribution")
 
 
 def _hand_world():
@@ -133,7 +134,8 @@ def _tolist_payload(world):
     """The world as json.dumps encoded it through nested Python lists."""
     return {
         "n_states": world.n_states, "n_actions": world.n_actions,
-        "branching": world.branching, "probs": world.kernel.probs.tolist(),
+        "branching": world.branching, "cells": world.kernel.cells.tolist(),
+        "values": world.kernel.values.tolist(),
         "rewards": world.rewards.tolist(),
         "optimal_policy": world.optimal_policy.actions.tolist(),
         "optimal_q": world.optimal_q.tolist(), "horizon": world.horizon,
@@ -147,7 +149,7 @@ def test_world_json_is_json_dumps_of_nested_lists(tmp_path, make):
     world = make()
     path = tmp_path / "world.json"
     world.to_json(path)
-    assert path.read_text() == json.dumps(_tolist_payload(world))
+    assert path.read_text() == json.dumps(_tolist_payload(world), sort_keys=True)
 
 
 @pytest.mark.parametrize("make", [_hand_world, lambda: generate_world(30, 3, 4, seed=7)],
@@ -157,25 +159,30 @@ def test_world_json_arrays_read_as_json_load_reads_them(tmp_path, make):
     make().to_json(path)
     loaded, back = json.loads(path.read_text()), SyntheticWorld.from_json(path)
     for key in _ARRAYS:
-        got = getattr(back, key)
-        got = got.actions if key == "optimal_policy" else got.probs if key == "kernel" else got
-        expected = np.array(loaded["probs" if key == "kernel" else key])
+        got = getattr(back.kernel if key in ("cells", "values") else back, key)
+        got = got.actions if key == "optimal_policy" else got
+        expected = np.array(loaded[key])
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape), key
         assert got.tobytes() == expected.tobytes(), key
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda probs: probs.pop(), "shape"),
-    (lambda probs: [state.pop() for state in probs], "shape"),
-    (lambda probs: probs[3][0].__setitem__(0, probs[3][0][0] + 0.5), "does not sum to 1"),
-])
+    (lambda world: world["values"].pop(), "world cells must hold"),
+    (lambda world: world["cells"].__setitem__(-1, world["n_states"] ** 2 * world["n_actions"]),
+     "distinct, sorted and in range"),
+    (lambda world: world["values"].__setitem__(0, world["values"][0] + 0.5),
+     "transition row (0, 0) does not sum to 1"),
+], ids=["values_one_short", "cell_out_of_range", "row_sums_to_1.5"])
 def test_a_world_kernel_must_be_a_kernel(tmp_path, small_world, edit, message):
+    """Cells and values one short of each other, a cell past the (S, A, S) kernel's
+    last and a row that does not sum to 1, which the error names by its plain
+    (s, a)."""
     path = tmp_path / "world.json"
     small_world.to_json(path)
     payload = json.loads(path.read_text())
-    edit(payload["probs"])
+    edit(payload)
     path.write_text(json.dumps(payload))
-    with pytest.raises(SchemaError, match=message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
         SyntheticWorld.from_json(path)
 
 
@@ -189,24 +196,30 @@ def test_hand_world_keeps_every_float_bit(tmp_path):
 
 
 class TestWorldJsonPeakMemory:
-    """A 100-state world's kernel (320 KB) is written and read without one Python
-    float per cell. Traced peak over the kernel's nbytes, measured: to_json 13.9
-    through nested lists, 1.55 encoded row by row into one text, 0.095 with each
-    row's text written as it is made; from_json 5.30 with a float per cell, 2.86
-    with one per distinct number."""
+    """A 100-state world's kernel, 2,000 non-zeros, is stored as its cells and
+    values (32 KB, against 320 KB dense), and written and read in memory that
+    grows with them. Traced peak over the stored kernel's nbytes, measured:
+    to_json 5.6 and from_json 10.5, as json makes a Python int and a float per
+    non-zero. Written as the dense kernel's nested lists and read state by state,
+    the peaks were 0.96 and 18.8 (0.096 and 1.88 of the dense kernel's nbytes):
+    the write rose and the read fell."""
 
     @pytest.fixture(scope="class")
     def world(self):
         return generate_world(100, 4, 5, seed=3, horizon=20)
 
-    def test_to_json_encodes_row_by_row(self, tmp_path, world):
-        peak = traced_peak(lambda: world.to_json(tmp_path / "world.json"))
-        assert peak < 0.5 * world.kernel.probs.nbytes
+    @staticmethod
+    def stored(world):
+        return world.kernel.cells.nbytes + world.kernel.values.nbytes
 
-    def test_from_json_shares_each_distinct_float(self, tmp_path, world):
+    def test_to_json_holds_the_non_zeros_as_lists(self, tmp_path, world):
+        peak = traced_peak(lambda: world.to_json(tmp_path / "world.json"))
+        assert peak < 7.0 * self.stored(world)
+
+    def test_from_json_holds_the_non_zeros_as_lists(self, tmp_path, world):
         world.to_json(tmp_path / "world.json")
         peak = traced_peak(lambda: SyntheticWorld.from_json(tmp_path / "world.json"))
-        assert peak < 4.0 * world.kernel.probs.nbytes
+        assert peak < 13.0 * self.stored(world)
 
 
 # --------------------------------------------------------------- populations

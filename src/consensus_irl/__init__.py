@@ -22,6 +22,7 @@ from .analyze import (
     permutation_anova,
     permutation_chi2,
     reward_delta_by_state,
+    reward_loss_disparity_tests,
     test_pruning_uniformity,
     test_reward_loss_disparity,
 )

@@ -22,9 +22,13 @@ the stream exactly as one draw per permutation does. Either way the block
 size changes no p-value.
 
 A p-value depends only on its seed, the statistic and the values, so each
-one is a self-contained job. test_reward_loss_disparity runs the ANOVA and
-pairwise tests of one attribute as parallel jobs, one forked worker per CPU
-the process may use, and the worker count changes no p-value.
+one is a self-contained job. reward_loss_disparity_tests puts the ANOVA and
+pairwise tests of every attribute in one list of jobs, run on one pool of
+forked workers, one per CPU the process may use. Tests whose streams are
+equal, the same seed over the same number of values (every attribute's ANOVA
+when none drops a group), are one job: it draws each permutation once as
+positions, and each test gathers its own values through them. Neither the
+worker count nor the sharing changes a p-value.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -238,43 +241,69 @@ def _check_permutations(n_permutations: int) -> None:
         raise ParameterError(f"n_permutations must be at least 1, got {n_permutations}")
 
 
-def _monte_carlo_p(batch_stat, x, observed, n_permutations: int, rng) -> float:
-    """Add-one p-value (1 + #{perm >= observed}) / (1 + n) over permutations of x.
+def _monte_carlo_p(statistics, n_permutations: int, rng) -> list[float]:
+    """Add-one p-values (1 + #{perm >= observed}) / (1 + n) of statistics that
+    share one stream of permutations.
 
-    The permutations are drawn in blocks of rows, and batch_stat maps a block
-    to one statistic per row. rng.permuted on the rows of a block of copies
-    of x draws from the stream exactly as one rng.permutation(x) call per row
-    does, so the rows are the permutations, in order, that one call at a time
-    would give.
+    Each statistic is a (batch_stat, x, observed) triple, and every x has the
+    same length. The permutations are drawn in blocks of rows, and batch_stat
+    maps a block to one statistic per row. rng.permuted on the rows of a block
+    of copies of x draws from the stream exactly as one rng.permutation(x)
+    call per row does, so the rows are the permutations, in order, that one
+    call at a time would give. It draws the same whatever the values are, so
+    statistics that share the stream share one block of permuted positions,
+    and each gathers its own values through it. A lone statistic permutes its
+    values directly, which is faster than the gather.
     """
-    block = np.empty((min(n_permutations, max(1, _BLOCK_VALUES // x.size)), x.size), x.dtype)
-    hits = 0
+    shared = len(statistics) > 1
+    x = np.arange(statistics[0][1].size, dtype=np.intp) if shared else statistics[0][1]
+    # with the gathered block beside it, each shared row holds twice the values
+    rows_per_block = max(1, _BLOCK_VALUES // (x.size * (2 if shared else 1)))
+    block = np.empty((min(n_permutations, rows_per_block), x.size), x.dtype)
+    gathered = np.empty(block.shape) if shared else None
+    hits = [0] * len(statistics)
     for start in range(0, n_permutations, len(block)):
         rows = block[: n_permutations - start]
         rows[:] = x
         rng.permuted(rows, axis=1, out=rows)
-        hits += int(np.count_nonzero(batch_stat(rows) >= observed - 1e-12))
-    return (1 + hits) / (1 + n_permutations)
+        for i, (batch_stat, values, observed) in enumerate(statistics):
+            permuted = np.take(values, rows, out=gathered[: len(rows)]) if shared else rows
+            hits[i] += int(np.count_nonzero(batch_stat(permuted) >= observed - 1e-12))
+    return [(1 + h) / (1 + n_permutations) for h in hits]
 
 
 class _PermutationJob(NamedTuple):
-    """One Monte Carlo p-value and everything it depends on.
+    """Monte Carlo p-values, and everything they depend on.
 
-    stat maps a block of permuted rows of values to one statistic per row,
-    and the permutations come from the stream seeded by seed alone. So a
-    job's p-value is the same whichever process evaluates it, and in
+    Each statistic is a (stat, values, observed) triple: stat maps a block of
+    permuted rows of values to one statistic per row. All of them are
+    permuted by the stream seeded by seed alone, over values of one length.
+    So a job's p-values are the same whichever process evaluates it, and in
     whatever order next to other jobs.
     """
 
-    stat: Callable[[np.ndarray], np.ndarray]
-    values: np.ndarray
-    observed: float
+    statistics: tuple
     n_permutations: int
     seed: int | np.random.SeedSequence
 
-    def p_value(self) -> float:
+    @property
+    def stream(self) -> tuple:
+        """What the job's permutations depend on: jobs with equal streams draw
+        the same permutations."""
+        seed = self.seed
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)  # as default_rng seeds itself
+        n_values = self.statistics[0][1].size
+        return seed.entropy, seed.spawn_key, seed.pool_size, self.n_permutations, n_values
+
+    @property
+    def size(self) -> int:
+        """Values times statistics, the order in which jobs are submitted."""
+        return self.statistics[0][1].size * len(self.statistics)
+
+    def p_values(self) -> list[float]:
         rng = np.random.default_rng(self.seed)
-        return _monte_carlo_p(self.stat, self.values, self.observed, self.n_permutations, rng)
+        return _monte_carlo_p(self.statistics, self.n_permutations, rng)
 
 
 def _checked_values(values, labels, n_permutations: int):
@@ -287,7 +316,7 @@ def _checked_values(values, labels, n_permutations: int):
 
 
 def _anova_job(values, labels, n_permutations: int, seed):
-    """The permutation ANOVA's job, and its (label, size) groups."""
+    """The permutation ANOVA's job, its observed F and its (label, size) groups."""
     values, labels = _checked_values(values, labels, n_permutations)
     cats, codes = np.unique(labels, return_inverse=True)
     if len(cats) < 2:
@@ -297,7 +326,7 @@ def _anova_job(values, labels, n_permutations: int, seed):
     stat = partial(_anova_f_rows, sizes=sizes)
     observed = float(stat(values[None])[0])
     groups = [(str(c), int(s)) for c, s in zip(cats, sizes)]
-    return _PermutationJob(stat, values, observed, n_permutations, seed), groups
+    return _PermutationJob(((stat, values, observed),), n_permutations, seed), observed, groups
 
 
 def _pairwise_jobs(values, labels, n_permutations: int, seed):
@@ -319,7 +348,7 @@ def _pairwise_jobs(values, labels, n_permutations: int, seed):
         differences.append((a, b, difference))
         stat = partial(_mean_gap_rows, n_first=len(va))
         pooled = np.concatenate([va, vb])
-        jobs.append(_PermutationJob(stat, pooled, abs(difference), n_permutations, ss))
+        jobs.append(_PermutationJob(((stat, pooled, abs(difference)),), n_permutations, ss))
     return differences, jobs
 
 
@@ -339,13 +368,13 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _p_values(jobs: list[_PermutationJob]) -> list[float]:
-    """Every job's p-value, in order, from one forked worker per usable CPU.
+def _evaluated(jobs: list[_PermutationJob]) -> list[list[float]]:
+    """Every job's p-values, in order, from one forked worker per usable CPU.
 
     The largest jobs are submitted first, so a small one finishes last. With
-    one CPU, or where fork is not available, the same jobs run inline. The
-    pool's modules are imported here so that importing the package does not
-    pay for them.
+    one CPU or one job, or where fork is not available, the same jobs run
+    inline. The pool's modules are imported here so that importing the
+    package does not pay for them.
     """
     workers = min(_worker_count(), len(jobs))
     if workers > 1:
@@ -357,11 +386,27 @@ def _p_values(jobs: list[_PermutationJob]) -> list[float]:
             # not spawn: a spawned worker imports numpy and this package
             # again, which costs about what the parallel tests save
             context = multiprocessing.get_context("fork")
-            largest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i].values.size)
+            largest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i].size)
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = {i: pool.submit(jobs[i].p_value) for i in largest_first}
+                futures = {i: pool.submit(jobs[i].p_values) for i in largest_first}
                 return [futures[i].result() for i in range(len(jobs))]
-    return [job.p_value() for job in jobs]
+    return [job.p_values() for job in jobs]
+
+
+def _p_values(jobs: list[_PermutationJob]) -> list[float]:
+    """The p-value of every statistic of every job, in order.
+
+    Jobs with equal streams are evaluated as one job, which draws their
+    permutations once; all of them are evaluated together.
+    """
+    shared = {}
+    for job in jobs:
+        first = shared.setdefault(job.stream, job)
+        if first is not job:
+            shared[job.stream] = first._replace(statistics=first.statistics + job.statistics)
+    # a merged job's p-values come in the order of the jobs it merged
+    by_stream = {s: iter(p) for s, p in zip(shared, _evaluated(list(shared.values())))}
+    return [next(by_stream[job.stream]) for job in jobs for _ in job.statistics]
 
 
 def _flagged_count_blocks(totals, m: int, n_permutations: int, seed: int):
@@ -424,8 +469,8 @@ def permutation_anova(
     values, labels, n_permutations: int = N_PERMUTATIONS, seed: int = 0, name: str = "anova"
 ) -> TestResult:
     """One-way ANOVA with a Monte Carlo permutation p-value."""
-    job, groups = _anova_job(values, labels, n_permutations, seed)
-    return TestResult(name, job.observed, job.p_value(), n_permutations, seed, groups)
+    job, observed, groups = _anova_job(values, labels, n_permutations, seed)
+    return TestResult(name, observed, job.p_values()[0], n_permutations, seed, groups)
 
 
 def holm_correction(p_values: list[float]) -> list[float]:
@@ -445,7 +490,7 @@ def pairwise_permutation_tests(
 ) -> list[PairwiseResult]:
     """Two-sided two-sample permutation tests for every pair of groups."""
     pairs, jobs = _pairwise_jobs(values, labels, n_permutations, seed)
-    return _pairwise_results(pairs, [job.p_value() for job in jobs])
+    return _pairwise_results(pairs, [job.p_values()[0] for job in jobs])
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +542,65 @@ def _reward_deltas(trajectories: TrajectorySet, reward1, reward2) -> np.ndarray:
     return trajectories.reduce_steps(lambda rows: delta[trajectories.id_column(rows, 2)], np.mean)
 
 
+def _disparity_jobs(labels, values, n_permutations: int, seed):
+    """One attribute's ANOVA and pairwise jobs, after its groups of fewer than
+    two members are dropped with a warning: (ANOVA job, observed F, groups,
+    pair differences, pair jobs)."""
+    cats, counts = np.unique(labels, return_counts=True)
+    small = [str(c) for c, n in zip(cats, counts) if n < 2]
+    if small:
+        warnings.warn(
+            f"dropping groups with fewer than 2 members: {', '.join(small)}",
+            stacklevel=3,
+        )
+        keep = ~np.isin(labels, small)
+        labels, values = labels[keep], values[keep]
+    if np.count_nonzero(counts >= 2) < 2:  # the groups kept
+        raise ParameterError("need at least two groups with >= 2 members")
+    anova = _anova_job(values, labels, n_permutations, seed)
+    return (*anova, *_pairwise_jobs(values, labels, n_permutations, seed))
+
+
+def reward_loss_disparity_tests(
+    trajectories: TrajectorySet,
+    reward1: RewardModel,
+    reward2: RewardModel,
+    attributes,
+    n_permutations: int = N_PERMUTATIONS,
+    seed: int = 0,
+) -> tuple[dict, dict]:
+    """test_reward_loss_disparity of every attribute, from one list of jobs.
+
+    Returns (results, skipped): results maps each attribute that can be
+    tested to its (omnibus, pairwise) pair, in the order given; skipped maps
+    each other attribute to the ParameterError that rules it out (a
+    trajectory without the tag, or fewer than two groups with >= 2 members).
+    The p-values of every attribute's tests are computed together: tests that
+    draw the same stream over the same number of values, such as the ANOVAs
+    of attributes that drop no group, share their permutations, and the jobs
+    run in parallel. Each result is what the attribute's test gives alone.
+    """
+    if not attributes:
+        return {}, {}
+    values = _reward_deltas(trajectories, reward1, reward2)
+    planned, skipped = {}, {}
+    for attribute in attributes:
+        try:
+            labels = _attribute_labels(trajectories, attribute)
+            planned[attribute] = _disparity_jobs(labels, values, n_permutations, seed)
+        except ParameterError as exc:
+            skipped[attribute] = exc
+    jobs = [job for anova, _, _, _, pair_jobs in planned.values() for job in (anova, *pair_jobs)]
+    p_values = iter(_p_values(jobs))
+    results = {}
+    for attribute, (_, observed, groups, pairs, pair_jobs) in planned.items():
+        name = f"reward_loss_disparity[{attribute}]"
+        omnibus = TestResult(name, observed, next(p_values), n_permutations, seed, groups)
+        p_pairs = [next(p_values) for _ in pair_jobs]
+        results[attribute] = omnibus, _pairwise_results(pairs, p_pairs)
+    return results, skipped
+
+
 def test_reward_loss_disparity(
     trajectories: TrajectorySet,
     reward1: RewardModel,
@@ -510,29 +614,17 @@ def test_reward_loss_disparity(
     The per-trajectory effect is the mean over steps of R2(s') - R1(s').
     Omnibus: one-way ANOVA with permutation p. Posthoc: pairwise two-sample
     permutation tests, Holm-corrected. Groups with fewer than two members
-    are dropped with a warning. All the p-values are computed as parallel
+    are dropped with a warning. The one-attribute case of
+    reward_loss_disparity_tests: all the p-values are computed as parallel
     jobs, and equal what permutation_anova and pairwise_permutation_tests
     return for the same values and labels.
     """
-    labels = _attribute_labels(trajectories, attribute)
-    values = _reward_deltas(trajectories, reward1, reward2)
-    cats, counts = np.unique(labels, return_counts=True)
-    small = [str(c) for c, n in zip(cats, counts) if n < 2]
-    if small:
-        warnings.warn(
-            f"dropping groups with fewer than 2 members: {', '.join(small)}",
-            stacklevel=2,
-        )
-        keep = ~np.isin(labels, small)
-        labels, values = labels[keep], values[keep]
-    if np.count_nonzero(counts >= 2) < 2:  # the groups kept
-        raise ParameterError("need at least two groups with >= 2 members")
-    anova, groups = _anova_job(values, labels, n_permutations, seed)
-    pairs, pair_jobs = _pairwise_jobs(values, labels, n_permutations, seed)
-    p_anova, *p_pairs = _p_values([anova, *pair_jobs])
-    name = f"reward_loss_disparity[{attribute}]"
-    omnibus = TestResult(name, anova.observed, p_anova, n_permutations, seed, groups)
-    return omnibus, _pairwise_results(pairs, p_pairs)
+    results, skipped = reward_loss_disparity_tests(
+        trajectories, reward1, reward2, [attribute], n_permutations, seed
+    )
+    if skipped:
+        raise skipped[attribute]
+    return results[attribute]
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +645,16 @@ def reward_delta_by_state(result) -> dict:
 
 
 def write_tests_json(results, path, posthoc: dict | None = None) -> None:
-    """JSON summary of test results; posthoc maps test name -> pairwise list."""
+    """JSON summary of test results; posthoc maps test name -> pairwise list.
+
+    A statistic that is not finite (the F of groups with no within-group
+    variance) is written as null, as JSON has no Infinity.
+    """
     payload = {"note": PERMUTATION_NOTE, "tests": []}
     for res in results:
         entry = dataclasses.asdict(res)
+        if not np.isfinite(res.statistic):
+            entry["statistic"] = None
         entry["p_floor"] = res.p_floor
         if posthoc and res.name in posthoc:
             entry["posthoc"] = [dataclasses.asdict(p) for p in posthoc[res.name]]

@@ -36,8 +36,8 @@ from .analyze import (
     cluster_report,
     end_state_deciles,
     reward_delta_by_state,
+    reward_loss_disparity_tests,
     test_pruning_uniformity,
-    test_reward_loss_disparity,
     write_cluster_report_csv,
     write_deciles_csv,
     write_tests_csv,
@@ -581,29 +581,27 @@ def _analysis_files(
     if deciles is not None:
         files["deciles.csv"] = partial(write_deciles_csv, deciles)
 
-    omnibus = []
+    attributes = _attributes(cfg, tset)
+    tests = {}  # attribute -> its omnibus tests, in file order
+    for attribute in attributes:
+        try:
+            tests[attribute] = [test_pruning_uniformity(
+                tset, result.retained, attribute, n_permutations=n_perm, seed=test_seed,
+            )]
+        except ParameterError:
+            tests[attribute] = []
+    # every attribute's permutation jobs on one pool, after the chi-squared
+    # tests, whose blocks then no longer sit under the pool's imports
+    disparity, _ = reward_loss_disparity_tests(
+        tset, result.reward_stage1, result.reward_stage2,
+        [a for a in attributes if a != "died_in_hospital"],
+        n_permutations=n_perm, seed=test_seed,
+    )
     posthoc = {}
-    for attribute in _attributes(cfg, tset):
-        try:
-            omnibus.append(
-                test_pruning_uniformity(
-                    tset, result.retained, attribute,
-                    n_permutations=n_perm, seed=test_seed,
-                )
-            )
-        except ParameterError:
-            pass
-        if attribute == "died_in_hospital":
-            continue
-        try:
-            res, pairs = test_reward_loss_disparity(
-                tset, result.reward_stage1, result.reward_stage2, attribute,
-                n_permutations=n_perm, seed=test_seed,
-            )
-            omnibus.append(res)
-            posthoc[res.name] = pairs
-        except ParameterError:
-            pass
+    for attribute, (res, pairs) in disparity.items():
+        tests[attribute].append(res)
+        posthoc[res.name] = pairs
+    omnibus = [res for results in tests.values() for res in results]
     if omnibus:
         files["tests.json"] = partial(write_tests_json, omnibus, posthoc=posthoc)
         files["tests.csv"] = partial(write_tests_csv, omnibus)
@@ -743,7 +741,8 @@ def cmd_sweep(cfg) -> None:
     }
     if cfg["world"]:
         for key in ("prune_recall", "spearman_stage2"):
-            summary[key] = np.array([m["recovery"][key] for m in manifests])
+            # an undefined metric, null in recovery.json, is nan here
+            summary[key] = np.array([m["recovery"][key] for m in manifests], dtype=float)
     write = partial(write_table, header=list(summary), columns=list(summary.values()))
     seed = cfg["seed"]
     seeds = {"stage1": seed, "stage2": seed + 1, "prune": seed + 2, "tests": seed + 3}

@@ -539,7 +539,9 @@ def evaluate_recovery(world: SyntheticWorld, result, labels: dict[str, bool]) ->
     agreement is the per-state match of that plan with the true optimal
     policy, and EVD is the true-reward value it gives up. Precision/recall of
     the pruned set are measured against the corruption labels of the scored
-    trajectories; labels must name every one of them.
+    trajectories; labels must name every one of them. A metric that is
+    undefined (a Spearman correlation against a constant reward, precision
+    with nothing pruned, recall with nothing corrupted) is None.
     """
     if result.reward_stage1.n_states != world.n_states:
         raise ParameterError("result and world disagree on n_states")
@@ -559,11 +561,11 @@ def evaluate_recovery(world: SyntheticWorld, result, labels: dict[str, bool]) ->
     pruned = ~result.retained
     corrupted = np.array([labels[t] for t in result.scores.ids], dtype=bool)
     hit, n_pruned, n_corrupted = (int(m.sum()) for m in (pruned & corrupted, pruned, corrupted))
-    precision = hit / n_pruned if n_pruned else float("nan")
-    recall = hit / n_corrupted if n_corrupted else float("nan")
+    precision = hit / n_pruned if n_pruned else None
+    recall = hit / n_corrupted if n_corrupted else None
     return {
-        "spearman_stage1": s1,
-        "spearman_stage2": s2,
+        "spearman_stage1": None if np.isnan(s1) else s1,
+        "spearman_stage2": None if np.isnan(s2) else s2,
         "policy_agreement_stage1": a1,
         "policy_agreement_stage2": a2,
         "evd_stage1": e1,

@@ -452,6 +452,7 @@ def _plain(value):
 
 def write_json(path, payload, indent=2) -> None:
     """payload as JSON with sorted keys, so equal payloads give equal bytes;
-    indent None writes it on one line."""
+    indent None writes it on one line. NaN and Infinity are not JSON (RFC 8259),
+    so a payload that holds one raises ValueError: an undefined number is null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=indent, sort_keys=True, default=_plain)
+        json.dump(payload, fh, indent=indent, sort_keys=True, default=_plain, allow_nan=False)

@@ -27,6 +27,7 @@ from consensus_irl import (
     permutation_anova,
     permutation_chi2,
     reward_delta_by_state,
+    reward_loss_disparity_tests,
     run_two_stage,
 )
 
@@ -44,6 +45,7 @@ from consensus_irl.analyze import (
     write_tests_csv,
     write_tests_json,
 )
+from consensus_irl.table import read_json
 
 from conftest import make_set, traced_peak
 from oracles import (
@@ -698,6 +700,111 @@ class TestDisparity:
         assert len(posthoc) == 6
 
 
+class TestAllAttributes:
+    """reward_loss_disparity_tests: every attribute's tests from one list of jobs."""
+
+    @staticmethod
+    def tagged_set(tags: dict):
+        """41 random walks over 5 states with the given tag columns, and two rewards."""
+        rng = np.random.default_rng(8)
+        blocks = []
+        for _ in range(41):
+            path = rng.integers(0, 5, size=int(rng.integers(2, 6))).tolist()
+            blocks.append([(s, 0, sp) for s, sp in zip(path, path[1:])])
+        rows = [{tag: str(column[i]) for tag, column in tags.items()} for i in range(41)]
+        tset = make_set(blocks, [f"t{i:03d}" for i in range(41)], rows, n_states=5, n_actions=1)
+        r1, r2 = (RewardModel(rng.uniform(-1, 1, size=5)) for _ in range(2))
+        return tset, r1, r2
+
+    @staticmethod
+    def counted(monkeypatch, workers):
+        """The jobs each _evaluated call gets, once the equal streams are merged."""
+        calls = []
+        evaluated = analyze._evaluated
+
+        def counting(jobs):
+            calls.append([len(job.statistics) for job in jobs])
+            return evaluated(jobs)
+
+        monkeypatch.setattr(analyze, "_worker_count", lambda: workers)
+        monkeypatch.setattr(analyze, "_evaluated", counting)
+        return calls
+
+    @staticmethod
+    def assert_matches_oracles(results, tset, r1, r2):
+        values = np.array(_reward_deltas(tset, r1, r2))
+        for attribute, (omnibus, posthoc) in results.items():
+            labels = tset.demographics[attribute].astype(str)
+            kept = np.isin(labels, [g for g, size in omnibus.groups])
+            v, g = values[kept].tolist(), labels[kept]
+            assert omnibus == reference_permutation_anova(
+                v, g, 300, 3, name=f"reward_loss_disparity[{attribute}]"
+            )
+            assert posthoc == reference_pairwise_permutation_tests(v, g, 300, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equal_streams_are_drawn_once(self, monkeypatch, workers):
+        """Three ANOVAs over all 41 values share one job, and so do the first pair
+        of sex and of arm: both draw child 0 over all 41 values."""
+        rng = np.random.default_rng(9)
+        tset, r1, r2 = self.tagged_set({
+            "site": rng.choice(list("abcd"), size=41),
+            "sex": np.array(["f", "m"])[np.arange(41) % 2],
+            "arm": np.array(["x", "y"])[(np.arange(41) % 3 == 0).astype(int)],
+        })
+        calls = self.counted(monkeypatch, workers)
+        results, skipped = reward_loss_disparity_tests(
+            tset, r1, r2, ["site", "sex", "arm"], n_permutations=300, seed=3
+        )
+        assert list(results) == ["site", "sex", "arm"] and skipped == {}
+        assert calls == [[3, 1, 1, 1, 1, 1, 1, 2]]  # 11 tests in 8 jobs, one list
+        self.assert_matches_oracles(results, tset, r1, r2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_dropped_group_leaves_its_anova_unshared(self, monkeypatch, workers):
+        sites = np.array(["a", "b"] * 20 + ["z"])  # z, a group of one, is dropped
+        tset, r1, r2 = self.tagged_set({"site": sites, "sex": np.array(["f", "m"] * 20 + ["f"])})
+        calls = self.counted(monkeypatch, workers)
+        with pytest.warns(UserWarning, match="fewer than 2.*z"):
+            results, _ = reward_loss_disparity_tests(
+                tset, r1, r2, ["site", "sex"], n_permutations=300, seed=3
+            )
+        assert dict(results["site"][0].groups) == {"a": 20, "b": 20}
+        assert calls == [[1, 1, 1, 1]]  # 40 values for site, 41 for sex
+        self.assert_matches_oracles(results, tset, r1, r2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_subset_of_the_attributes(self, monkeypatch, workers):
+        rng = np.random.default_rng(10)
+        tset, r1, r2 = self.tagged_set({
+            "site": rng.choice(list("abc"), size=41), "sex": rng.choice(list("fm"), size=41),
+        })
+        calls = self.counted(monkeypatch, workers)
+        results, _ = reward_loss_disparity_tests(tset, r1, r2, ["sex"], 300, 3)
+        assert list(results) == ["sex"] and calls == [[1, 1]]
+        self.assert_matches_oracles(results, tset, r1, r2)
+        assert results["sex"] == reward_loss_disparity(tset, r1, r2, "sex", 300, 3)
+
+    def test_an_untestable_attribute_is_skipped_and_the_rest_run(self):
+        tset, r1, r2 = self.tagged_set({
+            "site": np.array(["a"] * 40 + ["z"]), "sex": np.array(["f", "m"] * 20 + ["f"]),
+        })
+        with pytest.warns(UserWarning):
+            results, skipped = reward_loss_disparity_tests(
+                tset, r1, r2, ["site", "race", "sex"], n_permutations=50, seed=3
+            )
+        assert list(results) == ["sex"]
+        assert "two groups" in str(skipped["site"]) and "'race'" in str(skipped["race"])
+        with pytest.raises(ParameterError, match="'race'"):
+            reward_loss_disparity(tset, r1, r2, "race", n_permutations=50)
+
+    def test_no_attributes_no_jobs(self, monkeypatch):
+        tset, r1, r2 = self.tagged_set({"site": np.array(["a", "b"] * 20 + ["a"])})
+        calls = self.counted(monkeypatch, 2)
+        assert reward_loss_disparity_tests(tset, r1, r2, [], 50, 3) == ({}, {})
+        assert calls == []
+
+
 class TestRewardDeltaRows:
     def fake_result(self):
         return SimpleNamespace(
@@ -779,6 +886,18 @@ class TestReportFiles:
         assert entry["note"] == PERMUTATION_NOTE
         assert entry["p_floor"] == pytest.approx(1 / 201)
         assert entry["posthoc"][0]["group_a"] == "a"
+
+    def test_an_infinite_statistic_is_null_in_json_and_inf_in_csv(self, tmp_path):
+        """Groups with no within-group variance have F = inf; JSON has no Infinity."""
+        omnibus = permutation_anova([0.0, 0.0, 1.0, 1.0], ["a", "a", "b", "b"], 20, seed=0)
+        assert omnibus.statistic == np.inf
+        write_tests_json([omnibus], tmp_path / "tests.json")
+        write_tests_csv([omnibus], tmp_path / "tests.csv")
+        entry = read_json(tmp_path / "tests.json")["tests"][0]
+        assert entry["statistic"] is None and entry["p_value"] == omnibus.p_value
+        with open(tmp_path / "tests.csv") as fh:
+            fh.readline()
+            assert next(csv.DictReader(fh))["statistic"] == "inf"
 
     def test_csv_report_carries_note(self, tmp_path):
         omnibus, _ = self.make_results()

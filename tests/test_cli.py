@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through the in-process dispatcher."""
 
+import concurrent.futures
 import inspect
 import itertools
 import json
@@ -17,6 +18,7 @@ import consensus_irl
 from consensus_irl import ClusterModel, SyntheticWorld, TrajectorySet, analyze
 from consensus_irl.cli import OUT_ROOT_ENV, SPECS, dispatch
 from consensus_irl.pipeline import sha256_file
+from consensus_irl.table import read_json
 
 
 def python(*argv, check=True) -> subprocess.CompletedProcess:
@@ -674,6 +676,32 @@ class TestPipeline:
             assert not list(out.glob("**/rewards_stage1.json"))
 
 
+class TestStrictJsonOut:
+    """Every JSON file a command writes is RFC 8259 JSON: an undefined number is null."""
+
+    def test_an_undefined_recall_is_null_in_json_and_nan_in_csv(self, tmp_path):
+        assert run("synth", "--states", 12, "--actions", 2, "--branching", 3, "--horizon", 6,
+                   "--trajectories", 40, "--corrupted", 0, "--seed", 3,
+                   "--out", tmp_path / "world") == 0
+        truth = ("--trajectories", tmp_path / "world" / "trajectories.csv",
+                 "--world", tmp_path / "world" / "world.json",
+                 "--labels", tmp_path / "world" / "labels.csv")
+        assert run("pipeline", *truth, "--epochs", 10, "--permutations", 20,
+                   "--out", tmp_path / "run") == 0
+        recovery = read_json(tmp_path / "run" / "recovery.json")
+        assert recovery["prune_recall"] is None and recovery["prune_precision"] == 0.0
+        assert read_json(tmp_path / "run" / "manifest.json")["recovery"] == recovery
+
+        assert run("sweep", *truth, "--fractions", "0.5,1.0", "--epochs", 10,
+                   "--permutations", 20, "--out", tmp_path / "sweep") == 0
+        full = read_json(tmp_path / "sweep" / "f100" / "recovery.json")
+        assert full["prune_recall"] is None and full["prune_precision"] is None
+        assert read_json(tmp_path / "sweep" / "f100" / "manifest.json")["recovery"] == full
+        header, *rows = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+        column = header.split(",").index("prune_recall")
+        assert [row.split(",")[column] for row in rows] == ["nan", "nan"]
+
+
 class TestGroundTruthChecks:
     """With --world, the trajectories and labels are checked against it before any fit."""
 
@@ -1198,6 +1226,52 @@ class TestClinicalFlow:
 
         assert tests(tmp_path / "run") == tests(tmp_path / "reports")
         assert not any("[sex]" in name for name in tests(tmp_path / "run"))
+
+    def test_each_command_makes_at_most_one_pool(self, tmp_path, clinical_inputs, monkeypatch):
+        """pipeline and analyze run the ANOVA and pairwise jobs of both tags on one
+        pool each; a synthetic run has no tags and makes none."""
+        records, normals, bounds = clinical_inputs
+        tagged = tmp_path / "records.csv"
+        header, *rows = records.read_text().splitlines()
+        site = {f"p{i}": "ns"[i % 2] for i in range(8)}
+        tagged.write_text("\n".join([header + ",site"] + [
+            f"{row},{site[row.split(',')[0]]}" for row in rows]) + "\n")
+        pools = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(analyze, "_worker_count", lambda: 2)
+        features = ("--features", "heart_rate,mean_bp")
+        states = ("--k", 2, "--min-size", 2, *features)
+        assert run("ingest", "--records", tagged, "--normals", normals, "--bounds", bounds,
+                   "--demographics", "sex,site", "--condition", "hypotension", *features,
+                   "--out", tmp_path / "ingest") == 0
+        prepared = tmp_path / "ingest" / "prepared.csv"
+        assert run("cluster", "--prepared", prepared, *states, "--out", tmp_path / "states") == 0
+        assert pools == []
+        assert run("pipeline", "--prepared", prepared, *states, "--epochs", 40,
+                   "--retain", 0.75, "--permutations", 100, "--out", tmp_path / "run") == 0
+        assert len(pools) == 1
+        assert run("analyze", "--run", tmp_path / "run", "--permutations", 100,
+                   "--trajectories", tmp_path / "states" / "trajectories.csv",
+                   "--out", tmp_path / "reports") == 0
+        assert len(pools) == 2
+        tests = json.loads((tmp_path / "reports" / "tests.json").read_text())["tests"]
+        assert {"reward_loss_disparity[sex]", "reward_loss_disparity[site]"} <= {
+            t["name"] for t in tests}
+
+        world = ("--trajectories", tmp_path / "world" / "trajectories.csv")
+        assert run("synth", "--states", 12, "--actions", 2, "--branching", 3, "--horizon", 6,
+                   "--trajectories", 40, "--seed", 3, "--out", tmp_path / "world") == 0
+        assert run("pipeline", *world, "--epochs", 10, "--permutations", 20,
+                   "--out", tmp_path / "synthetic") == 0
+        assert run("analyze", "--run", tmp_path / "synthetic", *world, "--permutations", 20,
+                   "--out", tmp_path / "synthetic_reports") == 0
+        assert len(pools) == 2
 
     def test_bad_clinical_cells_are_input_errors(self, workdir, tmp_path, clinical_inputs, capsys):
         records, normals, bounds = clinical_inputs

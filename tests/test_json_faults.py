@@ -279,6 +279,15 @@ def test_write_json_is_json_dumps_of_plain_values(tmp_path, indent):
     assert (tmp_path / "out.json").read_text() == expected
 
 
+@pytest.mark.parametrize("indent", [2, None])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.array([0.5, np.nan])],
+                         ids=["nan", "inf", "-inf", "array"])
+def test_write_json_refuses_what_json_cannot_hold(tmp_path, indent, value):
+    """RFC 8259 has no NaN or Infinity; a producer writes an undefined number as null."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "out.json", {"a": [1.0, value]}, indent=indent)
+
+
 def test_table_is_the_only_module_that_imports_json():
     """One JSON reader and one JSON writer: no other module of the package can read
     or write JSON its own way."""

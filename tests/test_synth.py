@@ -557,8 +557,16 @@ def test_recall_and_precision_degenerate_edges(small_world, small_population):
     result = _perfect_result(small_world, small_population.corrupted)
     result.retained[:] = True
     metrics = evaluate_recovery(small_world, result, small_population.corrupted)
-    assert math.isnan(metrics["prune_precision"])
+    assert metrics["prune_precision"] is None  # nothing pruned; JSON has no NaN
     clean = {tid: False for tid in small_population.corrupted}
     result2 = _perfect_result(small_world, clean)
     metrics2 = evaluate_recovery(small_world, result2, clean)
-    assert math.isnan(metrics2["prune_recall"])
+    assert metrics2["prune_recall"] is None  # nothing corrupted
+
+
+def test_spearman_against_a_constant_reward_is_none(small_world, small_population):
+    result = _perfect_result(small_world, small_population.corrupted)
+    result.reward_stage2 = RewardModel(np.zeros(small_world.n_states))
+    metrics = evaluate_recovery(small_world, result, small_population.corrupted)
+    assert metrics["spearman_stage1"] == pytest.approx(1.0, abs=1e-12)
+    assert metrics["spearman_stage2"] is None

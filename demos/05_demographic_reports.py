@@ -61,7 +61,7 @@ omnibus, posthoc = test_reward_loss_disparity(
 print(f"\nreward-shift disparity by sex: F {omnibus.statistic:.3f}, p {omnibus.p_value:.4f}")
 for pair in posthoc:
     print(f"  {pair.group_a} vs {pair.group_b}: mean difference "
-          f"{pair.mean_difference:+.4f}, p {pair.p_value:.4f}, holm {pair.p_holm:.4f}")
+          f"{pair.mean_difference:+.4f}, p {pair.p_value:.4f}, adjusted {pair.p_adjusted:.4f}")
 
 # A significant uniformity p for sex is the expected outcome here: the
 # corrupted share really is concentrated in one group, and pruning that

@@ -13,8 +13,6 @@ from types import ModuleType as _ModuleType
 from .analyze import (
     PairwiseResult,
     TestResult,
-    anova_f_statistic,
-    chi_squared_statistic,
     cluster_report,
     end_state_deciles,
     holm_correction,

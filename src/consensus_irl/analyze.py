@@ -6,9 +6,10 @@ which the CSV writers pass to write_table unchanged.
 
 Statistical tests use Monte Carlo permutation p-values in place of asymptotic
 chi-squared / F distributions and Tukey's range test (pairwise permutation
-with Holm correction stands in for the latter). Every emitted report states
-this. The statistic definitions themselves are the classical ones, so the
-permutation p converges to the textbook p when the asymptotics hold.
+tests with Westfall-Young step-down maxT adjustment stand in for the latter).
+Every emitted report states this. The statistic definitions themselves are
+the classical ones, so the permutation p converges to the textbook p when the
+asymptotics hold.
 
 Each test draws its n permutations from one stream seeded by its seed, in
 blocks, and computes the statistic of a whole block at once; the p-value is
@@ -21,23 +22,27 @@ hypergeometric given the table margins, and shuffles no row; its blocks draw
 the stream exactly as one draw per permutation does. Either way the block
 size changes no p-value.
 
-A p-value depends only on its seed, the statistic and the values, so each
-one is a self-contained job. reward_loss_disparity_tests puts the ANOVA and
-pairwise tests of every attribute in one list of jobs, run on one pool of
-forked workers, one per CPU the process may use. Tests whose streams are
-equal, the same seed over the same number of values (every attribute's ANOVA
-when none drops a group), are one job: it draws each permutation once as
-positions, and each test gathers its own values through them. Neither the
-worker count nor the sharing changes a p-value.
+The ANOVA and the pairwise tests of one set of groups read the same permuted
+rows. Each pair's statistic is its standardized mean gap
+|mean a - mean b| / sqrt(1/n_a + 1/n_b), and its raw p counts the rows whose
+gap reaches the observed one. Its adjusted p is Westfall and Young's
+step-down maxT (Resampling-Based Multiple Testing, 1993, Algorithm 2.8): the
+pairs are ranked by observed gap, each is compared with the largest permuted
+gap among itself and the pairs ranked below it, and the adjusted p-values are
+made monotone in that rank. The null of every pairwise p is that all the
+groups are exchangeable (subset pivotality), not only the two compared. A
+permutation stream depends only on the seed and the number of values, so
+every set of groups tested with one seed over the same number of values,
+every attribute of every run of a command when none drops a group, shares one
+stream: it draws each permutation once as positions, and each set of groups
+gathers its own values through them. The sharing changes no p-value.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +56,10 @@ from .trajectories import TrajectorySet
 PERMUTATION_NOTE = (
     "p-values are seeded Monte Carlo permutation estimates, "
     "not asymptotic chi-squared/F probabilities"
+)
+POSTHOC_NOTE = (
+    "posthoc p_value: permutation p of the standardized mean gap; p_adjusted: "
+    "Westfall-Young step-down maxT; both under all groups exchangeable"
 )
 N_PERMUTATIONS = 10_000  # every test's default
 
@@ -157,7 +166,7 @@ class PairwiseResult:
     group_b: str
     mean_difference: float
     p_value: float
-    p_holm: float
+    p_adjusted: float
 
 
 # Values in one block of permutations (1 MiB of float64). A test's memory does
@@ -169,9 +178,9 @@ _BLOCK_VALUES = 1 << 17
 def _chi_squared_rows(tables: np.ndarray) -> np.ndarray:
     """Pearson chi-squared of every table in a (b, r, c) stack.
 
-    Each table is summed as chi_squared_statistic sums one: its grand total
-    and its contributions over the flattened table, row and column totals
-    along their own axis. A table of all zeros gives 0.
+    Each table's grand total and its contributions are summed over the
+    flattened table, its row and column totals along their own axis. Cells
+    with zero expected count contribute zero, so a table of all zeros gives 0.
     """
     b = len(tables)
     total = tables.reshape(b, -1).sum(axis=1)[:, None, None]
@@ -190,10 +199,10 @@ def _anova_f_rows(rows: np.ndarray, sizes) -> np.ndarray:
     """One-way ANOVA F of every row of a (b, n) block.
 
     The groups are the consecutive slices of the given sizes. Each row is
-    reduced in the order anova_f_statistic reduces one set of groups: group
-    sums along the row, the between-group sum accumulated from 0 in group
-    order. Zero within-group variance gives inf, or 0 when the group means
-    are equal too.
+    reduced as the textbook formula reduces one set of groups: group sums
+    along the row, the between-group sum accumulated from 0 in group order.
+    Zero within-group variance gives inf, or 0 when the group means are
+    equal too.
     """
     k, n = len(sizes), rows.shape[1]
     grand = rows.mean(axis=1)
@@ -214,20 +223,17 @@ def _anova_f_rows(rows: np.ndarray, sizes) -> np.ndarray:
     return np.where(ss_within == 0.0, np.where(ss_between > 0, np.inf, 0.0), f)
 
 
-def _mean_gap_rows(rows: np.ndarray, n_first: int) -> np.ndarray:
-    """|mean of the first n_first values - mean of the rest| of every row."""
-    return np.abs(rows[:, :n_first].mean(axis=1) - rows[:, n_first:].mean(axis=1))
+def _pair_gap_rows(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(b, pairs) standardized mean gaps |mean a - mean b| / sqrt(1/n_a + 1/n_b)
+    of every row of a (b, n) block.
 
-
-def chi_squared_statistic(table) -> float:
-    """Pearson chi-squared; cells with zero expected count contribute zero."""
-    return float(_chi_squared_rows(np.asarray(table, dtype=float)[None])[0])
-
-
-def anova_f_statistic(groups: list[np.ndarray]) -> float:
-    """One-way ANOVA F. Zero within-group variance gives inf (or 0 at the null)."""
-    rows = np.concatenate(groups)[None]
-    return float(_anova_f_rows(rows, [len(g) for g in groups])[0])
+    The groups are the consecutive slices of the given sizes, and the pairs
+    are every (a, b) with a before b, in order.
+    """
+    ends = np.cumsum(sizes)
+    means = np.stack([rows[:, end - size : end].mean(axis=1) for end, size in zip(ends, sizes)], 1)
+    a, b = np.triu_indices(len(sizes), 1)
+    return np.abs(means[:, a] - means[:, b]) / np.sqrt(1.0 / sizes[a] + 1.0 / sizes[b])
 
 
 def _canonical_order(labels: np.ndarray, values: np.ndarray):
@@ -241,172 +247,112 @@ def _check_permutations(n_permutations: int) -> None:
         raise ParameterError(f"n_permutations must be at least 1, got {n_permutations}")
 
 
-def _monte_carlo_p(statistics, n_permutations: int, rng) -> list[float]:
-    """Add-one p-values (1 + #{perm >= observed}) / (1 + n) of statistics that
-    share one stream of permutations.
+class _Family(NamedTuple):
+    """The family of tests of one set of groups: its ANOVA and every pairwise test.
 
-    Each statistic is a (batch_stat, x, observed) triple, and every x has the
-    same length. The permutations are drawn in blocks of rows, and batch_stat
-    maps a block to one statistic per row. rng.permuted on the rows of a block
-    of copies of x draws from the stream exactly as one rng.permutation(x)
-    call per row does, so the rows are the permutations, in order, that one
-    call at a time would give. It draws the same whatever the values are, so
-    statistics that share the stream share one block of permuted positions,
-    and each gathers its own values through it. A lone statistic permutes its
-    values directly, which is faster than the gather.
+    values are in canonical order, so the groups are the consecutive slices
+    of sizes, one per label. observed holds the F and then every pair's
+    standardized gap, and rank orders the pairs by observed gap, largest
+    first, the order in which step-down maxT visits them.
     """
-    shared = len(statistics) > 1
-    x = np.arange(statistics[0][1].size, dtype=np.intp) if shared else statistics[0][1]
+
+    labels: list
+    values: np.ndarray
+    sizes: np.ndarray
+    observed: np.ndarray
+    rank: np.ndarray
+
+    @classmethod
+    def of(cls, values, labels) -> "_Family":
+        values = np.asarray(values, dtype=float)
+        labels = np.asarray(labels)
+        if values.shape != labels.shape:
+            raise ParameterError("values and labels must have equal length")
+        cats, codes = np.unique(labels, return_inverse=True)
+        if len(cats) < 2:
+            raise ParameterError("need at least two groups")
+        codes, values = _canonical_order(codes, values)
+        sizes = np.bincount(codes, minlength=len(cats))
+        observed = np.concatenate(
+            [_anova_f_rows(values[None], sizes), _pair_gap_rows(values[None], sizes)[0]]
+        )
+        rank = np.argsort(-observed[1:], kind="stable")
+        return cls(cats.tolist(), values, sizes, observed, rank)
+
+    def hits(self, rows: np.ndarray) -> np.ndarray:
+        """How many permuted rows reach each observed statistic: the F, every
+        pair's gap, then every pair's successive maximum in rank order."""
+        gaps = _pair_gap_rows(rows, self.sizes)
+        # column j: the largest gap among the pairs ranked j and below
+        successive = np.maximum.accumulate(gaps[:, self.rank[::-1]], axis=1)[:, ::-1]
+        reached = np.column_stack([_anova_f_rows(rows, self.sizes), gaps, successive])
+        bar = np.concatenate([self.observed, self.observed[1:][self.rank]])
+        return np.count_nonzero(reached >= bar - 1e-12, axis=0)
+
+    def results(self, p: np.ndarray, name: str, n_permutations: int, seed: int):
+        """The omnibus TestResult and the PairwiseResults from the p of every hit count."""
+        groups = [(str(c), int(s)) for c, s in zip(self.labels, self.sizes)]
+        omnibus = TestResult(
+            name, float(self.observed[0]), float(p[0]), n_permutations, seed, groups
+        )
+        n_pairs = len(self.rank)
+        adjusted = np.empty(n_pairs)
+        adjusted[self.rank] = np.maximum.accumulate(p[1 + n_pairs :])  # monotone in rank
+        ends = np.cumsum(self.sizes)
+        means = [self.values[end - size : end].mean() for end, size in zip(ends, self.sizes)]
+        a, b = np.triu_indices(len(self.sizes), 1)
+        pairs = [
+            PairwiseResult(str(self.labels[i]), str(self.labels[j]), float(means[i] - means[j]),
+                           float(p[1 + q]), float(adjusted[q]))
+            for q, (i, j) in enumerate(zip(a.tolist(), b.tolist()))
+        ]
+        return omnibus, pairs
+
+
+def _monte_carlo_p(families: list[_Family], n_permutations: int, seed) -> list[np.ndarray]:
+    """Add-one p-values (1 + hits) / (1 + n) of families that share one stream
+    of permutations, default_rng(seed).
+
+    Every family has the same number of values. The permutations are drawn in
+    blocks of rows. rng.permuted on the rows of a block of copies of x draws
+    from the stream exactly as one rng.permutation(x) call per row does, so
+    the rows are the permutations, in order, that one call at a time would
+    give. It draws the same whatever the values are, so families that share
+    the stream share one block of permuted positions, and each gathers its
+    own values through it. A lone family permutes its values directly, which
+    is faster than the gather.
+    """
+    rng = np.random.default_rng(seed)
+    shared = len(families) > 1
+    x = np.arange(families[0].values.size, dtype=np.intp) if shared else families[0].values
     # with the gathered block beside it, each shared row holds twice the values
     rows_per_block = max(1, _BLOCK_VALUES // (x.size * (2 if shared else 1)))
     block = np.empty((min(n_permutations, rows_per_block), x.size), x.dtype)
     gathered = np.empty(block.shape) if shared else None
-    hits = [0] * len(statistics)
+    hits = [0] * len(families)
     for start in range(0, n_permutations, len(block)):
         rows = block[: n_permutations - start]
         rows[:] = x
         rng.permuted(rows, axis=1, out=rows)
-        for i, (batch_stat, values, observed) in enumerate(statistics):
-            permuted = np.take(values, rows, out=gathered[: len(rows)]) if shared else rows
-            hits[i] += int(np.count_nonzero(batch_stat(permuted) >= observed - 1e-12))
+        for i, family in enumerate(families):
+            permuted = np.take(family.values, rows, out=gathered[: len(rows)]) if shared else rows
+            hits[i] += family.hits(permuted)
     return [(1 + h) / (1 + n_permutations) for h in hits]
 
 
-class _PermutationJob(NamedTuple):
-    """Monte Carlo p-values, and everything they depend on.
-
-    Each statistic is a (stat, values, observed) triple: stat maps a block of
-    permuted rows of values to one statistic per row. All of them are
-    permuted by the stream seeded by seed alone, over values of one length.
-    So a job's p-values are the same whichever process evaluates it, and in
-    whatever order next to other jobs.
-    """
-
-    statistics: tuple
-    n_permutations: int
-    seed: int | np.random.SeedSequence
-
-    @property
-    def stream(self) -> tuple:
-        """What the job's permutations depend on: jobs with equal streams draw
-        the same permutations."""
-        seed = self.seed
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)  # as default_rng seeds itself
-        n_values = self.statistics[0][1].size
-        return seed.entropy, seed.spawn_key, seed.pool_size, self.n_permutations, n_values
-
-    @property
-    def size(self) -> int:
-        """Values times statistics, the order in which jobs are submitted."""
-        return self.statistics[0][1].size * len(self.statistics)
-
-    def p_values(self) -> list[float]:
-        rng = np.random.default_rng(self.seed)
-        return _monte_carlo_p(self.statistics, self.n_permutations, rng)
-
-
-def _checked_values(values, labels, n_permutations: int):
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels)
-    if values.shape != labels.shape:
-        raise ParameterError("values and labels must have equal length")
+def _p_values(families: list[_Family], n_permutations: int, seed) -> list[np.ndarray]:
+    """_monte_carlo_p of every family, in order: the families over the same
+    number of values draw one stream."""
     _check_permutations(n_permutations)
-    return values, labels
-
-
-def _anova_job(values, labels, n_permutations: int, seed):
-    """The permutation ANOVA's job, its observed F and its (label, size) groups."""
-    values, labels = _checked_values(values, labels, n_permutations)
-    cats, codes = np.unique(labels, return_inverse=True)
-    if len(cats) < 2:
-        raise ParameterError("need at least two groups")
-    codes, values = _canonical_order(codes, values)
-    sizes = np.bincount(codes, minlength=len(cats))
-    stat = partial(_anova_f_rows, sizes=sizes)
-    observed = float(stat(values[None])[0])
-    groups = [(str(c), int(s)) for c, s in zip(cats, sizes)]
-    return _PermutationJob(((stat, values, observed),), n_permutations, seed), observed, groups
-
-
-def _pairwise_jobs(values, labels, n_permutations: int, seed):
-    """One job per pair of groups, and each pair's (a, b, mean a - mean b).
-
-    The pairs are the sorted labels' pairs in order, and each job draws from
-    its own child of SeedSequence(seed).
-    """
-    values, labels = _checked_values(values, labels, n_permutations)
-    # with counts, np.unique sorts rather than hashing, the path that imports numpy.ma
-    cats = sorted(np.unique(labels, return_counts=True)[0].tolist())
-    pairs = [(a, b) for i, a in enumerate(cats) for b in cats[i + 1 :]]
-    seeds = np.random.SeedSequence(seed).spawn(len(pairs))
-    differences, jobs = [], []
-    for (a, b), ss in zip(pairs, seeds):
-        va = np.sort(values[labels == a])
-        vb = np.sort(values[labels == b])
-        difference = va.mean() - vb.mean()
-        differences.append((a, b, difference))
-        stat = partial(_mean_gap_rows, n_first=len(va))
-        pooled = np.concatenate([va, vb])
-        jobs.append(_PermutationJob(((stat, pooled, abs(difference)),), n_permutations, ss))
-    return differences, jobs
-
-
-def _pairwise_results(differences, p_values) -> list[PairwiseResult]:
-    adjusted = holm_correction(p_values)
-    return [
-        PairwiseResult(str(a), str(b), float(d), float(p), float(ph))
-        for (a, b, d), p, ph in zip(differences, p_values, adjusted)
-    ]
-
-
-def _worker_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _evaluated(jobs: list[_PermutationJob]) -> list[list[float]]:
-    """Every job's p-values, in order, from one forked worker per usable CPU.
-
-    The largest jobs are submitted first, so a small one finishes last. With
-    one CPU or one job, or where fork is not available, the same jobs run
-    inline. The pool's modules are imported here so that importing the
-    package does not pay for them.
-    """
-    workers = min(_worker_count(), len(jobs))
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # not spawn: a spawned worker imports numpy and this package
-            # again, which costs about what the parallel tests save
-            context = multiprocessing.get_context("fork")
-            largest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i].size)
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = {i: pool.submit(jobs[i].p_values) for i in largest_first}
-                return [futures[i].result() for i in range(len(jobs))]
-    return [job.p_values() for job in jobs]
-
-
-def _p_values(jobs: list[_PermutationJob]) -> list[float]:
-    """The p-value of every statistic of every job, in order.
-
-    Jobs with equal streams are evaluated as one job, which draws their
-    permutations once; all of them are evaluated together.
-    """
-    shared = {}
-    for job in jobs:
-        first = shared.setdefault(job.stream, job)
-        if first is not job:
-            shared[job.stream] = first._replace(statistics=first.statistics + job.statistics)
-    # a merged job's p-values come in the order of the jobs it merged
-    by_stream = {s: iter(p) for s, p in zip(shared, _evaluated(list(shared.values())))}
-    return [next(by_stream[job.stream]) for job in jobs for _ in job.statistics]
+    by_size = {}
+    for i, family in enumerate(families):
+        by_size.setdefault(family.values.size, []).append(i)
+    p = [None] * len(families)
+    for members in by_size.values():
+        shared = _monte_carlo_p([families[i] for i in members], n_permutations, seed)
+        for i, p_i in zip(members, shared):
+            p[i] = p_i
+    return p
 
 
 def _flagged_count_blocks(totals, m: int, n_permutations: int, seed: int):
@@ -469,8 +415,9 @@ def permutation_anova(
     values, labels, n_permutations: int = N_PERMUTATIONS, seed: int = 0, name: str = "anova"
 ) -> TestResult:
     """One-way ANOVA with a Monte Carlo permutation p-value."""
-    job, observed, groups = _anova_job(values, labels, n_permutations, seed)
-    return TestResult(name, observed, job.p_values()[0], n_permutations, seed, groups)
+    groups = _Family.of(values, labels)
+    (p,) = _p_values([groups], n_permutations, seed)
+    return groups.results(p, name, n_permutations, seed)[0]
 
 
 def holm_correction(p_values: list[float]) -> list[float]:
@@ -488,9 +435,14 @@ def holm_correction(p_values: list[float]) -> list[float]:
 def pairwise_permutation_tests(
     values, labels, n_permutations: int = N_PERMUTATIONS, seed: int = 0
 ) -> list[PairwiseResult]:
-    """Two-sided two-sample permutation tests for every pair of groups."""
-    pairs, jobs = _pairwise_jobs(values, labels, n_permutations, seed)
-    return _pairwise_results(pairs, [job.p_values()[0] for job in jobs])
+    """Two-sided permutation tests of every pair of groups, step-down maxT adjusted.
+
+    The pairs are the sorted labels' pairs in order. Their permutations are
+    permutation_anova's, and so is the null: every group exchangeable.
+    """
+    groups = _Family.of(values, labels)
+    (p,) = _p_values([groups], n_permutations, seed)
+    return groups.results(p, "anova", n_permutations, seed)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +494,9 @@ def _reward_deltas(trajectories: TrajectorySet, reward1, reward2) -> np.ndarray:
     return trajectories.reduce_steps(lambda rows: delta[trajectories.id_column(rows, 2)], np.mean)
 
 
-def _disparity_jobs(labels, values, n_permutations: int, seed):
-    """One attribute's ANOVA and pairwise jobs, after its groups of fewer than
-    two members are dropped with a warning: (ANOVA job, observed F, groups,
-    pair differences, pair jobs)."""
+def _kept_rows(labels: np.ndarray) -> np.ndarray:
+    """The rows of the groups of at least two members; the others are dropped
+    with a warning."""
     cats, counts = np.unique(labels, return_counts=True)
     small = [str(c) for c, n in zip(cats, counts) if n < 2]
     if small:
@@ -553,52 +504,56 @@ def _disparity_jobs(labels, values, n_permutations: int, seed):
             f"dropping groups with fewer than 2 members: {', '.join(small)}",
             stacklevel=3,
         )
-        keep = ~np.isin(labels, small)
-        labels, values = labels[keep], values[keep]
     if np.count_nonzero(counts >= 2) < 2:  # the groups kept
         raise ParameterError("need at least two groups with >= 2 members")
-    anova = _anova_job(values, labels, n_permutations, seed)
-    return (*anova, *_pairwise_jobs(values, labels, n_permutations, seed))
+    return ~np.isin(labels, small)
 
 
 def reward_loss_disparity_tests(
     trajectories: TrajectorySet,
-    reward1: RewardModel,
-    reward2: RewardModel,
+    rewards,
     attributes,
     n_permutations: int = N_PERMUTATIONS,
     seed: int = 0,
-) -> tuple[dict, dict]:
-    """test_reward_loss_disparity of every attribute, from one list of jobs.
+) -> tuple[list[dict], dict]:
+    """test_reward_loss_disparity of every attribute, for every run of these trajectories.
 
-    Returns (results, skipped): results maps each attribute that can be
+    rewards holds one (stage-1, stage-2) RewardModel pair per run; a sweep's
+    runs share the trajectories and stage 1. Returns (results, skipped):
+    results holds, per reward pair, a map of each attribute that can be
     tested to its (omnibus, pairwise) pair, in the order given; skipped maps
     each other attribute to the ParameterError that rules it out (a
     trajectory without the tag, or fewer than two groups with >= 2 members).
-    The p-values of every attribute's tests are computed together: tests that
-    draw the same stream over the same number of values, such as the ANOVAs
-    of attributes that drop no group, share their permutations, and the jobs
-    run in parallel. Each result is what the attribute's test gives alone.
+    Every test's p-values are computed together: the sets of groups over the
+    same number of values, every attribute of every run when none drops a
+    group, share one stream of permutations. Each result is what the
+    attribute's test gives alone.
     """
-    if not attributes:
-        return {}, {}
-    values = _reward_deltas(trajectories, reward1, reward2)
-    planned, skipped = {}, {}
+    kept, skipped = {}, {}
     for attribute in attributes:
         try:
             labels = _attribute_labels(trajectories, attribute)
-            planned[attribute] = _disparity_jobs(labels, values, n_permutations, seed)
+            kept[attribute] = labels, _kept_rows(labels)
         except ParameterError as exc:
             skipped[attribute] = exc
-    jobs = [job for anova, _, _, _, pair_jobs in planned.values() for job in (anova, *pair_jobs)]
-    p_values = iter(_p_values(jobs))
-    results = {}
-    for attribute, (_, observed, groups, pairs, pair_jobs) in planned.items():
-        name = f"reward_loss_disparity[{attribute}]"
-        omnibus = TestResult(name, observed, next(p_values), n_permutations, seed, groups)
-        p_pairs = [next(p_values) for _ in pair_jobs]
-        results[attribute] = omnibus, _pairwise_results(pairs, p_pairs)
-    return results, skipped
+    if not kept:
+        return [{} for _ in rewards], skipped
+    families = [
+        _Family.of(values[keep], labels[keep])
+        for values in (_reward_deltas(trajectories, *pair) for pair in rewards)
+        for labels, keep in kept.values()
+    ]
+    tested = zip(families, _p_values(families, n_permutations, seed))
+    # each run takes the next len(kept) families: zip stops at the end of kept
+    return [
+        {
+            attribute: family.results(
+                p, f"reward_loss_disparity[{attribute}]", n_permutations, seed
+            )
+            for attribute, (family, p) in zip(kept, tested)
+        }
+        for _ in rewards
+    ], skipped
 
 
 def test_reward_loss_disparity(
@@ -612,15 +567,15 @@ def test_reward_loss_disparity(
     """Does the stage-2 vs stage-1 reward change differ across groups?
 
     The per-trajectory effect is the mean over steps of R2(s') - R1(s').
-    Omnibus: one-way ANOVA with permutation p. Posthoc: pairwise two-sample
-    permutation tests, Holm-corrected. Groups with fewer than two members
-    are dropped with a warning. The one-attribute case of
-    reward_loss_disparity_tests: all the p-values are computed as parallel
-    jobs, and equal what permutation_anova and pairwise_permutation_tests
-    return for the same values and labels.
+    Omnibus: one-way ANOVA with permutation p. Posthoc: pairwise permutation
+    tests of the standardized mean gaps, step-down maxT adjusted, on the
+    ANOVA's permutations. Groups with fewer than two members are dropped with
+    a warning. The one-attribute case of reward_loss_disparity_tests, equal
+    to what permutation_anova and pairwise_permutation_tests return for the
+    same values and labels.
     """
-    results, skipped = reward_loss_disparity_tests(
-        trajectories, reward1, reward2, [attribute], n_permutations, seed
+    (results,), skipped = reward_loss_disparity_tests(
+        trajectories, [(reward1, reward2)], [attribute], n_permutations, seed
     )
     if skipped:
         raise skipped[attribute]
@@ -648,9 +603,11 @@ def write_tests_json(results, path, posthoc: dict | None = None) -> None:
     """JSON summary of test results; posthoc maps test name -> pairwise list.
 
     A statistic that is not finite (the F of groups with no within-group
-    variance) is written as null, as JSON has no Infinity.
+    variance) is written as null, as JSON has no Infinity. With posthoc
+    rows, the note names their method too.
     """
-    payload = {"note": PERMUTATION_NOTE, "tests": []}
+    payload = {"note": f"{PERMUTATION_NOTE}; {POSTHOC_NOTE}" if posthoc else PERMUTATION_NOTE,
+               "tests": []}
     for res in results:
         entry = dataclasses.asdict(res)
         if not np.isfinite(res.statistic):

@@ -562,58 +562,61 @@ def _attributes(cfg, tset: TrajectorySet) -> list[str]:
 
 def _analysis_files(
     tset: TrajectorySet,
-    result,
+    results: list,
     cfg,
     cluster_model: ClusterModel | None,
-) -> dict:
-    """Deciles, disparity tests, and cluster tables shared by pipeline/analyze.
+) -> list[dict]:
+    """Deciles, disparity tests, and cluster tables shared by pipeline/analyze/sweep.
 
-    Every report is computed here; the result maps each file name to its writer.
+    results are runs fitted on tset, which differ only in their retain
+    fraction. Every report is computed here; the result maps each file name
+    to its writer, one map per run. The disparity tests of every run are
+    computed in one call, so each permutation stream is drawn once.
     """
-    files = {}
     test_seed = cfg["seed"] + 3
     n_perm = cfg["permutations"]
-
-    try:
-        deciles = end_state_deciles(result.scores)
-    except ParameterError:
-        deciles = None
-    if deciles is not None:
-        files["deciles.csv"] = partial(write_deciles_csv, deciles)
-
     attributes = _attributes(cfg, tset)
-    tests = {}  # attribute -> its omnibus tests, in file order
-    for attribute in attributes:
-        try:
-            tests[attribute] = [test_pruning_uniformity(
-                tset, result.retained, attribute, n_permutations=n_perm, seed=test_seed,
-            )]
-        except ParameterError:
-            tests[attribute] = []
-    # every attribute's permutation jobs on one pool, after the chi-squared
-    # tests, whose blocks then no longer sit under the pool's imports
     disparity, _ = reward_loss_disparity_tests(
-        tset, result.reward_stage1, result.reward_stage2,
+        tset, [(result.reward_stage1, result.reward_stage2) for result in results],
         [a for a in attributes if a != "died_in_hospital"],
         n_permutations=n_perm, seed=test_seed,
     )
-    posthoc = {}
-    for attribute, (res, pairs) in disparity.items():
-        tests[attribute].append(res)
-        posthoc[res.name] = pairs
-    omnibus = [res for results in tests.values() for res in results]
-    if omnibus:
-        files["tests.json"] = partial(write_tests_json, omnibus, posthoc=posthoc)
-        files["tests.csv"] = partial(write_tests_csv, omnibus)
+    runs = []
+    for result, tested in zip(results, disparity):
+        files = {}
+        try:
+            deciles = end_state_deciles(result.scores)
+        except ParameterError:
+            deciles = None
+        if deciles is not None:
+            files["deciles.csv"] = partial(write_deciles_csv, deciles)
 
-    if cluster_model is not None and cluster_model.feature_stats:
-        stats = cluster_model.feature_stats
-        top_k = min(cfg["top_k"], len(stats))
-        report1 = cluster_report(stats, result.reward_stage1, top_k)
-        report2 = cluster_report(stats, result.reward_stage2, top_k, baseline=report1)
-        files["cluster_report_stage1.csv"] = partial(write_cluster_report_csv, report1)
-        files["cluster_report_stage2.csv"] = partial(write_cluster_report_csv, report2)
-    return files
+        tests = {}  # attribute -> its omnibus tests, in file order
+        for attribute in attributes:
+            try:
+                tests[attribute] = [test_pruning_uniformity(
+                    tset, result.retained, attribute, n_permutations=n_perm, seed=test_seed,
+                )]
+            except ParameterError:
+                tests[attribute] = []
+        posthoc = {}
+        for attribute, (res, pairs) in tested.items():
+            tests[attribute].append(res)
+            posthoc[res.name] = pairs
+        omnibus = [res for found in tests.values() for res in found]
+        if omnibus:
+            files["tests.json"] = partial(write_tests_json, omnibus, posthoc=posthoc)
+            files["tests.csv"] = partial(write_tests_csv, omnibus)
+
+        if cluster_model is not None and cluster_model.feature_stats:
+            stats = cluster_model.feature_stats
+            top_k = min(cfg["top_k"], len(stats))
+            report1 = cluster_report(stats, result.reward_stage1, top_k)
+            report2 = cluster_report(stats, result.reward_stage2, top_k, baseline=report1)
+            files["cluster_report_stage1.csv"] = partial(write_cluster_report_csv, report1)
+            files["cluster_report_stage2.csv"] = partial(write_cluster_report_csv, report2)
+        runs.append(files)
+    return runs
 
 
 def _pipeline_inputs(cfg) -> tuple[TrajectorySet, ClusterModel | None, dict, tuple | None]:
@@ -687,11 +690,13 @@ def _run_fractions(cfg, outs: dict) -> list[dict]:
     _attributes(cfg, tset)  # an unknown name fails here, before any fitting
     results = retention_sweep(tset, irl_config, prune_config, fractions)
     _warn_unconverged(results[fractions[0]].reward_stage1)  # one stage 1 serves every fraction
-    runs = []
-    for fraction, out in outs.items():
-        leg, result = {**cfg, "retain": fraction}, results[fraction]
+    for fraction, result in results.items():
         _warn_unconverged(result.reward_stage2, f" at retain {fraction:g}")
-        extra_files = {**files, **_analysis_files(tset, result, leg, cluster_model)}
+    analyses = _analysis_files(tset, list(results.values()), cfg, cluster_model)
+    runs = []
+    for (fraction, out), analysis in zip(outs.items(), analyses):
+        leg, result = {**cfg, "retain": fraction}, results[fraction]
+        extra_files = {**files, **analysis}
         extra_manifest = {"subcommand": "pipeline"}
         if truth:
             world, labels = truth
@@ -763,7 +768,7 @@ def cmd_analyze(cfg) -> None:
     result = _read_input("run", run, load_run_directory, tset)
     cluster_model = _load_cluster_model(cfg, states)
     _attributes(cfg, tset)
-    files = _analysis_files(tset, result, cfg, cluster_model)
+    (files,) = _analysis_files(tset, [result], cfg, cluster_model)
     table = reward_delta_by_state(result)  # written as a list of rows, one {column: value} each
     files["reward_delta.json"] = lambda path: write_json(
         path, [dict(zip(table, row)) for row in zip(*table.values())]

@@ -525,7 +525,8 @@ def reference_population(world, config):
 # permutations in blocks: one draw and one scalar statistic per permutation.
 # The block-batched tests must return results equal to these (==), so every
 # seed, stream, hit count and p-value is unchanged. ANOVA and pairwise draw
-# one rng.permutation per permutation; chi-squared draws its flagged counts
+# one rng.permutation of all the values per permutation, so the pairwise tests
+# read the ANOVA's permutations; chi-squared draws its flagged counts
 # from the multivariate hypergeometric, and shuffle_permutation_chi2 keeps
 # the flag shuffle it drew before, for comparing the two samplers.
 
@@ -633,32 +634,92 @@ def reference_permutation_anova(values, labels, n_permutations=10_000, seed=0, n
     return TestResult(name, observed, float(p), n_permutations, seed, groups)
 
 
-def reference_pairwise_permutation_tests(values, labels, n_permutations=10_000, seed=0):
-    from consensus_irl.analyze import PairwiseResult, holm_correction
+def _reference_step_down(gaps, observed, order, reached):
+    """Westfall-Young step-down maxT: add each pair's exceedance of the
+    largest gap among it and the pairs ranked below it to reached."""
+    for j in range(len(order)):
+        largest = max(gaps[q] for q in order[j:])
+        reached[j] += largest >= observed[order[j]] - 1e-12
 
+
+def _reference_pair_gaps(v, codes, cats):
+    """Every pair's |mean a - mean b| / sqrt(1/n_a + 1/n_b), pairs in order."""
+    groups = [v[codes == c] for c in range(len(cats))]
+    return [
+        abs(groups[a].mean() - groups[b].mean())
+        / math.sqrt(1 / len(groups[a]) + 1 / len(groups[b]))
+        for a in range(len(cats)) for b in range(a + 1, len(cats))
+    ]
+
+
+def _reference_pairwise_results(cats, values, codes, raw, stepped, order):
+    from consensus_irl.analyze import PairwiseResult
+
+    adjusted = [0.0] * len(order)
+    running = 0.0
+    for j, q in enumerate(order):  # monotone from the largest observed gap down
+        running = max(running, stepped[j])
+        adjusted[q] = running
+    pairs = [(a, b) for a in range(len(cats)) for b in range(a + 1, len(cats))]
+    return [
+        PairwiseResult(str(cats[a]), str(cats[b]),
+                       float(values[codes == a].mean() - values[codes == b].mean()),
+                       float(p), float(p_adj))
+        for (a, b), p, p_adj in zip(pairs, raw, adjusted)
+    ]
+
+
+def reference_pairwise_permutation_tests(values, labels, n_permutations=10_000, seed=0):
+    """Step-down maxT on one rng.permutation of all the values per permutation.
+
+    Every pair's statistic is its standardized mean gap; a pair's raw p
+    counts the permutations whose gap reaches the observed one, and its
+    adjusted p those whose largest gap, over the pair and the pairs with a
+    smaller observed gap, does.
+    """
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
-    cats = sorted(np.unique(labels).tolist())
-    pairs = [(a, b) for i, a in enumerate(cats) for b in cats[i + 1 :]]
-    seeds = np.random.SeedSequence(seed).spawn(len(pairs))
-    raw = []
-    for (a, b), ss in zip(pairs, seeds):
-        va = np.sort(values[labels == a])
-        vb = np.sort(values[labels == b])
-        pooled = np.concatenate([va, vb])
-        na = len(va)
-        observed = abs(va.mean() - vb.mean())
-        rng = np.random.default_rng(ss)
-        hits = 0
-        for _ in range(n_permutations):
-            perm = rng.permutation(pooled)
-            hits += abs(perm[:na].mean() - perm[na:].mean()) >= observed - 1e-12
-        raw.append((a, b, va.mean() - vb.mean(), (1 + hits) / (1 + n_permutations)))
-    adjusted = holm_correction([r[3] for r in raw])
-    return [
-        PairwiseResult(str(a), str(b), float(d), float(p), float(ph))
-        for (a, b, d, p), ph in zip(raw, adjusted)
-    ]
+    cats, codes = np.unique(labels, return_inverse=True)
+    codes, values = _reference_canonical_order(codes, values)
+    observed = _reference_pair_gaps(values, codes, cats)
+    order = sorted(range(len(observed)), key=lambda q: -observed[q])
+    raw, stepped = [0] * len(observed), [0] * len(observed)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_permutations):
+        gaps = _reference_pair_gaps(rng.permutation(values), codes, cats)
+        for q in range(len(gaps)):
+            raw[q] += gaps[q] >= observed[q] - 1e-12
+        _reference_step_down(gaps, observed, order, stepped)
+    p_raw = [(1 + h) / (1 + n_permutations) for h in raw]
+    p_stepped = [(1 + h) / (1 + n_permutations) for h in stepped]
+    return _reference_pairwise_results(cats, values, codes, p_raw, p_stepped, order)
+
+
+def exact_pairwise_maxt(values, labels):
+    """The exact step-down maxT p-values, over every distinct relabelling of the values.
+
+    Each assignment of the group labels to the values, with the group sizes
+    kept, is equally likely under the null that all groups are exchangeable;
+    there are n! / (n_1! ... n_k!) of them, and the observed one is among
+    them. The p-values are the shares of assignments that reach the observed
+    statistics, with no add-one.
+    """
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    cats, codes = np.unique(labels, return_inverse=True)
+    observed = _reference_pair_gaps(values, codes, cats)
+    order = sorted(range(len(observed)), key=lambda q: -observed[q])
+    raw, stepped = [0] * len(observed), [0] * len(observed)
+    relabellings = set(itertools.permutations(codes.tolist()))
+    for relabelled in relabellings:
+        gaps = _reference_pair_gaps(values, np.array(relabelled), cats)
+        for q in range(len(gaps)):
+            raw[q] += gaps[q] >= observed[q] - 1e-12
+        _reference_step_down(gaps, observed, order, stepped)
+    count = len(relabellings)
+    return _reference_pairwise_results(
+        cats, values, codes, [h / count for h in raw], [h / count for h in stepped], order
+    ), count
 
 
 # The package's k-means as it was before it ran in row chunks: k-means++

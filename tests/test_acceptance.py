@@ -33,6 +33,7 @@ from consensus_irl import (
     generate_world,
     greedy_policy,
     initial_state_distribution,
+    pairwise_permutation_tests,
     permutation_anova,
     permutation_chi2,
     run_two_stage,
@@ -57,6 +58,7 @@ from oracles import (
     enumeration_visitation,
     exact_anova_p,
     exact_chi2_p,
+    exact_pairwise_maxt,
     exact_randomization_chi2_2x2,
     sample_deterministic_demos,
 )
@@ -369,13 +371,39 @@ def test_criterion_08_permutation_p_values_track_exact_oracles():
         rejections += null.p_value < 0.05
     rate = rejections / 200
 
-    ok = d_tail < 0.02 and d_mid < 0.02 and d_anova < 0.02 and 0.02 <= rate <= 0.08
+    # step-down maxT against every one of the 210 relabellings of groups of 2, 2 and 3
+    values = np.array([0.3, 1.1, 2.0, 2.4, -0.6, 0.9, 1.7])
+    labels = np.repeat(["a", "b", "c"], [2, 2, 3])
+    exact, count = exact_pairwise_maxt(values, labels)
+    pairs = pairwise_permutation_tests(values, labels, n_permutations=10_000, seed=6)
+    d_maxt = max(
+        max(abs(p.p_value - e.p_value), abs(p.p_adjusted - e.p_adjusted))
+        for p, e in zip(pairs, exact)
+    )
+
+    # familywise: a null dataset is a rejection when any pair's adjusted p is below 0.05
+    rng = np.random.default_rng(13)
+    familywise = 0
+    for j in range(1000):
+        pairs = pairwise_permutation_tests(
+            rng.normal(0.0, 1.0, 24), np.repeat(["a", "b", "c", "d"], 6), n_permutations=499,
+            seed=j,
+        )
+        familywise += min(p.p_adjusted for p in pairs) < 0.05
+    fw_rate = familywise / 1000
+
+    ok = (
+        d_tail < 0.02 and d_mid < 0.02 and d_anova < 0.02 and 0.02 <= rate <= 0.08
+        and count == 210 and d_maxt < 0.02 and 0.02 <= fw_rate <= 0.08
+    )
     report(
         8,
         ok,
         f"permutation p vs exact oracles: chi2 tail |dp| = {d_tail:.4f}, chi2 midrange "
-        f"|dp| = {d_mid:.4f}, anova |dp| = {d_anova:.4f} (each < 0.02); null rejection "
-        f"rate {rate:.3f} at alpha 0.05 over 200 null datasets (within 0.05 +/- 0.03)",
+        f"|dp| = {d_mid:.4f}, anova |dp| = {d_anova:.4f}, pairwise maxT raw and adjusted "
+        f"|dp| <= {d_maxt:.4f} over {count} relabellings (each < 0.02); null rejection "
+        f"rate {rate:.3f} at alpha 0.05 over 200 null datasets, familywise rate "
+        f"{fw_rate:.3f} over 1000 null datasets of 4 groups (each within 0.05 +/- 0.03)",
     )
     assert ok
 

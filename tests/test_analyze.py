@@ -16,8 +16,6 @@ from consensus_irl import (
     PruneConfig,
     RewardModel,
     TrajectoryScores,
-    anova_f_statistic,
-    chi_squared_statistic,
     cluster_report,
     end_state_deciles,
     generate_population,
@@ -38,6 +36,9 @@ from consensus_irl import test_reward_loss_disparity as reward_loss_disparity
 from consensus_irl.analyze import (
     _BLOCK_VALUES,
     PERMUTATION_NOTE,
+    POSTHOC_NOTE,
+    _anova_f_rows,
+    _chi_squared_rows,
     _flagged_count_blocks,
     _reward_deltas,
     write_cluster_report_csv,
@@ -51,6 +52,7 @@ from conftest import make_set, traced_peak
 from oracles import (
     exact_anova_p,
     exact_chi2_p,
+    exact_pairwise_maxt,
     exact_randomization_chi2_2x2,
     reference_anova_f_statistic,
     reference_chi_squared_statistic,
@@ -59,6 +61,16 @@ from oracles import (
     reference_permutation_chi2,
     shuffle_permutation_chi2,
 )
+
+
+def chi2_of(table) -> float:
+    """The package's chi-squared of one table."""
+    return float(_chi_squared_rows(np.asarray(table, dtype=float)[None])[0])
+
+
+def f_of(groups) -> float:
+    """The package's ANOVA F of one set of groups."""
+    return float(_anova_f_rows(np.concatenate(groups)[None], [len(g) for g in groups])[0])
 
 
 def toy_stats(n_clusters, count=10):
@@ -227,23 +239,23 @@ class TestDeciles:
 
 class TestStatistics:
     def test_chi2_hand_values(self):
-        assert chi_squared_statistic([[10, 10], [10, 10]]) == 0.0
-        assert chi_squared_statistic([[30, 70], [70, 30]]) == pytest.approx(32.0)
-        assert chi_squared_statistic([[12, 8], [8, 12]]) == pytest.approx(1.6)
+        assert chi2_of([[10, 10], [10, 10]]) == 0.0
+        assert chi2_of([[30, 70], [70, 30]]) == pytest.approx(32.0)
+        assert chi2_of([[12, 8], [8, 12]]) == pytest.approx(1.6)
 
     def test_chi2_zero_expected_cells_ignored(self):
-        assert np.isfinite(chi_squared_statistic([[5, 0], [7, 0]]))
-        assert chi_squared_statistic([[0, 0], [0, 0]]) == 0.0
+        assert np.isfinite(chi2_of([[5, 0], [7, 0]]))
+        assert chi2_of([[0, 0], [0, 0]]) == 0.0
 
     def test_f_hand_value(self):
         groups = [np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0])]
-        assert anova_f_statistic(groups) == pytest.approx(1.5)
+        assert f_of(groups) == pytest.approx(1.5)
 
     def test_f_degenerate_cases(self):
         same = [np.array([1.0, 1.0]), np.array([1.0, 1.0])]
-        assert anova_f_statistic(same) == 0.0
+        assert f_of(same) == 0.0
         apart = [np.array([0.0, 0.0]), np.array([1.0, 1.0])]
-        assert anova_f_statistic(apart) == np.inf
+        assert f_of(apart) == np.inf
 
     def test_null_table_p_is_one(self):
         labels = np.repeat(["a", "b"], 20)
@@ -277,6 +289,53 @@ class TestStatistics:
         res = permutation_anova(values, labels, n_permutations=10_000, seed=5)
         exact = exact_anova_p([values[:5], values[5:10], values[10:]])
         assert abs(res.p_value - exact) < 0.02
+
+    def test_pairwise_p_matches_exact_maxt(self):
+        """Raw and step-down p-values against all 210 relabellings of groups of 2, 2 and 3."""
+        values = np.array([0.3, 1.1, 2.0, 2.4, -0.6, 0.9, 1.7])
+        labels = np.repeat(["a", "b", "c"], [2, 2, 3])
+        exact, count = exact_pairwise_maxt(values, labels)
+        assert count == 210
+        pairs = pairwise_permutation_tests(values, labels, n_permutations=10_000, seed=6)
+        assert [(p.group_a, p.group_b) for p in pairs] == [("a", "b"), ("a", "c"), ("b", "c")]
+        for p, e in zip(pairs, exact):
+            assert p.mean_difference == pytest.approx(e.mean_difference)
+            assert abs(p.p_value - e.p_value) < 0.02
+            assert abs(p.p_adjusted - e.p_adjusted) < 0.02
+        # the adjustment moves these p-values: it is not the identity here
+        assert any(e.p_adjusted > e.p_value + 0.05 for e in exact)
+
+    def test_adjusted_p_is_monotone_in_the_observed_gap(self):
+        rng = np.random.default_rng(14)
+        labels = np.repeat(list("abcde"), [5, 7, 9, 4, 6])
+        values = rng.normal(size=31) + np.repeat([0.0, 0.4, 0.8, 1.2, 0.2], [5, 7, 9, 4, 6])
+        pairs = pairwise_permutation_tests(values, labels, n_permutations=2000, seed=1)
+        sizes = dict(zip(*np.unique(labels, return_counts=True)))
+        gap = [abs(p.mean_difference) / np.sqrt(1 / sizes[p.group_a] + 1 / sizes[p.group_b])
+               for p in pairs]
+        ranked = [pairs[q] for q in np.argsort(gap)[::-1]]
+        assert all(p.p_adjusted >= p.p_value for p in pairs)
+        assert all(a.p_adjusted <= b.p_adjusted for a, b in zip(ranked, ranked[1:]))
+
+    @pytest.mark.parametrize("sizes", [(5, 7), (12, 12), (3, 40)])
+    def test_a_two_group_pair_reads_the_anova_permutations(self, sizes):
+        """With two groups the pair's gap is a monotone function of F, so on the
+        same permutations its raw and adjusted p are the ANOVA's p."""
+        rng = np.random.default_rng(sum(sizes))
+        labels = np.repeat(["x", "y"], sizes)
+        values = rng.normal(size=sum(sizes)) + 0.3 * (labels == "y")
+        (pair,) = pairwise_permutation_tests(values, labels, n_permutations=3000, seed=2)
+        anova = permutation_anova(values, labels, n_permutations=3000, seed=2)
+        assert pair.p_value == pair.p_adjusted == anova.p_value
+
+    def test_tied_gaps_share_one_adjusted_p(self):
+        """Pairs of equal observed gap get one adjusted p, whichever is ranked first."""
+        labels = np.repeat(["a", "b", "c"], 4)
+        values = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5])
+        ab, ac, bc = pairwise_permutation_tests(values, labels, n_permutations=2000, seed=3)
+        assert ab.mean_difference == bc.mean_difference == -2.0
+        assert ab.p_adjusted == bc.p_adjusted >= ac.p_adjusted
+        assert ab.p_value == pytest.approx(bc.p_value, abs=0.03)
 
     def test_maximal_separation_hits_floor(self):
         rng = np.random.default_rng(0)
@@ -416,7 +475,7 @@ class TestBlockedPermutationsMatchReference:
         values = np.array([-0.37, 1.78, -0.04, -0.08, -1.07, -0.48, 0.01, -0.05, -0.23])
         labels = np.repeat(["a", "b", "c"], 3)
         groups = [values[:3], values[3:6], values[6:]]
-        assert anova_f_statistic(groups) == reference_anova_f_statistic(groups)
+        assert f_of(groups) == reference_anova_f_statistic(groups)
         assert permutation_anova(values, labels, 200, seed=4) == (
             reference_permutation_anova(values, labels, 200, seed=4)
         )
@@ -465,12 +524,12 @@ class TestBlockedPermutationsMatchReference:
         for rows in (2, 5, 9, 17):
             table = rng.exponential(size=(rows, 3))
             table[0, 0] = 0.0
-            assert chi_squared_statistic(table) == reference_chi_squared_statistic(table)
-        assert chi_squared_statistic(np.zeros((3, 2))) == 0.0
+            assert chi2_of(table) == reference_chi_squared_statistic(table)
+        assert chi2_of(np.zeros((3, 2))) == 0.0
         groups = [rng.normal(size=size) for size in (1, 4, 9, 300)]
-        assert anova_f_statistic(groups) == reference_anova_f_statistic(groups)
+        assert f_of(groups) == reference_anova_f_statistic(groups)
         ints = [rng.integers(0, 5, size=size) for size in (3, 7)]
-        assert anova_f_statistic(ints) == reference_anova_f_statistic(ints)
+        assert f_of(ints) == reference_anova_f_statistic(ints)
 
     def test_memory_stays_within_a_few_blocks(self):
         """A block holds 1 MiB of values, so peak memory does not grow with n_permutations."""
@@ -492,6 +551,24 @@ class TestBlockedPermutationsMatchReference:
                 tracemalloc.stop()
             assert peak < bound
 
+
+    def test_pairwise_memory_is_flat_in_n_permutations(self):
+        """The step-down maxima are counted per block: no (permutations, pairs)
+        array is kept, so 66 pairs hold one block's worth however many blocks run."""
+        rng = np.random.default_rng(29)
+        labels = rng.choice([f"g{i:02d}" for i in range(12)], size=600)
+        values = rng.normal(size=600)
+        rows = _BLOCK_VALUES // 600
+        peaks = []
+        for n_permutations in (rows, 8 * rows):
+            tracemalloc.start()
+            try:
+                pairwise_permutation_tests(values, labels, n_permutations=n_permutations, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + 2**16
 
     def test_chi2_memory_is_flat_in_n_permutations(self):
         """Peak memory of one block of tables, however many blocks are drawn."""
@@ -645,7 +722,7 @@ class TestDisparity:
         pair = posthoc[0]
         assert (pair.group_a, pair.group_b) == ("f", "m")
         assert pair.mean_difference == pytest.approx(1.0)
-        assert pair.p_holm >= pair.p_value
+        assert pair.p_adjusted == pair.p_value  # one pair: nothing to adjust for
 
     def test_small_groups_dropped_with_warning(self):
         tset = labelled_set({"f": 8, "m": 8, "x": 1}, {"f": 1, "m": 2, "x": 3})
@@ -676,9 +753,7 @@ class TestDisparity:
         assert dict(omnibus.groups) == {"f": 8, "m": 8}
 
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_worker_count_changes_no_result(self, monkeypatch, workers):
-        """Inline or on a pool, the tests equal the one-permutation-at-a-time oracles."""
+    def test_equals_the_one_permutation_at_a_time_oracles(self):
         rng = np.random.default_rng(8)
         sites = rng.choice(["a", "b", "c", "d"], size=41)
         blocks = []
@@ -691,7 +766,6 @@ class TestDisparity:
         )
         r1, r2 = (RewardModel(rng.uniform(-1, 1, size=5)) for _ in range(2))
         values = _reward_deltas(tset, r1, r2).tolist()
-        monkeypatch.setattr(analyze, "_worker_count", lambda: workers)
         omnibus, posthoc = reward_loss_disparity(tset, r1, r2, "site", n_permutations=300, seed=3)
         assert omnibus == reference_permutation_anova(
             values, sites, 300, 3, name="reward_loss_disparity[site]"
@@ -701,7 +775,7 @@ class TestDisparity:
 
 
 class TestAllAttributes:
-    """reward_loss_disparity_tests: every attribute's tests from one list of jobs."""
+    """reward_loss_disparity_tests: every attribute of every run, one stream per value count."""
 
     @staticmethod
     def tagged_set(tags: dict):
@@ -717,17 +791,16 @@ class TestAllAttributes:
         return tset, r1, r2
 
     @staticmethod
-    def counted(monkeypatch, workers):
-        """The jobs each _evaluated call gets, once the equal streams are merged."""
+    def streams(monkeypatch):
+        """(seed, values, sets of groups) of each stream drawn, in order."""
         calls = []
-        evaluated = analyze._evaluated
+        monte_carlo_p = analyze._monte_carlo_p
 
-        def counting(jobs):
-            calls.append([len(job.statistics) for job in jobs])
-            return evaluated(jobs)
+        def counting(families, n_permutations, seed):
+            calls.append((seed, families[0].values.size, len(families)))
+            return monte_carlo_p(families, n_permutations, seed)
 
-        monkeypatch.setattr(analyze, "_worker_count", lambda: workers)
-        monkeypatch.setattr(analyze, "_evaluated", counting)
+        monkeypatch.setattr(analyze, "_monte_carlo_p", counting)
         return calls
 
     @staticmethod
@@ -742,66 +815,82 @@ class TestAllAttributes:
             )
             assert posthoc == reference_pairwise_permutation_tests(v, g, 300, 3)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_equal_streams_are_drawn_once(self, monkeypatch, workers):
-        """Three ANOVAs over all 41 values share one job, and so do the first pair
-        of sex and of arm: both draw child 0 over all 41 values."""
+    def test_equal_value_counts_draw_one_stream(self, monkeypatch):
+        """Three attributes over all 41 values: every ANOVA and pair reads one stream."""
         rng = np.random.default_rng(9)
         tset, r1, r2 = self.tagged_set({
             "site": rng.choice(list("abcd"), size=41),
             "sex": np.array(["f", "m"])[np.arange(41) % 2],
             "arm": np.array(["x", "y"])[(np.arange(41) % 3 == 0).astype(int)],
         })
-        calls = self.counted(monkeypatch, workers)
-        results, skipped = reward_loss_disparity_tests(
-            tset, r1, r2, ["site", "sex", "arm"], n_permutations=300, seed=3
+        calls = self.streams(monkeypatch)
+        (results,), skipped = reward_loss_disparity_tests(
+            tset, [(r1, r2)], ["site", "sex", "arm"], n_permutations=300, seed=3
         )
         assert list(results) == ["site", "sex", "arm"] and skipped == {}
-        assert calls == [[3, 1, 1, 1, 1, 1, 1, 2]]  # 11 tests in 8 jobs, one list
+        assert calls == [(3, 41, 3)]  # 3 ANOVAs and 8 pairs
         self.assert_matches_oracles(results, tset, r1, r2)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_dropped_group_leaves_its_anova_unshared(self, monkeypatch, workers):
+    def test_a_dropped_group_draws_its_own_stream(self, monkeypatch):
         sites = np.array(["a", "b"] * 20 + ["z"])  # z, a group of one, is dropped
         tset, r1, r2 = self.tagged_set({"site": sites, "sex": np.array(["f", "m"] * 20 + ["f"])})
-        calls = self.counted(monkeypatch, workers)
+        calls = self.streams(monkeypatch)
         with pytest.warns(UserWarning, match="fewer than 2.*z"):
-            results, _ = reward_loss_disparity_tests(
-                tset, r1, r2, ["site", "sex"], n_permutations=300, seed=3
+            (results,), _ = reward_loss_disparity_tests(
+                tset, [(r1, r2)], ["site", "sex"], n_permutations=300, seed=3
             )
         assert dict(results["site"][0].groups) == {"a": 20, "b": 20}
-        assert calls == [[1, 1, 1, 1]]  # 40 values for site, 41 for sex
+        assert calls == [(3, 40, 1), (3, 41, 1)]  # 40 values for site, 41 for sex
         self.assert_matches_oracles(results, tset, r1, r2)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_subset_of_the_attributes(self, monkeypatch, workers):
+    def test_a_subset_of_the_attributes(self, monkeypatch):
         rng = np.random.default_rng(10)
         tset, r1, r2 = self.tagged_set({
             "site": rng.choice(list("abc"), size=41), "sex": rng.choice(list("fm"), size=41),
         })
-        calls = self.counted(monkeypatch, workers)
-        results, _ = reward_loss_disparity_tests(tset, r1, r2, ["sex"], 300, 3)
-        assert list(results) == ["sex"] and calls == [[1, 1]]
+        calls = self.streams(monkeypatch)
+        (results,), _ = reward_loss_disparity_tests(tset, [(r1, r2)], ["sex"], 300, 3)
+        assert list(results) == ["sex"] and calls == [(3, 41, 1)]
         self.assert_matches_oracles(results, tset, r1, r2)
         assert results["sex"] == reward_loss_disparity(tset, r1, r2, "sex", 300, 3)
+
+    def test_every_run_shares_the_stream(self, monkeypatch):
+        """Runs of the same trajectories, as a sweep's legs are, draw one stream
+        between them, and each run's results are what it gives alone."""
+        rng = np.random.default_rng(11)
+        tset, r1, r2 = self.tagged_set({
+            "site": rng.choice(list("abc"), size=41), "sex": rng.choice(list("fm"), size=41),
+        })
+        r3 = RewardModel(rng.uniform(-1, 1, size=5))
+        calls = self.streams(monkeypatch)
+        both, _ = reward_loss_disparity_tests(
+            tset, [(r1, r2), (r1, r3)], ["site", "sex"], 300, 3
+        )
+        assert calls == [(3, 41, 4)]
+        for run, (first, second) in zip(both, [(r1, r2), (r1, r3)]):
+            (alone,), _ = reward_loss_disparity_tests(
+                tset, [(first, second)], ["site", "sex"], 300, 3
+            )
+            assert run == alone
+            self.assert_matches_oracles(run, tset, first, second)
 
     def test_an_untestable_attribute_is_skipped_and_the_rest_run(self):
         tset, r1, r2 = self.tagged_set({
             "site": np.array(["a"] * 40 + ["z"]), "sex": np.array(["f", "m"] * 20 + ["f"]),
         })
         with pytest.warns(UserWarning):
-            results, skipped = reward_loss_disparity_tests(
-                tset, r1, r2, ["site", "race", "sex"], n_permutations=50, seed=3
+            (results,), skipped = reward_loss_disparity_tests(
+                tset, [(r1, r2)], ["site", "race", "sex"], n_permutations=50, seed=3
             )
         assert list(results) == ["sex"]
         assert "two groups" in str(skipped["site"]) and "'race'" in str(skipped["race"])
         with pytest.raises(ParameterError, match="'race'"):
             reward_loss_disparity(tset, r1, r2, "race", n_permutations=50)
 
-    def test_no_attributes_no_jobs(self, monkeypatch):
+    def test_no_attributes_no_streams(self, monkeypatch):
         tset, r1, r2 = self.tagged_set({"site": np.array(["a", "b"] * 20 + ["a"])})
-        calls = self.counted(monkeypatch, 2)
-        assert reward_loss_disparity_tests(tset, r1, r2, [], 50, 3) == ({}, {})
+        calls = self.streams(monkeypatch)
+        assert reward_loss_disparity_tests(tset, [(r1, r2)] * 2, [], 50, 3) == ([{}, {}], {})
         assert calls == []
 
 
@@ -881,10 +970,13 @@ class TestReportFiles:
         path = tmp_path / "tests.json"
         write_tests_json([omnibus], path, posthoc={omnibus.name: posthoc})
         payload = json.loads(path.read_text())
-        assert payload["note"] == PERMUTATION_NOTE
+        assert payload["note"] == f"{PERMUTATION_NOTE}; {POSTHOC_NOTE}"
+        assert "step-down maxT" in payload["note"]
         entry = payload["tests"][0]
         assert entry["note"] == PERMUTATION_NOTE
         assert entry["p_floor"] == pytest.approx(1 / 201)
+        assert list(entry["posthoc"][0]) == [
+            "group_a", "group_b", "mean_difference", "p_adjusted", "p_value"]
         assert entry["posthoc"][0]["group_a"] == "a"
 
     def test_an_infinite_statistic_is_null_in_json_and_inf_in_csv(self, tmp_path):
@@ -893,7 +985,9 @@ class TestReportFiles:
         assert omnibus.statistic == np.inf
         write_tests_json([omnibus], tmp_path / "tests.json")
         write_tests_csv([omnibus], tmp_path / "tests.csv")
-        entry = read_json(tmp_path / "tests.json")["tests"][0]
+        payload = read_json(tmp_path / "tests.json")
+        assert payload["note"] == PERMUTATION_NOTE  # no posthoc rows, no note of theirs
+        entry = payload["tests"][0]
         assert entry["statistic"] is None and entry["p_value"] == omnibus.p_value
         with open(tmp_path / "tests.csv") as fh:
             fh.readline()

@@ -1,6 +1,5 @@
 """End-to-end command-line tests driven through the in-process dispatcher."""
 
-import concurrent.futures
 import inspect
 import itertools
 import json
@@ -30,7 +29,7 @@ def python(*argv, check=True) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_no_scipy():
-    """scipy and the worker pool's modules are imported where they are used, not at start-up."""
+    """scipy is imported where it is used, not at start-up; no command starts a worker pool."""
     code = (
         "import sys, consensus_irl.cli; print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
@@ -1070,46 +1069,6 @@ class TestAnalyze:
         assert "stage-1 reward" in err
         assert not out.exists()
 
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs CPU affinity and at least 2 CPUs",
-    )
-    def test_tests_json_does_not_depend_on_cpu_count(self, tmp_path):
-        """The disparity tests give the same bytes on one CPU as on all of them."""
-        tagged = tmp_path / "tagged"
-        tags = tmp_path / "tags.json"
-        tags.write_text(json.dumps([
-            {"name": "site", "categories": ["n", "s", "e"], "probs": [0.5, 0.3, 0.2]},
-        ]))
-        assert run(
-            "synth", "--states", 12, "--actions", 2, "--branching", 3, "--horizon", 6,
-            "--trajectories", 60, "--seed", 5, "--demographics", tags, "--out", tagged,
-        ) == 0
-        fitted = tmp_path / "run"
-        assert run(
-            "pipeline", "--trajectories", tagged / "trajectories.csv", "--epochs", 20,
-            "--permutations", 50, "--out", fitted,
-        ) == 0
-        src = os.path.dirname(os.path.dirname(consensus_irl.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-        def analyze_tests_json(out, preexec_fn=None):
-            argv = [
-                sys.executable, "-m", "consensus_irl.cli", "analyze", "--run", str(fitted),
-                "--trajectories", str(tagged / "trajectories.csv"),
-                "--permutations", "3000", "--out", str(out),
-            ]
-            subprocess.run(argv, env=env, preexec_fn=preexec_fn, capture_output=True,
-                           check=True, timeout=300)
-            return (out / "tests.json").read_bytes()
-
-        def pin_to_one_cpu():
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-        one_cpu = analyze_tests_json(tmp_path / "one", preexec_fn=pin_to_one_cpu)
-        assert one_cpu == analyze_tests_json(tmp_path / "all")
-        assert b"reward_loss_disparity[site]" in one_cpu
-
 
 RAW_CSV_HEADER = (
     "subject_id,timestamp,heart_rate,mean_bp,vasopressors,bolus_epinephrine,"
@@ -1227,51 +1186,92 @@ class TestClinicalFlow:
         assert tests(tmp_path / "run") == tests(tmp_path / "reports")
         assert not any("[sex]" in name for name in tests(tmp_path / "run"))
 
-    def test_each_command_makes_at_most_one_pool(self, tmp_path, clinical_inputs, monkeypatch):
-        """pipeline and analyze run the ANOVA and pairwise jobs of both tags on one
-        pool each; a synthetic run has no tags and makes none."""
-        records, normals, bounds = clinical_inputs
+    @staticmethod
+    def site_tagged(records, tmp_path):
+        """The clinical records with a second tag, site, which splits the subjects in two."""
         tagged = tmp_path / "records.csv"
         header, *rows = records.read_text().splitlines()
         site = {f"p{i}": "ns"[i % 2] for i in range(8)}
         tagged.write_text("\n".join([header + ",site"] + [
             f"{row},{site[row.split(',')[0]]}" for row in rows]) + "\n")
-        pools = []
+        return tagged
 
-        class Counting(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
-        monkeypatch.setattr(analyze, "_worker_count", lambda: 2)
-        features = ("--features", "heart_rate,mean_bp")
-        states = ("--k", 2, "--min-size", 2, *features)
+    def test_each_command_draws_one_stream_in_one_process(self, tmp_path, clinical_inputs):
+        """pipeline and analyze test both tags on one stream of permutations,
+        seeded S + 3, and start no worker process; a synthetic run has no tags
+        and draws none."""
+        records, normals, bounds = clinical_inputs
+        tagged = self.site_tagged(records, tmp_path)
+        states = ("--k", 2, "--min-size", 2, "--features", "heart_rate,mean_bp")
         assert run("ingest", "--records", tagged, "--normals", normals, "--bounds", bounds,
-                   "--demographics", "sex,site", "--condition", "hypotension", *features,
-                   "--out", tmp_path / "ingest") == 0
+                   "--demographics", "sex,site", "--condition", "hypotension",
+                   "--features", "heart_rate,mean_bp", "--out", tmp_path / "ingest") == 0
         prepared = tmp_path / "ingest" / "prepared.csv"
         assert run("cluster", "--prepared", prepared, *states, "--out", tmp_path / "states") == 0
+        assert run("synth", "--states", 12, "--actions", 2, "--branching", 3, "--horizon", 6,
+                   "--trajectories", 40, "--seed", 3, "--out", tmp_path / "world") == 0
+        world = ["--trajectories", str(tmp_path / "world" / "trajectories.csv")]
+        commands = [
+            ["pipeline", "--prepared", str(prepared), *map(str, states), "--epochs", "40",
+             "--retain", "0.75", "--permutations", "100", "--seed", "5",
+             "--out", str(tmp_path / "run")],
+            ["analyze", "--run", str(tmp_path / "run"), "--permutations", "100", "--seed", "5",
+             "--trajectories", str(tmp_path / "states" / "trajectories.csv"),
+             "--out", str(tmp_path / "reports")],
+            ["pipeline", *world, "--epochs", "10", "--permutations", "20",
+             "--out", str(tmp_path / "synthetic")],
+        ]
+        code = (
+            "import json, sys\n"
+            "from consensus_irl import analyze\n"
+            "from consensus_irl.cli import dispatch\n"
+            "streams, draw = [], analyze._monte_carlo_p\n"
+            "def counted(families, n_permutations, seed):\n"
+            "    streams[-1].append([seed, len(families)])\n"
+            "    return draw(families, n_permutations, seed)\n"
+            "analyze._monte_carlo_p = counted\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    streams.append([])\n"
+            "    assert dispatch(argv) == 0, argv\n"
+            "pools = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "print(json.dumps([streams, pools]))\n"
+        )
+        done = python("-c", code, json.dumps(commands))
+        streams, pools = json.loads(done.stdout.splitlines()[-1])
+        assert streams == [[[8, 2]], [[8, 2]], []]  # sex and site, seed 5 + 3
         assert pools == []
-        assert run("pipeline", "--prepared", prepared, *states, "--epochs", 40,
-                   "--retain", 0.75, "--permutations", 100, "--out", tmp_path / "run") == 0
-        assert len(pools) == 1
-        assert run("analyze", "--run", tmp_path / "run", "--permutations", 100,
-                   "--trajectories", tmp_path / "states" / "trajectories.csv",
-                   "--out", tmp_path / "reports") == 0
-        assert len(pools) == 2
         tests = json.loads((tmp_path / "reports" / "tests.json").read_text())["tests"]
         assert {"reward_loss_disparity[sex]", "reward_loss_disparity[site]"} <= {
             t["name"] for t in tests}
+        assert (tmp_path / "reports" / "tests.json").read_bytes() == (
+            tmp_path / "run" / "tests.json").read_bytes()
 
-        world = ("--trajectories", tmp_path / "world" / "trajectories.csv")
-        assert run("synth", "--states", 12, "--actions", 2, "--branching", 3, "--horizon", 6,
-                   "--trajectories", 40, "--seed", 3, "--out", tmp_path / "world") == 0
-        assert run("pipeline", *world, "--epochs", 10, "--permutations", 20,
-                   "--out", tmp_path / "synthetic") == 0
-        assert run("analyze", "--run", tmp_path / "synthetic", *world, "--permutations", 20,
-                   "--out", tmp_path / "synthetic_reports") == 0
-        assert len(pools) == 2
+    def test_a_sweep_draws_one_stream_for_every_leg(self, tmp_path, clinical_inputs, monkeypatch):
+        """Every leg tests the same trajectories with seed S + 3, so one stream
+        serves them all, and each leg's tests.json is a pipeline's at its fraction."""
+        records, normals, bounds = clinical_inputs
+        tagged = self.site_tagged(records, tmp_path)
+        flags = ("--records", tagged, "--normals", normals, "--bounds", bounds,
+                 "--demographics", "sex,site", "--condition", "hypotension",
+                 "--features", "heart_rate,mean_bp", "--k", 2, "--min-size", 2,
+                 "--epochs", 40, "--permutations", 100, "--seed", 2)
+        streams = []
+        draw = analyze._monte_carlo_p
+
+        def counted(families, n_permutations, seed):
+            streams.append((seed, len(families)))
+            return draw(families, n_permutations, seed)
+
+        monkeypatch.setattr(analyze, "_monte_carlo_p", counted)
+        assert run("sweep", *flags, "--fractions", "0.5,0.8", "--out", tmp_path / "sweep") == 0
+        assert streams == [(5, 4)]  # two tags in each of two legs
+        for fraction, leg in (("0.5", "f050"), ("0.8", "f080")):
+            out = tmp_path / f"pipeline_{leg}"
+            assert run("pipeline", *flags, "--retain", fraction, "--out", out) == 0
+            assert (tmp_path / "sweep" / leg / "tests.json").read_bytes() == (
+                out / "tests.json").read_bytes()
+        assert streams == [(5, 4), (5, 2), (5, 2)]
 
     def test_bad_clinical_cells_are_input_errors(self, workdir, tmp_path, clinical_inputs, capsys):
         records, normals, bounds = clinical_inputs

@@ -1,10 +1,11 @@
 """The file comparer of tools/golden.py, on two small hand-made output trees."""
 
+import csv
 import importlib.util
 import json
 from pathlib import Path
 
-from consensus_irl.ingest import ActionCodec, hypotension_codec
+from consensus_irl.ingest import ActionCodec, hypotension_codec, sepsis_codec
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
@@ -30,6 +31,23 @@ def test_golden_codec_is_the_hypotension_codec(tmp_path):
     path = tmp_path / "codec.json"
     path.write_text(json.dumps(golden.CODEC))
     assert ActionCodec.from_json(path) == hypotension_codec()
+
+
+def test_golden_sepsis_records_hold_the_sepsis_codecs_flags(tmp_path):
+    """ingest --condition sepsis in the command set reads records with every
+    treatment column of the sepsis codec, and rows with more than one flag."""
+    (tmp_path / "records.csv").write_text(
+        "subject_id,timestamp,mean_bp,vasopressors,bolus_epinephrine,sex\n"
+        "p0,0,70.0,1,1,f\np0,1,71.0,0,1,f\np1,0,72.0,1,0,m\n"
+    )
+    golden.write_sepsis_records(tmp_path)
+    with open(tmp_path / "records_sepsis.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert set(sepsis_codec().known_flags) <= set(rows[0])
+    assert not {"vasopressors", "bolus_epinephrine"} & set(rows[0])
+    flags = [[f for f in sorted(sepsis_codec().known_flags) if row[f] == "1"] for row in rows]
+    assert flags == [["antibiotics", "glucocorticoids", "vasoactive", "ventilation"],
+                     ["antibiotics"], ["vasoactive"]]
 
 
 def test_equal_trees_are_all_identical(tmp_path):
@@ -115,9 +133,12 @@ def test_moved_decisions_are_flagged_by_file(tmp_path):
         "reward_delta.json": (delta, [{**delta[0], "policy2": 0, "agree": False}]),
         "recovery.json": (recovery, {**recovery, "prune_recall": 0.55}),
         "manifest.json": ({"n_retained": 3}, {"n_retained": 4}),
+        # p_holm is the adjusted p of a ref from before p_adjusted
         "tests.json": (
-            {"tests": [{"name": "anova", "posthoc": [{"group_a": "f", "p_holm": 0.5}]}]},
-            {"tests": [{"name": "anova", "posthoc": [{"group_a": "f", "p_holm": 0.25}]}]},
+            {"tests": [{"name": "anova", "posthoc": [{"group_a": "f", "p_adjusted": 0.5},
+                                                     {"group_a": "m", "p_holm": 0.5}]}]},
+            {"tests": [{"name": "anova", "posthoc": [{"group_a": "f", "p_adjusted": 0.25},
+                                                     {"group_a": "m", "p_holm": 0.25}]}]},
         ),
     }
     for name, sides in files.items():
@@ -134,7 +155,7 @@ def test_moved_decisions_are_flagged_by_file(tmp_path):
         "recovery.json": ["prune_recall"],
         "reward_delta.json": ["0/agree", "0/policy2"],
         "scores.csv": ["retained"],
-        "tests.json": ["tests/anova/posthoc/0/p_holm"],
+        "tests.json": ["tests/anova/posthoc/0/p_adjusted", "tests/anova/posthoc/1/p_holm"],
     }
     assert not golden.within(summary, rtol=1.0)
 

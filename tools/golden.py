@@ -35,6 +35,8 @@ both. Per seed:
 - ingest and pipeline --records on the edge-case records: a subject dropped
   whole by the bounds, a one-row subject, a feature missing on a subject's
   first rows and subjects with an empty tag cell;
+- ingest --condition sepsis on the cohort with the sepsis codec's treatment
+  columns (write_sepsis_records);
 - a seeded shuffle of the synthetic trajectories.csv's rows, header kept
   (shuffle_rows, a step of this script), through pipeline --world --labels
   and through analyze --run on the run of the unshuffled rows: every reader
@@ -115,10 +117,11 @@ PERMUTATIONS = ("--permutations", "2000")
 K = "40"
 # the last part of a JSON path, or a CSV column, that holds a decision: in
 # scores.csv, reward_delta.*, tests.*, recovery.json, manifest.json and
-# sweep_summary.csv
+# sweep_summary.csv (p_holm is the post-hoc adjusted p of tests.json before
+# it was p_adjusted, so a ref from then still compares)
 DECISIONS = frozenset({
-    "retained", "n_retained", "policy1", "policy2", "agree", "p_value", "p_holm",
-    "prune_precision", "prune_recall",
+    "retained", "n_retained", "policy1", "policy2", "agree", "p_value", "p_adjusted",
+    "p_holm", "prune_precision", "prune_recall",
 })
 # the columns that name the trajectory or subject a CSV row belongs to
 OWNERS = ("trajectory_id", "subject_id")
@@ -168,6 +171,26 @@ def write_edge_records(directory: Path, cohort) -> None:
         csv.writer(fh).writerows([header, *edited])
 
 
+def write_sepsis_records(directory: Path) -> None:
+    """records_sepsis.csv: the directory's records.csv with the sepsis codec's
+    treatment columns in place of the hypotension codec's.
+
+    vasopressors and bolus_epinephrine become vasoactive and antibiotics;
+    ventilation is set where both were, so some rows hold three flags, which
+    the codec maps to its first action among them; glucocorticoids is set on
+    every fifth row.
+    """
+    with open(directory / "records.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    pressors, bolus = header.index("vasopressors"), header.index("bolus_epinephrine")
+    header[pressors], header[bolus] = "vasoactive", "antibiotics"
+    with open(directory / "records_sepsis.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header + ["ventilation", "glucocorticoids"]] + [
+            row + [str(int(row[pressors] == row[bolus] == "1")), str(int(i % 5 == 0))]
+            for i, row in enumerate(rows)
+        ])
+
+
 def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
     """(command, run directory, flags) in order; every path is relative to the seed's directory."""
     world = ("--trajectories", "world/trajectories.csv")
@@ -179,6 +202,8 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         "--demographics", ",".join(cohort.DEMOGRAPHICS),
     ) + features
     edges = ("--records", "inputs/records_edges.csv", *records[2:])
+    sepsis = ("--records", "inputs/records_sepsis.csv", *records[2:6], "--condition", "sepsis",
+              *records[8:])
     steps = [
         ("synth", "world", (
             "--states", "60", "--actions", "3", "--branching", "4", "--horizon", "12",
@@ -248,6 +273,7 @@ def commands(seed: int, cohort) -> list[tuple[str, str, tuple[str, ...]]]:
         ("sweep", "clinical_records_sweep", records + ("--k", K, "--fractions", "0.5,0.8")
          + PERMUTATIONS),
         ("ingest", "ingest_edges", edges),
+        ("ingest", "ingest_sepsis", sepsis),
         ("pipeline", "clinical_edges", edges + ("--k", K, "--retain", "0.8") + PERMUTATIONS),
         ("shuffle", "shuffled", ("world/trajectories.csv",)),
         ("pipeline", "shuffled_two_stage", (
@@ -482,6 +508,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             cohort.write_cohort(str(inputs / f"seed{seed}"), seed)
             write_edge_records(inputs / f"seed{seed}", cohort)
+            write_sepsis_records(inputs / f"seed{seed}")
             (inputs / f"seed{seed}" / "tags.json").write_text(json.dumps(TAGS))
             (inputs / f"seed{seed}" / "tags_quoted.json").write_text(json.dumps(QUOTED_TAGS))
             (inputs / f"seed{seed}" / "regroup.json").write_text(json.dumps(REGROUP))

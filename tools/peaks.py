@@ -14,9 +14,8 @@ import's code and data count toward the rise: numpy.random's first use costs
 about 2.5 MiB); then the process's final ru_maxrss. Each line also gives the
 current resident set, VmRSS, read with its VmHWM: memory that a call freed
 but that the allocator kept (a heap that cannot shrink past a live block
-above the freed one) stays in VmRSS, and so under every later peak. A forked
-child (the permutation pool of analyze) runs unprofiled, so every line is this
-process's own. The command's stdout and exit status are its own. Linux only: it needs
+above the freed one) stays in VmRSS, and so under every later peak. The
+command's stdout and exit status are its own. Linux only: it needs
 /proc/self/status.
 
 The kernel counts resident pages per thread in batches, so a VmHWM read can
@@ -82,7 +81,6 @@ def main(argv: list[str]) -> int:
             where = f"{os.path.basename(code.co_filename)}:{name}{imports}"
             report(peak, f"+{peak - before:.2f}  {where}", now)
 
-    os.register_at_fork(after_in_child=lambda: sys.setprofile(None))
     sys.setprofile(probe)
     try:
         exit_status = dispatch(argv)
